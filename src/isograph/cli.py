@@ -9,6 +9,7 @@ structured output is JSON on stdout; human-facing errors go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ import re
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from . import __version__
 from .enhanced import (
@@ -174,13 +175,20 @@ def load_graph_file(path: str) -> EnhancedGraph:
     )
 
 
+@functools.cache
+def _builder(p: int, l: int, seed: int) -> GraphBuilder:
+    """One builder per (p, l, seed) for the life of the process, so every
+    level built here shares its class table, torsion data and arrows."""
+    return GraphBuilder(p, l, seed=seed)
+
+
 def build_or_load(cfg: JobConfig, force: bool = False) -> EnhancedGraph:
     path = graph_file_path(cfg)
     if not force and os.path.exists(path):
         eg = load_graph_file(path)
         if (eg.p, eg.l, eg.level) == (cfg.p, cfg.l, cfg.N):
             return eg
-    builder = GraphBuilder(cfg.p, cfg.l, seed=cfg.seed)
+    builder = _builder(cfg.p, cfg.l, cfg.seed)
     eg = builder.build(cfg.N)
     write_graph_file(path, eg, builder.table.field.modulus)
     return eg
@@ -189,9 +197,13 @@ def build_or_load(cfg: JobConfig, force: bool = False) -> EnhancedGraph:
 # ------------------------------------------------------------ verification
 
 
-def verify_graph(eg: EnhancedGraph, tol: float, oracle_edge_limit: int = 30) -> dict:
-    """Property suite for one graph; returns {check: bool} plus details."""
+def verify_graph(
+    eg: EnhancedGraph, cfg: JobConfig, oracle_edge_limit: int = 30
+) -> dict:
+    """Property suite for one graph; returns {check: bool} plus details.
+    Coarser levels for the covering check come from `cfg`'s cache."""
     p, l, N = eg.p, eg.l, eg.level
+    tol = cfg.tol
     checks: dict[str, bool] = {}
     detail: dict[str, object] = {}
 
@@ -257,7 +269,7 @@ def verify_graph(eg: EnhancedGraph, tol: float, oracle_edge_limit: int = 30) -> 
     for M in range(1, N):
         if N % M != 0:
             continue
-        coarse = GraphBuilder(p, l, seed=eg.seed).build(M)
+        coarse = build_or_load(replace(cfg, N=M))
         try:
             verify_covering(eg, coarse, covering_map(eg, coarse))
         except CoveringError as e:
@@ -373,7 +385,6 @@ def cmd_spectrum(args) -> int:
             "ramanujan": rep.ok,
             "connected": rep.connected,
             "laplacian_gap": spec.laplacian_gap,
-            "solver_residual": spec.residual,
         }
     )
     return EXIT_OK if (rep.ok and rep.connected) else EXIT_VERIFY
@@ -413,9 +424,7 @@ def cmd_covering(args) -> int:
     if args.N % args.M != 0:
         raise AdmissibilityError(f"{args.M} does not divide {args.N}")
     fine = build_or_load(cfg)
-    coarse = build_or_load(
-        JobConfig(cfg.p, cfg.l, args.M, cfg.seed, cfg.cache_dir, cfg.tol)
-    )
+    coarse = build_or_load(replace(cfg, N=args.M))
     cov = covering_map(fine, coarse)
     report = verify_covering(fine, coarse, cov)
     report["degree"] = cov.fiber_size
@@ -429,11 +438,8 @@ def cmd_reciprocity(args) -> int:
     return EXIT_OK if cert["equal"] else EXIT_VERIFY
 
 
-def _verify_one(job) -> dict:
-    (p, l, N), seed, cache_dir, tol = job
-    cfg = JobConfig(p, l, N, seed, cache_dir, tol)
-    eg = build_or_load(cfg)
-    return verify_graph(eg, tol)
+def _verify_one(cfg: JobConfig) -> dict:
+    return verify_graph(build_or_load(cfg), cfg)
 
 
 def cmd_verify(args) -> int:
@@ -446,7 +452,7 @@ def cmd_verify(args) -> int:
         check_admissible(args.p, args.l, args.N)
         triples = [(args.p, args.l, args.N)]
         skips = []
-    jobs = [(t, args.seed, args.cache_dir, args.tol) for t in triples]
+    jobs = [replace(_config(args), p=p, l=l, N=N) for p, l, N in triples]
     if args.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_verify_one, jobs))
@@ -475,21 +481,25 @@ def cmd_verify(args) -> int:
 
 
 def _config(args) -> JobConfig:
+    """JobConfig from the parsed arguments; fields whose flag the
+    subcommand does not take keep their defaults."""
+    given = vars(args)
     return JobConfig(
-        p=args.p,
-        l=args.l,
-        N=args.N,
-        seed=args.seed,
-        cache_dir=args.cache_dir,
-        tol=args.tol,
+        **{f.name: given[f.name] for f in fields(JobConfig) if f.name in given}
     )
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--cache-dir", default="isograph-cache")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--tol", type=float, default=1e-9)
+_FLAGS = {
+    "--cache-dir": dict(default="isograph-cache"),
+    "--seed": dict(type=int, default=0),
+    "--workers": dict(type=int, default=1),
+    "--tol": dict(type=float, default=1e-9),
+}
+
+
+def _add_flags(sub, *names: str) -> None:
+    for name in names:
+        sub.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,35 +519,35 @@ def build_parser() -> argparse.ArgumentParser:
     plN(sp)
     sp.add_argument("--dot", help="write a DOT rendering here")
     sp.add_argument("--csv", help="write the adjacency matrix as CSV here")
-    _add_common(sp)
+    _add_flags(sp, "--cache-dir", "--seed")
     sp.set_defaults(func=cmd_build)
 
     sp = subs.add_parser("spectrum", help="adjacency spectrum and Ramanujan check")
     plN(sp)
-    _add_common(sp)
+    _add_flags(sp, "--cache-dir", "--seed", "--tol")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = subs.add_parser("zeta", help="exact Ihara zeta function")
     plN(sp)
-    _add_common(sp)
+    _add_flags(sp, "--cache-dir", "--seed")
     sp.set_defaults(func=cmd_zeta)
 
     sp = subs.add_parser("cheeger", help="isoperimetric constant and bounds")
     plN(sp)
-    _add_common(sp)
+    _add_flags(sp, "--cache-dir", "--seed", "--tol")
     sp.set_defaults(func=cmd_cheeger)
 
     sp = subs.add_parser("covering", help="verify the projection to a coarser level")
     plN(sp)
     sp.add_argument("M", type=int)
-    _add_common(sp)
+    _add_flags(sp, "--cache-dir", "--seed")
     sp.set_defaults(func=cmd_covering)
 
     sp = subs.add_parser("reciprocity", help="zeta reciprocity for (p, q, l)")
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)
     sp.add_argument("l", type=int)
-    _add_common(sp)
+    _add_flags(sp, "--seed")
     sp.set_defaults(func=cmd_reciprocity)
 
     sp = subs.add_parser("verify", help="run the property suite on a graph or grid")
@@ -545,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("l", type=int, nargs="?")
     sp.add_argument("N", type=int, nargs="?")
     sp.add_argument("--grid", help='e.g. "p in {13,37}, l in {3,5}, N in {1,2,6}"')
-    _add_common(sp)
+    _add_flags(sp, "--cache-dir", "--seed", "--workers", "--tol")
     sp.set_defaults(func=cmd_verify)
 
     return parser

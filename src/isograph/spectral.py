@@ -1,9 +1,9 @@
 """Spectra of adjacency matrices and expansion measures.
 
-The eigenvalue solver is a cyclic Jacobi iteration written here (numpy is
-used for array arithmetic only); tests compare it against the library
-solver.  Everything downstream (Ramanujan bound, Laplacian gap, Cheeger
-bounds) consumes the sorted spectrum, so exactness lives in one place.
+Eigenvalues come from LAPACK (`numpy.linalg.eigvalsh`); tests check them
+against exact trace identities.  Everything downstream (Ramanujan bound,
+Laplacian gap, Cheeger bounds) consumes the sorted spectrum, so the
+tolerance lives in one place.
 """
 
 from __future__ import annotations
@@ -31,59 +31,12 @@ def _as_matrix(obj) -> np.ndarray:
     return A
 
 
-def symmetric_eigenvalues(matrix, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues descending, residual) where the residual is the
-    final off-diagonal Frobenius norm, relative to the matrix norm."""
-    A = _as_matrix(matrix).copy()
-    n = A.shape[0]
-    if n == 1:
-        return [float(A[0, 0])], 0.0
-    scale = max(float(np.linalg.norm(A)), 1.0)
-    offdiag = ~np.eye(n, dtype=bool)
-
-    def off_norm():
-        # direct sum over off-diagonal entries; the difference
-        # norm(A)^2 - norm(diag)^2 cancels catastrophically near
-        # convergence and reports ~sqrt(eps) instead of 0
-        return float(np.linalg.norm(A[offdiag]))
-
-    for _ in range(max_sweeps):
-        if off_norm() <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-    eigs = sorted((float(x) for x in np.diag(A)), reverse=True)
-    return eigs, off_norm() / scale
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Adjacency spectrum of a k-regular graph, eigenvalues descending."""
 
     eigenvalues: tuple[float, ...]
     degree: int
-    residual: float
     tol: float
 
     @property
@@ -135,14 +88,12 @@ def spectrum(graph_or_matrix, degree: int | None = None, tol: float = 1e-9) -> S
         if not np.allclose(row_sums, row_sums[0]):
             raise SpectralError("graph is not regular; pass degree explicitly")
         degree = int(round(float(row_sums[0])))
-    eigs, residual = symmetric_eigenvalues(A)
+    eigs = np.linalg.eigvalsh(A)[::-1].tolist()
     if abs(eigs[0] - degree) > tol:
         raise SpectralError(
             f"top eigenvalue {eigs[0]} differs from degree {degree}"
         )
-    return Spectrum(
-        eigenvalues=tuple(eigs), degree=degree, residual=residual, tol=tol
-    )
+    return Spectrum(eigenvalues=tuple(eigs), degree=degree, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 format: determinism, self-validation, exit codes, and the grid parser."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,13 +12,15 @@ from isograph.cli import (
     EXIT_PARAMS,
     EXIT_VERIFY,
     JobConfig,
+    _builder,
     build_or_load,
     graph_file_path,
     load_graph_file,
     main,
     parse_grid,
+    write_graph_file,
 )
-from isograph.enhanced import AdmissibilityError
+from isograph.enhanced import AdmissibilityError, GraphBuilder
 
 
 def run(capsys, *argv):
@@ -47,6 +50,26 @@ def test_different_seed_same_matrix(tmp_path):
     g2 = build_or_load(c2)
     assert g1.brandt == g2.brandt
     assert g1.vertices == g2.vertices
+
+
+def test_builder_memo_matches_fresh_builders(tmp_path):
+    _builder.cache_clear()
+    for N in (6, 1, 2, 3):
+        shared = JobConfig(13, 5, N, cache_dir=str(tmp_path / "shared"))
+        fresh = replace(shared, cache_dir=str(tmp_path / "fresh"))
+        build_or_load(shared, force=True)
+        b = GraphBuilder(13, 5, seed=0)
+        write_graph_file(graph_file_path(fresh), b.build(N), b.table.field.modulus)
+        assert (
+            open(graph_file_path(shared), "rb").read()
+            == open(graph_file_path(fresh), "rb").read()
+        )
+    assert _builder.cache_info().misses == 1
+    other = JobConfig(13, 5, 6, seed=1, cache_dir=str(tmp_path / "shared"))
+    build_or_load(other, force=True)
+    assert _builder.cache_info().misses == 2
+    assert _builder(13, 5, 1) is not _builder(13, 5, 0)
+    assert json.load(open(graph_file_path(other)))["metadata"]["seed"] == 1
 
 
 def test_cache_round_trip(tmp_path):
@@ -82,6 +105,18 @@ def test_corrupted_cache_is_refused(tmp_path, capsys):
     data["adjacency"][0][1] += 1
     json.dump(data, open(path, "w"))
     code, _ = run(capsys, "spectrum", 13, 5, 2, "--cache-dir", tmp_path)
+    assert code == EXIT_INTERNAL
+
+
+def test_verify_refuses_corrupted_coarse_level(tmp_path, capsys):
+    # the covering check loads level 2 from the cache and re-validates it
+    cfg = JobConfig(13, 5, 2, cache_dir=str(tmp_path))
+    build_or_load(cfg, force=True)
+    path = graph_file_path(cfg)
+    data = json.load(open(path))
+    data["adjacency"][0][1] += 1
+    json.dump(data, open(path, "w"))
+    code, _ = run(capsys, "verify", 13, 5, 6, "--cache-dir", tmp_path)
     assert code == EXIT_INTERNAL
 
 

@@ -1,4 +1,5 @@
-"""Eigensolver vs library oracle, Ramanujan checks, Cheeger enumeration."""
+"""Spectra against exact trace identities, Ramanujan checks, Cheeger
+enumeration."""
 
 import math
 
@@ -14,45 +15,61 @@ from isograph.spectral import (
     cheeger_constant,
     ramanujan_report,
     spectrum,
-    symmetric_eigenvalues,
 )
+
+
+def assert_trace_identities(M, s):
+    """Newton's identities: the j-th power sum of the eigenvalues equals
+    the exact integer trace of M^j, and the top eigenvalue is the degree."""
+    A = np.array(M, dtype=np.int64)
+    power = np.eye(len(A), dtype=np.int64)
+    for j in (1, 2, 3):
+        power = power @ A
+        power_sum = sum(x**j for x in s.eigenvalues)
+        scale = max(1.0, sum(abs(x) ** j for x in s.eigenvalues))
+        assert abs(power_sum - int(np.trace(power))) < 1e-9 * scale
+    assert abs(s.eigenvalues[0] - s.degree) < 1e-9
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=1, max_value=7).flatmap(
         lambda n: st.lists(
-            st.lists(st.integers(min_value=-5, max_value=5), min_size=n, max_size=n),
+            st.lists(st.integers(min_value=0, max_value=5), min_size=n, max_size=n),
             min_size=n,
             max_size=n,
         )
-    )
+    ),
+    st.integers(min_value=0, max_value=3),
 )
-def test_jacobi_matches_library_solver(rows):
+def test_spectrum_trace_identities_random_regular(rows, slack):
     n = len(rows)
-    M = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
-    ours, residual = symmetric_eigenvalues(M)
-    lib = sorted(np.linalg.eigvalsh(np.array(M, dtype=float)), reverse=True)
-    assert residual < 1e-10
-    assert max(abs(a - b) for a, b in zip(ours, lib)) < 1e-9
+    M = [[rows[i][j] + rows[j][i] if i != j else 0 for j in range(n)]
+         for i in range(n)]
+    k = max(sum(row) for row in M) + slack
+    for i in range(n):
+        M[i][i] = k - sum(M[i])  # pad the diagonal to make M k-regular
+    s = spectrum(M)
+    assert s.degree == k and s.n == n
+    assert list(s.eigenvalues) == sorted(s.eigenvalues, reverse=True)
+    assert_trace_identities(M, s)
 
 
-def test_jacobi_on_large_isogeny_matrix():
+def test_spectrum_trace_identities_61_5_6():
     g = GraphBuilder(61, 5).build(6)
-    ours, residual = symmetric_eigenvalues(g.brandt)
-    lib = sorted(np.linalg.eigvalsh(np.array(g.brandt, dtype=float)), reverse=True)
-    assert residual < 1e-10
-    assert max(abs(a - b) for a, b in zip(ours, lib)) < 1e-8
+    s = spectrum(g)
+    assert s.degree == 6 and s.n == g.n
+    assert_trace_identities(g.brandt, s)
 
 
 def test_trivial_one_by_one():
-    eigs, residual = symmetric_eigenvalues([[6]])
-    assert eigs == [6.0] and residual == 0.0
+    s = spectrum([[6]])
+    assert s.eigenvalues == (6.0,) and s.degree == 6
 
 
 def test_asymmetric_rejected():
-    with pytest.raises(SpectralError):
-        symmetric_eigenvalues([[0, 1], [2, 0]])
+    with pytest.raises(SpectralError, match="symmetric"):
+        spectrum([[0, 1], [2, 0]])
 
 
 def test_spectrum_37_5():
