@@ -246,7 +246,7 @@ def verify_graph(
             gap >= (sqrt_l - 1) ** 2 - tol and gap / 2 <= upper_h + tol
         )
     detail["laplacian_gap"] = gap
-    ch = cheeger_constant(eg, tol=tol)
+    ch = cheeger_constant(eg, tol=tol, spec=spec)
     if ch.method == "exact":
         checks["cheeger_sandwich"] = (
             (sqrt_l - 1) ** 2 / 2 - tol <= ch.value <= upper_h + tol

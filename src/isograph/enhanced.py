@@ -12,6 +12,13 @@ multiplicative order of -p mod r, the smallest extension where E[r] is
 rational for scalar-Frobenius models.  Kernels are Galois-stable there,
 so quotient curves and x-maps descend to F_{p^2}; the descent is exact
 and checked, never a float-style approximation.
+
+Level structure moves along an arrow one point per subgroup: the arrow's
+degree l is prime to r, so the image of one generator fixes the image
+subgroup.  Each (arrow, r) row of pushes is validated once, as a whole:
+every image must hit the target table, the row must be a bijection on
+the r + 1 subgroups, and for r >= 5 the lifted x-map must commute with
+x-only doubling at one point.
 """
 
 from __future__ import annotations
@@ -104,6 +111,12 @@ def vertex_count(p: int, N: int) -> int:
     return num // 12
 
 
+def _x_double(a: FieldElement, b: FieldElement, x: FieldElement) -> FieldElement:
+    """x(2P) from x(P) on y^2 = x^3 + a x + b; P must not be 2-torsion."""
+    x2 = x * x
+    return ((x2 - a) * (x2 - a) - 8 * b * x) / (4 * ((x2 + a) * x + b))
+
+
 def _derive_seed(*parts) -> int:
     digest = hashlib.sha256(repr(parts).encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -115,7 +128,6 @@ class SubgroupSlot:
     nonzero points (one per +-pair), sorted for canonical identity."""
 
     xs: tuple[FieldElement, ...]
-    encs: frozenset
 
 
 @dataclass(frozen=True)
@@ -249,8 +261,7 @@ class GraphBuilder:
         self._subs: dict[int, list[list[SubgroupSlot]]] = {}
         self._enc_index: dict[int, list[dict]] = {}
         self._arrows: list[list[QuotientArrow]] | None = None
-        self._lifted: dict[tuple[int, int, int], tuple[XMap, FieldElement]] = {}
-        self._push_memo: dict[tuple[int, int, int, int], int] = {}
+        self._push_rows: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
     # -- per-prime subgroup tables
 
@@ -279,7 +290,7 @@ class GraphBuilder:
             slots = []
             for G in gens:
                 xs = sorted(x_multiples(G, half), key=lambda x: x.coeffs)
-                slots.append(SubgroupSlot(tuple(xs), frozenset(x.coeffs for x in xs)))
+                slots.append(SubgroupSlot(tuple(xs)))
             slots.sort(key=lambda s: tuple(x.coeffs for x in s.xs))
             if len({s.xs for s in slots}) != r + 1:
                 raise GraphBuildError(f"repeated order-{r} subgroup at class {ci}")
@@ -347,40 +358,70 @@ class GraphBuilder:
 
     # -- pushing level structure through arrows
 
-    def _lifted_arrow(self, ci: int, t: int, r: int):
+    def _lifted_arrow(self, ci: int, t: int, r: int) -> tuple[XMap, FieldElement]:
+        """Arrow t of class ci with its x-map and scale u2 lifted to the
+        order-r torsion field."""
+        ar = self.arrows[ci][t]
+        emb = get_embedding(self.table.field, self.torsion_field(r))
+        return ar.xmap.lift(emb), emb(ar.u2)
+
+    def _push_row(self, ci: int, t: int, r: int) -> tuple[int, ...]:
+        """Target-table indices of all r + 1 order-r subgroups of class ci
+        pushed through arrow t, memoised per (ci, t, r).
+
+        The arrow has degree l prime to r, so the image of one generator
+        fixes the image subgroup: the lifted x-map is evaluated once per
+        subgroup, at slot.xs[0], with a single batched inversion.  Three
+        guards run once per row instead of once per subgroup:
+        (a) every image lies in the target table; (b) the r + 1 indices
+        are distinct, since an isogeny of degree prime to r is a bijection
+        on order-r subgroups; (c) for r >= 5, the map commutes with x-only
+        doubling at one pushed point.  For r = 2 doubling is a pole and for
+        r = 3 it fixes x, so those rows rest on (a) and (b)."""
         key = (ci, t, r)
-        got = self._lifted.get(key)
-        if got is None:
-            ar = self.arrows[ci][t]
-            emb = get_embedding(self.table.field, self.torsion_field(r))
-            got = (ar.xmap.lift(emb), emb(ar.u2))
-            self._lifted[key] = got
-        return got
+        row = self._push_rows.get(key)
+        if row is not None:
+            return row
+        xmap_r, u2_r = self._lifted_arrow(ci, t, r)
+        src_slots = self.level_subgroups(r)[ci]
+        target = self.arrows[ci][t].target
+        index = self._enc_index[r][target]
+        xs = [slot.xs[0] for slot in src_slots]
+        check_doubling = r >= 5
+        if check_doubling:
+            src_a, src_b = self._lifted_model(ci, r)
+            xs.append(_x_double(src_a, src_b, xs[0]))
+        pushed = [u2_r * x for x in xmap_r.eval_many(xs)]
+        try:
+            row = tuple(index[x.coeffs] for x in pushed[: r + 1])
+        except KeyError:
+            raise GraphBuildError(
+                f"pushed subgroup of arrow ({ci},{t}) at r={r} missed the table"
+            ) from None
+        if len(set(row)) != r + 1:
+            raise GraphBuildError(
+                f"arrow ({ci},{t}) at r={r} is not a bijection on subgroups"
+            )
+        if check_doubling:
+            tgt_a, tgt_b = self._lifted_model(target, r)
+            if _x_double(tgt_a, tgt_b, pushed[0]) != pushed[-1]:
+                raise GraphBuildError(
+                    f"arrow ({ci},{t}) at r={r} does not commute with doubling"
+                )
+        self._push_rows[key] = row
+        return row
+
+    def _lifted_model(self, ci: int, r: int) -> tuple[FieldElement, FieldElement]:
+        """(a, b) of class ci's model over the order-r torsion field."""
+        emb = get_embedding(self.table.field, self.torsion_field(r))
+        model = self.table.models[ci]
+        return emb(model.a), emb(model.b)
 
     def push_subgroup(self, ci: int, t: int, r: int, s: int) -> int:
         """Index of the order-r subgroup obtained by pushing subgroup s of
-        class ci through arrow t, on the target class's table."""
-        key = (ci, t, r, s)
-        got = self._push_memo.get(key)
-        if got is not None:
-            return got
-        xmap_r, u2_r = self._lifted_arrow(ci, t, r)
-        subs = self.level_subgroups(r)
-        slot = subs[ci][s]
-        pushed = [u2_r * x for x in xmap_r.eval_many(slot.xs)]
-        target = self.arrows[ci][t].target
-        try:
-            idx = self._enc_index[r][target][pushed[0].coeffs]
-        except KeyError:
-            raise GraphBuildError(
-                f"pushed subgroup ({ci},{t},{r},{s}) missed the table"
-            ) from None
-        if frozenset(x.coeffs for x in pushed) != subs[target][idx].encs:
-            raise GraphBuildError(
-                f"pushed subgroup ({ci},{t},{r},{s}) is not a full subgroup"
-            )
-        self._push_memo[key] = idx
-        return idx
+        class ci through arrow t, on the target class's table.  Computed
+        with the whole row of class ci; see _push_row."""
+        return self._push_row(ci, t, r)[s]
 
     # -- graph assembly
 

@@ -11,6 +11,7 @@ a thin operator wrapper around it.
 from __future__ import annotations
 
 import random
+import struct
 from typing import Iterator, Sequence
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -174,7 +175,9 @@ class Field:
             (i, (-modulus[i]) % p) for i in range(self.deg) if modulus[i]
         )
         self._nonresidue_t: tuple[int, ...] | None = None
-        self._bytes = 8 * (2 * self.deg - 1)
+        self._bytes = 16 * self.deg
+        self._pack = struct.Struct(f"<{self.deg}Q").pack
+        self._unpack = struct.Struct(f"<{2 * self.deg}Q").unpack
 
     # -- construction / conversion
 
@@ -249,18 +252,16 @@ class Field:
                         conv[i + j] += ai * b[j]
         else:
             # packed big-int convolution: one machine multiply does the
-            # schoolbook work; coefficients stay far below 2^64
-            za = int.from_bytes(
-                b"".join(c.to_bytes(8, "little") for c in a), "little"
+            # schoolbook work.  Each coefficient is one little-endian 64-bit
+            # word and every convolution sum d (p-1)^2 stays far below 2^64,
+            # so no carry crosses a word; the product spans 2d - 1 words and
+            # the padding word struct unpacks last is zero.
+            pack = self._pack
+            prod = int.from_bytes(pack(*a), "little") * int.from_bytes(
+                pack(*b), "little"
             )
-            zb = int.from_bytes(
-                b"".join(c.to_bytes(8, "little") for c in b), "little"
-            )
-            raw = (za * zb).to_bytes(self._bytes + 8, "little")
-            conv = [
-                int.from_bytes(raw[k : k + 8], "little")
-                for k in range(0, self._bytes, 8)
-            ]
+            conv = list(self._unpack(prod.to_bytes(self._bytes, "little")))
+            conv.pop()
         return self._reduce_conv(conv)
 
     def _reduce_conv(self, conv: list[int]) -> tuple[int, ...]:

@@ -170,14 +170,24 @@ def _exact_cheeger(A: np.ndarray):
 
 
 def cheeger_constant(
-    graph_or_matrix, degree: int | None = None, tol: float = 1e-9
+    graph_or_matrix,
+    degree: int | None = None,
+    tol: float = 1e-9,
+    spec: Spectrum | None = None,
 ) -> CheegerResult:
     """Isoperimetric constant with spectral sandwich bounds.
 
     Exact value (with witness subset) by enumeration when n <= 24, bounds
-    only beyond that: lambda_1 / 2 <= h <= sqrt(2 k lambda_1)."""
+    only beyond that: lambda_1 / 2 <= h <= sqrt(2 k lambda_1).  A caller
+    that already holds the matrix's spectrum passes it as `spec` instead
+    of having it solved again."""
     A = _as_matrix(graph_or_matrix)
-    spec = spectrum(A, degree=degree, tol=tol)
+    if spec is None:
+        spec = spectrum(A, degree=degree, tol=tol)
+    elif spec.n != A.shape[0]:
+        raise SpectralError(
+            f"spectrum of size {spec.n} does not fit a {A.shape[0]}-vertex graph"
+        )
     gap = spec.laplacian_gap
     k = spec.degree
     lower = gap / 2.0

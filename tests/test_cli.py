@@ -179,6 +179,25 @@ def test_verify_single_clean(tmp_path, capsys):
     assert out["ok"]
 
 
+def test_verify_solves_each_spectrum_once(tmp_path, monkeypatch):
+    import isograph.cli as cli_mod
+    import isograph.spectral as spectral_mod
+
+    calls = []
+    original = spectral_mod.spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_mod, "spectrum", counted)
+    monkeypatch.setattr(cli_mod, "spectrum", counted)
+    cfg = JobConfig(13, 5, 6, cache_dir=str(tmp_path))
+    result = cli_mod.verify_graph(build_or_load(cfg), cfg)
+    assert result["detail"]["cheeger_method"] == "exact"
+    assert len(calls) == 1
+
+
 def test_verify_single_parity_failure(tmp_path, capsys):
     code, out = run(capsys, "verify", 13, 5, 2, "--cache-dir", tmp_path)
     assert code == EXIT_VERIFY

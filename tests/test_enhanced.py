@@ -5,8 +5,10 @@ values wherever a matrix is frozen."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isograph.curves import (
+    XMap,
     isomorphism_scale,
     torsion_basis,
     torsion_order_extension,
@@ -16,7 +18,9 @@ from isograph.curves import (
 from isograph.enhanced import (
     AdmissibilityError,
     BrandtValidationError,
+    GraphBuildError,
     GraphBuilder,
+    _x_double,
     check_admissible,
     diagonal_parity_violations,
     sigma1,
@@ -98,6 +102,24 @@ def level2_matrix_13_5(rng_seed):
             moved = u2 * emb.descend(xmap(emb(x0)))
             M[index[x0.coeffs]][index[moved.coeffs]] += 1
     return M
+
+
+def push_by_all_points(b, ci, t, r, s):
+    """Independent push: map every x-coordinate of the subgroup through the
+    lifted x-map and return the unique target slot whose point set is the
+    whole image.  The builder pushes one point per subgroup and checks
+    whole rows instead, so this is its independent reference."""
+    ar = b.arrows[ci][t]
+    emb = get_embedding(b.table.field, b.torsion_field(r))
+    xmap, u2 = ar.xmap.lift(emb), emb(ar.u2)
+    image = frozenset(
+        (u2 * x).coeffs for x in xmap.eval_many(b.level_subgroups(r)[ci][s].xs)
+    )
+    (hit,) = [
+        i for i, slot in enumerate(b.level_subgroups(r)[ar.target])
+        if frozenset(x.coeffs for x in slot.xs) == image
+    ]
+    return hit
 
 
 # ------------------------------------------------------------ admissibility
@@ -210,6 +232,101 @@ def test_arrow_dual_of_dual_across_classes():
         for t, a in enumerate(row):
             back = b.arrows[a.target][a.dual_index]
             assert (back.target, back.dual_index) == (ci, t)
+
+
+# ------------------------------------------------------------ pushes
+
+
+@pytest.mark.parametrize(
+    "p,l,r", [(13, 5, 2), (13, 5, 3), (13, 5, 7), (37, 5, 2), (37, 5, 3)]
+)
+def test_push_matches_all_points_oracle(p, l, r):
+    b = GraphBuilder(p, l)
+    for ci, row in enumerate(b.arrows):
+        for t in range(len(row)):
+            for s in range(r + 1):
+                assert b.push_subgroup(ci, t, r, s) == push_by_all_points(
+                    b, ci, t, r, s
+                )
+
+
+def _patch_arrow(monkeypatch, b, r, wrap):
+    """Make builder b see arrow (0, 0) at prime r through wrap(xmap, u2)."""
+    real = b._lifted_arrow
+
+    def patched(ci, t, rr):
+        xmap, u2 = real(ci, t, rr)
+        if (ci, t, rr) == (0, 0, r):
+            return wrap(xmap, u2)
+        return xmap, u2
+
+    monkeypatch.setattr(b, "_lifted_arrow", patched)
+
+
+def test_push_guard_image_outside_table(monkeypatch):
+    b = GraphBuilder(13, 5)
+
+    def perturb(xmap, u2):
+        num = list(xmap.num)
+        num[0] = num[0] + 1
+        return XMap(num, xmap.den, xmap.degree), u2
+
+    _patch_arrow(monkeypatch, b, 3, perturb)
+    with pytest.raises(GraphBuildError, match="missed the table"):
+        b.push_subgroup(0, 0, 3, 0)
+
+
+def test_push_guard_not_a_bijection(monkeypatch):
+    b = GraphBuilder(13, 5)
+    target = b.arrows[0][0].target
+    x_hit = b.level_subgroups(3)[target][1].xs[0]
+
+    def constant(xmap, u2):
+        return XMap([x_hit], [x_hit.field.one], xmap.degree), x_hit.field.one
+
+    _patch_arrow(monkeypatch, b, 3, constant)
+    with pytest.raises(GraphBuildError, match="not a bijection"):
+        b.push_subgroup(0, 0, 3, 0)
+
+
+def test_push_guard_doubling(monkeypatch):
+    # swap y0 = x(phi(P)) with x(2 phi(P)) on the target: each subgroup
+    # still lands on its own slot, so only the doubling guard can see it
+    b = GraphBuilder(13, 5)
+    r = 7
+    emb = get_embedding(b.table.field, b.torsion_field(r))
+    tgt = b.table.models[b.arrows[0][0].target]
+    x0 = b.level_subgroups(r)[0][0].xs[0]
+
+    class Swapped:
+        def __init__(self, xmap, u2):
+            self.xmap, self.u2 = xmap, u2
+            y0 = u2 * xmap(x0)
+            y1 = _x_double(emb(tgt.a), emb(tgt.b), y0)
+            self.swap = {y0.coeffs: y1, y1.coeffs: y0}
+
+        def eval_many(self, xs):
+            out = []
+            for v in self.xmap.eval_many(xs):
+                y = self.swap.get((self.u2 * v).coeffs)
+                out.append(v if y is None else y / self.u2)
+            return out
+
+    _patch_arrow(monkeypatch, b, r, lambda xmap, u2: (Swapped(xmap, u2), u2))
+    with pytest.raises(GraphBuildError, match="doubling"):
+        b.push_subgroup(0, 0, r, 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), deg=st.sampled_from([2, 4, 8]))
+def test_x_double_matches_point_addition(seed, deg):
+    table = build_class_table(13)
+    emb = get_embedding(table.field, make_extension_field(13, deg))
+    E = table.models[0].change_field(emb)
+    P = E.random_point(random.Random(seed))
+    if not P.y:
+        return  # 2-torsion: x(2P) is the point at infinity
+    assert _x_double(E.a, E.b, P.x) == (P + P).x
 
 
 # ---------------------------------------------------------------- matrices

@@ -112,17 +112,21 @@ def test_mul_matches_schoolbook_oracle(na, nb):
 
 
 def test_packed_mul_against_dense_path():
-    # degree above the dense cutoff exercises the packed big-int convolution
-    f = make_extension_field(13, 12)
+    # degrees above the dense cutoff exercise the packed big-int
+    # convolution; all-(p-1) operands give the largest convolution sums
     rng = random.Random(3)
-    for _ in range(25):
-        a, b = f.random_t(rng), f.random_t(rng)
-        conv = [0] * 23
-        for i in range(12):
-            if a[i]:
-                for j in range(12):
-                    conv[i + j] += a[i] * b[j]
-        assert f.mul_t(a, b) == f._reduce_conv(conv)
+    for p in (13, 61):
+        for d in (7, 8, 12, 24, 40, 72):
+            f = make_extension_field(p, d)
+            top = (p - 1,) * d
+            pairs = [(top, top), (top, f.random_t(rng))]
+            pairs += [(f.random_t(rng), f.random_t(rng)) for _ in range(10)]
+            for a, b in pairs:
+                conv = [0] * (2 * d - 1)
+                for i in range(d):
+                    for j in range(d):
+                        conv[i + j] += a[i] * b[j]
+                assert f.mul_t(a, b) == f._reduce_conv(conv), (p, d)
 
 
 def test_sqrt_examples_f13():

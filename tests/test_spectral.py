@@ -166,6 +166,14 @@ def test_cheeger_witness_consistency_13_5_6():
     assert r.lower_bound - 1e-9 <= r.value <= r.upper_bound + 1e-9
 
 
+def test_cheeger_reuses_given_spectrum():
+    g = GraphBuilder(13, 5).build(6)
+    spec = spectrum(g)
+    assert cheeger_constant(g, spec=spec) == cheeger_constant(g)
+    with pytest.raises(SpectralError, match="does not fit"):
+        cheeger_constant(g, spec=spectrum(GraphBuilder(13, 5).build(2)))
+
+
 def test_cheeger_bounds_only_above_limit():
     g = GraphBuilder(61, 5).build(6)
     r = cheeger_constant(g)
