@@ -176,16 +176,6 @@ def diagonal_parity_violations(matrix) -> tuple[int, ...]:
     return tuple(i for i, row in enumerate(matrix) if row[i] % 2 != 0)
 
 
-def validate_brandt(matrix, l: int) -> None:
-    """Full validation: symmetry and row sums (always expected to hold),
-    plus an even diagonal (usually holds, but see
-    diagonal_parity_violations for the genuine exceptions)."""
-    validate_symmetry_and_row_sums(matrix, l)
-    bad = diagonal_parity_violations(matrix)
-    if bad:
-        raise BrandtValidationError(f"odd diagonal entries at vertices {list(bad)}")
-
-
 @dataclass(frozen=True)
 class EnhancedGraph:
     """A finished level-N graph: vertex list, multiplicity matrix, and the

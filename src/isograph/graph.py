@@ -78,28 +78,32 @@ class Graph:
         degs = {self.degree(v) for v in range(self.n)}
         return degs.pop() if len(degs) == 1 else None
 
-    def out_edges(self, v: int) -> list[int]:
-        return [e for e in range(len(self.src)) if self.src[e] == v]
-
 
 def euler_characteristic(graph: Graph) -> int:
     """Vertices minus geometric edges."""
     return graph.n - graph.geometric_edge_count
 
 
-def is_connected(graph: Graph) -> bool:
-    if graph.n == 0:
+def adjacency_connected(matrix) -> bool:
+    """Depth-first reachability from vertex 0 over the nonzero entries of
+    a square adjacency matrix; the empty graph counts as connected."""
+    n = len(matrix)
+    if n == 0:
         return True
-    seen = [False] * graph.n
+    seen = [False] * n
     stack = [0]
     seen[0] = True
     while stack:
         v = stack.pop()
-        for w, c in enumerate(graph.adjacency[v]):
+        for w, c in enumerate(matrix[v]):
             if c and not seen[w]:
                 seen[w] = True
                 stack.append(w)
     return all(seen)
+
+
+def is_connected(graph: Graph) -> bool:
+    return adjacency_connected(graph.adjacency)
 
 
 def is_bipartite(graph: Graph) -> bool:

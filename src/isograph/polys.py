@@ -1,11 +1,12 @@
 """Exact integer polynomials, rational functions, and integer linear algebra.
 
-Everything here is exact: polynomial coefficients are Python ints, series
-coefficients are Fractions, and determinants of polynomial matrices go
-through fraction-free Bareiss elimination at integer sample points followed
-by Lagrange interpolation.  Characteristic polynomials of integer matrices
-use a CRT of word-size primes with numpy-backed Hessenberg reduction, which
-keeps the zeta pipeline fast for matrices with a couple hundred rows.
+Everything here is exact: polynomial coefficients are Python ints and
+series coefficients are Fractions.  Characteristic polynomials of integer
+matrices use a CRT of word-size primes with numpy-backed Hessenberg
+reduction; this is the one determinant the zeta pipeline calls.
+Fraction-free Bareiss elimination at integer sample points followed by
+Lagrange interpolation (poly_matrix_det) is kept as the independent
+reference that tests compare the CRT route against.
 """
 
 from __future__ import annotations

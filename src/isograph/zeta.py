@@ -1,11 +1,11 @@
 """Ihara zeta functions, exactly.
 
 1/Z is (1 - t^2)^(-chi) times det(I - A t + Q t^2) with Q the diagonal of
-degree-minus-one.  Everything is integer arithmetic: the determinant comes
-either from the polynomial-matrix route (small graphs, arbitrary degrees)
-or from the integer characteristic polynomial (regular graphs, scales to
-a few hundred vertices).  The edge-matrix determinant and the explicit
-cycle census act as independent oracles.
+degree-minus-one.  Everything is integer arithmetic, and every determinant
+is one integer characteristic polynomial (polys.charpoly_int): det(I - tM)
+is the characteristic polynomial of M with its coefficients reversed.  The
+edge-matrix determinant and the explicit cycle census act as independent
+oracles.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enhanced import GraphBuilder, vertex_count
-from .graph import Graph, graph_from_enhanced, is_connected
+from .enhanced import GraphBuilder
+from .graph import Graph, adjacency_connected
 from .polys import (
     IntPolynomial,
     RationalFunction,
     charpoly_int,
     log_series,
-    poly_matrix_det,
     ratfun_series,
 )
 
@@ -66,18 +65,10 @@ class ZetaFunction:
         }
 
 
-def _det_part_polydet(A, degrees) -> IntPolynomial:
-    n = len(A)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c0 = 1 if i == j else 0
-            c1 = -A[i][j]
-            c2 = degrees[i] - 1 if i == j else 0
-            row.append(IntPolynomial([c0, c1, c2]))
-        entries.append(row)
-    return poly_matrix_det(entries)
+def _det_one_minus_t(M) -> IntPolynomial:
+    """det(I - tM) for a square integer matrix M: t^k det(I/t - M), i.e.
+    the characteristic polynomial of M with its coefficients reversed."""
+    return IntPolynomial(reversed(charpoly_int(M).coeffs))
 
 
 def _det_part_charpoly(A, l: int) -> IntPolynomial:
@@ -96,12 +87,13 @@ def _det_part_charpoly(A, l: int) -> IntPolynomial:
     return total
 
 
-def ihara_zeta(graph_or_matrix, require_connected: bool = True) -> ZetaFunction:
-    """Exact zeta of a finite multigraph given by its adjacency matrix.
+def ihara_zeta(graph_or_matrix) -> ZetaFunction:
+    """Exact zeta of a finite connected multigraph given by its adjacency
+    matrix.
 
-    Small or irregular graphs go through the polynomial-matrix
-    determinant; regular graphs above that size use the integer
-    characteristic polynomial (same value, better scaling)."""
+    Regular graphs expand det(I - At + qt^2 I) from the characteristic
+    polynomial of A; irregular graphs take det(I - tM) of the 2n x 2n
+    linearization M = [[A, -(D - I)], [I, 0]]."""
     A = _adjacency_of(graph_or_matrix)
     n = len(A)
     degrees = [sum(row) for row in A]
@@ -109,23 +101,17 @@ def ihara_zeta(graph_or_matrix, require_connected: bool = True) -> ZetaFunction:
     if total % 2 != 0:
         raise ZetaError("odd total degree cannot be a graph")
     chi = n - total // 2
-    if require_connected:
-        reach = [False] * n
-        stack = [0]
-        reach[0] = True
-        while stack:
-            v = stack.pop()
-            for w in range(n):
-                if A[v][w] and not reach[w]:
-                    reach[w] = True
-                    stack.append(w)
-        if not all(reach):
-            raise ZetaError("zeta function needs a connected graph")
-    regular = len(set(degrees)) == 1
-    if regular and n > 12:
+    if not adjacency_connected(A):
+        raise ZetaError("zeta function needs a connected graph")
+    if len(set(degrees)) == 1:
         det_part = _det_part_charpoly(A, degrees[0] - 1)
     else:
-        det_part = _det_part_polydet(A, degrees)
+        M = [
+            A[i] + [1 - degrees[i] if j == i else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        M += [[int(j == i) for j in range(2 * n)] for i in range(n)]
+        det_part = _det_one_minus_t(M)
     if det_part[0] != 1:
         raise ZetaError("det_part must have constant term 1")
     if chi >= 0:
@@ -138,23 +124,17 @@ def ihara_zeta(graph_or_matrix, require_connected: bool = True) -> ZetaFunction:
 def edge_matrix_zeta(graph: Graph) -> IntPolynomial:
     """det(I - tT) for the edge-transition matrix T[e][f] = 1 iff e feeds
     into f and f is not the reversal of e.  Independent of the Bass
-    route; exact for graphs small enough to take a 2|GE| x 2|GE|
-    polynomial determinant."""
+    route: one characteristic polynomial of the 2|GE| x 2|GE| 0/1 matrix
+    T rather than of anything built from the adjacency matrix."""
     m = graph.oriented_edge_count
-    one = IntPolynomial([1])
-    mt = IntPolynomial([0, -1])
-    zero = IntPolynomial()
-    entries = []
-    for e in range(m):
-        row = []
-        for f in range(m):
-            diag = one if e == f else zero
-            if graph.dst[e] == graph.src[f] and f != graph.inv[e]:
-                row.append(diag + mt)
-            else:
-                row.append(diag)
-        entries.append(row)
-    return poly_matrix_det(entries)
+    T = [
+        [
+            1 if graph.dst[e] == graph.src[f] and f != graph.inv[e] else 0
+            for f in range(m)
+        ]
+        for e in range(m)
+    ]
+    return _det_one_minus_t(T)
 
 
 def primitive_cycle_census(graph: Graph, max_len: int = 6) -> dict[int, int]:

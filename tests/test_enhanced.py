@@ -24,7 +24,6 @@ from isograph.enhanced import (
     check_admissible,
     diagonal_parity_violations,
     sigma1,
-    validate_brandt,
     validate_symmetry_and_row_sums,
     vertex_count,
 )
@@ -158,15 +157,12 @@ def test_sigma1_and_vertex_count():
 
 def test_validation_split():
     good = [[0, 4], [4, 0]]
-    validate_brandt(good, 3)
     validate_symmetry_and_row_sums(good, 3)
     assert diagonal_parity_violations(good) == ()
 
     odd_diag = [[1, 3, 2], [3, 1, 2], [2, 2, 2]]
     validate_symmetry_and_row_sums(odd_diag, 5)
     assert diagonal_parity_violations(odd_diag) == (0, 1)
-    with pytest.raises(BrandtValidationError):
-        validate_brandt(odd_diag, 5)
 
     with pytest.raises(BrandtValidationError):
         validate_symmetry_and_row_sums([[0, 4], [3, 2]], 3)  # asymmetric... and bad sum

@@ -1,8 +1,10 @@
 """Zeta functions: Bass route vs edge-matrix oracle vs cycle census."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isograph.enhanced import GraphBuilder
 from isograph.graph import graph_from_adjacency, graph_from_enhanced
@@ -11,6 +13,7 @@ from isograph.polys import (
     RationalFunction,
     divides,
     log_series,
+    poly_matrix_det,
     ratfun_series,
 )
 from isograph.zeta import (
@@ -22,7 +25,6 @@ from isograph.zeta import (
     reciprocity_check,
     zeta_for,
     _det_part_charpoly,
-    _det_part_polydet,
 )
 
 
@@ -35,6 +37,59 @@ def edge_log_series(edge_det: IntPolynomial, order: int):
     derivative coefficients, fixed loops or not."""
     rf = RationalFunction(IntPolynomial([1]), edge_det)
     return log_series(ratfun_series(rf, order))
+
+
+def bass_matrix(A):
+    """The polynomial matrix I - At + (D - I)t^2 with D the row sums."""
+    n = len(A)
+    return [
+        [
+            IntPolynomial([1, -A[i][i], sum(A[i]) - 1])
+            if i == j
+            else IntPolynomial([0, -A[i][j]])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def edge_reference(g):
+    """det(I - tT) by Bareiss + Lagrange on the polynomial matrix."""
+    m = g.oriented_edge_count
+    return poly_matrix_det(
+        [
+            [
+                IntPolynomial(
+                    [1 if e == f else 0,
+                     -1 if g.dst[e] == g.src[f] and f != g.inv[e] else 0]
+                )
+                for f in range(m)
+            ]
+            for e in range(m)
+        ]
+    )
+
+
+def random_irregular_multigraph(rng, max_degree=5):
+    """Connected, irregular, even diagonal, at most 30 oriented edges:
+    a random spanning tree plus random extra edges and loops."""
+    while True:
+        n = rng.randint(2, 7)
+        A = [[0] * n for _ in range(n)]
+        for v in range(1, n):
+            u = rng.randrange(v)
+            A[u][v] += 1
+            A[v][u] += 1
+        for _ in range(rng.randint(0, 15 - (n - 1))):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i == j:
+                if sum(A[i]) + 2 <= max_degree:
+                    A[i][i] += 2
+            elif max(sum(A[i]), sum(A[j])) < max_degree:
+                A[i][j] += 1
+                A[j][i] += 1
+        if len({sum(row) for row in A}) > 1:
+            return A
 
 
 # ------------------------------------------------------------------ goldens
@@ -120,8 +175,28 @@ def test_charpoly_and_polydet_paths_agree():
     for p, l, N in ((13, 5, 6), (61, 3, 1), (37, 7, 2)):
         eg = builder(p, l).build(N)
         A = [list(r) for r in eg.brandt]
-        degs = [sum(r) for r in A]
-        assert _det_part_charpoly(A, l) == _det_part_polydet(A, degs), (p, l, N)
+        assert _det_part_charpoly(A, l) == poly_matrix_det(bass_matrix(A)), (p, l, N)
+
+
+def test_edge_matrix_zeta_matches_polydet_reference():
+    # (13,5,3) has forced fixed loops (m = 24); (61,5,1) is the m = 30 case
+    for p, l, N, m in ((13, 5, 3, 24), (61, 5, 1, 30)):
+        g = graph_from_enhanced(builder(p, l).build(N))
+        assert g.oriented_edge_count == m
+        assert edge_matrix_zeta(g) == edge_reference(g), (p, l, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_irregular_route_against_references(seed):
+    A = random_irregular_multigraph(random.Random(seed))
+    g = graph_from_adjacency(A)
+    assert g.oriented_edge_count <= 30 and g.is_regular() is None
+    z = ihara_zeta(A)
+    assert z.det_part == poly_matrix_det(bass_matrix(A))
+    if z.chi <= 0:
+        assert z.inverse_polynomial() == edge_matrix_zeta(g)
+    assert census_matches_log_series(z, primitive_cycle_census(g, 6))
 
 
 # ------------------------------------------------------------------- census
