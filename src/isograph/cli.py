@@ -52,6 +52,10 @@ EXIT_PARAMS = 2
 EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
 
+# the Bass/edge-matrix oracle runs on graphs with at most this many
+# oriented edges
+ORACLE_EDGE_LIMIT = 30
+
 
 class GraphFileError(RuntimeError):
     """Cache file failed self-validation."""
@@ -197,9 +201,7 @@ def build_or_load(cfg: JobConfig, force: bool = False) -> EnhancedGraph:
 # ------------------------------------------------------------ verification
 
 
-def verify_graph(
-    eg: EnhancedGraph, cfg: JobConfig, oracle_edge_limit: int = 30
-) -> dict:
+def verify_graph(eg: EnhancedGraph, cfg: JobConfig) -> dict:
     """Property suite for one graph; returns {check: bool} plus details.
     Coarser levels for the covering check come from `cfg`'s cache."""
     p, l, N = eg.p, eg.l, eg.level
@@ -258,7 +260,7 @@ def verify_graph(
         detail["cheeger"] = None
     detail["cheeger_method"] = ch.method
 
-    if eg.oriented_edge_count <= oracle_edge_limit:
+    if eg.oriented_edge_count <= ORACLE_EDGE_LIMIT:
         z = ihara_zeta(eg)
         checks["bass_edge_oracle"] = edge_matrix_zeta(g) == z.inverse_polynomial()
     else:

@@ -470,9 +470,6 @@ class FieldElement:
     def sqrt(self) -> "FieldElement":
         return FieldElement(self.field, self.field.sqrt_t(self.coeffs))
 
-    def is_square(self) -> bool:
-        return self.field.is_square_t(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
             return self.field is other.field and self.coeffs == other.coeffs

@@ -1,4 +1,4 @@
-"""Exact integer polynomials, rational functions, and integer linear algebra.
+"""Exact integer polynomials, power series and integer linear algebra.
 
 Everything here is exact: polynomial coefficients are Python ints and
 series coefficients are Fractions.  Characteristic polynomials of integer
@@ -12,7 +12,6 @@ reference that tests compare the CRT route against.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,20 +98,6 @@ class IntPolynomial:
             return self
         return IntPolynomial((0,) * k + self.coeffs)
 
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
-
-    def primitive_part(self) -> "IntPolynomial":
-        g = self.content()
-        if g == 0:
-            return self
-        if self.coeffs[-1] < 0:
-            g = -g
-        return IntPolynomial(c // g for c in self.coeffs)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, IntPolynomial):
             return self.coeffs == other.coeffs
@@ -125,133 +110,19 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)})"
 
 
-def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """gcd in Z[t] (primitive pseudo-remainder sequence), with positive
-    leading coefficient."""
-    if a.is_zero():
-        return b.primitive_part() * abs(b.content()) if not b.is_zero() else IntPolynomial()
-    if b.is_zero():
-        return a.primitive_part() * abs(a.content())
-    ca, cb = abs(a.content()), abs(b.content())
-    cg = gcd(ca, cb)
-    pa, pb = a.primitive_part(), b.primitive_part()
-    while not pb.is_zero():
-        r = _pseudo_rem(pa, pb)
-        pa, pb = pb, r.primitive_part()
-    return pa * cg
-
-
-def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    da, db = a.degree, b.degree
-    if da < db:
-        return a
-    lead = b.coeffs[-1]
-    r = list(a.coeffs)
-    for k in range(da, db - 1, -1):
-        c = r[k]
-        if not c:
-            continue
-        # one pseudo-division step: r <- lead*r - c*t^(k-db)*b
-        for i in range(len(r)):
-            r[i] *= lead
-        for i in range(db + 1):
-            r[k - db + i] -= c * b.coeffs[i]
-    return IntPolynomial(r)
-
-
-def exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """a / b when b divides a in Q[t] with integer quotient; raises otherwise."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return IntPolynomial()
-    r = [Fraction(c) for c in a.coeffs]
-    q = [Fraction(0)] * (len(a.coeffs) - len(b.coeffs) + 1)
-    lead = Fraction(b.coeffs[-1])
-    for k in range(len(r) - 1, len(b.coeffs) - 2, -1):
-        if r[k]:
-            f = r[k] / lead
-            q[k - (len(b.coeffs) - 1)] = f
-            for i, bc in enumerate(b.coeffs):
-                r[k - (len(b.coeffs) - 1) + i] -= f * bc
-    if any(r):
-        raise ValueError("polynomial division is not exact")
-    if any(c.denominator != 1 for c in q):
-        raise ValueError("quotient is not integral")
-    return IntPolynomial(int(c) for c in q)
-
-
-def divides(b: IntPolynomial, a: IntPolynomial) -> bool:
-    try:
-        exact_div(a, b)
-        return True
-    except (ValueError, ZeroDivisionError):
-        return False
-
-
-class RationalFunction:
-    """Quotient of integer polynomials, normalized: gcd cancelled and the
-    denominator's leading coefficient positive."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: IntPolynomial, den: IntPolynomial):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = IntPolynomial(), IntPolynomial([1])
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0 or abs(g[0]) > 1:
-                num, den = exact_div(num, g), exact_div(den, g)
-            # cancel the residual integer content shared by both sides
-            c = gcd(num.content(), den.content())
-            if c > 1:
-                num = IntPolynomial(x // c for x in num.coeffs)
-                den = IntPolynomial(x // c for x in den.coeffs)
-        if den.coeffs and den.coeffs[-1] < 0:
-            num, den = -num, -den
-        self.num = num
-        self.den = den
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, e: int) -> "RationalFunction":
-        if e >= 0:
-            return RationalFunction(self.num**e, self.den**e)
-        return RationalFunction(self.den**-e, self.num**-e)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def series(self, order: int) -> list[Fraction]:
-        return ratfun_series(self, order)
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({list(self.num.coeffs)}, {list(self.den.coeffs)})"
-
-
-def ratfun_series(rf: RationalFunction, order: int) -> list[Fraction]:
-    """Exact Taylor coefficients c_0..c_order at t=0; requires den(0) != 0."""
-    if rf.den[0] == 0:
+def ratfun_series(
+    num: IntPolynomial, den: IntPolynomial, order: int
+) -> list[Fraction]:
+    """Exact Taylor coefficients c_0..c_order of num/den at t=0; requires
+    den(0) != 0."""
+    if den[0] == 0:
         raise ValueError("series requires den(0) != 0")
-    d0 = Fraction(rf.den[0])
+    d0 = Fraction(den[0])
     out: list[Fraction] = []
     for k in range(order + 1):
-        acc = Fraction(rf.num[k])
+        acc = Fraction(num[k])
         for j in range(1, k + 1):
-            dj = rf.den[j]
+            dj = den[j]
             if dj:
                 acc -= dj * out[k - j]
         out.append(acc / d0)

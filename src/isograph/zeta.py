@@ -15,13 +15,7 @@ from fractions import Fraction
 
 from .enhanced import GraphBuilder
 from .graph import Graph, adjacency_connected
-from .polys import (
-    IntPolynomial,
-    RationalFunction,
-    charpoly_int,
-    log_series,
-    ratfun_series,
-)
+from .polys import IntPolynomial, charpoly_int, log_series, ratfun_series
 
 ONE_MINUS_T2 = IntPolynomial([1, 0, -1])
 
@@ -40,12 +34,11 @@ def _adjacency_of(obj):
 
 @dataclass(frozen=True)
 class ZetaFunction:
-    """chi and det_part determine Z = (1 - t^2)^chi / det_part; value is
-    that quotient as a reduced rational function."""
+    """Z = (1 - t^2)^chi / det_part, held as exactly those two values; the
+    reduced numerator and denominator follow from them in closed form."""
 
     chi: int
     det_part: IntPolynomial
-    value: RationalFunction
 
     def inverse_polynomial(self) -> IntPolynomial:
         """1/Z as an integer polynomial; requires chi <= 0."""
@@ -53,15 +46,28 @@ class ZetaFunction:
             raise ZetaError("1/Z is not a polynomial when chi > 0")
         return (ONE_MINUS_T2 ** (-self.chi)) * self.det_part
 
+    def _reduced(self) -> tuple[IntPolynomial, IntPolynomial]:
+        """Z in lowest terms with the denominator's leading coefficient
+        positive.  A connected graph has chi <= 1.  chi = 1 is a tree,
+        where det_part = 1 - t^2 and Z = 1.  For chi <= 0, Z = 1/(1/Z) and
+        1/Z has constant term 1, so no common factor or content cancels and
+        only the sign is left to normalize."""
+        one = IntPolynomial([1])
+        if self.chi > 0:
+            return one, one
+        den = self.inverse_polynomial()
+        return (-one, -den) if den.coeffs[-1] < 0 else (one, den)
+
     def log_zeta_series(self, order: int) -> list[Fraction]:
-        return log_series(ratfun_series(self.value, order))
+        return log_series(ratfun_series(*self._reduced(), order))
 
     def to_json_dict(self) -> dict:
+        num, den = self._reduced()
         return {
             "chi": self.chi,
             "det_part": [str(c) for c in self.det_part.coeffs],
-            "numerator": [str(c) for c in self.value.num.coeffs],
-            "denominator": [str(c) for c in self.value.den.coeffs],
+            "numerator": [str(c) for c in num.coeffs],
+            "denominator": [str(c) for c in den.coeffs],
         }
 
 
@@ -114,11 +120,7 @@ def ihara_zeta(graph_or_matrix) -> ZetaFunction:
         det_part = _det_one_minus_t(M)
     if det_part[0] != 1:
         raise ZetaError("det_part must have constant term 1")
-    if chi >= 0:
-        value = RationalFunction(ONE_MINUS_T2**chi, det_part)
-    else:
-        value = RationalFunction(IntPolynomial([1]), (ONE_MINUS_T2 ** (-chi)) * det_part)
-    return ZetaFunction(chi=chi, det_part=det_part, value=value)
+    return ZetaFunction(chi=chi, det_part=det_part)
 
 
 def edge_matrix_zeta(graph: Graph) -> IntPolynomial:
@@ -228,8 +230,3 @@ def reciprocity_check(p: int, q: int, l: int, seed: int = 0) -> dict:
         "degrees": (lhs.degree, rhs.degree),
         "equal": equal,
     }
-
-
-def zeta_for(p: int, l: int, N: int, seed: int = 0) -> ZetaFunction:
-    """Convenience: build the graph and take its zeta."""
-    return ihara_zeta(GraphBuilder(p, l, seed=seed).build(N))

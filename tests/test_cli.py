@@ -142,6 +142,13 @@ def test_zeta_json(tmp_path, capsys):
     assert out["det_part"] == ["1", "-6", "5"]
     assert out["numerator"] == ["1"]
     assert out["denominator"] == ["1", "-6", "3", "12", "-9", "-6", "5"]
+    # a negative leading coefficient of 1/Z moves its sign to the numerator
+    code, out = run(capsys, "zeta", 13, 3, 1, "--cache-dir", tmp_path)
+    assert code == EXIT_OK
+    assert out["chi"] == -1
+    assert out["det_part"] == ["1", "-4", "3"]
+    assert out["numerator"] == ["-1"]
+    assert out["denominator"] == ["-1", "4", "-2", "-4", "3"]
 
 
 def test_covering_degree(tmp_path, capsys):
