@@ -31,6 +31,7 @@ from .enhanced import (
     diagonal_parity_violations,
     validate_symmetry_and_row_sums,
     vertex_count,
+    vertex_table,
 )
 from .graph import (
     CoveringError,
@@ -126,37 +127,70 @@ def write_graph_file(path: str, eg: EnhancedGraph, field_modulus) -> None:
         raise
 
 
+def _int_list(value, length: int, bound: int) -> tuple[int, ...] | None:
+    """`value` as a tuple if it is a list of `length` ints in [0, bound)."""
+    if isinstance(value, list) and len(value) == length and all(
+        type(x) is int and 0 <= x < bound for x in value
+    ):
+        return tuple(value)
+    return None
+
+
 def load_graph_file(path: str) -> EnhancedGraph:
-    """Parse and re-validate a cached graph; corruption raises."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("format") != "isograph.graph.v1":
+    """Parse and re-validate a cached graph.  Anything but a file `build`
+    could have written (undecodable, missing keys, wrong types, entries
+    out of range, broken invariants) raises GraphFileError."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise GraphFileError(f"{path}: undecodable: {e}") from None
+    if not isinstance(data, dict) or data.get("format") != "isograph.graph.v1":
         raise GraphFileError(f"{path}: unknown format marker")
-    md = data["metadata"]
-    p, l, N = md["p"], md["l"], md["level"]
+    try:
+        md = data["metadata"]
+        p, l, N, seed = md["p"], md["l"], md["level"], md["seed"]
+        stored_primes, stored_vertices = data["primes"], data["vertices"]
+        labels, rows = data["class_labels"], data["adjacency"]
+        stored_target, stored_dual = data["edges"]["target"], data["edges"]["dual"]
+        stored_parity = data["parity_violations"]
+    except (KeyError, TypeError) as e:
+        raise GraphFileError(f"{path}: missing or misplaced key {e}") from None
+    if not all(type(v) is int for v in (p, l, N, seed)):
+        raise GraphFileError(f"{path}: metadata p, l, level, seed must be integers")
     try:
         primes = check_admissible(p, l, N)
     except AdmissibilityError as e:
         raise GraphFileError(f"{path}: inadmissible parameters: {e}") from None
-    if list(primes) != list(data["primes"]):
+    if stored_primes != list(primes):
         raise GraphFileError(f"{path}: stored primes disagree with level")
-    vertices = tuple((c, tuple(S)) for c, S in data["vertices"])
-    if len(vertices) != vertex_count(p, N):
-        raise GraphFileError(f"{path}: vertex count does not match the mass count")
-    adjacency = tuple(tuple(int(x) for x in row) for row in data["adjacency"])
+    h = (p - 1) // 12
+    if not (isinstance(labels, list) and len(labels) == h):
+        raise GraphFileError(f"{path}: expected {h} class labels")
+    vertices = vertex_table(h, primes)
+    if stored_vertices != [[c, list(S)] for c, S in vertices]:
+        raise GraphFileError(
+            f"{path}: vertex table is not the canonical (class, subgroup) order"
+        )
+    n, k = len(vertices), l + 1
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        raise GraphFileError(f"{path}: adjacency is not a list of rows")
+    adjacency = tuple(tuple(row) for row in rows)
     try:
         validate_symmetry_and_row_sums(adjacency, l)
     except BrandtValidationError as e:
         raise GraphFileError(f"{path}: {e}") from None
     parity = diagonal_parity_violations(adjacency)
-    if list(parity) != list(data["parity_violations"]):
+    if stored_parity != list(parity):
         raise GraphFileError(f"{path}: stored parity record is stale")
-    target = tuple(data["edges"]["target"])
-    dual = tuple(data["edges"]["dual"])
-    k = l + 1
-    if len(target) != len(vertices) * k or len(dual) != len(target):
-        raise GraphFileError(f"{path}: edge arrays have wrong length")
-    count = [[0] * len(vertices) for _ in vertices]
+    target = _int_list(stored_target, n * k, n)
+    dual = _int_list(stored_dual, n * k, n * k)
+    if target is None or dual is None:
+        raise GraphFileError(
+            f"{path}: edge arrays need {n * k} integer entries, targets below"
+            f" {n} and duals below {n * k}"
+        )
+    count = [[0] * n for _ in range(n)]
     for eid, w in enumerate(target):
         count[eid // k][w] += 1
     if tuple(tuple(r) for r in count) != adjacency:
@@ -168,10 +202,10 @@ def load_graph_file(path: str) -> EnhancedGraph:
         p=p,
         l=l,
         level=N,
-        seed=md["seed"],
+        seed=seed,
         primes=tuple(primes),
-        class_labels=tuple(data["class_labels"]),
-        vertices=vertices,
+        class_labels=tuple(labels),
+        vertices=tuple(vertices),
         brandt=adjacency,
         edge_target=target,
         edge_dual=dual,
@@ -300,7 +334,6 @@ def parse_grid(text: str) -> list[tuple[int, int, int]]:
     """Expand 'p in {13,37}, l in {3,5}, N in {1,2,3,6}' to admissible
     (p, l, N) triples; inadmissible combinations are filtered, not errors."""
     found = dict.fromkeys("plN")
-    consumed = 0
     for m in _GRID_CLAUSE.finditer(text):
         var, body = m.group(1), m.group(2)
         if found[var] is not None:
@@ -309,7 +342,6 @@ def parse_grid(text: str) -> list[tuple[int, int, int]]:
         if not values:
             raise AdmissibilityError(f"grid clause for {var} is empty")
         found[var] = values
-        consumed += m.end() - m.start()
     leftover = _GRID_CLAUSE.sub("", text).replace(",", "").strip()
     if leftover:
         raise AdmissibilityError(f"unparsed grid fragment: {leftover!r}")

@@ -111,6 +111,13 @@ def vertex_count(p: int, N: int) -> int:
     return num // 12
 
 
+def vertex_table(class_count: int, primes) -> list[tuple[int, tuple[int, ...]]]:
+    """Enhanced vertices (class, subgroup index per prime of N) in their
+    canonical order: class major, subgroup tuples in product order."""
+    combos = list(itertools.product(*[range(r + 1) for r in primes]))
+    return [(c, S) for c in range(class_count) for S in combos]
+
+
 def _x_double(a: FieldElement, b: FieldElement, x: FieldElement) -> FieldElement:
     """x(2P) from x(P) on y^2 = x^3 + a x + b; P must not be 2-torsion."""
     x2 = x * x
@@ -422,8 +429,7 @@ class GraphBuilder:
         arrows = self.arrows
         for r in primes:
             self.level_subgroups(r)
-        combos = list(itertools.product(*[range(r + 1) for r in primes]))
-        vertices = [(c, S) for c in range(h) for S in combos]
+        vertices = vertex_table(h, primes)
         vindex = {v: i for i, v in enumerate(vertices)}
         if len(vertices) != vertex_count(self.p, N):
             raise GraphBuildError("vertex census does not match the mass count")

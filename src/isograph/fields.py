@@ -6,6 +6,15 @@ encodings.  Elements are coefficient tuples, lowest degree first; all
 "lexicographically smaller" tie-breaks are plain tuple comparison on those
 encodings.  Raw tuple arithmetic lives on the Field object; FieldElement is
 a thin operator wrapper around it.
+
+Multiplication packs each operand into one big integer, a coefficient per
+machine word, so a single big-int multiply does the whole convolution.  For
+a binomial modulus x^d - c (the canonical search tries binomials first and
+finds one for most torsion fields; F_{37^40} has none) the words are
+32 bits wide and the high half of the product folds back in one step,
+low + c * high; this is exact while (1 + c) d (p - 1)^2 < 2^32, the largest
+word the fold can produce.  Any other modulus, or a binomial past that
+bound, uses 64-bit words and reduces the convolution term by term.
 """
 
 from __future__ import annotations
@@ -175,9 +184,23 @@ class Field:
             (i, (-modulus[i]) % p) for i in range(self.deg) if modulus[i]
         )
         self._nonresidue_t: tuple[int, ...] | None = None
-        self._bytes = 16 * self.deg
-        self._pack = struct.Struct(f"<{self.deg}Q").pack
-        self._unpack = struct.Struct(f"<{2 * self.deg}Q").unpack
+        d = self.deg
+        tail = self._neg_tail
+        # x^d = c: fold with 32-bit words when no folded word can reach 2^32
+        if len(tail) == 1 and tail[0][0] == 0 and (
+            (1 + tail[0][1]) * d * (p - 1) ** 2 < 2**32
+        ):
+            self._fold_c: int | None = tail[0][1]
+            self._shift = 32 * d
+            self._mask = (1 << self._shift) - 1
+            self._bytes = 4 * d
+            words = struct.Struct(f"<{d}I")
+            self._pack, self._unpack = words.pack, words.unpack
+        else:
+            self._fold_c = None
+            self._bytes = 16 * d
+            self._pack = struct.Struct(f"<{d}Q").pack
+            self._unpack = struct.Struct(f"<{2 * d}Q").unpack
 
     # -- construction / conversion
 
@@ -240,28 +263,28 @@ class Field:
         return tuple(c * x % p for x in a)
 
     def mul_t(self, a, b):
-        d = self.deg
-        if d == 1:
+        if self.deg == 1:
             return (a[0] * b[0] % self.p,)
-        if d <= 6:
-            conv = [0] * (2 * d - 1)
-            for i in range(d):
-                ai = a[i]
-                if ai:
-                    for j in range(d):
-                        conv[i + j] += ai * b[j]
-        else:
-            # packed big-int convolution: one machine multiply does the
-            # schoolbook work.  Each coefficient is one little-endian 64-bit
-            # word and every convolution sum d (p-1)^2 stays far below 2^64,
-            # so no carry crosses a word; the product spans 2d - 1 words and
-            # the padding word struct unpacks last is zero.
-            pack = self._pack
-            prod = int.from_bytes(pack(*a), "little") * int.from_bytes(
-                pack(*b), "little"
-            )
-            conv = list(self._unpack(prod.to_bytes(self._bytes, "little")))
-            conv.pop()
+        # packed big-int convolution: one machine multiply does the
+        # schoolbook work, one coefficient per little-endian word
+        pack = self._pack
+        prod = int.from_bytes(pack(*a), "little") * int.from_bytes(
+            pack(*b), "little"
+        )
+        c = self._fold_c
+        if c is not None:
+            # x^d = c: the high d - 1 words fold onto the low d in one step;
+            # every word stays below (1 + c) d (p - 1)^2 < 2^32, so no carry
+            # crosses a word (bound checked in __init__)
+            r = (prod & self._mask) + c * (prod >> self._shift)
+            p = self.p
+            words = self._unpack(r.to_bytes(self._bytes, "little"))
+            return tuple([w % p for w in words])
+        # 64-bit words: every convolution sum d (p - 1)^2 stays far below
+        # 2^64; the product spans 2d - 1 words and the padding word struct
+        # unpacks last is zero
+        conv = list(self._unpack(prod.to_bytes(self._bytes, "little")))
+        conv.pop()
         return self._reduce_conv(conv)
 
     def _reduce_conv(self, conv: list[int]) -> tuple[int, ...]:

@@ -120,6 +120,51 @@ def test_verify_refuses_corrupted_coarse_level(tmp_path, capsys):
     assert code == EXIT_INTERNAL
 
 
+def _truncate(path, data):
+    text = open(path).read()
+    open(path, "w").write(text[:100])
+
+
+def _rewrite(edit):
+    def corrupt(path, data):
+        edit(data)
+        json.dump(data, open(path, "w"))
+
+    return corrupt
+
+
+def _set_target(value):
+    return _rewrite(lambda d: d["edges"]["target"].__setitem__(0, value))
+
+
+CORRUPTIONS = {
+    "truncated": _truncate,
+    "missing_key": _rewrite(lambda d: d["edges"].pop("dual")),
+    "target_out_of_range": _set_target(3),
+    "target_not_int": _set_target("0"),
+    "target_float": _set_target(0.0),
+    "duplicate_vertex": _rewrite(
+        lambda d: d.__setitem__("vertices", [[0, [0]], [0, [0]], [0, [2]]])
+    ),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_malformed_cache_file_exits_internal(tmp_path, capsys, corruption):
+    # (13, 5, 2) has three vertices (class 0 with subgroups 0, 1, 2)
+    cfg = JobConfig(13, 5, 2, cache_dir=str(tmp_path))
+    build_or_load(cfg, force=True)
+    path = graph_file_path(cfg)
+    data = json.load(open(path))
+    assert data["vertices"] == [[0, [0]], [0, [1]], [0, [2]]]
+    CORRUPTIONS[corruption](path, data)
+    code = main(["zeta", "13", "5", "2", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == ""
+    assert path in captured.err
+
+
 def test_stale_parity_record_is_refused(tmp_path):
     cfg = JobConfig(13, 5, 2, cache_dir=str(tmp_path))
     build_or_load(cfg, force=True)

@@ -1,10 +1,13 @@
+import copy
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isograph.curves import torsion_order_extension
 from isograph.fields import (
     Embedding,
+    Field,
     FieldMismatch,
     NoSquareRoot,
     NotInSubfield,
@@ -66,8 +69,6 @@ def test_canonical_modulus_p13_d2():
 
 
 def test_reducible_modulus_rejected():
-    from isograph.fields import Field
-
     with pytest.raises(ValueError, match="reducible"):
         Field(5, (1, 2, 1))  # (x+1)^2
 
@@ -111,22 +112,90 @@ def test_mul_matches_schoolbook_oracle(na, nb):
     assert f.mul_t(a, b) == expected
 
 
+def _schoolbook(f, a, b):
+    """Reference product: dense convolution, then the term-by-term
+    reduction by the field modulus."""
+    d = f.deg
+    conv = [0] * (2 * d - 1)
+    for i in range(d):
+        for j in range(d):
+            conv[i + j] += a[i] * b[j]
+    return f._reduce_conv(conv)
+
+
+def _mul_pairs(f, rng, n=10):
+    # all-(p-1) operands give the largest convolution sums and folded words
+    top = (f.p - 1,) * f.deg
+    pairs = [(top, top), (top, f.random_t(rng))]
+    return pairs + [(f.random_t(rng), f.random_t(rng)) for _ in range(n)]
+
+
 def test_packed_mul_against_dense_path():
-    # degrees above the dense cutoff exercise the packed big-int
-    # convolution; all-(p-1) operands give the largest convolution sums
     rng = random.Random(3)
-    for p in (13, 61):
-        for d in (7, 8, 12, 24, 40, 72):
+    for p in (13, 37, 61):
+        for d in (2, 4, 6, 8, 12, 24, 40, 72):
             f = make_extension_field(p, d)
-            top = (p - 1,) * d
-            pairs = [(top, top), (top, f.random_t(rng))]
-            pairs += [(f.random_t(rng), f.random_t(rng)) for _ in range(10)]
-            for a, b in pairs:
-                conv = [0] * (2 * d - 1)
-                for i in range(d):
-                    for j in range(d):
-                        conv[i + j] += a[i] * b[j]
-                assert f.mul_t(a, b) == f._reduce_conv(conv), (p, d)
+            for a, b in _mul_pairs(f, rng):
+                assert f.mul_t(a, b) == _schoolbook(f, a, b), (p, d)
+
+
+def test_general_path_moduli():
+    # a trinomial, and a binomial whose folded words could pass 2^32
+    # ((1 + c) d (p - 1)^2 >= 2^32), next to one of the same (p, d) that folds
+    rng = random.Random(4)
+    trinomial = make_extension_field(13, 5)
+    assert trinomial.modulus == (2, 4, 0, 0, 0, 1)
+    small_c = Field(1201, (-11, 0, 0, 0, 1))
+    large_c = Field(1201, (-1190, 0, 0, 0, 1))
+    assert (1 + 1190) * 4 * 1200**2 >= 2**32 > (1 + 11) * 4 * 1200**2
+    assert small_c._fold_c == 11
+    assert trinomial._fold_c is None and large_c._fold_c is None
+    for f in (trinomial, small_c, large_c):
+        for a, b in _mul_pairs(f, rng):
+            assert f.mul_t(a, b) == _schoolbook(f, a, b), f.modulus
+
+
+# canonical fields of the benchmark workloads (reciprocity 13 37 5 and
+# 13 61 5, the grid p in {13,37,61}, l in {3,5}, N in {1,2,3,6}) and of
+# reciprocity 37 61 7: F_{p^2} and F_{p^{2k}} for each torsion order r
+FOLD_FIELDS = {
+    (13, 2), (13, 4), (13, 8), (13, 12), (13, 72),
+    (37, 2), (37, 4), (37, 8), (37, 12), (37, 24),
+    (61, 2), (61, 4), (61, 6), (61, 12), (61, 72),
+}
+GENERAL_FIELDS = {(37, 40)}  # x^40 + 2x + 2: no binomial, as 5 does not divide 36
+
+
+def test_workload_fields_take_expected_path():
+    needed = set()
+    for p, q, l in ((13, 37, 5), (13, 61, 5), (37, 61, 7)):
+        for a, b in ((p, q), (q, p)):
+            needed |= {(a, 2), (a, 2 * torsion_order_extension(a, b))}
+            needed.add((a, 2 * torsion_order_extension(a, l)))
+    for p in (13, 37, 61):
+        for r in (2, 3, 5):
+            needed |= {(p, 2), (p, 2 * torsion_order_extension(p, r))}
+    assert needed == FOLD_FIELDS | GENERAL_FIELDS
+    for p, d in sorted(needed):
+        f = make_extension_field(p, d)
+        if (p, d) in FOLD_FIELDS:
+            assert f.modulus[1:] == (0,) * (d - 1) + (1,), (p, d)
+            assert f._fold_c == (-f.modulus[0]) % p, (p, d)
+        else:
+            assert f._fold_c is None, (p, d)
+
+
+def test_wrong_fold_constant_is_caught():
+    # mutation: a field that folds with c + 1 must disagree with the
+    # reference the packed-multiply test compares against
+    rng = random.Random(5)
+    for p, d in ((61, 2), (13, 12), (61, 72)):
+        f = make_extension_field(p, d)
+        bad = copy.copy(f)
+        bad._fold_c = (f._fold_c + 1) % p
+        pairs = _mul_pairs(f, rng)
+        assert all(f.mul_t(a, b) == _schoolbook(f, a, b) for a, b in pairs)
+        assert any(bad.mul_t(a, b) != _schoolbook(f, a, b) for a, b in pairs)
 
 
 def test_sqrt_examples_f13():

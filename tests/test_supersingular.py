@@ -4,8 +4,10 @@ import pytest
 
 from isograph.curves import curve_from_j
 from isograph.fields import make_extension_field
+import isograph.supersingular as ss
 from isograph.supersingular import (
     ClassTableError,
+    _lambda_to_j,
     build_class_table,
     enumerate_supersingular,
     hasse_witt_polynomial,
@@ -111,3 +113,49 @@ def test_rejects_bad_primes():
         enumerate_supersingular(11)
     with pytest.raises(ClassTableError, match="not prime"):
         enumerate_supersingular(25)
+
+
+def scalar_scan_js(p):
+    """Reference: Horner on H_p one lambda at a time with Field.mul_t,
+    then j of every root."""
+    f = make_extension_field(p, 2)
+    coeffs = [(c, 0) for c in hasse_witt_polynomial(p)]
+    js = set()
+    for lam_t in f.iter_tuples():
+        acc = f.zero_t
+        for c in reversed(coeffs):
+            acc = f.add_t(f.mul_t(acc, lam_t), c)
+        if acc == f.zero_t:
+            js.add(_lambda_to_j(f, lam_t))
+    return sorted(js)
+
+
+@pytest.mark.parametrize("p", [13, 37, 61])
+def test_vectorized_scan_matches_scalar_horner(p):
+    assert [j.coeffs for j in enumerate_supersingular(p)] == scalar_scan_js(p)
+
+
+@pytest.fixture
+def fresh_enumeration():
+    ss._enumerate_supersingular_cached.cache_clear()
+    yield
+    ss._enumerate_supersingular_cached.cache_clear()
+
+
+def test_scan_root_count_guard_fires_on_dropped_root(fresh_enumeration, monkeypatch):
+    # losing one lambda keeps all three j classes (each j has six lambdas),
+    # so only the root-count guard can notice
+    scan = ss._hasse_roots
+    monkeypatch.setattr(ss, "_hasse_roots", lambda f: scan(f)[1:])
+    with pytest.raises(ClassTableError, match="17 roots"):
+        enumerate_supersingular(37)
+
+
+def test_scan_guards_fire_on_perturbed_hasse_coefficient(
+    fresh_enumeration, monkeypatch
+):
+    honest = hasse_witt_polynomial(37)
+    bent = (honest[0], (honest[1] + 1) % 37) + honest[2:]
+    monkeypatch.setattr(ss, "hasse_witt_polynomial", lambda p: bent)
+    with pytest.raises(ClassTableError, match="roots|classes"):
+        enumerate_supersingular(37)
