@@ -28,7 +28,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    triples = parse_grid(args.grid)
+    triples, _ = parse_grid(args.grid)
     builders = {}
     odd_entries = []
     for p, l, N in triples:

@@ -12,7 +12,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -45,17 +44,15 @@ from .graph import (
     to_dot,
     verify_covering,
 )
-from .spectral import SpectralError, cheeger_constant, ramanujan_report, spectrum
-from .zeta import ZetaError, edge_matrix_zeta, ihara_zeta, reciprocity_check
+from .spectral import SpectralError, cheeger_constant, cheeger_sandwich
+from .spectral import ramanujan_report, spectrum
+from .zeta import ORACLE_EDGE_LIMIT, ZetaError, edge_matrix_zeta, ihara_zeta
+from .zeta import reciprocity_check
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
 EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
-
-# the Bass/edge-matrix oracle runs on graphs with at most this many
-# oriented edges
-ORACLE_EDGE_LIMIT = 30
 
 
 class GraphFileError(RuntimeError):
@@ -69,7 +66,6 @@ class JobConfig:
     N: int
     seed: int = 0
     cache_dir: str = "isograph-cache"
-    tol: float = 1e-9
 
 
 # ---------------------------------------------------------------- GraphFile
@@ -224,7 +220,7 @@ def build_or_load(cfg: JobConfig, force: bool = False) -> EnhancedGraph:
     path = graph_file_path(cfg)
     if not force and os.path.exists(path):
         eg = load_graph_file(path)
-        if (eg.p, eg.l, eg.level) == (cfg.p, cfg.l, cfg.N):
+        if (eg.p, eg.l, eg.level, eg.seed) == (cfg.p, cfg.l, cfg.N, cfg.seed):
             return eg
     builder = _builder(cfg.p, cfg.l, cfg.seed)
     eg = builder.build(cfg.N)
@@ -235,11 +231,19 @@ def build_or_load(cfg: JobConfig, force: bool = False) -> EnhancedGraph:
 # ------------------------------------------------------------ verification
 
 
-def verify_graph(eg: EnhancedGraph, cfg: JobConfig) -> dict:
+def _graph(cfg: JobConfig, graphs: dict) -> EnhancedGraph:
+    """`cfg`'s graph, loaded or built at most once per `graphs` dict."""
+    if cfg not in graphs:
+        graphs[cfg] = build_or_load(cfg)
+    return graphs[cfg]
+
+
+def verify_graph(eg: EnhancedGraph, cfg: JobConfig, graphs: dict | None = None) -> dict:
     """Property suite for one graph; returns {check: bool} plus details.
-    Coarser levels for the covering check come from `cfg`'s cache."""
+    Coarser levels for the covering check come from `graphs` (by JobConfig)
+    or else from `cfg`'s cache."""
+    graphs = {} if graphs is None else graphs
     p, l, N = eg.p, eg.l, eg.level
-    tol = cfg.tol
     checks: dict[str, bool] = {}
     detail: dict[str, object] = {}
 
@@ -258,9 +262,9 @@ def verify_graph(eg: EnhancedGraph, cfg: JobConfig) -> dict:
     checks["connected"] = is_connected(g)
     checks["non_bipartite"] = not is_bipartite(g)
 
-    spec = spectrum(eg, tol=tol)
-    rep = ramanujan_report(spec, l, tol=tol)
-    checks["ramanujan_window"] = rep.ok and rep.connected
+    spec = spectrum(eg)
+    rep = ramanujan_report(spec, l)
+    checks["ramanujan_window"] = rep.ok
     detail["lambda_star"] = rep.lambda_star
     detail["ramanujan_bound"] = rep.bound
 
@@ -271,27 +275,13 @@ def verify_graph(eg: EnhancedGraph, cfg: JobConfig) -> dict:
     checks["euler_characteristic"] = ok_chi
     detail["chi"] = chi
 
-    gap = spec.laplacian_gap
-    sqrt_l = math.sqrt(l)
-    upper_h = math.sqrt(2 * (l + 1)) * (sqrt_l + 1)
-    if eg.n == 1:
-        # one vertex: no nontrivial eigenvalue exists, bounds are vacuous
-        checks["laplacian_gap_window"] = True
-    else:
-        checks["laplacian_gap_window"] = (
-            gap >= (sqrt_l - 1) ** 2 - tol and gap / 2 <= upper_h + tol
-        )
-    detail["laplacian_gap"] = gap
-    ch = cheeger_constant(eg, tol=tol, spec=spec)
-    if ch.method == "exact":
-        checks["cheeger_sandwich"] = (
-            (sqrt_l - 1) ** 2 / 2 - tol <= ch.value <= upper_h + tol
-            and gap / 2 - tol <= ch.value <= math.sqrt(2 * (l + 1) * gap) + tol
-        )
-        detail["cheeger"] = ch.value
-    else:
-        checks["cheeger_sandwich"] = ch.lower_bound <= ch.upper_bound + tol
-        detail["cheeger"] = None
+    checks["laplacian_gap_window"] = rep.gap_floor
+    detail["laplacian_gap"] = spec.laplacian_gap
+    ch = cheeger_constant(eg, spec=spec)
+    exact = ch.value is not None
+    # without an exact h (n = 1 or n > 24), lambda_1 <= 2 sqrt(l) certifies the floor
+    checks["cheeger_sandwich"] = cheeger_sandwich(spec, ch.value) if exact else rep.gap_floor
+    detail["cheeger"] = float(ch.value) if exact else None
     detail["cheeger_method"] = ch.method
 
     if eg.oriented_edge_count <= ORACLE_EDGE_LIMIT:
@@ -305,7 +295,7 @@ def verify_graph(eg: EnhancedGraph, cfg: JobConfig) -> dict:
     for M in range(1, N):
         if N % M != 0:
             continue
-        coarse = build_or_load(replace(cfg, N=M))
+        coarse = _graph(replace(cfg, N=M), graphs)
         try:
             verify_covering(eg, coarse, covering_map(eg, coarse))
         except CoveringError as e:
@@ -330,9 +320,10 @@ def verify_graph(eg: EnhancedGraph, cfg: JobConfig) -> dict:
 _GRID_CLAUSE = re.compile(r"([plN])\s*in\s*\{([0-9,\s]*)\}")
 
 
-def parse_grid(text: str) -> list[tuple[int, int, int]]:
-    """Expand 'p in {13,37}, l in {3,5}, N in {1,2,3,6}' to admissible
-    (p, l, N) triples; inadmissible combinations are filtered, not errors."""
+def parse_grid(text: str) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """Expand 'p in {13,37}, l in {3,5}, N in {1,2,3,6}' to the admissible
+    (p, l, N) triples and the skipped inadmissible ones, each in grid
+    order; inadmissible combinations are filtered, not errors."""
     found = dict.fromkeys("plN")
     for m in _GRID_CLAUSE.finditer(text):
         var, body = m.group(1), m.group(2)
@@ -348,27 +339,14 @@ def parse_grid(text: str) -> list[tuple[int, int, int]]:
     missing = [v for v, vals in found.items() if vals is None]
     if missing:
         raise AdmissibilityError(f"grid is missing clauses for {missing}")
-    triples = []
-    for p, l, N in itertools.product(found["p"], found["l"], found["N"]):
+    triples, skipped = [], []
+    for t in itertools.product(found["p"], found["l"], found["N"]):
         try:
-            check_admissible(p, l, N)
+            check_admissible(*t)
+            triples.append(t)
         except AdmissibilityError:
-            continue
-        triples.append((p, l, N))
-    return triples
-
-
-def grid_skips(text: str, triples) -> list[list[int]]:
-    kept = set(triples)
-    found = {
-        m.group(1): [int(x) for x in m.group(2).replace(" ", "").split(",") if x]
-        for m in _GRID_CLAUSE.finditer(text)
-    }
-    out = []
-    for p, l, N in itertools.product(found["p"], found["l"], found["N"]):
-        if (p, l, N) not in kept:
-            out.append([p, l, N])
-    return out
+            skipped.append(t)
+    return triples, skipped
 
 
 # ----------------------------------------------------------- command bodies
@@ -405,8 +383,8 @@ def cmd_build(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = _config(args)
     eg = build_or_load(cfg)
-    spec = spectrum(eg, tol=cfg.tol)
-    rep = ramanujan_report(spec, eg.l, tol=cfg.tol)
+    spec = spectrum(eg)
+    rep = ramanujan_report(spec, eg.l)
     _emit(
         {
             "p": eg.p,
@@ -421,7 +399,7 @@ def cmd_spectrum(args) -> int:
             "laplacian_gap": spec.laplacian_gap,
         }
     )
-    return EXIT_OK if (rep.ok and rep.connected) else EXIT_VERIFY
+    return EXIT_OK if rep.ok else EXIT_VERIFY
 
 
 def cmd_zeta(args) -> int:
@@ -437,13 +415,13 @@ def cmd_zeta(args) -> int:
 def cmd_cheeger(args) -> int:
     cfg = _config(args)
     eg = build_or_load(cfg)
-    r = cheeger_constant(eg, tol=cfg.tol)
+    r = cheeger_constant(eg)
     _emit(
         {
             "p": eg.p,
             "l": eg.l,
             "N": eg.level,
-            "value": r.value,
+            "value": float(r.value) if r.value is not None else None,
             "witness": list(r.witness) if r.witness is not None else None,
             "lower_bound": r.lower_bound,
             "upper_bound": r.upper_bound,
@@ -472,14 +450,13 @@ def cmd_reciprocity(args) -> int:
     return EXIT_OK if cert["equal"] else EXIT_VERIFY
 
 
-def _verify_one(cfg: JobConfig) -> dict:
-    return verify_graph(build_or_load(cfg), cfg)
+def _verify_one(cfg: JobConfig, graphs: dict) -> dict:
+    return verify_graph(_graph(cfg, graphs), cfg, graphs)
 
 
 def cmd_verify(args) -> int:
     if args.grid:
-        triples = parse_grid(args.grid)
-        skips = grid_skips(args.grid, triples)
+        triples, skips = parse_grid(args.grid)
     else:
         if args.p is None or args.l is None or args.N is None:
             raise AdmissibilityError("verify needs either p l N or --grid")
@@ -487,11 +464,13 @@ def cmd_verify(args) -> int:
         triples = [(args.p, args.l, args.N)]
         skips = []
     jobs = [replace(_config(args), p=p, l=l, N=N) for p, l, N in triples]
+    graphs: dict[JobConfig, EnhancedGraph] = {}  # each file loaded once
     if args.workers > 1 and len(jobs) > 1:
+        # every task carries its own copy of the empty dict to its worker
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_verify_one, jobs))
+            results = list(pool.map(_verify_one, jobs, itertools.repeat(graphs)))
     else:
-        results = [_verify_one(j) for j in jobs]
+        results = [_verify_one(j, graphs) for j in jobs]
     failures = [r for r in results if not r["ok"]]
     manifest = {
         "graphs": results,
@@ -527,7 +506,6 @@ _FLAGS = {
     "--cache-dir": dict(default="isograph-cache"),
     "--seed": dict(type=int, default=0),
     "--workers": dict(type=int, default=1),
-    "--tol": dict(type=float, default=1e-9),
 }
 
 
@@ -558,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("spectrum", help="adjacency spectrum and Ramanujan check")
     plN(sp)
-    _add_flags(sp, "--cache-dir", "--seed", "--tol")
+    _add_flags(sp, "--cache-dir", "--seed")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = subs.add_parser("zeta", help="exact Ihara zeta function")
@@ -568,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("cheeger", help="isoperimetric constant and bounds")
     plN(sp)
-    _add_flags(sp, "--cache-dir", "--seed", "--tol")
+    _add_flags(sp, "--cache-dir", "--seed")
     sp.set_defaults(func=cmd_cheeger)
 
     sp = subs.add_parser("covering", help="verify the projection to a coarser level")
@@ -589,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("l", type=int, nargs="?")
     sp.add_argument("N", type=int, nargs="?")
     sp.add_argument("--grid", help='e.g. "p in {13,37}, l in {3,5}, N in {1,2,6}"')
-    _add_flags(sp, "--cache-dir", "--seed", "--workers", "--tol")
+    _add_flags(sp, "--cache-dir", "--seed", "--workers")
     sp.set_defaults(func=cmd_verify)
 
     return parser

@@ -1,17 +1,32 @@
 """Spectra of adjacency matrices and expansion measures.
 
-Eigenvalues come from LAPACK (`numpy.linalg.eigvalsh`); tests check them
-against exact trace identities.  Everything downstream (Ramanujan bound,
-Laplacian gap, Cheeger bounds) consumes the sorted spectrum, so the
-tolerance lives in one place.
+Every verdict is exact: count_roots counts the roots of the integer
+characteristic polynomial (polys.charpoly_int) above and on a threshold
+in Q(sqrt l).  LAPACK eigenvalues (`numpy.linalg.eigvalsh`) are for
+display only: lambda*, the Ramanujan bound, the Laplacian gap and the
+float Cheeger bounds.  The Cheeger constant h is enumerated in integers.
+
+For a k-regular graph, k = l + 1 and gap = k - lambda_1, Dodziuk (1984)
+and Alon-Milman (1985) give gap/2 <= h <= sqrt(2k gap), and
+gap >= (sqrt l - 1)^2 exactly when lambda_1 <= 2 sqrt l: one count
+certifies the paper's floor h >= (sqrt l - 1)^2 / 2 at every size.  The
+upper halves of the windows (gap/2 and h at most sqrt(2k) (sqrt l + 1))
+need no comparison: row sums equal k, which build and load validate, so
+gap <= 2k and h <= k < sqrt(2k) (sqrt l + 1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+
+from .polys import IntPolynomial, charpoly_int
+
+# LAPACK's top eigenvalue may miss the exact degree by rounding, no more
+EIGVALSH_TOL = 1e-9
 
 
 class SpectralError(ValueError):
@@ -19,104 +34,108 @@ class SpectralError(ValueError):
 
 
 def _as_matrix(obj) -> np.ndarray:
-    if hasattr(obj, "brandt"):
-        obj = obj.brandt
-    elif hasattr(obj, "adjacency"):
-        obj = obj.adjacency
-    A = np.asarray(obj, dtype=float)
+    A = np.asarray(obj.brandt if hasattr(obj, "brandt") else obj)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise SpectralError("need a square matrix")
+    if not np.issubdtype(A.dtype, np.integer):
+        raise SpectralError("need an integer matrix")
     if not np.array_equal(A, A.T):
         raise SpectralError("matrix must be symmetric")
-    return A
+    return A.astype(np.int64)
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b sqrt(d), d >= 0."""
+    if a * b >= 0:
+        return (a > 0 or b > 0) - (a < 0 or b < 0)
+    return (1 if a > 0 else -1) * ((a * a > d * b * b) - (a * a < d * b * b))
+
+
+def count_roots(poly: IntPolynomial, u: int, v=0, w=1, d=0) -> tuple[int, int]:
+    """Roots of `poly` above and on the threshold (u + v sqrt d) / w, w > 0,
+    with multiplicity, for a polynomial whose roots are all real.
+
+    w^n poly((y + u + v sqrt d) / w) has the roots w lambda - u - v sqrt d
+    and coefficients a + b sqrt d in Z[sqrt d], so every sign is exact.  Its
+    zero coefficients at the bottom count the roots on the threshold, and
+    Descartes' rule of signs, exact when every root is real, those above."""
+    n = poly.degree
+    a = [c * w ** (n - i) for i, c in enumerate(poly.coeffs)]
+    b = [0] * (n + 1)
+    for i in range(n):  # Taylor shift by u + v sqrt d
+        for j in range(n - 1, i - 1, -1):
+            a[j], b[j] = (
+                a[j] + u * a[j + 1] + v * d * b[j + 1],
+                b[j] + u * b[j + 1] + v * a[j + 1],
+            )
+    signs = [_sign(x, y, d) for x, y in zip(a, b)]
+    at = next(i for i, s in enumerate(signs) if s)
+    live = [s for s in signs if s]
+    return sum(s != t for s, t in zip(live, live[1:])), at
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Adjacency spectrum of a k-regular graph, eigenvalues descending."""
+    """Spectrum of a k-regular graph: the exact characteristic polynomial,
+    which decides every check, and the LAPACK eigenvalues, descending."""
 
     eigenvalues: tuple[float, ...]
     degree: int
-    tol: float
+    charpoly: IntPolynomial
 
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
 
     @property
-    def trivial(self) -> float:
-        return self.eigenvalues[0]
-
-    @property
-    def nontrivial(self) -> tuple[float, ...]:
-        return self.eigenvalues[1:]
-
-    @property
     def lambda_star(self) -> float:
         """Largest nontrivial eigenvalue in absolute value."""
-        if not self.nontrivial:
-            return 0.0
-        return max(abs(x) for x in self.nontrivial)
-
-    @property
-    def trivial_multiplicity(self) -> int:
-        return sum(1 for x in self.eigenvalues if abs(x - self.degree) <= self.tol)
-
-    @property
-    def connected_spectrally(self) -> bool:
-        return self.trivial_multiplicity == 1
-
-    @property
-    def bipartite_spectrally(self) -> bool:
-        return abs(self.eigenvalues[-1] + self.degree) <= self.tol
+        return max((abs(x) for x in self.eigenvalues[1:]), default=0.0)
 
     @property
     def laplacian_gap(self) -> float:
         """Second-smallest Laplacian eigenvalue k - lambda_1."""
-        if self.n == 1:
-            return 0.0
-        return self.degree - self.eigenvalues[1]
-
-    def laplacian_spectrum(self) -> tuple[float, ...]:
-        return tuple(self.degree - x for x in self.eigenvalues)
+        return self.degree - self.eigenvalues[1] if self.n > 1 else 0.0
 
 
-def spectrum(graph_or_matrix, degree: int | None = None, tol: float = 1e-9) -> Spectrum:
+def spectrum(graph_or_matrix) -> Spectrum:
     A = _as_matrix(graph_or_matrix)
     row_sums = A.sum(axis=1)
-    if degree is None:
-        if not np.allclose(row_sums, row_sums[0]):
-            raise SpectralError("graph is not regular; pass degree explicitly")
-        degree = int(round(float(row_sums[0])))
-    eigs = np.linalg.eigvalsh(A)[::-1].tolist()
-    if abs(eigs[0] - degree) > tol:
-        raise SpectralError(
-            f"top eigenvalue {eigs[0]} differs from degree {degree}"
-        )
-    return Spectrum(eigenvalues=tuple(eigs), degree=degree, tol=tol)
+    if np.any(row_sums != row_sums[0]):
+        raise SpectralError("graph is not regular")
+    degree = int(row_sums[0])
+    eigs = np.linalg.eigvalsh(A.astype(float))[::-1].tolist()
+    if abs(eigs[0] - degree) > EIGVALSH_TOL:
+        raise SpectralError(f"top eigenvalue {eigs[0]} differs from degree {degree}")
+    return Spectrum(tuple(eigs), degree, charpoly_int(A.tolist()))
 
 
 @dataclass(frozen=True)
 class RamanujanReport:
+    """Exact verdicts, with 2 sqrt(l) and lambda* as floats for display."""
+
     bound: float
     lambda_star: float
-    margin: float
-    ok: bool
-    connected: bool
+    ok: bool  # exactly one |lambda| > 2 sqrt(l), namely l + 1
+    connected: bool  # l + 1 is a simple eigenvalue
+    gap_floor: bool  # lambda_1 <= 2 sqrt(l), so gap >= (sqrt l - 1)^2
 
 
-def ramanujan_report(spec: Spectrum, l: int, tol: float = 1e-9) -> RamanujanReport:
-    """Check lambda* <= 2 sqrt(l) + tol for a (l+1)-regular spectrum."""
+def ramanujan_report(spec: Spectrum, l: int) -> RamanujanReport:
+    """Verdicts for an (l+1)-regular spectrum.  Its row sums make l + 1 an
+    eigenvalue, above 2 sqrt(l); so `ok` also means connected and
+    non-bipartite, and one root above 2 sqrt(l) means lambda_1 <= 2 sqrt(l)
+    or n = 1."""
     if spec.degree != l + 1:
         raise SpectralError(f"degree {spec.degree} does not match l + 1 = {l + 1}")
-    bound = 2.0 * math.sqrt(l)
-    lam = spec.lambda_star
+    above, _ = count_roots(spec.charpoly, 0, 2, 1, l)
+    not_below, at = count_roots(spec.charpoly, 0, -2, 1, l)
     return RamanujanReport(
-        bound=bound,
-        lambda_star=lam,
-        margin=bound - lam,
-        ok=lam <= bound + tol,
-        connected=spec.connected_spectrally,
+        bound=2.0 * math.sqrt(l),
+        lambda_star=spec.lambda_star,
+        ok=above == 1 and not_below + at == spec.n,
+        connected=count_roots(spec.charpoly, l + 1)[1] == 1,
+        gap_floor=above == 1,
     )
 
 
@@ -124,87 +143,85 @@ def ramanujan_report(spec: Spectrum, l: int, tol: float = 1e-9) -> RamanujanRepo
 
 
 EXACT_CHEEGER_LIMIT = 24
+# subsets scored per block: keeps the temporaries to a few MB at n = 24
+BLOCK_SUBSETS = 1 << 16
 
 
 @dataclass(frozen=True)
 class CheegerResult:
-    value: float | None
+    value: Fraction | None
     witness: tuple[int, ...] | None
     lower_bound: float
     upper_bound: float
     method: str
 
 
-def _exact_cheeger(A: np.ndarray):
-    """Minimize boundary(S)/|S| over nonempty S with |S| <= n/2 by
-    enumerating bitmask subsets in vectorized chunks."""
+def _subset_bits(count: int) -> np.ndarray:
+    """Row m holds the bits of m: one row per subset of `count` vertices."""
+    return (np.arange(1 << count, dtype=np.int64)[:, None] >> np.arange(count)) & 1
+
+
+def _exact_cheeger(A: np.ndarray) -> tuple[Fraction, tuple[int, ...]]:
+    """Minimize boundary(S)/|S| over nonempty S with |S| <= n/2 in integers;
+    the witness is the lowest minimizing bitmask (vertex v is bit v).
+
+    With L the low half of the vertices and H the high half,
+    boundary(S_H + S_L) = boundary(S_H) + boundary(S_L) - 2 A(S_H, S_L), and
+    the cross terms of a block of subsets of H against every subset of L
+    are one integer product.  A ratio over s vertices is scored as
+    boundary * lcm(1..n/2) / s; a block's flat index order is mask order,
+    so its first minimum is its lowest mask."""
     n = A.shape[0]
-    if n == 1:
-        return None, None
+    half = n // 2
+    lo, hi = slice(0, half), slice(half, n)
+    bits_lo, bits_hi = _subset_bits(half), _subset_bits(n - half)
     degree = A.sum(axis=1)
-    best = math.inf
-    best_mask = 0
-    chunk = 1 << 16
-    total = 1 << n
-    bit_cols = np.arange(n, dtype=np.uint32)
-    for start in range(1, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        bits = ((masks[:, None] >> bit_cols[None, :]) & 1).astype(np.float64)
-        sizes = bits.sum(axis=1)
-        keep = (sizes > 0) & (2 * sizes <= n)
-        if not keep.any():
-            continue
-        bits = bits[keep]
-        sizes = sizes[keep]
-        masks = masks[keep]
-        vol = bits @ degree
-        internal = np.einsum("ij,ij->i", bits @ A, bits)
-        boundary = vol - internal
-        ratios = boundary / sizes
-        i = int(np.argmin(ratios))
-        if ratios[i] < best:
-            best = float(ratios[i])
-            best_mask = int(masks[i])
-    witness = tuple(v for v in range(n) if (best_mask >> v) & 1)
-    return best, witness
+    # boundary of a subset of one half alone: its volume minus its inner weight
+    edge_lo = bits_lo @ degree[lo] - np.einsum("ij,ij->i", bits_lo @ A[lo, lo], bits_lo)
+    edge_hi = bits_hi @ degree[hi] - np.einsum("ij,ij->i", bits_hi @ A[hi, hi], bits_hi)
+    cross = bits_hi @ A[hi, lo]
+    size_lo, size_hi = bits_lo.sum(axis=1), bits_hi.sum(axis=1)
+    scale = math.lcm(*range(1, half + 1))
+    weight = np.zeros(n + 1, dtype=np.int64)  # 0 for sizes out of range
+    weight[1 : half + 1] = scale // np.arange(1, half + 1)
+    best, best_mask = np.iinfo(np.int64).max, 0
+    rows = max(1, BLOCK_SUBSETS >> half)
+    for start in range(0, len(bits_hi), rows):
+        block = slice(start, start + rows)
+        w = weight[size_hi[block, None] + size_lo]
+        boundary = edge_hi[block, None] + edge_lo - 2 * (cross[block] @ bits_lo.T)
+        keys = np.where(w > 0, boundary * w, best)
+        i = int(np.argmin(keys))
+        if keys.flat[i] < best:
+            best, best_mask = int(keys.flat[i]), (start << half) + i
+    return Fraction(best, scale), tuple(v for v in range(n) if best_mask >> v & 1)
 
 
-def cheeger_constant(
-    graph_or_matrix,
-    degree: int | None = None,
-    tol: float = 1e-9,
-    spec: Spectrum | None = None,
-) -> CheegerResult:
-    """Isoperimetric constant with spectral sandwich bounds.
-
-    Exact value (with witness subset) by enumeration when n <= 24, bounds
-    only beyond that: lambda_1 / 2 <= h <= sqrt(2 k lambda_1).  A caller
-    that already holds the matrix's spectrum passes it as `spec` instead
-    of having it solved again."""
+def cheeger_constant(graph_or_matrix, spec: Spectrum | None = None) -> CheegerResult:
+    """Isoperimetric constant h, exact (a Fraction, with a witness subset)
+    for 2 <= n <= 24, and gap/2 <= h <= sqrt(2 k gap) as floats for display.
+    A caller holding the matrix's spectrum passes it as `spec`."""
     A = _as_matrix(graph_or_matrix)
-    if spec is None:
-        spec = spectrum(A, degree=degree, tol=tol)
-    elif spec.n != A.shape[0]:
-        raise SpectralError(
-            f"spectrum of size {spec.n} does not fit a {A.shape[0]}-vertex graph"
-        )
-    gap = spec.laplacian_gap
-    k = spec.degree
-    lower = gap / 2.0
-    upper = math.sqrt(max(0.0, 2.0 * k * gap))
     n = A.shape[0]
+    if spec is None:
+        spec = spectrum(A)
+    elif spec.n != n:
+        raise SpectralError(f"spectrum of size {spec.n} does not fit a {n}-vertex graph")
+    gap = spec.laplacian_gap
+    bounds = (gap / 2.0, math.sqrt(max(0.0, 2.0 * spec.degree * gap)))
     if n == 1:
-        return CheegerResult(
-            value=None, witness=None, lower_bound=lower, upper_bound=upper,
-            method="undefined",
-        )
+        return CheegerResult(None, None, *bounds, method="undefined")
     if n <= EXACT_CHEEGER_LIMIT:
-        value, witness = _exact_cheeger(A)
-        return CheegerResult(
-            value=value, witness=witness, lower_bound=lower, upper_bound=upper,
-            method="exact",
-        )
-    return CheegerResult(
-        value=None, witness=None, lower_bound=lower, upper_bound=upper,
-        method="bounds-only",
-    )
+        return CheegerResult(*_exact_cheeger(A), *bounds, method="exact")
+    return CheegerResult(None, None, *bounds, method="bounds-only")
+
+
+def cheeger_sandwich(spec: Spectrum, h: Fraction) -> bool:
+    """Exact h against the paper's floor (sqrt l - 1)^2 / 2 and the bounds
+    gap/2 <= h <= sqrt(2 k gap), for the spectrum's degree k = l + 1."""
+    k = spec.degree
+    t = k - 2 * Fraction(h)  # h >= gap/2 exactly when lambda_1 >= k - 2h
+    s = k - Fraction(h) ** 2 / (2 * k)  # h <= sqrt(2k gap): lambda_1 <= s
+    above_t, at_t = count_roots(spec.charpoly, t.numerator, w=t.denominator)
+    above_s, _ = count_roots(spec.charpoly, s.numerator, w=s.denominator)
+    return (t <= 0 or t * t <= 4 * (k - 1)) and above_t + at_t >= 2 and above_s <= 1

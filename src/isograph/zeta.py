@@ -139,6 +139,10 @@ def edge_matrix_zeta(graph: Graph) -> IntPolynomial:
     return _det_one_minus_t(T)
 
 
+# most oriented edges the edge-matrix oracle and the cycle census take
+ORACLE_EDGE_LIMIT = 30
+
+
 def primitive_cycle_census(graph: Graph, max_len: int = 6) -> dict[int, int]:
     """Counts N_m of closed reduced tail-less paths of each length m,
     start edge marked (so a primitive class of length m contributes m).
@@ -146,8 +150,8 @@ def primitive_cycle_census(graph: Graph, max_len: int = 6) -> dict[int, int]:
     Exhaustive depth-first enumeration; refuses graphs or lengths where
     that would blow up."""
     m_edges = graph.oriented_edge_count
-    if m_edges > 30:
-        raise ZetaError(f"census limited to 30 oriented edges, got {m_edges}")
+    if m_edges > ORACLE_EDGE_LIMIT:
+        raise ZetaError(f"census limited to {ORACLE_EDGE_LIMIT} oriented edges, got {m_edges}")
     if max_len > 10:
         raise ZetaError("census limited to length 10")
     out_by_vertex: dict[int, list[int]] = {}

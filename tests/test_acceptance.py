@@ -29,9 +29,15 @@ from isograph.graph import (
     is_connected,
     verify_covering,
 )
-from isograph.spectral import cheeger_constant, ramanujan_report, spectrum
+from isograph.spectral import (
+    cheeger_constant,
+    cheeger_sandwich,
+    ramanujan_report,
+    spectrum,
+)
 from isograph.supersingular import enumerate_supersingular
 from isograph.zeta import (
+    ORACLE_EDGE_LIMIT,
     census_matches_log_series,
     edge_matrix_zeta,
     ihara_zeta,
@@ -67,7 +73,7 @@ def graph(p, l, N, seed=0):
 def spec_of(p, l, N):
     key = (p, l, N)
     if key not in _spectra:
-        _spectra[key] = spectrum(graph(p, l, N), tol=TOL)
+        _spectra[key] = spectrum(graph(p, l, N))
     return _spectra[key]
 
 
@@ -145,7 +151,7 @@ def test_criterion_04_ramanujan():
     for p, l, N in grid_triples():
         g = graph(p, l, N)
         gg = graph_from_enhanced(g)
-        rep = ramanujan_report(spec_of(p, l, N), l, tol=TOL)
+        rep = ramanujan_report(spec_of(p, l, N), l)
         if not (is_connected(gg) and not is_bipartite(gg) and rep.ok):
             bad.append((p, l, N, rep.lambda_star))
     report(
@@ -213,7 +219,7 @@ def test_criterion_08_bass_oracle():
     small = 0
     for p, l, N in grid_triples():
         g = graph(p, l, N)
-        if g.oriented_edge_count > 30:
+        if g.oriented_edge_count > ORACLE_EDGE_LIMIT:
             continue
         small += 1
         z = ihara_zeta(g)
@@ -257,24 +263,16 @@ def test_criterion_10_cheeger_gap():
     bad = []
     for p, l, N in grid_triples():
         g = graph(p, l, N)
-        sqrt_l = math.sqrt(l)
-        upper_h = math.sqrt(2 * (l + 1)) * (sqrt_l + 1)
-        ch = cheeger_constant(g, tol=TOL)
+        spec = spec_of(p, l, N)
+        ch = cheeger_constant(g, spec=spec)
         if g.n == 1:
             if ch.method != "undefined":
                 bad.append((p, l, N, "expected undefined"))
             continue
-        gap = spec_of(p, l, N).laplacian_gap
-        if not (gap >= (sqrt_l - 1) ** 2 - TOL and gap / 2 <= upper_h + TOL):
+        if not ramanujan_report(spec, l).gap_floor:
             bad.append((p, l, N, "spectral window"))
-        if g.n <= 24:
-            h = ch.value
-            sandwich = (
-                (sqrt_l - 1) ** 2 / 2 - TOL <= h <= upper_h + TOL
-                and gap / 2 - TOL <= h <= math.sqrt(2 * (l + 1) * gap) + TOL
-            )
-            if ch.method != "exact" or not sandwich:
-                bad.append((p, l, N, f"h={h}"))
+        if g.n <= 24 and (ch.method != "exact" or not cheeger_sandwich(spec, ch.value)):
+            bad.append((p, l, N, f"h={ch.value}"))
     report(10, "Cheeger gap windows", not bad, f"failures: {bad}" if bad else "all in range")
     assert not bad
 

@@ -2,6 +2,7 @@
 format: determinism, self-validation, exit codes, and the grid parser."""
 
 import json
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -70,6 +71,15 @@ def test_builder_memo_matches_fresh_builders(tmp_path):
     assert _builder.cache_info().misses == 2
     assert _builder(13, 5, 1) is not _builder(13, 5, 0)
     assert json.load(open(graph_file_path(other)))["metadata"]["seed"] == 1
+
+
+def test_cached_file_of_another_seed_is_rebuilt(tmp_path):
+    c0 = JobConfig(13, 5, 2, seed=0, cache_dir=str(tmp_path))
+    c1 = replace(c0, seed=1)
+    build_or_load(c0, force=True)
+    shutil.copy(graph_file_path(c0), graph_file_path(c1))
+    assert build_or_load(c1).seed == 1
+    assert json.load(open(graph_file_path(c1)))["metadata"]["seed"] == 1
 
 
 def test_cache_round_trip(tmp_path):
@@ -250,6 +260,25 @@ def test_verify_solves_each_spectrum_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_loads_each_cache_file_once(tmp_path, capsys, monkeypatch):
+    import isograph.cli as cli_mod
+
+    argv = ("verify", "--grid", "p in {13}, l in {5}, N in {1,2,3,6}",
+            "--workers", 1, "--cache-dir", tmp_path)
+    cold_code, cold = run(capsys, *argv)
+    paths = []
+    original = cli_mod.load_graph_file
+
+    def counted(path):
+        paths.append(path)
+        return original(path)
+
+    monkeypatch.setattr(cli_mod, "load_graph_file", counted)
+    code, out = run(capsys, *argv)
+    assert (code, out) == (cold_code, cold)
+    assert len(paths) == len(set(paths)) == 4
+
+
 def test_verify_single_parity_failure(tmp_path, capsys):
     code, out = run(capsys, "verify", 13, 5, 2, "--cache-dir", tmp_path)
     assert code == EXIT_VERIFY
@@ -274,14 +303,16 @@ def test_verify_grid_with_skips(tmp_path, capsys):
 
 
 def test_parse_grid_full():
-    triples = parse_grid("p in {13,37}, l in {3,5}, N in {1,2}")
+    triples, skipped = parse_grid("p in {13,37}, l in {3,5}, N in {1,2}")
     assert (13, 3, 1) in triples and (37, 5, 2) in triples
     assert len(triples) == 8
+    assert skipped == []
 
 
 def test_parse_grid_filters_inadmissible():
-    triples = parse_grid("p in {13}, l in {5}, N in {1,5,10}")
+    triples, skipped = parse_grid("p in {13}, l in {5}, N in {1,5,10}")
     assert triples == [(13, 5, 1)]
+    assert skipped == [(13, 5, 5), (13, 5, 10)]
 
 
 def test_parse_grid_rejects_garbage():

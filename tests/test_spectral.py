@@ -1,18 +1,25 @@
-"""Spectra against exact trace identities, Ramanujan checks, Cheeger
-enumeration."""
+"""Spectra against exact trace identities, exact root counts and the
+Ramanujan verdicts built on them, Cheeger enumeration against a float
+reference."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isograph.enhanced import GraphBuilder
+from isograph.cli import parse_grid
+from isograph.enhanced import GraphBuilder, vertex_count
+from isograph.polys import IntPolynomial
 from isograph.spectral import (
-    CheegerResult,
     SpectralError,
+    Spectrum,
     cheeger_constant,
+    cheeger_sandwich,
+    count_roots,
     ramanujan_report,
     spectrum,
 )
@@ -31,24 +38,37 @@ def assert_trace_identities(M, s):
     assert abs(s.eigenvalues[0] - s.degree) < 1e-9
 
 
+def regular_multigraphs(max_n):
+    """Symmetric nonnegative integer matrices with constant row sums: random
+    off-diagonal multiplicities, the diagonal padded up to the degree."""
+
+    def pad(rows_slack):
+        rows, slack = rows_slack
+        n = len(rows)
+        M = [[rows[i][j] + rows[j][i] if i != j else 0 for j in range(n)]
+             for i in range(n)]
+        k = max(sum(row) for row in M) + slack
+        for i in range(n):
+            M[i][i] = k - sum(M[i])
+        return M
+
+    return st.tuples(
+        st.integers(min_value=1, max_value=max_n).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(min_value=0, max_value=5), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        st.integers(min_value=0, max_value=3),
+    ).map(pad)
+
+
 @settings(max_examples=80, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=7).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(min_value=0, max_value=5), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        )
-    ),
-    st.integers(min_value=0, max_value=3),
-)
-def test_spectrum_trace_identities_random_regular(rows, slack):
-    n = len(rows)
-    M = [[rows[i][j] + rows[j][i] if i != j else 0 for j in range(n)]
-         for i in range(n)]
-    k = max(sum(row) for row in M) + slack
-    for i in range(n):
-        M[i][i] = k - sum(M[i])  # pad the diagonal to make M k-regular
+@given(regular_multigraphs(7))
+def test_spectrum_trace_identities_random_regular(M):
+    n = len(M)
+    k = sum(M[0])
     s = spectrum(M)
     assert s.degree == k and s.n == n
     assert list(s.eigenvalues) == sorted(s.eigenvalues, reverse=True)
@@ -80,12 +100,10 @@ def test_spectrum_37_5():
     assert max(abs(a - b) for a, b in zip(s.eigenvalues, expect)) < 1e-9
     assert abs(s.lambda_star - 2.0) < 1e-9
     assert abs(s.laplacian_gap - 6.0) < 1e-9
-    assert s.connected_spectrally
-    assert not s.bipartite_spectrally
+    assert s.charpoly == IntPolynomial([0, -12, -4, 1])  # x (x - 6) (x + 2)
     rep = ramanujan_report(s, 5)
-    assert rep.ok and rep.connected
+    assert rep.ok and rep.connected and rep.gap_floor
     assert abs(rep.bound - 2 * math.sqrt(5)) < 1e-12
-    assert rep.margin > 2.4
 
 
 def test_spectrum_of_single_class_graph():
@@ -94,35 +112,240 @@ def test_spectrum_of_single_class_graph():
     assert s.eigenvalues == (8.0,)
     assert s.lambda_star == 0.0
     rep = ramanujan_report(s, 7)
-    assert rep.ok and rep.connected
+    assert rep.ok and rep.connected and rep.gap_floor
 
 
 def test_nonregular_rejected():
-    with pytest.raises(SpectralError):
+    with pytest.raises(SpectralError, match="not regular"):
         spectrum([[0, 1], [1, 2]])
-    with pytest.raises(SpectralError):
-        # explicit degree must still match the top eigenvalue
-        spectrum([[0, 1], [1, 2]], degree=2)
+    with pytest.raises(SpectralError, match="integer"):
+        spectrum([[0.5, 1.5], [1.5, 0.5]])
+
+
+# ------------------------------------------------------------ root counts
+
+
+def poly_with_roots(*factors):
+    """Product of integer polynomials given as ascending coefficient lists."""
+    out = IntPolynomial([1])
+    for f in factors:
+        out = out * IntPolynomial(f)
+    return out
+
+
+def test_count_roots_at_plus_minus_two_sqrt_l():
+    # (x^2 - 20)(x - 3)(x - 6)(x + 7): roots -7, -2 sqrt 5, 3, 2 sqrt 5, 6
+    P = poly_with_roots([-20, 0, 1], [-3, 1], [-6, 1], [7, 1])
+    assert count_roots(P, 0, 2, 1, 5) == (1, 1)
+    assert count_roots(P, 0, -2, 1, 5) == (3, 1)
+    # a double root on 2 sqrt 5 is two roots "at", none "above"
+    Q = poly_with_roots([-20, 0, 1], [-20, 0, 1])
+    assert count_roots(Q, 0, 2, 1, 5) == (0, 2)
+    assert count_roots(Q, 0, -2, 1, 5) == (2, 2)
+    # just off the threshold: 2 sqrt 5 against 9/2 and 4
+    assert count_roots(Q, 9, 0, 2) == (0, 0)
+    assert count_roots(Q, 4) == (2, 0)
+
+
+def test_count_roots_at_rational_threshold():
+    # (2x - 3)^2 (x - 4)(x + 1): a double root on 3/2
+    P = poly_with_roots([-3, 2], [-3, 2], [-4, 1], [1, 1])
+    assert count_roots(P, 3, 0, 2) == (1, 2)
+    assert count_roots(P, 4) == (0, 1)
+    assert count_roots(P, -1) == (3, 1)
+    assert count_roots(P, 29, 0, 20) == (3, 0)  # 1.45 < 3/2
+    assert count_roots(P, 31, 0, 20) == (1, 0)  # 1.55 > 3/2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=8),
+    st.lists(st.integers(min_value=1, max_value=3), max_size=3),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([2, 3, 5, 7]),
+)
+def test_count_roots_matches_known_roots(ints, surds, u, v, w, d):
+    """Integer roots r and pairs of roots +-m sqrt d, against the threshold
+    (u + v sqrt d) / w compared exactly: x > y iff x - y > 0, and the sign
+    of a + b sqrt d is decided by squaring."""
+    P = poly_with_roots(*([-r, 1] for r in ints), *([-m * m * d, 0, 1] for m in surds))
+    roots = [(w * r, 0) for r in ints]  # w * root as (a, b) = a + b sqrt d
+    roots += [(0, w * m) for m in surds] + [(0, -w * m) for m in surds]
+
+    def sign(a, b):
+        if a >= 0 and b >= 0 or a <= 0 and b <= 0:
+            return (a > 0 or b > 0) - (a < 0 or b < 0)
+        return (1 if a > 0 else -1) * (1 if a * a > d * b * b else -1)
+
+    diffs = [sign(a - u, b - v) for a, b in roots]
+    assert count_roots(P, u, v, w, d) == (diffs.count(1), diffs.count(0))
+
+
+# ------------------------------------------------------ Ramanujan verdicts
+
+
+def circulant(n, *steps):
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for s in steps:
+            M[i][(i + s) % n] += 1
+            M[(i + s) % n][i] += 1
+    return M
+
+
+def disjoint_union(*blocks):
+    n = sum(len(b) for b in blocks)
+    M = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            M[offset + i][offset : offset + len(b)] = row
+        offset += len(b)
+    return M
+
+
+K5 = [[int(i != j) for j in range(5)] for i in range(5)]
+K44 = [[int((i < 4) != (j < 4)) for j in range(8)] for i in range(8)]
+
+
+def test_eigenvalues_on_two_sqrt_l_are_inside_the_windows():
+    # (x - 4)(x^2 - 12): degree 4, l = 3, lambda_1 = 2 sqrt 3 = -lambda_2
+    root = 2 * math.sqrt(3)
+    s = Spectrum((4.0, root, -root), 4, poly_with_roots([-4, 1], [-12, 0, 1]))
+    rep = ramanujan_report(s, 3)
+    assert rep.ok and rep.connected and rep.gap_floor
+
+
+def test_large_lambda1_fails_ramanujan_and_gap_windows():
+    # C_20(1, 2) is connected, non-bipartite and 4-regular, with
+    # lambda_1 = 2 cos(pi/10) + 2 cos(pi/5) = 3.52 > 2 sqrt 3
+    s = spectrum(circulant(20, 1, 2))
+    assert s.eigenvalues[1] > 2 * math.sqrt(3)
+    rep = ramanujan_report(s, 3)
+    assert rep.connected
+    assert not rep.ok and not rep.gap_floor
 
 
 def test_disconnected_detected_by_multiplicity():
-    M = [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
-    s = spectrum(M)
-    assert s.trivial_multiplicity == 2
-    assert not s.connected_spectrally
-    assert s.bipartite_spectrally
+    s = spectrum(disjoint_union(K5, K5))  # 4, 4, -1 x 8
+    assert count_roots(s.charpoly, 4) == (0, 2)
+    rep = ramanujan_report(s, 3)
+    assert not rep.connected and not rep.ok and not rep.gap_floor
+    assert ramanujan_report(spectrum(K5), 3).ok  # one copy is Ramanujan
 
 
-def test_laplacian_spectrum_orientation():
-    g = GraphBuilder(37, 5).build(1)
-    s = spectrum(g)
-    lap = s.laplacian_spectrum()
-    assert lap == tuple(sorted(lap))
-    assert abs(lap[0]) < 1e-9
-    assert abs(lap[1] - s.laplacian_gap) < 1e-12
+def test_bipartite_fails_ramanujan_window():
+    s = spectrum(K44)  # 4, 0 x 6, -4
+    rep = ramanujan_report(s, 3)
+    assert rep.connected and rep.gap_floor
+    assert not rep.ok
 
 
 # ----------------------------------------------------------------- Cheeger
+
+
+def float_cheeger(M):
+    """Reference: every bitmask subset scored in float64, in chunks; the
+    first minimum in mask order is the witness."""
+    A = np.asarray(M, dtype=float)
+    n = A.shape[0]
+    degree = A.sum(axis=1)
+    best, best_mask = math.inf, 0
+    chunk, total = 1 << 16, 1 << n
+    bit_cols = np.arange(n, dtype=np.uint32)
+    for start in range(1, total, chunk):
+        masks = np.arange(start, min(start + chunk, total), dtype=np.uint32)
+        bits = ((masks[:, None] >> bit_cols[None, :]) & 1).astype(np.float64)
+        sizes = bits.sum(axis=1)
+        keep = (sizes > 0) & (2 * sizes <= n)
+        if not keep.any():
+            continue
+        bits, sizes, masks = bits[keep], sizes[keep], masks[keep]
+        boundary = bits @ degree - np.einsum("ij,ij->i", bits @ A, bits)
+        ratios = boundary / sizes
+        i = int(np.argmin(ratios))
+        if ratios[i] < best:
+            best, best_mask = float(ratios[i]), int(masks[i])
+    return best, tuple(v for v in range(n) if (best_mask >> v) & 1)
+
+
+def assert_matches_float_reference(M):
+    r = cheeger_constant(M)
+    assert r.method == "exact" and isinstance(r.value, Fraction)
+    value, witness = float_cheeger(M)
+    assert float(r.value) == value
+    assert r.witness == witness
+
+
+def test_integer_cheeger_matches_float_reference_on_grid():
+    triples, _ = parse_grid("p in {13,37,61}, l in {3,5}, N in {1,2,3,6}")
+    small = [(p, l, N) for p, l, N in triples if 2 <= vertex_count(p, N) <= 20]
+    assert len(small) == 14
+    builders = {}
+    for p, l, N in small:
+        g = builders.setdefault((p, l), GraphBuilder(p, l)).build(N)
+        assert_matches_float_reference(g.brandt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_multigraphs(9))
+def test_integer_cheeger_matches_float_reference_random(M):
+    if len(M) >= 2:
+        assert_matches_float_reference(M)
+
+
+def test_cheeger_at_limit_runs_in_bounded_memory():
+    # the 24-cycle: the best cut is an arc of 12 vertices with 2 boundary
+    # edges, and the lowest such mask is vertices 0..11
+    tracemalloc.start()
+    try:
+        r = cheeger_constant(circulant(24, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.method == "exact"
+    assert r.value == Fraction(1, 6)
+    assert r.witness == tuple(range(12))
+    assert peak < 16 * 2**20
+
+
+def test_cheeger_sandwich_floor_fires():
+    # two copies of K5: h = 0, below (sqrt 3 - 1)^2 / 2, while gap = 0 keeps
+    # both spectral bounds; only the floor catches it
+    M = disjoint_union(K5, K5)
+    r = cheeger_constant(M)
+    assert r.value == 0
+    assert not cheeger_sandwich(spectrum(M), r.value)
+    assert cheeger_sandwich(spectrum(K5), cheeger_constant(K5).value)  # h = 3
+
+
+def test_cheeger_sandwich_bounds_fire():
+    # spectrum 6, 0, -2: gap = 6, so the bounds are 3 <= h <= sqrt(72) = 8.485
+    s = spectrum(GraphBuilder(37, 5).build(1))
+    assert cheeger_sandwich(s, Fraction(4))  # the true h
+    assert cheeger_sandwich(s, Fraction(3))  # on gap/2: lambda_1 on k - 2h
+    assert not cheeger_sandwich(s, Fraction(29, 10))
+    assert cheeger_sandwich(s, Fraction(8))
+    assert not cheeger_sandwich(s, Fraction(17, 2))
+    # on the upper bound itself: 2-regular double edge, gap = 4, sqrt(2k gap) = 4
+    d = spectrum([[0, 2], [2, 0]])
+    assert cheeger_sandwich(d, Fraction(4))
+    assert not cheeger_sandwich(d, Fraction(401, 100))
+
+
+def test_large_graph_without_floor_is_refused():
+    # C_30(1, 2) at l = 3: too large for enumeration, and lambda_1 = 3.7834 >
+    # 2 sqrt 3, so the floor is not certified; the float bounds alone
+    # (lower <= upper) hold for any graph
+    M = circulant(30, 1, 2)
+    s = spectrum(M)
+    r = cheeger_constant(M, spec=s)
+    assert r.method == "bounds-only"
+    assert r.lower_bound <= r.upper_bound
+    assert abs(s.eigenvalues[1] - 3.7834) < 1e-4
+    assert not ramanujan_report(s, 3).gap_floor
 
 
 def boundary_of(A, S):
