@@ -285,7 +285,7 @@ def verify_graph(eg: EnhancedGraph, cfg: JobConfig, graphs: dict | None = None) 
     detail["cheeger_method"] = ch.method
 
     if eg.oriented_edge_count <= ORACLE_EDGE_LIMIT:
-        z = ihara_zeta(eg)
+        z = ihara_zeta(eg, charpoly=spec.charpoly)
         checks["bass_edge_oracle"] = edge_matrix_zeta(g) == z.inverse_polynomial()
     else:
         detail["bass_edge_oracle"] = "skipped: graph too large"

@@ -3,6 +3,11 @@ graph builder needs: torsion bases, x-coordinate multiple lists, Velu
 quotients by prime-order kernels, and quadratic-twist normalization so the
 p^2-power Frobenius acts as the scalar -p on every working model.
 
+Order-r torsion is worked in the smallest field holding its x-coordinates
+(TorsionField): half the degree of the field holding the points whenever
+-1 is a power of -p mod r, on the quadratic twist where the points
+themselves become rational.
+
 Affine points carry FieldElements; the inner loops (scalar multiplication,
 multiple chains) run on raw coefficient tuples in Jacobian coordinates and
 convert back at the edges.
@@ -10,11 +15,22 @@ convert back at the edges.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
+from dataclasses import dataclass
 from typing import Sequence
 
-from .fields import Embedding, Field, FieldElement, NoSquareRoot, is_prime
+from .fields import (
+    Embedding,
+    Field,
+    FieldElement,
+    NoSquareRoot,
+    HalfField,
+    get_embedding,
+    is_prime,
+    make_extension_field,
+)
 
 
 class CurveError(ValueError):
@@ -255,11 +271,14 @@ def curve_from_j(j: FieldElement) -> EllipticCurve:
     return EllipticCurve(3 * k, 2 * k)
 
 
-def quadratic_twist(curve: EllipticCurve) -> EllipticCurve:
-    """Twist by the canonical non-residue c: (a, b) -> (a c^2, b c^3)."""
-    f = curve.field
-    c = FieldElement(f, f.nonresidue_t())
-    return EllipticCurve(curve.a * c * c, curve.b * c * c * c)
+def quadratic_twist(curve: EllipticCurve, c: FieldElement | None = None) -> EllipticCurve:
+    """Twist by the non-residue c, by default the field's canonical one:
+    (a, b) -> (a c^2, b c^3).  (x, y) -> (c x, c^(3/2) y) identifies the
+    curves over the quadratic extension."""
+    if c is None:
+        c = FieldElement(curve.field, curve.field.nonresidue_t())
+    c2 = c * c
+    return EllipticCurve(curve.a * c2, curve.b * c2 * c)
 
 
 def group_order_scalar_frobenius(p: int, k: int) -> int:
@@ -271,15 +290,17 @@ def twist_to_scalar_frobenius(curve: EllipticCurve) -> EllipticCurve:
     """Return the quadratic twist (possibly the input) whose F_{p^2}-point
     count is (p+1)^2, i.e. the model with Frobenius = -p.
 
-    Verified by annihilating 20 deterministically sampled points; for a
-    supersingular curve with p = 1 mod 12 exactly one twist qualifies, and
-    an ordinary input fails both candidates.
+    Verified by annihilating 20 deterministically sampled points by p + 1,
+    the exponent of (Z/(p+1))^2; on the other twist (Frobenius = +p, group
+    (Z/(p-1))^2) that multiple is [2]P.  For a supersingular curve with
+    p = 1 mod 12 exactly one twist qualifies, and an ordinary input fails
+    both candidates.
     """
     f = curve.field
     p = f.p
     if f.deg != 2:
         raise CurveError("normalization works over F_{p^2}")
-    n_target = (p + 1) ** 2
+    n_target = p + 1
     seed_material = repr((p, curve.a.coeffs, curve.b.coeffs)).encode()
     seed = int.from_bytes(hashlib.sha256(seed_material).digest()[:8], "big")
     for cand in (curve, quadratic_twist(curve)):
@@ -306,24 +327,94 @@ def torsion_order_extension(p: int, r: int) -> int:
     return k
 
 
+@dataclass(frozen=True)
+class TorsionField:
+    """Where the order-r torsion of the scalar-Frobenius models is worked.
+
+    With k the order of -p mod r and r odd, (-p)^(k/2) = -1 mod r when k
+    is even, so the p^k-power Frobenius acts on E[r] as -1: every
+    x-coordinate lies in F' = F_{p^k}, and E[r] is rational on the twist
+    by a non-square delta of F'.  When the canonical F = F_{p^{2k}} has an
+    even modulus, `field` is its HalfField F' and `delta` the HalfField's
+    y.  Otherwise (k odd, r = 2, or an odd modulus such as F_{37^40})
+    `field` is F itself and `delta` None.  `emb` embeds F_{p^2} into
+    `field` so that spreading it into F gives the canonical F_{p^2} -> F;
+    then every x in `field` spreads to the x the full field F would hold,
+    and tables sorted in `field` sort as in F.
+    """
+
+    field: Field
+    emb: Embedding
+    delta: FieldElement | None
+
+    def __post_init__(self):
+        # the canonical F_{p^2} -> F sends the generator to the smaller
+        # root of the F_{p^2} modulus; spreading keeps order, so emb must
+        # pick the smaller root here too.  The conjugate (the other root)
+        # would index the tables of the Frobenius-conjugate models.
+        f, emb = self.field, self.emb
+        if emb.dst is not f or emb.src.deg != 2:
+            raise CurveError("torsion embedding must map F_{p^2} into the torsion field")
+        other = f.sub_t(f.coerce_t(-emb.src.modulus[1]), emb.gen_image)
+        if emb.gen_image > other:
+            raise CurveError(
+                "torsion embedding is the conjugate of the canonical F_{p^2} embedding"
+            )
+
+    def model(self, curve: EllipticCurve) -> EllipticCurve:
+        """An F_{p^2} model base-changed to `field`, twisted by delta."""
+        E = curve.change_field(self.emb)
+        return E if self.delta is None else quadratic_twist(E, self.delta)
+
+
+@functools.lru_cache(maxsize=None)
+def torsion_field(p: int, r: int) -> TorsionField:
+    """The TorsionField of the order-r tables for the prime p; one per
+    (p, r) per process, so its field and embedding objects are shared."""
+    k = torsion_order_extension(p, r)
+    full = make_extension_field(p, 2 * k)
+    try:
+        half = HalfField(full) if k % 2 == 0 else None
+    except ValueError:  # an odd modulus, such as F_{37^40}'s
+        half = None
+    field = full if half is None else half.sub
+    emb = get_embedding(make_extension_field(p, 2), field)
+    return TorsionField(field, emb, None if half is None else half.delta)
+
+
 def torsion_basis(
-    curve: EllipticCurve, r: int, rng: random.Random, budget: int = 200
+    curve: EllipticCurve,
+    r: int,
+    rng: random.Random,
+    budget: int = 200,
+    delta: FieldElement | None = None,
 ) -> tuple[Point, Point]:
     """Independent points of exact prime order r over the curve's field.
 
-    The curve must be a scalar-Frobenius model base-changed to F_{p^{2k}}
-    with k = torsion_order_extension(p, r); the rational group is then
-    (Z/m)^2 with m = |(-p)^k - 1| and cofactor multiplication lands in E[r].
-    Each basis point is checked to satisfy pi(P) = (-p mod r) P.
+    The field has degree 2k' and the curve is a scalar-Frobenius model
+    base-changed to it, twisted by the non-square `delta` of the field
+    when (-p)^k' = -1 mod r (see TorsionField) and untwisted when
+    (-p)^k' = 1 mod r.  The rational group is then (Z/m)^2 with
+    m = |(-p)^k' + 1| on the twist and |(-p)^k' - 1| without it, and
+    cofactor multiplication lands in E[r]; a multiple that is not r-power
+    torsion means the model is not what it claims and is refused.
+
+    Each basis point P' = (x', y') is checked against the p^2-power
+    Frobenius, which acts as -p on the untwisted model: with
+    c = delta^((p^2 - 1)/2) (c = 1 untwisted), x'^(p^2) = c^2 x'([-p]P')
+    and y'^(p^2) = c^3 y'([-p]P').
     """
     f = curve.field
     p = f.p
     if f.deg % 2 != 0:
         raise CurveError("torsion work expects an even-degree extension")
     k = f.deg // 2
-    m = abs((-p) ** k - 1)
+    m = abs((-p) ** k + (1 if delta is not None else -1))
     if m % r != 0:
-        raise CurveError(f"E[{r}] is not rational over F_{p}^{f.deg}")
+        raise CurveError(
+            f"E[{r}] is not rational over F_{p}^{f.deg}"
+            + (" on this twist" if delta is not None else "")
+        )
     mm = m
     e = 0
     while mm % r == 0:
@@ -336,22 +427,28 @@ def torsion_basis(
             P = scalar_mul(cofactor, curve.random_point(rng))
             if P.is_identity():
                 continue
-            # reduce from order r^j to exact order r
-            while True:
+            # reduce from order r^j (j <= e) to exact order r
+            for _ in range(e):
                 Q = scalar_mul(r, P)
                 if Q.is_identity():
                     return P
                 P = Q
+            raise TorsionBasisError(
+                f"cofactor multiple is not {r}-power torsion; "
+                f"the group is not (Z/{m})^2"
+            )
         raise TorsionBasisError(f"no order-{r} point in {budget} samples")
 
+    e2 = p * p
+    c = f.one_t if delta is None else f.pow_t(delta.coeffs, (e2 - 1) // 2)
+    c2 = f.sq_t(c)
+    c3 = f.mul_t(c2, c)
+
     def check_frobenius(P: Point) -> None:
-        e2 = p * p
-        img = Point(
-            curve,
-            FieldElement(f, f.pow_t(P.x.coeffs, e2)),
-            FieldElement(f, f.pow_t(P.y.coeffs, e2)),
-        )
-        if img != scalar_mul((-p) % r, P):
+        img = scalar_mul((-p) % r, P)
+        if f.pow_t(P.x.coeffs, e2) != f.mul_t(c2, img.x.coeffs) or f.pow_t(
+            P.y.coeffs, e2
+        ) != f.mul_t(c3, img.y.coeffs):
             raise CurveError(
                 "Frobenius does not act as -p on sampled torsion; "
                 "the model is not scalar-Frobenius normalized"
@@ -473,6 +570,25 @@ def velu_quotient(curve: EllipticCurve, G: Point, r: int) -> tuple[EllipticCurve
     den = _fpoly_mul(f, h, h)
     image = EllipticCurve(a2, b2)
     return image, XMap(num, den, r)
+
+
+def untwist_quotient(
+    image: EllipticCurve, xmap: XMap, delta: FieldElement
+) -> tuple[EllipticCurve, XMap]:
+    """A Velu quotient of the twist by delta carried back to the untwisted
+    curves: the codomain (a / delta^2, b / delta^3) and the x-map
+    x -> phi(delta x) / delta, its denominator kept monic.  Velu commutes
+    with twisting, so this is the quotient of the untwisted curve by the
+    untwisted kernel, coefficient for coefficient."""
+    n = len(xmap.den) - 1
+    inv = delta.inverse()
+    pw = [delta.field.one]  # pw[j] = delta^-j
+    for _ in range(max(n + 1, 3)):
+        pw.append(pw[-1] * inv)
+    num = [c * pw[n + 1 - i] for i, c in enumerate(xmap.num)]
+    den = [c * pw[n - i] for i, c in enumerate(xmap.den)]
+    curve = EllipticCurve(image.a * pw[2], image.b * pw[3])
+    return curve, XMap(num, den, xmap.degree)
 
 
 def _fpoly_mul_linear(f: Field, poly, root):

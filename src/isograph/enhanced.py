@@ -7,11 +7,17 @@ per-prime subgroup indices.  Edges are degree-l isogenies, tracked with
 their kernels so the graph carries a genuine edge involution (dual
 isogeny) rather than just a symmetric count matrix.
 
-All per-prime torsion work happens over F_{p^{2k}} with k the
-multiplicative order of -p mod r, the smallest extension where E[r] is
-rational for scalar-Frobenius models.  Kernels are Galois-stable there,
-so quotient curves and x-maps descend to F_{p^2}; the descent is exact
-and checked, never a float-style approximation.
+All per-prime torsion work happens in the field of curves.torsion_field:
+F' = F_{p^{2k'}}, with k' the order of -p in (Z/r)^x/{+-1}, the smallest
+field holding every x-coordinate of E[r].  When (-p)^k' = -1 mod r (and
+the full F_{p^{2k}}, k the order of -p mod r, has an even modulus) F' is
+half of F_{p^{2k}}, and the points are worked on the twist by a
+non-square delta of F' and mapped back by x -> x / delta; otherwise
+F' = F_{p^{2k}} and nothing is twisted.  Slots hold untwisted x in F',
+sorted by their encodings, which spread to the encodings F_{p^{2k}} holds
+in the same order, so every table equals the full-field one.  Kernels
+are Galois-stable, so quotient curves and x-maps descend to F_{p^2}; the
+descent is exact and checked, never a float-style approximation.
 
 Level structure moves along an arrow one point per subgroup: the arrow's
 degree l is prime to r, so the image of one generator fixes the image
@@ -34,11 +40,12 @@ from .curves import (
     XMap,
     isomorphism_scale,
     torsion_basis,
-    torsion_order_extension,
+    torsion_field,
+    untwist_quotient,
     velu_quotient,
     x_multiples,
 )
-from .fields import FieldElement, get_embedding, is_prime, make_extension_field
+from .fields import FieldElement, is_prime
 from .supersingular import (
     ClassTableError,
     SupersingularClassTable,
@@ -262,23 +269,22 @@ class GraphBuilder:
 
     # -- per-prime subgroup tables
 
-    def torsion_field(self, r: int):
-        return make_extension_field(self.p, 2 * torsion_order_extension(self.p, r))
-
     def level_subgroups(self, r: int) -> list[list[SubgroupSlot]]:
         """For each class, the r + 1 cyclic order-r subgroups in canonical
-        order (sorted by x-coordinate signature)."""
+        order (sorted by x-coordinate signature), as untwisted x in the
+        order-r torsion field."""
         if r in self._subs:
             return self._subs[r]
-        big = self.torsion_field(r)
-        emb = get_embedding(self.table.field, big)
+        tf = torsion_field(self.p, r)
+        f = tf.field
+        inv_delta = None if tf.delta is None else f.inv_t(tf.delta.coeffs)
         half = max(1, (r - 1) // 2)
         per_class = []
         index = []
         for ci, model in enumerate(self.table.models):
-            E = model.change_field(emb)
+            E = tf.model(model)
             rng = random.Random(_derive_seed("subgroups", self.p, r, ci, self.seed))
-            P, Q = torsion_basis(E, r, rng)
+            P, Q = torsion_basis(E, r, rng, delta=tf.delta)
             gens = [P]
             R = E.identity()
             for _ in range(r):
@@ -286,7 +292,10 @@ class GraphBuilder:
                 R = R + P
             slots = []
             for G in gens:
-                xs = sorted(x_multiples(G, half), key=lambda x: x.coeffs)
+                xs = x_multiples(G, half)
+                if inv_delta is not None:
+                    xs = [FieldElement(f, f.mul_t(x.coeffs, inv_delta)) for x in xs]
+                xs.sort(key=lambda x: x.coeffs)
                 slots.append(SubgroupSlot(tuple(xs)))
             slots.sort(key=lambda s: tuple(x.coeffs for x in s.xs))
             if len({s.xs for s in slots}) != r + 1:
@@ -312,16 +321,20 @@ class GraphBuilder:
         table = self.table
         subs = self.level_subgroups(l)
         enc_index = self._enc_index[l]
-        big = self.torsion_field(l)
-        emb = get_embedding(table.field, big)
+        tf = torsion_field(self.p, l)
+        f, emb, delta = tf.field, tf.emb, tf.delta
         arrows: list[list[QuotientArrow]] = []
         for ci, model in enumerate(table.models):
-            E = model.change_field(emb)
+            # Velu runs on the working (possibly twisted) model, where the
+            # kernel points are rational, and is untwisted before descent
+            E = tf.model(model)
             row = []
             for t, slot in enumerate(subs[ci]):
-                x0 = slot.xs[0]
-                y0 = FieldElement(big, big.sqrt_t(E.rhs(x0).coeffs))
+                x0 = slot.xs[0] if delta is None else delta * slot.xs[0]
+                y0 = FieldElement(f, f.sqrt_t(E.rhs(x0).coeffs))
                 image, xmap = velu_quotient(E, Point(E, x0, y0), l)
+                if delta is not None:
+                    image, xmap = untwist_quotient(image, xmap, delta)
                 small = EllipticCurve(emb.descend(image.a), emb.descend(image.b))
                 target = table.class_of_j(small.j_invariant())
                 u2 = isomorphism_scale(small, table.models[target])
@@ -359,7 +372,7 @@ class GraphBuilder:
         """Arrow t of class ci with its x-map and scale u2 lifted to the
         order-r torsion field."""
         ar = self.arrows[ci][t]
-        emb = get_embedding(self.table.field, self.torsion_field(r))
+        emb = torsion_field(self.p, r).emb
         return ar.xmap.lift(emb), emb(ar.u2)
 
     def _push_row(self, ci: int, t: int, r: int) -> tuple[int, ...]:
@@ -409,8 +422,9 @@ class GraphBuilder:
         return row
 
     def _lifted_model(self, ci: int, r: int) -> tuple[FieldElement, FieldElement]:
-        """(a, b) of class ci's model over the order-r torsion field."""
-        emb = get_embedding(self.table.field, self.torsion_field(r))
+        """(a, b) of class ci's untwisted model over the order-r torsion
+        field."""
+        emb = torsion_field(self.p, r).emb
         model = self.table.models[ci]
         return emb(model.a), emb(model.b)
 

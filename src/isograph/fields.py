@@ -15,6 +15,10 @@ finds one for most torsion fields; F_{37^40} has none) the words are
 low + c * high; this is exact while (1 + c) d (p - 1)^2 < 2^32, the largest
 word the fold can produce.  Any other modulus, or a binomial past that
 bound, uses 64-bit words and reduces the convolution term by term.
+
+A field whose modulus is a polynomial in x^2 (every even-degree binomial)
+has its index-2 subfield as a field of its own, HalfField, with the
+coefficient spread into the full field; torsion tables live there.
 """
 
 from __future__ import annotations
@@ -550,7 +554,9 @@ class Embedding:
 
     The image of the source generator is the lexicographically smaller root
     of the source modulus in the target field, which makes the embedding
-    (and hence every derived encoding) deterministic.
+    (and hence every derived encoding) deterministic.  Into a HalfField F'
+    of F this is the restriction of the canonical embedding into F, since
+    spreading keeps the order of encodings and so picks the same root.
     """
 
     def __init__(self, src: Field, dst: Field):
@@ -621,3 +627,35 @@ def get_embedding(src: Field, dst: Field) -> Embedding:
         emb = Embedding(src, dst)
         _EMBED_CACHE[key] = emb
     return emb
+
+
+class HalfField:
+    """The subfield of index 2 in a field whose modulus is even, m(x) = g(x^2).
+
+    F' = F_p[y]/(g) sits in F = F_p[x]/(m) by iota: y -> x^2, which moves
+    coefficient i to position 2i (spread_t); unspread_t reads the even
+    positions back and refuses any odd entry.  Every binomial x^d - c with
+    d even is such a modulus.  All of this is exact: g is irreducible
+    because g(x^2) is, and `delta` = y is a non-square of F' because its
+    square roots +-x lie outside iota(F').  Spreading keeps the
+    lexicographic order of encodings (it only interleaves zeros), so
+    sorting in F' sorts exactly as in F.
+    """
+
+    def __init__(self, full: Field):
+        m = full.modulus
+        if full.deg % 2 or any(m[1::2]):
+            raise ValueError(f"modulus {m} is not a polynomial in x^2")
+        self.full = full
+        self.sub = Field(full.p, m[0::2])
+        self.delta = self.sub.gen
+
+    def spread_t(self, t: tuple[int, ...]) -> tuple[int, ...]:
+        out = [0] * self.full.deg
+        out[0::2] = t
+        return tuple(out)
+
+    def unspread_t(self, t: tuple[int, ...]) -> tuple[int, ...]:
+        if any(t[1::2]):
+            raise NotInSubfield(f"{t} has odd coordinates, so it is not in iota(F')")
+        return tuple(t[0::2])

@@ -77,11 +77,10 @@ def _det_one_minus_t(M) -> IntPolynomial:
     return IntPolynomial(reversed(charpoly_int(M).coeffs))
 
 
-def _det_part_charpoly(A, l: int) -> IntPolynomial:
+def _det_part_charpoly(c: IntPolynomial, l: int) -> IntPolynomial:
     """det(I - At + l t^2 I) = sum_j c_j t^(n-j) (1 + l t^2)^j where
-    det(xI - A) = sum_j c_j x^j."""
-    n = len(A)
-    c = charpoly_int(A)
+    c = det(xI - A) = sum_j c_j x^j."""
+    n = c.degree
     base = IntPolynomial([1, 0, l])
     total = IntPolynomial()
     power = IntPolynomial([1])
@@ -93,13 +92,14 @@ def _det_part_charpoly(A, l: int) -> IntPolynomial:
     return total
 
 
-def ihara_zeta(graph_or_matrix) -> ZetaFunction:
+def ihara_zeta(graph_or_matrix, charpoly: IntPolynomial | None = None) -> ZetaFunction:
     """Exact zeta of a finite connected multigraph given by its adjacency
     matrix.
 
     Regular graphs expand det(I - At + qt^2 I) from the characteristic
-    polynomial of A; irregular graphs take det(I - tM) of the 2n x 2n
-    linearization M = [[A, -(D - I)], [I, 0]]."""
+    polynomial of A (`charpoly` when the caller already holds it, as
+    Spectrum.charpoly, else charpoly_int(A)); irregular graphs take
+    det(I - tM) of the 2n x 2n linearization M = [[A, -(D - I)], [I, 0]]."""
     A = _adjacency_of(graph_or_matrix)
     n = len(A)
     degrees = [sum(row) for row in A]
@@ -110,7 +110,8 @@ def ihara_zeta(graph_or_matrix) -> ZetaFunction:
     if not adjacency_connected(A):
         raise ZetaError("zeta function needs a connected graph")
     if len(set(degrees)) == 1:
-        det_part = _det_part_charpoly(A, degrees[0] - 1)
+        c = charpoly_int(A) if charpoly is None else charpoly
+        det_part = _det_part_charpoly(c, degrees[0] - 1)
     else:
         M = [
             A[i] + [1 - degrees[i] if j == i else 0 for j in range(n)]

@@ -260,6 +260,31 @@ def test_verify_solves_each_spectrum_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_computes_each_charpoly_once(tmp_path, monkeypatch):
+    # a graph with at most 30 oriented edges gets the edge oracle: one
+    # charpoly for the spectrum (reused by the zeta) and one for the oracle
+    import isograph.cli as cli_mod
+    import isograph.polys as polys_mod
+    import isograph.spectral as spectral_mod
+    import isograph.zeta as zeta_mod
+
+    calls = []
+    original = polys_mod.charpoly_int
+
+    def counted(M):
+        calls.append(len(M))
+        return original(M)
+
+    for mod in (polys_mod, spectral_mod, zeta_mod):
+        monkeypatch.setattr(mod, "charpoly_int", counted)
+    cfg = JobConfig(13, 5, 3, cache_dir=str(tmp_path))
+    eg = build_or_load(cfg)
+    assert eg.oriented_edge_count <= 30
+    result = cli_mod.verify_graph(eg, cfg)
+    assert "bass_edge_oracle" in result["checks"]
+    assert calls == [eg.n, eg.oriented_edge_count]
+
+
 def test_verify_loads_each_cache_file_once(tmp_path, capsys, monkeypatch):
     import isograph.cli as cli_mod
 

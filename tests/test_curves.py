@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from isograph.curves import (
     EllipticCurve,
     ExcludedJInvariant,
     Point,
+    TorsionField,
     XMapPole,
     curve_from_j,
     group_order_scalar_frobenius,
@@ -16,12 +18,14 @@ from isograph.curves import (
     quadratic_twist,
     scalar_mul,
     torsion_basis,
+    torsion_field,
     torsion_order_extension,
     twist_to_scalar_frobenius,
+    untwist_quotient,
     velu_quotient,
     x_multiples,
 )
-from isograph.fields import make_extension_field
+from isograph.fields import HalfField, get_embedding, make_extension_field
 
 F13 = make_extension_field(13, 1)
 F169 = make_extension_field(13, 2)
@@ -193,6 +197,68 @@ def test_torsion_basis_r2():
 def test_torsion_basis_missing_torsion():
     with pytest.raises(CurveError, match="not rational"):
         torsion_basis(curve_47(F13_4), 11, random.Random(0))
+
+
+def test_torsion_basis_on_twist_over_half_field():
+    # (-13)^2 = -1 mod 5: E[5] has its x-coordinates in F_{13^4}, and its
+    # points on the twist by the non-square y of that field
+    tf = torsion_field(13, 5)
+    assert tf.field.deg == 4 and tf.delta is not None
+    E = tf.model(curve_47(F169))
+    P, Q = torsion_basis(E, 5, random.Random(21), delta=tf.delta)
+    assert span_size(P, Q, 5) == 25
+    with pytest.raises(CurveError, match="not rational"):
+        torsion_basis(tf.model(curve_47(F169)), 5, random.Random(21))
+    with pytest.raises(CurveError, match="not rational"):
+        torsion_basis(curve_47(F169), 7, random.Random(21), delta=F169.gen)
+
+
+def test_conjugate_torsion_embedding_is_refused():
+    tf = torsion_field(13, 37)
+    TorsionField(tf.field, tf.emb, tf.delta)
+    conj = copy.copy(tf.emb)
+    f = tf.field
+    conj.gen_image = f.sub_t(f.coerce_t(-F169.modulus[1]), tf.emb.gen_image)
+    assert conj(F169.gen) ** 2 + F169.modulus[1] * conj(F169.gen) + F169.modulus[0] == 0
+    with pytest.raises(CurveError, match="conjugate"):
+        TorsionField(tf.field, conj, tf.delta)
+
+
+def test_frobenius_guard_fires_on_wrong_twist():
+    # the other F_{p^2}-twist has Frobenius +p: over F_{13^4} its 3-torsion
+    # is rational too, but pi(P) = [p]P = -[-p]P
+    wrong = quadratic_twist(curve_47(F169))
+    emb = get_embedding(F169, F13_4)
+    with pytest.raises(CurveError, match="Frobenius"):
+        torsion_basis(wrong.change_field(emb), 3, random.Random(22))
+    # and on the twist by delta over the half field F_{13^4} of F_{13^8}:
+    # E[5] is rational there as well, so only the twisted guard can see it
+    tf = torsion_field(13, 5)
+    with pytest.raises(CurveError, match="Frobenius"):
+        torsion_basis(tf.model(wrong), 5, random.Random(23), delta=tf.delta)
+
+
+def test_untwist_quotient_matches_full_field_velu():
+    # Velu on the twist over F_{13^4}, untwisted, equals Velu on the
+    # untwisted curve over F_{13^8} coefficient for coefficient
+    tf = torsion_field(13, 5)
+    half = HalfField(make_extension_field(13, 8))
+    assert tf.field.modulus == half.sub.modulus
+    E_full = curve_47(F169).change_field(get_embedding(F169, half.full))
+    P, _ = torsion_basis(E_full, 5, random.Random(24))
+    image, xmap = velu_quotient(E_full, P, 5)
+
+    E = tf.model(curve_47(F169))
+    x0 = tf.delta * tf.field.element(half.unspread_t(P.x.coeffs))
+    G = E.point(x0, tf.field.sqrt_t(E.rhs(x0).coeffs))
+    image_t, xmap_t = untwist_quotient(*velu_quotient(E, G, 5), tf.delta)
+
+    def spread(cs):
+        return [half.spread_t(c.coeffs) for c in cs]
+
+    assert spread([image_t.a, image_t.b]) == [image.a.coeffs, image.b.coeffs]
+    assert spread(xmap_t.num) == [c.coeffs for c in xmap.num]
+    assert spread(xmap_t.den) == [c.coeffs for c in xmap.den]
 
 
 def test_x_multiples_vs_scalar_mul():

@@ -8,9 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isograph.curves import (
+    CurveError,
+    TorsionBasisError,
+    TorsionField,
     XMap,
     isomorphism_scale,
     torsion_basis,
+    torsion_field,
     torsion_order_extension,
     velu_quotient,
     x_multiples,
@@ -27,7 +31,8 @@ from isograph.enhanced import (
     validate_symmetry_and_row_sums,
     vertex_count,
 )
-from isograph.fields import get_embedding, make_extension_field
+import isograph.enhanced as enhanced_mod
+from isograph.fields import HalfField, get_embedding, make_extension_field
 from isograph.supersingular import build_class_table
 
 
@@ -103,13 +108,37 @@ def level2_matrix_13_5(rng_seed):
     return M
 
 
+def full_field_slots(p, r, rng_seed):
+    """Independent subgroup tables: every class model base-changed to the
+    full F_{p^{2k}}, k the order of -p mod r, where E[r] is rational
+    without a twist; for each class, the r + 1 subgroups as sorted lists of
+    x encodings, in sorted order.  This is the full-degree table code the
+    builder ran before its tables moved to the half-degree field."""
+    table = build_class_table(p)
+    big = make_extension_field(p, 2 * torsion_order_extension(p, r))
+    emb = get_embedding(table.field, big)
+    rng = random.Random(rng_seed)
+    half = max(1, (r - 1) // 2)
+    out = []
+    for model in table.models:
+        E = model.change_field(emb)
+        P, Q = torsion_basis(E, r, rng)
+        gens = [P]
+        R = E.identity()
+        for _ in range(r):
+            gens.append(Q + R)
+            R = R + P
+        out.append(sorted(sorted(x.coeffs for x in x_multiples(G, half)) for G in gens))
+    return out
+
+
 def push_by_all_points(b, ci, t, r, s):
     """Independent push: map every x-coordinate of the subgroup through the
     lifted x-map and return the unique target slot whose point set is the
     whole image.  The builder pushes one point per subgroup and checks
     whole rows instead, so this is its independent reference."""
     ar = b.arrows[ci][t]
-    emb = get_embedding(b.table.field, b.torsion_field(r))
+    emb = torsion_field(b.p, r).emb
     xmap, u2 = ar.xmap.lift(emb), emb(ar.u2)
     image = frozenset(
         (u2 * x).coeffs for x in xmap.eval_many(b.level_subgroups(r)[ci][s].xs)
@@ -201,12 +230,55 @@ def test_five_torsion_slots_partition_nonzero_torsion():
 
 
 def test_torsion_field_degrees():
-    b = GraphBuilder(13, 5)
-    assert b.torsion_field(2).deg == 2
-    assert b.torsion_field(3).deg == 4
-    assert b.torsion_field(5).deg == 8
-    b37 = GraphBuilder(37, 5)
-    assert b37.torsion_field(61).deg == 40
+    # half of F_{p^{2k}} where (-p)^(k/2) = -1 mod r, on the twist by y
+    for r, deg in ((2, 2), (3, 2), (5, 4), (7, 2), (37, 36)):
+        tf = torsion_field(13, r)
+        assert tf.field.deg == deg
+        twisted = torsion_order_extension(13, r) % 2 == 0
+        assert (tf.delta is not None) == twisted
+        if twisted:
+            assert not tf.field.is_square_t(tf.delta.coeffs)
+    # F_{37^40} = x^40 + 2x + 2 has no half: full degree, no twist
+    tf = torsion_field(37, 61)
+    assert tf.field.deg == 40 and tf.delta is None
+    assert tf.field is make_extension_field(37, 40)
+
+
+@pytest.mark.parametrize("p,r", [(13, 3), (13, 5), (37, 5), (13, 37)])
+def test_half_degree_slots_match_full_field_oracle(p, r):
+    b = GraphBuilder(p, 7 if r == 5 else 5)
+    full = make_extension_field(p, 2 * torsion_order_extension(p, r))
+    half = HalfField(full)
+    assert torsion_field(p, r).field.modulus == half.sub.modulus
+    spread = [
+        [[half.spread_t(x.coeffs) for x in slot.xs] for slot in cls]
+        for cls in b.level_subgroups(r)
+    ]
+    assert spread == full_field_slots(p, r, rng_seed=2718)
+
+
+def _with_torsion_field(monkeypatch, p, r, **changes):
+    """Make the builder see the order-r torsion field of p with `changes`."""
+    bad = TorsionField(**{**vars(torsion_field(p, r)), **changes})
+
+    def patched(pp, rr):
+        return bad if (pp, rr) == (p, r) else torsion_field(pp, rr)
+
+    monkeypatch.setattr(enhanced_mod, "torsion_field", patched)
+
+
+def test_dropped_twist_fails_loudly(monkeypatch):
+    _with_torsion_field(monkeypatch, 13, 5, delta=None)
+    with pytest.raises(CurveError, match="not rational"):
+        GraphBuilder(13, 7).level_subgroups(5)
+
+
+@pytest.mark.parametrize("p,r", [(13, 5), (37, 13)])
+def test_square_delta_fails_loudly(monkeypatch, p, r):
+    delta = torsion_field(p, r).delta
+    _with_torsion_field(monkeypatch, p, r, delta=delta * delta)
+    with pytest.raises(TorsionBasisError):
+        GraphBuilder(p, 5 if r != 5 else 7).level_subgroups(r)
 
 
 # ------------------------------------------------------------------ arrows
@@ -290,7 +362,7 @@ def test_push_guard_doubling(monkeypatch):
     # still lands on its own slot, so only the doubling guard can see it
     b = GraphBuilder(13, 5)
     r = 7
-    emb = get_embedding(b.table.field, b.torsion_field(r))
+    emb = torsion_field(b.p, r).emb
     tgt = b.table.models[b.arrows[0][0].target]
     x0 = b.level_subgroups(r)[0][0].xs[0]
 

@@ -4,11 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isograph.curves import torsion_order_extension
+from isograph.curves import torsion_field, torsion_order_extension
 from isograph.fields import (
     Embedding,
     Field,
     FieldMismatch,
+    HalfField,
     NoSquareRoot,
     NotInSubfield,
     get_embedding,
@@ -155,34 +156,75 @@ def test_general_path_moduli():
             assert f.mul_t(a, b) == _schoolbook(f, a, b), f.modulus
 
 
-# canonical fields of the benchmark workloads (reciprocity 13 37 5 and
-# 13 61 5, the grid p in {13,37,61}, l in {3,5}, N in {1,2,3,6}) and of
-# reciprocity 37 61 7: F_{p^2} and F_{p^{2k}} for each torsion order r
-FOLD_FIELDS = {
-    (13, 2), (13, 4), (13, 8), (13, 12), (13, 72),
-    (37, 2), (37, 4), (37, 8), (37, 12), (37, 24),
-    (61, 2), (61, 4), (61, 6), (61, 12), (61, 72),
+# (p, r) of the benchmark workloads (reciprocity 13 37 5 and 13 61 5, the
+# grid p in {13,37,61}, l in {3,5}, N in {1,2,3,6}) and of reciprocity
+# 37 61 7, and the degree of the field each order-r table is worked in;
+# every one folds except F_{37^40} = x^40 + 2x + 2 (5 does not divide 36,
+# so it has no binomial and no half), which stays general at full degree
+WORKLOAD_TORSION_DEGREES = {
+    (13, 2): 2, (13, 3): 2, (13, 5): 4, (13, 37): 36, (13, 61): 6,
+    (37, 2): 2, (37, 3): 2, (37, 5): 4, (37, 7): 6, (37, 13): 12, (37, 61): 40,
+    (61, 2): 2, (61, 3): 2, (61, 5): 2, (61, 7): 6, (61, 13): 6, (61, 37): 36,
 }
-GENERAL_FIELDS = {(37, 40)}  # x^40 + 2x + 2: no binomial, as 5 does not divide 36
 
 
 def test_workload_fields_take_expected_path():
     needed = set()
     for p, q, l in ((13, 37, 5), (13, 61, 5), (37, 61, 7)):
         for a, b in ((p, q), (q, p)):
-            needed |= {(a, 2), (a, 2 * torsion_order_extension(a, b))}
-            needed.add((a, 2 * torsion_order_extension(a, l)))
+            needed |= {(a, 2), (a, b), (a, l)}
     for p in (13, 37, 61):
-        for r in (2, 3, 5):
-            needed |= {(p, 2), (p, 2 * torsion_order_extension(p, r))}
-    assert needed == FOLD_FIELDS | GENERAL_FIELDS
-    for p, d in sorted(needed):
-        f = make_extension_field(p, d)
-        if (p, d) in FOLD_FIELDS:
-            assert f.modulus[1:] == (0,) * (d - 1) + (1,), (p, d)
-            assert f._fold_c == (-f.modulus[0]) % p, (p, d)
+        needed |= {(p, 2), (p, 3), (p, 5)}
+    assert needed == set(WORKLOAD_TORSION_DEGREES)
+    for p in (13, 37, 61):
+        f = make_extension_field(p, 2)  # the class-table field
+        assert f._fold_c == (-f.modulus[0]) % p, p
+    for (p, r), d in sorted(WORKLOAD_TORSION_DEGREES.items()):
+        f = torsion_field(p, r).field
+        assert f.deg == d, (p, r)
+        if (p, r) == (37, 61):
+            assert f is make_extension_field(37, 40) and f._fold_c is None
         else:
-            assert f._fold_c is None, (p, d)
+            assert f.modulus[1:] == (0,) * (d - 1) + (1,), (p, r)
+            assert f._fold_c == (-f.modulus[0]) % p, (p, r)
+
+
+def test_torsion_embeddings_spread_to_canonical():
+    # the half-field embedding picks the smaller root in F'; spread, it is
+    # the canonical F_{p^2} -> F_{p^{2k}} (smaller root in F)
+    for (p, r), d in sorted(WORKLOAD_TORSION_DEGREES.items()):
+        tf = torsion_field(p, r)
+        full = make_extension_field(p, 2 * torsion_order_extension(p, r))
+        canonical = get_embedding(make_extension_field(p, 2), full)
+        if tf.delta is None:
+            assert tf.emb is canonical
+        else:
+            assert HalfField(full).spread_t(tf.emb.gen_image) == canonical.gen_image
+
+
+def test_half_field_spread_is_an_order_keeping_embedding():
+    rng = random.Random(6)
+    for p, d in ((13, 8), (61, 12), (13, 72)):
+        full = make_extension_field(p, d)
+        half = HalfField(full)
+        sub = half.sub
+        assert sub.deg == d // 2 and sub.modulus == full.modulus[0::2]
+        x = full.gen
+        assert half.spread_t(half.delta.coeffs) == (x * x).coeffs
+        assert not sub.is_square_t(half.delta.coeffs)
+        for _ in range(10):
+            a, b = sub.random_t(rng), sub.random_t(rng)
+            sa, sb = half.spread_t(a), half.spread_t(b)
+            assert half.spread_t(sub.mul_t(a, b)) == full.mul_t(sa, sb)
+            assert half.spread_t(sub.add_t(a, b)) == full.add_t(sa, sb)
+            assert half.unspread_t(sa) == a
+            assert (a < b) == (sa < sb)
+        with pytest.raises(NotInSubfield):
+            half.unspread_t(x.coeffs)
+    # odd degree, or an odd term in the modulus: no half
+    for p, d in ((13, 5), (37, 40)):
+        with pytest.raises(ValueError, match="not a polynomial in x\\^2"):
+            HalfField(make_extension_field(p, d))
 
 
 def test_wrong_fold_constant_is_caught():

@@ -95,6 +95,28 @@ def test_models_have_frobenius_minus_p():
             assert brute_order(model) == (p + 1) ** 2
 
 
+# (a, b) encodings of the class models for p in {13, 37, 61}, in class order
+PINNED_MODELS = {
+    13: [((4, 0), (7, 0))],
+    37: [((11, 23), (32, 3)), ((11, 14), (32, 34)), ((26, 0), (5, 0))],
+    61: [
+        ((8, 0), (46, 0)),
+        ((29, 0), (60, 0)),
+        ((54, 53), (36, 15)),
+        ((54, 8), (36, 46)),
+        ((56, 0), (17, 0)),
+    ],
+}
+
+
+def test_class_models_pinned():
+    # twist_to_scalar_frobenius picks these with 20 points annihilated by
+    # p + 1 exactly as it did with (p + 1)^2
+    for p, models in PINNED_MODELS.items():
+        table = build_class_table(p)
+        assert [(m.a.coeffs, m.b.coeffs) for m in table.models] == models
+
+
 def test_class_of_j_lookup():
     table = build_class_table(13)
     assert table.class_of_j(table.js[0]) == 0

@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from isograph.enhanced import GraphBuilder
 from isograph.graph import graph_from_adjacency, graph_from_enhanced
-from isograph.polys import IntPolynomial, log_series, poly_matrix_det, ratfun_series
+from isograph.polys import (
+    IntPolynomial,
+    charpoly_int,
+    log_series,
+    poly_matrix_det,
+    ratfun_series,
+)
+from isograph.spectral import spectrum
 from isograph.zeta import (
     ZetaError,
     census_matches_log_series,
@@ -169,7 +176,11 @@ def test_charpoly_and_polydet_paths_agree():
     for p, l, N in ((13, 5, 6), (61, 3, 1), (37, 7, 2)):
         eg = builder(p, l).build(N)
         A = [list(r) for r in eg.brandt]
-        assert _det_part_charpoly(A, l) == poly_matrix_det(bass_matrix(A)), (p, l, N)
+        reference = poly_matrix_det(bass_matrix(A))
+        assert _det_part_charpoly(charpoly_int(A), l) == reference, (p, l, N)
+        # the Spectrum's charpoly, handed in as verify does, gives the same
+        z = ihara_zeta(eg, charpoly=spectrum(eg).charpoly)
+        assert z.det_part == reference, (p, l, N)
 
 
 def test_edge_matrix_zeta_matches_polydet_reference():
