@@ -3,10 +3,10 @@ graph builder needs: torsion bases, x-coordinate multiple lists, Velu
 quotients by prime-order kernels, and quadratic-twist normalization so the
 p^2-power Frobenius acts as the scalar -p on every working model.
 
-Order-r torsion is worked in the smallest field holding its x-coordinates
-(TorsionField): half the degree of the field holding the points whenever
--1 is a power of -p mod r, on the quadratic twist where the points
-themselves become rational.
+Order-r torsion is worked in a TorsionField: when -1 is a power of -p
+mod r and the field holding the points has an even modulus, its
+half-degree subfield, which holds every x-coordinate, on the quadratic
+twist where the points themselves become rational.
 
 Affine points carry FieldElements; the inner loops (scalar multiplication,
 multiple chains) run on raw coefficient tuples in Jacobian coordinates and

@@ -7,12 +7,12 @@ per-prime subgroup indices.  Edges are degree-l isogenies, tracked with
 their kernels so the graph carries a genuine edge involution (dual
 isogeny) rather than just a symmetric count matrix.
 
-All per-prime torsion work happens in the field of curves.torsion_field:
-F' = F_{p^{2k'}}, with k' the order of -p in (Z/r)^x/{+-1}, the smallest
-field holding every x-coordinate of E[r].  When (-p)^k' = -1 mod r (and
-the full F_{p^{2k}}, k the order of -p mod r, has an even modulus) F' is
-half of F_{p^{2k}}, and the points are worked on the twist by a
-non-square delta of F' and mapped back by x -> x / delta; otherwise
+All per-prime torsion work happens in the field F' of curves.torsion_field.
+With k the order of -p mod r, E[r] is rational over F_{p^{2k}}, but every
+x-coordinate already lies in F_{p^{2k'}}, k' the order of -p in
+(Z/r)^x/{+-1}.  When k' = k/2 and F_{p^{2k}} has an even modulus, F' is
+that half-degree field and the points are worked on the twist by a
+non-square delta of F', then mapped back by x -> x / delta; otherwise
 F' = F_{p^{2k}} and nothing is twisted.  Slots hold untwisted x in F',
 sorted by their encodings, which spread to the encodings F_{p^{2k}} holds
 in the same order, so every table equals the full-field one.  Kernels
