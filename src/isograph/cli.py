@@ -454,6 +454,12 @@ def _verify_one(cfg: JobConfig, graphs: dict) -> dict:
     return verify_graph(_graph(cfg, graphs), cfg, graphs)
 
 
+def _verify_group(jobs: list[JobConfig]) -> list[dict]:
+    """Verify `jobs` in order, loading each graph once for the whole group."""
+    graphs: dict[JobConfig, EnhancedGraph] = {}
+    return [_verify_one(cfg, graphs) for cfg in jobs]
+
+
 def cmd_verify(args) -> int:
     if args.grid:
         triples, skips = parse_grid(args.grid)
@@ -464,13 +470,14 @@ def cmd_verify(args) -> int:
         triples = [(args.p, args.l, args.N)]
         skips = []
     jobs = [replace(_config(args), p=p, l=l, N=N) for p, l, N in triples]
-    graphs: dict[JobConfig, EnhancedGraph] = {}  # each file loaded once
-    if args.workers > 1 and len(jobs) > 1:
-        # every task carries its own copy of the empty dict to its worker
+    # coarse levels share (p, l) with the jobs that cover them, and grid
+    # order keeps each (p, l) contiguous: one task per (p, l) group
+    groups = [list(g) for _, g in itertools.groupby(jobs, lambda c: (c.p, c.l))]
+    if args.workers > 1 and len(groups) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_verify_one, jobs, itertools.repeat(graphs)))
+            results = [r for group in pool.map(_verify_group, groups) for r in group]
     else:
-        results = [_verify_one(j, graphs) for j in jobs]
+        results = _verify_group(jobs)
     failures = [r for r in results if not r["ok"]]
     manifest = {
         "graphs": results,

@@ -133,15 +133,10 @@ class Point:
             return other
         if other.x is None:
             return self
-        if self.x == other.x:
-            if self.y != other.y or not self.y:
-                return self.curve.identity()
-            lam = (3 * self.x * self.x + self.curve.a) / (2 * self.y)
-        else:
-            lam = (other.y - self.y) / (other.x - self.x)
-        x3 = lam * lam - self.x - other.x
-        y3 = lam * (self.x - x3) - self.y
-        return Point(self.curve, x3, y3)
+        f = self.curve.field
+        P = (self.x.coeffs, self.y.coeffs, f.one_t)
+        S = _jac_add_mixed(f, self.curve.a.coeffs, P, other.x.coeffs, other.y.coeffs)
+        return _jac_point(self.curve, S)
 
     def __sub__(self, other: "Point") -> "Point":
         return self + (-other)
@@ -202,13 +197,28 @@ def _jac_add_mixed(f: Field, at, P, xt, yt):
     return (X3, Y3, Z3)
 
 
-def _jac_to_affine(f: Field, P):
+def _jac_point(curve: EllipticCurve, P, iz=None) -> Point:
+    """The affine Point of Jacobian P; iz is 1/Z when already known."""
+    f = curve.field
     X, Y, Z = P
     if Z == f.zero_t:
-        return None
-    iz = f.inv_t(Z)
+        return curve.identity()
+    if iz is None:
+        iz = f.inv_t(Z)
     iz2 = f.sq_t(iz)
-    return (f.mul_t(X, iz2), f.mul_t(Y, f.mul_t(iz, iz2)))
+    x = f.mul_t(X, iz2)
+    y = f.mul_t(Y, f.mul_t(iz, iz2))
+    return Point(curve, FieldElement(f, x), FieldElement(f, y))
+
+
+def _jac_chain(f: Field, at, chain: list, xt, yt, count: int) -> list:
+    """Extend a Jacobian chain to `count` points, each the last plus
+    (xt, yt); none may be the identity."""
+    for _ in range(count - len(chain)):
+        chain.append(_jac_add_mixed(f, at, chain[-1], xt, yt))
+    if any(P[2] == f.zero_t for P in chain):
+        raise CurveError("hit the identity: count >= point order")
+    return chain
 
 
 def scalar_mul(n: int, P: Point) -> Point:
@@ -226,10 +236,7 @@ def scalar_mul(n: int, P: Point) -> Point:
         acc = _jac_dbl(f, at, acc)
         if bit == "1":
             acc = _jac_add_mixed(f, at, acc, xt, yt)
-    aff = _jac_to_affine(f, acc)
-    if aff is None:
-        return curve.identity()
-    return Point(curve, FieldElement(f, aff[0]), FieldElement(f, aff[1]))
+    return _jac_point(curve, acc)
 
 
 def x_multiples(P: Point, count: int) -> list[FieldElement]:
@@ -248,15 +255,22 @@ def x_multiples(P: Point, count: int) -> list[FieldElement]:
     chain = [(xt, yt, f.one_t)]
     if count >= 2:
         chain.append(_jac_dbl(f, at, chain[0]))
-    for _ in range(count - 2):
-        chain.append(_jac_add_mixed(f, at, chain[-1], xt, yt))
-    if any(p[2] == f.zero_t for p in chain):
-        raise CurveError("hit the identity: count >= point order")
-    invs = f.batch_inv_t([p[2] for p in chain])
-    out = []
-    for (X, _, _), iz in zip(chain, invs):
-        out.append(FieldElement(f, f.mul_t(X, f.sq_t(iz))))
-    return out
+    chain = _jac_chain(f, at, chain, xt, yt, count)
+    invs = f.batch_inv_t([Z for _, _, Z in chain])
+    return [
+        FieldElement(f, f.mul_t(X, f.sq_t(iz))) for (X, _, _), iz in zip(chain, invs)
+    ]
+
+
+def translates(Q: Point, P: Point, count: int) -> list[Point]:
+    """[Q, Q + P, ..., Q + (count - 1) P] by one Jacobian chain and one
+    batched inversion; none may be the identity."""
+    curve = Q.curve
+    f = curve.field
+    start = [(Q.x.coeffs, Q.y.coeffs, f.one_t)]
+    chain = _jac_chain(f, curve.a.coeffs, start, P.x.coeffs, P.y.coeffs, count)
+    invs = f.batch_inv_t([Z for _, _, Z in chain])
+    return [_jac_point(curve, S, iz) for S, iz in zip(chain, invs)]
 
 
 # -- constructions

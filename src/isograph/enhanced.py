@@ -41,11 +41,12 @@ from .curves import (
     isomorphism_scale,
     torsion_basis,
     torsion_field,
+    translates,
     untwist_quotient,
     velu_quotient,
     x_multiples,
 )
-from .fields import FieldElement, is_prime
+from .fields import FieldElement, factorize, is_prime
 from .supersingular import (
     ClassTableError,
     SupersingularClassTable,
@@ -64,22 +65,6 @@ class BrandtValidationError(ValueError):
 
 class GraphBuildError(RuntimeError):
     """Internal consistency failure while assembling a graph."""
-
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def check_admissible(p: int, l: int, N: int) -> list[int]:
@@ -285,13 +270,8 @@ class GraphBuilder:
             E = tf.model(model)
             rng = random.Random(_derive_seed("subgroups", self.p, r, ci, self.seed))
             P, Q = torsion_basis(E, r, rng, delta=tf.delta)
-            gens = [P]
-            R = E.identity()
-            for _ in range(r):
-                gens.append(Q + R)
-                R = R + P
             slots = []
-            for G in gens:
+            for G in [P] + translates(Q, P, r):
                 xs = x_multiples(G, half)
                 if inv_delta is not None:
                     xs = [FieldElement(f, f.mul_t(x.coeffs, inv_delta)) for x in xs]
@@ -464,8 +444,6 @@ class GraphBuilder:
         for eid, de in enumerate(edge_dual):
             if edge_target[de] != eid // k or edge_dual[de] != eid:
                 raise GraphBuildError(f"edge involution broken at edge {eid}")
-            if de == eid and edge_target[eid] != eid // k:
-                raise GraphBuildError(f"non-loop edge {eid} is its own dual")
         n = len(vertices)
         brandt = [[0] * n for _ in range(n)]
         for eid, w in enumerate(edge_target):

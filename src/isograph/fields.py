@@ -7,6 +7,13 @@ encodings.  Elements are coefficient tuples, lowest degree first; all
 encodings.  Raw tuple arithmetic lives on the Field object; FieldElement is
 a thin operator wrapper around it.
 
+F_p[x] has one multiply and one Euclid.  Every product modulo m is
+Field.mul_t; _xgcd, an extended Euclid, gives both inverses and the gcds
+of Rabin's irreducibility test, which Field runs on its own arithmetic as
+it is built (ReducibleModulus if m fails).  The modulus search builds a
+Field per candidate and keeps the first that stands, so each candidate is
+tested once.
+
 Multiplication packs each operand into one big integer, a coefficient per
 machine word, so a single big-int multiply does the whole convolution.  For
 a binomial modulus x^d - c (the canonical search tries binomials first and
@@ -65,9 +72,31 @@ class NotInSubfield(ValueError):
     """Raised when descending an element that is not in the embedded image."""
 
 
+class ReducibleModulus(ValueError):
+    """Raised by Field for a modulus that is not irreducible over F_p."""
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """[(prime, exponent), ...] of n > 0 in increasing order, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 # ---------------------------------------------------------------------------
-# plain list-based polynomial arithmetic over F_p (used for modulus search
-# and inversion; the hot multiplication path in Field is packed instead)
+# F_p[x] outside the field: coefficient lists, lowest degree first, without
+# trailing zeros, for the extended Euclid alone; products mod m go through
+# Field.mul_t
 
 
 def _poltrim(a: list[int]) -> list[int]:
@@ -76,91 +105,26 @@ def _poltrim(a: list[int]) -> list[int]:
     return a
 
 
-def _polmod(a: list[int], m: Sequence[int], p: int) -> list[int]:
-    a = [c % p for c in a]
-    dm = len(m) - 1
-    for k in range(len(a) - 1, dm - 1, -1):
-        c = a[k]
-        if c:
-            a[k] = 0
-            for i in range(dm):
-                a[k - dm + i] = (a[k - dm + i] - c * m[i]) % p
-    del a[dm:]
-    while len(a) < dm:
-        a.append(0)
-    return a
-
-
-def _polmulmod(a: list[int], b: list[int], m: Sequence[int], p: int) -> list[int]:
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                conv[i + j] += ai * bj
-    return _polmod(conv, m, p)
-
-
-def _polpowmod(a: list[int], e: int, m: Sequence[int], p: int) -> list[int]:
-    result = _polmod([1], m, p)
-    base = _polmod(list(a), m, p)
-    while e:
-        if e & 1:
-            result = _polmulmod(result, base, m, p)
-        base = _polmulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
-def _polgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _poltrim([c % p for c in a])
-    b = _poltrim([c % p for c in b])
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        db = len(b) - 1
-        while len(a) - 1 >= db and a:
-            shift = len(a) - 1 - db
-            f = a[-1] * inv % p
-            for i in range(len(b)):
-                a[shift + i] = (a[shift + i] - f * b[i]) % p
-            _poltrim(a)
-        a, b = b, a
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_irreducible(m: list[int], p: int) -> bool:
-    """One-pass test: walk y -> y^p mod m, checking the standard gcd criteria
-    at proper-divisor depths and y == x at depth d."""
-    d = len(m) - 1
-    if d == 1:
-        return True
-    x = [0, 1]
-    checkpoints = {d // q for q in _prime_factors(d)}
-    y = list(x)
-    for i in range(1, d + 1):
-        y = _polpowmod(y, p, m, p)
-        if i in checkpoints:
-            diff = _poltrim([(y[j] - (1 if j == 1 else 0)) % p for j in range(len(y))])
-            g = _polgcd(diff, list(m), p)
-            if len(g) != 1:
-                return False
-    return _poltrim([c % p for c in y]) == [0, 1]
+def _xgcd(a: Sequence[int], m: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Extended Euclid in F_p[x] for deg a < deg m: (g, s) with g a gcd of a
+    and m (not made monic) and s a = g mod m.  Each remainder is reduced in
+    place one leading term at a time, its cofactor updated alongside."""
+    r0, r1 = list(m), _poltrim(list(a))
+    s0, s1 = [], [1]  # r_i = s_i a mod m
+    while r1:
+        d1 = len(r1) - 1
+        inv_lead = pow(r1[-1], p - 2, p)
+        while len(r0) > d1:
+            f = r0.pop() * inv_lead % p  # the leading term cancels
+            shift = len(r0) - d1
+            r0[shift:] = [(x - f * y) % p for x, y in zip(r0[shift:], r1)]
+            _poltrim(r0)
+            top = shift + len(s1)
+            if len(s0) < top:
+                s0 += [0] * (top - len(s0))
+            s0[shift:top] = [(x - f * y) % p for x, y in zip(s0[shift:top], s1)]
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    return r0, s0
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +139,6 @@ class Field:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) < 2 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
-        if not _is_irreducible(list(modulus), p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.modulus = modulus
         self.deg = len(modulus) - 1
@@ -205,6 +167,24 @@ class Field:
             self._bytes = 16 * d
             self._pack = struct.Struct(f"<{d}Q").pack
             self._unpack = struct.Struct(f"<{2 * d}Q").unpack
+        if d > 1 and not self._rabin_irreducible():
+            raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
+
+    def _rabin_irreducible(self) -> bool:
+        """Rabin's test on the field's own arithmetic: walking y -> y^p from
+        y = x, gcd(y - x, m) = 1 at each depth d/q for the primes q | d, and
+        y = x at depth d."""
+        p, d = self.p, self.deg
+        x = self.gen.coeffs
+        checkpoints = {d // q for q, _ in factorize(d)}
+        y = x
+        for i in range(1, d + 1):
+            y = self.pow_t(y, p)
+            if i in checkpoints:
+                g, _ = _xgcd(self.sub_t(y, x), self.modulus, p)
+                if len(g) != 1:
+                    return False
+        return y == x
 
     # -- construction / conversion
 
@@ -322,34 +302,11 @@ class Field:
             raise ZeroDivisionError("inversion of zero field element")
         if self.deg == 1:
             return (pow(a[0], self.p - 2, self.p),)
+        # m is irreducible, so gcd(a, m) is a nonzero constant g and s a = g
         p = self.p
-        # extended euclid in F_p[x]: r0 = modulus, r1 = a
-        r0, r1 = list(self.modulus), _poltrim([c for c in a])
-        s0, s1 = [0], [1]
-        while r1:
-            inv_lead = pow(r1[-1], p - 2, p)
-            d0, d1 = len(r0) - 1, len(r1) - 1
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            shift = d0 - d1
-            f = r0[-1] * inv_lead % p
-            for i in range(len(r1)):
-                r0[shift + i] = (r0[shift + i] - f * r1[i]) % p
-            _poltrim(r0)
-            s1_shifted = [0] * shift + s1
-            ln = max(len(s0), len(s1_shifted))
-            s0 = [
-                ((s0[i] if i < len(s0) else 0) - f * (s1_shifted[i] if i < len(s1_shifted) else 0)) % p
-                for i in range(ln)
-            ]
-            if not r0:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-        # r0 is now the (constant) gcd, s0 its Bezout coefficient
-        c = pow(r0[0], p - 2, p)
-        out = [x * c % p for x in s0[: self.deg]]
-        out += [0] * (self.deg - len(out))
-        return tuple(out)
+        g, s = _xgcd(a, self.modulus, p)
+        c = pow(g[0], p - 2, p)
+        return tuple([x * c % p for x in s] + [0] * (self.deg - len(s)))
 
     def batch_inv_t(self, items: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """Montgomery trick: len(items) inversions for one inv_t."""
@@ -540,9 +497,11 @@ def make_extension_field(p: int, d: int) -> Field:
             cand = [(n // p**i) % p for i in range(d)] + [1]
             if d > 1 and cand[0] == 0:
                 continue  # divisible by x
-            if _is_irreducible(cand, p):
+            try:
                 field = Field(p, cand)
-                break
+            except ReducibleModulus:
+                continue
+            break
         else:  # pragma: no cover - irreducibles are dense
             raise RuntimeError(f"modulus search cap hit for p={p}, d={d}")
         _FIELD_CACHE[key] = field

@@ -324,6 +324,24 @@ def test_verify_grid_with_skips(tmp_path, capsys):
     assert out["skipped_inadmissible"] == [[13, 3, 3], [13, 3, 6]]
 
 
+def test_verify_workers_match_serial(tmp_path, capsys):
+    # the pool path: one task per (p, l) group, each group loading its
+    # coarse levels once; manifest and cache bytes as with one worker
+    grid = "p in {13,37}, l in {3,5}, N in {1,2,6}"
+    runs = {}
+    for workers in (1, 2):
+        cache = tmp_path / f"w{workers}"
+        runs[workers] = run(
+            capsys, "verify", "--grid", grid, "--cache-dir", cache,
+            "--workers", workers,
+        )
+        runs[workers] += ({f.name: f.read_bytes() for f in cache.iterdir()},)
+    assert runs[1][0] == EXIT_VERIFY  # odd diagonals at (13, 5) and (37, 5)
+    # ten graphs, plus level 3 of (13, 5) and (37, 5) as coarse levels of 6
+    assert len(runs[1][1]["graphs"]) == 10 and len(runs[1][2]) == 12
+    assert runs[2] == runs[1]
+
+
 # ------------------------------------------------------------- grid parser
 
 

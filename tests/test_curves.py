@@ -20,6 +20,7 @@ from isograph.curves import (
     torsion_basis,
     torsion_field,
     torsion_order_extension,
+    translates,
     twist_to_scalar_frobenius,
     untwist_quotient,
     velu_quotient,
@@ -92,6 +93,48 @@ def test_group_law_axioms():
         assert P + O == P
         assert P + (-P) == O
         assert P + P == scalar_mul(2, P)
+
+
+def affine_add(P, Q):
+    """Oracle: the chord-and-tangent law in affine coordinates."""
+    E = P.curve
+    if P.is_identity():
+        return Q
+    if Q.is_identity():
+        return P
+    if P.x == Q.x:
+        if P.y != Q.y or not P.y:
+            return E.identity()
+        lam = (3 * P.x * P.x + E.a) / (2 * P.y)
+    else:
+        lam = (Q.y - P.y) / (Q.x - P.x)
+    x3 = lam * lam - P.x - Q.x
+    return Point(E, x3, lam * (P.x - x3) - P.y)
+
+
+def test_addition_matches_affine_oracle():
+    E = curve_47(F169)
+    rng = random.Random(13)
+    xs = [F169.element(t) for t in F169.iter_tuples()]
+    two_torsion = [Point(E, x, F169.zero) for x in xs if not E.rhs(x)]
+    assert len(two_torsion) == 3  # E(F_169) = (Z/14)^2
+    for _ in range(25):
+        P, Q = E.random_point(rng), E.random_point(rng)
+        for A, B in ((P, Q), (P, P), (P, -P), (P, E.identity())):
+            assert A + B == affine_add(A, B)
+    for T in two_torsion:
+        assert (T + T).is_identity()
+
+
+def test_translates_match_affine_chain():
+    E = curve_47(F169)
+    P, Q = torsion_basis(E, 7, random.Random(4))
+    R = Q
+    for S in translates(Q, P, 7):
+        assert S == R
+        R = affine_add(R, P)
+    with pytest.raises(CurveError, match="identity"):
+        translates(P, P, 7)  # P + 6P = 7P = O
 
 
 def test_scalar_mul_matches_repeated_addition():

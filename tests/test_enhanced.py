@@ -2,6 +2,7 @@
 and the multiplicity matrices, checked against independently re-derived
 values wherever a matrix is frozen."""
 
+import dataclasses
 import random
 
 import pytest
@@ -482,6 +483,15 @@ def test_edge_structure_consistency():
     for eid, w in enumerate(g.edge_target):
         count[g.edge_source(eid)][w] += 1
     assert g.brandt == tuple(tuple(r) for r in count)
+
+
+def test_edge_involution_guard():
+    # mutation: arrow (0, 0) names the wrong kernel of its dual isogeny
+    b = GraphBuilder(13, 5)
+    ar = b.arrows[0][0]
+    b.arrows[0][0] = dataclasses.replace(ar, dual_index=(ar.dual_index + 1) % 6)
+    with pytest.raises(GraphBuildError, match="edge involution broken"):
+        b.build(1)
 
 
 def test_vertex_labels():

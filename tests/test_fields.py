@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import isograph.fields as fields_mod
 from isograph.curves import torsion_field, torsion_order_extension
 from isograph.fields import (
     Embedding,
@@ -12,6 +13,7 @@ from isograph.fields import (
     HalfField,
     NoSquareRoot,
     NotInSubfield,
+    ReducibleModulus,
     get_embedding,
     is_prime,
     make_extension_field,
@@ -70,8 +72,84 @@ def test_canonical_modulus_p13_d2():
 
 
 def test_reducible_modulus_rejected():
-    with pytest.raises(ValueError, match="reducible"):
+    with pytest.raises(ReducibleModulus, match="reducible"):
         Field(5, (1, 2, 1))  # (x+1)^2
+
+
+def _mobius(n):
+    mu, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if n > 1 else mu
+
+
+def _monic(p, d):
+    """Every monic polynomial of degree d over F_p, lowest degree first."""
+    return [tuple((n // p**i) % p for i in range(d)) + (1,) for n in range(p**d)]
+
+
+def _products(p, d):
+    """Oracle sieve: every monic of degree d with a factor of degree 1..d-1,
+    as the set of products f g with deg f + deg g = d."""
+    out = set()
+    for e in range(1, d // 2 + 1):
+        for f in _monic(p, e):
+            for g in _monic(p, d - e):
+                conv = [0] * (d + 1)
+                for i, a in enumerate(f):
+                    for j, b in enumerate(g):
+                        conv[i + j] += a * b
+                out.add(tuple(c % p for c in conv))
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,d", [(2, d) for d in range(1, 9)] + [(3, d) for d in range(1, 6)]
+    + [(5, d) for d in range(1, 5)] + [(7, d) for d in range(1, 4)],
+)
+def test_field_accepts_exactly_the_irreducibles(p, d):
+    # Gauss: (1/d) sum_{e | d} mu(d/e) p^e monic irreducibles of degree d,
+    # and they are exactly the monics that are no product of lower degrees
+    accepted = set()
+    for m in _monic(p, d):
+        try:
+            Field(p, m)
+        except ReducibleModulus:
+            continue
+        accepted.add(m)
+    gauss = sum(_mobius(d // e) * p**e for e in range(1, d + 1) if d % e == 0) // d
+    assert len(accepted) == gauss
+    assert accepted == set(_monic(p, d)) - _products(p, d)
+
+
+def test_search_tests_each_candidate_once(monkeypatch):
+    # F_{37^40} has no binomial, so its search walks 74 candidates before
+    # x^40 + 2x + 2; each must be tested by exactly one Field construction
+    seen = []
+    rabin = Field._rabin_irreducible
+
+    def recorded(self):
+        seen.append(self.modulus)
+        return rabin(self)
+
+    monkeypatch.setattr(Field, "_rabin_irreducible", recorded)
+    monkeypatch.setattr(fields_mod, "_FIELD_CACHE", {})
+    p, d = 37, 40
+    f = make_extension_field(p, d)
+    assert f.modulus == (2, 2) + (0,) * 38 + (1,)
+    n_win = 2 + 2 * p
+    candidates = [
+        tuple((n // p**i) % p for i in range(d)) + (1,)
+        for n in range(1, n_win + 1)
+        if n % p
+    ]
+    assert len(candidates) == 74
+    assert seen == candidates
 
 
 @pytest.mark.parametrize("p,d", [(13, 1), (13, 2), (5, 4), (7, 3), (13, 6)])
@@ -279,6 +357,24 @@ def test_inverse_and_batch_inverse():
         assert ti == f.inv_t(t)
     with pytest.raises(ZeroDivisionError):
         f.inv_t(f.zero_t)
+
+
+@pytest.mark.parametrize(
+    "p,d", [(13, 1), (61, 1), (61, 2), (13, 12), (13, 72), (13, 5), (37, 40)]
+)
+def test_inverse_matches_fermat(p, d):
+    # prime fields, fold-path binomials, and the general path (F_{13^5} =
+    # x^5 + 4x + 2, F_{37^40} = x^40 + 2x + 2): a^-1 = a^(q-2)
+    f = make_extension_field(p, d)
+    assert (f._fold_c is None) == ((p, d) in ((13, 5), (37, 40)) or d == 1)
+    rng = random.Random(8)
+    items = [f.one_t, (p - 1,) * d] + [f.random_t(rng) for _ in range(3)]
+    for a in items:
+        if a == f.zero_t:
+            continue
+        ai = f.inv_t(a)
+        assert f.mul_t(a, ai) == f.one_t
+        assert ai == f.pow_t(a, f.q - 2)
 
 
 def test_field_mismatch_raises():
