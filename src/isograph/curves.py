@@ -27,6 +27,7 @@ from .fields import (
     FieldElement,
     NoSquareRoot,
     HalfField,
+    OddModulus,
     get_embedding,
     is_prime,
     make_extension_field,
@@ -389,7 +390,7 @@ def torsion_field(p: int, r: int) -> TorsionField:
     full = make_extension_field(p, 2 * k)
     try:
         half = HalfField(full) if k % 2 == 0 else None
-    except ValueError:  # an odd modulus, such as F_{37^40}'s
+    except OddModulus:  # such as F_{37^40}'s
         half = None
     field = full if half is None else half.sub
     emb = get_embedding(make_extension_field(p, 2), field)

@@ -15,13 +15,13 @@ Field per candidate and keeps the first that stands, so each candidate is
 tested once.
 
 Multiplication packs each operand into one big integer, a coefficient per
-machine word, so a single big-int multiply does the whole convolution.  For
-a binomial modulus x^d - c (the canonical search tries binomials first and
-finds one for most torsion fields; F_{37^40} has none) the words are
-32 bits wide and the high half of the product folds back in one step,
-low + c * high; this is exact while (1 + c) d (p - 1)^2 < 2^32, the largest
-word the fold can produce.  Any other modulus, or a binomial past that
-bound, uses 64-bit words and reduces the convolution term by term.
+machine word, so a single big-int multiply does the whole convolution, and
+reduces it one way for every modulus: with x^d = tail(x) and the tail
+packed into one integer T, each round folds the high words back as
+low + high * T.  A binomial x^d - c is one round with T = c.  Field derives
+the word width (32 or 64 bits) and the round count from the modulus by
+folding the all-(p - 1) product in exact integers, and refuses a modulus
+whose words would pass 2^64 (ValueError).
 
 A field whose modulus is a polynomial in x^2 (every even-degree binomial)
 has its index-2 subfield as a field of its own, HalfField, with the
@@ -76,6 +76,10 @@ class ReducibleModulus(ValueError):
     """Raised by Field for a modulus that is not irreducible over F_p."""
 
 
+class OddModulus(ValueError):
+    """Raised by HalfField for a modulus that is not a polynomial in x^2."""
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """[(prime, exponent), ...] of n > 0 in increasing order, by trial division."""
     out = []
@@ -127,6 +131,28 @@ def _xgcd(a: Sequence[int], m: Sequence[int], p: int) -> tuple[list[int], list[i
     return r0, s0
 
 
+def _fold_plan(p: int, tail: list[int]) -> tuple[int, int]:
+    """(word bits, rounds) of the packed fold modulo x^d - tail(x), d =
+    len(tail), 0 <= tail[i] < p.  The all-(p - 1) product is folded in
+    exact integers; every word of every product is a sum of nonnegative
+    terms, so no other product has a larger word or a longer support."""
+    d = len(tail)
+    words = [(p - 1) ** 2 * min(k + 1, 2 * d - 1 - k) for k in range(2 * d - 1)]
+    top, rounds = max(words), 0
+    while len(words) > d:
+        hi, words = words[d:], words[:d] + [0] * (len(words) - d - 1)
+        for k, h in enumerate(hi):
+            for i, t in enumerate(tail):
+                words[k + i] += h * t
+        while len(words) > d and not words[-1]:
+            words.pop()
+        top, rounds = max(top, *words), rounds + 1
+    for bits in (32, 64):
+        if top < 2**bits:
+            return bits, rounds
+    raise ValueError(f"packed fold words reach {top}, past 2^64, for x^{d} = {tail}")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -145,28 +171,18 @@ class Field:
         self.q = p**self.deg
         self.zero_t = (0,) * self.deg
         self.one_t = (1,) + (0,) * (self.deg - 1)
-        # x^deg = sum(tail[i] * x^i); kept sparse for cheap folding
-        self._neg_tail = tuple(
-            (i, (-modulus[i]) % p) for i in range(self.deg) if modulus[i]
-        )
         self._nonresidue_t: tuple[int, ...] | None = None
         d = self.deg
-        tail = self._neg_tail
-        # x^d = c: fold with 32-bit words when no folded word can reach 2^32
-        if len(tail) == 1 and tail[0][0] == 0 and (
-            (1 + tail[0][1]) * d * (p - 1) ** 2 < 2**32
-        ):
-            self._fold_c: int | None = tail[0][1]
-            self._shift = 32 * d
-            self._mask = (1 << self._shift) - 1
-            self._bytes = 4 * d
-            words = struct.Struct(f"<{d}I")
-            self._pack, self._unpack = words.pack, words.unpack
-        else:
-            self._fold_c = None
-            self._bytes = 16 * d
-            self._pack = struct.Struct(f"<{d}Q").pack
-            self._unpack = struct.Struct(f"<{2 * d}Q").unpack
+        tail = [(-c) % p for c in modulus[:d]]  # x^d = sum(tail[i] x^i)
+        self.fold_plan = _fold_plan(p, tail)  # (word bits, rounds) of mul_t
+        bits, rounds = self.fold_plan
+        self._shift = bits * d
+        self._mask = (1 << self._shift) - 1
+        self._tail = sum(t << (bits * i) for i, t in enumerate(tail))
+        self._rounds = range(rounds)
+        self._bytes = bits // 8 * d
+        words = struct.Struct(f"<{d}{'I' if bits == 32 else 'Q'}")
+        self._pack, self._unpack = words.pack, words.unpack
         if d > 1 and not self._rabin_irreducible():
             raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
 
@@ -247,40 +263,20 @@ class Field:
         return tuple(c * x % p for x in a)
 
     def mul_t(self, a, b):
-        if self.deg == 1:
-            return (a[0] * b[0] % self.p,)
-        # packed big-int convolution: one machine multiply does the
-        # schoolbook work, one coefficient per little-endian word
+        # packed big-int convolution, one coefficient per little-endian
+        # word; each round folds the words from x^d up onto the low d as
+        # high * T.  The plan keeps every word below 2^bits, so no carry
+        # crosses a word, and leaves nothing above x^(d-1)
         pack = self._pack
         prod = int.from_bytes(pack(*a), "little") * int.from_bytes(
             pack(*b), "little"
         )
-        c = self._fold_c
-        if c is not None:
-            # x^d = c: the high d - 1 words fold onto the low d in one step;
-            # every word stays below (1 + c) d (p - 1)^2 < 2^32, so no carry
-            # crosses a word (bound checked in __init__)
-            r = (prod & self._mask) + c * (prod >> self._shift)
-            p = self.p
-            words = self._unpack(r.to_bytes(self._bytes, "little"))
-            return tuple([w % p for w in words])
-        # 64-bit words: every convolution sum d (p - 1)^2 stays far below
-        # 2^64; the product spans 2d - 1 words and the padding word struct
-        # unpacks last is zero
-        conv = list(self._unpack(prod.to_bytes(self._bytes, "little")))
-        conv.pop()
-        return self._reduce_conv(conv)
-
-    def _reduce_conv(self, conv: list[int]) -> tuple[int, ...]:
-        d, p = self.deg, self.p
-        tail = self._neg_tail
-        for k in range(len(conv) - 1, d - 1, -1):
-            c = conv[k] % p
-            if c:
-                base = k - d
-                for i, t in tail:
-                    conv[base + i] += c * t
-        return tuple(c % p for c in conv[:d])
+        mask, shift, tail = self._mask, self._shift, self._tail
+        for _ in self._rounds:
+            prod = (prod & mask) + (prod >> shift) * tail
+        p = self.p
+        words = self._unpack(prod.to_bytes(self._bytes, "little"))
+        return tuple([w % p for w in words])
 
     def sq_t(self, a):
         return self.mul_t(a, a)
@@ -604,7 +600,7 @@ class HalfField:
     def __init__(self, full: Field):
         m = full.modulus
         if full.deg % 2 or any(m[1::2]):
-            raise ValueError(f"modulus {m} is not a polynomial in x^2")
+            raise OddModulus(f"modulus {m} is not a polynomial in x^2")
         self.full = full
         self.sub = Field(full.p, m[0::2])
         self.delta = self.sub.gen

@@ -26,6 +26,7 @@ from isograph.curves import (
     velu_quotient,
     x_multiples,
 )
+import isograph.fields as fields_mod
 from isograph.fields import HalfField, get_embedding, make_extension_field
 
 F13 = make_extension_field(13, 1)
@@ -254,6 +255,20 @@ def test_torsion_basis_on_twist_over_half_field():
         torsion_basis(tf.model(curve_47(F169)), 5, random.Random(21))
     with pytest.raises(CurveError, match="not rational"):
         torsion_basis(curve_47(F169), 7, random.Random(21), delta=F169.gen)
+
+
+def test_subfield_error_is_not_taken_for_an_odd_modulus(monkeypatch):
+    # only OddModulus sends torsion_field to the full field; any other error
+    # from building the HalfField's subfield (a refused fold plan, say)
+    # propagates.  F_{13^8} is cached, so the subfield is the one Field built
+    make_extension_field(13, 8)
+
+    def refused(p, modulus):
+        raise ValueError("subfield refused")
+
+    monkeypatch.setattr(fields_mod, "Field", refused)
+    with pytest.raises(ValueError, match="subfield refused"):
+        torsion_field.__wrapped__(13, 5)
 
 
 def test_conjugate_torsion_embedding_is_refused():

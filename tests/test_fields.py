@@ -1,5 +1,6 @@
 import copy
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from isograph.fields import (
     HalfField,
     NoSquareRoot,
     NotInSubfield,
+    OddModulus,
     ReducibleModulus,
     get_embedding,
     is_prime,
@@ -193,13 +195,19 @@ def test_mul_matches_schoolbook_oracle(na, nb):
 
 def _schoolbook(f, a, b):
     """Reference product: dense convolution, then the term-by-term
-    reduction by the field modulus."""
-    d = f.deg
+    reduction by the field modulus, x^d = tail(x) one top term at a time."""
+    d, p = f.deg, f.p
     conv = [0] * (2 * d - 1)
     for i in range(d):
         for j in range(d):
             conv[i + j] += a[i] * b[j]
-    return f._reduce_conv(conv)
+    tail = [(i, (-c) % p) for i, c in enumerate(f.modulus[:d]) if c]
+    for k in range(2 * d - 2, d - 1, -1):
+        c = conv[k] % p
+        if c:
+            for i, t in tail:
+                conv[k - d + i] += c * t
+    return tuple(c % p for c in conv[:d])
 
 
 def _mul_pairs(f, rng, n=10):
@@ -219,26 +227,90 @@ def test_packed_mul_against_dense_path():
 
 
 def test_general_path_moduli():
-    # a trinomial, and a binomial whose folded words could pass 2^32
-    # ((1 + c) d (p - 1)^2 >= 2^32), next to one of the same (p, d) that folds
+    # the plan takes the narrowest words that hold the all-(p-1) fold: a
+    # trinomial, two binomials of one (p, d) either side of 2^32, and the
+    # dense Gauss-test moduli, which take several rounds
     rng = random.Random(4)
     trinomial = make_extension_field(13, 5)
     assert trinomial.modulus == (2, 4, 0, 0, 0, 1)
     small_c = Field(1201, (-11, 0, 0, 0, 1))
     large_c = Field(1201, (-1190, 0, 0, 0, 1))
-    assert (1 + 1190) * 4 * 1200**2 >= 2**32 > (1 + 11) * 4 * 1200**2
-    assert small_c._fold_c == 11
-    assert trinomial._fold_c is None and large_c._fold_c is None
-    for f in (trinomial, small_c, large_c):
+    # largest folded word (1 + 3c)(p-1)^2, at x^0
+    assert (1 + 3 * 1190) * 1200**2 >= 2**32 > (1 + 3 * 11) * 1200**2
+    assert trinomial.fold_plan == (32, 1)
+    assert small_c.fold_plan == (32, 1) and large_c.fold_plan == (64, 1)
+    dense = []
+    for p, d in ((2, 8), (3, 5)):
+        for m in _monic(p, d):
+            try:
+                dense.append(Field(p, m))
+            except ReducibleModulus:
+                continue
+    most = max(dense, key=lambda f: f.fold_plan[1])
+    assert most.modulus == (1, 1, 1, 0, 0, 0, 0, 1, 1) and most.fold_plan == (32, 7)
+    for f in (trinomial, small_c, large_c, *dense):
         for a, b in _mul_pairs(f, rng):
             assert f.mul_t(a, b) == _schoolbook(f, a, b), f.modulus
+
+
+def _rabin_reference(p, m):
+    """Rabin's irreducibility test with _schoolbook products, for a modulus
+    Field refuses to build."""
+    d = len(m) - 1
+    f = types.SimpleNamespace(p=p, deg=d, modulus=m)
+    x = (0, 1) + (0,) * (d - 2)
+
+    def frobenius(a):
+        out = (1,) + (0,) * (d - 1)
+        for bit in bin(p)[2:]:
+            out = _schoolbook(f, out, out)
+            if bit == "1":
+                out = _schoolbook(f, out, a)
+        return out
+
+    y = x
+    for i in range(1, d + 1):
+        y = frobenius(y)
+        if i < d and d % i == 0 and is_prime(d // i):
+            g, _ = fields_mod._xgcd([(u - v) % p for u, v in zip(y, x)], m, p)
+            if len(g) != 1:
+                return False
+    return y == x
+
+
+def test_fold_plan_guard():
+    # a dense modulus whose fold would pass 64-bit words is refused before
+    # the irreducibility test: x^12 + x^11 + ... + x + 2 is irreducible over
+    # F_61, and its all-60 tail grows a word to about 1.6e23
+    m = (2,) + (1,) * 12
+    assert _rabin_reference(61, m)
+    with pytest.raises(ValueError, match="past 2\\^64") as err:
+        Field(61, m)
+    assert not isinstance(err.value, ReducibleModulus)
+
+
+def test_every_search_candidate_has_a_plan():
+    # a candidate n < _MODULUS_SEARCH_CAP has coefficient i nonzero only
+    # when p^i <= n, so its tail is at most p - 1 at indices 0..e with
+    # p^e < cap; words and support grow with the tail, so this worst tail's
+    # plan bounds every candidate's (ValueError otherwise)
+    cap = fields_mod._MODULUS_SEARCH_CAP
+    for p in (p for p in range(13, 400, 12) if is_prime(p)):
+        e = 0
+        while p ** (e + 1) < cap:
+            e += 1
+        for d in range(2, 81):
+            tail = [p - 1 if i <= e else 0 for i in range(d)]
+            bits, rounds = fields_mod._fold_plan(p, tail)
+            assert bits in (32, 64) and 1 <= rounds <= 5, (p, d)
 
 
 # (p, r) of the benchmark workloads (reciprocity 13 37 5 and 13 61 5, the
 # grid p in {13,37,61}, l in {3,5}, N in {1,2,3,6}) and of reciprocity
 # 37 61 7, and the degree of the field each order-r table is worked in;
-# every one folds except F_{37^40} = x^40 + 2x + 2 (5 does not divide 36,
-# so it has no binomial and no half), which stays general at full degree
+# every one is a binomial except F_{37^40} = x^40 + 2x + 2 (5 does not
+# divide 36, so it has no binomial and no half), and every one folds in
+# one round at 32 bits
 WORKLOAD_TORSION_DEGREES = {
     (13, 2): 2, (13, 3): 2, (13, 5): 4, (13, 37): 36, (13, 61): 6,
     (37, 2): 2, (37, 3): 2, (37, 5): 4, (37, 7): 6, (37, 13): 12, (37, 61): 40,
@@ -256,15 +328,16 @@ def test_workload_fields_take_expected_path():
     assert needed == set(WORKLOAD_TORSION_DEGREES)
     for p in (13, 37, 61):
         f = make_extension_field(p, 2)  # the class-table field
-        assert f._fold_c == (-f.modulus[0]) % p, p
+        assert f.modulus[1:] == (0, 1) and f.fold_plan == (32, 1), p
     for (p, r), d in sorted(WORKLOAD_TORSION_DEGREES.items()):
         f = torsion_field(p, r).field
         assert f.deg == d, (p, r)
         if (p, r) == (37, 61):
-            assert f is make_extension_field(37, 40) and f._fold_c is None
+            assert f is make_extension_field(37, 40)
+            assert f.modulus == (2, 2) + (0,) * 38 + (1,)
         else:
             assert f.modulus[1:] == (0,) * (d - 1) + (1,), (p, r)
-            assert f._fold_c == (-f.modulus[0]) % p, (p, r)
+        assert f.fold_plan == (32, 1), (p, r)
 
 
 def test_torsion_embeddings_spread_to_canonical():
@@ -301,21 +374,55 @@ def test_half_field_spread_is_an_order_keeping_embedding():
             half.unspread_t(x.coeffs)
     # odd degree, or an odd term in the modulus: no half
     for p, d in ((13, 5), (37, 40)):
-        with pytest.raises(ValueError, match="not a polynomial in x\\^2"):
+        with pytest.raises(OddModulus, match="not a polynomial in x\\^2"):
             HalfField(make_extension_field(p, d))
 
 
-def test_wrong_fold_constant_is_caught():
-    # mutation: a field that folds with c + 1 must disagree with the
-    # reference the packed-multiply test compares against
+def _caught(f, bad, rng):
+    """The field agrees with _schoolbook on _mul_pairs and its mutated copy
+    does not: a wrong product, or words left above x^(d-1) that do not fit
+    the unpack (OverflowError)."""
+    pairs = _mul_pairs(f, rng)
+    assert all(f.mul_t(a, b) == _schoolbook(f, a, b) for a, b in pairs)
+
+    def wrong(a, b):
+        try:
+            return bad.mul_t(a, b) != _schoolbook(f, a, b)
+        except OverflowError:
+            return True
+
+    return any(wrong(a, b) for a, b in pairs)
+
+
+def test_wrong_binomial_tail_is_caught():
+    # mutation: a binomial x^d - c whose packed tail is c + 1
     rng = random.Random(5)
     for p, d in ((61, 2), (13, 12), (61, 72)):
         f = make_extension_field(p, d)
         bad = copy.copy(f)
-        bad._fold_c = (f._fold_c + 1) % p
-        pairs = _mul_pairs(f, rng)
-        assert all(f.mul_t(a, b) == _schoolbook(f, a, b) for a, b in pairs)
-        assert any(bad.mul_t(a, b) != _schoolbook(f, a, b) for a, b in pairs)
+        bad._tail = f._tail + 1
+        assert f._tail == (-f.modulus[0]) % p
+        assert _caught(f, bad, rng), (p, d)
+
+
+def test_wrong_trinomial_tail_is_caught():
+    # mutation: F_{37^40} = x^40 + 2x + 2 folding with a wrong x coefficient
+    f = make_extension_field(37, 40)
+    bits = f.fold_plan[0]
+    assert f._tail == 35 + (35 << bits)
+    bad = copy.copy(f)
+    bad._tail = f._tail + (1 << bits)
+    assert _caught(f, bad, random.Random(5))
+
+
+def test_missing_fold_round_is_caught():
+    # mutation: x^8 + x^7 + x^2 + x + 1 over F_2 (seven rounds) folding one
+    # round short
+    f = Field(2, (1, 1, 1, 0, 0, 0, 0, 1, 1))
+    assert f.fold_plan == (32, 7)
+    bad = copy.copy(f)
+    bad._rounds = range(6)
+    assert _caught(f, bad, random.Random(5))
 
 
 def test_sqrt_examples_f13():
@@ -363,10 +470,9 @@ def test_inverse_and_batch_inverse():
     "p,d", [(13, 1), (61, 1), (61, 2), (13, 12), (13, 72), (13, 5), (37, 40)]
 )
 def test_inverse_matches_fermat(p, d):
-    # prime fields, fold-path binomials, and the general path (F_{13^5} =
-    # x^5 + 4x + 2, F_{37^40} = x^40 + 2x + 2): a^-1 = a^(q-2)
+    # prime fields, binomials, and trinomials (F_{13^5} = x^5 + 4x + 2,
+    # F_{37^40} = x^40 + 2x + 2): a^-1 = a^(q-2)
     f = make_extension_field(p, d)
-    assert (f._fold_c is None) == ((p, d) in ((13, 5), (37, 40)) or d == 1)
     rng = random.Random(8)
     items = [f.one_t, (p - 1,) * d] + [f.random_t(rng) for _ in range(3)]
     for a in items:
