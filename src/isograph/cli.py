@@ -27,11 +27,10 @@ from .enhanced import (
     GraphBuildError,
     GraphBuilder,
     check_admissible,
-    diagonal_parity_violations,
     validate_symmetry_and_row_sums,
     vertex_count,
-    vertex_table,
 )
+from .fields import make_extension_field
 from .graph import (
     CoveringError,
     GraphRealizationError,
@@ -77,7 +76,8 @@ def graph_file_path(cfg: JobConfig) -> str:
     )
 
 
-def graph_to_dict(eg: EnhancedGraph, field_modulus) -> dict:
+def graph_to_dict(eg: EnhancedGraph) -> dict:
+    """The file format: what `build` writes and `load_graph_file` expects."""
     return {
         "format": "isograph.graph.v1",
         "metadata": {
@@ -90,7 +90,7 @@ def graph_to_dict(eg: EnhancedGraph, field_modulus) -> dict:
         "field": {
             "p": eg.p,
             "degree": 2,
-            "modulus": [str(c) for c in field_modulus],
+            "modulus": [str(c) for c in make_extension_field(eg.p, 2).modulus],
         },
         "class_labels": list(eg.class_labels),
         "primes": list(eg.primes),
@@ -108,9 +108,9 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def write_graph_file(path: str, eg: EnhancedGraph, field_modulus) -> None:
+def write_graph_file(path: str, eg: EnhancedGraph) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    payload = canonical_json(graph_to_dict(eg, field_modulus))
+    payload = canonical_json(graph_to_dict(eg))
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -123,19 +123,13 @@ def write_graph_file(path: str, eg: EnhancedGraph, field_modulus) -> None:
         raise
 
 
-def _int_list(value, length: int, bound: int) -> tuple[int, ...] | None:
-    """`value` as a tuple if it is a list of `length` ints in [0, bound)."""
-    if isinstance(value, list) and len(value) == length and all(
-        type(x) is int and 0 <= x < bound for x in value
-    ):
-        return tuple(value)
-    return None
-
-
 def load_graph_file(path: str) -> EnhancedGraph:
-    """Parse and re-validate a cached graph.  Anything but a file `build`
-    could have written (undecodable, missing keys, wrong types, entries
-    out of range, broken invariants) raises GraphFileError."""
+    """Rebuild a cached graph from its edges and compare.  The graph is
+    constructed from the stored metadata, class labels and edge arrays,
+    which checks the edge structure; every other entry must then equal
+    what `graph_to_dict` writes for it (the tool version aside).  Anything
+    else (undecodable, missing keys, wrong types, a broken edge structure,
+    a stale derived entry) raises GraphFileError."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -144,69 +138,27 @@ def load_graph_file(path: str) -> EnhancedGraph:
     if not isinstance(data, dict) or data.get("format") != "isograph.graph.v1":
         raise GraphFileError(f"{path}: unknown format marker")
     try:
-        md = data["metadata"]
+        md, edges = data["metadata"], data["edges"]
         p, l, N, seed = md["p"], md["l"], md["level"], md["seed"]
-        stored_primes, stored_vertices = data["primes"], data["vertices"]
-        labels, rows = data["class_labels"], data["adjacency"]
-        stored_target, stored_dual = data["edges"]["target"], data["edges"]["dual"]
-        stored_parity = data["parity_violations"]
+        labels, target, dual = data["class_labels"], edges["target"], edges["dual"]
     except (KeyError, TypeError) as e:
         raise GraphFileError(f"{path}: missing or misplaced key {e}") from None
-    if not all(type(v) is int for v in (p, l, N, seed)):
-        raise GraphFileError(f"{path}: metadata p, l, level, seed must be integers")
+    if not all(isinstance(v, list) for v in (labels, target, dual)) or not all(
+        type(v) is int for v in (p, l, N, seed, *target, *dual)
+    ):
+        raise GraphFileError(f"{path}: metadata, labels or edges of the wrong type")
     try:
-        primes = check_admissible(p, l, N)
+        eg = EnhancedGraph(p, l, N, seed, tuple(labels), tuple(target), tuple(dual))
     except AdmissibilityError as e:
         raise GraphFileError(f"{path}: inadmissible parameters: {e}") from None
-    if stored_primes != list(primes):
-        raise GraphFileError(f"{path}: stored primes disagree with level")
-    h = (p - 1) // 12
-    if not (isinstance(labels, list) and len(labels) == h):
-        raise GraphFileError(f"{path}: expected {h} class labels")
-    vertices = vertex_table(h, primes)
-    if stored_vertices != [[c, list(S)] for c, S in vertices]:
-        raise GraphFileError(
-            f"{path}: vertex table is not the canonical (class, subgroup) order"
-        )
-    n, k = len(vertices), l + 1
-    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
-        raise GraphFileError(f"{path}: adjacency is not a list of rows")
-    adjacency = tuple(tuple(row) for row in rows)
-    try:
-        validate_symmetry_and_row_sums(adjacency, l)
-    except BrandtValidationError as e:
+    except GraphBuildError as e:
         raise GraphFileError(f"{path}: {e}") from None
-    parity = diagonal_parity_violations(adjacency)
-    if stored_parity != list(parity):
-        raise GraphFileError(f"{path}: stored parity record is stale")
-    target = _int_list(stored_target, n * k, n)
-    dual = _int_list(stored_dual, n * k, n * k)
-    if target is None or dual is None:
-        raise GraphFileError(
-            f"{path}: edge arrays need {n * k} integer entries, targets below"
-            f" {n} and duals below {n * k}"
-        )
-    count = [[0] * n for _ in range(n)]
-    for eid, w in enumerate(target):
-        count[eid // k][w] += 1
-    if tuple(tuple(r) for r in count) != adjacency:
-        raise GraphFileError(f"{path}: edges disagree with adjacency")
-    for eid, de in enumerate(dual):
-        if dual[de] != eid or target[de] != eid // k:
-            raise GraphFileError(f"{path}: edge involution broken at {eid}")
-    return EnhancedGraph(
-        p=p,
-        l=l,
-        level=N,
-        seed=seed,
-        primes=tuple(primes),
-        class_labels=tuple(labels),
-        vertices=tuple(vertices),
-        brandt=adjacency,
-        edge_target=target,
-        edge_dual=dual,
-        parity_violations=parity,
-    )
+    expected = graph_to_dict(eg)
+    expected["metadata"]["tool_version"] = md.get("tool_version")  # any version loads
+    for key, value in expected.items():
+        if data.get(key) != value:
+            raise GraphFileError(f"{path}: stored {key!r} differs from the rebuild")
+    return eg
 
 
 @functools.cache
@@ -224,7 +176,7 @@ def build_or_load(cfg: JobConfig, force: bool = False) -> EnhancedGraph:
             return eg
     builder = _builder(cfg.p, cfg.l, cfg.seed)
     eg = builder.build(cfg.N)
-    write_graph_file(path, eg, builder.table.field.modulus)
+    write_graph_file(path, eg)
     return eg
 
 
@@ -360,12 +312,13 @@ def cmd_build(args) -> int:
     cfg = _config(args)
     eg = build_or_load(cfg, force=True)
     path = graph_file_path(cfg)
+    g = graph_from_enhanced(eg) if args.dot or args.csv else None
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(to_dot(graph_from_enhanced(eg)))
+            fh.write(to_dot(g))
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write(adjacency_csv(graph_from_enhanced(eg)))
+            fh.write(adjacency_csv(g))
     _emit(
         {
             "path": path,
@@ -591,7 +544,6 @@ def main(argv=None) -> int:
     except (
         GraphBuildError,
         GraphFileError,
-        BrandtValidationError,
         GraphRealizationError,
         SpectralError,
     ) as e:

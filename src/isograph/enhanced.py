@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .curves import (
     EllipticCurve,
@@ -145,9 +145,10 @@ class QuotientArrow:
 
 
 def validate_symmetry_and_row_sums(matrix, l: int) -> None:
-    """Hard structural checks: square, non-negative integer entries,
-    symmetric, every row summing to l + 1.  A failure here means the build
-    itself is broken, so callers treat it as fatal."""
+    """Square, non-negative integer entries, symmetric, every row summing
+    to l + 1.  EnhancedGraph's involution check already implies all of
+    this, so the one production caller is verify's symmetry_row_sums
+    check, which records a failure as a verdict instead of raising."""
     n = len(matrix)
     for i, row in enumerate(matrix):
         if len(row) != n:
@@ -177,29 +178,62 @@ def diagonal_parity_violations(matrix) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class EnhancedGraph:
-    """A finished level-N graph: vertex list, multiplicity matrix, and the
-    oriented edge structure eid = vertex * (l+1) + kernel slot.
+    """A finished level-N graph, fixed by its oriented edges eid =
+    vertex * (l+1) + kernel slot: edge_target[eid] is the head of edge eid
+    and edge_dual[eid] the edge of its dual isogeny.
 
-    edge_dual pairs each edge with its dual isogeny.  It reverses the
-    endpoints and squares to the identity, but it can fix a loop (kernel
-    of a trace-zero endomorphism), so it is not yet the loop pairing the
-    abstract graph formalism wants; the graph layer re-pairs loops.
+    The constructor is the one check of that edge structure, for built and
+    loaded graphs alike.  It derives primes, the vertex table, the matrix
+    and the parity record, and raises GraphBuildError unless the vertex
+    census matches the mass count, both arrays have n (l+1) entries in
+    range, and edge_dual is an involution reversing endpoints; with l+1
+    edges out of every vertex, that makes the matrix symmetric with rows
+    summing to l+1.
 
-    parity_violations lists vertices with an odd diagonal entry.  Empty in
-    the common case; non-empty exactly when some loop is forced to stay
-    self-paired no matter how loops are re-paired."""
+    The involution can fix a loop (kernel of a trace-zero endomorphism),
+    so it is not yet the loop pairing the abstract graph formalism wants;
+    the graph layer re-pairs loops.  parity_violations lists vertices with
+    an odd diagonal entry: empty in the common case, non-empty exactly
+    when some loop is forced to stay self-paired."""
 
     p: int
     l: int
     level: int
     seed: int
-    primes: tuple[int, ...]
     class_labels: tuple[str, ...]
-    vertices: tuple[tuple[int, tuple[int, ...]], ...]
-    brandt: tuple[tuple[int, ...], ...]
     edge_target: tuple[int, ...]
     edge_dual: tuple[int, ...]
-    parity_violations: tuple[int, ...]
+    primes: tuple[int, ...] = field(init=False)
+    vertices: tuple[tuple[int, tuple[int, ...]], ...] = field(init=False)
+    brandt: tuple[tuple[int, ...], ...] = field(init=False)
+    parity_violations: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        primes = tuple(check_admissible(self.p, self.l, self.level))
+        vertices = vertex_table(len(self.class_labels), primes)
+        if len(vertices) != vertex_count(self.p, self.level):
+            raise GraphBuildError("vertex census does not match the mass count")
+        n, k = len(vertices), self.l + 1
+        target, dual = self.edge_target, self.edge_dual
+        if not (
+            len(target) == len(dual) == n * k
+            and all(0 <= w < n for w in target)
+            and all(0 <= e < n * k for e in dual)
+        ):
+            raise GraphBuildError(
+                f"edge arrays need {n * k} entries, targets below {n}"
+                f" and duals below {n * k}"
+            )
+        for eid, de in enumerate(dual):
+            if dual[de] != eid or target[de] != eid // k:
+                raise GraphBuildError(f"edge involution broken at edge {eid}")
+        brandt = [[0] * n for _ in range(n)]
+        for eid, w in enumerate(target):
+            brandt[eid // k][w] += 1
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "brandt", tuple(tuple(row) for row in brandt))
+        object.__setattr__(self, "parity_violations", diagonal_parity_violations(brandt))
 
     @property
     def n(self) -> int:
@@ -418,47 +452,26 @@ class GraphBuilder:
 
     def build(self, N: int) -> EnhancedGraph:
         primes = check_admissible(self.p, self.l, N)
-        table = self.table
-        h = table.class_count
         arrows = self.arrows
-        for r in primes:
-            self.level_subgroups(r)
-        vertices = vertex_table(h, primes)
+        vertices = vertex_table(self.table.class_count, primes)
         vindex = {v: i for i, v in enumerate(vertices)}
-        if len(vertices) != vertex_count(self.p, N):
-            raise GraphBuildError("vertex census does not match the mass count")
         k = self.l + 1
-        edge_target = []
+        edge_target, edge_dual = [], []
         for c, S in vertices:
             for t in range(k):
                 ar = arrows[c][t]
                 S2 = tuple(
                     self.push_subgroup(c, t, r, s) for r, s in zip(primes, S)
                 )
-                edge_target.append(vindex[(ar.target, S2)])
-        edge_dual = []
-        for vi, (c, S) in enumerate(vertices):
-            for t in range(k):
-                w = edge_target[vi * k + t]
-                edge_dual.append(w * k + arrows[c][t].dual_index)
-        for eid, de in enumerate(edge_dual):
-            if edge_target[de] != eid // k or edge_dual[de] != eid:
-                raise GraphBuildError(f"edge involution broken at edge {eid}")
-        n = len(vertices)
-        brandt = [[0] * n for _ in range(n)]
-        for eid, w in enumerate(edge_target):
-            brandt[eid // k][w] += 1
-        validate_symmetry_and_row_sums(brandt, self.l)
+                w = vindex[(ar.target, S2)]
+                edge_target.append(w)
+                edge_dual.append(w * k + ar.dual_index)
         return EnhancedGraph(
             p=self.p,
             l=self.l,
             level=N,
             seed=self.seed,
-            primes=tuple(primes),
-            class_labels=tuple(_fmt_class(j) for j in table.js),
-            vertices=tuple(vertices),
-            brandt=tuple(tuple(row) for row in brandt),
+            class_labels=tuple(_fmt_class(j) for j in self.table.js),
             edge_target=tuple(edge_target),
             edge_dual=tuple(edge_dual),
-            parity_violations=diagonal_parity_violations(brandt),
         )

@@ -301,8 +301,8 @@ def test_criterion_12_determinism(tmp_path):
         g1, g2 = b1.build(N), b2.build(N)
         cfg1 = JobConfig(p, l, N, seed=5, cache_dir=str(tmp_path / "a"))
         cfg2 = JobConfig(p, l, N, seed=5, cache_dir=str(tmp_path / "b"))
-        write_graph_file(graph_file_path(cfg1), g1, b1.table.field.modulus)
-        write_graph_file(graph_file_path(cfg2), g2, b2.table.field.modulus)
+        write_graph_file(graph_file_path(cfg1), g1)
+        write_graph_file(graph_file_path(cfg2), g2)
         bytes1 = open(graph_file_path(cfg1), "rb").read()
         bytes2 = open(graph_file_path(cfg2), "rb").read()
         if bytes1 != bytes2:

@@ -60,7 +60,7 @@ def test_builder_memo_matches_fresh_builders(tmp_path):
         fresh = replace(shared, cache_dir=str(tmp_path / "fresh"))
         build_or_load(shared, force=True)
         b = GraphBuilder(13, 5, seed=0)
-        write_graph_file(graph_file_path(fresh), b.build(N), b.table.field.modulus)
+        write_graph_file(graph_file_path(fresh), b.build(N))
         assert (
             open(graph_file_path(shared), "rb").read()
             == open(graph_file_path(fresh), "rb").read()
@@ -82,8 +82,13 @@ def test_cached_file_of_another_seed_is_rebuilt(tmp_path):
     assert json.load(open(graph_file_path(c1)))["metadata"]["seed"] == 1
 
 
-def test_cache_round_trip(tmp_path):
-    cfg = JobConfig(37, 5, 1, cache_dir=str(tmp_path))
+@pytest.mark.parametrize(
+    "p, l, N",
+    [(37, 5, 1), (13, 5, 2), (13, 5, 6)],
+    ids=["plain", "parity_violation", "two_primes"],
+)
+def test_cache_round_trip(tmp_path, p, l, N):
+    cfg = JobConfig(p, l, N, cache_dir=str(tmp_path))
     built = build_or_load(cfg, force=True)
     loaded = load_graph_file(graph_file_path(cfg))
     assert loaded == built
@@ -147,6 +152,11 @@ def _set_target(value):
     return _rewrite(lambda d: d["edges"]["target"].__setitem__(0, value))
 
 
+def _swap_first_duals(d):
+    dual = d["edges"]["dual"]
+    dual[0], dual[1] = dual[1], dual[0]
+
+
 CORRUPTIONS = {
     "truncated": _truncate,
     "missing_key": _rewrite(lambda d: d["edges"].pop("dual")),
@@ -156,6 +166,13 @@ CORRUPTIONS = {
     "duplicate_vertex": _rewrite(
         lambda d: d.__setitem__("vertices", [[0, [0]], [0, [0]], [0, [2]]])
     ),
+    "dual_not_involution": _rewrite(_swap_first_duals),
+    # F_{13^2} is stored with the canonical modulus x^2 + 2
+    "field_modulus": _rewrite(
+        lambda d: d["field"].__setitem__("modulus", ["6", "0", "1"])
+    ),
+    "stale_primes": _rewrite(lambda d: d.__setitem__("primes", [3])),
+    "extra_class_label": _rewrite(lambda d: d["class_labels"].append("0")),
 }
 
 

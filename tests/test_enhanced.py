@@ -23,6 +23,7 @@ from isograph.curves import (
 from isograph.enhanced import (
     AdmissibilityError,
     BrandtValidationError,
+    EnhancedGraph,
     GraphBuildError,
     GraphBuilder,
     _x_double,
@@ -492,6 +493,13 @@ def test_edge_involution_guard():
     b.arrows[0][0] = dataclasses.replace(ar, dual_index=(ar.dual_index + 1) % 6)
     with pytest.raises(GraphBuildError, match="edge involution broken"):
         b.build(1)
+
+
+def test_edge_targets_out_of_range_are_refused():
+    g = GraphBuilder(13, 5).build(2)
+    target = (g.n,) + g.edge_target[1:]
+    with pytest.raises(GraphBuildError, match="targets below 3"):
+        EnhancedGraph(13, 5, 2, 0, g.class_labels, target, g.edge_dual)
 
 
 def test_vertex_labels():
