@@ -143,8 +143,10 @@ def load_graph_file(path: str) -> EnhancedGraph:
         labels, target, dual = data["class_labels"], edges["target"], edges["dual"]
     except (KeyError, TypeError) as e:
         raise GraphFileError(f"{path}: missing or misplaced key {e}") from None
-    if not all(isinstance(v, list) for v in (labels, target, dual)) or not all(
-        type(v) is int for v in (p, l, N, seed, *target, *dual)
+    if (
+        not all(isinstance(v, list) for v in (labels, target, dual))
+        or not all(type(v) is int for v in (p, l, N, seed, *target, *dual))
+        or not all(type(v) is str for v in labels)
     ):
         raise GraphFileError(f"{path}: metadata, labels or edges of the wrong type")
     try:

@@ -9,8 +9,8 @@ half-degree subfield, which holds every x-coordinate, on the quadratic
 twist where the points themselves become rational.
 
 Affine points carry FieldElements; the inner loops (scalar multiplication,
-multiple chains) run on raw coefficient tuples in Jacobian coordinates and
-convert back at the edges.
+multiple chains, x-map evaluation) run on the field's raw packed ints, in
+Jacobian coordinates for the chains, and wrap the results at the edges.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class EllipticCurve:
         f = self.field
         while True:
             xt = f.random_t(rng)
-            rt = f.mul_t(f.add_t(f.mul_t(xt, xt), self.a.coeffs), xt)
-            rt = f.add_t(rt, self.b.coeffs)
+            rt = f.mul_t(f.add_t(f.mul_t(xt, xt), self.a.raw), xt)
+            rt = f.add_t(rt, self.b.raw)
             try:
                 yt = f.sqrt_t(rt)
             except NoSquareRoot:
@@ -103,7 +103,7 @@ class EllipticCurve:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((id(self.field), self.a.coeffs, self.b.coeffs))
+        return hash((id(self.field), self.a.raw, self.b.raw))
 
     def __repr__(self) -> str:
         return f"EllipticCurve(a={self.a.coeffs}, b={self.b.coeffs}, F_{self.field.p}^{self.field.deg})"
@@ -135,8 +135,8 @@ class Point:
         if other.x is None:
             return self
         f = self.curve.field
-        P = (self.x.coeffs, self.y.coeffs, f.one_t)
-        S = _jac_add_mixed(f, self.curve.a.coeffs, P, other.x.coeffs, other.y.coeffs)
+        P = (self.x.raw, self.y.raw, 1)
+        S = _jac_add_mixed(f, self.curve.a.raw, P, other.x.raw, other.y.raw)
         return _jac_point(self.curve, S)
 
     def __sub__(self, other: "Point") -> "Point":
@@ -161,8 +161,8 @@ class Point:
 
 def _jac_dbl(f: Field, at, P):
     X, Y, Z = P
-    if Z == f.zero_t or Y == f.zero_t:
-        return (f.one_t, f.one_t, f.zero_t)
+    if not Z or not Y:
+        return (1, 1, 0)
     XX = f.sq_t(X)
     YY = f.sq_t(Y)
     YYYY = f.sq_t(YY)
@@ -178,17 +178,17 @@ def _jac_dbl(f: Field, at, P):
 def _jac_add_mixed(f: Field, at, P, xt, yt):
     """P + (xt, yt) with the second point affine."""
     X1, Y1, Z1 = P
-    if Z1 == f.zero_t:
-        return (xt, yt, f.one_t)
+    if not Z1:
+        return (xt, yt, 1)
     ZZ = f.sq_t(Z1)
     U2 = f.mul_t(xt, ZZ)
     S2 = f.mul_t(yt, f.mul_t(Z1, ZZ))
     H = f.sub_t(U2, X1)
     R = f.sub_t(S2, Y1)
-    if H == f.zero_t:
-        if R == f.zero_t:
+    if not H:
+        if not R:
             return _jac_dbl(f, at, P)
-        return (f.one_t, f.one_t, f.zero_t)
+        return (1, 1, 0)
     HH = f.sq_t(H)
     HHH = f.mul_t(H, HH)
     V = f.mul_t(X1, HH)
@@ -202,7 +202,7 @@ def _jac_point(curve: EllipticCurve, P, iz=None) -> Point:
     """The affine Point of Jacobian P; iz is 1/Z when already known."""
     f = curve.field
     X, Y, Z = P
-    if Z == f.zero_t:
+    if not Z:
         return curve.identity()
     if iz is None:
         iz = f.inv_t(Z)
@@ -217,7 +217,7 @@ def _jac_chain(f: Field, at, chain: list, xt, yt, count: int) -> list:
     (xt, yt); none may be the identity."""
     for _ in range(count - len(chain)):
         chain.append(_jac_add_mixed(f, at, chain[-1], xt, yt))
-    if any(P[2] == f.zero_t for P in chain):
+    if not all(P[2] for P in chain):
         raise CurveError("hit the identity: count >= point order")
     return chain
 
@@ -230,9 +230,9 @@ def scalar_mul(n: int, P: Point) -> Point:
     if n < 0:
         return scalar_mul(-n, -P)
     f = curve.field
-    at = curve.a.coeffs
-    xt, yt = P.x.coeffs, P.y.coeffs
-    acc = (f.one_t, f.one_t, f.zero_t)
+    at = curve.a.raw
+    xt, yt = P.x.raw, P.y.raw
+    acc = (1, 1, 0)
     for bit in bin(n)[2:]:
         acc = _jac_dbl(f, at, acc)
         if bit == "1":
@@ -251,9 +251,9 @@ def x_multiples(P: Point, count: int) -> list[FieldElement]:
     if count < 1:
         return []
     f = P.curve.field
-    at = P.curve.a.coeffs
-    xt, yt = P.x.coeffs, P.y.coeffs
-    chain = [(xt, yt, f.one_t)]
+    at = P.curve.a.raw
+    xt, yt = P.x.raw, P.y.raw
+    chain = [(xt, yt, 1)]
     if count >= 2:
         chain.append(_jac_dbl(f, at, chain[0]))
     chain = _jac_chain(f, at, chain, xt, yt, count)
@@ -268,8 +268,8 @@ def translates(Q: Point, P: Point, count: int) -> list[Point]:
     batched inversion; none may be the identity."""
     curve = Q.curve
     f = curve.field
-    start = [(Q.x.coeffs, Q.y.coeffs, f.one_t)]
-    chain = _jac_chain(f, curve.a.coeffs, start, P.x.coeffs, P.y.coeffs, count)
+    start = [(Q.x.raw, Q.y.raw, 1)]
+    chain = _jac_chain(f, curve.a.raw, start, P.x.raw, P.y.raw, count)
     invs = f.batch_inv_t([Z for _, _, Z in chain])
     return [_jac_point(curve, S, iz) for S, iz in zip(chain, invs)]
 
@@ -371,7 +371,7 @@ class TorsionField:
         if emb.dst is not f or emb.src.deg != 2:
             raise CurveError("torsion embedding must map F_{p^2} into the torsion field")
         other = f.sub_t(f.coerce_t(-emb.src.modulus[1]), emb.gen_image)
-        if emb.gen_image > other:
+        if f.unpack(emb.gen_image) > f.unpack(other):
             raise CurveError(
                 "torsion embedding is the conjugate of the canonical F_{p^2} embedding"
             )
@@ -455,15 +455,15 @@ def torsion_basis(
         raise TorsionBasisError(f"no order-{r} point in {budget} samples")
 
     e2 = p * p
-    c = f.one_t if delta is None else f.pow_t(delta.coeffs, (e2 - 1) // 2)
+    c = 1 if delta is None else f.pow_t(delta.raw, (e2 - 1) // 2)
     c2 = f.sq_t(c)
     c3 = f.mul_t(c2, c)
 
     def check_frobenius(P: Point) -> None:
         img = scalar_mul((-p) % r, P)
-        if f.pow_t(P.x.coeffs, e2) != f.mul_t(c2, img.x.coeffs) or f.pow_t(
-            P.y.coeffs, e2
-        ) != f.mul_t(c3, img.y.coeffs):
+        if f.pow_t(P.x.raw, e2) != f.mul_t(c2, img.x.raw) or f.pow_t(
+            P.y.raw, e2
+        ) != f.mul_t(c3, img.y.raw):
             raise CurveError(
                 "Frobenius does not act as -p on sampled torsion; "
                 "the model is not scalar-Frobenius normalized"
@@ -472,10 +472,10 @@ def torsion_basis(
     P = sample()
     check_frobenius(P)
     half = (r - 1) // 2 if r > 2 else 1
-    p_xs = {x.coeffs for x in x_multiples(P, half)}
+    p_xs = {x.raw for x in x_multiples(P, half)}
     for _ in range(budget):
         Q = sample()
-        if Q.x.coeffs not in p_xs:
+        if Q.x.raw not in p_xs:
             check_frobenius(Q)
             return P, Q
     raise TorsionBasisError(f"no independent order-{r} point in {budget} samples")
@@ -500,9 +500,9 @@ class XMap:
 
     def __call__(self, x: FieldElement) -> FieldElement:
         f = x.field
-        num = _horner_t(f, [c.coeffs for c in self.num], x.coeffs)
-        den = _horner_t(f, [c.coeffs for c in self.den], x.coeffs)
-        if den == f.zero_t:
+        num = _horner_t(f, [c.raw for c in self.num], x.raw)
+        den = _horner_t(f, [c.raw for c in self.den], x.raw)
+        if not den:
             raise XMapPole("x lies in the kernel")
         return FieldElement(f, f.mul_t(num, f.inv_t(den)))
 
@@ -511,11 +511,11 @@ class XMap:
         if not xs:
             return []
         f = xs[0].field
-        nc = [c.coeffs for c in self.num]
-        dc = [c.coeffs for c in self.den]
-        nums = [_horner_t(f, nc, x.coeffs) for x in xs]
-        dens = [_horner_t(f, dc, x.coeffs) for x in xs]
-        if any(d == f.zero_t for d in dens):
+        nc = [c.raw for c in self.num]
+        dc = [c.raw for c in self.den]
+        nums = [_horner_t(f, nc, x.raw) for x in xs]
+        dens = [_horner_t(f, dc, x.raw) for x in xs]
+        if not all(dens):
             raise XMapPole("x lies in the kernel")
         invs = f.batch_inv_t(dens)
         return [FieldElement(f, f.mul_t(n, i)) for n, i in zip(nums, invs)]
@@ -527,7 +527,7 @@ class XMap:
 
 
 def _horner_t(f: Field, coeffs: list, xt):
-    acc = f.zero_t
+    acc = 0
     for c in reversed(coeffs):
         acc = f.add_t(f.mul_t(acc, xt), c)
     return acc
@@ -661,6 +661,6 @@ def isomorphism_scale(src: EllipticCurve, dst: EllipticCurve) -> FieldElement | 
         return None
     # the relations alone also hold for the non-trivial quadratic twist;
     # u itself must exist in the ground field
-    if not src.field.is_square_t(u2.coeffs):
+    if not src.field.is_square_t(u2.raw):
         return None
     return u2

@@ -296,7 +296,7 @@ class GraphBuilder:
             return self._subs[r]
         tf = torsion_field(self.p, r)
         f = tf.field
-        inv_delta = None if tf.delta is None else f.inv_t(tf.delta.coeffs)
+        inv_delta = None if tf.delta is None else f.inv_t(tf.delta.raw)
         half = max(1, (r - 1) // 2)
         per_class = []
         index = []
@@ -308,7 +308,7 @@ class GraphBuilder:
             for G in [P] + translates(Q, P, r):
                 xs = x_multiples(G, half)
                 if inv_delta is not None:
-                    xs = [FieldElement(f, f.mul_t(x.coeffs, inv_delta)) for x in xs]
+                    xs = [FieldElement(f, f.mul_t(x.raw, inv_delta)) for x in xs]
                 xs.sort(key=lambda x: x.coeffs)
                 slots.append(SubgroupSlot(tuple(xs)))
             slots.sort(key=lambda s: tuple(x.coeffs for x in s.xs))
@@ -316,7 +316,7 @@ class GraphBuilder:
                 raise GraphBuildError(f"repeated order-{r} subgroup at class {ci}")
             per_class.append(slots)
             index.append(
-                {x.coeffs: si for si, s in enumerate(slots) for x in s.xs}
+                {x.raw: si for si, s in enumerate(slots) for x in s.xs}
             )
         self._subs[r] = per_class
         self._enc_index[r] = index
@@ -345,7 +345,7 @@ class GraphBuilder:
             row = []
             for t, slot in enumerate(subs[ci]):
                 x0 = slot.xs[0] if delta is None else delta * slot.xs[0]
-                y0 = FieldElement(f, f.sqrt_t(E.rhs(x0).coeffs))
+                y0 = FieldElement(f, f.sqrt_t(E.rhs(x0).raw))
                 image, xmap = velu_quotient(E, Point(E, x0, y0), l)
                 if delta is not None:
                     image, xmap = untwist_quotient(image, xmap, delta)
@@ -364,7 +364,7 @@ class GraphBuilder:
                 other = subs[ci][1 if t == 0 else 0]
                 x_dual = emb(u2) * xmap(other.xs[0])
                 try:
-                    dual_index = enc_index[target][x_dual.coeffs]
+                    dual_index = enc_index[target][x_dual.raw]
                 except KeyError:
                     raise GraphBuildError(
                         f"dual kernel of ({ci},{t}) missed the subgroup table"
@@ -417,7 +417,7 @@ class GraphBuilder:
             xs.append(_x_double(src_a, src_b, xs[0]))
         pushed = [u2_r * x for x in xmap_r.eval_many(xs)]
         try:
-            row = tuple(index[x.coeffs] for x in pushed[: r + 1])
+            row = tuple(index[x.raw] for x in pushed[: r + 1])
         except KeyError:
             raise GraphBuildError(
                 f"pushed subgroup of arrow ({ci},{t}) at r={r} missed the table"

@@ -2,26 +2,34 @@
 
 A field is F_p[x]/(m) for a canonical monic irreducible m found by
 deterministic search, so every run (and every machine) agrees on element
-encodings.  Elements are coefficient tuples, lowest degree first; all
-"lexicographically smaller" tie-breaks are plain tuple comparison on those
-encodings.  Raw tuple arithmetic lives on the Field object; FieldElement is
-a thin operator wrapper around it.
+encodings.  An encoding is the coefficient tuple, lowest degree first; all
+"lexicographically smaller" tie-breaks compare encodings.
+
+Field works on raw elements: one packed int per element, coefficient i in
+word i (32 or 64 bits), every word in [0, p).  Field.pack and
+Field.unpack convert between raw ints and encodings, and the tuples appear
+only there.  Two raw ints are equal exactly when their encodings are, so
+raw ints serve as dict keys, but their order is not the encodings' order.
+FieldElement is a thin operator wrapper holding the raw int.
 
 F_p[x] has one multiply and one Euclid.  Every product modulo m is
-Field.mul_t; _xgcd, an extended Euclid, gives both inverses and the gcds
-of Rabin's irreducibility test, which Field runs on its own arithmetic as
-it is built (ReducibleModulus if m fails).  The modulus search builds a
-Field per candidate and keeps the first that stands, so each candidate is
-tested once.
+Field.mul_t; _xgcd, an extended Euclid on coefficient lists, gives both
+inverses and the gcds of Rabin's irreducibility test, which Field runs on
+its own arithmetic as it is built (ReducibleModulus if m fails).  The
+modulus search builds a Field per candidate and keeps the first that
+stands, so each candidate is tested once.
 
-Multiplication packs each operand into one big integer, a coefficient per
-machine word, so a single big-int multiply does the whole convolution, and
-reduces it one way for every modulus: with x^d = tail(x) and the tail
-packed into one integer T, each round folds the high words back as
-low + high * T.  A binomial x^d - c is one round with T = c.  Field derives
-the word width (32 or 64 bits) and the round count from the modulus by
-folding the all-(p - 1) product in exact integers, and refuses a modulus
-whose words would pass 2^64 (ValueError).
+A single big-int multiply of two raw ints does the whole convolution, and
+mul_t reduces it one way for every modulus: with x^d = tail(x) and the
+tail packed into one integer T, each round folds the high words back as
+low + high * T.  A binomial x^d - c is one round with T = c.  Every word
+is then taken mod p at once, inside the integer: split steps
+w -> (w >> s) (2^s mod p) + (w mod 2^s) shrink the words, and one Barrett
+step (Barrett, CRYPTO '86) subtracts the exact quotient times p.  Sums and
+differences subtract p from the words that reach it by reading a sign bit
+per word.  Field derives the word width, the round count and the split
+and Barrett constants from the modulus by folding the all-(p - 1) product
+in exact integers, and refuses a modulus without such a plan (ValueError).
 
 A field whose modulus is a polynomial in x^2 (every even-degree binomial)
 has its index-2 subfield as a field of its own, HalfField, with the
@@ -131,11 +139,14 @@ def _xgcd(a: Sequence[int], m: Sequence[int], p: int) -> tuple[list[int], list[i
     return r0, s0
 
 
-def _fold_plan(p: int, tail: list[int]) -> tuple[int, int]:
-    """(word bits, rounds) of the packed fold modulo x^d - tail(x), d =
-    len(tail), 0 <= tail[i] < p.  The all-(p - 1) product is folded in
-    exact integers; every word of every product is a sum of nonnegative
-    terms, so no other product has a larger word or a longer support."""
+def _fold_plan(p: int, tail: list[int]) -> tuple[int, int, tuple[int, ...], int]:
+    """(word bits, rounds, split shifts, Barrett k) of the packed product
+    modulo x^d - tail(x), d = len(tail), 0 <= tail[i] < p.  The all-(p - 1)
+    product is folded in exact integers; every word of every product is a
+    sum of nonnegative terms, so no other product has a larger word or a
+    longer support.  The words are the narrowest (32 or 64 bits) that hold
+    every folded word and admit a lane reduction of the largest word the
+    fold leaves, which is at least (p - 1)^2."""
     d = len(tail)
     words = [(p - 1) ** 2 * min(k + 1, 2 * d - 1 - k) for k in range(2 * d - 1)]
     top, rounds = max(words), 0
@@ -148,16 +159,49 @@ def _fold_plan(p: int, tail: list[int]) -> tuple[int, int]:
             words.pop()
         top, rounds = max(top, *words), rounds + 1
     for bits in (32, 64):
-        if top < 2**bits:
-            return bits, rounds
-    raise ValueError(f"packed fold words reach {top}, past 2^64, for x^{d} = {tail}")
+        lanes = _lane_plan(p, bits, max(words)) if top < 2**bits else None
+        if lanes is not None:
+            return (bits, rounds, *lanes)
+    raise ValueError(
+        f"packed fold words reach {top}, past 2^64 or past a lane reduction"
+        f" mod {p}, for x^{d} = {tail}"
+    )
+
+
+def _lane_plan(p: int, bits: int, bound: int) -> tuple[tuple[int, ...], int] | None:
+    """(split shifts, Barrett k) reducing every word w <= bound of a packed
+    integer mod p inside its own bits-wide lane, or None.  A split by s maps
+    w to (w >> s) (2^s mod p) + (w mod 2^s); each takes the s that leaves
+    the smallest bound, while the Barrett step is out of reach.  The
+    Barrett step w - floor(w m / 2^k) p, m = ceil(2^k / p), needs
+    bound * m < 2^bits (no lane spills into the next) and
+    bound * (m p - 2^k) < 2^k (the quotient is exact, so the word lands in
+    [0, p))."""
+    splits: list[int] = []
+    while True:
+        for k in range(1, bits):
+            m = -(-(1 << k) // p)
+            if bound * m < 1 << bits and bound * (m * p - (1 << k)) < 1 << k:
+                return tuple(splits), k
+        nxt, s = min(
+            ((bound >> s) * pow(2, s, p) + min(bound, (1 << s) - 1), s)
+            for s in range(1, bits)
+        )
+        if nxt >= bound:
+            return None
+        splits.append(s)
+        bound = nxt
 
 
 # ---------------------------------------------------------------------------
 
 
 class Field:
-    """F_p[x]/(modulus).  Use make_extension_field for the canonical modulus."""
+    """F_p[x]/(modulus).  Use make_extension_field for the canonical modulus.
+
+    The *_t methods take and return raw elements: packed ints holding
+    coefficient i in word i of the fold plan's width, every word in
+    [0, p).  pack and unpack convert between raw ints and encodings."""
 
     def __init__(self, p: int, modulus: Sequence[int]):
         if not is_prime(p):
@@ -167,19 +211,33 @@ class Field:
             raise ValueError("modulus must be monic of degree >= 1")
         self.p = p
         self.modulus = modulus
-        self.deg = len(modulus) - 1
-        self.q = p**self.deg
-        self.zero_t = (0,) * self.deg
-        self.one_t = (1,) + (0,) * (self.deg - 1)
-        self._nonresidue_t: tuple[int, ...] | None = None
-        d = self.deg
+        self.deg = d = len(modulus) - 1
+        self.q = p**d
+        self.zero_t = 0
+        self.one_t = 1
+        self._nonresidue_t: int | None = None
         tail = [(-c) % p for c in modulus[:d]]  # x^d = sum(tail[i] x^i)
-        self.fold_plan = _fold_plan(p, tail)  # (word bits, rounds) of mul_t
-        bits, rounds = self.fold_plan
+        bits, rounds, splits, k = _fold_plan(p, tail)
+        self.fold_plan = (bits, rounds)  # of mul_t's product
+        self.lane_plan = (splits, k)  # of its reduction mod p
+
+        def lanes(w: int) -> int:  # w in every word
+            return sum(w << (bits * i) for i in range(d))
+
         self._shift = bits * d
         self._mask = (1 << self._shift) - 1
         self._tail = sum(t << (bits * i) for i, t in enumerate(tail))
         self._rounds = range(rounds)
+        self._splits = tuple(
+            (s, lanes((1 << (bits - s)) - 1), pow(2, s, p), lanes((1 << s) - 1))
+            for s in splits
+        )
+        self._m, self._k = -(-(1 << k) // p), k
+        self._quot_mask = lanes((1 << (bits - k)) - 1)
+        # w + flip has bit bits-1 of a word set exactly when that word of w
+        # is >= p, for words below 2p
+        self._p_lanes, self._flip = lanes(p), lanes((1 << (bits - 1)) - p)
+        self._sign, self._ones = bits - 1, lanes(1)
         self._bytes = bits // 8 * d
         words = struct.Struct(f"<{d}{'I' if bits == 32 else 'Q'}")
         self._pack, self._unpack = words.pack, words.unpack
@@ -191,48 +249,53 @@ class Field:
         y = x, gcd(y - x, m) = 1 at each depth d/q for the primes q | d, and
         y = x at depth d."""
         p, d = self.p, self.deg
-        x = self.gen.coeffs
+        x = self.gen.raw
         checkpoints = {d // q for q, _ in factorize(d)}
         y = x
         for i in range(1, d + 1):
             y = self.pow_t(y, p)
             if i in checkpoints:
-                g, _ = _xgcd(self.sub_t(y, x), self.modulus, p)
+                g, _ = _xgcd(self.unpack(self.sub_t(y, x)), self.modulus, p)
                 if len(g) != 1:
                     return False
         return y == x
 
     # -- construction / conversion
 
+    def pack(self, coeffs: Sequence[int]) -> int:
+        """The raw int of an encoding: d coefficients in [0, p)."""
+        return int.from_bytes(self._pack(*coeffs), "little")
+
+    def unpack(self, a: int) -> tuple[int, ...]:
+        """The encoding of a raw int, lowest degree first."""
+        return self._unpack(a.to_bytes(self._bytes, "little"))
+
     def element(self, value) -> "FieldElement":
         return FieldElement(self, self.coerce_t(value))
 
-    def coerce_t(self, value) -> tuple[int, ...]:
+    def coerce_t(self, value) -> int:
         if isinstance(value, FieldElement):
             if value.field is not self:
                 raise FieldMismatch("element belongs to a different field")
-            return value.coeffs
+            return value.raw
         if isinstance(value, int):
-            return (value % self.p,) + (0,) * (self.deg - 1)
+            return value % self.p  # a constant's raw int is the constant
         coeffs = [int(c) % self.p for c in value]
         if len(coeffs) > self.deg:
             raise ValueError("coefficient vector longer than field degree")
-        coeffs += [0] * (self.deg - len(coeffs))
-        return tuple(coeffs)
+        return self.pack(coeffs + [0] * (self.deg - len(coeffs)))
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, self.zero_t)
+        return FieldElement(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, self.one_t)
+        return FieldElement(self, 1)
 
     @property
     def gen(self) -> "FieldElement":
-        if self.deg == 1:
-            return FieldElement(self, self.one_t)
-        return FieldElement(self, (0, 1) + (0,) * (self.deg - 2))
+        return FieldElement(self, 1 if self.deg == 1 else 1 << self.fold_plan[0])
 
     def iter_tuples(self) -> Iterator[tuple[int, ...]]:
         """All q encodings in counting order (constant coefficient fastest)."""
@@ -240,43 +303,43 @@ class Field:
         for n in range(self.q):
             yield tuple((n // p**i) % p for i in range(d))
 
-    def random_t(self, rng: random.Random) -> tuple[int, ...]:
-        return tuple(rng.randrange(self.p) for _ in range(self.deg))
+    def random_t(self, rng: random.Random) -> int:
+        return self.pack([rng.randrange(self.p) for _ in range(self.deg)])
 
-    # -- raw tuple arithmetic
+    # -- raw arithmetic, every word at once
 
     def add_t(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        s = a + b  # words below 2p
+        return s - ((s + self._flip) >> self._sign & self._ones) * self.p
 
     def sub_t(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        s = a + self._p_lanes - b  # words in [1, 2p)
+        return s - ((s + self._flip) >> self._sign & self._ones) * self.p
 
     def neg_t(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
+        s = self._p_lanes - a  # words in [1, p]
+        return s - ((s + self._flip) >> self._sign & self._ones) * self.p
 
     def smul_t(self, c: int, a):
-        p = self.p
-        c %= p
-        return tuple(c * x % p for x in a)
+        return self._reduce(a * (c % self.p))
 
     def mul_t(self, a, b):
-        # packed big-int convolution, one coefficient per little-endian
-        # word; each round folds the words from x^d up onto the low d as
-        # high * T.  The plan keeps every word below 2^bits, so no carry
-        # crosses a word, and leaves nothing above x^(d-1)
-        pack = self._pack
-        prod = int.from_bytes(pack(*a), "little") * int.from_bytes(
-            pack(*b), "little"
-        )
+        # one big-int multiply is the whole convolution, a coefficient per
+        # little-endian word; each round folds the words from x^d up onto
+        # the low d as high * T.  The plan keeps every word below 2^bits,
+        # so no carry crosses a word, and leaves nothing above x^(d-1)
+        prod = a * b
         mask, shift, tail = self._mask, self._shift, self._tail
         for _ in self._rounds:
             prod = (prod & mask) + (prod >> shift) * tail
-        p = self.p
-        words = self._unpack(prod.to_bytes(self._bytes, "little"))
-        return tuple([w % p for w in words])
+        return self._reduce(prod)
+
+    def _reduce(self, w: int) -> int:
+        """Every word of w, each at most the fold plan's bound, mod p in its
+        own lane: the split steps, then one Barrett step (see _lane_plan)."""
+        for s, hi, c, lo in self._splits:
+            w = (w >> s & hi) * c + (w & lo)
+        return w - (w * self._m >> self._k & self._quot_mask) * self.p
 
     def sq_t(self, a):
         return self.mul_t(a, a)
@@ -284,7 +347,7 @@ class Field:
     def pow_t(self, a, e: int):
         if e < 0:
             return self.pow_t(self.inv_t(a), -e)
-        result = self.one_t
+        result = 1
         base = a
         while e:
             if e & 1:
@@ -294,17 +357,17 @@ class Field:
         return result
 
     def inv_t(self, a):
-        if a == self.zero_t:
+        if not a:
             raise ZeroDivisionError("inversion of zero field element")
-        if self.deg == 1:
-            return (pow(a[0], self.p - 2, self.p),)
-        # m is irreducible, so gcd(a, m) is a nonzero constant g and s a = g
         p = self.p
-        g, s = _xgcd(a, self.modulus, p)
-        c = pow(g[0], p - 2, p)
-        return tuple([x * c % p for x in s] + [0] * (self.deg - len(s)))
+        if self.deg == 1:
+            return pow(a, p - 2, p)
+        # m is irreducible, so gcd(a, m) is a nonzero constant g and s a = g
+        g, s = _xgcd(self.unpack(a), self.modulus, p)
+        s += [0] * (self.deg - len(s))
+        return self.smul_t(pow(g[0], p - 2, p), self.pack(s))
 
-    def batch_inv_t(self, items: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    def batch_inv_t(self, items: Sequence[int]) -> list[int]:
         """Montgomery trick: len(items) inversions for one inv_t."""
         n = len(items)
         if n == 0:
@@ -313,42 +376,42 @@ class Field:
         for i in range(1, n):
             prefix.append(self.mul_t(prefix[-1], items[i]))
         acc = self.inv_t(prefix[-1])
-        out: list[tuple[int, ...] | None] = [None] * n
+        out: list[int] = [0] * n
         for i in range(n - 1, 0, -1):
             out[i] = self.mul_t(acc, prefix[i - 1])
             acc = self.mul_t(acc, items[i])
         out[0] = acc
-        return out  # type: ignore[return-value]
+        return out
 
     # -- quadratic residues
 
-    def nonresidue_t(self) -> tuple[int, ...]:
+    def nonresidue_t(self) -> int:
         """First non-square in counting order; fixed search order keeps sqrt
         deterministic."""
         if self._nonresidue_t is None:
             e = (self.q - 1) // 2
             for t in self.iter_tuples():
-                if t == self.zero_t:
-                    continue
-                if self.pow_t(t, e) != self.one_t:
-                    self._nonresidue_t = t
+                a = self.pack(t)
+                if a and self.pow_t(a, e) != 1:
+                    self._nonresidue_t = a
                     break
             else:  # pragma: no cover - half of all elements qualify
                 raise RuntimeError("no quadratic non-residue found")
         return self._nonresidue_t
 
     def is_square_t(self, a) -> bool:
-        if a == self.zero_t:
-            return True
-        return self.pow_t(a, (self.q - 1) // 2) == self.one_t
+        return not a or self.pow_t(a, (self.q - 1) // 2) == 1
 
     def sqrt_t(self, a):
-        """Canonical square root (the lexicographically smaller of the pair)."""
-        if a == self.zero_t:
+        """Canonical square root (the one with the lexicographically smaller
+        encoding)."""
+        if not a:
             return a
         q = self.q
-        if self.pow_t(a, (q - 1) // 2) != self.one_t:
-            raise NoSquareRoot(f"{a} is not a square in F_{self.p}^{self.deg}")
+        if self.pow_t(a, (q - 1) // 2) != 1:
+            raise NoSquareRoot(
+                f"{self.unpack(a)} is not a square in F_{self.p}^{self.deg}"
+            )
         if q % 4 == 3:
             r = self.pow_t(a, (q + 1) // 4)
         else:
@@ -359,9 +422,9 @@ class Field:
             c = self.pow_t(self.nonresidue_t(), m)
             r = self.pow_t(a, (m + 1) // 2)
             t = self.pow_t(a, m)
-            while t != self.one_t:
+            while t != 1:
                 t2, i = t, 0
-                while t2 != self.one_t:
+                while t2 != 1:
                     t2 = self.sq_t(t2)
                     i += 1
                 b = c
@@ -371,29 +434,35 @@ class Field:
                 c = self.sq_t(b)
                 t = self.mul_t(t, c)
                 s = i
-        return min(r, self.neg_t(r))
+        return min(r, self.neg_t(r), key=self.unpack)
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, deg={self.deg})"
 
 
 class FieldElement:
-    """Operator wrapper over Field's raw tuple arithmetic."""
+    """Operator wrapper over Field's raw arithmetic: `raw` is the packed
+    int, `coeffs` (also `encoding()`) the coefficient tuple, lowest degree
+    first, which orders elements."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "raw")
 
-    def __init__(self, field: Field, coeffs: tuple[int, ...]):
+    def __init__(self, field: Field, raw: int):
         self.field = field
-        self.coeffs = coeffs
+        self.raw = raw
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self.field.unpack(self.raw)
 
     def encoding(self) -> tuple[int, ...]:
         return self.coeffs
 
-    def _coerce(self, other) -> tuple[int, ...]:
+    def _coerce(self, other) -> int:
         if isinstance(other, FieldElement):
             if other.field is not self.field:
                 raise FieldMismatch("operands from different fields")
-            return other.coeffs
+            return other.raw
         if isinstance(other, int):
             return self.field.coerce_t(other)
         return NotImplemented  # type: ignore[return-value]
@@ -402,7 +471,7 @@ class FieldElement:
         t = self._coerce(other)
         if t is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field.add_t(self.coeffs, t))
+        return FieldElement(self.field, self.field.add_t(self.raw, t))
 
     __radd__ = __add__
 
@@ -410,19 +479,19 @@ class FieldElement:
         t = self._coerce(other)
         if t is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field.sub_t(self.coeffs, t))
+        return FieldElement(self.field, self.field.sub_t(self.raw, t))
 
     def __rsub__(self, other):
         t = self._coerce(other)
         if t is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field.sub_t(t, self.coeffs))
+        return FieldElement(self.field, self.field.sub_t(t, self.raw))
 
     def __mul__(self, other):
         t = self._coerce(other)
         if t is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field.mul_t(self.coeffs, t))
+        return FieldElement(self.field, self.field.mul_t(self.raw, t))
 
     __rmul__ = __mul__
 
@@ -430,31 +499,31 @@ class FieldElement:
         t = self._coerce(other)
         if t is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field.mul_t(self.coeffs, self.field.inv_t(t)))
+        return FieldElement(self.field, self.field.mul_t(self.raw, self.field.inv_t(t)))
 
     def __rtruediv__(self, other):
         t = self._coerce(other)
         if t is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field.mul_t(t, self.field.inv_t(self.coeffs)))
+        return FieldElement(self.field, self.field.mul_t(t, self.field.inv_t(self.raw)))
 
     def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow_t(self.coeffs, e))
+        return FieldElement(self.field, self.field.pow_t(self.raw, e))
 
     def __neg__(self):
-        return FieldElement(self.field, self.field.neg_t(self.coeffs))
+        return FieldElement(self.field, self.field.neg_t(self.raw))
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_t(self.coeffs))
+        return FieldElement(self.field, self.field.inv_t(self.raw))
 
     def sqrt(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.sqrt_t(self.coeffs))
+        return FieldElement(self.field, self.field.sqrt_t(self.raw))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
-            return self.field is other.field and self.coeffs == other.coeffs
+            return self.field is other.field and self.raw == other.raw
         if isinstance(other, int):
-            return self.coeffs == self.field.coerce_t(other)
+            return self.raw == self.field.coerce_t(other)
         return NotImplemented
 
     def __lt__(self, other: "FieldElement") -> bool:
@@ -463,10 +532,10 @@ class FieldElement:
         return self.coeffs < other.coeffs
 
     def __hash__(self) -> int:
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self.raw))
 
     def __bool__(self) -> bool:
-        return self.coeffs != self.field.zero_t
+        return self.raw != 0
 
     def __repr__(self) -> str:
         return f"FieldElement{self.coeffs}@F_{self.field.p}^{self.field.deg}"
@@ -534,42 +603,44 @@ class Embedding:
             minus_b1 = dst.coerce_t(-b1)
             r1 = dst.smul_t(inv2, dst.add_t(minus_b1, root))
             r2 = dst.smul_t(inv2, dst.sub_t(minus_b1, root))
-            gen_image = min(r1, r2)
+            gen_image = min(r1, r2, key=dst.unpack)
         self.gen_image = gen_image
 
-    def map_t(self, t: tuple[int, ...]) -> tuple[int, ...]:
-        if self.src.deg == 1:
-            return self.dst.coerce_t(t[0])
-        out = self.dst.coerce_t(t[0])
-        out = self.dst.add_t(out, self.dst.smul_t(t[1], self.gen_image))
-        return out
+    # a constant's raw int is the constant itself, in every field
 
-    def unmap_t(self, t: tuple[int, ...]) -> tuple[int, ...]:
-        """Inverse on the image; raises NotInSubfield otherwise."""
+    def map_t(self, t: int) -> int:
         if self.src.deg == 1:
-            if any(t[1:]):
-                raise NotInSubfield(f"{t} has nonzero extension coordinates")
-            return (t[0],)
-        z = self.gen_image
-        p = self.dst.p
-        pivot = next((i for i in range(1, self.dst.deg) if z[i]), None)
+            return t
+        c0, c1 = self.src.unpack(t)
+        return self.dst.add_t(c0, self.dst.smul_t(c1, self.gen_image))
+
+    def unmap_t(self, t: int) -> int:
+        """Inverse on the image; raises NotInSubfield otherwise."""
+        dst, p = self.dst, self.dst.p
+        if self.src.deg == 1:
+            if t >= p:
+                raise NotInSubfield(f"{dst.unpack(t)} has nonzero extension coordinates")
+            return t
+        z, c = dst.unpack(self.gen_image), dst.unpack(t)
+        pivot = next((i for i in range(1, dst.deg) if z[i]), None)
         if pivot is None:  # pragma: no cover - generator never lies in F_p
             raise RuntimeError("degenerate embedding")
-        c1 = t[pivot] * pow(z[pivot], p - 2, p) % p
-        c0 = (t[0] - c1 * z[0]) % p
-        if self.map_t((c0, c1)) != t:
-            raise NotInSubfield(f"{t} is not in the embedded quadratic subfield")
-        return (c0, c1)
+        c1 = c[pivot] * pow(z[pivot], p - 2, p) % p
+        c0 = (c[0] - c1 * z[0]) % p
+        out = self.src.pack((c0, c1))
+        if self.map_t(out) != t:
+            raise NotInSubfield(f"{c} is not in the embedded quadratic subfield")
+        return out
 
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.field is not self.src:
             raise FieldMismatch("element not in embedding source field")
-        return FieldElement(self.dst, self.map_t(x.coeffs))
+        return FieldElement(self.dst, self.map_t(x.raw))
 
     def descend(self, x: FieldElement) -> FieldElement:
         if x.field is not self.dst:
             raise FieldMismatch("element not in embedding target field")
-        return FieldElement(self.src, self.unmap_t(x.coeffs))
+        return FieldElement(self.src, self.unmap_t(x.raw))
 
 
 _EMBED_CACHE: dict[tuple[int, int], Embedding] = {}
@@ -605,12 +676,13 @@ class HalfField:
         self.sub = Field(full.p, m[0::2])
         self.delta = self.sub.gen
 
-    def spread_t(self, t: tuple[int, ...]) -> tuple[int, ...]:
+    def spread_t(self, t: int) -> int:
         out = [0] * self.full.deg
-        out[0::2] = t
-        return tuple(out)
+        out[0::2] = self.sub.unpack(t)
+        return self.full.pack(out)
 
-    def unspread_t(self, t: tuple[int, ...]) -> tuple[int, ...]:
-        if any(t[1::2]):
-            raise NotInSubfield(f"{t} has odd coordinates, so it is not in iota(F')")
-        return tuple(t[0::2])
+    def unspread_t(self, t: int) -> int:
+        c = self.full.unpack(t)
+        if any(c[1::2]):
+            raise NotInSubfield(f"{c} has odd coordinates, so it is not in iota(F')")
+        return self.sub.pack(c[0::2])

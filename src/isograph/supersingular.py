@@ -52,16 +52,16 @@ def hasse_witt_polynomial(p: int) -> tuple[int, ...]:
     return tuple(math.comb(m, i) ** 2 % p for i in range(m + 1))
 
 
-def _lambda_to_j(f: Field, lam_t) -> tuple[int, ...]:
+def _lambda_to_j(f: Field, lam_t: int) -> int:
     # j = 256 (l^2 - l + 1)^3 / (l^2 (l - 1)^2)
     lam = FieldElement(f, lam_t)
     num = lam * lam - lam + 1
     num = 256 * num * num * num
     den = lam * lam * (lam - 1) * (lam - 1)
-    return (num / den).coeffs
+    return (num / den).raw
 
 
-def _hasse_roots(f: Field) -> list[tuple[int, ...]]:
+def _hasse_roots(f: Field) -> list[int]:
     """Roots of H_p in F_{p^2} = f, in counting order.
 
     Horner over every lambda at once: lambda = l0 + l1 x with
@@ -81,7 +81,7 @@ def _hasse_roots(f: Field) -> list[tuple[int, ...]]:
             (a0 * l1 + a1 * l0 - m1 * hi) % p,
         )
     roots = np.flatnonzero((a0 == 0) & (a1 == 0))
-    return [(int(k % p), int(k // p)) for k in roots]
+    return [f.pack((int(k % p), int(k // p))) for k in roots]
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,8 +101,8 @@ def _enumerate_supersingular_cached(p: int) -> tuple[FieldElement, ...]:
         raise ClassTableError(
             f"found {len(js)} supersingular classes for p={p}, expected {expected}"
         )
-    out = sorted(js)
-    bad = {f.zero_t, f.coerce_t(1728)}
+    out = sorted(js, key=f.unpack)
+    bad = {0, f.coerce_t(1728)}
     if any(j in bad for j in out):
         raise ClassTableError("j in {0, 1728} cannot occur for p = 1 mod 12")
     return tuple(FieldElement(f, j) for j in out)
@@ -124,7 +124,7 @@ class SupersingularClassTable:
     _index: dict = dc_field(repr=False, hash=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        self._index.update({j.coeffs: i for i, j in enumerate(self.js)})
+        self._index.update({j.raw: i for i, j in enumerate(self.js)})
 
     @property
     def class_count(self) -> int:
@@ -132,7 +132,7 @@ class SupersingularClassTable:
 
     def class_of_j(self, j: FieldElement) -> int:
         try:
-            return self._index[j.coeffs]
+            return self._index[j.raw]
         except KeyError:
             raise ClassTableError(f"j = {j.coeffs} is not supersingular for p = {self.p}")
 

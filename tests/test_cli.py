@@ -173,6 +173,7 @@ CORRUPTIONS = {
     ),
     "stale_primes": _rewrite(lambda d: d.__setitem__("primes", [3])),
     "extra_class_label": _rewrite(lambda d: d["class_labels"].append("0")),
+    "non_string_class_label": _rewrite(lambda d: d.__setitem__("class_labels", [5])),
 }
 
 

@@ -35,7 +35,7 @@ from isograph.enhanced import (
 )
 import isograph.enhanced as enhanced_mod
 from isograph.fields import HalfField, get_embedding, make_extension_field
-from isograph.supersingular import build_class_table
+from isograph.supersingular import build_class_table, enumerate_supersingular
 
 
 # ---------------------------------------------------------------- oracles
@@ -231,6 +231,35 @@ def test_five_torsion_slots_partition_nonzero_torsion():
     assert len(set(all_xs)) == 12
 
 
+def _out_of_order(keys):
+    return keys != sorted(keys)
+
+
+def test_canonical_choices_follow_encodings_not_raw_ints():
+    # a raw int holds coefficient i in word i, so raw ints order by the
+    # highest-degree coefficient first and encodings by the lowest: the
+    # two orders disagree on these elements, and each choice must follow
+    # the encodings
+    f = make_extension_field(13, 2)
+    r = f.pack((1, 12))
+    assert f.unpack(f.neg_t(r)) == (12, 1) and f.neg_t(r) < r
+    assert f.sqrt_t(f.mul_t(r, r)) == r
+    js = enumerate_supersingular(61)
+    assert not _out_of_order([j.coeffs for j in js])
+    assert _out_of_order([j.raw for j in js])
+    raw_disagrees = set()
+    for p, l, r in ((13, 5, 7), (37, 5, 7), (61, 7, 5)):
+        for slots in GraphBuilder(p, l).level_subgroups(r):
+            for s in slots:
+                assert not _out_of_order([x.coeffs for x in s.xs])
+                if _out_of_order([x.raw for x in s.xs]):
+                    raw_disagrees.add("xs")
+            assert not _out_of_order([[x.coeffs for x in s.xs] for s in slots])
+            if _out_of_order([[x.raw for x in s.xs] for s in slots]):
+                raw_disagrees.add("slots")
+    assert raw_disagrees == {"xs", "slots"}
+
+
 def test_torsion_field_degrees():
     # half of F_{p^{2k}} where (-p)^(k/2) = -1 mod r, on the twist by y
     for r, deg in ((2, 2), (3, 2), (5, 4), (7, 2), (37, 36)):
@@ -239,7 +268,7 @@ def test_torsion_field_degrees():
         twisted = torsion_order_extension(13, r) % 2 == 0
         assert (tf.delta is not None) == twisted
         if twisted:
-            assert not tf.field.is_square_t(tf.delta.coeffs)
+            assert not tf.field.is_square_t(tf.delta.raw)
     # F_{37^40} = x^40 + 2x + 2 has no half: full degree, no twist
     tf = torsion_field(37, 61)
     assert tf.field.deg == 40 and tf.delta is None
@@ -253,7 +282,7 @@ def test_half_degree_slots_match_full_field_oracle(p, r):
     half = HalfField(full)
     assert torsion_field(p, r).field.modulus == half.sub.modulus
     spread = [
-        [[half.spread_t(x.coeffs) for x in slot.xs] for slot in cls]
+        [[full.unpack(half.spread_t(x.raw)) for x in slot.xs] for slot in cls]
         for cls in b.level_subgroups(r)
     ]
     assert spread == full_field_slots(p, r, rng_seed=2718)

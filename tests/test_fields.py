@@ -10,6 +10,7 @@ from isograph.curves import torsion_field, torsion_order_extension
 from isograph.fields import (
     Embedding,
     Field,
+    FieldElement,
     FieldMismatch,
     HalfField,
     NoSquareRoot,
@@ -159,9 +160,9 @@ def test_field_axioms_random(p, d):
     f = make_extension_field(p, d)
     rng = random.Random(7)
     for _ in range(40):
-        a = f.element(f.random_t(rng))
-        b = f.element(f.random_t(rng))
-        c = f.element(f.random_t(rng))
+        a = FieldElement(f, f.random_t(rng))
+        b = FieldElement(f, f.random_t(rng))
+        c = FieldElement(f, f.random_t(rng))
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
         assert a + b == b + a
@@ -190,12 +191,13 @@ def test_mul_matches_schoolbook_oracle(na, nb):
         for i in range(4):
             conv[k - 4 + i] = (conv[k - 4 + i] - c * m[i]) % 13
     expected = tuple(c % 13 for c in conv[:4])
-    assert f.mul_t(a, b) == expected
+    assert f.unpack(f.mul_t(f.pack(a), f.pack(b))) == expected
 
 
 def _schoolbook(f, a, b):
-    """Reference product: dense convolution, then the term-by-term
-    reduction by the field modulus, x^d = tail(x) one top term at a time."""
+    """Reference product of two encodings: dense convolution, then the
+    term-by-term reduction by the field modulus, x^d = tail(x) one top term
+    at a time."""
     d, p = f.deg, f.p
     conv = [0] * (2 * d - 1)
     for i in range(d):
@@ -210,11 +212,34 @@ def _schoolbook(f, a, b):
     return tuple(c % p for c in conv[:d])
 
 
+def _reference(f, a, b):
+    """_schoolbook on raw operands."""
+    return f.pack(_schoolbook(f, f.unpack(a), f.unpack(b)))
+
+
+def _top(f):
+    """The all-(p-1) element: the largest convolution sums, folded words and
+    word bounds of the lane reduction."""
+    return f.pack((f.p - 1,) * f.deg)
+
+
 def _mul_pairs(f, rng, n=10):
-    # all-(p-1) operands give the largest convolution sums and folded words
-    top = (f.p - 1,) * f.deg
+    top = _top(f)
     pairs = [(top, top), (top, f.random_t(rng))]
     return pairs + [(f.random_t(rng), f.random_t(rng)) for _ in range(n)]
+
+
+def _dense_fields():
+    """Every field of the irreducible monics of degree 8 over F_2 and 5
+    over F_3: dense moduli, folding in several rounds."""
+    dense = []
+    for p, d in ((2, 8), (3, 5)):
+        for m in _monic(p, d):
+            try:
+                dense.append(Field(p, m))
+            except ReducibleModulus:
+                continue
+    return dense
 
 
 def test_packed_mul_against_dense_path():
@@ -223,7 +248,7 @@ def test_packed_mul_against_dense_path():
         for d in (2, 4, 6, 8, 12, 24, 40, 72):
             f = make_extension_field(p, d)
             for a, b in _mul_pairs(f, rng):
-                assert f.mul_t(a, b) == _schoolbook(f, a, b), (p, d)
+                assert f.mul_t(a, b) == _reference(f, a, b), (p, d)
 
 
 def test_general_path_moduli():
@@ -239,18 +264,12 @@ def test_general_path_moduli():
     assert (1 + 3 * 1190) * 1200**2 >= 2**32 > (1 + 3 * 11) * 1200**2
     assert trinomial.fold_plan == (32, 1)
     assert small_c.fold_plan == (32, 1) and large_c.fold_plan == (64, 1)
-    dense = []
-    for p, d in ((2, 8), (3, 5)):
-        for m in _monic(p, d):
-            try:
-                dense.append(Field(p, m))
-            except ReducibleModulus:
-                continue
+    dense = _dense_fields()
     most = max(dense, key=lambda f: f.fold_plan[1])
     assert most.modulus == (1, 1, 1, 0, 0, 0, 0, 1, 1) and most.fold_plan == (32, 7)
     for f in (trinomial, small_c, large_c, *dense):
         for a, b in _mul_pairs(f, rng):
-            assert f.mul_t(a, b) == _schoolbook(f, a, b), f.modulus
+            assert f.mul_t(a, b) == _reference(f, a, b), f.modulus
 
 
 def _rabin_reference(p, m):
@@ -289,11 +308,24 @@ def test_fold_plan_guard():
     assert not isinstance(err.value, ReducibleModulus)
 
 
+def test_lane_plan_widens_the_words():
+    # every word of F_40009 fits 32 bits, but no split-and-Barrett
+    # reduction mod 40009 fits a 32-bit lane; the plan takes 64-bit words
+    p = 40009
+    assert (p - 1) ** 2 < 2**32
+    assert fields_mod._lane_plan(p, 32, (p - 1) ** 2) is None
+    f = Field(p, (0, 1))
+    assert f.fold_plan == (64, 0) and f.lane_plan == ((), 45)
+    a, b = p - 1, p - 2
+    assert f.mul_t(a, b) == a * b % p and f.smul_t(a, b) == a * b % p
+    assert f.add_t(a, b) == (a + b) % p and f.sub_t(b, a) == p - 1
+
+
 def test_every_search_candidate_has_a_plan():
     # a candidate n < _MODULUS_SEARCH_CAP has coefficient i nonzero only
     # when p^i <= n, so its tail is at most p - 1 at indices 0..e with
     # p^e < cap; words and support grow with the tail, so this worst tail's
-    # plan bounds every candidate's (ValueError otherwise)
+    # fold and lane plans bound every candidate's (ValueError otherwise)
     cap = fields_mod._MODULUS_SEARCH_CAP
     for p in (p for p in range(13, 400, 12) if is_prime(p)):
         e = 0
@@ -301,8 +333,9 @@ def test_every_search_candidate_has_a_plan():
             e += 1
         for d in range(2, 81):
             tail = [p - 1 if i <= e else 0 for i in range(d)]
-            bits, rounds = fields_mod._fold_plan(p, tail)
+            bits, rounds, splits, k = fields_mod._fold_plan(p, tail)
             assert bits in (32, 64) and 1 <= rounds <= 5, (p, d)
+            assert len(splits) <= 2 and 0 < k < bits, (p, d)
 
 
 # (p, r) of the benchmark workloads (reciprocity 13 37 5 and 13 61 5, the
@@ -361,17 +394,17 @@ def test_half_field_spread_is_an_order_keeping_embedding():
         sub = half.sub
         assert sub.deg == d // 2 and sub.modulus == full.modulus[0::2]
         x = full.gen
-        assert half.spread_t(half.delta.coeffs) == (x * x).coeffs
-        assert not sub.is_square_t(half.delta.coeffs)
+        assert half.spread_t(half.delta.raw) == (x * x).raw
+        assert not sub.is_square_t(half.delta.raw)
         for _ in range(10):
             a, b = sub.random_t(rng), sub.random_t(rng)
             sa, sb = half.spread_t(a), half.spread_t(b)
             assert half.spread_t(sub.mul_t(a, b)) == full.mul_t(sa, sb)
             assert half.spread_t(sub.add_t(a, b)) == full.add_t(sa, sb)
             assert half.unspread_t(sa) == a
-            assert (a < b) == (sa < sb)
+            assert (sub.unpack(a) < sub.unpack(b)) == (full.unpack(sa) < full.unpack(sb))
         with pytest.raises(NotInSubfield):
-            half.unspread_t(x.coeffs)
+            half.unspread_t(x.raw)
     # odd degree, or an odd term in the modulus: no half
     for p, d in ((13, 5), (37, 40)):
         with pytest.raises(OddModulus, match="not a polynomial in x\\^2"):
@@ -380,18 +413,10 @@ def test_half_field_spread_is_an_order_keeping_embedding():
 
 def _caught(f, bad, rng):
     """The field agrees with _schoolbook on _mul_pairs and its mutated copy
-    does not: a wrong product, or words left above x^(d-1) that do not fit
-    the unpack (OverflowError)."""
+    does not."""
     pairs = _mul_pairs(f, rng)
-    assert all(f.mul_t(a, b) == _schoolbook(f, a, b) for a, b in pairs)
-
-    def wrong(a, b):
-        try:
-            return bad.mul_t(a, b) != _schoolbook(f, a, b)
-        except OverflowError:
-            return True
-
-    return any(wrong(a, b) for a, b in pairs)
+    assert all(f.mul_t(a, b) == _reference(f, a, b) for a, b in pairs)
+    return any(bad.mul_t(a, b) != _reference(f, a, b) for a, b in pairs)
 
 
 def test_wrong_binomial_tail_is_caught():
@@ -425,13 +450,75 @@ def test_missing_fold_round_is_caught():
     assert _caught(f, bad, random.Random(5))
 
 
+def test_wrong_lane_reduction_is_caught():
+    # mutations of the reduction mod p: m - 1 as the Barrett multiplier,
+    # or the first split step dropped; either leaves some word of the
+    # all-(p-1) square outside [0, p) or wrong
+    small_c = Field(1201, (-11, 0, 0, 0, 1))
+    assert small_c.lane_plan == ((17, 14), 25)
+    cases = [
+        (make_extension_field(61, 36), ("m", "split")),
+        (make_extension_field(37, 40), ("m", "split")),
+        (make_extension_field(13, 72), ("m",)),
+        (make_extension_field(61, 2), ("split",)),
+        (small_c, ("split",)),
+    ]
+    for f, mutations in cases:
+        top = _top(f)
+        assert f.mul_t(top, top) == _reference(f, top, top)
+        for mutation in mutations:
+            bad = copy.copy(f)
+            if mutation == "m":
+                bad._m = f._m - 1
+            else:
+                assert f._splits
+                bad._splits = f._splits[1:]
+            assert bad.mul_t(top, top) != _reference(f, top, top), (f, mutation)
+
+
+def _lane_fields():
+    """32-bit and 64-bit word plans, p = 2 and the dense multi-round moduli."""
+    return [
+        make_extension_field(61, 36),
+        make_extension_field(37, 40),
+        make_extension_field(13, 1),
+        Field(1201, (-1190, 0, 0, 0, 1)),
+        make_extension_field(2, 8),
+        *_dense_fields()[::6],
+    ]
+
+
+def test_linear_ops_match_per_coefficient_reference():
+    rng = random.Random(15)
+    fields = _lane_fields()
+    assert {f.fold_plan[0] for f in fields} == {32, 64}
+    assert {2, 3} <= {f.p for f in fields}
+    for f in fields:
+        p, d = f.p, f.deg
+
+        def operand():
+            return [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(d)]
+
+        vectors = [[0] * d, [p - 1] * d, [(p - 1) * (i % 2) for i in range(d)]]
+        vectors += [operand() for _ in range(12)]
+        for u in vectors:
+            a = f.pack(u)
+            assert f.unpack(f.neg_t(a)) == tuple((-x) % p for x in u)
+            for c in (0, 1, p - 1, p, -1, rng.randrange(p)):
+                assert f.unpack(f.smul_t(c, a)) == tuple(c * x % p for x in u)
+            for v in vectors:
+                b = f.pack(v)
+                assert f.unpack(f.add_t(a, b)) == tuple((x + y) % p for x, y in zip(u, v))
+                assert f.unpack(f.sub_t(a, b)) == tuple((x - y) % p for x, y in zip(u, v))
+
+
 def test_sqrt_examples_f13():
     f = make_extension_field(13, 1)
-    assert f.sqrt_t((4,)) == (2,)  # canonical: 2 < 11
+    assert f.sqrt_t(4) == 2  # canonical: 2 < 11
     # Euler criterion oracle: 2^6 = 64 = 12 != 1 mod 13, so no root
     assert pow(2, 6, 13) == 12
     with pytest.raises(NoSquareRoot):
-        f.sqrt_t((2,))
+        f.sqrt_t(2)
 
 
 @pytest.mark.parametrize("p,d", [(13, 1), (13, 2), (5, 4), (61, 2), (7, 3)])
@@ -444,7 +531,7 @@ def test_sqrt_roundtrip(p, d):
         sq = f.mul_t(x, x)
         r = f.sqrt_t(sq)
         assert f.mul_t(r, r) == sq
-        assert r == min(x, f.neg_t(x)) or x == f.zero_t
+        assert f.unpack(r) == min(f.unpack(x), f.unpack(f.neg_t(x)))
         if x != f.zero_t and not f.is_square_t(x):
             found_nonsquare = True
             with pytest.raises(NoSquareRoot):
@@ -474,7 +561,7 @@ def test_inverse_matches_fermat(p, d):
     # F_{37^40} = x^40 + 2x + 2): a^-1 = a^(q-2)
     f = make_extension_field(p, d)
     rng = random.Random(8)
-    items = [f.one_t, (p - 1,) * d] + [f.random_t(rng) for _ in range(3)]
+    items = [f.one_t, _top(f)] + [f.random_t(rng) for _ in range(3)]
     for a in items:
         if a == f.zero_t:
             continue
@@ -515,10 +602,10 @@ def test_embedding_prime_field():
     small = make_extension_field(13, 1)
     big = make_extension_field(13, 4)
     emb = Embedding(small, big)
-    assert emb.map_t((5,)) == (5, 0, 0, 0)
-    assert emb.unmap_t((5, 0, 0, 0)) == (5,)
+    assert big.unpack(emb.map_t(small.pack((5,)))) == (5, 0, 0, 0)
+    assert small.unpack(emb.unmap_t(big.pack((5, 0, 0, 0)))) == (5,)
     with pytest.raises(NotInSubfield):
-        emb.unmap_t((5, 1, 0, 0))
+        emb.unmap_t(big.pack((5, 1, 0, 0)))
 
 
 def test_element_order_and_encoding():

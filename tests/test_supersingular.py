@@ -17,9 +17,9 @@ from isograph.supersingular import (
 
 def brute_order(curve):
     f = curve.field
-    at, bt = curve.a.coeffs, curve.b.coeffs
+    at, bt = curve.a.raw, curve.b.raw
     n = 1
-    for xt in f.iter_tuples():
+    for xt in map(f.pack, f.iter_tuples()):
         r = f.add_t(f.mul_t(f.add_t(f.mul_t(xt, xt), at), xt), bt)
         if r == f.zero_t:
             n += 1
@@ -80,8 +80,8 @@ def test_extension_classes_p37():
     ext = [j for j in js if j.coeffs[1] != 0]
     assert len(ext) == 2
     # the two non-rational classes are Frobenius conjugates of each other
-    conj = {tuple(f.pow_t(j.coeffs, 37)) for j in ext}
-    assert conj == {j.coeffs for j in ext}
+    conj = {f.pow_t(j.raw, 37) for j in ext}
+    assert conj == {j.raw for j in ext}
     # and genuinely supersingular: curve order is (p-1)^2 or (p+1)^2
     for j in ext:
         assert brute_order(curve_from_j(j)) in (36**2, 38**2)
@@ -141,15 +141,15 @@ def scalar_scan_js(p):
     """Reference: Horner on H_p one lambda at a time with Field.mul_t,
     then j of every root."""
     f = make_extension_field(p, 2)
-    coeffs = [(c, 0) for c in hasse_witt_polynomial(p)]
+    coeffs = hasse_witt_polynomial(p)  # constants, so their own raw ints
     js = set()
-    for lam_t in f.iter_tuples():
+    for lam_t in map(f.pack, f.iter_tuples()):
         acc = f.zero_t
         for c in reversed(coeffs):
             acc = f.add_t(f.mul_t(acc, lam_t), c)
         if acc == f.zero_t:
             js.add(_lambda_to_j(f, lam_t))
-    return sorted(js)
+    return sorted(map(f.unpack, js))
 
 
 @pytest.mark.parametrize("p", [13, 37, 61])
