@@ -317,8 +317,7 @@ class Field:
         return s - ((s + self._flip) >> self._sign & self._ones) * self.p
 
     def neg_t(self, a):
-        s = self._p_lanes - a  # words in [1, p]
-        return s - ((s + self._flip) >> self._sign & self._ones) * self.p
+        return self.sub_t(0, a)
 
     def smul_t(self, c: int, a):
         return self._reduce(a * (c % self.p))

@@ -585,8 +585,8 @@ def test_embedding_quadratic_into_tower():
         # ring homomorphism on random pairs, and descend round-trips
         rng = random.Random(2)
         for _ in range(20):
-            a = small.element(small.random_t(rng))
-            b = small.element(small.random_t(rng))
+            a = FieldElement(small, small.random_t(rng))
+            b = FieldElement(small, small.random_t(rng))
             assert emb(a * b) == emb(a) * emb(b)
             assert emb(a + b) == emb(a) + emb(b)
             assert emb.descend(emb(a)) == a
