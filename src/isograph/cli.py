@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 from . import __version__
+from .curves import CurveError, TorsionBasisError
 from .enhanced import (
     AdmissibilityError,
     BrandtValidationError,
@@ -30,7 +31,7 @@ from .enhanced import (
     validate_symmetry_and_row_sums,
     vertex_count,
 )
-from .fields import make_extension_field
+from .fields import NotInSubfield, make_extension_field
 from .graph import (
     CoveringError,
     GraphRealizationError,
@@ -45,6 +46,7 @@ from .graph import (
 )
 from .spectral import SpectralError, cheeger_constant, cheeger_sandwich
 from .spectral import ramanujan_report, spectrum
+from .supersingular import ClassTableError
 from .zeta import ORACLE_EDGE_LIMIT, ZetaError, edge_matrix_zeta, ihara_zeta
 from .zeta import reciprocity_check
 
@@ -388,6 +390,8 @@ def cmd_cheeger(args) -> int:
 
 def cmd_covering(args) -> int:
     cfg = _config(args)
+    if args.M < 1:
+        raise AdmissibilityError(f"M = {args.M} must be a positive integer")
     if args.N % args.M != 0:
         raise AdmissibilityError(f"{args.M} does not divide {args.N}")
     fine = build_or_load(cfg)
@@ -544,10 +548,14 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARAMS
     except (
+        ClassTableError,
+        CurveError,
         GraphBuildError,
         GraphFileError,
         GraphRealizationError,
+        NotInSubfield,
         SpectralError,
+        TorsionBasisError,
     ) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL

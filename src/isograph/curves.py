@@ -1,12 +1,13 @@
 """Short Weierstrass curves over the field tower, with the machinery the
 graph builder needs: torsion bases, x-coordinate multiple lists, Velu
-quotients by prime-order kernels, and quadratic-twist normalization so the
-p^2-power Frobenius acts as the scalar -p on every working model.
+quotients from a kernel's x-coordinates, and quadratic-twist
+normalization so the p^2-power Frobenius acts as the scalar -p on every
+working model.
 
 Order-r torsion is worked in a TorsionField: when -1 is a power of -p
 mod r and the field holding the points has an even modulus, its
-half-degree subfield, which holds every x-coordinate, on the quadratic
-twist where the points themselves become rational.
+half-degree subfield, which holds every x-coordinate; the points are
+sampled on the quadratic twist, where they become rational.
 
 Affine points carry FieldElements; the inner loops (scalar multiplication,
 multiple chains, x-map evaluation) run on the field's raw packed ints, in
@@ -274,6 +275,13 @@ def translates(Q: Point, P: Point, count: int) -> list[Point]:
     return [_jac_point(curve, S, iz) for S, iz in zip(chain, invs)]
 
 
+def x_double(curve: EllipticCurve, x: FieldElement) -> FieldElement:
+    """x(2P) from x = x(P); P must not be 2-torsion."""
+    a, b = curve.a, curve.b
+    x2 = x * x
+    return ((x2 - a) * (x2 - a) - 8 * b * x) / (4 * ((x2 + a) * x + b))
+
+
 # -- constructions
 
 
@@ -296,9 +304,10 @@ def quadratic_twist(curve: EllipticCurve, c: FieldElement | None = None) -> Elli
     return EllipticCurve(curve.a * c2, curve.b * c2 * c)
 
 
-def group_order_scalar_frobenius(p: int, k: int) -> int:
-    """#E(F_{p^{2k}}) for a scalar-Frobenius model: ((-p)^k - 1)^2."""
-    return ((-p) ** k - 1) ** 2
+def _derive_seed(*parts) -> int:
+    """A 64-bit seed from the repr of `parts`, stable across processes."""
+    digest = hashlib.sha256(repr(parts).encode()).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def twist_to_scalar_frobenius(curve: EllipticCurve) -> EllipticCurve:
@@ -316,8 +325,7 @@ def twist_to_scalar_frobenius(curve: EllipticCurve) -> EllipticCurve:
     if f.deg != 2:
         raise CurveError("normalization works over F_{p^2}")
     n_target = p + 1
-    seed_material = repr((p, curve.a.coeffs, curve.b.coeffs)).encode()
-    seed = int.from_bytes(hashlib.sha256(seed_material).digest()[:8], "big")
+    seed = _derive_seed(p, curve.a.coeffs, curve.b.coeffs)
     for cand in (curve, quadratic_twist(curve)):
         rng = random.Random(seed)
         if all(
@@ -351,7 +359,8 @@ class TorsionField:
     x-coordinate lies in F' = F_{p^k}, and E[r] is rational on the twist
     by a non-square delta of F'.  When the canonical F = F_{p^{2k}} has an
     even modulus, `field` is its HalfField F' and `delta` the HalfField's
-    y.  Otherwise (k odd, r = 2, or an odd modulus such as F_{37^40})
+    y; the twist serves only to sample torsion points, whose x / delta
+    are the untwisted x in F'.  Otherwise (k odd, r = 2, or an odd modulus such as F_{37^40})
     `field` is F itself and `delta` None.  `emb` embeds F_{p^2} into
     `field` so that spreading it into F gives the canonical F_{p^2} -> F;
     then every x in `field` spreads to the x the full field F would hold,
@@ -533,18 +542,32 @@ def _horner_t(f: Field, coeffs: list, xt):
     return acc
 
 
-def velu_quotient(curve: EllipticCurve, G: Point, r: int) -> tuple[EllipticCurve, XMap]:
-    """Quotient by the cyclic kernel <G> of prime order r via Velu's
-    formulas; returns the codomain and the degree-r x-map."""
+def velu_quotient(
+    curve: EllipticCurve, xs: Sequence[FieldElement], r: int
+) -> tuple[EllipticCurve, XMap]:
+    """Codomain and degree-r x-map of the quotient by a cyclic kernel of
+    prime order r, by Velu's formulas from the kernel's x-coordinates: one
+    per +-pair of nonzero points, (r - 1)/2 for odd r and the 2-torsion x
+    for r = 2.  Only the xs need lie in the curve's field, and the
+    formulas are symmetric in them.  They are checked once, x-only: for
+    odd r distinct and closed under doubling, for r = 2 a root of the
+    cubic."""
     if not is_prime(r):
         raise CurveError(f"kernel order {r} is not prime")
-    if G.is_identity() or not scalar_mul(r, G).is_identity():
-        raise CurveError(f"kernel generator does not have order {r}")
+    if r == 2:
+        ok = len(xs) == 1 and not curve.rhs(xs[0])
+    else:
+        raws = {x.raw for x in xs}
+        ok = len(xs) == len(raws) == (r - 1) // 2 and all(
+            curve.rhs(x) and x_double(curve, x).raw in raws for x in xs
+        )
+    if not ok:
+        raise CurveError(f"x-coordinates do not form an order-{r} kernel")
     f = curve.field
     a, b = curve.a, curve.b
     one = f.one
     if r == 2:
-        x0 = G.x
+        x0 = xs[0]
         v = 3 * x0 * x0 + a
         w = x0 * v
         a2 = a - 5 * v
@@ -554,8 +577,6 @@ def velu_quotient(curve: EllipticCurve, G: Point, r: int) -> tuple[EllipticCurve
         den = (-x0, one)
         image = EllipticCurve(a2, b2)
         return image, XMap(num, den, 2)
-    half = (r - 1) // 2
-    xs = x_multiples(G, half)
     v = f.zero
     w = f.zero
     us = []
@@ -585,25 +606,6 @@ def velu_quotient(curve: EllipticCurve, G: Point, r: int) -> tuple[EllipticCurve
     den = _fpoly_mul(f, h, h)
     image = EllipticCurve(a2, b2)
     return image, XMap(num, den, r)
-
-
-def untwist_quotient(
-    image: EllipticCurve, xmap: XMap, delta: FieldElement
-) -> tuple[EllipticCurve, XMap]:
-    """A Velu quotient of the twist by delta carried back to the untwisted
-    curves: the codomain (a / delta^2, b / delta^3) and the x-map
-    x -> phi(delta x) / delta, its denominator kept monic.  Velu commutes
-    with twisting, so this is the quotient of the untwisted curve by the
-    untwisted kernel, coefficient for coefficient."""
-    n = len(xmap.den) - 1
-    inv = delta.inverse()
-    pw = [delta.field.one]  # pw[j] = delta^-j
-    for _ in range(max(n + 1, 3)):
-        pw.append(pw[-1] * inv)
-    num = [c * pw[n + 1 - i] for i, c in enumerate(xmap.num)]
-    den = [c * pw[n - i] for i, c in enumerate(xmap.den)]
-    curve = EllipticCurve(image.a * pw[2], image.b * pw[3])
-    return curve, XMap(num, den, xmap.degree)
 
 
 def _fpoly_mul_linear(f: Field, poly, root):

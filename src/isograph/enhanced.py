@@ -11,13 +11,13 @@ All per-prime torsion work happens in the field F' of curves.torsion_field.
 With k the order of -p mod r, E[r] is rational over F_{p^{2k}}, but every
 x-coordinate already lies in F_{p^{2k'}}, k' the order of -p in
 (Z/r)^x/{+-1}.  When k' = k/2 and F_{p^{2k}} has an even modulus, F' is
-that half-degree field and the points are worked on the twist by a
-non-square delta of F', then mapped back by x -> x / delta; otherwise
+that half-degree field and the points are sampled on the twist by a
+non-square delta of F', their x mapped back by x -> x / delta; otherwise
 F' = F_{p^{2k}} and nothing is twisted.  Slots hold untwisted x in F',
 sorted by their encodings, which spread to the encodings F_{p^{2k}} holds
-in the same order, so every table equals the full-field one.  Kernels
-are Galois-stable, so quotient curves and x-maps descend to F_{p^2}; the
-descent is exact and checked, never a float-style approximation.
+in the same order, so every table equals the full-field one.  Velu reads
+the slots' x on the untwisted model; kernels are Galois-stable, so
+quotient curves and x-maps descend to F_{p^2}, exactly and checked.
 
 Level structure moves along an arrow one point per subgroup: the arrow's
 degree l is prime to r, so the image of one generator fixes the image
@@ -29,21 +29,20 @@ x-only doubling at one point.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field
 
 from .curves import (
     EllipticCurve,
-    Point,
     XMap,
+    _derive_seed,
     isomorphism_scale,
     torsion_basis,
     torsion_field,
     translates,
-    untwist_quotient,
     velu_quotient,
+    x_double,
     x_multiples,
 )
 from .fields import FieldElement, factorize, is_prime
@@ -108,17 +107,6 @@ def vertex_table(class_count: int, primes) -> list[tuple[int, tuple[int, ...]]]:
     canonical order: class major, subgroup tuples in product order."""
     combos = list(itertools.product(*[range(r + 1) for r in primes]))
     return [(c, S) for c in range(class_count) for S in combos]
-
-
-def _x_double(a: FieldElement, b: FieldElement, x: FieldElement) -> FieldElement:
-    """x(2P) from x(P) on y^2 = x^3 + a x + b; P must not be 2-torsion."""
-    x2 = x * x
-    return ((x2 - a) * (x2 - a) - 8 * b * x) / (4 * ((x2 + a) * x + b))
-
-
-def _derive_seed(*parts) -> int:
-    digest = hashlib.sha256(repr(parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 @dataclass(frozen=True)
@@ -331,24 +319,20 @@ class GraphBuilder:
         return self._arrows
 
     def _build_arrows(self) -> list[list[QuotientArrow]]:
+        """Velu from each order-l slot's x on the untwisted class model,
+        descended to F_{p^2} and matched to its target class; the dual
+        kernels, found through the x-maps, must pair up."""
         l = self.l
         table = self.table
         subs = self.level_subgroups(l)
         enc_index = self._enc_index[l]
-        tf = torsion_field(self.p, l)
-        f, emb, delta = tf.field, tf.emb, tf.delta
+        emb = torsion_field(self.p, l).emb
         arrows: list[list[QuotientArrow]] = []
         for ci, model in enumerate(table.models):
-            # Velu runs on the working (possibly twisted) model, where the
-            # kernel points are rational, and is untwisted before descent
-            E = tf.model(model)
+            E = model.change_field(emb)
             row = []
             for t, slot in enumerate(subs[ci]):
-                x0 = slot.xs[0] if delta is None else delta * slot.xs[0]
-                y0 = FieldElement(f, f.sqrt_t(E.rhs(x0).raw))
-                image, xmap = velu_quotient(E, Point(E, x0, y0), l)
-                if delta is not None:
-                    image, xmap = untwist_quotient(image, xmap, delta)
+                image, xmap = velu_quotient(E, slot.xs, l)
                 small = EllipticCurve(emb.descend(image.a), emb.descend(image.b))
                 target = table.class_of_j(small.j_invariant())
                 u2 = isomorphism_scale(small, table.models[target])
@@ -413,8 +397,7 @@ class GraphBuilder:
         xs = [slot.xs[0] for slot in src_slots]
         check_doubling = r >= 5
         if check_doubling:
-            src_a, src_b = self._lifted_model(ci, r)
-            xs.append(_x_double(src_a, src_b, xs[0]))
+            xs.append(x_double(self._lifted_model(ci, r), xs[0]))
         pushed = [u2_r * x for x in xmap_r.eval_many(xs)]
         try:
             row = tuple(index[x.raw] for x in pushed[: r + 1])
@@ -427,20 +410,16 @@ class GraphBuilder:
                 f"arrow ({ci},{t}) at r={r} is not a bijection on subgroups"
             )
         if check_doubling:
-            tgt_a, tgt_b = self._lifted_model(target, r)
-            if _x_double(tgt_a, tgt_b, pushed[0]) != pushed[-1]:
+            if x_double(self._lifted_model(target, r), pushed[0]) != pushed[-1]:
                 raise GraphBuildError(
                     f"arrow ({ci},{t}) at r={r} does not commute with doubling"
                 )
         self._push_rows[key] = row
         return row
 
-    def _lifted_model(self, ci: int, r: int) -> tuple[FieldElement, FieldElement]:
-        """(a, b) of class ci's untwisted model over the order-r torsion
-        field."""
-        emb = torsion_field(self.p, r).emb
-        model = self.table.models[ci]
-        return emb(model.a), emb(model.b)
+    def _lifted_model(self, ci: int, r: int) -> EllipticCurve:
+        """Class ci's untwisted model over the order-r torsion field."""
+        return self.table.models[ci].change_field(torsion_field(self.p, r).emb)
 
     def push_subgroup(self, ci: int, t: int, r: int, s: int) -> int:
         """Index of the order-r subgroup obtained by pushing subgroup s of

@@ -271,6 +271,9 @@ class Field:
         return self._unpack(a.to_bytes(self._bytes, "little"))
 
     def element(self, value) -> "FieldElement":
+        """From an element, a coefficient vector or a constant in [0, p)."""
+        if isinstance(value, int) and not 0 <= value < self.p:
+            raise ValueError(f"{value} not in [0, p): wrap a raw int as FieldElement(field, raw)")
         return FieldElement(self, self.coerce_t(value))
 
     def coerce_t(self, value) -> int:
@@ -441,8 +444,8 @@ class Field:
 
 class FieldElement:
     """Operator wrapper over Field's raw arithmetic: `raw` is the packed
-    int, `coeffs` (also `encoding()`) the coefficient tuple, lowest degree
-    first, which orders elements."""
+    int, `coeffs` the coefficient tuple, lowest degree first, which orders
+    elements."""
 
     __slots__ = ("field", "raw")
 
@@ -453,9 +456,6 @@ class FieldElement:
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self.field.unpack(self.raw)
-
-    def encoding(self) -> tuple[int, ...]:
-        return self.coeffs
 
     def _coerce(self, other) -> int:
         if isinstance(other, FieldElement):

@@ -160,7 +160,7 @@ def two_isogeny_reachable(table: SupersingularClassTable) -> list[int]:
             E = table.models[ci]
             P, Q = torsion_basis(E, 2, rng)
             for G in (P, Q, P + Q):
-                image, _ = velu_quotient(E, G, 2)
+                image, _ = velu_quotient(E, [G.x], 2)
                 tj = table.class_of_j(image.j_invariant())
                 if tj not in seen:
                     seen.add(tj)

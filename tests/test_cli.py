@@ -21,6 +21,9 @@ from isograph.cli import (
     parse_grid,
     write_graph_file,
 )
+import isograph.curves as curves_mod
+import isograph.enhanced as enhanced_mod
+from isograph.curves import TorsionBasisError
 from isograph.enhanced import AdmissibilityError, GraphBuilder
 
 
@@ -108,8 +111,35 @@ def test_build_rejects_composite_l(tmp_path, capsys):
 
 
 def test_covering_rejects_non_divisor(tmp_path, capsys):
-    code, _ = run(capsys, "covering", 13, 5, 6, 4, "--cache-dir", tmp_path)
-    assert code == EXIT_PARAMS
+    # M = 0 is refused as a parameter before N % M is taken
+    for M in (4, 0):
+        code, _ = run(capsys, "covering", 13, 5, 6, M, "--cache-dir", tmp_path)
+        assert code == EXIT_PARAMS
+
+
+def _refuse_torsion_basis(*args, **kwargs):
+    raise TorsionBasisError("patched")
+
+
+# each construction error is an internal invariant: parameters are
+# checked for admissibility before any construction starts
+CONSTRUCTION_FAULTS = {
+    "torsion_basis": (enhanced_mod, "torsion_basis", _refuse_torsion_basis),
+    "kernel_guard": (curves_mod, "x_double", lambda curve, x: x + 1),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CONSTRUCTION_FAULTS))
+def test_construction_errors_exit_internal(tmp_path, capsys, monkeypatch, fault):
+    module, name, replacement = CONSTRUCTION_FAULTS[fault]
+    monkeypatch.setattr(module, name, replacement)
+    _builder.cache_clear()
+    try:
+        code = main(["build", "13", "5", "2", "--cache-dir", str(tmp_path)])
+    finally:
+        _builder.cache_clear()
+    assert code == EXIT_INTERNAL
+    assert "internal error:" in capsys.readouterr().err
 
 
 def test_corrupted_cache_is_refused(tmp_path, capsys):

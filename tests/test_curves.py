@@ -13,7 +13,6 @@ from isograph.curves import (
     TorsionField,
     XMapPole,
     curve_from_j,
-    group_order_scalar_frobenius,
     isomorphism_scale,
     quadratic_twist,
     scalar_mul,
@@ -22,7 +21,6 @@ from isograph.curves import (
     torsion_order_extension,
     translates,
     twist_to_scalar_frobenius,
-    untwist_quotient,
     velu_quotient,
     x_multiples,
 )
@@ -168,13 +166,6 @@ def test_brute_force_orders():
         assert scalar_mul(196, E.random_point(rng)).is_identity()
 
 
-def test_group_order_formula_frozen():
-    assert group_order_scalar_frobenius(13, 1) == 196
-    assert group_order_scalar_frobenius(13, 2) == 28224
-    assert group_order_scalar_frobenius(13, 3) == 4831204
-    assert group_order_scalar_frobenius(37, 1) == 38**2
-
-
 def test_twist_to_scalar_frobenius():
     E = curve_47(F169)
     assert twist_to_scalar_frobenius(E) is E
@@ -296,27 +287,34 @@ def test_frobenius_guard_fires_on_wrong_twist():
         torsion_basis(tf.model(wrong), 5, random.Random(23), delta=tf.delta)
 
 
-def test_untwist_quotient_matches_full_field_velu():
-    # Velu on the twist over F_{13^4}, untwisted, equals Velu on the
-    # untwisted curve over F_{13^8} coefficient for coefficient
+def velu_xs(G, r):
+    """The x-list velu_quotient takes for the kernel <G>."""
+    return [G.x] if r == 2 else x_multiples(G, (r - 1) // 2)
+
+
+def test_half_field_velu_matches_full_field_velu():
+    # Velu over F_{13^4} from the kernel's x-coordinates, which lie there
+    # while the points do not, equals Velu over F_{13^8} from a rational
+    # kernel point coefficient for coefficient
     tf = torsion_field(13, 5)
     half = HalfField(make_extension_field(13, 8))
     assert tf.field.modulus == half.sub.modulus
     E_full = curve_47(F169).change_field(get_embedding(F169, half.full))
     P, _ = torsion_basis(E_full, 5, random.Random(24))
-    image, xmap = velu_quotient(E_full, P, 5)
+    xs_full = x_multiples(P, 2)
+    image, xmap = velu_quotient(E_full, xs_full, 5)
 
-    E = tf.model(curve_47(F169))
-    x0 = tf.delta * FieldElement(tf.field, half.unspread_t(P.x.raw))
-    G = E.point(x0, E.rhs(x0).sqrt())
-    image_t, xmap_t = untwist_quotient(*velu_quotient(E, G, 5), tf.delta)
+    E = curve_47(F169).change_field(tf.emb)
+    xs = [FieldElement(tf.field, half.unspread_t(x.raw)) for x in xs_full]
+    assert not any(tf.field.is_square_t(E.rhs(x).raw) for x in xs)
+    image_h, xmap_h = velu_quotient(E, xs, 5)
 
     def spread(cs):
         return [half.spread_t(c.raw) for c in cs]
 
-    assert spread([image_t.a, image_t.b]) == [image.a.raw, image.b.raw]
-    assert spread(xmap_t.num) == [c.raw for c in xmap.num]
-    assert spread(xmap_t.den) == [c.raw for c in xmap.den]
+    assert spread([image_h.a, image_h.b]) == [image.a.raw, image.b.raw]
+    assert spread(xmap_h.num) == [c.raw for c in xmap.num]
+    assert spread(xmap_h.den) == [c.raw for c in xmap.den]
 
 
 def test_x_multiples_vs_scalar_mul():
@@ -342,8 +340,7 @@ def test_x_multiples_rejects_count_at_order():
 def test_velu_two_isogeny_classical_form():
     # y^2 = x^3 + x / <(0,0)>  ->  y^2 = x^3 - 4x with X = (x^2 + 1)/x
     E = EllipticCurve(F13.element(1), F13.element(0))
-    G = E.point(0, 0)
-    image, xmap = velu_quotient(E, G, 2)
+    image, xmap = velu_quotient(E, [F13.element(0)], 2)
     assert image.a == -4 and image.b == 0
     assert [c.coeffs[0] for c in xmap.num] == [1, 0, 1]
     assert [c.coeffs[0] for c in xmap.den] == [0, 1]
@@ -369,7 +366,7 @@ def test_velu_satisfies_modular_polynomial():
     P, Q = torsion_basis(E, 2, random.Random(6))
     images = set()
     for G in (P, Q, P + Q):
-        image, _ = velu_quotient(E, G, 2)
+        image, _ = velu_quotient(E, [G.x], 2)
         j2 = image.j_invariant()
         assert not phi2(j, j2)
         images.add(j2.coeffs)
@@ -383,7 +380,7 @@ def test_velu_modular_polynomial_ordinary_curve():
     j = E.j_invariant()
     assert j == 11
     for x0 in (1, 2, 10):
-        image, _ = velu_quotient(E, E.point(x0, 0), 2)
+        image, _ = velu_quotient(E, [F13.element(x0)], 2)
         assert not phi2(j, image.j_invariant())
 
 
@@ -393,7 +390,7 @@ def test_velu_modular_polynomial_ordinary_curve():
 def test_velu_dual_composition_recovers_j(field, r):
     E = curve_47(field)
     P, Q = torsion_basis(E, r, random.Random(8))
-    image, xmap = velu_quotient(E, P, r)
+    image, xmap = velu_quotient(E, velu_xs(P, r), r)
     assert len(xmap.num) == r + 1 and len(xmap.den) == r
     assert xmap.den[-1] == 1  # monic denominator
     # push the complementary generator through; it generates the kernel of
@@ -402,14 +399,14 @@ def test_velu_dual_composition_recovers_j(field, r):
     y2 = image.rhs(x2).sqrt()
     G2 = image.point(x2, y2)
     assert scalar_mul(r, G2).is_identity() and not G2.is_identity()
-    image2, _ = velu_quotient(image, G2, r)
+    image2, _ = velu_quotient(image, velu_xs(G2, r), r)
     assert image2.j_invariant() == E.j_invariant()
 
 
 def test_velu_image_points_land_on_image():
     E = curve_47(F169)
     P, _ = torsion_basis(E, 7, random.Random(10))
-    image, xmap = velu_quotient(E, P, 7)
+    image, xmap = velu_quotient(E, x_multiples(P, 3), 7)
     f = F169
     kernel_xs = {x.coeffs for x in x_multiples(P, 3)}
     poles = set()
@@ -429,7 +426,7 @@ def test_velu_image_points_land_on_image():
 def test_velu_eval_many_matches_single():
     E = curve_47(F169)
     P, Q = torsion_basis(E, 7, random.Random(12))
-    _, xmap = velu_quotient(E, P, 7)
+    _, xmap = velu_quotient(E, x_multiples(P, 3), 7)
     xs = x_multiples(Q, 5)
     assert xmap.eval_many(xs) == [xmap(x) for x in xs]
     with pytest.raises(XMapPole):
@@ -440,11 +437,41 @@ def test_velu_rejects_bad_kernels():
     E = curve_47(F169)
     P, _ = torsion_basis(E, 7, random.Random(13))
     with pytest.raises(CurveError, match="prime"):
-        velu_quotient(E, P, 4)
-    with pytest.raises(CurveError, match="order"):
-        velu_quotient(E, P, 3)
-    with pytest.raises(CurveError, match="order"):
-        velu_quotient(E, E.identity(), 3)
+        velu_quotient(E, x_multiples(P, 3), 4)
+    with pytest.raises(CurveError, match="order-3 kernel"):
+        velu_quotient(E, x_multiples(P, 3), 3)
+
+
+def test_velu_kernel_guard():
+    # every corruption of a kernel's x-list is refused; the valid lists,
+    # in either order, are not
+    E = curve_47(F169)
+    P, Q = torsion_basis(E, 7, random.Random(14))
+    xs, other = x_multiples(P, 3), x_multiples(Q, 3)
+    velu_quotient(E, xs, 7)
+    velu_quotient(E, xs[::-1], 7)
+    bad = {
+        "perturbed": [xs[0] + 1, xs[1], xs[2]],
+        "dropped": xs[:2],
+        "duplicated": [xs[0], xs[1], xs[1]],
+        "other slot": [xs[0], xs[1], other[2]],
+    }
+    for ys in bad.values():
+        with pytest.raises(CurveError, match="order-7 kernel"):
+            velu_quotient(E, ys, 7)
+    # r = 3: the one x must be fixed by doubling
+    E4 = curve_47(F13_4)
+    P3, _ = torsion_basis(E4, 3, random.Random(15))
+    velu_quotient(E4, [P3.x], 3)
+    with pytest.raises(CurveError, match="order-3 kernel"):
+        velu_quotient(E4, [P3.x + 1], 3)
+    # r = 2: the x must be a root of x^3 + a x + b
+    P2, _ = torsion_basis(E, 2, random.Random(16))
+    velu_quotient(E, [P2.x], 2)
+    assert E.rhs(F169.element(1))  # 1 + 4 + 7 = 12
+    for ys in ([F169.element(1)], [P2.x, P2.x], []):
+        with pytest.raises(CurveError, match="order-2 kernel"):
+            velu_quotient(E, ys, 2)
 
 
 def test_isomorphism_scale_frozen():

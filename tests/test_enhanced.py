@@ -3,6 +3,7 @@ and the multiplicity matrices, checked against independently re-derived
 values wherever a matrix is frozen."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from isograph.curves import (
     torsion_field,
     torsion_order_extension,
     velu_quotient,
+    x_double,
     x_multiples,
 )
 from isograph.enhanced import (
@@ -26,7 +28,6 @@ from isograph.enhanced import (
     EnhancedGraph,
     GraphBuildError,
     GraphBuilder,
-    _x_double,
     check_admissible,
     diagonal_parity_violations,
     sigma1,
@@ -60,7 +61,7 @@ def level1_matrix_by_j(p, l, rng_seed):
             gens.append(Q + R)
             R = R + P
         for G in gens:
-            image, _ = velu_quotient(E, G, l)
+            image, _ = velu_quotient(E, x_multiples(G, (l - 1) // 2), l)
             j = emb.descend(image.j_invariant())
             M[ci][table.class_of_j(j)] += 1
     return M
@@ -98,7 +99,7 @@ def level2_matrix_13_5(rng_seed):
 
     M = [[0] * 3 for _ in range(3)]
     for G in gens:
-        image, xmap = velu_quotient(Ebig, G, l)
+        image, xmap = velu_quotient(Ebig, x_multiples(G, (l - 1) // 2), l)
         from isograph.curves import EllipticCurve
 
         small = EllipticCurve(emb.descend(image.a), emb.descend(image.b))
@@ -325,6 +326,31 @@ def test_arrow_duality_structure():
             assert a.target == a.source
 
 
+def test_golden_arrow_digest():
+    # every arrow's target, u2, x-map coefficients and dual index, for
+    # l = 2 and odd l on half-degree and full torsion fields; the cache
+    # files and the reference certificates pin none of the x-maps
+    h = hashlib.sha256()
+    for p, l in [(13, 2), (13, 5), (37, 7), (61, 5), (13, 11)]:
+        for row in GraphBuilder(p, l).arrows:
+            for ar in row:
+                rec = (
+                    p,
+                    l,
+                    ar.source,
+                    ar.kernel_index,
+                    ar.target,
+                    ar.u2.coeffs,
+                    tuple(c.coeffs for c in ar.xmap.num),
+                    tuple(c.coeffs for c in ar.xmap.den),
+                    ar.dual_index,
+                )
+                h.update(repr(rec).encode())
+    assert h.hexdigest() == (
+        "1fbf27ce8a3d6a6b0780be60176c15da4a1728f69c7b26cef0c48e44d24d7fbd"
+    )
+
+
 def test_arrow_dual_of_dual_across_classes():
     b = GraphBuilder(37, 7)
     for ci, row in enumerate(b.arrows):
@@ -401,7 +427,7 @@ def test_push_guard_doubling(monkeypatch):
         def __init__(self, xmap, u2):
             self.xmap, self.u2 = xmap, u2
             y0 = u2 * xmap(x0)
-            y1 = _x_double(emb(tgt.a), emb(tgt.b), y0)
+            y1 = x_double(tgt.change_field(emb), y0)
             self.swap = {y0.coeffs: y1, y1.coeffs: y0}
 
         def eval_many(self, xs):
@@ -425,7 +451,7 @@ def test_x_double_matches_point_addition(seed, deg):
     P = E.random_point(random.Random(seed))
     if not P.y:
         return  # 2-torsion: x(2P) is the point at infinity
-    assert _x_double(E.a, E.b, P.x) == (P + P).x
+    assert x_double(E, P.x) == (P + P).x
 
 
 # ---------------------------------------------------------------- matrices

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import isograph.fields as fields_mod
-from isograph.curves import torsion_field, torsion_order_extension
+from isograph.curves import EllipticCurve, torsion_field, torsion_order_extension
 from isograph.fields import (
     Embedding,
     Field,
@@ -608,9 +608,30 @@ def test_embedding_prime_field():
         emb.unmap_t(big.pack((5, 1, 0, 0)))
 
 
+def test_element_refuses_raw_ints():
+    # a *_t result is a raw packed int; element() reads ints as constants,
+    # so it refuses any int that is not one
+    f = make_extension_field(13, 2)
+    with pytest.raises(ValueError, match=r"FieldElement\(field, raw\)"):
+        f.element(f.gen.raw)
+    with pytest.raises(ValueError, match=r"not in \[0, p\)"):
+        f.element(-1)
+    assert f.element(12).coeffs == (12, 0)
+    assert f.element((0, 1)) == f.gen
+    assert FieldElement(f, f.gen.raw) == f.gen
+    E = EllipticCurve(f.element(4), f.element(7))
+    with pytest.raises(ValueError, match="FieldElement"):
+        E.point(f.gen.raw, 0)
+    # operators still coerce any int constant
+    x = f.gen
+    assert (4 * x).coeffs == (0, 4)
+    assert (1728 - x).coeffs == (1728 % 13, 12)
+    assert f.coerce_t(-1) == f.element(12).raw
+
+
 def test_element_order_and_encoding():
     f = make_extension_field(13, 2)
     xs = [f.element((a, b)) for a in range(3) for b in range(3)]
-    encs = sorted(x.encoding() for x in xs)
+    encs = sorted(x.coeffs for x in xs)
     assert encs[0] == (0, 0) and encs == sorted(set(encs))
     assert f.element((2, 1)) < f.element((2, 2))
