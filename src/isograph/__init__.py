@@ -17,13 +17,7 @@ from .enhanced import (
     vertex_count,
 )
 from .fields import Field, FieldElement, get_embedding, make_extension_field
-from .graph import (
-    Graph,
-    covering_map,
-    euler_characteristic,
-    graph_from_enhanced,
-    verify_covering,
-)
+from .graph import covering_map, euler_characteristic, verify_covering
 from .spectral import cheeger_constant, ramanujan_report, spectrum
 from .supersingular import build_class_table, enumerate_supersingular
 from .zeta import ihara_zeta, reciprocity_check
@@ -33,7 +27,6 @@ __all__ = [
     "EnhancedGraph",
     "Field",
     "FieldElement",
-    "Graph",
     "GraphBuilder",
     "__version__",
     "build_class_table",
@@ -43,7 +36,6 @@ __all__ = [
     "enumerate_supersingular",
     "euler_characteristic",
     "get_embedding",
-    "graph_from_enhanced",
     "ihara_zeta",
     "make_extension_field",
     "ramanujan_report",

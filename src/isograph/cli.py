@@ -34,13 +34,11 @@ from .enhanced import (
 from .fields import NotInSubfield, make_extension_field
 from .graph import (
     CoveringError,
-    GraphRealizationError,
+    adjacency_connected,
     adjacency_csv,
     covering_map,
     euler_characteristic,
-    graph_from_enhanced,
     is_bipartite,
-    is_connected,
     to_dot,
     verify_covering,
 )
@@ -214,9 +212,8 @@ def verify_graph(eg: EnhancedGraph, cfg: JobConfig, graphs: dict | None = None) 
     if eg.parity_violations:
         detail["even_diagonal"] = list(eg.parity_violations)
 
-    g = graph_from_enhanced(eg)
-    checks["connected"] = is_connected(g)
-    checks["non_bipartite"] = not is_bipartite(g)
+    checks["connected"] = adjacency_connected(eg.brandt)
+    checks["non_bipartite"] = not is_bipartite(eg.brandt)
 
     spec = spectrum(eg)
     rep = ramanujan_report(spec, l)
@@ -224,7 +221,7 @@ def verify_graph(eg: EnhancedGraph, cfg: JobConfig, graphs: dict | None = None) 
     detail["lambda_star"] = rep.lambda_star
     detail["ramanujan_bound"] = rep.bound
 
-    chi = euler_characteristic(g)
+    chi = euler_characteristic(eg)
     ok_chi = chi == eg.n * (1 - l) // 2
     if N == 1:
         ok_chi = ok_chi and chi == (p - 1) * (1 - l) // 24
@@ -242,7 +239,7 @@ def verify_graph(eg: EnhancedGraph, cfg: JobConfig, graphs: dict | None = None) 
 
     if eg.oriented_edge_count <= ORACLE_EDGE_LIMIT:
         z = ihara_zeta(eg, charpoly=spec.charpoly)
-        checks["bass_edge_oracle"] = edge_matrix_zeta(g) == z.inverse_polynomial()
+        checks["bass_edge_oracle"] = edge_matrix_zeta(eg) == z.inverse_polynomial()
     else:
         detail["bass_edge_oracle"] = "skipped: graph too large"
 
@@ -316,13 +313,12 @@ def cmd_build(args) -> int:
     cfg = _config(args)
     eg = build_or_load(cfg, force=True)
     path = graph_file_path(cfg)
-    g = graph_from_enhanced(eg) if args.dot or args.csv else None
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(to_dot(g))
+            fh.write(to_dot(eg))
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write(adjacency_csv(g))
+            fh.write(adjacency_csv(eg))
     _emit(
         {
             "path": path,
@@ -552,7 +548,6 @@ def main(argv=None) -> int:
         CurveError,
         GraphBuildError,
         GraphFileError,
-        GraphRealizationError,
         NotInSubfield,
         SpectralError,
         TorsionBasisError,

@@ -275,11 +275,37 @@ def translates(Q: Point, P: Point, count: int) -> list[Point]:
     return [_jac_point(curve, S, iz) for S, iz in zip(chain, invs)]
 
 
+def x_chain(curve: EllipticCurve, x: FieldElement, count: int) -> list[tuple[int, int]]:
+    """x([k]P) for k = 1..count as raw projective pairs (X, Z), x = X/Z,
+    from x = x(P) alone and without an inversion: one doubling, then
+    differential additions [k+1]P = [k]P + P with difference [k-1]P,
+    x([k+1]P) + x([k-1]P) = 2((x_k + x)(x_k x + a) + 2b) / (x_k - x)^2.
+    The first Z = 0 is the first multiple that is the identity; the pairs
+    after it need not be meaningful."""
+    f = curve.field
+    at, bt, xt = curve.a.raw, curve.b.raw, x.raw
+    x2 = f.sq_t(xt)
+    chain = [(xt, 1)]
+    if count >= 2:
+        X2 = f.sub_t(f.sq_t(f.sub_t(x2, at)), f.smul_t(8, f.mul_t(bt, xt)))
+        Z2 = f.smul_t(4, f.add_t(f.mul_t(f.add_t(x2, at), xt), bt))
+        chain.append((X2, Z2))
+    two_b = f.smul_t(2, bt)
+    while len(chain) < count:
+        (XD, ZD), (X1, Z1) = chain[-2], chain[-1]
+        S = f.add_t(X1, f.mul_t(xt, Z1))
+        T = f.add_t(f.mul_t(xt, X1), f.mul_t(at, Z1))
+        U = f.smul_t(2, f.add_t(f.mul_t(S, T), f.mul_t(two_b, f.sq_t(Z1))))
+        D2 = f.sq_t(f.sub_t(X1, f.mul_t(xt, Z1)))
+        chain.append((f.sub_t(f.mul_t(ZD, U), f.mul_t(XD, D2)), f.mul_t(ZD, D2)))
+    return chain[:count]
+
+
 def x_double(curve: EllipticCurve, x: FieldElement) -> FieldElement:
     """x(2P) from x = x(P); P must not be 2-torsion."""
-    a, b = curve.a, curve.b
-    x2 = x * x
-    return ((x2 - a) * (x2 - a) - 8 * b * x) / (4 * ((x2 + a) * x + b))
+    f = curve.field
+    X, Z = x_chain(curve, x, 2)[1]
+    return FieldElement(f, f.mul_t(X, f.inv_t(Z)))
 
 
 # -- constructions
@@ -546,37 +572,30 @@ def velu_quotient(
     curve: EllipticCurve, xs: Sequence[FieldElement], r: int
 ) -> tuple[EllipticCurve, XMap]:
     """Codomain and degree-r x-map of the quotient by a cyclic kernel of
-    prime order r, by Velu's formulas from the kernel's x-coordinates: one
-    per +-pair of nonzero points, (r - 1)/2 for odd r and the 2-torsion x
-    for r = 2.  Only the xs need lie in the curve's field, and the
-    formulas are symmetric in them.  They are checked once, x-only: for
-    odd r distinct and closed under doubling, for r = 2 a root of the
-    cubic."""
-    if not is_prime(r):
-        raise CurveError(f"kernel order {r} is not prime")
-    if r == 2:
-        ok = len(xs) == 1 and not curve.rhs(xs[0])
-    else:
-        raws = {x.raw for x in xs}
-        ok = len(xs) == len(raws) == (r - 1) // 2 and all(
-            curve.rhs(x) and x_double(curve, x).raw in raws for x in xs
-        )
+    odd prime order r, by Velu's formulas from the kernel's
+    x-coordinates, one per +-pair of nonzero points.  Only the xs need lie
+    in the curve's field, and the formulas are symmetric in them.  They
+    are checked once, x-only, by one x_chain from xs[0] = x(P) with a
+    single batched inversion: x([h+1]P) = x([h]P) with h = (r - 1)/2 and
+    no identity before it, so P has order r, and the xs are exactly
+    x([k]P) for 1 <= k <= h."""
+    if r == 2 or not is_prime(r):
+        raise CurveError(f"kernel order {r} is not an odd prime")
+    f = curve.field
+    h = (r - 1) // 2
+    ok = len(xs) == h
+    if ok:
+        chain = x_chain(curve, xs[0], h + 1)
+        (Xh, Zh), (Xh1, Zh1) = chain[-2], chain[-1]
+        ok = all(Z for _, Z in chain) and f.mul_t(Xh, Zh1) == f.mul_t(Xh1, Zh)
+    if ok:
+        invs = f.batch_inv_t([Z for _, Z in chain[:h]])
+        multiples = {f.mul_t(X, iz) for (X, _), iz in zip(chain, invs)}
+        ok = multiples == {x.raw for x in xs}
     if not ok:
         raise CurveError(f"x-coordinates do not form an order-{r} kernel")
-    f = curve.field
     a, b = curve.a, curve.b
     one = f.one
-    if r == 2:
-        x0 = xs[0]
-        v = 3 * x0 * x0 + a
-        w = x0 * v
-        a2 = a - 5 * v
-        b2 = b - 7 * w
-        # x + v/(x - x0) = (x^2 - x0 x + v) / (x - x0)
-        num = (v, -x0, one)
-        den = (-x0, one)
-        image = EllipticCurve(a2, b2)
-        return image, XMap(num, den, 2)
     v = f.zero
     w = f.zero
     us = []

@@ -74,6 +74,8 @@ def check_admissible(p: int, l: int, N: int) -> list[int]:
         raise AdmissibilityError(str(e)) from None
     if not is_prime(l):
         raise AdmissibilityError(f"l = {l} is not prime")
+    if l == 2:
+        raise AdmissibilityError("l must be an odd prime")
     if l == p:
         raise AdmissibilityError("l must differ from p")
     if not isinstance(N, int) or N < 1:
@@ -160,7 +162,7 @@ def diagonal_parity_violations(matrix) -> tuple[int, ...]:
     edges at such a vertex cannot all be paired two-and-two.  This really
     occurs, e.g. at (p, l) = (37, 5) and (61, 7), so it is returned as data
     instead of being raised: downstream spectral and zeta computations stay
-    valid, only the loop-pairing of an edge realization is obstructed."""
+    valid, only EnhancedGraph.edge_reverse keeps one loop self-paired."""
     return tuple(i for i, row in enumerate(matrix) if row[i] % 2 != 0)
 
 
@@ -179,10 +181,12 @@ class EnhancedGraph:
     summing to l+1.
 
     The involution can fix a loop (kernel of a trace-zero endomorphism),
-    so it is not yet the loop pairing the abstract graph formalism wants;
-    the graph layer re-pairs loops.  parity_violations lists vertices with
-    an odd diagonal entry: empty in the common case, non-empty exactly
-    when some loop is forced to stay self-paired."""
+    so it is not yet the loop pairing the abstract graph formalism wants.
+    edge_reverse is that pairing: edge_dual with each vertex's loops
+    re-paired two by two in eid order, which removes every fixed edge
+    the matrix allows.  parity_violations lists vertices with an odd
+    diagonal entry: empty in the common case, non-empty exactly when one
+    loop there is forced to stay self-paired in edge_reverse."""
 
     p: int
     l: int
@@ -194,6 +198,7 @@ class EnhancedGraph:
     primes: tuple[int, ...] = field(init=False)
     vertices: tuple[tuple[int, tuple[int, ...]], ...] = field(init=False)
     brandt: tuple[tuple[int, ...], ...] = field(init=False)
+    edge_reverse: tuple[int, ...] = field(init=False)
     parity_violations: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -218,9 +223,17 @@ class EnhancedGraph:
         brandt = [[0] * n for _ in range(n)]
         for eid, w in enumerate(target):
             brandt[eid // k][w] += 1
+        reverse = list(dual)
+        for v in range(n):
+            loops = [e for e in range(v * k, (v + 1) * k) if target[e] == v]
+            for a, b in zip(loops[0::2], loops[1::2]):
+                reverse[a], reverse[b] = b, a
+            if len(loops) % 2:
+                reverse[loops[-1]] = loops[-1]
         object.__setattr__(self, "primes", primes)
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "brandt", tuple(tuple(row) for row in brandt))
+        object.__setattr__(self, "edge_reverse", tuple(reverse))
         object.__setattr__(self, "parity_violations", diagonal_parity_violations(brandt))
 
     @property
@@ -238,9 +251,6 @@ class EnhancedGraph:
     @property
     def geometric_edge_count(self) -> int:
         return len(self.edge_target) // 2
-
-    def edge_source(self, eid: int) -> int:
-        return eid // (self.l + 1)
 
     def vertex_label(self, i: int) -> str:
         c, S = self.vertices[i]
@@ -361,7 +371,7 @@ class GraphBuilder:
                 if back.target != ci or back.dual_index != t:
                     raise GraphBuildError(f"dual of dual broken at ({ci},{t})")
         # self-dual kernels do occur (trace-zero endomorphisms); they are
-        # necessarily loops and get re-paired at the graph layer
+        # necessarily loops, re-paired in EnhancedGraph.edge_reverse
         return arrows
 
     # -- pushing level structure through arrows

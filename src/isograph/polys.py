@@ -1,12 +1,12 @@
-"""Exact integer polynomials, power series and integer linear algebra.
+"""Exact integer polynomials and integer linear algebra.
 
-Everything here is exact: polynomial coefficients are Python ints and
-series coefficients are Fractions.  Characteristic polynomials of integer
-matrices use a CRT of word-size primes with numpy-backed Hessenberg
-reduction; this is the one determinant the zeta pipeline calls.
-Fraction-free Bareiss elimination at integer sample points followed by
-Lagrange interpolation (poly_matrix_det) is kept as the independent
-reference that tests compare the CRT route against.
+Everything here is exact: polynomial coefficients are Python ints.
+Characteristic polynomials of integer matrices use a CRT of word-size
+primes with numpy-backed Hessenberg reduction; this is the one
+determinant the zeta pipeline calls.  Fraction-free Bareiss elimination
+at integer sample points followed by Lagrange interpolation
+(poly_matrix_det) is kept as the independent reference that tests compare
+the CRT route against.
 """
 
 from __future__ import annotations
@@ -108,39 +108,6 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"
-
-
-def ratfun_series(
-    num: IntPolynomial, den: IntPolynomial, order: int
-) -> list[Fraction]:
-    """Exact Taylor coefficients c_0..c_order of num/den at t=0; requires
-    den(0) != 0."""
-    if den[0] == 0:
-        raise ValueError("series requires den(0) != 0")
-    d0 = Fraction(den[0])
-    out: list[Fraction] = []
-    for k in range(order + 1):
-        acc = Fraction(num[k])
-        for j in range(1, k + 1):
-            dj = den[j]
-            if dj:
-                acc -= dj * out[k - j]
-        out.append(acc / d0)
-    return out
-
-
-def log_series(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """Formal log of a power series with constant term 1, same truncation."""
-    if not coeffs or coeffs[0] != 1:
-        raise ValueError("log series needs constant term 1")
-    n = len(coeffs) - 1
-    g = [Fraction(0)] * (n + 1)
-    for m in range(1, n + 1):
-        acc = Fraction(coeffs[m])
-        for j in range(1, m):
-            acc -= Fraction(j, m) * g[j] * coeffs[m - j]
-        g[m] = acc
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -16,18 +16,11 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .curves import (
-    EllipticCurve,
-    curve_from_j,
-    torsion_basis,
-    twist_to_scalar_frobenius,
-    velu_quotient,
-)
+from .curves import EllipticCurve, curve_from_j, twist_to_scalar_frobenius
 from .fields import Field, FieldElement, is_prime, make_extension_field
 
 
@@ -142,28 +135,3 @@ def build_class_table(p: int) -> SupersingularClassTable:
     js = _enumerate_supersingular_cached(p)
     models = tuple(twist_to_scalar_frobenius(curve_from_j(j)) for j in js)
     return SupersingularClassTable(p, js[0].field, js, models)
-
-
-def two_isogeny_reachable(table: SupersingularClassTable) -> list[int]:
-    """Class indices reachable from class 0 along rational 2-isogenies.
-
-    Independent of the Brandt machinery: it walks curve models directly,
-    so it cross-checks both the enumeration (quotients must stay in the
-    table) and graph connectivity for l = 2.
-    """
-    rng = random.Random(4099 + table.p)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for ci in frontier:
-            E = table.models[ci]
-            P, Q = torsion_basis(E, 2, rng)
-            for G in (P, Q, P + Q):
-                image, _ = velu_quotient(E, [G.x], 2)
-                tj = table.class_of_j(image.j_invariant())
-                if tj not in seen:
-                    seen.add(tj)
-                    nxt.append(tj)
-        frontier = nxt
-    return sorted(seen)

@@ -1,0 +1,95 @@
+"""Independent oracles that only the tests compare against.
+
+The zeta pipeline itself computes 1/Z from the characteristic polynomial
+of the adjacency matrix (zeta.ihara_zeta) and checks it against the edge
+determinant (zeta.edge_matrix_zeta).  The oracles here count closed
+reduced paths on the edges directly and compare the counts with exact
+power series of Z, so a census never shares code with either route.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from isograph.enhanced import EnhancedGraph
+from isograph.polys import IntPolynomial
+from isograph.zeta import ORACLE_EDGE_LIMIT, ZetaError, ZetaFunction
+
+
+def ratfun_series(
+    num: IntPolynomial, den: IntPolynomial, order: int
+) -> list[Fraction]:
+    """Exact Taylor coefficients c_0..c_order of num/den at t=0; requires
+    den(0) != 0."""
+    if den[0] == 0:
+        raise ValueError("series requires den(0) != 0")
+    d0 = Fraction(den[0])
+    out: list[Fraction] = []
+    for k in range(order + 1):
+        acc = Fraction(num[k])
+        for j in range(1, k + 1):
+            dj = den[j]
+            if dj:
+                acc -= dj * out[k - j]
+        out.append(acc / d0)
+    return out
+
+
+def log_series(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    """Formal log of a power series with constant term 1, same truncation."""
+    if not coeffs or coeffs[0] != 1:
+        raise ValueError("log series needs constant term 1")
+    n = len(coeffs) - 1
+    g = [Fraction(0)] * (n + 1)
+    for m in range(1, n + 1):
+        acc = Fraction(coeffs[m])
+        for j in range(1, m):
+            acc -= Fraction(j, m) * g[j] * coeffs[m - j]
+        g[m] = acc
+    return g
+
+
+def log_zeta_series(zeta: ZetaFunction, order: int) -> list[Fraction]:
+    """log Z up to t^order, from Z = 1 / zeta.inverse_polynomial()."""
+    return log_series(ratfun_series(IntPolynomial([1]), zeta.inverse_polynomial(), order))
+
+
+def primitive_cycle_census(eg: EnhancedGraph, max_len: int = 6) -> dict[int, int]:
+    """Counts N_m of closed reduced tail-less paths of each length m,
+    start edge marked (so a primitive class of length m contributes m).
+    Edge e runs from e // (l+1) to edge_target[e]; a path may not follow
+    e by its reversal edge_reverse[e].
+
+    Exhaustive depth-first enumeration; refuses graphs or lengths where
+    that would blow up."""
+    m_edges = eg.oriented_edge_count
+    if m_edges > ORACLE_EDGE_LIMIT:
+        raise ZetaError(f"census limited to {ORACLE_EDGE_LIMIT} oriented edges, got {m_edges}")
+    if max_len > 10:
+        raise ZetaError("census limited to length 10")
+    k = eg.degree
+    target, reverse = eg.edge_target, eg.edge_reverse
+    counts = {m: 0 for m in range(1, max_len + 1)}
+
+    def extend(start: int, last: int, length: int):
+        # close off at every admissible length, then go deeper
+        if target[last] == start // k and start != reverse[last]:
+            counts[length] += 1
+        if length == max_len:
+            return
+        w = target[last]
+        for f in range(w * k, (w + 1) * k):
+            if f != reverse[last]:
+                extend(start, f, length + 1)
+
+    for e in range(m_edges):
+        extend(e, e, 1)
+    return counts
+
+
+def census_matches_log_series(zeta: ZetaFunction, census: dict[int, int]) -> bool:
+    """log Z = sum N_m t^m / m, term by term up to the census order."""
+    order = max(census)
+    series = log_zeta_series(zeta, order)
+    return all(series[m] == Fraction(census[m], m) for m in range(1, order + 1))

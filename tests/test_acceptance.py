@@ -5,8 +5,9 @@ Criteria 3 and 8 are expected to fail on specific parameter sets: some
 graphs carry kernels of trace-zero endomorphisms, which force odd
 diagonal entries and self-dual loops.  Those tests compute the honest
 result and assert the stated property anyway; the failure lists name the
-exact offenders.  See the adjacency-matrix docstrings in enhanced.py and
-the census notes in zeta.py for the mechanism.
+exact offenders.  See the adjacency-matrix docstrings in enhanced.py for
+the mechanism, and tests/oracles.py for the cycle census criterion 8
+compares against.
 """
 
 import math
@@ -22,11 +23,10 @@ from isograph.enhanced import (
     vertex_count,
 )
 from isograph.graph import (
+    adjacency_connected,
     covering_map,
     euler_characteristic,
-    graph_from_enhanced,
     is_bipartite,
-    is_connected,
     verify_covering,
 )
 from isograph.spectral import (
@@ -38,12 +38,11 @@ from isograph.spectral import (
 from isograph.supersingular import enumerate_supersingular
 from isograph.zeta import (
     ORACLE_EDGE_LIMIT,
-    census_matches_log_series,
     edge_matrix_zeta,
     ihara_zeta,
-    primitive_cycle_census,
     reciprocity_check,
 )
+from oracles import census_matches_log_series, primitive_cycle_census
 
 TOL = 1e-9
 
@@ -150,9 +149,8 @@ def test_criterion_04_ramanujan():
     bad = []
     for p, l, N in grid_triples():
         g = graph(p, l, N)
-        gg = graph_from_enhanced(g)
         rep = ramanujan_report(spec_of(p, l, N), l)
-        if not (is_connected(gg) and not is_bipartite(gg) and rep.ok):
+        if not (adjacency_connected(g.brandt) and not is_bipartite(g.brandt) and rep.ok):
             bad.append((p, l, N, rep.lambda_star))
     report(
         4,
@@ -167,7 +165,7 @@ def test_criterion_05_euler_characteristic():
     bad = []
     for p, l, N in grid_triples():
         g = graph(p, l, N)
-        chi = euler_characteristic(graph_from_enhanced(g))
+        chi = euler_characteristic(g)
         want = g.n * (1 - l) // 2
         ok = chi == want
         if N == 1:
@@ -223,12 +221,12 @@ def test_criterion_08_bass_oracle():
             continue
         small += 1
         z = ihara_zeta(g)
-        if edge_matrix_zeta(graph_from_enhanced(g)) != z.inverse_polynomial():
+        if edge_matrix_zeta(g) != z.inverse_polynomial():
             identity_bad.append((p, l, N))
     census_bad = []
     for N in (1, 2):
         g = graph(13, 5, N)
-        census = primitive_cycle_census(graph_from_enhanced(g), max_len=6)
+        census = primitive_cycle_census(g, max_len=6)
         if not census_matches_log_series(ihara_zeta(g), census):
             census_bad.append((13, 5, N))
     ok = not identity_bad and not census_bad

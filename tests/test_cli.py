@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface and the cache file
 format: determinism, self-validation, exit codes, and the grid parser."""
 
+import hashlib
 import json
 import shutil
 from dataclasses import replace
@@ -25,6 +26,7 @@ import isograph.curves as curves_mod
 import isograph.enhanced as enhanced_mod
 from isograph.curves import TorsionBasisError
 from isograph.enhanced import AdmissibilityError, GraphBuilder
+from isograph.zeta import edge_matrix_zeta
 
 
 def run(capsys, *argv):
@@ -110,6 +112,16 @@ def test_build_rejects_composite_l(tmp_path, capsys):
     assert code == EXIT_PARAMS
 
 
+def test_every_command_rejects_l_2(tmp_path, capsys):
+    # l must be an odd prime; the grid skips l = 2 as inadmissible
+    for cmd in ("build", "spectrum", "zeta", "cheeger", "verify"):
+        for N in (1, 3):
+            code, _ = run(capsys, cmd, 13, 2, N, "--cache-dir", tmp_path)
+            assert code == EXIT_PARAMS, (cmd, N)
+    triples, skipped = parse_grid("p in {13}, l in {2, 3}, N in {1}")
+    assert triples == [(13, 3, 1)] and skipped == [(13, 2, 1)]
+
+
 def test_covering_rejects_non_divisor(tmp_path, capsys):
     # M = 0 is refused as a parameter before N % M is taken
     for M in (4, 0):
@@ -125,7 +137,7 @@ def _refuse_torsion_basis(*args, **kwargs):
 # checked for admissibility before any construction starts
 CONSTRUCTION_FAULTS = {
     "torsion_basis": (enhanced_mod, "torsion_basis", _refuse_torsion_basis),
-    "kernel_guard": (curves_mod, "x_double", lambda curve, x: x + 1),
+    "kernel_guard": (curves_mod, "x_chain", lambda curve, x, count: [(x.raw, 1)] * count),
 }
 
 
@@ -278,6 +290,27 @@ def test_dot_and_csv_files(tmp_path, capsys):
     assert code == EXIT_OK
     assert dot.read_text().startswith("graph isograph {")
     assert csv.read_text().splitlines() == ["6"]
+
+
+def test_golden_export_digest(tmp_path, capsys):
+    # DOT, CSV, zeta JSON and edge-oracle coefficients; (13,5,1) has loops
+    # that only the re-pairing of edge_reverse pairs, and (13,5,2),
+    # (37,5,1) and (13,7,2) keep self-paired loops
+    h = hashlib.sha256()
+    for p, l, N in ((13, 5, 1), (13, 5, 2), (37, 5, 1), (13, 7, 2), (61, 5, 1)):
+        dot, csv = tmp_path / "g.dot", tmp_path / "g.csv"
+        args = [str(a) for a in (p, l, N, "--cache-dir", tmp_path)]
+        assert main(["build", *args, "--dot", str(dot), "--csv", str(csv)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["zeta", *args]) == EXIT_OK
+        zeta_json = capsys.readouterr().out
+        eg = load_graph_file(graph_file_path(JobConfig(p, l, N, cache_dir=str(tmp_path))))
+        edge = repr(edge_matrix_zeta(eg).coeffs)
+        for text in (dot.read_text(), csv.read_text(), zeta_json, edge):
+            h.update(text.encode())
+    assert h.hexdigest() == (
+        "84d64c1aeb7a4c11f066f1a065ff69ffcaf827e19fccfc89eea82094b4fd7392"
+    )
 
 
 # ------------------------------------------------------------------ verify

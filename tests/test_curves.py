@@ -22,6 +22,8 @@ from isograph.curves import (
     translates,
     twist_to_scalar_frobenius,
     velu_quotient,
+    x_chain,
+    x_double,
     x_multiples,
 )
 import isograph.fields as fields_mod
@@ -289,7 +291,7 @@ def test_frobenius_guard_fires_on_wrong_twist():
 
 def velu_xs(G, r):
     """The x-list velu_quotient takes for the kernel <G>."""
-    return [G.x] if r == 2 else x_multiples(G, (r - 1) // 2)
+    return x_multiples(G, (r - 1) // 2)
 
 
 def test_half_field_velu_matches_full_field_velu():
@@ -337,55 +339,68 @@ def test_x_multiples_rejects_count_at_order():
         x_multiples(P, 7)
 
 
-def test_velu_two_isogeny_classical_form():
-    # y^2 = x^3 + x / <(0,0)>  ->  y^2 = x^3 - 4x with X = (x^2 + 1)/x
-    E = EllipticCurve(F13.element(1), F13.element(0))
-    image, xmap = velu_quotient(E, [F13.element(0)], 2)
-    assert image.a == -4 and image.b == 0
-    assert [c.coeffs[0] for c in xmap.num] == [1, 0, 1]
-    assert [c.coeffs[0] for c in xmap.den] == [0, 1]
+def test_x_chain_vs_scalar_mul():
+    E = curve_47(F169)
+    rng = random.Random(17)
+    for _ in range(5):
+        P = E.random_point(rng)
+        chain = x_chain(E, P.x, 10)
+        for k, (X, Z) in enumerate(chain, start=1):
+            assert F169.mul_t(scalar_mul(k, P).x.raw, Z) == X
+        assert x_double(E, P.x) == scalar_mul(2, P).x
+    # the first Z = 0 is the first multiple that is the identity
+    P, _ = torsion_basis(E, 7, random.Random(4))
+    zs = [Z for _, Z in x_chain(E, P.x, 7)]
+    assert all(zs[:6]) and not zs[6]
 
 
-# classical degree-2 modular polynomial, used as an independent oracle
-def phi2(x, y):
+# classical degree-3 modular polynomial, used as an independent oracle
+def phi3(x, y):
     return (
-        x**3
-        + y**3
-        - x * x * y * y
-        + 1488 * (x * x * y + x * y * y)
-        - 162000 * (x * x + y * y)
-        + 40773375 * x * y
-        + 8748000000 * (x + y)
-        - 157464000000000
+        x**4
+        + y**4
+        - x**3 * y**3
+        + 2232 * (x**3 * y**2 + x**2 * y**3)
+        - 1069956 * (x**3 * y + x * y**3)
+        + 36864000 * (x**3 + y**3)
+        + 2587918086 * x**2 * y**2
+        + 8900222976000 * (x**2 * y + x * y**2)
+        + 452984832000000 * (x**2 + y**2)
+        - 770845966336000000 * x * y
+        + 1855425871872000000000 * (x + y)
     )
 
 
 def test_velu_satisfies_modular_polynomial():
-    E = curve_47(F169)
+    E = curve_47(F13_4)
     j = E.j_invariant()
-    P, Q = torsion_basis(E, 2, random.Random(6))
+    P, Q = torsion_basis(E, 3, random.Random(6))
     images = set()
-    for G in (P, Q, P + Q):
-        image, _ = velu_quotient(E, [G.x], 2)
+    for G in (P, Q, Q + P, Q + P + P):
+        image, _ = velu_quotient(E, [G.x], 3)
         j2 = image.j_invariant()
-        assert not phi2(j, j2)
+        assert not phi3(j, j2)
         images.add(j2.coeffs)
     # p = 13 has a single supersingular class, so every neighbor is j = 5
-    assert images == {F169.element(5).coeffs}
+    assert images == {F13_4.element(5).coeffs}
 
 
 def test_velu_modular_polynomial_ordinary_curve():
-    # y^2 = (x-1)(x-2)(x-10) = x^3 + 6x + 6 over F_13, ordinary with j = 11
+    # y^2 = x^3 + 6x + 6 over F_13, ordinary with j = 11; the kernel x is a
+    # root of the 3-division polynomial 3x^4 + 6ax^2 + 12bx - a^2, found
+    # by scanning F_13 rather than by sampling points
     E = EllipticCurve(F13.element(6), F13.element(6))
     j = E.j_invariant()
     assert j == 11
-    for x0 in (1, 2, 10):
-        image, _ = velu_quotient(E, [F13.element(x0)], 2)
-        assert not phi2(j, image.j_invariant())
+    roots = [x for x in map(F13.element, range(13))
+             if not 3 * x**4 + 6 * E.a * x**2 + 12 * E.b * x - E.a**2]
+    assert roots == [F13.element(8)]
+    image, _ = velu_quotient(E, roots, 3)
+    assert not phi3(j, image.j_invariant())
 
 
 @pytest.mark.parametrize(
-    "field,r", [(F169, 2), (F13_4, 3), (F169, 7)], ids=["r2", "r3", "r7"]
+    "field,r", [(F13_4, 3), (F169, 7)], ids=["r3", "r7"]
 )
 def test_velu_dual_composition_recovers_j(field, r):
     E = curve_47(field)
@@ -438,6 +453,8 @@ def test_velu_rejects_bad_kernels():
     P, _ = torsion_basis(E, 7, random.Random(13))
     with pytest.raises(CurveError, match="prime"):
         velu_quotient(E, x_multiples(P, 3), 4)
+    with pytest.raises(CurveError, match="odd prime"):
+        velu_quotient(E, x_multiples(P, 1), 2)
     with pytest.raises(CurveError, match="order-3 kernel"):
         velu_quotient(E, x_multiples(P, 3), 3)
 
@@ -465,13 +482,47 @@ def test_velu_kernel_guard():
     velu_quotient(E4, [P3.x], 3)
     with pytest.raises(CurveError, match="order-3 kernel"):
         velu_quotient(E4, [P3.x + 1], 3)
-    # r = 2: the x must be a root of x^3 + a x + b
-    P2, _ = torsion_basis(E, 2, random.Random(16))
-    velu_quotient(E, [P2.x], 2)
-    assert E.rhs(F169.element(1))  # 1 + 4 + 7 = 12
-    for ys in ([F169.element(1)], [P2.x, P2.x], []):
-        with pytest.raises(CurveError, match="order-2 kernel"):
-            velu_quotient(E, ys, 2)
+
+
+def doubling_closed(curve, xs):
+    raws = {x.raw for x in xs}
+    return all(x_double(curve, x).raw in raws for x in xs)
+
+
+def test_velu_kernel_guard_refuses_doubling_closed_impostors():
+    # sets of the right size, distinct and closed under x-only doubling,
+    # that are not x(<P> - O) for an order-r point P
+    # two order-3 x values from different subgroups, as an "order-5 kernel"
+    E4 = curve_47(F13_4)
+    P3, Q3 = torsion_basis(E4, 3, random.Random(15))
+    xs = [P3.x, Q3.x]
+    assert doubling_closed(E4, xs)
+    with pytest.raises(CurveError, match="order-5 kernel"):
+        velu_quotient(E4, xs, 5)
+    # the doubling orbit x(P), x(2P), x(4P) of an order-9 point at r = 7,
+    # closed since 8P = -P
+    E = EllipticCurve(F13.element(1), F13.element(5))
+    P9 = E.point(3, 3)
+    assert scalar_mul(9, P9).is_identity() and not scalar_mul(3, P9).is_identity()
+    xs9 = x_multiples(P9, 4)
+    xs = [xs9[0], xs9[1], xs9[3]]
+    assert doubling_closed(E, xs)
+    with pytest.raises(CurveError, match="order-7 kernel"):
+        velu_quotient(E, xs, 7)
+    # and its first three multiples, which only the order check refuses
+    with pytest.raises(CurveError, match="order-7 kernel"):
+        velu_quotient(E, xs9[:3], 7)
+    # at r = 17, +-2 generates only half of (Z/17)^x/+-1: the doubling
+    # orbits {x([2^i]P)} of two different order-17 subgroups make a
+    # closed set of 8 = (17 - 1)/2, and xs[0] has order 17
+    E8 = curve_47(make_extension_field(13, 8))
+    P, Q = torsion_basis(E8, 17, random.Random(18))
+    orbit = [x_multiples(P, 8)[k - 1] for k in (1, 2, 4, 8)]
+    orbit += [x_multiples(Q, 8)[k - 1] for k in (1, 2, 4, 8)]
+    assert len({x.raw for x in orbit}) == 8 and doubling_closed(E8, orbit)
+    velu_quotient(E8, x_multiples(P, 8), 17)
+    with pytest.raises(CurveError, match="order-17 kernel"):
+        velu_quotient(E8, orbit, 17)
 
 
 def test_isomorphism_scale_frozen():

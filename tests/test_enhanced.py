@@ -163,6 +163,8 @@ def test_admissibility_rejections():
         check_admissible(13, 4, 1)  # l not prime
     with pytest.raises(AdmissibilityError):
         check_admissible(13, 13, 1)  # l == p
+    with pytest.raises(AdmissibilityError, match="odd prime"):
+        check_admissible(13, 2, 1)  # the graphs are (l+1)-regular for odd l
     with pytest.raises(AdmissibilityError):
         check_admissible(13, 5, 12)  # not squarefree
     with pytest.raises(AdmissibilityError):
@@ -327,11 +329,11 @@ def test_arrow_duality_structure():
 
 
 def test_golden_arrow_digest():
-    # every arrow's target, u2, x-map coefficients and dual index, for
-    # l = 2 and odd l on half-degree and full torsion fields; the cache
-    # files and the reference certificates pin none of the x-maps
+    # every arrow's target, u2, x-map coefficients and dual index, on
+    # half-degree and full torsion fields; the cache files and the
+    # reference certificates pin none of the x-maps
     h = hashlib.sha256()
-    for p, l in [(13, 2), (13, 5), (37, 7), (61, 5), (13, 11)]:
+    for p, l in [(13, 5), (37, 7), (61, 5), (13, 11)]:
         for row in GraphBuilder(p, l).arrows:
             for ar in row:
                 rec = (
@@ -347,7 +349,7 @@ def test_golden_arrow_digest():
                 )
                 h.update(repr(rec).encode())
     assert h.hexdigest() == (
-        "1fbf27ce8a3d6a6b0780be60176c15da4a1728f69c7b26cef0c48e44d24d7fbd"
+        "5bd6ebfa5a18ec288789ceea9e4152f894b5a670f3e41e69fd37f89e0e9dce2a"
     )
 
 
@@ -531,13 +533,13 @@ def test_edge_structure_consistency():
     assert g.geometric_edge_count * 2 == g.oriented_edge_count
     for eid, de in enumerate(g.edge_dual):
         assert g.edge_dual[de] == eid
-        assert g.edge_target[de] == g.edge_source(eid)
+        assert g.edge_target[de] == eid // k
         if de == eid:
-            assert g.edge_target[eid] == g.edge_source(eid)
+            assert g.edge_target[eid] == eid // k
     # matrix agrees with edge targets
     count = [[0] * g.n for _ in range(g.n)]
     for eid, w in enumerate(g.edge_target):
-        count[g.edge_source(eid)][w] += 1
+        count[eid // k][w] += 1
     assert g.brandt == tuple(tuple(r) for r in count)
 
 

@@ -1,21 +1,24 @@
-"""Edge realization, Euler characteristic, connectivity, coverings."""
+"""Edge reversal, Euler characteristic, connectivity, coverings, exports."""
+
+import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from isograph.enhanced import GraphBuilder, sigma1
+from isograph.enhanced import (
+    AdmissibilityError,
+    EnhancedGraph,
+    GraphBuildError,
+    GraphBuilder,
+    check_admissible,
+    sigma1,
+)
 from isograph.graph import (
     CoveringError,
-    Graph,
-    GraphRealizationError,
+    adjacency_connected,
     adjacency_csv,
     covering_map,
     euler_characteristic,
-    graph_from_adjacency,
-    graph_from_enhanced,
     is_bipartite,
-    is_connected,
     to_dot,
     verify_covering,
 )
@@ -25,140 +28,107 @@ def builder(p, l):
     return GraphBuilder(p, l, seed=0)
 
 
-# ------------------------------------------------------- plain realization
+def fixed(pairing):
+    return [e for e, r in enumerate(pairing) if r == e]
 
 
-def test_double_edge_realization():
-    g = graph_from_adjacency([[0, 2], [2, 0]])
-    assert g.oriented_edge_count == 4
-    assert g.geometric_edge_count == 2
-    assert g.fixed_edges == ()
-    assert euler_characteristic(g) == 0
-    assert is_connected(g)
-    assert is_bipartite(g)
-    for e in range(4):
-        assert g.src[g.inv[e]] == g.dst[e]
-
-
-def test_loop_realization():
-    g = graph_from_adjacency([[2]])
-    assert g.oriented_edge_count == 2
-    assert g.inv == (1, 0)
-    assert g.fixed_edges == ()
-    assert not is_bipartite(g)
-    assert euler_characteristic(g) == 0
-
-
-def test_from_adjacency_rejections():
-    with pytest.raises(GraphRealizationError):
-        graph_from_adjacency([[1]])  # odd loop count
-    with pytest.raises(GraphRealizationError):
-        graph_from_adjacency([[0, 1], [2, 0]])  # asymmetric
-    with pytest.raises(GraphRealizationError):
-        graph_from_adjacency([[0, -1], [-1, 0]])
-    with pytest.raises(GraphRealizationError):
-        graph_from_adjacency([[0, 1]])
-
-
-def test_post_init_rejects_inconsistent_edges():
-    with pytest.raises(GraphRealizationError):
-        Graph(
-            n=2,
-            src=(0, 1),
-            dst=(1, 0),
-            inv=(1, 0),
-            adjacency=((0, 0), (0, 0)),  # disagrees with edge list
-        )
-    with pytest.raises(GraphRealizationError):
-        Graph(
-            n=2,
-            src=(0, 1),
-            dst=(1, 0),
-            inv=(0, 1),  # fixes a non-loop
-            adjacency=((0, 1), (1, 0)),
-        )
+# ------------------------------------------------------------ matrix checks
 
 
 def test_connectivity_and_bipartite_small_cases():
     two_parts = [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
-    g = graph_from_adjacency(two_parts)
-    assert not is_connected(g)
-    assert is_bipartite(g)
+    assert not adjacency_connected(two_parts)
+    assert is_bipartite(two_parts)
 
-    path = graph_from_adjacency([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    assert is_connected(path) and is_bipartite(path)
+    path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    assert adjacency_connected(path) and is_bipartite(path)
 
-    triangle = graph_from_adjacency([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    assert is_connected(triangle) and not is_bipartite(triangle)
+    triangle = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    assert adjacency_connected(triangle) and not is_bipartite(triangle)
 
-    square = graph_from_adjacency(
-        [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
-    )
+    square = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
     assert is_bipartite(square)
 
+    assert not is_bipartite([[2]])  # a loop is an odd cycle
+    assert adjacency_connected([])
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=5).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
+
+# ------------------------------------------------------------- edge reversal
+
+
+def test_post_init_rejects_inconsistent_edges():
+    g = builder(13, 5).build(2)
+    dual = list(g.edge_dual)
+    e = next(e for e, w in enumerate(g.edge_target) if w != e // 6)
+    broken = {
+        "fixes a non-loop": dual[:e] + [e] + dual[e + 1 :],
+        "not an involution": [dual[1], dual[0]] + dual[2:],
+    }
+    for d in broken.values():
+        with pytest.raises(GraphBuildError, match="edge involution broken"):
+            EnhancedGraph(13, 5, 2, 0, g.class_labels, g.edge_target, tuple(d))
+
+
+def test_edge_reverse_over_acceptance_grid():
+    # an endpoint-reversing involution whose fixed edges are exactly one
+    # loop at each odd-diagonal vertex
+    graphs = 0
+    for p, l, N in itertools.product((13, 37, 61), (3, 5, 7), (1, 2, 3, 5, 6)):
+        try:
+            check_admissible(p, l, N)
+        except AdmissibilityError:
+            continue
+        eg = builder(p, l).build(N)
+        k, target, rev = eg.degree, eg.edge_target, eg.edge_reverse
+        for e, r in enumerate(rev):
+            assert rev[r] == e and target[r] == e // k, (p, l, N, e)
+        loops_fixed = fixed(rev)
+        assert [e // k for e in loops_fixed] == list(eg.parity_violations)
+        assert all(target[e] == e // k for e in loops_fixed)
+        # non-loop edges keep the dual-isogeny pairing
+        assert all(
+            rev[e] == eg.edge_dual[e] for e in range(len(rev)) if target[e] != e // k
         )
-    )
-)
-def test_symmetrized_matrices_always_realize(rows):
-    n = len(rows)
-    M = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
-    g = graph_from_adjacency(M)
-    total = sum(sum(r) for r in M)
-    assert g.oriented_edge_count == total
-    assert euler_characteristic(g) == n - total // 2
-    assert g.fixed_edges == ()
-
-
-# --------------------------------------------------- isogeny graph realization
+        graphs += 1
+    assert graphs == 36
 
 
 def test_realized_13_5_level1():
-    g = graph_from_enhanced(builder(13, 5).build(1))
-    assert g.n == 1
-    assert g.oriented_edge_count == 6
-    # the dual involution fixes two loops; re-pairing clears them
-    assert g.fixed_edges == ()
-    assert euler_characteristic(g) == -2  # (13-1)(1-5)/24
-    assert is_connected(g)
-    assert not is_bipartite(g)
-    assert g.is_regular() == 6
+    eg = builder(13, 5).build(1)
+    assert eg.n == 1
+    assert eg.oriented_edge_count == 6
+    # the dual involution fixes two loops; edge_reverse pairs them
+    assert len(fixed(eg.edge_dual)) == 2
+    assert fixed(eg.edge_reverse) == []
+    assert euler_characteristic(eg) == -2  # (13-1)(1-5)/24
+    assert adjacency_connected(eg.brandt)
+    assert not is_bipartite(eg.brandt)
 
 
 def test_realized_37_5_level1_keeps_forced_fixed_loops():
-    g = graph_from_enhanced(builder(37, 5).build(1))
-    assert g.n == 3
-    fixed = g.fixed_edges
-    assert len(fixed) == 2
-    assert sorted(g.src[e] for e in fixed) == [0, 1]  # the odd-diagonal vertices
-    for e in fixed:
-        assert g.src[e] == g.dst[e]
-    assert euler_characteristic(g) == -6  # (37-1)(1-5)/24
-    assert g.is_regular() == 6
+    eg = builder(37, 5).build(1)
+    assert eg.n == 3
+    kept = fixed(eg.edge_reverse)
+    assert len(kept) == 2
+    assert sorted(e // 6 for e in kept) == [0, 1]  # the odd-diagonal vertices
+    for e in kept:
+        assert eg.edge_target[e] == e // 6
+    assert euler_characteristic(eg) == -6  # (37-1)(1-5)/24
 
 
 def test_euler_characteristic_formula_across_levels():
     for p, l, N in ((13, 5, 2), (13, 5, 6), (13, 7, 3), (37, 3, 2), (61, 7, 1)):
         eg = builder(p, l).build(N)
-        g = graph_from_enhanced(eg)
-        nu = eg.n
-        assert euler_characteristic(g) == nu * (1 - l) // 2
+        assert euler_characteristic(eg) == eg.n * (1 - l) // 2
         if N == 1:
-            assert euler_characteristic(g) == (p - 1) * (1 - l) // 24
+            assert euler_characteristic(eg) == (p - 1) * (1 - l) // 24
 
 
 def test_realized_graphs_connected_nonbipartite():
     for p, l, N in ((13, 5, 6), (37, 7, 1), (61, 3, 1)):
-        g = graph_from_enhanced(builder(p, l).build(N))
-        assert is_connected(g)
-        assert not is_bipartite(g)
+        eg = builder(p, l).build(N)
+        assert adjacency_connected(eg.brandt)
+        assert not is_bipartite(eg.brandt)
 
 
 # --------------------------------------------------------------- coverings
@@ -214,13 +184,13 @@ def test_covering_rejections():
 
 def test_to_dot_and_csv():
     eg = builder(13, 5).build(2)
-    g = graph_from_enhanced(eg)
-    dot = to_dot(g)
+    dot = to_dot(eg)
     assert dot.startswith("graph isograph {")
     # a self-paired loop draws as its own stroke, so it counts fully here
-    f = len(g.fixed_edges)
-    assert dot.count(" -- ") == (g.oriented_edge_count - f) // 2 + f
+    f = len(fixed(eg.edge_reverse))
+    assert f == 2
+    assert dot.count(" -- ") == (eg.oriented_edge_count - f) // 2 + f
     assert 'label="j=5 C[2:0]"' in dot
-    csv = adjacency_csv(g)
+    csv = adjacency_csv(eg)
     parsed = [[int(x) for x in line.split(",")] for line in csv.strip().splitlines()]
     assert tuple(tuple(r) for r in parsed) == eg.brandt

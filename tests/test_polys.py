@@ -3,14 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from isograph.polys import (
-    IntPolynomial,
-    bareiss_det,
-    charpoly_int,
-    log_series,
-    poly_matrix_det,
-    ratfun_series,
-)
+from isograph.polys import IntPolynomial, bareiss_det, charpoly_int, poly_matrix_det
+from oracles import log_series, ratfun_series
 
 
 def P(*coeffs):

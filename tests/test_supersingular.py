@@ -11,7 +11,6 @@ from isograph.supersingular import (
     build_class_table,
     enumerate_supersingular,
     hasse_witt_polynomial,
-    two_isogeny_reachable,
 )
 
 
@@ -124,10 +123,35 @@ def test_class_of_j_lookup():
         table.class_of_j(table.field.element(3))
 
 
+# classical degree-2 modular polynomial: Phi_2(j, j') = 0 iff some
+# 2-isogeny joins curves with these j-invariants
+def phi2(x, y):
+    return (
+        x**3
+        + y**3
+        - x * x * y * y
+        + 1488 * (x * x * y + x * y * y)
+        - 162000 * (x * x + y * y)
+        + 40773375 * x * y
+        + 8748000000 * (x + y)
+        - 157464000000000
+    )
+
+
 @pytest.mark.parametrize("p", [13, 37, 61])
 def test_two_isogeny_closure_reaches_everything(p):
-    table = build_class_table(p)
-    assert two_isogeny_reachable(table) == list(range(table.class_count))
+    # the 2-isogeny graph on supersingular j-invariants is connected, so
+    # walking Phi_2 inside the table from class 0 must reach every class
+    js = build_class_table(p).js
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        ci = frontier.pop()
+        for cj, j in enumerate(js):
+            if cj not in seen and not phi2(js[ci], j):
+                seen.add(cj)
+                frontier.append(cj)
+    assert sorted(seen) == list(range(len(js)))
 
 
 def test_rejects_bad_primes():
