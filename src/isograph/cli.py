@@ -16,7 +16,6 @@ import os
 import re
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 from . import __version__
@@ -135,6 +134,8 @@ def load_graph_file(path: str) -> EnhancedGraph:
             data = json.load(fh)
     except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
         raise GraphFileError(f"{path}: undecodable: {e}") from None
+    except OSError as e:  # a directory or an unreadable file at the path
+        raise GraphFileError(f"{path}: unreadable: {e.strerror}") from None
     if not isinstance(data, dict) or data.get("format") != "isograph.graph.v1":
         raise GraphFileError(f"{path}: unknown format marker")
     try:
@@ -429,6 +430,8 @@ def cmd_verify(args) -> int:
     # order keeps each (p, l) contiguous: one task per (p, l) group
     groups = [list(g) for _, g in itertools.groupby(jobs, lambda c: (c.p, c.l))]
     if args.workers > 1 and len(groups) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = [r for group in pool.map(_verify_group, groups) for r in group]
     else:

@@ -1,6 +1,7 @@
 """Short Weierstrass curves over the field tower, with the machinery the
 graph builder needs: torsion bases, x-coordinate multiple lists, Velu
-quotients from a kernel's x-coordinates, and quadratic-twist
+quotients from a kernel's x-coordinates (Kohel's form over the kernel
+polynomial, a polys.Polynomial of FieldElements), and quadratic-twist
 normalization so the p^2-power Frobenius acts as the scalar -p on every
 working model.
 
@@ -33,6 +34,7 @@ from .fields import (
     is_prime,
     make_extension_field,
 )
+from .polys import Polynomial
 
 
 class CurveError(ValueError):
@@ -572,13 +574,14 @@ def velu_quotient(
     curve: EllipticCurve, xs: Sequence[FieldElement], r: int
 ) -> tuple[EllipticCurve, XMap]:
     """Codomain and degree-r x-map of the quotient by a cyclic kernel of
-    odd prime order r, by Velu's formulas from the kernel's
-    x-coordinates, one per +-pair of nonzero points.  Only the xs need lie
-    in the curve's field, and the formulas are symmetric in them.  They
-    are checked once, x-only, by one x_chain from xs[0] = x(P) with a
-    single batched inversion: x([h+1]P) = x([h]P) with h = (r - 1)/2 and
-    no identity before it, so P has order r, and the xs are exactly
-    x([k]P) for 1 <= k <= h."""
+    odd prime order r from the kernel's x-coordinates, one per +-pair of
+    nonzero points: Velu's x + sum [g'(x_i)/2 / (x - x_i) + g(x_i) / (x - x_i)^2]
+    in Kohel's closed form over the kernel polynomial k, that is
+    [(r x - 2 s_1) k^2 + g (k'^2 - k k'') - (g'/2) k k'] / k^2.  Only the xs
+    need lie in the curve's field.  They are checked once, x-only, by one
+    x_chain from xs[0] = x(P) with a single batched inversion:
+    x([h+1]P) = x([h]P) with h = (r - 1)/2 and no identity before it, so
+    P has order r, and the xs are exactly x([j]P) for 1 <= j <= h."""
     if r == 2 or not is_prime(r):
         raise CurveError(f"kernel order {r} is not an odd prime")
     f = curve.field
@@ -594,79 +597,31 @@ def velu_quotient(
         ok = multiples == {x.raw for x in xs}
     if not ok:
         raise CurveError(f"x-coordinates do not form an order-{r} kernel")
+    # k = prod (x - x_i), g = 4(x^3 + a x + b), s_j = sum x_i^j read from
+    # k's top coefficients; the numerator is monic (r - 2h = 1) of degree r
     a, b = curve.a, curve.b
-    one = f.one
-    v = f.zero
-    w = f.zero
-    us = []
-    vs = []
+    k = Polynomial([f.one])
     for xi in xs:
-        gx = 3 * xi * xi + a
-        ui = 4 * ((xi * xi + a) * xi + b)  # 4 y_i^2
-        vi = 2 * gx
-        us.append(ui)
-        vs.append(vi)
-        v = v + vi
-        w = w + ui + xi * vi
-    a2 = a - 5 * v
-    b2 = b - 7 * w
-    # denominator h^2 with h = prod (x - x_i); numerator assembled from
-    # x*h^2 + sum_i [ v_i h h_i + u_i h_i^2 ],  h_i = h/(x - x_i)
-    h = [one]
-    for xi in xs:
-        h = _fpoly_mul_linear(f, h, xi)
-    num = _fpoly_mul(f, [f.zero, one], _fpoly_mul(f, h, h))
-    for xi, ui, vi in zip(xs, us, vs):
-        hi = _fpoly_div_linear(f, h, xi)
-        term = _fpoly_scale(f, _fpoly_mul(f, h, hi), vi)
-        num = _fpoly_add(f, num, term)
-        term = _fpoly_scale(f, _fpoly_mul(f, hi, hi), ui)
-        num = _fpoly_add(f, num, term)
-    den = _fpoly_mul(f, h, h)
-    image = EllipticCurve(a2, b2)
-    return image, XMap(num, den, r)
-
-
-def _fpoly_mul_linear(f: Field, poly, root):
-    """poly * (x - root)."""
-    out = [f.zero] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i + 1] = out[i + 1] + c
-        out[i] = out[i] - c * root
-    return out
-
-
-def _fpoly_div_linear(f: Field, poly, root):
-    """poly / (x - root) for monic poly with that root (synthetic division)."""
-    n = len(poly) - 1
-    out = [f.zero] * n
-    acc = poly[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = acc
-        acc = poly[i] + acc * root
-    return out
-
-
-def _fpoly_mul(f: Field, a, b):
-    out = [f.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _fpoly_add(f: Field, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return out
-
-
-def _fpoly_scale(f: Field, a, c):
-    return [x * c for x in a]
+        k = k.shift(1) - k * xi
+    s1, e2, e3 = -k[h - 1], k[h - 2], -k[h - 3]
+    s2 = s1 * s1 - 2 * e2
+    s3 = s1 * (s2 - e2) + 3 * e3
+    a2 = a - 5 * (6 * s2 + 2 * h * a)
+    b2 = b - 7 * (10 * s3 + 6 * a * s1 + 4 * h * b)
+    g = Polynomial([4 * b, 4 * a, 0, 4])
+    half_dg = Polynomial([2 * a, 0, 6])
+    dk = k.derivative()
+    den = k * k
+    num = (
+        Polynomial([-2 * s1, r]) * den
+        + g * (dk * dk - k * dk.derivative())
+        - half_dg * (k * dk)
+    )
+    # a product leaves an int 0 where every term was zero
+    xmap = XMap(
+        [f.element(c) for c in num.coeffs], [f.element(c) for c in den.coeffs], r
+    )
+    return EllipticCurve(a2, b2), xmap
 
 
 def isomorphism_scale(src: EllipticCurve, dst: EllipticCurve) -> FieldElement | None:

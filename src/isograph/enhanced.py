@@ -42,6 +42,7 @@ from .curves import (
     torsion_field,
     translates,
     velu_quotient,
+    x_chain,
     x_double,
     x_multiples,
 )
@@ -394,8 +395,9 @@ class GraphBuilder:
         (a) every image lies in the target table; (b) the r + 1 indices
         are distinct, since an isogeny of degree prime to r is a bijection
         on order-r subgroups; (c) for r >= 5, the map commutes with x-only
-        doubling at one pushed point.  For r = 2 doubling is a pole and for
-        r = 3 it fixes x, so those rows rest on (a) and (b)."""
+        doubling at one pushed point (on the target side without an
+        inversion).  For r = 2 doubling is a pole and for r = 3 it fixes x,
+        so those rows rest on (a) and (b)."""
         key = (ci, t, r)
         row = self._push_rows.get(key)
         if row is not None:
@@ -420,7 +422,9 @@ class GraphBuilder:
                 f"arrow ({ci},{t}) at r={r} is not a bijection on subgroups"
             )
         if check_doubling:
-            if x_double(self._lifted_model(target, r), pushed[0]) != pushed[-1]:
+            model = self._lifted_model(target, r)
+            X, Z = x_chain(model, pushed[0], 2)[1]
+            if X != model.field.mul_t(pushed[-1].raw, Z):
                 raise GraphBuildError(
                     f"arrow ({ci},{t}) at r={r} does not commute with doubling"
                 )

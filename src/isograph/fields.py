@@ -414,28 +414,26 @@ class Field:
             raise NoSquareRoot(
                 f"{self.unpack(a)} is not a square in F_{self.p}^{self.deg}"
             )
-        if q % 4 == 3:
-            r = self.pow_t(a, (q + 1) // 4)
-        else:
-            # Tonelli-Shanks with the canonical non-residue
-            m = q - 1
-            s = (m & -m).bit_length() - 1
-            m >>= s
-            c = self.pow_t(self.nonresidue_t(), m)
-            r = self.pow_t(a, (m + 1) // 2)
-            t = self.pow_t(a, m)
-            while t != 1:
-                t2, i = t, 0
-                while t2 != 1:
-                    t2 = self.sq_t(t2)
-                    i += 1
-                b = c
-                for _ in range(s - i - 1):
-                    b = self.sq_t(b)
-                r = self.mul_t(r, b)
-                c = self.sq_t(b)
-                t = self.mul_t(t, c)
-                s = i
+        # Tonelli-Shanks with the canonical non-residue; for q = 3 mod 4
+        # (s = 1) the loop never runs and r = a^((q+1)/4)
+        m = q - 1
+        s = (m & -m).bit_length() - 1
+        m >>= s
+        c = self.pow_t(self.nonresidue_t(), m)
+        r = self.pow_t(a, (m + 1) // 2)
+        t = self.pow_t(a, m)
+        while t != 1:
+            t2, i = t, 0
+            while t2 != 1:
+                t2 = self.sq_t(t2)
+                i += 1
+            b = c
+            for _ in range(s - i - 1):
+                b = self.sq_t(b)
+            r = self.mul_t(r, b)
+            c = self.sq_t(b)
+            t = self.mul_t(t, c)
+            s = i
         return min(r, self.neg_t(r), key=self.unpack)
 
     def __repr__(self) -> str:

@@ -1,6 +1,7 @@
-"""Exact integer polynomials and integer linear algebra.
+"""The one dense polynomial type, and exact integer linear algebra.
 
-Everything here is exact: polynomial coefficients are Python ints.
+Polynomial holds Python ints (characteristic and zeta polynomials) or
+the FieldElements of one field (Velu x-maps); everything here is exact.
 Characteristic polynomials of integer matrices use a CRT of word-size
 primes with numpy-backed Hessenberg reduction; this is the one
 determinant the zeta pipeline calls.  Fraction-free Bareiss elimination
@@ -19,15 +20,16 @@ import numpy as np
 from .fields import is_prime
 
 
-class IntPolynomial:
-    """Dense integer polynomial, coefficients ascending, trailing zeros
-    stripped (the zero polynomial has an empty coefficient tuple)."""
+class Polynomial:
+    """Dense polynomial over the ints or one field's FieldElements,
+    coefficients ascending, trailing zeros stripped (the zero polynomial
+    has an empty coefficient tuple)."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+    def __init__(self, coeffs: Iterable = ()):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -41,43 +43,43 @@ class IntPolynomial:
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPolynomial(out)
+        return Polynomial(out)
 
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
         out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             out[i] -= c
-        return IntPolynomial(out)
+        return Polynomial(out)
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self.coeffs)
+    def __neg__(self) -> "Polynomial":
+        return Polynomial(-c for c in self.coeffs)
 
-    def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial(c * other for c in self.coeffs)
+    def __mul__(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):  # a scalar
+            return Polynomial(c * other for c in self.coeffs)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return IntPolynomial()
+            return Polynomial()
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return IntPolynomial(out)
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "IntPolynomial":
+    def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = IntPolynomial([1])
+        result = Polynomial([1])
         base = self
         while e:
             if e & 1:
@@ -92,14 +94,17 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def shift(self, k: int) -> "IntPolynomial":
+    def derivative(self) -> "Polynomial":
+        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i)
+
+    def shift(self, k: int) -> "Polynomial":
         """Multiply by t^k."""
         if self.is_zero():
             return self
-        return IntPolynomial((0,) * k + self.coeffs)
+        return Polynomial((0,) * k + self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, IntPolynomial):
+        if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
         return NotImplemented
 
@@ -107,7 +112,7 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"IntPolynomial({list(self.coeffs)})"
+        return f"Polynomial({list(self.coeffs)})"
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +149,20 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def poly_matrix_det(matrix: Sequence[Sequence[IntPolynomial]]) -> IntPolynomial:
+def poly_matrix_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Determinant of a matrix of integer polynomials by evaluation at
     integer points and Lagrange interpolation; each evaluation is a Bareiss
     determinant, so the whole computation is exact."""
     n = len(matrix)
     if n == 0:
-        return IntPolynomial([1])
+        return Polynomial([1])
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
     deg_bound = 0
     for row in matrix:
         deg_bound += max((e.degree for e in row), default=-1)
     if deg_bound < 0:
-        return IntPolynomial()  # some row is entirely zero
+        return Polynomial()  # some row is entirely zero
     points: list[int] = [0]
     v = 1
     while len(points) < deg_bound + 1:
@@ -171,7 +176,7 @@ def poly_matrix_det(matrix: Sequence[Sequence[IntPolynomial]]) -> IntPolynomial:
     return _lagrange_int(points, values)
 
 
-def _lagrange_int(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
+def _lagrange_int(xs: Sequence[int], ys: Sequence[int]) -> Polynomial:
     n = len(xs)
     coeffs = [Fraction(0)] * n
     for i in range(n):
@@ -194,7 +199,7 @@ def _lagrange_int(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
             coeffs[k] += c * scale
     if any(c.denominator != 1 for c in coeffs):
         raise ArithmeticError("interpolation did not produce integers")
-    return IntPolynomial(int(c) for c in coeffs)
+    return Polynomial(int(c) for c in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +244,8 @@ def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
     h = _hessenberg_mod(np.array(a % p, dtype=np.int64), p)
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
+    # at step m, prods[i - 1] = h[i, i-1] h[i+1, i] ... h[m-1, m-2]
+    prods = np.zeros(0, dtype=np.int64)
     for m in range(1, n + 1):
         hm = int(h[m - 1, m - 1])
         new = np.zeros(n + 1, dtype=np.int64)
@@ -246,11 +253,8 @@ def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
         new[1 : m + 1] = pm1[0:m]
         new[0:m] = (new[0:m] - hm * pm1[0:m]) % p
         if m >= 2:
-            w = np.zeros(m - 1, dtype=np.int64)
-            prod = 1
-            for i in range(m - 1, 0, -1):
-                prod = prod * int(h[i, i - 1]) % p
-                w[i - 1] = int(h[i - 1, m - 1]) * prod % p
+            prods = np.append(prods, 1) * h[m - 1, m - 2] % p
+            w = h[: m - 1, m - 1] * prods % p
             if np.any(w):
                 s = (w @ polys[0 : m - 1, 0:m]) % p
                 new[0:m] = (new[0:m] - s) % p
@@ -258,13 +262,13 @@ def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
     return polys[n] % p
 
 
-def charpoly_int(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
+def charpoly_int(matrix: Sequence[Sequence[int]]) -> Polynomial:
     """det(xI - A) exactly, for integer A.  Gershgorin bounds the eigenvalues,
     so (1 + max row sum)^n bounds every coefficient; enough CRT primes are
     used to cover twice that."""
     n = len(matrix)
     if n == 0:
-        return IntPolynomial([1])
+        return Polynomial([1])
     if any(len(row) != n for row in matrix):
         raise ValueError("characteristic polynomial of a non-square matrix")
     rowmax = max(sum(abs(int(x)) for x in row) for row in matrix)
@@ -293,4 +297,4 @@ def charpoly_int(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
         if x > m // 2:
             x -= m
         coeffs.append(x)
-    return IntPolynomial(coeffs)
+    return Polynomial(coeffs)

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polys import IntPolynomial, charpoly_int
+from .polys import Polynomial, charpoly_int
 
 # LAPACK's top eigenvalue may miss the exact degree by rounding, no more
 EIGVALSH_TOL = 1e-9
@@ -51,7 +51,7 @@ def _sign(a: int, b: int, d: int) -> int:
     return (1 if a > 0 else -1) * ((a * a > d * b * b) - (a * a < d * b * b))
 
 
-def count_roots(poly: IntPolynomial, u: int, v=0, w=1, d=0) -> tuple[int, int]:
+def count_roots(poly: Polynomial, u: int, v=0, w=1, d=0) -> tuple[int, int]:
     """Roots of `poly` above and on the threshold (u + v sqrt d) / w, w > 0,
     with multiplicity, for a polynomial whose roots are all real.
 
@@ -81,7 +81,7 @@ class Spectrum:
 
     eigenvalues: tuple[float, ...]
     degree: int
-    charpoly: IntPolynomial
+    charpoly: Polynomial
 
     @property
     def n(self) -> int:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .enhanced import EnhancedGraph, GraphBuilder
 from .graph import adjacency_connected
-from .polys import IntPolynomial, charpoly_int
+from .polys import Polynomial, charpoly_int
 
-ONE_MINUS_T2 = IntPolynomial([1, 0, -1])
+ONE_MINUS_T2 = Polynomial([1, 0, -1])
 
 # most oriented edges the edge-matrix oracle takes in verify
 ORACLE_EDGE_LIMIT = 30
@@ -33,17 +33,17 @@ class ZetaFunction:
     reduced numerator and denominator follow from them in closed form."""
 
     chi: int
-    det_part: IntPolynomial
+    det_part: Polynomial
 
-    def inverse_polynomial(self) -> IntPolynomial:
+    def inverse_polynomial(self) -> Polynomial:
         """1/Z as an integer polynomial (chi <= 0 for every G_p^(l)(N))."""
         return (ONE_MINUS_T2 ** (-self.chi)) * self.det_part
 
-    def _reduced(self) -> tuple[IntPolynomial, IntPolynomial]:
+    def _reduced(self) -> tuple[Polynomial, Polynomial]:
         """Z in lowest terms with the denominator's leading coefficient
         positive.  Z = 1/(1/Z) and 1/Z has constant term 1, so no common
         factor or content cancels and only the sign is left to normalize."""
-        one = IntPolynomial([1])
+        one = Polynomial([1])
         den = self.inverse_polynomial()
         return (-one, -den) if den.coeffs[-1] < 0 else (one, den)
 
@@ -57,13 +57,13 @@ class ZetaFunction:
         }
 
 
-def _det_part_charpoly(c: IntPolynomial, l: int) -> IntPolynomial:
+def _det_part_charpoly(c: Polynomial, l: int) -> Polynomial:
     """det(I - At + l t^2 I) = sum_j c_j t^(n-j) (1 + l t^2)^j where
     c = det(xI - A) = sum_j c_j x^j."""
     n = c.degree
-    base = IntPolynomial([1, 0, l])
-    total = IntPolynomial()
-    power = IntPolynomial([1])
+    base = Polynomial([1, 0, l])
+    total = Polynomial()
+    power = Polynomial([1])
     for j in range(n + 1):
         cj = c[j]
         if cj:
@@ -72,7 +72,7 @@ def _det_part_charpoly(c: IntPolynomial, l: int) -> IntPolynomial:
     return total
 
 
-def ihara_zeta(eg: EnhancedGraph, charpoly: IntPolynomial | None = None) -> ZetaFunction:
+def ihara_zeta(eg: EnhancedGraph, charpoly: Polynomial | None = None) -> ZetaFunction:
     """Exact zeta of a connected graph: det(I - At + l t^2 I) expanded
     from the characteristic polynomial of A (`charpoly` when the caller
     already holds it, as Spectrum.charpoly, else charpoly_int(A))."""
@@ -83,7 +83,7 @@ def ihara_zeta(eg: EnhancedGraph, charpoly: IntPolynomial | None = None) -> Zeta
     return ZetaFunction(chi=chi, det_part=_det_part_charpoly(c, eg.l))
 
 
-def edge_matrix_zeta(eg: EnhancedGraph) -> IntPolynomial:
+def edge_matrix_zeta(eg: EnhancedGraph) -> Polynomial:
     """det(I - tT) for the edge-transition matrix T[e][f] = 1 iff e feeds
     into f and f is not the reversal edge_reverse[e].  Independent of the
     Bass route: one characteristic polynomial of the n(l+1)-square 0/1
@@ -98,7 +98,7 @@ def edge_matrix_zeta(eg: EnhancedGraph) -> IntPolynomial:
         ]
         for e in range(m)
     ]
-    return IntPolynomial(reversed(charpoly_int(T).coeffs))
+    return Polynomial(reversed(charpoly_int(T).coeffs))
 
 
 # ------------------------------------------------------------- reciprocity

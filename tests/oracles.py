@@ -13,12 +13,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from isograph.enhanced import EnhancedGraph
-from isograph.polys import IntPolynomial
+from isograph.polys import Polynomial
 from isograph.zeta import ORACLE_EDGE_LIMIT, ZetaError, ZetaFunction
 
 
 def ratfun_series(
-    num: IntPolynomial, den: IntPolynomial, order: int
+    num: Polynomial, den: Polynomial, order: int
 ) -> list[Fraction]:
     """Exact Taylor coefficients c_0..c_order of num/den at t=0; requires
     den(0) != 0."""
@@ -52,7 +52,7 @@ def log_series(coeffs: Sequence[Fraction]) -> list[Fraction]:
 
 def log_zeta_series(zeta: ZetaFunction, order: int) -> list[Fraction]:
     """log Z up to t^order, from Z = 1 / zeta.inverse_polynomial()."""
-    return log_series(ratfun_series(IntPolynomial([1]), zeta.inverse_polynomial(), order))
+    return log_series(ratfun_series(Polynomial([1]), zeta.inverse_polynomial(), order))
 
 
 def primitive_cycle_census(eg: EnhancedGraph, max_len: int = 6) -> dict[int, int]:

@@ -3,6 +3,7 @@ format: determinism, self-validation, exit codes, and the grid parser."""
 
 import hashlib
 import json
+import os
 import shutil
 from dataclasses import replace
 
@@ -194,6 +195,11 @@ def _set_target(value):
     return _rewrite(lambda d: d["edges"]["target"].__setitem__(0, value))
 
 
+def _directory_at_path(path, data):
+    os.remove(path)
+    os.mkdir(path)
+
+
 def _swap_first_duals(d):
     dual = d["edges"]["dual"]
     dual[0], dual[1] = dual[1], dual[0]
@@ -201,6 +207,7 @@ def _swap_first_duals(d):
 
 CORRUPTIONS = {
     "truncated": _truncate,
+    "directory_at_path": _directory_at_path,
     "missing_key": _rewrite(lambda d: d["edges"].pop("dual")),
     "target_out_of_range": _set_target(3),
     "target_not_int": _set_target("0"),

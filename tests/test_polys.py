@@ -1,14 +1,24 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from isograph.polys import IntPolynomial, bareiss_det, charpoly_int, poly_matrix_det
+from isograph.fields import make_extension_field
+from isograph.polys import (
+    Polynomial,
+    _charpoly_mod,
+    _crt_primes,
+    _hessenberg_mod,
+    bareiss_det,
+    charpoly_int,
+    poly_matrix_det,
+)
 from oracles import log_series, ratfun_series
 
 
 def P(*coeffs):
-    return IntPolynomial(coeffs)
+    return Polynomial(coeffs)
 
 
 def cofactor_det(matrix):
@@ -16,7 +26,7 @@ def cofactor_det(matrix):
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
-    acc = IntPolynomial()
+    acc = Polynomial()
     sign = 1
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
@@ -27,7 +37,7 @@ def cofactor_det(matrix):
 
 
 def random_poly(rng, max_deg=2):
-    return IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, max_deg) + 1)])
+    return Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, max_deg) + 1)])
 
 
 def test_intpolynomial_basics():
@@ -39,10 +49,44 @@ def test_intpolynomial_basics():
     assert P(1, -6, 5)(1) == 0 and P(1, -6, 5)(2) == 9
 
 
+def test_derivative():
+    assert P(5, 3, -2, 4).derivative() == P(3, -4, 12)
+    assert P(7).derivative().is_zero() and P().derivative().is_zero()
+    rng = random.Random(3)
+    for _ in range(20):
+        a, b = random_poly(rng, 4), random_poly(rng, 4)
+        assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+
+
+def test_field_coefficients_over_f13_2():
+    f = make_extension_field(13, 2)
+    rng = random.Random(7)
+
+    def rand_poly(deg):
+        return Polynomial(f.element(rng.sample(range(13), 2)) for _ in range(deg + 1))
+
+    x = Polynomial([f.zero, f.one])
+    # a product leaves an int 0 where every term was zero
+    assert (x * x).coeffs[:2] == (0, 0)
+    assert [f.element(c) for c in (x * x).coeffs] == [f.zero, f.zero, f.one]
+    # in characteristic 13, (x^13)' = 13 x^12 vanishes and is stripped
+    assert (x**13 + x).derivative().coeffs == (f.one,)
+    for _ in range(10):
+        a, b = rand_poly(rng.randint(0, 4)), rand_poly(rng.randint(0, 4))
+        c = f.element(rng.sample(range(13), 2))
+        t = f.element(rng.sample(range(13), 2))
+        assert (a * b)(t) == a(t) * b(t)
+        assert (a + b)(t) == a(t) + b(t) and (a - b)(t) == a(t) - b(t)
+        assert (a * c)(t) == a(t) * c and (3 * a)(t) == 3 * a(t)
+        assert a.shift(2)(t) == a(t) * t * t
+        assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+        assert (a - a).is_zero()
+
+
 def test_poly_matrix_det_trivial_cases():
     one_by_one = [[P(1, -6, 5)]]
     assert poly_matrix_det(one_by_one) == P(1, -6, 5)
-    diag = [[P(1, -1), IntPolynomial()], [IntPolynomial(), P(1, -5)]]
+    diag = [[P(1, -1), Polynomial()], [Polynomial(), P(1, -5)]]
     assert poly_matrix_det(diag) == P(1, -1) * P(1, -5)
 
 
@@ -66,7 +110,7 @@ def test_bareiss_vs_cofactor_ints():
     for _ in range(40):
         n = rng.randint(1, 5)
         m = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
-        as_polys = [[IntPolynomial([e]) for e in row] for row in m]
+        as_polys = [[Polynomial([e]) for e in row] for row in m]
         expect = cofactor_det(as_polys) if n <= 4 else None
         got = bareiss_det(m)
         if expect is not None:
@@ -92,9 +136,35 @@ def test_charpoly_known_and_cross_route():
         assert charpoly_int(a) == poly_matrix_det(m)
 
 
-def test_charpoly_large_vs_float_eigenvalues():
-    import numpy as np
+def charpoly_mod_loop(a, p):
+    """Reference: the Hessenberg recurrence with the subdiagonal products
+    taken one Python int at a time."""
+    n = len(a)
+    h = _hessenberg_mod(np.array(a, dtype=np.int64) % p, p).tolist()
+    polys = [[1]]
+    for m in range(1, n + 1):
+        new = [0] + polys[m - 1]
+        for i, c in enumerate(polys[m - 1]):
+            new[i] -= h[m - 1][m - 1] * c
+        prod = 1
+        for i in range(m - 1, 0, -1):
+            prod = prod * h[i][i - 1] % p
+            for j, c in enumerate(polys[i - 1]):
+                new[j] -= h[i - 1][m - 1] * prod * c
+        polys.append([c % p for c in new])
+    return polys[n]
 
+
+def test_charpoly_mod_matches_loop_recurrence():
+    rng = random.Random(23)
+    for n in (1, 2, 3, 7, 19, 40):
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        for p in _crt_primes(2):
+            got = _charpoly_mod(np.array(a, dtype=np.int64), p).tolist()
+            assert got == charpoly_mod_loop(a, p)
+
+
+def test_charpoly_large_vs_float_eigenvalues():
     rng = random.Random(3)
     n = 40
     a = [[0] * n for _ in range(n)]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from isograph.cli import parse_grid
 from isograph.enhanced import GraphBuilder, vertex_count
-from isograph.polys import IntPolynomial
+from isograph.polys import Polynomial
 from isograph.spectral import (
     SpectralError,
     Spectrum,
@@ -100,7 +100,7 @@ def test_spectrum_37_5():
     assert max(abs(a - b) for a, b in zip(s.eigenvalues, expect)) < 1e-9
     assert abs(s.lambda_star - 2.0) < 1e-9
     assert abs(s.laplacian_gap - 6.0) < 1e-9
-    assert s.charpoly == IntPolynomial([0, -12, -4, 1])  # x (x - 6) (x + 2)
+    assert s.charpoly == Polynomial([0, -12, -4, 1])  # x (x - 6) (x + 2)
     rep = ramanujan_report(s, 5)
     assert rep.ok and rep.connected and rep.gap_floor
     assert abs(rep.bound - 2 * math.sqrt(5)) < 1e-12
@@ -127,9 +127,9 @@ def test_nonregular_rejected():
 
 def poly_with_roots(*factors):
     """Product of integer polynomials given as ascending coefficient lists."""
-    out = IntPolynomial([1])
+    out = Polynomial([1])
     for f in factors:
-        out = out * IntPolynomial(f)
+        out = out * Polynomial(f)
     return out
 
 

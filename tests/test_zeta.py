@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from isograph.enhanced import EnhancedGraph, GraphBuilder
-from isograph.polys import IntPolynomial, charpoly_int, poly_matrix_det
+from isograph.polys import Polynomial, charpoly_int, poly_matrix_det
 from isograph.spectral import spectrum
 from isograph.zeta import (
     ZetaError,
@@ -26,10 +26,10 @@ def builder(p, l):
     return GraphBuilder(p, l, seed=0)
 
 
-def edge_log_series(edge_det: IntPolynomial, order: int):
+def edge_log_series(edge_det: Polynomial, order: int):
     """log of the edge zeta 1/det(I - tT); the census counts exactly its
     derivative coefficients, fixed loops or not."""
-    return log_series(ratfun_series(IntPolynomial([1]), edge_det, order))
+    return log_series(ratfun_series(Polynomial([1]), edge_det, order))
 
 
 def bass_matrix(A):
@@ -37,9 +37,9 @@ def bass_matrix(A):
     n = len(A)
     return [
         [
-            IntPolynomial([1, -A[i][i], sum(A[i]) - 1])
+            Polynomial([1, -A[i][i], sum(A[i]) - 1])
             if i == j
-            else IntPolynomial([0, -A[i][j]])
+            else Polynomial([0, -A[i][j]])
             for j in range(n)
         ]
         for i in range(n)
@@ -56,7 +56,7 @@ def edge_reference(eg):
     return poly_matrix_det(
         [
             [
-                IntPolynomial(
+                Polynomial(
                     [1 if e == f else 0,
                      -1 if eg.edge_target[e] == f // k and f != eg.edge_reverse[e] else 0]
                 )
@@ -120,8 +120,8 @@ def test_bass_identity_with_fixed_loops_needs_correction():
         half = f // 2
         # edge / bass == ((1+t) / (1-t))^half, cross-multiplied
         assert (
-            edge * IntPolynomial([1, -1]) ** half
-            == bass * IntPolynomial([1, 1]) ** half
+            edge * Polynomial([1, -1]) ** half
+            == bass * Polynomial([1, 1]) ** half
         ), (p, l, N)
 
 
