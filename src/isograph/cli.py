@@ -33,16 +33,14 @@ from .enhanced import (
 from .fields import NotInSubfield, make_extension_field
 from .graph import (
     CoveringError,
-    adjacency_connected,
     adjacency_csv,
     covering_map,
     euler_characteristic,
-    is_bipartite,
     to_dot,
     verify_covering,
 )
 from .spectral import SpectralError, cheeger_constant, cheeger_sandwich
-from .spectral import ramanujan_report, spectrum
+from .spectral import is_bipartite, ramanujan_report, spectrum
 from .supersingular import ClassTableError
 from .zeta import ORACLE_EDGE_LIMIT, ZetaError, edge_matrix_zeta, ihara_zeta
 from .zeta import reciprocity_check
@@ -213,11 +211,10 @@ def verify_graph(eg: EnhancedGraph, cfg: JobConfig, graphs: dict | None = None) 
     if eg.parity_violations:
         detail["even_diagonal"] = list(eg.parity_violations)
 
-    checks["connected"] = adjacency_connected(eg.brandt)
-    checks["non_bipartite"] = not is_bipartite(eg.brandt)
-
     spec = spectrum(eg)
     rep = ramanujan_report(spec, l)
+    checks["connected"] = rep.connected
+    checks["non_bipartite"] = not is_bipartite(spec.charpoly)
     checks["ramanujan_window"] = rep.ok
     detail["lambda_star"] = rep.lambda_star
     detail["ramanujan_bound"] = rep.bound

@@ -12,7 +12,9 @@ sampled on the quadratic twist, where they become rational.
 
 Affine points carry FieldElements; the inner loops (scalar multiplication,
 multiple chains, x-map evaluation) run on the field's raw packed ints, in
-Jacobian coordinates for the chains, and wrap the results at the edges.
+Jacobian coordinates for scalar multiples and translates and on the
+x-line (x_chain's (X : Z) pairs) for x-coordinate multiples, and wrap the
+results at the edges.
 """
 
 from __future__ import annotations
@@ -215,16 +217,6 @@ def _jac_point(curve: EllipticCurve, P, iz=None) -> Point:
     return Point(curve, FieldElement(f, x), FieldElement(f, y))
 
 
-def _jac_chain(f: Field, at, chain: list, xt, yt, count: int) -> list:
-    """Extend a Jacobian chain to `count` points, each the last plus
-    (xt, yt); none may be the identity."""
-    for _ in range(count - len(chain)):
-        chain.append(_jac_add_mixed(f, at, chain[-1], xt, yt))
-    if not all(P[2] for P in chain):
-        raise CurveError("hit the identity: count >= point order")
-    return chain
-
-
 def scalar_mul(n: int, P: Point) -> Point:
     """n*P by Jacobian double-and-add with a single final inversion."""
     curve = P.curve
@@ -246,24 +238,17 @@ def scalar_mul(n: int, P: Point) -> Point:
 def x_multiples(P: Point, count: int) -> list[FieldElement]:
     """[x(P), x(2P), ..., x(count*P)]; requires count < ord(P).
 
-    The chain runs in Jacobian coordinates and normalizes all x-coordinates
-    with one batched inversion.
-    """
+    One x_chain from x(P), normalized with one batched inversion."""
     if P.x is None:
         raise CurveError("x_multiples of the identity")
     if count < 1:
         return []
     f = P.curve.field
-    at = P.curve.a.raw
-    xt, yt = P.x.raw, P.y.raw
-    chain = [(xt, yt, 1)]
-    if count >= 2:
-        chain.append(_jac_dbl(f, at, chain[0]))
-    chain = _jac_chain(f, at, chain, xt, yt, count)
-    invs = f.batch_inv_t([Z for _, _, Z in chain])
-    return [
-        FieldElement(f, f.mul_t(X, f.sq_t(iz))) for (X, _, _), iz in zip(chain, invs)
-    ]
+    chain = x_chain(P.curve, P.x, count)
+    if not all(Z for _, Z in chain):
+        raise CurveError("hit the identity: count >= point order")
+    invs = f.batch_inv_t([Z for _, Z in chain])
+    return [FieldElement(f, f.mul_t(X, iz)) for (X, _), iz in zip(chain, invs)]
 
 
 def translates(Q: Point, P: Point, count: int) -> list[Point]:
@@ -271,8 +256,12 @@ def translates(Q: Point, P: Point, count: int) -> list[Point]:
     batched inversion; none may be the identity."""
     curve = Q.curve
     f = curve.field
-    start = [(Q.x.raw, Q.y.raw, 1)]
-    chain = _jac_chain(f, curve.a.raw, start, P.x.raw, P.y.raw, count)
+    at, xt, yt = curve.a.raw, P.x.raw, P.y.raw
+    chain = [(Q.x.raw, Q.y.raw, 1)]
+    for _ in range(count - 1):
+        chain.append(_jac_add_mixed(f, at, chain[-1], xt, yt))
+    if not all(S[2] for S in chain):
+        raise CurveError("hit the identity: count >= point order")
     invs = f.batch_inv_t([Z for _, _, Z in chain])
     return [_jac_point(curve, S, iz) for S, iz in zip(chain, invs)]
 
@@ -295,10 +284,11 @@ def x_chain(curve: EllipticCurve, x: FieldElement, count: int) -> list[tuple[int
     two_b = f.smul_t(2, bt)
     while len(chain) < count:
         (XD, ZD), (X1, Z1) = chain[-2], chain[-1]
-        S = f.add_t(X1, f.mul_t(xt, Z1))
+        xZ1 = f.mul_t(xt, Z1)
+        S = f.add_t(X1, xZ1)
         T = f.add_t(f.mul_t(xt, X1), f.mul_t(at, Z1))
         U = f.smul_t(2, f.add_t(f.mul_t(S, T), f.mul_t(two_b, f.sq_t(Z1))))
-        D2 = f.sq_t(f.sub_t(X1, f.mul_t(xt, Z1)))
+        D2 = f.sq_t(f.sub_t(X1, xZ1))
         chain.append((f.sub_t(f.mul_t(ZD, U), f.mul_t(XD, D2)), f.mul_t(ZD, D2)))
     return chain[:count]
 

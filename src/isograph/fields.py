@@ -485,6 +485,9 @@ class FieldElement:
         return FieldElement(self.field, self.field.sub_t(t, self.raw))
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            # a constant has no word above x^0, so its product needs no fold
+            return FieldElement(self.field, self.field.smul_t(other, self.raw))
         t = self._coerce(other)
         if t is NotImplemented:
             return NotImplemented

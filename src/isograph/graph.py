@@ -1,9 +1,10 @@
-"""Graph-level checks, coverings and exports of an EnhancedGraph.
+"""The Euler characteristic, covering maps and exports of an EnhancedGraph.
 
-Connectivity and bipartiteness read only the adjacency matrix; the Euler
-characteristic, the covering maps and the DOT/CSV exports read the
-EnhancedGraph itself: oriented edge e runs from e // (l+1) to
-edge_target[e], and edge_reverse pairs it with its reversal.
+All of them read the EnhancedGraph itself: oriented edge e runs from
+e // (l+1) to edge_target[e], and edge_reverse pairs it with its
+reversal.  Connectivity and bipartiteness are spectral facts, decided
+from the characteristic polynomial (spectral.is_connected,
+spectral.is_bipartite).
 """
 
 from __future__ import annotations
@@ -20,48 +21,6 @@ class CoveringError(ValueError):
 def euler_characteristic(eg: EnhancedGraph) -> int:
     """Vertices minus geometric edges."""
     return eg.n - eg.geometric_edge_count
-
-
-def adjacency_connected(matrix) -> bool:
-    """Depth-first reachability from vertex 0 over the nonzero entries of
-    a square adjacency matrix; the empty graph counts as connected."""
-    n = len(matrix)
-    if n == 0:
-        return True
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w, c in enumerate(matrix[v]):
-            if c and not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return all(seen)
-
-
-def is_bipartite(matrix) -> bool:
-    """Two-colouring of a square adjacency matrix; a loop is an odd cycle."""
-    n = len(matrix)
-    color = [-1] * n
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if matrix[v][v]:
-                return False
-            for w, c in enumerate(matrix[v]):
-                if not c:
-                    continue
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
 
 
 # ------------------------------------------------------------- coverings

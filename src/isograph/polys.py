@@ -13,6 +13,7 @@ the CRT route against.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -262,17 +263,27 @@ def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
     return polys[n] % p
 
 
+def _coefficient_bound(n: int, frob2: int) -> int:
+    """An integer at least every |c_k| of det(xI - A), x^(n-k) c_k, for an
+    n-square A with sum of squared entries frob2 = T.  Schur gives
+    sum |lambda_i|^2 <= T, and Maclaurin's inequality with the power means
+    then |c_k| <= C(n, k) (T/n)^(k/2), which c I attains; the square root
+    of max_k ceil(C(n, k)^2 T^k / n^k), rounded up."""
+    top = max(-(-comb(n, k) ** 2 * frob2**k // n**k) for k in range(n + 1))
+    root = isqrt(top)
+    return root if root * root == top else root + 1
+
+
 def charpoly_int(matrix: Sequence[Sequence[int]]) -> Polynomial:
-    """det(xI - A) exactly, for integer A.  Gershgorin bounds the eigenvalues,
-    so (1 + max row sum)^n bounds every coefficient; enough CRT primes are
-    used to cover twice that."""
+    """det(xI - A) exactly, for integer A, by CRT over enough word-size
+    primes that their product exceeds twice _coefficient_bound."""
     n = len(matrix)
     if n == 0:
         return Polynomial([1])
     if any(len(row) != n for row in matrix):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    rowmax = max(sum(abs(int(x)) for x in row) for row in matrix)
-    bound = 2 * (1 + rowmax) ** n
+    frob2 = sum(int(x) ** 2 for row in matrix for x in row)
+    bound = 2 * _coefficient_bound(n, frob2)
     primes = []
     prod = 1
     k = 1

@@ -1,10 +1,14 @@
 """Spectra of adjacency matrices and expansion measures.
 
-Every verdict is exact: count_roots counts the roots of the integer
-characteristic polynomial (polys.charpoly_int) above and on a threshold
-in Q(sqrt l).  LAPACK eigenvalues (`numpy.linalg.eigvalsh`) are for
-display only: lambda*, the Ramanujan bound, the Laplacian gap and the
-float Cheeger bounds.  The Cheeger constant h is enumerated in integers.
+Every verdict is exact and reads the integer characteristic polynomial
+P = det(xI - A) (polys.charpoly_int).  This module holds the one
+definition of connectivity (is_connected: P'(k) != 0 for A k-regular)
+and of bipartiteness (is_bipartite: P(-x) = +-P(x)), each one pass over
+P's coefficients.  The other verdicts count the roots of P above and on
+a threshold in Q(sqrt l) (count_roots).  LAPACK eigenvalues
+(`numpy.linalg.eigvalsh`) are for display only: lambda*, the Ramanujan
+bound, the Laplacian gap and the float Cheeger bounds.  The Cheeger
+constant h is enumerated in integers.
 
 For a k-regular graph, k = l + 1 and gap = k - lambda_1, Dodziuk (1984)
 and Alon-Milman (1985) give gap/2 <= h <= sqrt(2k gap), and
@@ -74,6 +78,23 @@ def count_roots(poly: Polynomial, u: int, v=0, w=1, d=0) -> tuple[int, int]:
     return sum(s != t for s, t in zip(live, live[1:])), at
 
 
+def is_connected(charpoly: Polynomial, degree: int) -> bool:
+    """Connectivity of a `degree`-regular, symmetric, non-negative matrix
+    from its characteristic polynomial: `degree` is a root of multiplicity
+    the number of components, so the graph is connected exactly when the
+    derivative does not vanish there (one Horner pass)."""
+    return charpoly.derivative()(degree) != 0
+
+
+def is_bipartite(charpoly: Polynomial) -> bool:
+    """Bipartiteness of a symmetric, non-negative matrix (loops and
+    irregular rows allowed) from its characteristic polynomial: no odd
+    closed walk exists exactly when the spectrum is symmetric about 0, that
+    is when every coefficient of x^(n - j) with j odd is 0."""
+    n = charpoly.degree
+    return not any(c for j, c in enumerate(charpoly.coeffs) if (n - j) % 2)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Spectrum of a k-regular graph: the exact characteristic polynomial,
@@ -117,7 +138,7 @@ class RamanujanReport:
     bound: float
     lambda_star: float
     ok: bool  # exactly one |lambda| > 2 sqrt(l), namely l + 1
-    connected: bool  # l + 1 is a simple eigenvalue
+    connected: bool  # is_connected: l + 1 is a simple eigenvalue
     gap_floor: bool  # lambda_1 <= 2 sqrt(l), so gap >= (sqrt l - 1)^2
 
 
@@ -134,7 +155,7 @@ def ramanujan_report(spec: Spectrum, l: int) -> RamanujanReport:
         bound=2.0 * math.sqrt(l),
         lambda_star=spec.lambda_star,
         ok=above == 1 and not_below + at == spec.n,
-        connected=count_roots(spec.charpoly, l + 1)[1] == 1,
+        connected=is_connected(spec.charpoly, spec.degree),
         gap_floor=above == 1,
     )
 

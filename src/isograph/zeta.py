@@ -1,12 +1,14 @@
 """Ihara zeta functions, exactly.
 
 G_p^(l)(N) is (l+1)-regular, so by Ihara-Bass 1/Z is (1 - t^2)^(-chi)
-times det(I - A t + l t^2 I), with chi = vertices minus geometric edges.
-Everything is integer arithmetic, and every determinant is one integer
-characteristic polynomial (polys.charpoly_int): det(I - tM) is the
-characteristic polynomial of M with its coefficients reversed.  The
-edge-matrix determinant over edge_reverse is the independent oracle that
-verify compares against.
+times det(I - A t + l t^2 I), with chi = graph.euler_characteristic
+(vertices minus geometric edges).  Everything is integer arithmetic, and
+every determinant is one integer characteristic polynomial
+(polys.charpoly_int): det(I - tM) is the characteristic polynomial of M
+with its coefficients reversed.  The polynomial of A also decides that
+the graph is connected (spectral.is_connected).  The edge-matrix
+determinant over edge_reverse is the independent oracle that verify
+compares against.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .enhanced import EnhancedGraph, GraphBuilder
-from .graph import adjacency_connected
+from .graph import euler_characteristic
 from .polys import Polynomial, charpoly_int
+from .spectral import is_connected
 
 ONE_MINUS_T2 = Polynomial([1, 0, -1])
 
@@ -75,11 +78,12 @@ def _det_part_charpoly(c: Polynomial, l: int) -> Polynomial:
 def ihara_zeta(eg: EnhancedGraph, charpoly: Polynomial | None = None) -> ZetaFunction:
     """Exact zeta of a connected graph: det(I - At + l t^2 I) expanded
     from the characteristic polynomial of A (`charpoly` when the caller
-    already holds it, as Spectrum.charpoly, else charpoly_int(A))."""
-    if not adjacency_connected(eg.brandt):
-        raise ZetaError("zeta function needs a connected graph")
+    already holds it, as Spectrum.charpoly, else charpoly_int(A)), which
+    also decides connectivity (spectral.is_connected)."""
     c = charpoly_int(eg.brandt) if charpoly is None else charpoly
-    chi = eg.n - eg.geometric_edge_count
+    if not is_connected(c, eg.degree):
+        raise ZetaError("zeta function needs a connected graph")
+    chi = euler_characteristic(eg)
     return ZetaFunction(chi=chi, det_part=_det_part_charpoly(c, eg.l))
 
 

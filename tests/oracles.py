@@ -1,10 +1,14 @@
 """Independent oracles that only the tests compare against.
 
-The zeta pipeline itself computes 1/Z from the characteristic polynomial
-of the adjacency matrix (zeta.ihara_zeta) and checks it against the edge
-determinant (zeta.edge_matrix_zeta).  The oracles here count closed
-reduced paths on the edges directly and compare the counts with exact
-power series of Z, so a census never shares code with either route.
+The package decides connectivity and bipartiteness from the
+characteristic polynomial (spectral.is_connected, spectral.is_bipartite);
+adjacency_connected and is_bipartite here decide them by search on the
+matrix entries instead.  The zeta pipeline itself computes 1/Z from the
+characteristic polynomial of the adjacency matrix (zeta.ihara_zeta) and
+checks it against the edge determinant (zeta.edge_matrix_zeta).  The
+census oracles count closed reduced paths on the edges directly and
+compare the counts with exact power series of Z, so a census never
+shares code with either route.
 """
 
 from __future__ import annotations
@@ -15,6 +19,48 @@ from typing import Sequence
 from isograph.enhanced import EnhancedGraph
 from isograph.polys import Polynomial
 from isograph.zeta import ORACLE_EDGE_LIMIT, ZetaError, ZetaFunction
+
+
+def adjacency_connected(matrix) -> bool:
+    """Depth-first reachability from vertex 0 over the nonzero entries of
+    a square adjacency matrix; the empty graph counts as connected."""
+    n = len(matrix)
+    if n == 0:
+        return True
+    seen = [False] * n
+    stack = [0]
+    seen[0] = True
+    while stack:
+        v = stack.pop()
+        for w, c in enumerate(matrix[v]):
+            if c and not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return all(seen)
+
+
+def is_bipartite(matrix) -> bool:
+    """Two-colouring of a square adjacency matrix; a loop is an odd cycle."""
+    n = len(matrix)
+    color = [-1] * n
+    for start in range(n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if matrix[v][v]:
+                return False
+            for w, c in enumerate(matrix[v]):
+                if not c:
+                    continue
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return False
+    return True
 
 
 def ratfun_series(

@@ -22,13 +22,7 @@ from isograph.enhanced import (
     validate_symmetry_and_row_sums,
     vertex_count,
 )
-from isograph.graph import (
-    adjacency_connected,
-    covering_map,
-    euler_characteristic,
-    is_bipartite,
-    verify_covering,
-)
+from isograph.graph import covering_map, euler_characteristic, verify_covering
 from isograph.spectral import (
     cheeger_constant,
     cheeger_sandwich,
@@ -42,7 +36,12 @@ from isograph.zeta import (
     ihara_zeta,
     reciprocity_check,
 )
-from oracles import census_matches_log_series, primitive_cycle_census
+from oracles import (
+    adjacency_connected,
+    census_matches_log_series,
+    is_bipartite,
+    primitive_cycle_census,
+)
 
 TOL = 1e-9
 

@@ -134,17 +134,36 @@ def _refuse_torsion_basis(*args, **kwargs):
     raise TorsionBasisError("patched")
 
 
+_x_chain = curves_mod.x_chain
+
+
+def _x_chain_wrong_past_2p(curve, x, count):
+    """curves.x_chain, but every multiple past [2]P reads as x(P).  In
+    `build 13 5 2` the x_multiples of the slot tables stop at [2]P
+    ((5 - 1)/2 at r = 5, one at r = 2), so the tables stay right and only
+    velu_quotient's guard, which asks for x([3]P) = x([2]P), sees the lie:
+    on an order-5 kernel x(P) is not x([2]P)."""
+    chain = _x_chain(curve, x, min(count, 2))
+    return chain + chain[:1] * (count - len(chain))
+
+
 # each construction error is an internal invariant: parameters are
-# checked for admissibility before any construction starts
+# checked for admissibility before any construction starts; the message
+# names the check that fired
 CONSTRUCTION_FAULTS = {
-    "torsion_basis": (enhanced_mod, "torsion_basis", _refuse_torsion_basis),
-    "kernel_guard": (curves_mod, "x_chain", lambda curve, x, count: [(x.raw, 1)] * count),
+    "torsion_basis": (enhanced_mod, "torsion_basis", _refuse_torsion_basis, "patched"),
+    "kernel_guard": (
+        curves_mod,
+        "x_chain",
+        _x_chain_wrong_past_2p,
+        "x-coordinates do not form an order-5 kernel",
+    ),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(CONSTRUCTION_FAULTS))
 def test_construction_errors_exit_internal(tmp_path, capsys, monkeypatch, fault):
-    module, name, replacement = CONSTRUCTION_FAULTS[fault]
+    module, name, replacement, message = CONSTRUCTION_FAULTS[fault]
     monkeypatch.setattr(module, name, replacement)
     _builder.cache_clear()
     try:
@@ -152,7 +171,7 @@ def test_construction_errors_exit_internal(tmp_path, capsys, monkeypatch, fault)
     finally:
         _builder.cache_clear()
     assert code == EXIT_INTERNAL
-    assert "internal error:" in capsys.readouterr().err
+    assert f"internal error: {message}" in capsys.readouterr().err
 
 
 def test_corrupted_cache_is_refused(tmp_path, capsys):

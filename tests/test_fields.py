@@ -629,6 +629,20 @@ def test_element_refuses_raw_ints():
     assert f.coerce_t(-1) == f.element(12).raw
 
 
+# a prime field, a binomial modulus and the trinomial one of F_{37^40}
+@pytest.mark.parametrize("p, d", [(61, 1), (13, 4), (37, 40)])
+def test_int_operand_product_matches_element_product(p, d):
+    # an int operand takes Field.smul_t, an element operand the full mul_t
+    f = make_extension_field(p, d)
+    rng = random.Random(p * 100 + d)
+    for _ in range(6):
+        x = FieldElement(f, f.random_t(rng))
+        for c in (0, 1, -1, p - 1, p, p + 3, -5 * p - 2, 3 * p * p + 7):
+            const = f.element(c % p)
+            assert (x * c).raw == (x * const).raw == f.mul_t(x.raw, const.raw)
+            assert (c * x).raw == (x * const).raw
+
+
 def test_element_order_and_encoding():
     f = make_extension_field(13, 2)
     xs = [f.element((a, b)) for a in range(3) for b in range(3)]

@@ -14,14 +14,13 @@ from isograph.enhanced import (
 )
 from isograph.graph import (
     CoveringError,
-    adjacency_connected,
     adjacency_csv,
     covering_map,
     euler_characteristic,
-    is_bipartite,
     to_dot,
     verify_covering,
 )
+from oracles import adjacency_connected, is_bipartite
 
 
 def builder(p, l):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from isograph.fields import make_extension_field
 from isograph.polys import (
     Polynomial,
     _charpoly_mod,
+    _coefficient_bound,
     _crt_primes,
     _hessenberg_mod,
     bareiss_det,
@@ -121,19 +123,44 @@ def test_bareiss_vs_cofactor_ints():
         assert bareiss_det(m2) == 3 * got
 
 
+def charpoly_by_poly_det(a):
+    """Reference: det(xI - A) by poly_matrix_det (Bareiss + Lagrange)."""
+    x = P(0, 1)
+    n = len(a)
+    return poly_matrix_det(
+        [[x - P(a[i][j]) if i == j else -P(a[i][j]) for j in range(n)] for i in range(n)]
+    )
+
+
 def test_charpoly_known_and_cross_route():
     assert charpoly_int([[6]]) == P(-6, 1)
     assert charpoly_int([[0, 1], [1, 0]]) == P(-1, 0, 1)
     rng = random.Random(17)
-    x = P(0, 1)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        a = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
-        m = [
-            [x - P(a[i][j]) if i == j else -P(a[i][j]) for j in range(n)]
-            for i in range(n)
-        ]
-        assert charpoly_int(a) == poly_matrix_det(m)
+    for _ in range(30):  # non-symmetric, negative entries
+        n = rng.randint(1, 8)
+        a = [[rng.randint(-60, 40) for _ in range(n)] for _ in range(n)]
+        cp = charpoly_int(a)
+        assert cp == charpoly_by_poly_det(a)
+        bound = _coefficient_bound(n, sum(x * x for row in a for x in row))
+        assert all(abs(c) <= bound for c in cp.coeffs)
+
+
+@pytest.mark.parametrize("n, c", [(40, 1), (40, 3), (25, -7), (12, 10**6)])
+def test_charpoly_scaled_identity_attains_the_bound(n, c):
+    # c I has |c_k| = C(n, k) |c|^k, the bound exactly; I_40's largest
+    # coefficient C(40, 20) needs a second prime, so a bound without the
+    # binomial (1 for I_40) gives a wrong result here
+    a = [[c if i == j else 0 for j in range(n)] for i in range(n)]
+    assert charpoly_int(a) == charpoly_by_poly_det(a) == P(-c, 1) ** n
+    assert _coefficient_bound(n, n * c * c) == max(
+        comb(n, k) * abs(c) ** k for k in range(n + 1)
+    )
+
+
+def test_charpoly_all_ones():
+    for n in (1, 7, 30):
+        ones = [[1] * n for _ in range(n)]
+        assert charpoly_int(ones) == charpoly_by_poly_det(ones) == P(-n, 1).shift(n - 1)
 
 
 def charpoly_mod_loop(a, p):

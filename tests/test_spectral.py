@@ -1,6 +1,7 @@
 """Spectra against exact trace identities, exact root counts and the
-Ramanujan verdicts built on them, Cheeger enumeration against a float
-reference."""
+Ramanujan verdicts built on them, connectivity and bipartiteness from the
+characteristic polynomial against the search oracles, Cheeger enumeration
+against a float reference."""
 
 import math
 import tracemalloc
@@ -11,15 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from isograph.cli import parse_grid
 from isograph.enhanced import GraphBuilder, vertex_count
-from isograph.polys import Polynomial
+from isograph.polys import Polynomial, charpoly_int
 from isograph.spectral import (
     SpectralError,
     Spectrum,
     cheeger_constant,
     cheeger_sandwich,
     count_roots,
+    is_bipartite,
+    is_connected,
     ramanujan_report,
     spectrum,
 )
@@ -241,6 +245,82 @@ def test_bipartite_fails_ramanujan_window():
     rep = ramanujan_report(s, 3)
     assert rep.connected and rep.gap_floor
     assert not rep.ok
+
+
+# ------------------------------------------ connectivity and bipartiteness
+
+
+def perm_sum(n, perms, loops):
+    """loops * I plus P + P^T for each permutation P: regular of degree
+    2 len(perms) + loops; a fixed point of P adds a loop of weight 2."""
+    M = [[loops * (i == j) for j in range(n)] for i in range(n)]
+    for perm in perms:
+        for i, j in enumerate(perm):
+            M[i][j] += 1
+            M[j][i] += 1
+    return M
+
+
+@st.composite
+def perm_multigraphs(draw):
+    """Regular multigraphs: perm_sum blocks of one degree, then up to two
+    steps, each a disjoint union with a fresh block or the bipartite double
+    cover [[0, M], [M, 0]]."""
+    m = draw(st.integers(min_value=1, max_value=2))
+    loops = draw(st.integers(min_value=0, max_value=1))
+
+    def block():
+        n = draw(st.integers(min_value=1, max_value=5))
+        return perm_sum(n, [draw(st.permutations(range(n))) for _ in range(m)], loops)
+
+    M = block()
+    for step in draw(st.lists(st.sampled_from(("union", "cover")), max_size=2)):
+        if step == "union":
+            M = disjoint_union(M, block())
+        else:
+            zero = [0] * len(M)
+            M = [zero + row for row in M] + [row + zero for row in M]
+    return M
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric non-negative matrices, loops allowed and rows irregular;
+    with `split`, entries between vertices on one side are dropped, which
+    leaves a bipartite graph."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    split = draw(st.booleans())
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if not (split and side[i] == side[j]):
+                M[i][j] = M[j][i] = draw(st.sampled_from((0, 0, 1, 2)))
+    return M
+
+
+@settings(max_examples=150, deadline=None)
+@given(perm_multigraphs())
+def test_charpoly_verdicts_match_search_oracles_on_regular_multigraphs(M):
+    P = charpoly_int(M)
+    assert is_connected(P, sum(M[0])) == oracles.adjacency_connected(M)
+    assert is_bipartite(P) == oracles.is_bipartite(M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices())
+def test_bipartite_verdict_matches_two_colouring_on_irregular_matrices(M):
+    assert is_bipartite(charpoly_int(M)) == oracles.is_bipartite(M)
+
+
+def test_charpoly_verdicts_on_small_graphs():
+    # K5 + K5: P(4) = 0 holds for the union too, only P'(4) = 0 tells it apart
+    assert is_connected(charpoly_int(K5), 4)
+    assert not is_connected(charpoly_int(disjoint_union(K5, K5)), 4)
+    path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]  # irregular
+    assert is_bipartite(charpoly_int(K44)) and is_bipartite(charpoly_int(path))
+    assert not is_bipartite(charpoly_int(circulant(3, 1)))  # the triangle
+    assert not is_bipartite(charpoly_int([[2]]))  # a loop is an odd closed walk
 
 
 # ----------------------------------------------------------------- Cheeger
