@@ -415,6 +415,8 @@ def _verify_group(jobs: list[JobConfig]) -> list[dict]:
 
 def cmd_verify(args) -> int:
     if args.grid:
+        if (args.p, args.l, args.N) != (None, None, None):
+            raise AdmissibilityError("verify takes either p l N or --grid, not both")
         triples, skips = parse_grid(args.grid)
     else:
         if args.p is None or args.l is None or args.N is None:

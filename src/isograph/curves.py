@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -359,7 +360,10 @@ def twist_to_scalar_frobenius(curve: EllipticCurve) -> EllipticCurve:
 
 def torsion_order_extension(p: int, r: int) -> int:
     """Least k with E[r] rational over F_{p^{2k}} for scalar-Frobenius
-    models: the multiplicative order of -p mod r."""
+    models: the multiplicative order of -p mod r, which exists only when
+    -p is a unit mod r."""
+    if math.gcd(p, r) != 1:
+        raise CurveError(f"-{p} is not a unit mod {r}")
     t = (-p) % r
     k, acc = 1, t
     while acc != 1 % r:
@@ -428,7 +432,6 @@ def torsion_basis(
     curve: EllipticCurve,
     r: int,
     rng: random.Random,
-    budget: int = 200,
     delta: FieldElement | None = None,
 ) -> tuple[Point, Point]:
     """Independent points of exact prime order r over the curve's field.
@@ -463,6 +466,7 @@ def torsion_basis(
         mm //= r
         e += 1
     cofactor = m // r**e
+    budget = 200  # random points tried per basis point
 
     def sample() -> Point:
         for _ in range(budget):
@@ -514,16 +518,11 @@ def torsion_basis(
 class XMap:
     """x-coordinate map of a separable isogeny: x -> num(x)/den(x)."""
 
-    __slots__ = ("num", "den", "degree")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: Sequence[FieldElement], den: Sequence[FieldElement], degree: int):
+    def __init__(self, num: Sequence[FieldElement], den: Sequence[FieldElement]):
         self.num = tuple(num)
         self.den = tuple(den)
-        self.degree = degree
-
-    @property
-    def field(self) -> Field:
-        return self.num[0].field
 
     def __call__(self, x: FieldElement) -> FieldElement:
         f = x.field
@@ -548,9 +547,7 @@ class XMap:
         return [FieldElement(f, f.mul_t(n, i)) for n, i in zip(nums, invs)]
 
     def lift(self, emb: Embedding) -> "XMap":
-        return XMap(
-            [emb(c) for c in self.num], [emb(c) for c in self.den], self.degree
-        )
+        return XMap([emb(c) for c in self.num], [emb(c) for c in self.den])
 
 
 def _horner_t(f: Field, coeffs: list, xt):
@@ -608,9 +605,7 @@ def velu_quotient(
         - half_dg * (k * dk)
     )
     # a product leaves an int 0 where every term was zero
-    xmap = XMap(
-        [f.element(c) for c in num.coeffs], [f.element(c) for c in den.coeffs], r
-    )
+    xmap = XMap([f.element(c) for c in num.coeffs], [f.element(c) for c in den.coeffs])
     return EllipticCurve(a2, b2), xmap
 
 

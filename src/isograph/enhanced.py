@@ -113,22 +113,12 @@ def vertex_table(class_count: int, primes) -> list[tuple[int, tuple[int, ...]]]:
 
 
 @dataclass(frozen=True)
-class SubgroupSlot:
-    """One cyclic order-r subgroup, stored by the x-coordinates of its
-    nonzero points (one per +-pair), sorted for canonical identity."""
-
-    xs: tuple[FieldElement, ...]
-
-
-@dataclass(frozen=True)
 class QuotientArrow:
-    """One outgoing l-isogeny at class level: quotient by kernel
-    `kernel_index`, landing on the model of class `target` after the
-    isomorphism x -> u2 * x.  `dual_index` is the kernel of the dual
-    isogeny on the target class."""
+    """One outgoing l-isogeny at class level, arrows[ci][t]: the quotient
+    of class ci by its kernel slot t, landing on the model of class
+    `target` after the isomorphism x -> u2 * x.  `dual_index` is the
+    kernel of the dual isogeny on the target class."""
 
-    source: int
-    kernel_index: int
     target: int
     u2: FieldElement
     xmap: XMap
@@ -280,17 +270,18 @@ class GraphBuilder:
         self.l = l
         self.seed = seed
         self.table: SupersingularClassTable = build_class_table(p)
-        self._subs: dict[int, list[list[SubgroupSlot]]] = {}
+        self._subs: dict[int, list[list[tuple[FieldElement, ...]]]] = {}
         self._enc_index: dict[int, list[dict]] = {}
         self._arrows: list[list[QuotientArrow]] | None = None
         self._push_rows: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
     # -- per-prime subgroup tables
 
-    def level_subgroups(self, r: int) -> list[list[SubgroupSlot]]:
+    def level_subgroups(self, r: int) -> list[list[tuple[FieldElement, ...]]]:
         """For each class, the r + 1 cyclic order-r subgroups in canonical
-        order (sorted by x-coordinate signature), as untwisted x in the
-        order-r torsion field."""
+        order, each as the sorted untwisted x-coordinates of its nonzero
+        points (one per +-pair) in the order-r torsion field; the slots
+        are sorted by x-coordinate signature."""
         if r in self._subs:
             return self._subs[r]
         tf = torsion_field(self.p, r)
@@ -309,14 +300,12 @@ class GraphBuilder:
                 if inv_delta is not None:
                     xs = [FieldElement(f, f.mul_t(x.raw, inv_delta)) for x in xs]
                 xs.sort(key=lambda x: x.coeffs)
-                slots.append(SubgroupSlot(tuple(xs)))
-            slots.sort(key=lambda s: tuple(x.coeffs for x in s.xs))
-            if len({s.xs for s in slots}) != r + 1:
+                slots.append(tuple(xs))
+            slots.sort(key=lambda s: tuple(x.coeffs for x in s))
+            if len(set(slots)) != r + 1:
                 raise GraphBuildError(f"repeated order-{r} subgroup at class {ci}")
             per_class.append(slots)
-            index.append(
-                {x.raw: si for si, s in enumerate(slots) for x in s.xs}
-            )
+            index.append({x.raw: si for si, s in enumerate(slots) for x in s})
         self._subs[r] = per_class
         self._enc_index[r] = index
         return per_class
@@ -343,7 +332,7 @@ class GraphBuilder:
             E = model.change_field(emb)
             row = []
             for t, slot in enumerate(subs[ci]):
-                image, xmap = velu_quotient(E, slot.xs, l)
+                image, xmap = velu_quotient(E, slot, l)
                 small = EllipticCurve(emb.descend(image.a), emb.descend(image.b))
                 target = table.class_of_j(small.j_invariant())
                 u2 = isomorphism_scale(small, table.models[target])
@@ -354,17 +343,16 @@ class GraphBuilder:
                 xmap_small = XMap(
                     [emb.descend(c) for c in xmap.num],
                     [emb.descend(c) for c in xmap.den],
-                    l,
                 )
                 other = subs[ci][1 if t == 0 else 0]
-                x_dual = emb(u2) * xmap(other.xs[0])
+                x_dual = emb(u2) * xmap(other[0])
                 try:
                     dual_index = enc_index[target][x_dual.raw]
                 except KeyError:
                     raise GraphBuildError(
                         f"dual kernel of ({ci},{t}) missed the subgroup table"
                     ) from None
-                row.append(QuotientArrow(ci, t, target, u2, xmap_small, dual_index))
+                row.append(QuotientArrow(target, u2, xmap_small, dual_index))
             arrows.append(row)
         for ci, row in enumerate(arrows):
             for t, ar in enumerate(row):
@@ -390,7 +378,7 @@ class GraphBuilder:
 
         The arrow has degree l prime to r, so the image of one generator
         fixes the image subgroup: the lifted x-map is evaluated once per
-        subgroup, at slot.xs[0], with a single batched inversion.  Three
+        subgroup, at slot[0], with a single batched inversion.  Three
         guards run once per row instead of once per subgroup:
         (a) every image lies in the target table; (b) the r + 1 indices
         are distinct, since an isogeny of degree prime to r is a bijection
@@ -406,7 +394,7 @@ class GraphBuilder:
         src_slots = self.level_subgroups(r)[ci]
         target = self.arrows[ci][t].target
         index = self._enc_index[r][target]
-        xs = [slot.xs[0] for slot in src_slots]
+        xs = [slot[0] for slot in src_slots]
         check_doubling = r >= 5
         if check_doubling:
             xs.append(x_double(self._lifted_model(ci, r), xs[0]))

@@ -284,28 +284,16 @@ def charpoly_int(matrix: Sequence[Sequence[int]]) -> Polynomial:
         raise ValueError("characteristic polynomial of a non-square matrix")
     frob2 = sum(int(x) ** 2 for row in matrix for x in row)
     bound = 2 * _coefficient_bound(n, frob2)
-    primes = []
-    prod = 1
-    k = 1
-    while prod <= bound:
-        primes = _crt_primes(k)
-        prod = 1
-        for p in primes:
-            prod *= p
-        k += 1
     a = np.array([[int(x) for x in row] for row in matrix], dtype=np.int64)
-    residues = [_charpoly_mod(a, p) for p in primes]
-    coeffs = []
-    for j in range(n + 1):
-        x = 0
-        m = 1
-        for res, p in zip(residues, primes):
-            r = int(res[j])
-            # incremental CRT
-            t = (r - x) * pow(m, -1, p) % p
-            x += m * t
-            m *= p
-        if x > m // 2:
-            x -= m
-        coeffs.append(x)
-    return Polynomial(coeffs)
+    # fold each prime's residues into the coefficients x mod m, with m
+    # the product of the primes so far: one inverse of m per prime
+    x = [0] * (n + 1)
+    m, count = 1, 0
+    while m <= bound:
+        count += 1
+        p = _crt_primes(count)[-1]
+        inv = pow(m, -1, p)
+        res = _charpoly_mod(a, p).tolist()
+        x = [c + m * ((r - c) * inv % p) for c, r in zip(x, res)]
+        m *= p
+    return Polynomial([c - m if c > m // 2 else c for c in x])

@@ -197,6 +197,37 @@ def test_verify_refuses_corrupted_coarse_level(tmp_path, capsys):
     assert code == EXIT_INTERNAL
 
 
+def _swap_vertices(eg, a, b):
+    """eg with vertices a and b trading places: a valid graph, isomorphic
+    to eg, whose vertex ids no longer match the canonical vertex table."""
+    k = eg.degree
+    perm = list(range(eg.n))
+    perm[a], perm[b] = b, a
+    target, dual = [0] * eg.oriented_edge_count, [0] * eg.oriented_edge_count
+    for e, (w, d) in enumerate(zip(eg.edge_target, eg.edge_dual)):
+        moved = perm[e // k] * k + e % k
+        target[moved] = perm[w]
+        dual[moved] = perm[d // k] * k + d % k
+    return replace(eg, edge_target=tuple(target), edge_dual=tuple(dual))
+
+
+def test_verify_covering_catches_permuted_coarse_level(tmp_path, capsys):
+    # the permuted file passes every load check, and even its matrix is
+    # unchanged; only the covering's head check sees the wrong labels
+    cfg = JobConfig(13, 5, 2, cache_dir=str(tmp_path))
+    eg = build_or_load(cfg, force=True)
+    swapped = _swap_vertices(eg, 1, 2)
+    assert swapped.brandt == eg.brandt and swapped.edge_target != eg.edge_target
+    write_graph_file(graph_file_path(cfg), swapped)
+    assert load_graph_file(graph_file_path(cfg)) == swapped
+    code, out = run(capsys, "verify", 13, 5, 6, "--cache-dir", tmp_path)
+    assert code == EXIT_VERIFY
+    (g,) = out["graphs"]
+    assert g["checks"]["coverings"] is False
+    assert g["detail"]["covering_2"] == "target map breaks at edge 0"
+    assert "covering_1" not in g["detail"] and "covering_3" not in g["detail"]
+
+
 def _truncate(path, data):
     text = open(path).read()
     open(path, "w").write(text[:100])
@@ -429,6 +460,14 @@ def test_verify_grid_with_skips(tmp_path, capsys):
         (13, 3, 2),
     ]
     assert out["skipped_inadmissible"] == [[13, 3, 3], [13, 3, 6]]
+
+
+def test_verify_refuses_triple_with_grid(tmp_path, capsys):
+    code, out = run(
+        capsys, "verify", 37, 5, 1, "--grid", "p in {13}, l in {3}, N in {1}",
+        "--cache-dir", tmp_path,
+    )
+    assert code == EXIT_PARAMS and out is None
 
 
 def test_verify_workers_match_serial(tmp_path, capsys):

@@ -191,6 +191,15 @@ def test_torsion_order_extension():
     assert torsion_order_extension(13, 37) == 36
 
 
+@pytest.mark.parametrize("r", [13, 26])
+def test_torsion_order_extension_refuses_non_unit(r):
+    # -p is not a unit mod r, so no power of it is 1: refused, not looped on
+    with pytest.raises(CurveError, match="not a unit"):
+        torsion_order_extension(13, r)
+    with pytest.raises(CurveError, match="not a unit"):
+        torsion_field(13, r)
+
+
 def span_size(P, Q, r):
     """Oracle: number of distinct points i*P + j*Q."""
     seen = set()

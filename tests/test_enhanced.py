@@ -144,11 +144,11 @@ def push_by_all_points(b, ci, t, r, s):
     emb = torsion_field(b.p, r).emb
     xmap, u2 = ar.xmap.lift(emb), emb(ar.u2)
     image = frozenset(
-        (u2 * x).coeffs for x in xmap.eval_many(b.level_subgroups(r)[ci][s].xs)
+        (u2 * x).coeffs for x in xmap.eval_many(b.level_subgroups(r)[ci][s])
     )
     (hit,) = [
         i for i, slot in enumerate(b.level_subgroups(r)[ar.target])
-        if frozenset(x.coeffs for x in slot.xs) == image
+        if frozenset(x.coeffs for x in slot) == image
     ]
     return hit
 
@@ -220,16 +220,16 @@ def test_two_torsion_slots_are_division_cubic_roots():
     roots = sorted(
         (x.coeffs for x in map(F2.element, F2.iter_tuples()) if not E.rhs(x))
     )
-    assert sorted(s.xs[0].coeffs for s in slots) == roots
-    assert all(len(s.xs) == 1 for s in slots)
+    assert sorted(s[0].coeffs for s in slots) == roots
+    assert all(len(s) == 1 for s in slots)
 
 
 def test_five_torsion_slots_partition_nonzero_torsion():
     b = GraphBuilder(13, 5)
     slots = b.level_subgroups(5)[0]
     assert len(slots) == 6
-    assert all(len(s.xs) == 2 for s in slots)
-    all_xs = [x.coeffs for s in slots for x in s.xs]
+    assert all(len(s) == 2 for s in slots)
+    all_xs = [x.coeffs for s in slots for x in s]
     # 24 nonzero 5-torsion points in +-pairs: 12 distinct x's
     assert len(set(all_xs)) == 12
 
@@ -254,11 +254,11 @@ def test_canonical_choices_follow_encodings_not_raw_ints():
     for p, l, r in ((13, 5, 7), (37, 5, 7), (61, 7, 5)):
         for slots in GraphBuilder(p, l).level_subgroups(r):
             for s in slots:
-                assert not _out_of_order([x.coeffs for x in s.xs])
-                if _out_of_order([x.raw for x in s.xs]):
+                assert not _out_of_order([x.coeffs for x in s])
+                if _out_of_order([x.raw for x in s]):
                     raw_disagrees.add("xs")
-            assert not _out_of_order([[x.coeffs for x in s.xs] for s in slots])
-            if _out_of_order([[x.raw for x in s.xs] for s in slots]):
+            assert not _out_of_order([[x.coeffs for x in s] for s in slots])
+            if _out_of_order([[x.raw for x in s] for s in slots]):
                 raw_disagrees.add("slots")
     assert raw_disagrees == {"xs", "slots"}
 
@@ -285,7 +285,7 @@ def test_half_degree_slots_match_full_field_oracle(p, r):
     half = HalfField(full)
     assert torsion_field(p, r).field.modulus == half.sub.modulus
     spread = [
-        [[full.unpack(half.spread_t(x.raw)) for x in slot.xs] for slot in cls]
+        [[full.unpack(half.spread_t(x.raw)) for x in slot] for slot in cls]
         for cls in b.level_subgroups(r)
     ]
     assert spread == full_field_slots(p, r, rng_seed=2718)
@@ -325,7 +325,7 @@ def test_arrow_duality_structure():
     # self-dual kernels belong to trace-zero endomorphisms, necessarily loops
     for t, a in enumerate(b.arrows[0]):
         if a.dual_index == t:
-            assert a.target == a.source
+            assert a.target == 0
 
 
 def test_golden_arrow_digest():
@@ -334,13 +334,13 @@ def test_golden_arrow_digest():
     # reference certificates pin none of the x-maps
     h = hashlib.sha256()
     for p, l in [(13, 5), (37, 7), (61, 5), (13, 11)]:
-        for row in GraphBuilder(p, l).arrows:
-            for ar in row:
+        for ci, row in enumerate(GraphBuilder(p, l).arrows):
+            for t, ar in enumerate(row):
                 rec = (
                     p,
                     l,
-                    ar.source,
-                    ar.kernel_index,
+                    ci,
+                    t,
                     ar.target,
                     ar.u2.coeffs,
                     tuple(c.coeffs for c in ar.xmap.num),
@@ -396,7 +396,7 @@ def test_push_guard_image_outside_table(monkeypatch):
     def perturb(xmap, u2):
         num = list(xmap.num)
         num[0] = num[0] + 1
-        return XMap(num, xmap.den, xmap.degree), u2
+        return XMap(num, xmap.den), u2
 
     _patch_arrow(monkeypatch, b, 3, perturb)
     with pytest.raises(GraphBuildError, match="missed the table"):
@@ -406,10 +406,10 @@ def test_push_guard_image_outside_table(monkeypatch):
 def test_push_guard_not_a_bijection(monkeypatch):
     b = GraphBuilder(13, 5)
     target = b.arrows[0][0].target
-    x_hit = b.level_subgroups(3)[target][1].xs[0]
+    x_hit = b.level_subgroups(3)[target][1][0]
 
     def constant(xmap, u2):
-        return XMap([x_hit], [x_hit.field.one], xmap.degree), x_hit.field.one
+        return XMap([x_hit], [x_hit.field.one]), x_hit.field.one
 
     _patch_arrow(monkeypatch, b, 3, constant)
     with pytest.raises(GraphBuildError, match="not a bijection"):
@@ -423,7 +423,7 @@ def test_push_guard_doubling(monkeypatch):
     r = 7
     emb = torsion_field(b.p, r).emb
     tgt = b.table.models[b.arrows[0][0].target]
-    x0 = b.level_subgroups(r)[0][0].xs[0]
+    x0 = b.level_subgroups(r)[0][0][0]
 
     class Swapped:
         def __init__(self, xmap, u2):

@@ -14,6 +14,7 @@ from isograph.enhanced import (
 )
 from isograph.graph import (
     CoveringError,
+    CoveringMap,
     adjacency_csv,
     covering_map,
     euler_characteristic,
@@ -176,6 +177,17 @@ def test_covering_rejections():
     g7 = builder(13, 7).build(2)
     with pytest.raises(CoveringError):
         covering_map(g7, g2)
+
+
+def test_verify_covering_refuses_non_uniform_fibers():
+    b = builder(13, 5)
+    g2, g6 = b.build(2), b.build(6)
+    vmap = list(covering_map(g6, g2).vertex_map)
+    moved = next(v for v, w in enumerate(vmap) if w != vmap[0])
+    vmap[moved] = vmap[0]
+    cov = CoveringMap(tuple(vmap), sigma1(3))
+    with pytest.raises(CoveringError, match=r"vertex fibers \[3, 4, 5\] != 4"):
+        verify_covering(g6, g2, cov)
 
 
 # ----------------------------------------------------------------- exports
