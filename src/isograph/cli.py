@@ -1,8 +1,9 @@
 """Command line front end: build graphs into a cache, inspect them, run
 the verification suite.
 
-Exit codes: 0 success, 2 bad parameters, 3 a verification check failed,
-4 an internal invariant was violated (bug or corrupted cache).  All
+Exit codes: 0 success, 2 bad parameters, 3 a verification check failed
+(a failed covering, the zeta of a disconnected graph included), 4 an
+internal invariant was violated (bug or corrupted cache).  All
 structured output is JSON on stdout; human-facing errors go to stderr.
 """
 
@@ -235,7 +236,9 @@ def verify_graph(eg: EnhancedGraph, cfg: JobConfig, graphs: dict | None = None) 
     detail["cheeger"] = float(ch.value) if exact else None
     detail["cheeger_method"] = ch.method
 
-    if eg.oriented_edge_count <= ORACLE_EDGE_LIMIT:
+    if not rep.connected:  # the zeta function needs a connected graph
+        detail["bass_edge_oracle"] = "skipped: graph disconnected"
+    elif eg.oriented_edge_count <= ORACLE_EDGE_LIMIT:
         z = ihara_zeta(eg, charpoly=spec.charpoly)
         checks["bass_edge_oracle"] = edge_matrix_zeta(eg) == z.inverse_polynomial()
     else:
@@ -391,9 +394,14 @@ def cmd_covering(args) -> int:
     fine = build_or_load(cfg)
     coarse = build_or_load(replace(cfg, N=args.M))
     cov = covering_map(fine, coarse)
-    report = verify_covering(fine, coarse, cov)
-    report["degree"] = cov.fiber_size
-    _emit(report)
+    verify_covering(fine, coarse, cov)
+    _emit(
+        {
+            "fine": (fine.p, fine.l, fine.level),
+            "coarse": (coarse.p, coarse.l, coarse.level),
+            "fiber_size": cov.fiber_size,
+        }
+    )
     return EXIT_OK
 
 
@@ -542,9 +550,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AdmissibilityError, CoveringError, ZetaError) as e:
+    except AdmissibilityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARAMS
+    except (CoveringError, ZetaError) as e:
+        print(f"check failed: {e}", file=sys.stderr)
+        return EXIT_VERIFY
     except (
         ClassTableError,
         CurveError,

@@ -399,8 +399,8 @@ class TorsionField:
         # pick the smaller root here too.  The conjugate (the other root)
         # would index the tables of the Frobenius-conjugate models.
         f, emb = self.field, self.emb
-        if emb.dst is not f or emb.src.deg != 2:
-            raise CurveError("torsion embedding must map F_{p^2} into the torsion field")
+        if emb.dst is not f:
+            raise CurveError("torsion embedding must map into the torsion field")
         other = f.sub_t(f.coerce_t(-emb.src.modulus[1]), emb.gen_image)
         if f.unpack(emb.gen_image) > f.unpack(other):
             raise CurveError(

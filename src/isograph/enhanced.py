@@ -29,6 +29,7 @@ x-only doubling at one point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -115,12 +116,12 @@ def vertex_table(class_count: int, primes) -> list[tuple[int, tuple[int, ...]]]:
 @dataclass(frozen=True)
 class QuotientArrow:
     """One outgoing l-isogeny at class level, arrows[ci][t]: the quotient
-    of class ci by its kernel slot t, landing on the model of class
-    `target` after the isomorphism x -> u2 * x.  `dual_index` is the
+    of class ci by its kernel slot t.  `xmap`, over F_{p^2}, maps x on
+    class ci's model to x on class `target`'s model: Velu's map followed
+    by the isomorphism x -> u2 x onto that model.  `dual_index` is the
     kernel of the dual isogeny on the target class."""
 
     target: int
-    u2: FieldElement
     xmap: XMap
     dual_index: int
 
@@ -272,7 +273,6 @@ class GraphBuilder:
         self.table: SupersingularClassTable = build_class_table(p)
         self._subs: dict[int, list[list[tuple[FieldElement, ...]]]] = {}
         self._enc_index: dict[int, list[dict]] = {}
-        self._arrows: list[list[QuotientArrow]] | None = None
         self._push_rows: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
     # -- per-prime subgroup tables
@@ -312,16 +312,14 @@ class GraphBuilder:
 
     # -- class-level isogeny arrows
 
-    @property
+    @functools.cached_property
     def arrows(self) -> list[list[QuotientArrow]]:
-        if self._arrows is None:
-            self._arrows = self._build_arrows()
-        return self._arrows
+        return self._build_arrows()
 
     def _build_arrows(self) -> list[list[QuotientArrow]]:
         """Velu from each order-l slot's x on the untwisted class model,
-        descended to F_{p^2} and matched to its target class; the dual
-        kernels, found through the x-maps, must pair up."""
+        descended to F_{p^2} and scaled onto its target class's model; the
+        dual kernels, found through the x-maps, must pair up."""
         l = self.l
         table = self.table
         subs = self.level_subgroups(l)
@@ -341,7 +339,7 @@ class GraphBuilder:
                         f"quotient of class {ci} not isomorphic to its class model"
                     )
                 xmap_small = XMap(
-                    [emb.descend(c) for c in xmap.num],
+                    [u2 * emb.descend(c) for c in xmap.num],
                     [emb.descend(c) for c in xmap.den],
                 )
                 other = subs[ci][1 if t == 0 else 0]
@@ -352,7 +350,7 @@ class GraphBuilder:
                     raise GraphBuildError(
                         f"dual kernel of ({ci},{t}) missed the subgroup table"
                     ) from None
-                row.append(QuotientArrow(target, u2, xmap_small, dual_index))
+                row.append(QuotientArrow(target, xmap_small, dual_index))
             arrows.append(row)
         for ci, row in enumerate(arrows):
             for t, ar in enumerate(row):
@@ -365,20 +363,15 @@ class GraphBuilder:
 
     # -- pushing level structure through arrows
 
-    def _lifted_arrow(self, ci: int, t: int, r: int) -> tuple[XMap, FieldElement]:
-        """Arrow t of class ci with its x-map and scale u2 lifted to the
-        order-r torsion field."""
-        ar = self.arrows[ci][t]
-        emb = torsion_field(self.p, r).emb
-        return ar.xmap.lift(emb), emb(ar.u2)
-
     def _push_row(self, ci: int, t: int, r: int) -> tuple[int, ...]:
         """Target-table indices of all r + 1 order-r subgroups of class ci
         pushed through arrow t, memoised per (ci, t, r).
 
         The arrow has degree l prime to r, so the image of one generator
-        fixes the image subgroup: the lifted x-map is evaluated once per
-        subgroup, at slot[0], with a single batched inversion.  Three
+        fixes the image subgroup.  The arrow's x-map, lifted to the order-r
+        torsion field, is evaluated once per subgroup, at slot[0], with a
+        single batched inversion, and lands on the target class's model, so
+        its values are looked up in the target table as they are.  Three
         guards run once per row instead of once per subgroup:
         (a) every image lies in the target table; (b) the r + 1 indices
         are distinct, since an isogeny of degree prime to r is a bijection
@@ -390,15 +383,14 @@ class GraphBuilder:
         row = self._push_rows.get(key)
         if row is not None:
             return row
-        xmap_r, u2_r = self._lifted_arrow(ci, t, r)
+        ar = self.arrows[ci][t]
         src_slots = self.level_subgroups(r)[ci]
-        target = self.arrows[ci][t].target
-        index = self._enc_index[r][target]
+        index = self._enc_index[r][ar.target]
         xs = [slot[0] for slot in src_slots]
         check_doubling = r >= 5
         if check_doubling:
             xs.append(x_double(self._lifted_model(ci, r), xs[0]))
-        pushed = [u2_r * x for x in xmap_r.eval_many(xs)]
+        pushed = ar.xmap.lift(torsion_field(self.p, r).emb).eval_many(xs)
         try:
             row = tuple(index[x.raw] for x in pushed[: r + 1])
         except KeyError:
@@ -410,7 +402,7 @@ class GraphBuilder:
                 f"arrow ({ci},{t}) at r={r} is not a bijection on subgroups"
             )
         if check_doubling:
-            model = self._lifted_model(target, r)
+            model = self._lifted_model(ar.target, r)
             X, Z = x_chain(model, pushed[0], 2)[1]
             if X != model.field.mul_t(pushed[-1].raw, Z):
                 raise GraphBuildError(

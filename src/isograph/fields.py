@@ -362,8 +362,6 @@ class Field:
         if not a:
             raise ZeroDivisionError("inversion of zero field element")
         p = self.p
-        if self.deg == 1:
-            return pow(a, p - 2, p)
         # m is irreducible, so gcd(a, m) is a nonzero constant g and s a = g
         g, s = _xgcd(self.unpack(a), self.modulus, p)
         s += [0] * (self.deg - len(s))
@@ -574,7 +572,7 @@ def make_extension_field(p: int, d: int) -> Field:
 
 
 class Embedding:
-    """Canonical embedding F_{p^a} -> F_{p^b} for a | b, a <= 2.
+    """Canonical embedding F_{p^2} -> F_{p^b}, b even.
 
     The image of the source generator is the lexicographically smaller root
     of the source modulus in the target field, which makes the embedding
@@ -586,41 +584,29 @@ class Embedding:
     def __init__(self, src: Field, dst: Field):
         if src.p != dst.p:
             raise FieldMismatch("embedding requires equal characteristic")
-        if dst.deg % src.deg != 0:
-            raise ValueError("source degree must divide target degree")
-        if src.deg > 2:
-            raise NotImplementedError("only prime fields and quadratic sources")
+        if src.deg != 2 or dst.deg % 2:
+            raise ValueError("embeddings run from F_{p^2} into an even-degree field")
         self.src = src
         self.dst = dst
-        if src.deg == 1:
-            gen_image = dst.one_t
-        else:
-            # root of x^2 + b1 x + b0 via the quadratic formula
-            b0, b1 = src.modulus[0], src.modulus[1]
-            disc = dst.coerce_t((b1 * b1 - 4 * b0) % src.p)
-            root = dst.sqrt_t(disc)
-            inv2 = pow(2, dst.p - 2, dst.p)
-            minus_b1 = dst.coerce_t(-b1)
-            r1 = dst.smul_t(inv2, dst.add_t(minus_b1, root))
-            r2 = dst.smul_t(inv2, dst.sub_t(minus_b1, root))
-            gen_image = min(r1, r2, key=dst.unpack)
-        self.gen_image = gen_image
+        # root of x^2 + b1 x + b0 via the quadratic formula
+        b0, b1 = src.modulus[0], src.modulus[1]
+        disc = dst.coerce_t((b1 * b1 - 4 * b0) % src.p)
+        root = dst.sqrt_t(disc)
+        inv2 = pow(2, dst.p - 2, dst.p)
+        minus_b1 = dst.coerce_t(-b1)
+        r1 = dst.smul_t(inv2, dst.add_t(minus_b1, root))
+        r2 = dst.smul_t(inv2, dst.sub_t(minus_b1, root))
+        self.gen_image = min(r1, r2, key=dst.unpack)
 
     # a constant's raw int is the constant itself, in every field
 
     def map_t(self, t: int) -> int:
-        if self.src.deg == 1:
-            return t
         c0, c1 = self.src.unpack(t)
         return self.dst.add_t(c0, self.dst.smul_t(c1, self.gen_image))
 
     def unmap_t(self, t: int) -> int:
         """Inverse on the image; raises NotInSubfield otherwise."""
         dst, p = self.dst, self.dst.p
-        if self.src.deg == 1:
-            if t >= p:
-                raise NotInSubfield(f"{dst.unpack(t)} has nonzero extension coordinates")
-            return t
         z, c = dst.unpack(self.gen_image), dst.unpack(t)
         pivot = next((i for i in range(1, dst.deg) if z[i]), None)
         if pivot is None:  # pragma: no cover - generator never lies in F_p

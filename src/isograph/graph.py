@@ -61,8 +61,8 @@ def covering_map(fine: EnhancedGraph, coarse: EnhancedGraph) -> CoveringMap:
 
 def verify_covering(
     fine: EnhancedGraph, coarse: EnhancedGraph, cov: CoveringMap
-) -> dict:
-    """Check the covering conditions and return a report.
+) -> None:
+    """Check the covering conditions; raise CoveringError if one fails.
 
     Two checks: every vertex fiber has sigma1(N/M) elements (a hand-built
     CoveringMap can break this), and heads commute with the projection (a
@@ -79,14 +79,6 @@ def verify_covering(
     for e, w in enumerate(fine.edge_target):
         if coarse.edge_target[vmap[e // k] * k + e % k] != vmap[w]:
             raise CoveringError(f"target map breaks at edge {e}")
-    return {
-        "fine": (fine.p, fine.l, fine.level),
-        "coarse": (coarse.p, coarse.l, coarse.level),
-        "fiber_size": expected,
-        "vertex_fibers_ok": True,
-        "edge_fibers_ok": True,
-        "boundary_commutes": True,
-    }
 
 
 # --------------------------------------------------------------- exports

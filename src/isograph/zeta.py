@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enhanced import EnhancedGraph, GraphBuilder
+from .enhanced import AdmissibilityError, EnhancedGraph, GraphBuilder
 from .graph import euler_characteristic
 from .polys import Polynomial, charpoly_int
 from .spectral import is_connected
@@ -116,7 +116,7 @@ def reciprocity_check(p: int, q: int, l: int, seed: int = 0) -> dict:
     identity is checked by exact cross-multiplied integer polynomials,
     never by floating point."""
     if p == q:
-        raise ZetaError("need distinct primes")
+        raise AdmissibilityError("need distinct primes")
     zetas = {}
     sizes = {}
     for a, b in ((p, q), (q, p)):

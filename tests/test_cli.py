@@ -226,6 +226,39 @@ def test_verify_covering_catches_permuted_coarse_level(tmp_path, capsys):
     assert g["checks"]["coverings"] is False
     assert g["detail"]["covering_2"] == "target map breaks at edge 0"
     assert "covering_1" not in g["detail"] and "covering_3" not in g["detail"]
+    # the covering command fails the same check, with the same exit code
+    code, out = run(capsys, "covering", 13, 5, 6, 2, "--cache-dir", tmp_path)
+    assert code == EXIT_VERIFY and out is None
+
+
+def test_disconnected_graph_fails_checks(tmp_path, capsys):
+    # every edge a loop, duals paired two by two: a valid edge structure
+    # with matrix diag(6, 6, 6), so three components
+    cfg = JobConfig(13, 5, 2, cache_dir=str(tmp_path))
+    eg = build_or_load(cfg, force=True)
+    m = eg.oriented_edge_count
+    loops = replace(
+        eg,
+        edge_target=tuple(e // 6 for e in range(m)),
+        edge_dual=tuple(e ^ 1 for e in range(m)),
+    )
+    assert loops.brandt == ((6, 0, 0), (0, 6, 0), (0, 0, 6))
+    write_graph_file(graph_file_path(cfg), loops)
+    code, out = run(capsys, "verify", 13, 5, 2, "--cache-dir", tmp_path)
+    assert code == EXIT_VERIFY
+    (g,) = out["graphs"]
+    assert g["checks"]["connected"] is False
+    assert "bass_edge_oracle" not in g["checks"]
+    assert g["detail"]["bass_edge_oracle"] == "skipped: graph disconnected"
+    code = main(["zeta", "13", "5", "2", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_VERIFY and captured.out == ""
+    assert "connected" in captured.err
+
+
+def test_reciprocity_command_rejects_equal_primes(capsys):
+    code, out = run(capsys, "reciprocity", 13, 13, 5)
+    assert code == EXIT_PARAMS and out is None
 
 
 def _truncate(path, data):
@@ -276,6 +309,16 @@ CORRUPTIONS = {
 }
 
 
+# every command that reads the (13, 5, 2) cache file, as argv tails
+LOADING_COMMANDS = (
+    ("zeta",),
+    ("spectrum",),
+    ("cheeger",),
+    ("verify",),
+    ("covering", "1"),
+)
+
+
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_malformed_cache_file_exits_internal(tmp_path, capsys, corruption):
     # (13, 5, 2) has three vertices (class 0 with subgroups 0, 1, 2)
@@ -285,11 +328,13 @@ def test_malformed_cache_file_exits_internal(tmp_path, capsys, corruption):
     data = json.load(open(path))
     assert data["vertices"] == [[0, [0]], [0, [1]], [0, [2]]]
     CORRUPTIONS[corruption](path, data)
-    code = main(["zeta", "13", "5", "2", "--cache-dir", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == EXIT_INTERNAL
-    assert captured.out == ""
-    assert path in captured.err
+    for cmd, *extra in LOADING_COMMANDS:
+        argv = [cmd, "13", "5", "2", *extra, "--cache-dir", str(tmp_path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL, cmd
+        assert captured.out == "", cmd
+        assert path in captured.err, cmd
 
 
 def test_stale_parity_record_is_refused(tmp_path):
@@ -326,8 +371,7 @@ def test_zeta_json(tmp_path, capsys):
 def test_covering_degree(tmp_path, capsys):
     code, out = run(capsys, "covering", 13, 5, 6, 2, "--cache-dir", tmp_path)
     assert code == EXIT_OK
-    assert out["degree"] == 4
-    assert out["vertex_fibers_ok"] and out["edge_fibers_ok"]
+    assert out == {"fine": [13, 5, 6], "coarse": [13, 5, 2], "fiber_size": 4}
 
 
 def test_spectrum_output(tmp_path, capsys):

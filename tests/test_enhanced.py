@@ -5,6 +5,7 @@ values wherever a matrix is frozen."""
 import dataclasses
 import hashlib
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,10 +142,9 @@ def push_by_all_points(b, ci, t, r, s):
     whole image.  The builder pushes one point per subgroup and checks
     whole rows instead, so this is its independent reference."""
     ar = b.arrows[ci][t]
-    emb = torsion_field(b.p, r).emb
-    xmap, u2 = ar.xmap.lift(emb), emb(ar.u2)
+    xmap = ar.xmap.lift(torsion_field(b.p, r).emb)
     image = frozenset(
-        (u2 * x).coeffs for x in xmap.eval_many(b.level_subgroups(r)[ci][s])
+        x.coeffs for x in xmap.eval_many(b.level_subgroups(r)[ci][s])
     )
     (hit,) = [
         i for i, slot in enumerate(b.level_subgroups(r)[ar.target])
@@ -329,9 +329,9 @@ def test_arrow_duality_structure():
 
 
 def test_golden_arrow_digest():
-    # every arrow's target, u2, x-map coefficients and dual index, on
-    # half-degree and full torsion fields; the cache files and the
-    # reference certificates pin none of the x-maps
+    # every arrow's target, x-map coefficients onto the target model and
+    # dual index, on half-degree and full torsion fields; the cache files
+    # and the reference certificates pin none of the x-maps
     h = hashlib.sha256()
     for p, l in [(13, 5), (37, 7), (61, 5), (13, 11)]:
         for ci, row in enumerate(GraphBuilder(p, l).arrows):
@@ -342,14 +342,13 @@ def test_golden_arrow_digest():
                     ci,
                     t,
                     ar.target,
-                    ar.u2.coeffs,
                     tuple(c.coeffs for c in ar.xmap.num),
                     tuple(c.coeffs for c in ar.xmap.den),
                     ar.dual_index,
                 )
                 h.update(repr(rec).encode())
     assert h.hexdigest() == (
-        "5bd6ebfa5a18ec288789ceea9e4152f894b5a670f3e41e69fd37f89e0e9dce2a"
+        "7a00ea0388464602c79c09e150937ac74691dd29ad6430307e89427cecd115af"
     )
 
 
@@ -377,46 +376,37 @@ def test_push_matches_all_points_oracle(p, l, r):
                 )
 
 
-def _patch_arrow(monkeypatch, b, r, wrap):
-    """Make builder b see arrow (0, 0) at prime r through wrap(xmap, u2)."""
-    real = b._lifted_arrow
-
-    def patched(ci, t, rr):
-        xmap, u2 = real(ci, t, rr)
-        if (ci, t, rr) == (0, 0, r):
-            return wrap(xmap, u2)
-        return xmap, u2
-
-    monkeypatch.setattr(b, "_lifted_arrow", patched)
+def _patch_arrow(b, wrap):
+    """Replace arrow (0, 0) of builder b by one whose x-map lifts to
+    wrap(lifted x-map)."""
+    ar = b.arrows[0][0]
+    fake = types.SimpleNamespace(lift=lambda emb: wrap(ar.xmap.lift(emb)))
+    b.arrows[0][0] = dataclasses.replace(ar, xmap=fake)
 
 
-def test_push_guard_image_outside_table(monkeypatch):
+def test_push_guard_image_outside_table():
     b = GraphBuilder(13, 5)
 
-    def perturb(xmap, u2):
+    def perturb(xmap):
         num = list(xmap.num)
         num[0] = num[0] + 1
-        return XMap(num, xmap.den), u2
+        return XMap(num, xmap.den)
 
-    _patch_arrow(monkeypatch, b, 3, perturb)
+    _patch_arrow(b, perturb)
     with pytest.raises(GraphBuildError, match="missed the table"):
         b.push_subgroup(0, 0, 3, 0)
 
 
-def test_push_guard_not_a_bijection(monkeypatch):
+def test_push_guard_not_a_bijection():
     b = GraphBuilder(13, 5)
     target = b.arrows[0][0].target
     x_hit = b.level_subgroups(3)[target][1][0]
-
-    def constant(xmap, u2):
-        return XMap([x_hit], [x_hit.field.one]), x_hit.field.one
-
-    _patch_arrow(monkeypatch, b, 3, constant)
+    _patch_arrow(b, lambda xmap: XMap([x_hit], [x_hit.field.one]))
     with pytest.raises(GraphBuildError, match="not a bijection"):
         b.push_subgroup(0, 0, 3, 0)
 
 
-def test_push_guard_doubling(monkeypatch):
+def test_push_guard_doubling():
     # swap y0 = x(phi(P)) with x(2 phi(P)) on the target: each subgroup
     # still lands on its own slot, so only the doubling guard can see it
     b = GraphBuilder(13, 5)
@@ -426,20 +416,16 @@ def test_push_guard_doubling(monkeypatch):
     x0 = b.level_subgroups(r)[0][0][0]
 
     class Swapped:
-        def __init__(self, xmap, u2):
-            self.xmap, self.u2 = xmap, u2
-            y0 = u2 * xmap(x0)
+        def __init__(self, xmap):
+            self.xmap = xmap
+            y0 = xmap(x0)
             y1 = x_double(tgt.change_field(emb), y0)
             self.swap = {y0.coeffs: y1, y1.coeffs: y0}
 
         def eval_many(self, xs):
-            out = []
-            for v in self.xmap.eval_many(xs):
-                y = self.swap.get((self.u2 * v).coeffs)
-                out.append(v if y is None else y / self.u2)
-            return out
+            return [self.swap.get(v.coeffs, v) for v in self.xmap.eval_many(xs)]
 
-    _patch_arrow(monkeypatch, b, r, lambda xmap, u2: (Swapped(xmap, u2), u2))
+    _patch_arrow(b, Swapped)
     with pytest.raises(GraphBuildError, match="doubling"):
         b.push_subgroup(0, 0, r, 0)
 

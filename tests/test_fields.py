@@ -598,14 +598,11 @@ def test_embedding_quadratic_into_tower():
             emb.descend(big.gen)  # big generator spans outside the quadratic
 
 
-def test_embedding_prime_field():
-    small = make_extension_field(13, 1)
-    big = make_extension_field(13, 4)
-    emb = Embedding(small, big)
-    assert big.unpack(emb.map_t(small.pack((5,)))) == (5, 0, 0, 0)
-    assert small.unpack(emb.unmap_t(big.pack((5, 0, 0, 0)))) == (5,)
-    with pytest.raises(NotInSubfield):
-        emb.unmap_t(big.pack((5, 1, 0, 0)))
+def test_embedding_refuses_other_sources():
+    # embeddings run from F_{p^2} only, into even-degree fields
+    for a, b in ((1, 4), (4, 8), (2, 3)):
+        with pytest.raises(ValueError, match="F_{p\\^2}"):
+            Embedding(make_extension_field(13, a), make_extension_field(13, b))
 
 
 def test_element_refuses_raw_ints():

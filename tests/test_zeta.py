@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from isograph.enhanced import EnhancedGraph, GraphBuilder
+from isograph.enhanced import AdmissibilityError, EnhancedGraph, GraphBuilder
 from isograph.polys import Polynomial, charpoly_int, poly_matrix_det
 from isograph.spectral import spectrum
 from isograph.zeta import (
@@ -197,6 +197,6 @@ def test_reciprocity_13_37_5():
 
 
 def test_reciprocity_rejects_equal_primes():
-    with pytest.raises(ZetaError):
+    with pytest.raises(AdmissibilityError, match="distinct"):
         reciprocity_check(13, 13, 5)
 
