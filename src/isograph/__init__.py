@@ -19,7 +19,7 @@ from .enhanced import (
 from .fields import Field, FieldElement, get_embedding, make_extension_field
 from .graph import covering_map, euler_characteristic, verify_covering
 from .spectral import cheeger_constant, ramanujan_report, spectrum
-from .supersingular import build_class_table, enumerate_supersingular
+from .supersingular import build_class_table
 from .zeta import ihara_zeta, reciprocity_check
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "check_admissible",
     "cheeger_constant",
     "covering_map",
-    "enumerate_supersingular",
     "euler_characteristic",
     "get_embedding",
     "ihara_zeta",

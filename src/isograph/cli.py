@@ -422,6 +422,8 @@ def _verify_group(jobs: list[JobConfig]) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    if args.workers < 1:
+        raise AdmissibilityError(f"--workers must be at least 1, not {args.workers}")
     if args.grid:
         if (args.p, args.l, args.N) != (None, None, None):
             raise AdmissibilityError("verify takes either p l N or --grid, not both")
@@ -439,7 +441,8 @@ def cmd_verify(args) -> int:
     if args.workers > 1 and len(groups) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(groups))) as pool:
             results = [r for group in pool.map(_verify_group, groups) for r in group]
     else:
         results = _verify_group(jobs)

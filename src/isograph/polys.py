@@ -2,23 +2,21 @@
 
 Polynomial holds Python ints (characteristic and zeta polynomials) or
 the FieldElements of one field (Velu x-maps); everything here is exact.
-Characteristic polynomials of integer matrices use a CRT of word-size
-primes with numpy-backed Hessenberg reduction; this is the one
-determinant the zeta pipeline calls.  Fraction-free Bareiss elimination
-at integer sample points followed by Lagrange interpolation
-(poly_matrix_det) is kept as the independent reference that tests compare
-the CRT route against.
+Characteristic polynomials of self-adjoint integer matrices come from
+Lanczos over one proven prime above their coefficient bound, in plain
+ints; this is the one determinant the zeta pipeline calls.  Fraction-free
+Bareiss elimination at integer sample points followed by Lagrange
+interpolation (poly_matrix_det) is the independent reference that tests
+compare it against.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import comb, isqrt
+from operator import mul
 from typing import Iterable, Sequence
-
-import numpy as np
-
-from .fields import is_prime
 
 
 class Polynomial:
@@ -204,63 +202,7 @@ def _lagrange_int(xs: Sequence[int], ys: Sequence[int]) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# exact characteristic polynomial via CRT over word-size primes
-
-_CRT_PRIMES: list[int] = []
-
-
-def _crt_primes(count: int) -> list[int]:
-    # primes just below 2^25 keep every numpy intermediate below 2^63
-    cand = _CRT_PRIMES[-1] - 2 if _CRT_PRIMES else (1 << 25) - 1
-    while len(_CRT_PRIMES) < count:
-        while not is_prime(cand):
-            cand -= 2
-        _CRT_PRIMES.append(cand)
-        cand -= 2
-    return _CRT_PRIMES[:count]
-
-
-def _hessenberg_mod(m: np.ndarray, p: int) -> np.ndarray:
-    n = m.shape[0]
-    for k in range(n - 2):
-        col = m[k + 1 :, k]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = k + 1 + int(nz[0])
-        if piv != k + 1:
-            m[[k + 1, piv], :] = m[[piv, k + 1], :]
-            m[:, [k + 1, piv]] = m[:, [piv, k + 1]]
-        inv = pow(int(m[k + 1, k]), p - 2, p)
-        f = m[k + 2 :, k] * inv % p
-        if np.any(f):
-            m[k + 2 :, :] = (m[k + 2 :, :] - np.outer(f, m[k + 1, :])) % p
-            m[:, k + 1] = (m[:, k + 1] + m[:, k + 2 :] @ f) % p
-    return m
-
-
-def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Monic char poly of a mod p, coefficients ascending, length n+1."""
-    n = a.shape[0]
-    h = _hessenberg_mod(np.array(a % p, dtype=np.int64), p)
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    # at step m, prods[i - 1] = h[i, i-1] h[i+1, i] ... h[m-1, m-2]
-    prods = np.zeros(0, dtype=np.int64)
-    for m in range(1, n + 1):
-        hm = int(h[m - 1, m - 1])
-        new = np.zeros(n + 1, dtype=np.int64)
-        pm1 = polys[m - 1]
-        new[1 : m + 1] = pm1[0:m]
-        new[0:m] = (new[0:m] - hm * pm1[0:m]) % p
-        if m >= 2:
-            prods = np.append(prods, 1) * h[m - 1, m - 2] % p
-            w = h[: m - 1, m - 1] * prods % p
-            if np.any(w):
-                s = (w @ polys[0 : m - 1, 0:m]) % p
-                new[0:m] = (new[0:m] - s) % p
-        polys[m] = new
-    return polys[n] % p
+# exact characteristic polynomial by Lanczos over one prime
 
 
 def _coefficient_bound(n: int, frob2: int) -> int:
@@ -274,26 +216,85 @@ def _coefficient_bound(n: int, frob2: int) -> int:
     return root if root * root == top else root + 1
 
 
-def charpoly_int(matrix: Sequence[Sequence[int]]) -> Polynomial:
-    """det(xI - A) exactly, for integer A, by CRT over enough word-size
-    primes that their product exceeds twice _coefficient_bound."""
+# exponents e of the Mersenne primes 2^e - 1 from 2^61 - 1 on, each proven
+# prime by Lucas-Lehmer; is_prime is certain only below 3.3e24
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281)
+
+
+def _lanczos_prime(bound: int) -> int:
+    """The smallest tabulated Mersenne prime above `bound`."""
+    for e in MERSENNE_EXPONENTS:
+        if bound < (1 << e) - 1:
+            return (1 << e) - 1
+    raise ValueError(f"coefficient bound of {bound.bit_length()} bits is past 2^2281 - 1")
+
+
+def _draw(rng: random.Random, n: int, prime: int) -> list[int]:
+    """A block's start vector: n random residues below 2^(e-1), prime = 2^e - 1."""
+    bits = prime.bit_length() - 1
+    return [rng.getrandbits(bits) for _ in range(n)]
+
+
+def charpoly_int(
+    matrix: Sequence[Sequence[int]], involution: Sequence[int] | None = None
+) -> Polynomial:
+    """det(xI - A) exactly, for an integer A self-adjoint under the form
+    <u, v> = sum_i u_i v_J(i), J = `involution` (the identity when None, so
+    A symmetric): A = J A^T J.  Lanczos over one prime P above twice
+    _coefficient_bound, lifted to the symmetric range.
+
+    A block runs w' = A w - alpha w - beta w_prev, with alpha = <Aw, w>/<w, w>
+    and beta = <w, w>/<w_prev, w_prev>, until w' = 0: its vectors span an
+    invariant subspace, on which det(xI - A) is the tridiagonal recurrence
+    p_k = (x - alpha_k) p_(k-1) - beta_k p_(k-2).  The next block starts
+    from a seeded random vector with every earlier vector projected out in
+    one pass (they are orthogonal); self-adjointness keeps its Krylov space
+    orthogonal to theirs, so det(xI - A) mod P is the product of the block
+    polynomials.  A nonzero w with <w, w> = 0 mod P stops the recurrence and
+    raises ArithmeticError."""
     n = len(matrix)
-    if n == 0:
-        return Polynomial([1])
     if any(len(row) != n for row in matrix):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    frob2 = sum(int(x) ** 2 for row in matrix for x in row)
-    bound = 2 * _coefficient_bound(n, frob2)
-    a = np.array([[int(x) for x in row] for row in matrix], dtype=np.int64)
-    # fold each prime's residues into the coefficients x mod m, with m
-    # the product of the primes so far: one inverse of m per prime
-    x = [0] * (n + 1)
-    m, count = 1, 0
-    while m <= bound:
-        count += 1
-        p = _crt_primes(count)[-1]
-        inv = pow(m, -1, p)
-        res = _charpoly_mod(a, p).tolist()
-        x = [c + m * ((r - c) * inv % p) for c, r in zip(x, res)]
-        m *= p
-    return Polynomial([c - m if c > m // 2 else c for c in x])
+    J = range(n) if involution is None else involution
+    if sorted(J) != list(range(n)) or any(J[j] != i for i, j in enumerate(J)):
+        raise ValueError("involution is not an involutive permutation")
+    rows = [[(j, int(x)) for j, x in enumerate(row) if x] for row in matrix]
+    # checking the nonzero entries suffices: J A^T J maps (i, j) to (J j, J i)
+    if any(matrix[J[j]][J[i]] != x for i, row in enumerate(rows) for j, x in row):
+        raise ValueError("matrix is not self-adjoint: A != J A^T J")
+    frob2 = sum(x * x for row in rows for _, x in row)
+    prime = _lanczos_prime(2 * _coefficient_bound(n, frob2))
+    rng = random.Random(0)
+    basis: list[tuple[list[int], list[int], int]] = []  # w, partner, 1/<w, w>
+    product = Polynomial([1])
+    while len(basis) < n:
+        w = _draw(rng, n, prime)
+        if basis:
+            vs, jvs, invs = zip(*basis)
+            cs = [sum(map(mul, w, jv)) * inv % prime for jv, inv in zip(jvs, invs)]
+            w = [(x - sum(map(mul, cs, col))) % prime for x, col in zip(w, zip(*vs))]
+        if not any(w):
+            continue
+        w_prev, inv_prev = [0] * n, 0
+        poly_prev, poly = [], [1]  # p_(k-2), p_(k-1)
+        while w is not None:
+            jw = w if involution is None else [w[j] for j in J]  # <u, w> = u . jw
+            d = sum(map(mul, w, jw)) % prime
+            if not d:
+                raise ArithmeticError("Lanczos reached a nonzero isotropic vector")
+            if len(basis) == n:  # unreachable for a self-adjoint A
+                raise ArithmeticError("more Lanczos vectors than the dimension")
+            inv = pow(d, -1, prime)
+            basis.append((w, jw, inv))
+            aw = [sum([x * w[j] for j, x in row]) for row in rows]
+            alpha = sum(map(mul, aw, jw)) * inv % prime
+            beta = d * inv_prev % prime
+            poly_prev, poly = poly, [
+                (s - alpha * c - beta * b) % prime
+                for s, c, b in zip([0] + poly, poly + [0], poly_prev + [0, 0])
+            ]
+            nxt = [(a - alpha * x - beta * y) % prime for a, x, y in zip(aw, w, w_prev)]
+            w_prev, inv_prev = w, inv
+            w = nxt if any(nxt) else None
+        product = Polynomial(c % prime for c in (product * Polynomial(poly)).coeffs)
+    return Polynomial(c - prime if 2 * c > prime else c for c in product.coeffs)

@@ -8,7 +8,9 @@ P's coefficients.  The other verdicts count the roots of P above and on
 a threshold in Q(sqrt l) (count_roots).  LAPACK eigenvalues
 (`numpy.linalg.eigvalsh`) are for display only: lambda*, the Ramanujan
 bound, the Laplacian gap and the float Cheeger bounds.  The Cheeger
-constant h is enumerated in integers.
+constant h is enumerated in integers.  Only the functions that call
+LAPACK or enumerate subsets import numpy, so the verdicts on P, which
+zeta reads, load none.
 
 For a k-regular graph, k = l + 1 and gap = k - lambda_1, Dodziuk (1984)
 and Alon-Milman (1985) give gap/2 <= h <= sqrt(2k gap), and
@@ -24,10 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .polys import Polynomial, charpoly_int
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # LAPACK's top eigenvalue may miss the exact degree by rounding, no more
 EIGVALSH_TOL = 1e-9
@@ -38,6 +42,7 @@ class SpectralError(ValueError):
 
 
 def _as_matrix(obj) -> np.ndarray:
+    import numpy as np
     A = np.asarray(obj.brandt if hasattr(obj, "brandt") else obj)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise SpectralError("need a square matrix")
@@ -120,6 +125,7 @@ class Spectrum:
 
 
 def spectrum(graph_or_matrix) -> Spectrum:
+    import numpy as np
     A = _as_matrix(graph_or_matrix)
     row_sums = A.sum(axis=1)
     if np.any(row_sums != row_sums[0]):
@@ -179,6 +185,7 @@ class CheegerResult:
 
 def _subset_bits(count: int) -> np.ndarray:
     """Row m holds the bits of m: one row per subset of `count` vertices."""
+    import numpy as np
     return (np.arange(1 << count, dtype=np.int64)[:, None] >> np.arange(count)) & 1
 
 
@@ -192,6 +199,7 @@ def _exact_cheeger(A: np.ndarray) -> tuple[Fraction, tuple[int, ...]]:
     are one integer product.  A ratio over s vertices is scored as
     boundary * lcm(1..n/2) / s; a block's flat index order is mask order,
     so its first minimum is its lowest mask."""
+    import numpy as np
     n = A.shape[0]
     half = n // 2
     lo, hi = slice(0, half), slice(half, n)

@@ -5,20 +5,17 @@ Restricted to p = 1 mod 12: the class number is then exactly (p-1)/12,
 j = 0 and j = 1728 are ordinary, and every class has automorphisms {+-1},
 which keeps the counting combinatorics elsewhere twist-free.
 
-The class scan evaluates the Hasse polynomial H_p at all p^2 values of the
-Legendre parameter at once, by Horner on two numpy coordinate arrays, and
-maps only its roots to j-invariants.  H_p is separable with all
-(p-1)/2 roots in F_{p^2}, so any other root count is an error, as is any
-class count other than (p-1)/12.
+The classes are the roots of Kaneko-Zagier's supersingular polynomial
+ss_p, whose roots are the supersingular j-invariants themselves: one
+plain-int Horner scan of the p^2 points of F_{p^2}.  ss_p has degree
+(p-1)/12 and splits there without repeated roots, so any other root count
+is an error.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field as dc_field
-
-import numpy as np
 
 from .curves import EllipticCurve, curve_from_j, twist_to_scalar_frobenius
 from .fields import Field, FieldElement, is_prime, make_extension_field
@@ -35,74 +32,33 @@ def require_admissible_prime(p: int) -> None:
         raise ClassTableError(f"p = {p} is not 1 mod 12")
 
 
-def hasse_witt_polynomial(p: int) -> tuple[int, ...]:
-    """Coefficients mod p of H_p(t) = sum C(m, i)^2 t^i with m = (p-1)/2.
-
-    A Legendre curve y^2 = x(x-1)(x-t) is supersingular exactly at the
-    roots of H_p, all of which lie in F_{p^2}.
-    """
-    m = (p - 1) // 2
-    return tuple(math.comb(m, i) ** 2 % p for i in range(m + 1))
-
-
-def _lambda_to_j(f: Field, lam_t: int) -> int:
-    # j = 256 (l^2 - l + 1)^3 / (l^2 (l - 1)^2)
-    lam = FieldElement(f, lam_t)
-    num = lam * lam - lam + 1
-    num = 256 * num * num * num
-    den = lam * lam * (lam - 1) * (lam - 1)
-    return (num / den).raw
+def supersingular_polynomial(p: int) -> tuple[int, ...]:
+    """Coefficients mod p of Kaneko-Zagier's ss_p(j), highest degree first:
+    c_k 1728^k for j^(m-k), k = 0..m, with m = (p-1)/12 and
+    c_k = (1/12)_k (5/12)_k / k!^2, the Hasse invariant written in j.
+    Each coefficient is the one before times 1728 (k - 11/12)(k - 7/12) / k^2."""
+    out = [1]
+    for k in range(1, (p - 1) // 12 + 1):
+        out.append(out[-1] * 12 * (12 * k - 11) * (12 * k - 7) * pow(k * k, -1, p) % p)
+    return tuple(out)
 
 
-def _hasse_roots(f: Field) -> list[int]:
-    """Roots of H_p in F_{p^2} = f, in counting order.
-
-    Horner over every lambda at once: lambda = l0 + l1 x with
-    x^2 = -m1 x - m0 from f.modulus, one int64 array per coordinate.
-    Every intermediate is below 3 p^2 in absolute value.
-    """
-    p = f.p
-    m0, m1 = f.modulus[0], f.modulus[1]
-    n = np.arange(p * p, dtype=np.int64)
-    l0, l1 = n % p, n // p
-    a0 = np.zeros_like(n)
-    a1 = np.zeros_like(n)
-    for c in reversed(hasse_witt_polynomial(p)):
-        hi = a1 * l1 % p
-        a0, a1 = (
-            (a0 * l0 - m0 * hi + c) % p,
-            (a0 * l1 + a1 * l0 - m1 * hi) % p,
-        )
-    roots = np.flatnonzero((a0 == 0) & (a1 == 0))
-    return [f.pack((int(k % p), int(k // p))) for k in roots]
-
-
-@functools.lru_cache(maxsize=None)
-def _enumerate_supersingular_cached(p: int) -> tuple[FieldElement, ...]:
-    """All supersingular j-invariants in F_{p^2}, sorted by encoding."""
-    require_admissible_prime(p)
-    f = make_extension_field(p, 2)
-    roots = _hasse_roots(f)
-    if len(roots) != (p - 1) // 2:
-        raise ClassTableError(
-            f"H_{p} has {len(roots)} roots in F_{p}^2, expected {(p - 1) // 2}"
-        )
-    # H_p(0) = 1 and H_p(1) = +-1, so lambda is never 0 or 1 here
-    js = {_lambda_to_j(f, lam_t) for lam_t in roots}
-    expected = (p - 1) // 12
-    if len(js) != expected:
-        raise ClassTableError(
-            f"found {len(js)} supersingular classes for p={p}, expected {expected}"
-        )
-    out = sorted(js, key=f.unpack)
-    bad = {0, f.coerce_t(1728)}
-    if any(j in bad for j in out):
-        raise ClassTableError("j in {0, 1728} cannot occur for p = 1 mod 12")
-    return tuple(FieldElement(f, j) for j in out)
-
-
-def enumerate_supersingular(p: int) -> list[FieldElement]:
-    return list(_enumerate_supersingular_cached(p))
+def _roots_in_fp2(f: Field, coeffs: tuple[int, ...]) -> list[int]:
+    """Raw roots in f = F_{p^2} of the polynomial with coefficients `coeffs`
+    in F_p (highest degree first), sorted by encoding: Horner at every
+    x0 + x1 x, in plain ints with x^2 = -m1 x - m0."""
+    p, m0, m1 = f.p, f.modulus[0], f.modulus[1]
+    lead, rest = coeffs[0], coeffs[1:]
+    roots = []
+    for x0 in range(p):
+        for x1 in range(p):
+            a0, a1 = lead, 0
+            for c in rest:
+                hi = a1 * x1
+                a0, a1 = (a0 * x0 - m0 * hi + c) % p, (a0 * x1 + a1 * x0 - m1 * hi) % p
+            if not a0 and not a1:
+                roots.append(f.pack((x0, x1)))
+    return roots
 
 
 @dataclass(frozen=True)
@@ -132,6 +88,16 @@ class SupersingularClassTable:
 
 @functools.lru_cache(maxsize=None)
 def build_class_table(p: int) -> SupersingularClassTable:
-    js = _enumerate_supersingular_cached(p)
+    """The classes of p: the roots of ss_p in F_{p^2}, (p-1)/12 of them and
+    none 0 or 1728, each with a model on which Frobenius acts as -p."""
+    require_admissible_prime(p)
+    f = make_extension_field(p, 2)
+    roots = _roots_in_fp2(f, supersingular_polynomial(p))
+    expected = (p - 1) // 12
+    if len(roots) != expected:
+        raise ClassTableError(f"ss_{p} has {len(roots)} roots, expected {expected}")
+    if any(j in (0, f.coerce_t(1728)) for j in roots):
+        raise ClassTableError("j in {0, 1728} cannot occur for p = 1 mod 12")
+    js = tuple(FieldElement(f, j) for j in roots)
     models = tuple(twist_to_scalar_frobenius(curve_from_j(j)) for j in js)
-    return SupersingularClassTable(p, js[0].field, js, models)
+    return SupersingularClassTable(p, f, js, models)

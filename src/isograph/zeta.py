@@ -8,7 +8,7 @@ every determinant is one integer characteristic polynomial
 with its coefficients reversed.  The polynomial of A also decides that
 the graph is connected (spectral.is_connected).  The edge-matrix
 determinant over edge_reverse is the independent oracle that verify
-compares against.
+compares against.  Nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -92,7 +92,9 @@ def edge_matrix_zeta(eg: EnhancedGraph) -> Polynomial:
     into f and f is not the reversal edge_reverse[e].  Independent of the
     Bass route: one characteristic polynomial of the n(l+1)-square 0/1
     matrix T rather than of anything built from the adjacency matrix;
-    det(I - tT) is that polynomial with its coefficients reversed."""
+    det(I - tT) is that polynomial with its coefficients reversed.  T is
+    not symmetric, but T = R T^T R for the reversal R, so Lanczos runs in
+    the form <u, v> = sum u_e v_R(e)."""
     k = eg.degree
     m = eg.oriented_edge_count
     T = [
@@ -102,7 +104,7 @@ def edge_matrix_zeta(eg: EnhancedGraph) -> Polynomial:
         ]
         for e in range(m)
     ]
-    return Polynomial(reversed(charpoly_int(T).coeffs))
+    return Polynomial(reversed(charpoly_int(T, eg.edge_reverse).coeffs))
 
 
 # ------------------------------------------------------------- reciprocity

@@ -453,9 +453,9 @@ def test_verify_computes_each_charpoly_once(tmp_path, monkeypatch):
     calls = []
     original = polys_mod.charpoly_int
 
-    def counted(M):
-        calls.append(len(M))
-        return original(M)
+    def counted(*args):
+        calls.append(len(args[0]))
+        return original(*args)
 
     for mod in (polys_mod, spectral_mod, zeta_mod):
         monkeypatch.setattr(mod, "charpoly_int", counted)
@@ -530,6 +530,37 @@ def test_verify_workers_match_serial(tmp_path, capsys):
     # ten graphs, plus level 3 of (13, 5) and (37, 5) as coarse levels of 6
     assert len(runs[1][1]["graphs"]) == 10 and len(runs[1][2]) == 12
     assert runs[2] == runs[1]
+
+
+def test_verify_pool_has_at_most_one_worker_per_task(tmp_path, capsys, monkeypatch):
+    # a fork pool starts every worker it is asked for at the first submit,
+    # so the pool is sized by the (p, l) groups; this fake runs them serially
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    argv = ("verify", "--grid", "p in {13}, l in {3,5}, N in {1}", "--cache-dir", tmp_path)
+    serial = run(capsys, *argv)
+    assert sizes == []
+    assert run(capsys, *argv, "--workers", 5000) == serial
+    assert sizes == [2]
+    for workers in (0, -3):
+        assert run(capsys, *argv, "--workers", workers) == (EXIT_PARAMS, None)
+    assert sizes == [2]
 
 
 # ------------------------------------------------------------- grid parser

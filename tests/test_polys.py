@@ -5,13 +5,13 @@ from math import comb
 import numpy as np
 import pytest
 
+import isograph.polys as polys
 from isograph.fields import make_extension_field
 from isograph.polys import (
+    MERSENNE_EXPONENTS,
     Polynomial,
-    _charpoly_mod,
     _coefficient_bound,
-    _crt_primes,
-    _hessenberg_mod,
+    _lanczos_prime,
     bareiss_det,
     charpoly_int,
     poly_matrix_det,
@@ -132,24 +132,107 @@ def charpoly_by_poly_det(a):
     )
 
 
+def random_involution(rng, n):
+    J = list(range(n))
+    order = rng.sample(range(n), n)
+    for a, b in zip(order[::2], order[1::2]):
+        if rng.random() < 0.7:
+            J[a], J[b] = b, a
+    return J
+
+
 def test_charpoly_known_and_cross_route():
     assert charpoly_int([[6]]) == P(-6, 1)
     assert charpoly_int([[0, 1], [1, 0]]) == P(-1, 0, 1)
+    assert charpoly_int([]) == P(1)
     rng = random.Random(17)
-    for _ in range(30):  # non-symmetric, negative entries
+    for _ in range(40):  # negative entries, repeated eigenvalues likely
         n = rng.randint(1, 8)
-        a = [[rng.randint(-60, 40) for _ in range(n)] for _ in range(n)]
-        cp = charpoly_int(a)
-        assert cp == charpoly_by_poly_det(a)
-        bound = _coefficient_bound(n, sum(x * x for row in a for x in row))
-        assert all(abs(c) <= bound for c in cp.coeffs)
+        s = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                s[i][j] = s[j][i] = rng.choice([0, 0, 1, 2, -3, rng.randint(-60, 40)])
+        J = random_involution(rng, n)
+        a = [s[J[i]] for i in range(n)]  # self-adjoint: A = J A^T J
+        for matrix, involution in ((s, None), (a, J)):
+            cp = charpoly_int(matrix, involution)
+            assert cp == charpoly_by_poly_det(matrix)
+            bound = _coefficient_bound(n, sum(x * x for row in matrix for x in row))
+            assert all(abs(c) <= bound for c in cp.coeffs)
 
 
-@pytest.mark.parametrize("n, c", [(40, 1), (40, 3), (25, -7), (12, 10**6)])
+def test_charpoly_refuses_a_matrix_that_is_not_self_adjoint():
+    rng = random.Random(29)
+    n = 6
+    s = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s[i][j] = s[j][i] = rng.randint(-5, 5)
+    J = [1, 0, 3, 2, 4, 5]
+    a = [s[J[i]] for i in range(n)]
+    assert charpoly_int(a, J) == charpoly_by_poly_det(a)
+    for i, j in ((0, 3), (2, 2), (4, 5)):  # one flipped entry each
+        bent = [row[:] for row in a]
+        bent[i][j] += 1
+        with pytest.raises(ValueError, match="self-adjoint"):
+            charpoly_int(bent, J)
+    bent = [row[:] for row in s]
+    bent[1][4] -= 1
+    with pytest.raises(ValueError, match="self-adjoint"):
+        charpoly_int(bent)
+    # s is symmetric, but not self-adjoint under a swap that mixes its rows
+    with pytest.raises(ValueError, match="self-adjoint"):
+        charpoly_int(s, J)
+
+
+@pytest.mark.parametrize(
+    "J", [[1, 2, 0], [0, 0, 2], [0, 1], [0, 1, 3], [1, 0, 2, 3]], ids=str
+)
+def test_charpoly_refuses_an_involution_that_is_not_one(J):
+    with pytest.raises(ValueError, match="involutive permutation"):
+        charpoly_int([[1, 0, 0], [0, 1, 0], [0, 0, 1]], J)
+
+
+def test_charpoly_refuses_an_isotropic_vector(monkeypatch):
+    # A = I is self-adjoint under the swap; <(1, 0), (1, 0)> = 0 there
+    monkeypatch.setattr(polys, "_draw", lambda rng, n, prime: [1, 0])
+    with pytest.raises(ArithmeticError, match="isotropic"):
+        charpoly_int([[1, 0], [0, 1]], [1, 0])
+    monkeypatch.undo()
+    assert charpoly_int([[1, 0], [0, 1]], [1, 0]) == P(-1, 1) ** 2
+
+
+def lucas_lehmer(e):
+    """2^e - 1 is prime, for an odd prime e, exactly when s_(e-2) = 0 for
+    s_0 = 4 and s_(k+1) = s_k^2 - 2 mod 2^e - 1."""
+    m = (1 << e) - 1
+    s = 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
+def test_mersenne_table_is_proven_prime():
+    assert all(lucas_lehmer(e) for e in MERSENNE_EXPONENTS)
+    # the test rejects composite 2^e - 1 with e prime, and the table holds
+    # every Mersenne exponent in its range
+    assert not any(lucas_lehmer(e) for e in (11, 23, 67, 101, 257))
+    assert [e for e in range(61, 128) if lucas_lehmer(e)] == [
+        e for e in MERSENNE_EXPONENTS if e < 128
+    ]
+    assert _lanczos_prime(2**61 - 2) == 2**61 - 1
+    assert _lanczos_prime(2**61 - 1) == 2**89 - 1
+    assert _lanczos_prime(2**2281 - 2) == 2**2281 - 1
+    with pytest.raises(ValueError, match="past"):
+        _lanczos_prime(2**2281 - 1)
+
+
+@pytest.mark.parametrize("n, c", [(40, 1), (40, 3), (25, -7), (12, 10**6), (40, 2)])
 def test_charpoly_scaled_identity_attains_the_bound(n, c):
-    # c I has |c_k| = C(n, k) |c|^k, the bound exactly; I_40's largest
-    # coefficient C(40, 20) needs a second prime, so a bound without the
-    # binomial (1 for I_40) gives a wrong result here
+    # c I has |c_k| = C(n, k) |c|^k, the bound exactly; the largest
+    # coefficient of 2 I_40, C(40, 20) 2^20, is above (2^61 - 1) / 2, so a
+    # bound without the binomial (2^40 there) picks 2^61 - 1, too small a
+    # prime, and gives a wrong result
     a = [[c if i == j else 0 for j in range(n)] for i in range(n)]
     assert charpoly_int(a) == charpoly_by_poly_det(a) == P(-c, 1) ** n
     assert _coefficient_bound(n, n * c * c) == max(
@@ -161,34 +244,6 @@ def test_charpoly_all_ones():
     for n in (1, 7, 30):
         ones = [[1] * n for _ in range(n)]
         assert charpoly_int(ones) == charpoly_by_poly_det(ones) == P(-n, 1).shift(n - 1)
-
-
-def charpoly_mod_loop(a, p):
-    """Reference: the Hessenberg recurrence with the subdiagonal products
-    taken one Python int at a time."""
-    n = len(a)
-    h = _hessenberg_mod(np.array(a, dtype=np.int64) % p, p).tolist()
-    polys = [[1]]
-    for m in range(1, n + 1):
-        new = [0] + polys[m - 1]
-        for i, c in enumerate(polys[m - 1]):
-            new[i] -= h[m - 1][m - 1] * c
-        prod = 1
-        for i in range(m - 1, 0, -1):
-            prod = prod * h[i][i - 1] % p
-            for j, c in enumerate(polys[i - 1]):
-                new[j] -= h[i - 1][m - 1] * prod * c
-        polys.append([c % p for c in new])
-    return polys[n]
-
-
-def test_charpoly_mod_matches_loop_recurrence():
-    rng = random.Random(23)
-    for n in (1, 2, 3, 7, 19, 40):
-        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        for p in _crt_primes(2):
-            got = _charpoly_mod(np.array(a, dtype=np.int64), p).tolist()
-            assert got == charpoly_mod_loop(a, p)
 
 
 def test_charpoly_large_vs_float_eigenvalues():

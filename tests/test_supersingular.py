@@ -2,15 +2,13 @@ import math
 
 import pytest
 
-from isograph.curves import curve_from_j
-from isograph.fields import make_extension_field
+from isograph.curves import CurveError, curve_from_j
+from isograph.fields import FieldElement, make_extension_field
 import isograph.supersingular as ss
 from isograph.supersingular import (
     ClassTableError,
-    _lambda_to_j,
     build_class_table,
-    enumerate_supersingular,
-    hasse_witt_polynomial,
+    supersingular_polynomial,
 )
 
 
@@ -40,6 +38,40 @@ def prime_field_supersingular_js(p):
     return out
 
 
+def hasse_witt_polynomial(p):
+    """Coefficients mod p of H_p(t) = sum C(m, i)^2 t^i with m = (p-1)/2.
+
+    A Legendre curve y^2 = x(x-1)(x-t) is supersingular exactly at the
+    roots of H_p, all of which lie in F_{p^2}."""
+    m = (p - 1) // 2
+    return tuple(math.comb(m, i) ** 2 % p for i in range(m + 1))
+
+
+def lambda_to_j(f, lam_t):
+    # j = 256 (l^2 - l + 1)^3 / (l^2 (l - 1)^2)
+    lam = FieldElement(f, lam_t)
+    num = lam * lam - lam + 1
+    num = 256 * num * num * num
+    den = lam * lam * (lam - 1) * (lam - 1)
+    return (num / den).raw
+
+
+def scalar_scan_js(p):
+    """Oracle: Horner on the Hasse polynomial H_p one Legendre parameter
+    at a time with Field.mul_t, then the j of every root (six lambdas each),
+    sorted by encoding."""
+    f = make_extension_field(p, 2)
+    coeffs = hasse_witt_polynomial(p)  # constants, so their own raw ints
+    js = set()
+    for lam_t in map(f.pack, f.iter_tuples()):
+        acc = f.zero_t
+        for c in reversed(coeffs):
+            acc = f.add_t(f.mul_t(acc, lam_t), c)
+        if acc == f.zero_t:
+            js.add(lambda_to_j(f, lam_t))
+    return sorted(map(f.unpack, js))
+
+
 def test_hasse_witt_frozen_13():
     assert hasse_witt_polynomial(13) == (1, 10, 4, 10, 4, 10, 1)
 
@@ -57,24 +89,24 @@ def test_hasse_witt_shape():
 @pytest.mark.parametrize("p", [13, 37])
 def test_enumeration_matches_prime_field_oracle(p):
     oracle = prime_field_supersingular_js(p)
-    computed = [j.coeffs[0] for j in enumerate_supersingular(p) if j.coeffs[1] == 0]
+    computed = [j.coeffs[0] for j in build_class_table(p).js if j.coeffs[1] == 0]
     assert computed == oracle
 
 
 def test_p13_single_class():
-    js = enumerate_supersingular(13)
+    js = build_class_table(13).js
     assert len(js) == 1
     assert js[0] == 5
 
 
 def test_class_counts():
     for p, h in {13: 1, 37: 3, 61: 5, 73: 6, 97: 8, 109: 9}.items():
-        js = enumerate_supersingular(p)
+        js = build_class_table(p).js
         assert len(js) == h == (p - 1) // 12
 
 
 def test_extension_classes_p37():
-    js = enumerate_supersingular(37)
+    js = build_class_table(37).js
     f = js[0].field
     ext = [j for j in js if j.coeffs[1] != 0]
     assert len(ext) == 2
@@ -156,52 +188,56 @@ def test_two_isogeny_closure_reaches_everything(p):
 
 def test_rejects_bad_primes():
     with pytest.raises(ClassTableError, match="not 1 mod 12"):
-        enumerate_supersingular(11)
+        build_class_table(11)
     with pytest.raises(ClassTableError, match="not prime"):
-        enumerate_supersingular(25)
+        build_class_table(25)
 
 
-def scalar_scan_js(p):
-    """Reference: Horner on H_p one lambda at a time with Field.mul_t,
-    then j of every root."""
-    f = make_extension_field(p, 2)
-    coeffs = hasse_witt_polynomial(p)  # constants, so their own raw ints
-    js = set()
-    for lam_t in map(f.pack, f.iter_tuples()):
-        acc = f.zero_t
-        for c in reversed(coeffs):
-            acc = f.add_t(f.mul_t(acc, lam_t), c)
-        if acc == f.zero_t:
-            js.add(_lambda_to_j(f, lam_t))
-    return sorted(map(f.unpack, js))
+def test_supersingular_polynomial_frozen():
+    assert supersingular_polynomial(13) == (1, 8)  # j - 5: the one class
+    # ss_37 = (j - 8)(j^2 - 6j - 6) over F_37, j^2 - 6j - 6 irreducible
+    assert supersingular_polynomial(37) == (1, 23, 5, 11)
 
 
 @pytest.mark.parametrize("p", [13, 37, 61])
 def test_vectorized_scan_matches_scalar_horner(p):
-    assert [j.coeffs for j in enumerate_supersingular(p)] == scalar_scan_js(p)
+    # the roots of ss_p against the j of the Hasse polynomial's roots
+    assert [j.coeffs for j in build_class_table(p).js] == scalar_scan_js(p)
 
 
 @pytest.fixture
-def fresh_enumeration():
-    ss._enumerate_supersingular_cached.cache_clear()
+def fresh_tables():
+    build_class_table.cache_clear()
     yield
-    ss._enumerate_supersingular_cached.cache_clear()
+    build_class_table.cache_clear()
 
 
-def test_scan_root_count_guard_fires_on_dropped_root(fresh_enumeration, monkeypatch):
-    # losing one lambda keeps all three j classes (each j has six lambdas),
-    # so only the root-count guard can notice
-    scan = ss._hasse_roots
-    monkeypatch.setattr(ss, "_hasse_roots", lambda f: scan(f)[1:])
-    with pytest.raises(ClassTableError, match="17 roots"):
-        enumerate_supersingular(37)
+def test_scan_root_count_guard_fires_on_dropped_root(fresh_tables, monkeypatch):
+    scan = ss._roots_in_fp2
+    monkeypatch.setattr(ss, "_roots_in_fp2", lambda f, coeffs: scan(f, coeffs)[1:])
+    with pytest.raises(ClassTableError, match="2 roots"):
+        build_class_table(37)
 
 
-def test_scan_guards_fire_on_perturbed_hasse_coefficient(
-    fresh_enumeration, monkeypatch
-):
-    honest = hasse_witt_polynomial(37)
-    bent = (honest[0], (honest[1] + 1) % 37) + honest[2:]
-    monkeypatch.setattr(ss, "hasse_witt_polynomial", lambda p: bent)
-    with pytest.raises(ClassTableError, match="roots|classes"):
-        enumerate_supersingular(37)
+@pytest.mark.parametrize("root", [0, 1728])
+def test_scan_guard_fires_on_j_0_or_1728(fresh_tables, monkeypatch, root):
+    # j - root over F_13 has the one root that p = 13 expects
+    monkeypatch.setattr(ss, "supersingular_polynomial", lambda p: (1, -root % 13))
+    with pytest.raises(ClassTableError, match="1728"):
+        build_class_table(13)
+
+
+def test_scan_guards_fire_on_perturbed_hasse_coefficient(fresh_tables, monkeypatch):
+    # ss_p is the Hasse invariant written in j: every change of one of its
+    # coefficients is refused, by the root count or, where the bent
+    # polynomial still has three roots in F_37^2, by the scalar-Frobenius
+    # twist of a root that is not supersingular
+    honest = supersingular_polynomial(37)
+    for k in range(len(honest)):
+        for delta in range(1, 37):
+            bent = list(honest)
+            bent[k] = (bent[k] + delta) % 37
+            monkeypatch.setattr(ss, "supersingular_polynomial", lambda p: tuple(bent))
+            build_class_table.cache_clear()
+            with pytest.raises((ClassTableError, CurveError)):
+                build_class_table(37)
