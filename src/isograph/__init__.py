@@ -16,7 +16,7 @@ from .enhanced import (
     sigma1,
     vertex_count,
 )
-from .fields import Field, FieldElement, get_embedding, make_extension_field
+from .fields import Embedding, Field, FieldElement, make_extension_field
 from .graph import covering_map, euler_characteristic, verify_covering
 from .spectral import cheeger_constant, ramanujan_report, spectrum
 from .supersingular import build_class_table
@@ -24,6 +24,7 @@ from .zeta import ihara_zeta, reciprocity_check
 
 __all__ = [
     "AdmissibilityError",
+    "Embedding",
     "EnhancedGraph",
     "Field",
     "FieldElement",
@@ -34,7 +35,6 @@ __all__ = [
     "cheeger_constant",
     "covering_map",
     "euler_characteristic",
-    "get_embedding",
     "ihara_zeta",
     "make_extension_field",
     "ramanujan_report",

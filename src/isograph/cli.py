@@ -1,15 +1,17 @@
 """Command line front end: build graphs into a cache, inspect them, run
 the verification suite.
 
-Exit codes: 0 success, 2 bad parameters, 3 a verification check failed
-(a failed covering, the zeta of a disconnected graph included), 4 an
-internal invariant was violated (bug or corrupted cache).  All
-structured output is JSON on stdout; human-facing errors go to stderr.
+Exit codes: 0 success, 2 bad parameters (an output path that cannot be
+written included), 3 a verification check failed (a failed covering,
+the zeta of a disconnected graph included), 4 an internal invariant was
+violated (bug or corrupted cache).  All structured output is JSON on
+stdout; human-facing errors go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -54,6 +56,10 @@ EXIT_INTERNAL = 4
 
 class GraphFileError(RuntimeError):
     """Cache file failed self-validation."""
+
+
+class OutputPathError(ValueError):
+    """An output path (a cache directory, --dot or --csv) cannot be written."""
 
 
 @dataclass(frozen=True)
@@ -106,19 +112,32 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """Report an OSError while writing `path` as OutputPathError, naming
+    the path that failed when it is another (an existing file where the
+    cache directory should be, say)."""
+    try:
+        yield
+    except OSError as e:
+        at = "" if e.filename in (None, path) else f": {e.filename}"
+        raise OutputPathError(f"cannot write {path}: {e.strerror or e}{at}") from None
+
+
 def write_graph_file(path: str, eg: EnhancedGraph) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     payload = canonical_json(graph_to_dict(eg))
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _output(path):
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 def load_graph_file(path: str) -> EnhancedGraph:
@@ -314,12 +333,10 @@ def cmd_build(args) -> int:
     cfg = _config(args)
     eg = build_or_load(cfg, force=True)
     path = graph_file_path(cfg)
-    if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(to_dot(eg))
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(adjacency_csv(eg))
+    for out, render in ((args.dot, to_dot), (args.csv, adjacency_csv)):
+        if out:
+            with _output(out), open(out, "w") as fh:
+                fh.write(render(eg))
     _emit(
         {
             "path": path,
@@ -553,7 +570,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AdmissibilityError as e:
+    except (AdmissibilityError, OutputPathError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARAMS
     except (CoveringError, ZetaError) as e:

@@ -5,10 +5,11 @@ polynomial, a polys.Polynomial of FieldElements), and quadratic-twist
 normalization so the p^2-power Frobenius acts as the scalar -p on every
 working model.
 
-Order-r torsion is worked in a TorsionField: when -1 is a power of -p
-mod r and the field holding the points has an even modulus, its
-half-degree subfield, which holds every x-coordinate; the points are
-sampled on the quadratic twist, where they become rational.
+Order-r torsion is worked in a TorsionField, which torsion_field builds
+once per (p, r): when -1 is a power of -p mod r and the field holding
+the points has an even modulus g(x^2), the half-degree field F_p[y]/(g),
+which holds every x-coordinate; the points are sampled on the quadratic
+twist by y, where they become rational.
 
 Affine points carry FieldElements; the inner loops (scalar multiplication,
 multiple chains, x-map evaluation) run on the field's raw packed ints, in
@@ -31,9 +32,6 @@ from .fields import (
     Field,
     FieldElement,
     NoSquareRoot,
-    HalfField,
-    OddModulus,
-    get_embedding,
     is_prime,
     make_extension_field,
 )
@@ -77,13 +75,6 @@ class EllipticCurve:
 
     def identity(self) -> "Point":
         return Point(self, None, None)
-
-    def point(self, x, y) -> "Point":
-        x = self.field.element(x)
-        y = self.field.element(y)
-        if y * y != (x * x + self.a) * x + self.b:
-            raise CurveError("point is not on the curve")
-        return Point(self, x, y)
 
     def rhs(self, x: FieldElement) -> FieldElement:
         return (x * x + self.a) * x + self.b
@@ -379,14 +370,18 @@ class TorsionField:
     With k the order of -p mod r and r odd, (-p)^(k/2) = -1 mod r when k
     is even, so the p^k-power Frobenius acts on E[r] as -1: every
     x-coordinate lies in F' = F_{p^k}, and E[r] is rational on the twist
-    by a non-square delta of F'.  When the canonical F = F_{p^{2k}} has an
-    even modulus, `field` is its HalfField F' and `delta` the HalfField's
-    y; the twist serves only to sample torsion points, whose x / delta
-    are the untwisted x in F'.  Otherwise (k odd, r = 2, or an odd modulus such as F_{37^40})
-    `field` is F itself and `delta` None.  `emb` embeds F_{p^2} into
-    `field` so that spreading it into F gives the canonical F_{p^2} -> F;
-    then every x in `field` spreads to the x the full field F would hold,
-    and tables sorted in `field` sort as in F.
+    by a non-square delta of F'.  When the canonical F = F_p[x]/(m) of
+    degree 2k has an even modulus m = g(x^2) (every even binomial),
+    `field` is F' = F_p[y]/(g), which sits in F by y -> x^2, and `delta`
+    is y: g is irreducible because g(x^2) is, and y is a non-square
+    because its square roots +-x lie outside F'.  The twist serves only to
+    sample torsion points, whose x / delta are the untwisted x in F'.
+    Otherwise (k odd, r = 2, or an odd modulus such as F_{37^40}'s)
+    `field` is F itself and `delta` None.  y -> x^2 moves coefficient i
+    to position 2i and so keeps the order of encodings: `emb`, from
+    F_{p^2} into `field`, picks the root the canonical F_{p^2} -> F picks,
+    every x in `field` is the x F would hold, and tables sorted in `field`
+    sort as in F.
     """
 
     field: Field
@@ -395,7 +390,7 @@ class TorsionField:
 
     def __post_init__(self):
         # the canonical F_{p^2} -> F sends the generator to the smaller
-        # root of the F_{p^2} modulus; spreading keeps order, so emb must
+        # root of the F_{p^2} modulus; y -> x^2 keeps order, so emb must
         # pick the smaller root here too.  The conjugate (the other root)
         # would index the tables of the Frobenius-conjugate models.
         f, emb = self.field, self.emb
@@ -419,13 +414,13 @@ def torsion_field(p: int, r: int) -> TorsionField:
     (p, r) per process, so its field and embedding objects are shared."""
     k = torsion_order_extension(p, r)
     full = make_extension_field(p, 2 * k)
-    try:
-        half = HalfField(full) if k % 2 == 0 else None
-    except OddModulus:  # such as F_{37^40}'s
-        half = None
-    field = full if half is None else half.sub
-    emb = get_embedding(make_extension_field(p, 2), field)
-    return TorsionField(field, emb, None if half is None else half.delta)
+    m = full.modulus
+    if k % 2 or any(m[1::2]):  # k odd, or an odd modulus such as F_{37^40}'s
+        field, delta = full, None
+    else:
+        field = Field(p, m[0::2])
+        delta = field.gen
+    return TorsionField(field, Embedding(make_extension_field(p, 2), field), delta)
 
 
 def torsion_basis(

@@ -7,17 +7,21 @@ per-prime subgroup indices.  Edges are degree-l isogenies, tracked with
 their kernels so the graph carries a genuine edge involution (dual
 isogeny) rather than just a symmetric count matrix.
 
+There are (p - 1) sigma1(N) / 12 vertices, sigma1 read off the
+factorization of N.
+
 All per-prime torsion work happens in the field F' of curves.torsion_field.
 With k the order of -p mod r, E[r] is rational over F_{p^{2k}}, but every
 x-coordinate already lies in F_{p^{2k'}}, k' the order of -p in
-(Z/r)^x/{+-1}.  When k' = k/2 and F_{p^{2k}} has an even modulus, F' is
-that half-degree field and the points are sampled on the twist by a
-non-square delta of F', their x mapped back by x -> x / delta; otherwise
-F' = F_{p^{2k}} and nothing is twisted.  Slots hold untwisted x in F',
-sorted by their encodings, which spread to the encodings F_{p^{2k}} holds
-in the same order, so every table equals the full-field one.  Velu reads
-the slots' x on the untwisted model; kernels are Galois-stable, so
-quotient curves and x-maps descend to F_{p^2}, exactly and checked.
+(Z/r)^x/{+-1}.  When k' = k/2 and F_{p^{2k}} = F_p[x]/(g(x^2)) has an
+even modulus, F' is the half-degree field F_p[y]/(g) and the points are
+sampled on the twist by its non-square y, their x mapped back by
+x -> x / y; otherwise F' = F_{p^{2k}} and nothing is twisted.  Slots hold
+untwisted x in F', sorted by their encodings, which y -> x^2 carries to
+the encodings F_{p^{2k}} holds in the same order, so every table equals
+the full-field one.  Velu reads the slots' x on the untwisted model;
+kernels are Galois-stable, so quotient curves and x-maps descend to
+F_{p^2}, exactly and checked.
 
 Level structure moves along an arrow one point per subgroup: the arrow's
 degree l is prime to r, so the image of one generator fixes the image
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -94,8 +99,9 @@ def check_admissible(p: int, l: int, N: int) -> list[int]:
 
 
 def sigma1(N: int) -> int:
-    """Sum of divisors; for squarefree N this is prod (r + 1)."""
-    return sum(d for d in range(1, N + 1) if N % d == 0)
+    """Sum of divisors of N > 0, prod (r^(e+1) - 1) / (r - 1) over N's prime
+    powers r^e; for squarefree N this is prod (r + 1)."""
+    return math.prod((r ** (e + 1) - 1) // (r - 1) for r, e in factorize(N))
 
 
 def vertex_count(p: int, N: int) -> int:

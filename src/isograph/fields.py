@@ -30,14 +30,11 @@ differences subtract p from the words that reach it by reading a sign bit
 per word.  Field derives the word width, the round count and the split
 and Barrett constants from the modulus by folding the all-(p - 1) product
 in exact integers, and refuses a modulus without such a plan (ValueError).
-
-A field whose modulus is a polynomial in x^2 (every even-degree binomial)
-has its index-2 subfield as a field of its own, HalfField, with the
-coefficient spread into the full field; torsion tables live there.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import struct
 from typing import Iterator, Sequence
@@ -82,10 +79,6 @@ class NotInSubfield(ValueError):
 
 class ReducibleModulus(ValueError):
     """Raised by Field for a modulus that is not irreducible over F_p."""
-
-
-class OddModulus(ValueError):
-    """Raised by HalfField for a modulus that is not a polynomial in x^2."""
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -287,10 +280,6 @@ class Field:
         if len(coeffs) > self.deg:
             raise ValueError("coefficient vector longer than field degree")
         return self.pack(coeffs + [0] * (self.deg - len(coeffs)))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
 
     @property
     def one(self) -> "FieldElement":
@@ -511,9 +500,6 @@ class FieldElement:
     def __neg__(self):
         return FieldElement(self.field, self.field.neg_t(self.raw))
 
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_t(self.raw))
-
     def sqrt(self) -> "FieldElement":
         return FieldElement(self.field, self.field.sqrt_t(self.raw))
 
@@ -539,11 +525,10 @@ class FieldElement:
         return f"FieldElement{self.coeffs}@F_{self.field.p}^{self.field.deg}"
 
 
-_FIELD_CACHE: dict[tuple[int, int], Field] = {}
-
 _MODULUS_SEARCH_CAP = 500_000
 
 
+@functools.cache
 def make_extension_field(p: int, d: int) -> Field:
     """F_{p^d} with the canonical modulus: the first monic irreducible of
     degree d when non-leading coefficient vectors are ordered with the
@@ -553,22 +538,17 @@ def make_extension_field(p: int, d: int) -> Field:
         raise ValueError(f"{p} is not prime")
     if d < 1:
         raise ValueError("degree must be >= 1")
-    key = (p, d)
-    field = _FIELD_CACHE.get(key)
-    if field is None:
-        for n in range(min(p**d, _MODULUS_SEARCH_CAP)):
-            cand = [(n // p**i) % p for i in range(d)] + [1]
-            if d > 1 and cand[0] == 0:
-                continue  # divisible by x
-            try:
-                field = Field(p, cand)
-            except ReducibleModulus:
-                continue
-            break
-        else:  # pragma: no cover - irreducibles are dense
-            raise RuntimeError(f"modulus search cap hit for p={p}, d={d}")
-        _FIELD_CACHE[key] = field
-    return field
+    for n in range(min(p**d, _MODULUS_SEARCH_CAP)):
+        cand = [(n // p**i) % p for i in range(d)] + [1]
+        if d > 1 and cand[0] == 0:
+            continue  # divisible by x
+        try:
+            return Field(p, cand)
+        except ReducibleModulus:
+            continue
+    raise RuntimeError(  # pragma: no cover - irreducibles are dense
+        f"modulus search cap hit for p={p}, d={d}"
+    )
 
 
 class Embedding:
@@ -576,9 +556,10 @@ class Embedding:
 
     The image of the source generator is the lexicographically smaller root
     of the source modulus in the target field, which makes the embedding
-    (and hence every derived encoding) deterministic.  Into a HalfField F'
-    of F this is the restriction of the canonical embedding into F, since
-    spreading keeps the order of encodings and so picks the same root.
+    (and hence every derived encoding) deterministic.  Into the subfield
+    F' = F_p[y]/(g) of F = F_p[x]/(g(x^2)) (see curves.TorsionField) this
+    is the restriction of the canonical embedding into F, since y -> x^2
+    keeps the order of encodings and so picks the same root.
     """
 
     def __init__(self, src: Field, dst: Field):
@@ -627,48 +608,3 @@ class Embedding:
         if x.field is not self.dst:
             raise FieldMismatch("element not in embedding target field")
         return FieldElement(self.src, self.unmap_t(x.raw))
-
-
-_EMBED_CACHE: dict[tuple[int, int], Embedding] = {}
-
-
-def get_embedding(src: Field, dst: Field) -> Embedding:
-    key = (id(src), id(dst))
-    emb = _EMBED_CACHE.get(key)
-    if emb is None:
-        emb = Embedding(src, dst)
-        _EMBED_CACHE[key] = emb
-    return emb
-
-
-class HalfField:
-    """The subfield of index 2 in a field whose modulus is even, m(x) = g(x^2).
-
-    F' = F_p[y]/(g) sits in F = F_p[x]/(m) by iota: y -> x^2, which moves
-    coefficient i to position 2i (spread_t); unspread_t reads the even
-    positions back and refuses any odd entry.  Every binomial x^d - c with
-    d even is such a modulus.  All of this is exact: g is irreducible
-    because g(x^2) is, and `delta` = y is a non-square of F' because its
-    square roots +-x lie outside iota(F').  Spreading keeps the
-    lexicographic order of encodings (it only interleaves zeros), so
-    sorting in F' sorts exactly as in F.
-    """
-
-    def __init__(self, full: Field):
-        m = full.modulus
-        if full.deg % 2 or any(m[1::2]):
-            raise OddModulus(f"modulus {m} is not a polynomial in x^2")
-        self.full = full
-        self.sub = Field(full.p, m[0::2])
-        self.delta = self.sub.gen
-
-    def spread_t(self, t: int) -> int:
-        out = [0] * self.full.deg
-        out[0::2] = self.sub.unpack(t)
-        return self.full.pack(out)
-
-    def unspread_t(self, t: int) -> int:
-        c = self.full.unpack(t)
-        if any(c[1::2]):
-            raise NotInSubfield(f"{c} has odd coordinates, so it is not in iota(F')")
-        return self.sub.pack(c[0::2])

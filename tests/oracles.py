@@ -9,6 +9,13 @@ checks it against the edge determinant (zeta.edge_matrix_zeta).  The
 census oracles count closed reduced paths on the edges directly and
 compare the counts with exact power series of Z, so a census never
 shares code with either route.
+
+on_curve_point builds a point from its coordinates and checks the curve
+equation, which the package never needs: its points come from sampling,
+group operations and isogenies.  spread_t and unspread_t carry F_p[y]/(g)
+into F_p[x]/(g(x^2)) by y -> x^2 and back, the map under which the
+half-degree torsion tables (curves.torsion_field) sort as the full
+field's would.
 """
 
 from __future__ import annotations
@@ -16,7 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from isograph.curves import CurveError, EllipticCurve, Point
 from isograph.enhanced import EnhancedGraph
+from isograph.fields import Field, NotInSubfield
 from isograph.polys import Polynomial
 from isograph.zeta import ORACLE_EDGE_LIMIT, ZetaError, ZetaFunction
 
@@ -139,3 +148,28 @@ def census_matches_log_series(zeta: ZetaFunction, census: dict[int, int]) -> boo
     order = max(census)
     series = log_zeta_series(zeta, order)
     return all(series[m] == Fraction(census[m], m) for m in range(1, order + 1))
+
+
+def on_curve_point(curve: EllipticCurve, x, y) -> Point:
+    """The affine point (x, y), each an element, a coefficient vector or a
+    constant in [0, p); CurveError if it is off the curve."""
+    x, y = curve.field.element(x), curve.field.element(y)
+    if y * y != curve.rhs(x):
+        raise CurveError("point is not on the curve")
+    return Point(curve, x, y)
+
+
+def spread_t(sub: Field, full: Field, t: int) -> int:
+    """y -> x^2 from sub = F_p[y]/(g) into full = F_p[x]/(g(x^2)) on raw
+    ints: coefficient i moves to position 2i."""
+    out = [0] * full.deg
+    out[0::2] = sub.unpack(t)
+    return full.pack(out)
+
+
+def unspread_t(sub: Field, full: Field, t: int) -> int:
+    """The inverse of spread_t on its image; NotInSubfield otherwise."""
+    c = full.unpack(t)
+    if any(c[1::2]):
+        raise NotInSubfield(f"{c} has odd coordinates, so it is not in F_p[x^2]")
+    return sub.pack(c[0::2])

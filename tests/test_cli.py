@@ -130,6 +130,44 @@ def test_covering_rejects_non_divisor(tmp_path, capsys):
         assert code == EXIT_PARAMS
 
 
+def _refused_output(capsys, argv):
+    """Exit code and stderr of a run that must stop at an output path."""
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err.splitlines()
+
+
+@pytest.mark.parametrize("flag", ["--dot", "--csv"])
+def test_unwritable_export_path_is_a_bad_parameter(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "g.out"
+    code, err = _refused_output(
+        capsys, ["build", 13, 5, 2, "--cache-dir", tmp_path, flag, target]
+    )
+    assert code == EXIT_PARAMS
+    assert err == [f"error: cannot write {target}: No such file or directory"]
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", 13, 5, 2),
+        ("spectrum", 13, 5, 2),
+        ("verify", "--grid", "p in {13}, l in {5}, N in {1, 2}"),
+    ],
+    ids=["build", "spectrum", "verify-grid"],
+)
+def test_cache_dir_that_is_a_file_is_a_bad_parameter(tmp_path, capsys, argv):
+    blocker = tmp_path / "cache"
+    blocker.write_text("a regular file\n")
+    code, err = _refused_output(capsys, [*argv, "--cache-dir", blocker])
+    assert code == EXIT_PARAMS
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {blocker}/")
+    assert err[0].endswith(f": File exists: {blocker}")
+    assert blocker.read_text() == "a regular file\n"
+
+
 def _refuse_torsion_basis(*args, **kwargs):
     raise TorsionBasisError("patched")
 

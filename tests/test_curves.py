@@ -26,8 +26,9 @@ from isograph.curves import (
     x_double,
     x_multiples,
 )
-import isograph.fields as fields_mod
-from isograph.fields import FieldElement, HalfField, get_embedding, make_extension_field
+import isograph.curves as curves_mod
+from isograph.fields import Embedding, FieldElement, make_extension_field
+from oracles import on_curve_point, spread_t, unspread_t
 
 F13 = make_extension_field(13, 1)
 F169 = make_extension_field(13, 2)
@@ -76,8 +77,8 @@ def test_curve_from_j_excluded():
 def test_point_validation():
     E = curve_47(F13)
     with pytest.raises(CurveError):
-        E.point(0, 0)
-    P = E.point(1, 5)  # 5^2 = 25 = 12 = 1 + 4 + 7 mod 13
+        on_curve_point(E, 0, 0)
+    P = on_curve_point(E, 1, 5)  # 5^2 = 25 = 12 = 1 + 4 + 7 mod 13
     assert not P.is_identity()
 
 
@@ -117,7 +118,7 @@ def test_addition_matches_affine_oracle():
     E = curve_47(F169)
     rng = random.Random(13)
     xs = [F169.element(t) for t in F169.iter_tuples()]
-    two_torsion = [Point(E, x, F169.zero) for x in xs if not E.rhs(x)]
+    two_torsion = [Point(E, x, F169.element(0)) for x in xs if not E.rhs(x)]
     assert len(two_torsion) == 3  # E(F_169) = (Z/14)^2
     for _ in range(25):
         P, Q = E.random_point(rng), E.random_point(rng)
@@ -260,15 +261,15 @@ def test_torsion_basis_on_twist_over_half_field():
 
 
 def test_subfield_error_is_not_taken_for_an_odd_modulus(monkeypatch):
-    # only OddModulus sends torsion_field to the full field; any other error
-    # from building the HalfField's subfield (a refused fold plan, say)
+    # only an odd modulus sends torsion_field to the full field; an error
+    # from building the half-degree field (a refused fold plan, say)
     # propagates.  F_{13^8} is cached, so the subfield is the one Field built
     make_extension_field(13, 8)
 
     def refused(p, modulus):
         raise ValueError("subfield refused")
 
-    monkeypatch.setattr(fields_mod, "Field", refused)
+    monkeypatch.setattr(curves_mod, "Field", refused)
     with pytest.raises(ValueError, match="subfield refused"):
         torsion_field.__wrapped__(13, 5)
 
@@ -288,7 +289,7 @@ def test_frobenius_guard_fires_on_wrong_twist():
     # the other F_{p^2}-twist has Frobenius +p: over F_{13^4} its 3-torsion
     # is rational too, but pi(P) = [p]P = -[-p]P
     wrong = quadratic_twist(curve_47(F169))
-    emb = get_embedding(F169, F13_4)
+    emb = Embedding(F169, F13_4)
     with pytest.raises(CurveError, match="Frobenius"):
         torsion_basis(wrong.change_field(emb), 3, random.Random(22))
     # and on the twist by delta over the half field F_{13^4} of F_{13^8}:
@@ -308,20 +309,20 @@ def test_half_field_velu_matches_full_field_velu():
     # while the points do not, equals Velu over F_{13^8} from a rational
     # kernel point coefficient for coefficient
     tf = torsion_field(13, 5)
-    half = HalfField(make_extension_field(13, 8))
-    assert tf.field.modulus == half.sub.modulus
-    E_full = curve_47(F169).change_field(get_embedding(F169, half.full))
+    full = make_extension_field(13, 8)
+    assert tf.field.modulus == full.modulus[0::2]
+    E_full = curve_47(F169).change_field(Embedding(F169, full))
     P, _ = torsion_basis(E_full, 5, random.Random(24))
     xs_full = x_multiples(P, 2)
     image, xmap = velu_quotient(E_full, xs_full, 5)
 
     E = curve_47(F169).change_field(tf.emb)
-    xs = [FieldElement(tf.field, half.unspread_t(x.raw)) for x in xs_full]
+    xs = [FieldElement(tf.field, unspread_t(tf.field, full, x.raw)) for x in xs_full]
     assert not any(tf.field.is_square_t(E.rhs(x).raw) for x in xs)
     image_h, xmap_h = velu_quotient(E, xs, 5)
 
     def spread(cs):
-        return [half.spread_t(c.raw) for c in cs]
+        return [spread_t(tf.field, full, c.raw) for c in cs]
 
     assert spread([image_h.a, image_h.b]) == [image.a.raw, image.b.raw]
     assert spread(xmap_h.num) == [c.raw for c in xmap.num]
@@ -421,7 +422,7 @@ def test_velu_dual_composition_recovers_j(field, r):
     # the dual, so the second quotient returns to the start
     x2 = xmap(Q.x)
     y2 = image.rhs(x2).sqrt()
-    G2 = image.point(x2, y2)
+    G2 = on_curve_point(image, x2, y2)
     assert scalar_mul(r, G2).is_identity() and not G2.is_identity()
     image2, _ = velu_quotient(image, velu_xs(G2, r), r)
     assert image2.j_invariant() == E.j_invariant()
@@ -511,7 +512,7 @@ def test_velu_kernel_guard_refuses_doubling_closed_impostors():
     # the doubling orbit x(P), x(2P), x(4P) of an order-9 point at r = 7,
     # closed since 8P = -P
     E = EllipticCurve(F13.element(1), F13.element(5))
-    P9 = E.point(3, 3)
+    P9 = on_curve_point(E, 3, 3)
     assert scalar_mul(9, P9).is_identity() and not scalar_mul(3, P9).is_identity()
     xs9 = x_multiples(P9, 4)
     xs = [xs9[0], xs9[1], xs9[3]]
@@ -571,4 +572,4 @@ def test_isomorphism_scale_maps_points():
     rng = random.Random(14)
     for _ in range(8):
         P = E1.random_point(rng)
-        E2.point(u2 * P.x, u * u2 * P.y)  # raises if off the curve
+        on_curve_point(E2, u2 * P.x, u * u2 * P.y)  # raises if off the curve

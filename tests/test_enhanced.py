@@ -5,6 +5,7 @@ values wherever a matrix is frozen."""
 import dataclasses
 import hashlib
 import random
+import time
 import types
 
 import pytest
@@ -36,7 +37,8 @@ from isograph.enhanced import (
     vertex_count,
 )
 import isograph.enhanced as enhanced_mod
-from isograph.fields import HalfField, get_embedding, make_extension_field
+from isograph.fields import Embedding, make_extension_field
+from oracles import spread_t
 from isograph.supersingular import build_class_table
 
 
@@ -49,7 +51,7 @@ def level1_matrix_by_j(p, l, rng_seed):
     and bucket by target class.  No arrow/pushforward bookkeeping."""
     table = build_class_table(p)
     big = make_extension_field(p, 2 * torsion_order_extension(p, l))
-    emb = get_embedding(table.field, big)
+    emb = Embedding(table.field, big)
     rng = random.Random(rng_seed)
     h = table.class_count
     M = [[0] * h for _ in range(h)]
@@ -80,7 +82,7 @@ def level2_matrix_13_5(rng_seed):
     E = table.models[0]
     F2 = table.field
     big = make_extension_field(p, 8)
-    emb = get_embedding(F2, big)
+    emb = Embedding(F2, big)
     Ebig = E.change_field(emb)
 
     two_xs = sorted(
@@ -120,7 +122,7 @@ def full_field_slots(p, r, rng_seed):
     builder ran before its tables moved to the half-degree field."""
     table = build_class_table(p)
     big = make_extension_field(p, 2 * torsion_order_extension(p, r))
-    emb = get_embedding(table.field, big)
+    emb = Embedding(table.field, big)
     rng = random.Random(rng_seed)
     half = max(1, (r - 1) // 2)
     out = []
@@ -184,6 +186,18 @@ def test_sigma1_and_vertex_count():
     assert vertex_count(13, 6) == 12
     assert vertex_count(37, 2) == 9
     assert vertex_count(61, 6) == 60
+
+
+def test_sigma1_matches_brute_divisor_sum():
+    for N in range(1, 201):
+        assert sigma1(N) == sum(d for d in range(1, N + 1) if N % d == 0), N
+    # 2.3.5...23, squarefree: prod (r + 1), from the factorization alone (a
+    # divisor scan would take 2.2e8 steps)
+    primorial = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    assert primorial == 223092870
+    start = time.perf_counter()
+    assert sigma1(primorial) == 3 * 4 * 6 * 8 * 12 * 14 * 18 * 20 * 24
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------- validation
@@ -282,10 +296,10 @@ def test_torsion_field_degrees():
 def test_half_degree_slots_match_full_field_oracle(p, r):
     b = GraphBuilder(p, 7 if r == 5 else 5)
     full = make_extension_field(p, 2 * torsion_order_extension(p, r))
-    half = HalfField(full)
-    assert torsion_field(p, r).field.modulus == half.sub.modulus
+    sub = torsion_field(p, r).field
+    assert sub.modulus == full.modulus[0::2]
     spread = [
-        [[full.unpack(half.spread_t(x.raw)) for x in slot] for slot in cls]
+        [[full.unpack(spread_t(sub, full, x.raw)) for x in slot] for slot in cls]
         for cls in b.level_subgroups(r)
     ]
     assert spread == full_field_slots(p, r, rng_seed=2718)
@@ -434,7 +448,7 @@ def test_push_guard_doubling():
 @given(seed=st.integers(0, 2**32), deg=st.sampled_from([2, 4, 8]))
 def test_x_double_matches_point_addition(seed, deg):
     table = build_class_table(13)
-    emb = get_embedding(table.field, make_extension_field(13, deg))
+    emb = Embedding(table.field, make_extension_field(13, deg))
     E = table.models[0].change_field(emb)
     P = E.random_point(random.Random(seed))
     if not P.y:
