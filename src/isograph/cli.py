@@ -190,11 +190,16 @@ def _builder(p: int, l: int, seed: int) -> GraphBuilder:
 
 
 def build_or_load(cfg: JobConfig, force: bool = False) -> EnhancedGraph:
+    """`cfg`'s graph from its cache file, or built and written there.  A
+    file whose metadata names another (p, l, N, seed) than its path is
+    refused (GraphFileError), not overwritten."""
     path = graph_file_path(cfg)
     if not force and os.path.exists(path):
         eg = load_graph_file(path)
-        if (eg.p, eg.l, eg.level, eg.seed) == (cfg.p, cfg.l, cfg.N, cfg.seed):
-            return eg
+        stored = (eg.p, eg.l, eg.level, eg.seed)
+        if stored != (cfg.p, cfg.l, cfg.N, cfg.seed):
+            raise GraphFileError(f"{path}: holds the graph of (p, l, N, seed) = {stored}")
+        return eg
     builder = _builder(cfg.p, cfg.l, cfg.seed)
     eg = builder.build(cfg.N)
     write_graph_file(path, eg)

@@ -13,9 +13,9 @@ twist by y, where they become rational.
 
 Affine points carry FieldElements; the inner loops (scalar multiplication,
 multiple chains, x-map evaluation) run on the field's raw packed ints, in
-Jacobian coordinates for scalar multiples and translates and on the
-x-line (x_chain's (X : Z) pairs) for x-coordinate multiples, and wrap the
-results at the edges.
+Jacobian coordinates for the scalar multiples that sample a torsion basis
+and on the x-line (x_chain's (X : Z) pairs) for every x-coordinate after
+it, and wrap the results at the edges.
 """
 
 from __future__ import annotations
@@ -75,9 +75,6 @@ class EllipticCurve:
 
     def identity(self) -> "Point":
         return Point(self, None, None)
-
-    def rhs(self, x: FieldElement) -> FieldElement:
-        return (x * x + self.a) * x + self.b
 
     def random_point(self, rng: random.Random) -> "Point":
         f = self.field
@@ -195,14 +192,13 @@ def _jac_add_mixed(f: Field, at, P, xt, yt):
     return (X3, Y3, Z3)
 
 
-def _jac_point(curve: EllipticCurve, P, iz=None) -> Point:
-    """The affine Point of Jacobian P; iz is 1/Z when already known."""
+def _jac_point(curve: EllipticCurve, P) -> Point:
+    """The affine Point of Jacobian P."""
     f = curve.field
     X, Y, Z = P
     if not Z:
         return curve.identity()
-    if iz is None:
-        iz = f.inv_t(Z)
+    iz = f.inv_t(Z)
     iz2 = f.sq_t(iz)
     x = f.mul_t(X, iz2)
     y = f.mul_t(Y, f.mul_t(iz, iz2))
@@ -227,52 +223,46 @@ def scalar_mul(n: int, P: Point) -> Point:
     return _jac_point(curve, acc)
 
 
-def x_multiples(P: Point, count: int) -> list[FieldElement]:
-    """[x(P), x(2P), ..., x(count*P)]; requires count < ord(P).
+def x_multiples(
+    curve: EllipticCurve, x: FieldElement, count: int, start=None
+) -> list[FieldElement]:
+    """[x(P), x(2P), ..., x(count*P)] from x = x(P); requires count < ord(P).
+    With start = (x(Q), x(Q + P)), [x(Q), x(Q + P), ..., x(Q + (count-1)P)]
+    instead; none of them may be the identity.
 
-    One x_chain from x(P), normalized with one batched inversion."""
-    if P.x is None:
-        raise CurveError("x_multiples of the identity")
+    One x_chain, normalized with one batched inversion."""
     if count < 1:
         return []
-    f = P.curve.field
-    chain = x_chain(P.curve, P.x, count)
+    f = curve.field
+    chain = x_chain(curve, x, count, start)
     if not all(Z for _, Z in chain):
         raise CurveError("hit the identity: count >= point order")
     invs = f.batch_inv_t([Z for _, Z in chain])
     return [FieldElement(f, f.mul_t(X, iz)) for (X, _), iz in zip(chain, invs)]
 
 
-def translates(Q: Point, P: Point, count: int) -> list[Point]:
-    """[Q, Q + P, ..., Q + (count - 1) P] by one Jacobian chain and one
-    batched inversion; none may be the identity."""
-    curve = Q.curve
-    f = curve.field
-    at, xt, yt = curve.a.raw, P.x.raw, P.y.raw
-    chain = [(Q.x.raw, Q.y.raw, 1)]
-    for _ in range(count - 1):
-        chain.append(_jac_add_mixed(f, at, chain[-1], xt, yt))
-    if not all(S[2] for S in chain):
-        raise CurveError("hit the identity: count >= point order")
-    invs = f.batch_inv_t([Z for _, _, Z in chain])
-    return [_jac_point(curve, S, iz) for S, iz in zip(chain, invs)]
-
-
-def x_chain(curve: EllipticCurve, x: FieldElement, count: int) -> list[tuple[int, int]]:
+def x_chain(
+    curve: EllipticCurve, x: FieldElement, count: int, start=None
+) -> list[tuple[int, int]]:
     """x([k]P) for k = 1..count as raw projective pairs (X, Z), x = X/Z,
     from x = x(P) alone and without an inversion: one doubling, then
     differential additions [k+1]P = [k]P + P with difference [k-1]P,
-    x([k+1]P) + x([k-1]P) = 2((x_k + x)(x_k x + a) + 2b) / (x_k - x)^2.
+    x(A + P) + x(A - P) = 2((x_A + x)(x_A x + a) + 2b) / (x_A - x)^2.
     The first Z = 0 is the first multiple that is the identity; the pairs
-    after it need not be meaningful."""
+    after it need not be meaningful.  With start = (x(Q), x(Q + P)) in
+    place of the doubling, the same additions give x(Q + kP) for
+    k = 0..count-1."""
     f = curve.field
     at, bt, xt = curve.a.raw, curve.b.raw, x.raw
-    x2 = f.sq_t(xt)
-    chain = [(xt, 1)]
-    if count >= 2:
-        X2 = f.sub_t(f.sq_t(f.sub_t(x2, at)), f.smul_t(8, f.mul_t(bt, xt)))
-        Z2 = f.smul_t(4, f.add_t(f.mul_t(f.add_t(x2, at), xt), bt))
-        chain.append((X2, Z2))
+    if start is not None:
+        chain = [(start[0].raw, 1), (start[1].raw, 1)]
+    else:
+        x2 = f.sq_t(xt)
+        chain = [(xt, 1)]
+        if count >= 2:
+            X2 = f.sub_t(f.sq_t(f.sub_t(x2, at)), f.smul_t(8, f.mul_t(bt, xt)))
+            Z2 = f.smul_t(4, f.add_t(f.mul_t(f.add_t(x2, at), xt), bt))
+            chain.append((X2, Z2))
     two_b = f.smul_t(2, bt)
     while len(chain) < count:
         (XD, ZD), (X1, Z1) = chain[-2], chain[-1]
@@ -283,13 +273,6 @@ def x_chain(curve: EllipticCurve, x: FieldElement, count: int) -> list[tuple[int
         D2 = f.sq_t(f.sub_t(X1, xZ1))
         chain.append((f.sub_t(f.mul_t(ZD, U), f.mul_t(XD, D2)), f.mul_t(ZD, D2)))
     return chain[:count]
-
-
-def x_double(curve: EllipticCurve, x: FieldElement) -> FieldElement:
-    """x(2P) from x = x(P); P must not be 2-torsion."""
-    f = curve.field
-    X, Z = x_chain(curve, x, 2)[1]
-    return FieldElement(f, f.mul_t(X, f.inv_t(Z)))
 
 
 # -- constructions
@@ -498,7 +481,7 @@ def torsion_basis(
     P = sample()
     check_frobenius(P)
     half = (r - 1) // 2 if r > 2 else 1
-    p_xs = {x.raw for x in x_multiples(P, half)}
+    p_xs = {x.raw for x in x_multiples(curve, P.x, half)}
     for _ in range(budget):
         Q = sample()
         if Q.x.raw not in p_xs:
@@ -518,14 +501,6 @@ class XMap:
     def __init__(self, num: Sequence[FieldElement], den: Sequence[FieldElement]):
         self.num = tuple(num)
         self.den = tuple(den)
-
-    def __call__(self, x: FieldElement) -> FieldElement:
-        f = x.field
-        num = _horner_t(f, [c.raw for c in self.num], x.raw)
-        den = _horner_t(f, [c.raw for c in self.den], x.raw)
-        if not den:
-            raise XMapPole("x lies in the kernel")
-        return FieldElement(f, f.mul_t(num, f.inv_t(den)))
 
     def eval_many(self, xs: Sequence[FieldElement]) -> list[FieldElement]:
         """Batch evaluation with a single inversion."""

@@ -14,14 +14,16 @@ All per-prime torsion work happens in the field F' of curves.torsion_field.
 With k the order of -p mod r, E[r] is rational over F_{p^{2k}}, but every
 x-coordinate already lies in F_{p^{2k'}}, k' the order of -p in
 (Z/r)^x/{+-1}.  When k' = k/2 and F_{p^{2k}} = F_p[x]/(g(x^2)) has an
-even modulus, F' is the half-degree field F_p[y]/(g) and the points are
-sampled on the twist by its non-square y, their x mapped back by
-x -> x / y; otherwise F' = F_{p^{2k}} and nothing is twisted.  Slots hold
-untwisted x in F', sorted by their encodings, which y -> x^2 carries to
-the encodings F_{p^{2k}} holds in the same order, so every table equals
-the full-field one.  Velu reads the slots' x on the untwisted model;
-kernels are Galois-stable, so quotient curves and x-maps descend to
-F_{p^2}, exactly and checked.
+even modulus, F' is the half-degree field F_p[y]/(g) and the torsion
+basis is sampled on the twist by its non-square y; otherwise
+F' = F_{p^{2k}} and nothing is twisted.  Every x after the basis lives
+on the one untwisted model over F': the basis's x(P), x(Q) and x(Q + P)
+are mapped back by x -> x / y, and x-only chains there give the
+generators and their slots.  Slots hold untwisted x in F', sorted by
+their encodings, which y -> x^2 carries to the encodings F_{p^{2k}} holds
+in the same order, so every table equals the full-field one.  Velu reads
+the slots' x on the same model; kernels are Galois-stable, so quotient
+curves and x-maps descend to F_{p^2}, exactly and checked.
 
 Level structure moves along an arrow one point per subgroup: the arrow's
 degree l is prime to r, so the image of one generator fixes the image
@@ -46,10 +48,8 @@ from .curves import (
     isomorphism_scale,
     torsion_basis,
     torsion_field,
-    translates,
     velu_quotient,
     x_chain,
-    x_double,
     x_multiples,
 )
 from .fields import FieldElement, factorize, is_prime
@@ -287,24 +287,28 @@ class GraphBuilder:
         """For each class, the r + 1 cyclic order-r subgroups in canonical
         order, each as the sorted untwisted x-coordinates of its nonzero
         points (one per +-pair) in the order-r torsion field; the slots
-        are sorted by x-coordinate signature."""
+        are sorted by x-coordinate signature.
+
+        Only x(P), x(Q) and x(Q + P) of the basis leave the twist; x-only
+        chains on the untwisted lifted model give the other generators
+        x(Q + kP), k < r, and each generator's slot."""
         if r in self._subs:
             return self._subs[r]
         tf = torsion_field(self.p, r)
-        f = tf.field
-        inv_delta = None if tf.delta is None else f.inv_t(tf.delta.raw)
+        inv_delta = None if tf.delta is None else 1 / tf.delta
         half = max(1, (r - 1) // 2)
         per_class = []
         index = []
         for ci, model in enumerate(self.table.models):
-            E = tf.model(model)
             rng = random.Random(_derive_seed("subgroups", self.p, r, ci, self.seed))
-            P, Q = torsion_basis(E, r, rng, delta=tf.delta)
+            P, Q = torsion_basis(tf.model(model), r, rng, delta=tf.delta)
+            xP, xQ, xQP = P.x, Q.x, (Q + P).x
+            if inv_delta is not None:  # off the twist: x -> x / delta
+                xP, xQ, xQP = xP * inv_delta, xQ * inv_delta, xQP * inv_delta
+            M = self._lifted_model(ci, r)
             slots = []
-            for G in [P] + translates(Q, P, r):
-                xs = x_multiples(G, half)
-                if inv_delta is not None:
-                    xs = [FieldElement(f, f.mul_t(x.raw, inv_delta)) for x in xs]
+            for g in [xP] + x_multiples(M, xP, r, start=(xQ, xQP)):
+                xs = x_multiples(M, g, half)
                 xs.sort(key=lambda x: x.coeffs)
                 slots.append(tuple(xs))
             slots.sort(key=lambda s: tuple(x.coeffs for x in s))
@@ -349,7 +353,7 @@ class GraphBuilder:
                     [emb.descend(c) for c in xmap.den],
                 )
                 other = subs[ci][1 if t == 0 else 0]
-                x_dual = emb(u2) * xmap(other[0])
+                x_dual = emb(u2) * xmap.eval_many([other[0]])[0]
                 try:
                     dual_index = enc_index[target][x_dual.raw]
                 except KeyError:
@@ -382,9 +386,11 @@ class GraphBuilder:
         (a) every image lies in the target table; (b) the r + 1 indices
         are distinct, since an isogeny of degree prime to r is a bijection
         on order-r subgroups; (c) for r >= 5, the map commutes with x-only
-        doubling at one pushed point (on the target side without an
-        inversion).  For r = 2 doubling is a pole and for r = 3 it fixes x,
-        so those rows rest on (a) and (b)."""
+        doubling at one pushed point: x(2P) on the source side is the second
+        entry of x_multiples, and it is pushed in the same batch; the target
+        side compares x_chain's (X : Z) without an inversion.  For r = 2
+        doubling is a pole and for r = 3 it fixes x, so those rows rest on
+        (a) and (b)."""
         key = (ci, t, r)
         row = self._push_rows.get(key)
         if row is not None:
@@ -395,7 +401,7 @@ class GraphBuilder:
         xs = [slot[0] for slot in src_slots]
         check_doubling = r >= 5
         if check_doubling:
-            xs.append(x_double(self._lifted_model(ci, r), xs[0]))
+            xs.append(x_multiples(self._lifted_model(ci, r), xs[0], 2)[1])
         pushed = ar.xmap.lift(torsion_field(self.p, r).emb).eval_many(xs)
         try:
             row = tuple(index[x.raw] for x in pushed[: r + 1])

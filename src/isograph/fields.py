@@ -206,8 +206,6 @@ class Field:
         self.modulus = modulus
         self.deg = d = len(modulus) - 1
         self.q = p**d
-        self.zero_t = 0
-        self.one_t = 1
         self._nonresidue_t: int | None = None
         tail = [(-c) % p for c in modulus[:d]]  # x^d = sum(tail[i] x^i)
         bits, rounds, splits, k = _fold_plan(p, tail)
@@ -499,9 +497,6 @@ class FieldElement:
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg_t(self.raw))
-
-    def sqrt(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.sqrt_t(self.raw))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):

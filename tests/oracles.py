@@ -11,8 +11,10 @@ compare the counts with exact power series of Z, so a census never
 shares code with either route.
 
 on_curve_point builds a point from its coordinates and checks the curve
-equation, which the package never needs: its points come from sampling,
-group operations and isogenies.  spread_t and unspread_t carry F_p[y]/(g)
+equation (rhs, the cubic's value), which the package never needs: its
+points come from sampling, group operations and isogenies.  sqrt is
+Field.sqrt_t on an element, which the package calls only on raw ints
+while sampling points.  spread_t and unspread_t carry F_p[y]/(g)
 into F_p[x]/(g(x^2)) by y -> x^2 and back, the map under which the
 half-degree torsion tables (curves.torsion_field) sort as the full
 field's would.
@@ -25,7 +27,7 @@ from typing import Sequence
 
 from isograph.curves import CurveError, EllipticCurve, Point
 from isograph.enhanced import EnhancedGraph
-from isograph.fields import Field, NotInSubfield
+from isograph.fields import Field, FieldElement, NotInSubfield
 from isograph.polys import Polynomial
 from isograph.zeta import ORACLE_EDGE_LIMIT, ZetaError, ZetaFunction
 
@@ -150,11 +152,21 @@ def census_matches_log_series(zeta: ZetaFunction, census: dict[int, int]) -> boo
     return all(series[m] == Fraction(census[m], m) for m in range(1, order + 1))
 
 
+def rhs(curve: EllipticCurve, x: FieldElement) -> FieldElement:
+    """x^3 + a x + b, the square of y at a point of `curve` with this x."""
+    return (x * x + curve.a) * x + curve.b
+
+
+def sqrt(x: FieldElement) -> FieldElement:
+    """The canonical square root of x; NoSquareRoot on a non-square."""
+    return FieldElement(x.field, x.field.sqrt_t(x.raw))
+
+
 def on_curve_point(curve: EllipticCurve, x, y) -> Point:
     """The affine point (x, y), each an element, a coefficient vector or a
     constant in [0, p); CurveError if it is off the curve."""
     x, y = curve.field.element(x), curve.field.element(y)
-    if y * y != curve.rhs(x):
+    if y * y != rhs(curve, x):
         raise CurveError("point is not on the curve")
     return Point(curve, x, y)
 

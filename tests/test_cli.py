@@ -14,6 +14,7 @@ from isograph.cli import (
     EXIT_OK,
     EXIT_PARAMS,
     EXIT_VERIFY,
+    GraphFileError,
     JobConfig,
     _builder,
     build_or_load,
@@ -79,13 +80,19 @@ def test_builder_memo_matches_fresh_builders(tmp_path):
     assert json.load(open(graph_file_path(other)))["metadata"]["seed"] == 1
 
 
-def test_cached_file_of_another_seed_is_rebuilt(tmp_path):
+def test_cached_file_of_another_seed_is_refused(tmp_path):
+    # the file at seed 1's path holds the seed-0 graph: refused, naming
+    # the path, and left as it is
     c0 = JobConfig(13, 5, 2, seed=0, cache_dir=str(tmp_path))
     c1 = replace(c0, seed=1)
     build_or_load(c0, force=True)
-    shutil.copy(graph_file_path(c0), graph_file_path(c1))
-    assert build_or_load(c1).seed == 1
-    assert json.load(open(graph_file_path(c1)))["metadata"]["seed"] == 1
+    path = graph_file_path(c1)
+    shutil.copy(graph_file_path(c0), path)
+    before = open(path, "rb").read()
+    with pytest.raises(GraphFileError, match=r"\(p, l, N, seed\) = \(13, 5, 2, 0\)"):
+        build_or_load(c1)
+    assert open(path, "rb").read() == before
+    assert build_or_load(c1, force=True).seed == 1
 
 
 @pytest.mark.parametrize(
@@ -175,12 +182,15 @@ def _refuse_torsion_basis(*args, **kwargs):
 _x_chain = curves_mod.x_chain
 
 
-def _x_chain_wrong_past_2p(curve, x, count):
+def _x_chain_wrong_past_2p(curve, x, count, start=None):
     """curves.x_chain, but every multiple past [2]P reads as x(P).  In
     `build 13 5 2` the x_multiples of the slot tables stop at [2]P
-    ((5 - 1)/2 at r = 5, one at r = 2), so the tables stay right and only
-    velu_quotient's guard, which asks for x([3]P) = x([2]P), sees the lie:
-    on an order-5 kernel x(P) is not x([2]P)."""
+    ((5 - 1)/2 at r = 5, one at r = 2), and the chains from a start pair
+    that give the generators pass through unchanged, so the tables stay
+    right and only velu_quotient's guard, which asks for x([3]P) = x([2]P),
+    sees the lie: on an order-5 kernel x(P) is not x([2]P)."""
+    if start is not None:
+        return _x_chain(curve, x, count, start)
     chain = _x_chain(curve, x, min(count, 2))
     return chain + chain[:1] * (count - len(chain))
 
@@ -344,6 +354,8 @@ CORRUPTIONS = {
     "stale_primes": _rewrite(lambda d: d.__setitem__("primes", [3])),
     "extra_class_label": _rewrite(lambda d: d["class_labels"].append("0")),
     "non_string_class_label": _rewrite(lambda d: d.__setitem__("class_labels", [5])),
+    # a valid graph file, but of another seed than the path names
+    "metadata_of_another_seed": _rewrite(lambda d: d["metadata"].__setitem__("seed", 7)),
 }
 
 

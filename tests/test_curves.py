@@ -19,16 +19,14 @@ from isograph.curves import (
     torsion_basis,
     torsion_field,
     torsion_order_extension,
-    translates,
     twist_to_scalar_frobenius,
     velu_quotient,
     x_chain,
-    x_double,
     x_multiples,
 )
 import isograph.curves as curves_mod
 from isograph.fields import Embedding, FieldElement, make_extension_field
-from oracles import on_curve_point, spread_t, unspread_t
+from oracles import on_curve_point, rhs, spread_t, sqrt, unspread_t
 
 F13 = make_extension_field(13, 1)
 F169 = make_extension_field(13, 2)
@@ -47,7 +45,7 @@ def brute_order(curve):
     n = 1  # identity
     for xt in map(f.pack, f.iter_tuples()):
         r = f.add_t(f.mul_t(f.add_t(f.mul_t(xt, xt), at), xt), bt)
-        if r == f.zero_t:
+        if not r:
             n += 1
         elif f.is_square_t(r):
             n += 2
@@ -118,7 +116,7 @@ def test_addition_matches_affine_oracle():
     E = curve_47(F169)
     rng = random.Random(13)
     xs = [F169.element(t) for t in F169.iter_tuples()]
-    two_torsion = [Point(E, x, F169.element(0)) for x in xs if not E.rhs(x)]
+    two_torsion = [Point(E, x, F169.element(0)) for x in xs if not rhs(E, x)]
     assert len(two_torsion) == 3  # E(F_169) = (Z/14)^2
     for _ in range(25):
         P, Q = E.random_point(rng), E.random_point(rng)
@@ -128,15 +126,22 @@ def test_addition_matches_affine_oracle():
         assert (T + T).is_identity()
 
 
-def test_translates_match_affine_chain():
+def test_x_chain_start_pair_matches_affine_translates():
+    # from (x(Q), x(Q + P)) the chain gives x(Q + kP), k < r: every
+    # generator of an order-r subgroup other than <P>
+    for field, r in ((F169, 2), (F13_4, 3), (F169, 7)):
+        E = curve_47(field)
+        P, Q = torsion_basis(E, r, random.Random(4))
+        xs = x_multiples(E, P.x, r, start=(Q.x, affine_add(Q, P).x))
+        R = Q
+        for x in xs:
+            assert x == R.x
+            R = affine_add(R, P)
+        assert len({x.raw for x in xs} | {P.x.raw}) == r + 1
     E = curve_47(F169)
-    P, Q = torsion_basis(E, 7, random.Random(4))
-    R = Q
-    for S in translates(Q, P, 7):
-        assert S == R
-        R = affine_add(R, P)
+    P, _ = torsion_basis(E, 7, random.Random(4))
     with pytest.raises(CurveError, match="identity"):
-        translates(P, P, 7)  # P + 6P = 7P = O
+        x_multiples(E, P.x, 7, start=(P.x, (P + P).x))  # P + 6P = 7P = O
 
 
 def test_scalar_mul_matches_repeated_addition():
@@ -301,7 +306,7 @@ def test_frobenius_guard_fires_on_wrong_twist():
 
 def velu_xs(G, r):
     """The x-list velu_quotient takes for the kernel <G>."""
-    return x_multiples(G, (r - 1) // 2)
+    return x_multiples(G.curve, G.x, (r - 1) // 2)
 
 
 def test_half_field_velu_matches_full_field_velu():
@@ -313,12 +318,12 @@ def test_half_field_velu_matches_full_field_velu():
     assert tf.field.modulus == full.modulus[0::2]
     E_full = curve_47(F169).change_field(Embedding(F169, full))
     P, _ = torsion_basis(E_full, 5, random.Random(24))
-    xs_full = x_multiples(P, 2)
+    xs_full = x_multiples(E_full, P.x, 2)
     image, xmap = velu_quotient(E_full, xs_full, 5)
 
     E = curve_47(F169).change_field(tf.emb)
     xs = [FieldElement(tf.field, unspread_t(tf.field, full, x.raw)) for x in xs_full]
-    assert not any(tf.field.is_square_t(E.rhs(x).raw) for x in xs)
+    assert not any(tf.field.is_square_t(rhs(E, x).raw) for x in xs)
     image_h, xmap_h = velu_quotient(E, xs, 5)
 
     def spread(cs):
@@ -334,19 +339,21 @@ def test_x_multiples_vs_scalar_mul():
     rng = random.Random(9)
     for _ in range(5):
         P = E.random_point(rng)
-        xs = x_multiples(P, 10)
+        xs = x_multiples(E, P.x, 10)
         for i, x in enumerate(xs, start=1):
             assert x == scalar_mul(i, P).x
-    with pytest.raises(CurveError):
-        x_multiples(E.identity(), 3)
+    # x([2]T) for a 2-torsion x is the identity
+    T = next(x for x in map(F169.element, F169.iter_tuples()) if not rhs(E, x))
+    with pytest.raises(CurveError, match="identity"):
+        x_multiples(E, T, 2)
 
 
 def test_x_multiples_rejects_count_at_order():
     E = curve_47(F169)
     P, _ = torsion_basis(E, 7, random.Random(4))
-    assert len(x_multiples(P, 6)) == 6
+    assert len(x_multiples(E, P.x, 6)) == 6
     with pytest.raises(CurveError, match="order"):
-        x_multiples(P, 7)
+        x_multiples(E, P.x, 7)
 
 
 def test_x_chain_vs_scalar_mul():
@@ -357,7 +364,6 @@ def test_x_chain_vs_scalar_mul():
         chain = x_chain(E, P.x, 10)
         for k, (X, Z) in enumerate(chain, start=1):
             assert F169.mul_t(scalar_mul(k, P).x.raw, Z) == X
-        assert x_double(E, P.x) == scalar_mul(2, P).x
     # the first Z = 0 is the first multiple that is the identity
     P, _ = torsion_basis(E, 7, random.Random(4))
     zs = [Z for _, Z in x_chain(E, P.x, 7)]
@@ -420,8 +426,8 @@ def test_velu_dual_composition_recovers_j(field, r):
     assert xmap.den[-1] == 1  # monic denominator
     # push the complementary generator through; it generates the kernel of
     # the dual, so the second quotient returns to the start
-    x2 = xmap(Q.x)
-    y2 = image.rhs(x2).sqrt()
+    (x2,) = xmap.eval_many([Q.x])
+    y2 = sqrt(rhs(image, x2))
     G2 = on_curve_point(image, x2, y2)
     assert scalar_mul(r, G2).is_identity() and not G2.is_identity()
     image2, _ = velu_quotient(image, velu_xs(G2, r), r)
@@ -431,29 +437,31 @@ def test_velu_dual_composition_recovers_j(field, r):
 def test_velu_image_points_land_on_image():
     E = curve_47(F169)
     P, _ = torsion_basis(E, 7, random.Random(10))
-    image, xmap = velu_quotient(E, x_multiples(P, 3), 7)
+    image, xmap = velu_quotient(E, x_multiples(E, P.x, 3), 7)
     f = F169
-    kernel_xs = {x.coeffs for x in x_multiples(P, 3)}
-    poles = set()
-    for xt in f.iter_tuples():
-        x = f.element(xt)
-        if not f.is_square_t(E.rhs(x).raw):
-            continue  # not the x of a rational point
-        if xt in kernel_xs:
-            poles.add(xt)
-            with pytest.raises(XMapPole):
-                xmap(x)
-            continue
-        assert f.is_square_t(image.rhs(xmap(x)).raw)
-    assert poles == kernel_xs
+    kernel_xs = {x.coeffs for x in x_multiples(E, P.x, 3)}
+    # the xs of rational points
+    xs = [x for x in map(f.element, f.iter_tuples()) if f.is_square_t(rhs(E, x).raw)]
+    poles = [x for x in xs if x.coeffs in kernel_xs]
+    assert {x.coeffs for x in poles} == kernel_xs
+    for x in poles:
+        with pytest.raises(XMapPole):
+            xmap.eval_many([x])
+    images = xmap.eval_many([x for x in xs if x.coeffs not in kernel_xs])
+    assert all(f.is_square_t(rhs(image, y).raw) for y in images)
 
 
 def test_velu_eval_many_matches_single():
     E = curve_47(F169)
     P, Q = torsion_basis(E, 7, random.Random(12))
-    _, xmap = velu_quotient(E, x_multiples(P, 3), 7)
-    xs = x_multiples(Q, 5)
-    assert xmap.eval_many(xs) == [xmap(x) for x in xs]
+    _, xmap = velu_quotient(E, x_multiples(E, P.x, 3), 7)
+    xs = x_multiples(E, Q.x, 5)
+
+    def single(x):  # num(x) / den(x) by field-element arithmetic
+        num = sum(c * x**i for i, c in enumerate(xmap.num))
+        return num / sum(c * x**i for i, c in enumerate(xmap.den))
+
+    assert xmap.eval_many(xs) == [single(x) for x in xs]
     with pytest.raises(XMapPole):
         xmap.eval_many([Q.x, P.x])
 
@@ -462,11 +470,11 @@ def test_velu_rejects_bad_kernels():
     E = curve_47(F169)
     P, _ = torsion_basis(E, 7, random.Random(13))
     with pytest.raises(CurveError, match="prime"):
-        velu_quotient(E, x_multiples(P, 3), 4)
+        velu_quotient(E, x_multiples(E, P.x, 3), 4)
     with pytest.raises(CurveError, match="odd prime"):
-        velu_quotient(E, x_multiples(P, 1), 2)
+        velu_quotient(E, x_multiples(E, P.x, 1), 2)
     with pytest.raises(CurveError, match="order-3 kernel"):
-        velu_quotient(E, x_multiples(P, 3), 3)
+        velu_quotient(E, x_multiples(E, P.x, 3), 3)
 
 
 def test_velu_kernel_guard():
@@ -474,7 +482,7 @@ def test_velu_kernel_guard():
     # in either order, are not
     E = curve_47(F169)
     P, Q = torsion_basis(E, 7, random.Random(14))
-    xs, other = x_multiples(P, 3), x_multiples(Q, 3)
+    xs, other = x_multiples(E, P.x, 3), x_multiples(E, Q.x, 3)
     velu_quotient(E, xs, 7)
     velu_quotient(E, xs[::-1], 7)
     bad = {
@@ -496,7 +504,7 @@ def test_velu_kernel_guard():
 
 def doubling_closed(curve, xs):
     raws = {x.raw for x in xs}
-    return all(x_double(curve, x).raw in raws for x in xs)
+    return all(x_multiples(curve, x, 2)[1].raw in raws for x in xs)
 
 
 def test_velu_kernel_guard_refuses_doubling_closed_impostors():
@@ -514,7 +522,7 @@ def test_velu_kernel_guard_refuses_doubling_closed_impostors():
     E = EllipticCurve(F13.element(1), F13.element(5))
     P9 = on_curve_point(E, 3, 3)
     assert scalar_mul(9, P9).is_identity() and not scalar_mul(3, P9).is_identity()
-    xs9 = x_multiples(P9, 4)
+    xs9 = x_multiples(E, P9.x, 4)
     xs = [xs9[0], xs9[1], xs9[3]]
     assert doubling_closed(E, xs)
     with pytest.raises(CurveError, match="order-7 kernel"):
@@ -527,10 +535,10 @@ def test_velu_kernel_guard_refuses_doubling_closed_impostors():
     # closed set of 8 = (17 - 1)/2, and xs[0] has order 17
     E8 = curve_47(make_extension_field(13, 8))
     P, Q = torsion_basis(E8, 17, random.Random(18))
-    orbit = [x_multiples(P, 8)[k - 1] for k in (1, 2, 4, 8)]
-    orbit += [x_multiples(Q, 8)[k - 1] for k in (1, 2, 4, 8)]
+    orbit = [x_multiples(E8, P.x, 8)[k - 1] for k in (1, 2, 4, 8)]
+    orbit += [x_multiples(E8, Q.x, 8)[k - 1] for k in (1, 2, 4, 8)]
     assert len({x.raw for x in orbit}) == 8 and doubling_closed(E8, orbit)
-    velu_quotient(E8, x_multiples(P, 8), 17)
+    velu_quotient(E8, x_multiples(E8, P.x, 8), 17)
     with pytest.raises(CurveError, match="order-17 kernel"):
         velu_quotient(E8, orbit, 17)
 
@@ -568,7 +576,7 @@ def test_isomorphism_scale_maps_points():
     E1 = curve_47(F13)
     E2 = EllipticCurve(F13.element(10), F13.element(7))
     u2 = isomorphism_scale(E1, E2)
-    u = u2.sqrt()
+    u = sqrt(u2)
     rng = random.Random(14)
     for _ in range(8):
         P = E1.random_point(rng)

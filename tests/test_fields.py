@@ -524,7 +524,7 @@ def test_sqrt_roundtrip(p, d):
         r = f.sqrt_t(sq)
         assert f.mul_t(r, r) == sq
         assert f.unpack(r) == min(f.unpack(x), f.unpack(f.neg_t(x)))
-        if x != f.zero_t and not f.is_square_t(x):
+        if x and not f.is_square_t(x):
             found_nonsquare = True
             with pytest.raises(NoSquareRoot):
                 f.sqrt_t(x)
@@ -536,13 +536,13 @@ def test_inverse_and_batch_inverse():
     f = make_extension_field(37, 6)
     rng = random.Random(5)
     items = [f.random_t(rng) for _ in range(20)]
-    items = [t if t != f.zero_t else f.one_t for t in items]
+    items = [t or 1 for t in items]
     batch = f.batch_inv_t(items)
     for t, ti in zip(items, batch):
-        assert f.mul_t(t, ti) == f.one_t
+        assert f.mul_t(t, ti) == 1
         assert ti == f.inv_t(t)
     with pytest.raises(ZeroDivisionError):
-        f.inv_t(f.zero_t)
+        f.inv_t(0)
 
 
 @pytest.mark.parametrize(
@@ -553,12 +553,12 @@ def test_inverse_matches_fermat(p, d):
     # F_{37^40} = x^40 + 2x + 2): a^-1 = a^(q-2)
     f = make_extension_field(p, d)
     rng = random.Random(8)
-    items = [f.one_t, _top(f)] + [f.random_t(rng) for _ in range(3)]
+    items = [1, _top(f)] + [f.random_t(rng) for _ in range(3)]
     for a in items:
-        if a == f.zero_t:
+        if not a:
             continue
         ai = f.inv_t(a)
-        assert f.mul_t(a, ai) == f.one_t
+        assert f.mul_t(a, ai) == 1
         assert ai == f.pow_t(a, f.q - 2)
 
 

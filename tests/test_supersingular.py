@@ -18,7 +18,7 @@ def brute_order(curve):
     n = 1
     for xt in map(f.pack, f.iter_tuples()):
         r = f.add_t(f.mul_t(f.add_t(f.mul_t(xt, xt), at), xt), bt)
-        if r == f.zero_t:
+        if not r:
             n += 1
         elif f.is_square_t(r):
             n += 2
@@ -64,10 +64,10 @@ def scalar_scan_js(p):
     coeffs = hasse_witt_polynomial(p)  # constants, so their own raw ints
     js = set()
     for lam_t in map(f.pack, f.iter_tuples()):
-        acc = f.zero_t
+        acc = 0
         for c in reversed(coeffs):
             acc = f.add_t(f.mul_t(acc, lam_t), c)
-        if acc == f.zero_t:
+        if not acc:
             js.add(lambda_to_j(f, lam_t))
     return sorted(map(f.unpack, js))
 
