@@ -3,7 +3,8 @@ graph builder needs: torsion bases, x-coordinate multiple lists, Velu
 quotients from a kernel's x-coordinates (Kohel's form over the kernel
 polynomial, a polys.Polynomial of FieldElements), and quadratic-twist
 normalization so the p^2-power Frobenius acts as the scalar -p on every
-working model.
+working model, decided from one point per twist.  Torsion bases check
+that action with Field.frob_t, the one p^2-power map.
 
 Order-r torsion is worked in a TorsionField, which torsion_field builds
 once per (p, r): when -1 is a power of -p mod r and the field holding
@@ -307,28 +308,35 @@ def twist_to_scalar_frobenius(curve: EllipticCurve) -> EllipticCurve:
     """Return the quadratic twist (possibly the input) whose F_{p^2}-point
     count is (p+1)^2, i.e. the model with Frobenius = -p.
 
-    Verified by annihilating 20 deterministically sampled points by p + 1,
-    the exponent of (Z/(p+1))^2; on the other twist (Frobenius = +p, group
-    (Z/(p-1))^2) that multiple is [2]P.  For a supersingular curve with
-    p = 1 mod 12 exactly one twist qualifies, and an ordinary input fails
-    both candidates.
+    Decided by one point per twist, the first with y != 0 from one
+    deterministically seeded rng.  For p = 1 mod 12 a supersingular curve
+    off j in {0, 1728} has trace +-2p over F_{p^2}, so one twist has group
+    (Z/(p+1))^2 and the other (Z/(p-1))^2: p + 1 kills the first point,
+    and on the second [p+1]P = [2]P is not O while p - 1 kills it.  So
+    exactly one point must be killed by p + 1 and the other by p - 1;
+    otherwise the curve is not supersingular and is refused.
     """
     f = curve.field
     p = f.p
     if f.deg != 2:
         raise CurveError("normalization works over F_{p^2}")
-    n_target = p + 1
     seed = _derive_seed(p, curve.a.coeffs, curve.b.coeffs)
-    for cand in (curve, quadratic_twist(curve)):
+    twists = (curve, quadratic_twist(curve))
+    points = []
+    for cand in twists:
         rng = random.Random(seed)
-        if all(
-            scalar_mul(n_target, cand.random_point(rng)).is_identity()
-            for _ in range(20)
-        ):
-            return cand
+        P = cand.random_point(rng)
+        while not P.y:
+            P = cand.random_point(rng)
+        points.append(P)
+    plus = [scalar_mul(p + 1, P).is_identity() for P in points]
+    if plus.count(True) == 1:
+        i = plus.index(True)
+        if scalar_mul(p - 1, points[1 - i]).is_identity():
+            return twists[i]
     raise CurveError(
-        f"neither quadratic twist has (p+1)^2 points over F_{p}^2; "
-        "the curve is not supersingular"
+        f"p + 1 kills the drawn point on {plus.count(True)} of 2 twists, not"
+        " on one with p - 1 killing the other's; the curve is not supersingular"
     )
 
 
@@ -423,7 +431,7 @@ def torsion_basis(
     torsion means the model is not what it claims and is refused.
 
     Each basis point P' = (x', y') is checked against the p^2-power
-    Frobenius, which acts as -p on the untwisted model: with
+    Frobenius (Field.frob_t), which acts as -p on the untwisted model: with
     c = delta^((p^2 - 1)/2) (c = 1 untwisted), x'^(p^2) = c^2 x'([-p]P')
     and y'^(p^2) = c^3 y'([-p]P').
     """
@@ -463,15 +471,14 @@ def torsion_basis(
             )
         raise TorsionBasisError(f"no order-{r} point in {budget} samples")
 
-    e2 = p * p
-    c = 1 if delta is None else f.pow_t(delta.raw, (e2 - 1) // 2)
+    c = 1 if delta is None else f.pow_t(delta.raw, (p * p - 1) // 2)
     c2 = f.sq_t(c)
     c3 = f.mul_t(c2, c)
 
     def check_frobenius(P: Point) -> None:
         img = scalar_mul((-p) % r, P)
-        if f.pow_t(P.x.raw, e2) != f.mul_t(c2, img.x.raw) or f.pow_t(
-            P.y.raw, e2
+        if f.frob_t(P.x.raw) != f.mul_t(c2, img.x.raw) or f.frob_t(
+            P.y.raw
         ) != f.mul_t(c3, img.y.raw):
             raise CurveError(
                 "Frobenius does not act as -p on sampled torsion; "

@@ -18,8 +18,12 @@ even modulus, F' is the half-degree field F_p[y]/(g) and the torsion
 basis is sampled on the twist by its non-square y; otherwise
 F' = F_{p^{2k}} and nothing is twisted.  Every x after the basis lives
 on the one untwisted model over F': the basis's x(P), x(Q) and x(Q + P)
-are mapped back by x -> x / y, and x-only chains there give the
-generators and their slots.  Slots hold untwisted x in F', sorted by
+are mapped back by x -> x / y, and one x-only chain there gives the
+generators.  The p^2-power Frobenius acts as -p on that model, so
+x(P)^(p^2) = x([p]P), and each generator's slot is a few Frobenius orbits
+(Field.frob_t), one per coset of <p> in (Z/r)^x/{+-1}; a short chain
+gives the orbits' starting x when there is more than one coset, and each
+orbit must close after its length.  Slots hold untwisted x in F', sorted by
 their encodings, which y -> x^2 carries to the encodings F_{p^{2k}} holds
 in the same order, so every table equals the full-field one.  Velu reads
 the slots' x on the same model; kernels are Galois-stable, so quotient
@@ -110,6 +114,27 @@ def vertex_count(p: int, N: int) -> int:
     if num % 12 != 0:
         raise AdmissibilityError(f"(p-1) sigma1(N) = {num} is not divisible by 12")
     return num // 12
+
+
+def frobenius_orbits(p: int, r: int) -> tuple[tuple[int, ...], int]:
+    """(reps, o): the orbits of multiplication by p on (Z/r)^x/{+-1}, each
+    named by its least member m in 1..max(1, (r-1)/2), in increasing order,
+    and their common length o, the least o with p^o = +-1 mod r."""
+    def canon(m: int) -> int:
+        m %= r
+        return min(m, r - m)
+
+    reps: list[int] = []
+    seen: set[int] = set()
+    for m in range(1, max(1, (r - 1) // 2) + 1):
+        if m in seen:
+            continue
+        reps.append(m)
+        x = m
+        while x not in seen:
+            seen.add(x)
+            x = canon(x * p)
+    return tuple(reps), len(seen) // len(reps)
 
 
 def vertex_table(class_count: int, primes) -> list[tuple[int, tuple[int, ...]]]:
@@ -289,14 +314,21 @@ class GraphBuilder:
         points (one per +-pair) in the order-r torsion field; the slots
         are sorted by x-coordinate signature.
 
-        Only x(P), x(Q) and x(Q + P) of the basis leave the twist; x-only
-        chains on the untwisted lifted model give the other generators
-        x(Q + kP), k < r, and each generator's slot."""
+        Only x(P), x(Q) and x(Q + P) of the basis leave the twist; one
+        x-only chain on the untwisted lifted model gives the other
+        generators x(Q + kP), k < r.  The p^2-power Frobenius acts as -p
+        there, so x([m p]G) = x([m]G)^(p^2), and a generator G's slot is
+        the Frobenius orbits of x([m]G) over frobenius_orbits' reps m: a
+        chain runs to the largest m only when it is past 1.  Guard: every
+        orbit closes after exactly o steps and the slot holds (r - 1)/2
+        distinct x."""
         if r in self._subs:
             return self._subs[r]
         tf = torsion_field(self.p, r)
+        F = tf.field
         inv_delta = None if tf.delta is None else 1 / tf.delta
         half = max(1, (r - 1) // 2)
+        reps, o = frobenius_orbits(self.p, r)
         per_class = []
         index = []
         for ci, model in enumerate(self.table.models):
@@ -308,9 +340,25 @@ class GraphBuilder:
             M = self._lifted_model(ci, r)
             slots = []
             for g in [xP] + x_multiples(M, xP, r, start=(xQ, xQP)):
-                xs = x_multiples(M, g, half)
-                xs.sort(key=lambda x: x.coeffs)
-                slots.append(tuple(xs))
+                multiples = x_multiples(M, g, reps[-1]) if reps[-1] > 1 else [g]
+                xs = []
+                for m in reps:
+                    x = start = multiples[m - 1].raw
+                    for _ in range(o):
+                        xs.append(x)
+                        x = F.frob_t(x)
+                    if x != start:
+                        raise GraphBuildError(
+                            f"Frobenius orbit of an order-{r} x at class {ci}"
+                            f" does not close after {o} steps"
+                        )
+                if len(xs) != half or len(set(xs)) != half:
+                    raise GraphBuildError(
+                        f"order-{r} slot at class {ci} has {len(set(xs))}"
+                        f" distinct x of {len(xs)}, not {half}"
+                    )
+                xs.sort(key=F.unpack)
+                slots.append(tuple(FieldElement(F, x) for x in xs))
             slots.sort(key=lambda s: tuple(x.coeffs for x in s))
             if len(set(slots)) != r + 1:
                 raise GraphBuildError(f"repeated order-{r} subgroup at class {ci}")

@@ -30,11 +30,18 @@ differences subtract p from the words that reach it by reading a sign bit
 per word.  Field derives the word width, the round count and the split
 and Barrett constants from the modulus by folding the all-(p - 1) product
 in exact integers, and refuses a modulus without such a plan (ValueError).
+
+The p^2-power Frobenius is F_p-linear, so Field.frob_t is its one
+definition: the coefficients scale d packed constants F_i = x^(i p^2),
+derived once per field, and one lane reduction takes the sum, whose words
+reach d (p - 1)^2; the field refuses constants its lane plan cannot take
+(ValueError).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import random
 import struct
 from typing import Iterator, Sequence
@@ -132,14 +139,17 @@ def _xgcd(a: Sequence[int], m: Sequence[int], p: int) -> tuple[list[int], list[i
     return r0, s0
 
 
-def _fold_plan(p: int, tail: list[int]) -> tuple[int, int, tuple[int, ...], int]:
-    """(word bits, rounds, split shifts, Barrett k) of the packed product
-    modulo x^d - tail(x), d = len(tail), 0 <= tail[i] < p.  The all-(p - 1)
-    product is folded in exact integers; every word of every product is a
-    sum of nonnegative terms, so no other product has a larger word or a
-    longer support.  The words are the narrowest (32 or 64 bits) that hold
-    every folded word and admit a lane reduction of the largest word the
-    fold leaves, which is at least (p - 1)^2."""
+def _fold_plan(
+    p: int, tail: list[int]
+) -> tuple[int, int, tuple[int, ...], int, int]:
+    """(word bits, rounds, split shifts, Barrett k, lane bound) of the
+    packed product modulo x^d - tail(x), d = len(tail), 0 <= tail[i] < p.
+    The all-(p - 1) product is folded in exact integers; every word of
+    every product is a sum of nonnegative terms, so no other product has a
+    larger word or a longer support.  The words are the narrowest (32 or
+    64 bits) that hold every folded word and admit a lane reduction of the
+    largest word the fold leaves, the lane bound.  That is at least
+    d (p - 1)^2, word d - 1 of the product, to which folding only adds."""
     d = len(tail)
     words = [(p - 1) ** 2 * min(k + 1, 2 * d - 1 - k) for k in range(2 * d - 1)]
     top, rounds = max(words), 0
@@ -154,7 +164,7 @@ def _fold_plan(p: int, tail: list[int]) -> tuple[int, int, tuple[int, ...], int]
     for bits in (32, 64):
         lanes = _lane_plan(p, bits, max(words)) if top < 2**bits else None
         if lanes is not None:
-            return (bits, rounds, *lanes)
+            return (bits, rounds, *lanes, max(words))
     raise ValueError(
         f"packed fold words reach {top}, past 2^64 or past a lane reduction"
         f" mod {p}, for x^{d} = {tail}"
@@ -208,9 +218,10 @@ class Field:
         self.q = p**d
         self._nonresidue_t: int | None = None
         tail = [(-c) % p for c in modulus[:d]]  # x^d = sum(tail[i] x^i)
-        bits, rounds, splits, k = _fold_plan(p, tail)
+        bits, rounds, splits, k, bound = _fold_plan(p, tail)
         self.fold_plan = (bits, rounds)  # of mul_t's product
         self.lane_plan = (splits, k)  # of its reduction mod p
+        self._lane_bound = bound  # the largest word _reduce takes
 
         def lanes(w: int) -> int:  # w in every word
             return sum(w << (bits * i) for i in range(d))
@@ -329,6 +340,28 @@ class Field:
         for s, hi, c, lo in self._splits:
             w = (w >> s & hi) * c + (w & lo)
         return w - (w * self._m >> self._k & self._quot_mask) * self.p
+
+    def frob_t(self, a):
+        """a^(p^2), which is F_p-linear: sum a_i F_i with F_i = x^(i p^2),
+        one lane reduction of d products of two words below p."""
+        return self._reduce(sum(map(operator.mul, self.unpack(a), self._frob)))
+
+    @functools.cached_property
+    def _frob(self) -> tuple[int, ...]:
+        """frob_t's constants F_i = x^(i p^2), i < d, derived once from the
+        modulus; their sums have words up to d (p - 1)^2, which the lane
+        plan must take."""
+        p, d = self.p, self.deg
+        if d * (p - 1) ** 2 > self._lane_bound:
+            raise ValueError(
+                f"p^2-Frobenius words reach {d * (p - 1) ** 2}, past the lane"
+                f" bound {self._lane_bound} of F_{p}^{d}"
+            )
+        F1 = self.pow_t(self.gen.raw, p * p)
+        out = [1]
+        for _ in range(d - 1):
+            out.append(self.mul_t(out[-1], F1))
+        return tuple(out)
 
     def sq_t(self, a):
         return self.mul_t(a, a)

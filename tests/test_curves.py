@@ -183,6 +183,32 @@ def test_twist_to_scalar_frobenius():
         twist_to_scalar_frobenius(curve_from_j(F169.element(3)))  # ordinary j
 
 
+def test_twist_choice_refuses_two_passing_candidates(monkeypatch):
+    # mutation: p + 1 kills the drawn point on both twists, which no
+    # supersingular pair allows; the choice must not fall to the first
+    monkeypatch.setattr(curves_mod, "scalar_mul", lambda n, P: P.curve.identity())
+    with pytest.raises(CurveError, match="on 2 of 2 twists.*not supersingular"):
+        twist_to_scalar_frobenius(curve_47(F169))
+
+
+def test_twist_choice_refuses_an_ordinary_curve_passing_p_plus_1():
+    # j = 8 + 8g over F_{13^2} is ordinary, and p + 1 kills the drawn
+    # point of exactly one twist, so only p - 1 on the other refuses it
+    E = curve_from_j(FieldElement(F169, F169.pack((8, 8))))
+    assert brute_order(E) not in (12**2, 14**2)
+    seed = curves_mod._derive_seed(13, E.a.coeffs, E.b.coeffs)
+    points = []
+    for cand in (E, quadratic_twist(E)):
+        rng = random.Random(seed)
+        P = cand.random_point(rng)
+        while not P.y:
+            P = cand.random_point(rng)
+        points.append(P)
+    assert [scalar_mul(14, P).is_identity() for P in points].count(True) == 1
+    with pytest.raises(CurveError, match="on 1 of 2 twists.*not supersingular"):
+        twist_to_scalar_frobenius(E)
+
+
 def test_torsion_order_extension():
     # brute-check the minimality against the group order formula
     for p, r in [(13, 2), (13, 3), (13, 5), (13, 7), (37, 61), (61, 37), (13, 37)]:

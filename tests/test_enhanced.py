@@ -31,6 +31,7 @@ from isograph.enhanced import (
     GraphBuilder,
     check_admissible,
     diagonal_parity_violations,
+    frobenius_orbits,
     sigma1,
     validate_symmetry_and_row_sums,
     vertex_count,
@@ -326,6 +327,97 @@ def test_square_delta_fails_loudly(monkeypatch, p, r):
     _with_torsion_field(monkeypatch, p, r, delta=delta * delta)
     with pytest.raises(TorsionBasisError):
         GraphBuilder(p, 5 if r != 5 else 7).level_subgroups(r)
+
+
+def _orbit_reps_oracle(p, r):
+    """Least member of each orbit of m -> p m on the +-classes of (Z/r)^x,
+    with the orbit length, from the classes as sets."""
+    orbits = set()
+    for m in range(1, r):
+        orbit, c = set(), frozenset({m, r - m})
+        while c not in orbit:
+            orbit.add(c)
+            c = frozenset(p * x % r for x in c)
+        orbits.add(frozenset(orbit))
+    lengths = {len(o) for o in orbits}
+    assert len(lengths) == 1  # cosets of <p>: one length
+    return tuple(sorted(min(min(c) for c in o) for o in orbits)), lengths.pop()
+
+
+# (p, r): number of representatives and orbit length o, out of (r - 1)/2
+# x per slot; ROADMAP item 2's table of the workload pairs
+ORBIT_TABLE = {
+    (13, 37): (1, 18), (61, 37): (1, 18), (37, 13): (1, 6),
+    (37, 7): (1, 3), (61, 7): (1, 3), (13, 5): (1, 2), (37, 5): (1, 2),
+    (61, 13): (2, 3), (37, 61): (3, 10), (13, 61): (10, 3), (61, 5): (2, 1),
+}
+
+
+@pytest.mark.parametrize("p,r", sorted(ORBIT_TABLE))
+def test_frobenius_orbits_match_the_workload_table(p, r):
+    reps, o = frobenius_orbits(p, r)
+    assert (len(reps), o) == ORBIT_TABLE[p, r]
+    assert (reps, o) == _orbit_reps_oracle(p, r)
+    assert reps[0] == 1 and len(reps) * o == (r - 1) // 2
+
+
+def test_frobenius_orbits_of_two_and_three():
+    for p in (13, 37, 61):
+        assert frobenius_orbits(p, 2) == frobenius_orbits(p, 3) == ((1,), 1)
+
+
+@pytest.mark.parametrize("p,r", [(13, 61), (61, 13), (61, 5)])
+def test_orbit_filled_slots_match_full_field_oracle(p, r):
+    # several representatives per slot, with (61, 13) and (61, 5) on the
+    # half field and (13, 61) on the full F_{13^6}
+    b = GraphBuilder(p, 7 if r == 5 else 5)
+    full = make_extension_field(p, 2 * torsion_order_extension(p, r))
+    sub = torsion_field(p, r).field
+    lift = (lambda t: t) if sub is full else (lambda t: spread_t(sub, full, t))
+    assert len(frobenius_orbits(p, r)[0]) > 1
+    spread = [
+        [[full.unpack(lift(x.raw)) for x in slot] for slot in cls]
+        for cls in b.level_subgroups(r)
+    ]
+    assert spread == full_field_slots(p, r, rng_seed=2718)
+
+
+def test_orbit_guard_fires_on_wrong_frobenius_constant(monkeypatch):
+    # mutation: F_1 = x^(p^2) plus x in the order-37 field of p = 13,
+    # seen by the slot fill only: torsion_basis, whose Frobenius check
+    # would refuse it first, keeps the honest constants.  (Plus 1 would
+    # pass the guard: over a whole orbit it adds the x coefficient of a
+    # trace to F_{p^2}, which is 0 in this field.)
+    f = torsion_field(13, 37).field
+    honest = f._frob
+    bad = (honest[0], f.add_t(honest[1], f.gen.raw)) + honest[2:]
+    monkeypatch.setattr(f, "_frob", bad)
+    basis = enhanced_mod.torsion_basis
+
+    def honest_basis(*args, **kwargs):
+        f._frob = honest
+        try:
+            return basis(*args, **kwargs)
+        finally:
+            f._frob = bad
+
+    monkeypatch.setattr(enhanced_mod, "torsion_basis", honest_basis)
+    with pytest.raises(GraphBuildError, match="does not close after 18 steps"):
+        GraphBuilder(13, 5).level_subgroups(37)
+
+
+def test_slot_guard_fires_on_wrong_orbit_length(monkeypatch):
+    # mutation: twice the orbit length still closes each orbit, but lists
+    # every x twice
+    orbits = enhanced_mod.frobenius_orbits
+
+    def doubled(p, r):
+        reps, o = orbits(p, r)
+        return reps, 2 * o
+
+    monkeypatch.setattr(enhanced_mod, "frobenius_orbits", doubled)
+    with pytest.raises(GraphBuildError, match="18 distinct x of 36, not 18"):
+        GraphBuilder(13, 5).level_subgroups(37)
 
 
 # ------------------------------------------------------------------ arrows

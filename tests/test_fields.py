@@ -330,9 +330,10 @@ def test_every_search_candidate_has_a_plan():
             e += 1
         for d in range(2, 81):
             tail = [p - 1 if i <= e else 0 for i in range(d)]
-            bits, rounds, splits, k = fields_mod._fold_plan(p, tail)
+            bits, rounds, splits, k, bound = fields_mod._fold_plan(p, tail)
             assert bits in (32, 64) and 1 <= rounds <= 5, (p, d)
             assert len(splits) <= 2 and 0 < k < bits, (p, d)
+            assert bound >= d * (p - 1) ** 2, (p, d)  # frob_t's sums fit
 
 
 # (p, r) of the benchmark workloads (reciprocity 13 37 5 and 13 61 5, the
@@ -382,6 +383,29 @@ def test_torsion_embeddings_spread_to_canonical():
             assert tf.emb.gen_image == canonical.gen_image
         else:
             assert spread_t(tf.field, full, tf.emb.gen_image) == canonical.gen_image
+
+
+def test_frob_t_is_the_p_squared_power():
+    # every workload torsion field (the half fields and the trinomial
+    # F_{37^40} included) and the class-table fields F_{p^2}
+    fields = [torsion_field(p, r).field for p, r in WORKLOAD_TORSION_DEGREES]
+    fields += [make_extension_field(p, 2) for p in (13, 37, 61)]
+    fields = {id(f): f for f in fields}
+    assert any(f.modulus[1] for f in fields.values())  # F_{37^40}
+    rng = random.Random(7)
+    for f in sorted(fields.values(), key=lambda f: (f.p, f.deg)):
+        for a in [0, 1, f.gen.raw, f.neg_t(1)] + [f.random_t(rng) for _ in range(8)]:
+            assert f.frob_t(a) == f.pow_t(a, f.p * f.p), (f, f.unpack(a))
+
+
+def test_frob_constants_refuse_a_short_lane_bound():
+    # mutation: a lane plan that cannot take frob_t's word sums,
+    # d (p - 1)^2, refuses the constants instead of reducing them wrongly
+    f = Field(61, make_extension_field(61, 36).modulus)
+    assert f._lane_bound >= 36 * 60**2
+    f._lane_bound = 36 * 60**2 - 1
+    with pytest.raises(ValueError, match="past the lane bound"):
+        f.frob_t(f.gen.raw)
 
 
 def test_half_field_spread_is_an_order_keeping_embedding():

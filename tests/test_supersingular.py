@@ -141,8 +141,8 @@ PINNED_MODELS = {
 
 
 def test_class_models_pinned():
-    # twist_to_scalar_frobenius picks these with 20 points annihilated by
-    # p + 1 exactly as it did with (p + 1)^2
+    # twist_to_scalar_frobenius picks these from one point per twist: p + 1
+    # kills it on the (Z/(p+1))^2 twist and leaves [2]P != O on the other
     for p, models in PINNED_MODELS.items():
         table = build_class_table(p)
         assert [(m.a.coeffs, m.b.coeffs) for m in table.models] == models
