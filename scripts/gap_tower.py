@@ -27,15 +27,18 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    levels = [int(x) for x in args.chain.split("|")]
-    for a, b in zip(levels, levels[1:]):
-        if b % a != 0:
-            ap.error(f"{a} does not divide {b}: not a chain")
+    try:
+        levels = [int(x) for x in args.chain.split("|")]
+    except ValueError:
+        ap.error(f"--chain {args.chain!r}: levels must be integers joined by |")
     try:
         for N in levels:
             check_admissible(args.p, args.l, N)
     except AdmissibilityError as e:
         ap.error(str(e))
+    for a, b in zip(levels, levels[1:]):
+        if b % a != 0:
+            ap.error(f"{a} does not divide {b}: not a chain")
 
     bound = 2 * math.sqrt(args.l)
     builder = GraphBuilder(args.p, args.l, seed=args.seed)

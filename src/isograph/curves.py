@@ -6,11 +6,11 @@ normalization so the p^2-power Frobenius acts as the scalar -p on every
 working model, decided from one point per twist.  Torsion bases check
 that action with Field.frob_t, the one p^2-power map.
 
-Order-r torsion is worked in a TorsionField, which torsion_field builds
-once per (p, r): when -1 is a power of -p mod r and the field holding
-the points has an even modulus g(x^2), the half-degree field F_p[y]/(g),
-which holds every x-coordinate; the points are sampled on the quadratic
-twist by y, where they become rational.
+Order-r torsion has one record, the TorsionField that torsion_field
+builds once per (p, r): the Frobenius orbits on it, the field it is
+worked in (the half-degree F_p[y]/(g) of an even modulus g(x^2) when -1
+is a power of -p mod r) and the twist by y on which its points are
+sampled; lift_basis hands out a basis's x untwisted.
 
 Affine points carry FieldElements; the inner loops (scalar multiplication,
 multiple chains, x-map evaluation) run on the field's raw packed ints, in
@@ -340,70 +340,79 @@ def twist_to_scalar_frobenius(curve: EllipticCurve) -> EllipticCurve:
     )
 
 
-def torsion_order_extension(p: int, r: int) -> int:
-    """Least k with E[r] rational over F_{p^{2k}} for scalar-Frobenius
-    models: the multiplicative order of -p mod r, which exists only when
-    -p is a unit mod r."""
+def frobenius_orbits(p: int, r: int) -> tuple[tuple[int, ...], int]:
+    """(reps, o): the orbits of multiplication by p on (Z/r)^x/{+-1}, each
+    named by its least member m in 1..max(1, (r-1)/2), in increasing order,
+    and their common length o, the least o with p^o = +-1 mod r, which
+    exists only when -p is a unit mod r."""
     if math.gcd(p, r) != 1:
         raise CurveError(f"-{p} is not a unit mod {r}")
-    t = (-p) % r
-    k, acc = 1, t
-    while acc != 1 % r:
-        acc = acc * t % r
-        k += 1
-    return k
+
+    def canon(m: int) -> int:
+        m %= r
+        return min(m, r - m)
+
+    reps: list[int] = []
+    seen: set[int] = set()
+    for m in range(1, max(1, (r - 1) // 2) + 1):
+        if m in seen:
+            continue
+        reps.append(m)
+        x = m
+        while x not in seen:
+            seen.add(x)
+            x = canon(x * p)
+    return tuple(reps), len(seen) // len(reps)
 
 
 @dataclass(frozen=True)
 class TorsionField:
-    """Where the order-r torsion of the scalar-Frobenius models is worked.
+    """The order-r torsion of the scalar-Frobenius models of one prime p.
 
-    With k the order of -p mod r and r odd, (-p)^(k/2) = -1 mod r when k
-    is even, so the p^k-power Frobenius acts on E[r] as -1: every
-    x-coordinate lies in F' = F_{p^k}, and E[r] is rational on the twist
-    by a non-square delta of F'.  When the canonical F = F_p[x]/(m) of
-    degree 2k has an even modulus m = g(x^2) (every even binomial),
-    `field` is F' = F_p[y]/(g), which sits in F by y -> x^2, and `delta`
-    is y: g is irreducible because g(x^2) is, and y is a non-square
-    because its square roots +-x lie outside F'.  The twist serves only to
-    sample torsion points, whose x / delta are the untwisted x in F'.
-    Otherwise (k odd, r = 2, or an odd modulus such as F_{37^40}'s)
-    `field` is F itself and `delta` None.  y -> x^2 moves coefficient i
-    to position 2i and so keeps the order of encodings: `emb`, from
-    F_{p^2} into `field`, picks the root the canonical F_{p^2} -> F picks,
-    every x in `field` is the x F would hold, and tables sorted in `field`
-    sort as in F.
+    (reps, orbit) = frobenius_orbits(p, r): the p^2-power Frobenius acts
+    as -p, so x([m p]P) = x([m]P)^(p^2), and an order-r subgroup's x are
+    the Frobenius orbits of x([m]P), m in reps.  With o = orbit, k, the
+    order of -p mod r, is o when (-p)^o = 1 and 2o when (-p)^o = -1; then
+    the p^k-power Frobenius acts on E[r] as -1, so every x lies in
+    F' = F_{p^k} and E[r] is rational on the twist by a non-square of F'.
+    When the canonical F = F_p[x]/(g(x^2)) of degree 2k has an even
+    modulus, `field` is F' = F_p[y]/(g), which sits in F by y -> x^2, and
+    `delta` is y: g is irreducible because g(x^2) is, and y is a
+    non-square because its roots +-x lie outside F'.  Otherwise (k odd,
+    r = 2, or an odd modulus such as F_{37^40}'s) `field` is F and `delta`
+    None.  y -> x^2 moves coefficient i to position 2i and so keeps the
+    order of encodings: `emb` picks the smaller root, as the canonical
+    F_{p^2} -> F does, and tables sorted in `field` sort as in F.
     """
 
+    r: int
     field: Field
     emb: Embedding
     delta: FieldElement | None
+    reps: tuple[int, ...]
+    orbit: int
 
-    def __post_init__(self):
-        # the canonical F_{p^2} -> F sends the generator to the smaller
-        # root of the F_{p^2} modulus; y -> x^2 keeps order, so emb must
-        # pick the smaller root here too.  The conjugate (the other root)
-        # would index the tables of the Frobenius-conjugate models.
-        f, emb = self.field, self.emb
-        if emb.dst is not f:
-            raise CurveError("torsion embedding must map into the torsion field")
-        other = f.sub_t(f.coerce_t(-emb.src.modulus[1]), emb.gen_image)
-        if f.unpack(emb.gen_image) > f.unpack(other):
-            raise CurveError(
-                "torsion embedding is the conjugate of the canonical F_{p^2} embedding"
-            )
-
-    def model(self, curve: EllipticCurve) -> EllipticCurve:
-        """An F_{p^2} model base-changed to `field`, twisted by delta."""
-        E = curve.change_field(self.emb)
-        return E if self.delta is None else quadratic_twist(E, self.delta)
+    def lift_basis(
+        self, curve: EllipticCurve, rng: random.Random
+    ) -> tuple[EllipticCurve, FieldElement, FieldElement, FieldElement]:
+        """(M, x(P), x(Q), x(Q + P)): the F_{p^2} model `curve` lifted to
+        `field`, and a torsion_basis P, Q drawn from rng on the twist by
+        delta, its x mapped back to M by x -> x / delta."""
+        M = curve.change_field(self.emb)
+        d = self.delta
+        P, Q = torsion_basis(M if d is None else quadratic_twist(M, d), self.r, rng, delta=d)
+        if d is None:
+            return M, P.x, Q.x, (Q + P).x
+        inv = 1 / d
+        return M, P.x * inv, Q.x * inv, (Q + P).x * inv
 
 
 @functools.lru_cache(maxsize=None)
 def torsion_field(p: int, r: int) -> TorsionField:
     """The TorsionField of the order-r tables for the prime p; one per
     (p, r) per process, so its field and embedding objects are shared."""
-    k = torsion_order_extension(p, r)
+    reps, o = frobenius_orbits(p, r)
+    k = o if pow(-p, o, r) == 1 % r else 2 * o
     full = make_extension_field(p, 2 * k)
     m = full.modulus
     if k % 2 or any(m[1::2]):  # k odd, or an odd modulus such as F_{37^40}'s
@@ -411,7 +420,8 @@ def torsion_field(p: int, r: int) -> TorsionField:
     else:
         field = Field(p, m[0::2])
         delta = field.gen
-    return TorsionField(field, Embedding(make_extension_field(p, 2), field), delta)
+    emb = Embedding(make_extension_field(p, 2), field)
+    return TorsionField(r, field, emb, delta, reps, o)
 
 
 def torsion_basis(

@@ -10,24 +10,15 @@ isogeny) rather than just a symmetric count matrix.
 There are (p - 1) sigma1(N) / 12 vertices, sigma1 read off the
 factorization of N.
 
-All per-prime torsion work happens in the field F' of curves.torsion_field.
-With k the order of -p mod r, E[r] is rational over F_{p^{2k}}, but every
-x-coordinate already lies in F_{p^{2k'}}, k' the order of -p in
-(Z/r)^x/{+-1}.  When k' = k/2 and F_{p^{2k}} = F_p[x]/(g(x^2)) has an
-even modulus, F' is the half-degree field F_p[y]/(g) and the torsion
-basis is sampled on the twist by its non-square y; otherwise
-F' = F_{p^{2k}} and nothing is twisted.  Every x after the basis lives
-on the one untwisted model over F': the basis's x(P), x(Q) and x(Q + P)
-are mapped back by x -> x / y, and one x-only chain there gives the
-generators.  The p^2-power Frobenius acts as -p on that model, so
-x(P)^(p^2) = x([p]P), and each generator's slot is a few Frobenius orbits
-(Field.frob_t), one per coset of <p> in (Z/r)^x/{+-1}; a short chain
-gives the orbits' starting x when there is more than one coset, and each
-orbit must close after its length.  Slots hold untwisted x in F', sorted by
-their encodings, which y -> x^2 carries to the encodings F_{p^{2k}} holds
-in the same order, so every table equals the full-field one.  Velu reads
-the slots' x on the same model; kernels are Galois-stable, so quotient
-curves and x-maps descend to F_{p^2}, exactly and checked.
+All order-r torsion work happens on the class models lifted to the
+field of curves.TorsionField, which owns the twist, the Frobenius orbits
+and the basis (lift_basis).  There one x-only chain gives the generators
+and each slot is a few Frobenius orbits (GraphBuilder.level_subgroups).
+Slots hold untwisted x sorted by encoding, in the order the full field
+F_{p^{2k}} gives them, so every table equals the full-field one; the
+lifted models, the slots and their index are kept per r (_TorsionTables).
+Velu reads the slots' x on the lifted models; kernels are Galois-stable,
+so quotient curves and x-maps descend to F_{p^2}, exactly and checked.
 
 Level structure moves along an arrow one point per subgroup: the arrow's
 degree l is prime to r, so the image of one generator fixes the image
@@ -47,10 +38,10 @@ from dataclasses import dataclass, field
 
 from .curves import (
     EllipticCurve,
+    TorsionField,
     XMap,
     _derive_seed,
     isomorphism_scale,
-    torsion_basis,
     torsion_field,
     velu_quotient,
     x_chain,
@@ -114,27 +105,6 @@ def vertex_count(p: int, N: int) -> int:
     if num % 12 != 0:
         raise AdmissibilityError(f"(p-1) sigma1(N) = {num} is not divisible by 12")
     return num // 12
-
-
-def frobenius_orbits(p: int, r: int) -> tuple[tuple[int, ...], int]:
-    """(reps, o): the orbits of multiplication by p on (Z/r)^x/{+-1}, each
-    named by its least member m in 1..max(1, (r-1)/2), in increasing order,
-    and their common length o, the least o with p^o = +-1 mod r."""
-    def canon(m: int) -> int:
-        m %= r
-        return min(m, r - m)
-
-    reps: list[int] = []
-    seen: set[int] = set()
-    for m in range(1, max(1, (r - 1) // 2) + 1):
-        if m in seen:
-            continue
-        reps.append(m)
-        x = m
-        while x not in seen:
-            seen.add(x)
-            x = canon(x * p)
-    return tuple(reps), len(seen) // len(reps)
 
 
 def vertex_table(class_count: int, primes) -> list[tuple[int, tuple[int, ...]]]:
@@ -291,6 +261,18 @@ def _fmt_class(j: FieldElement) -> str:
     return f"{c[0]}+{c[1]}g"
 
 
+@dataclass(frozen=True)
+class _TorsionTables:
+    """A GraphBuilder's order-r tables: the torsion field, each class model
+    lifted to it, each class's r + 1 slots, and per class the slot number
+    of every slot x, keyed by its encoding."""
+
+    tf: TorsionField
+    models: tuple[EllipticCurve, ...]
+    slots: list[list[tuple[FieldElement, ...]]]
+    index: list[dict[int, int]]
+
+
 class GraphBuilder:
     """Shared context for one (p, l): class table, per-prime subgroup
     tables, and class-level quotient arrows, all built lazily and reused
@@ -302,8 +284,7 @@ class GraphBuilder:
         self.l = l
         self.seed = seed
         self.table: SupersingularClassTable = build_class_table(p)
-        self._subs: dict[int, list[list[tuple[FieldElement, ...]]]] = {}
-        self._enc_index: dict[int, list[dict]] = {}
+        self._tables: dict[int, _TorsionTables] = {}
         self._push_rows: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
     # -- per-prime subgroup tables
@@ -314,30 +295,26 @@ class GraphBuilder:
         points (one per +-pair) in the order-r torsion field; the slots
         are sorted by x-coordinate signature.
 
-        Only x(P), x(Q) and x(Q + P) of the basis leave the twist; one
-        x-only chain on the untwisted lifted model gives the other
+        From the basis's x(P), x(Q) and x(Q + P) on the lifted model
+        (TorsionField.lift_basis), one x-only chain gives the other
         generators x(Q + kP), k < r.  The p^2-power Frobenius acts as -p
         there, so x([m p]G) = x([m]G)^(p^2), and a generator G's slot is
-        the Frobenius orbits of x([m]G) over frobenius_orbits' reps m: a
+        the Frobenius orbits of x([m]G) over the torsion field's reps m: a
         chain runs to the largest m only when it is past 1.  Guard: every
         orbit closes after exactly o steps and the slot holds (r - 1)/2
         distinct x."""
-        if r in self._subs:
-            return self._subs[r]
+        if r in self._tables:
+            return self._tables[r].slots
         tf = torsion_field(self.p, r)
         F = tf.field
-        inv_delta = None if tf.delta is None else 1 / tf.delta
         half = max(1, (r - 1) // 2)
-        reps, o = frobenius_orbits(self.p, r)
+        reps, o = tf.reps, tf.orbit
+        models = []
         per_class = []
         index = []
         for ci, model in enumerate(self.table.models):
             rng = random.Random(_derive_seed("subgroups", self.p, r, ci, self.seed))
-            P, Q = torsion_basis(tf.model(model), r, rng, delta=tf.delta)
-            xP, xQ, xQP = P.x, Q.x, (Q + P).x
-            if inv_delta is not None:  # off the twist: x -> x / delta
-                xP, xQ, xQP = xP * inv_delta, xQ * inv_delta, xQP * inv_delta
-            M = self._lifted_model(ci, r)
+            M, xP, xQ, xQP = tf.lift_basis(model, rng)
             slots = []
             for g in [xP] + x_multiples(M, xP, r, start=(xQ, xQP)):
                 multiples = x_multiples(M, g, reps[-1]) if reps[-1] > 1 else [g]
@@ -362,10 +339,10 @@ class GraphBuilder:
             slots.sort(key=lambda s: tuple(x.coeffs for x in s))
             if len(set(slots)) != r + 1:
                 raise GraphBuildError(f"repeated order-{r} subgroup at class {ci}")
+            models.append(M)
             per_class.append(slots)
             index.append({x.raw: si for si, s in enumerate(slots) for x in s})
-        self._subs[r] = per_class
-        self._enc_index[r] = index
+        self._tables[r] = _TorsionTables(tf, tuple(models), per_class, index)
         return per_class
 
     # -- class-level isogeny arrows
@@ -381,11 +358,10 @@ class GraphBuilder:
         l = self.l
         table = self.table
         subs = self.level_subgroups(l)
-        enc_index = self._enc_index[l]
-        emb = torsion_field(self.p, l).emb
+        tables = self._tables[l]
+        emb = tables.tf.emb
         arrows: list[list[QuotientArrow]] = []
-        for ci, model in enumerate(table.models):
-            E = model.change_field(emb)
+        for ci, E in enumerate(tables.models):
             row = []
             for t, slot in enumerate(subs[ci]):
                 image, xmap = velu_quotient(E, slot, l)
@@ -403,7 +379,7 @@ class GraphBuilder:
                 other = subs[ci][1 if t == 0 else 0]
                 x_dual = emb(u2) * xmap.eval_many([other[0]])[0]
                 try:
-                    dual_index = enc_index[target][x_dual.raw]
+                    dual_index = tables.index[target][x_dual.raw]
                 except KeyError:
                     raise GraphBuildError(
                         f"dual kernel of ({ci},{t}) missed the subgroup table"
@@ -445,12 +421,13 @@ class GraphBuilder:
             return row
         ar = self.arrows[ci][t]
         src_slots = self.level_subgroups(r)[ci]
-        index = self._enc_index[r][ar.target]
+        tables = self._tables[r]
+        index = tables.index[ar.target]
         xs = [slot[0] for slot in src_slots]
         check_doubling = r >= 5
         if check_doubling:
-            xs.append(x_multiples(self._lifted_model(ci, r), xs[0], 2)[1])
-        pushed = ar.xmap.lift(torsion_field(self.p, r).emb).eval_many(xs)
+            xs.append(x_multiples(tables.models[ci], xs[0], 2)[1])
+        pushed = ar.xmap.lift(tables.tf.emb).eval_many(xs)
         try:
             row = tuple(index[x.raw] for x in pushed[: r + 1])
         except KeyError:
@@ -462,7 +439,7 @@ class GraphBuilder:
                 f"arrow ({ci},{t}) at r={r} is not a bijection on subgroups"
             )
         if check_doubling:
-            model = self._lifted_model(ar.target, r)
+            model = tables.models[ar.target]
             X, Z = x_chain(model, pushed[0], 2)[1]
             if X != model.field.mul_t(pushed[-1].raw, Z):
                 raise GraphBuildError(
@@ -470,10 +447,6 @@ class GraphBuilder:
                 )
         self._push_rows[key] = row
         return row
-
-    def _lifted_model(self, ci: int, r: int) -> EllipticCurve:
-        """Class ci's untwisted model over the order-r torsion field."""
-        return self.table.models[ci].change_field(torsion_field(self.p, r).emb)
 
     def push_subgroup(self, ci: int, t: int, r: int, s: int) -> int:
         """Index of the order-r subgroup obtained by pushing subgroup s of

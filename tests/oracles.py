@@ -17,11 +17,14 @@ Field.sqrt_t on an element, which the package calls only on raw ints
 while sampling points.  spread_t and unspread_t carry F_p[y]/(g)
 into F_p[x]/(g(x^2)) by y -> x^2 and back, the map under which the
 half-degree torsion tables (curves.torsion_field) sort as the full
-field's would.
+field's would.  torsion_order_extension finds the degree of that full
+field by walking the powers of -p mod r, apart from the Frobenius orbits
+torsion_field reads it from.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -185,3 +188,17 @@ def unspread_t(sub: Field, full: Field, t: int) -> int:
     if any(c[1::2]):
         raise NotInSubfield(f"{c} has odd coordinates, so it is not in F_p[x^2]")
     return sub.pack(c[0::2])
+
+
+def torsion_order_extension(p: int, r: int) -> int:
+    """Least k with E[r] rational over F_{p^{2k}} for scalar-Frobenius
+    models: the multiplicative order of -p mod r, which exists only when
+    -p is a unit mod r."""
+    if math.gcd(p, r) != 1:
+        raise CurveError(f"-{p} is not a unit mod {r}")
+    t = (-p) % r
+    k, acc = 1, t
+    while acc != 1 % r:
+        acc = acc * t % r
+        k += 1
+    return k

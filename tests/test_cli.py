@@ -25,7 +25,6 @@ from isograph.cli import (
     write_graph_file,
 )
 import isograph.curves as curves_mod
-import isograph.enhanced as enhanced_mod
 from isograph.curves import TorsionBasisError
 from isograph.enhanced import AdmissibilityError, GraphBuilder
 from isograph.zeta import edge_matrix_zeta
@@ -199,7 +198,7 @@ def _x_chain_wrong_past_2p(curve, x, count, start=None):
 # checked for admissibility before any construction starts; the message
 # names the check that fired
 CONSTRUCTION_FAULTS = {
-    "torsion_basis": (enhanced_mod, "torsion_basis", _refuse_torsion_basis, "patched"),
+    "torsion_basis": (curves_mod, "torsion_basis", _refuse_torsion_basis, "patched"),
     "kernel_guard": (
         curves_mod,
         "x_chain",
@@ -638,3 +637,15 @@ def test_parse_grid_rejects_garbage():
         parse_grid("p in {13} nonsense, l in {5}, N in {1}")
     with pytest.raises(AdmissibilityError):
         parse_grid("p in {13}, p in {37}, l in {5}, N in {1}")
+    # not read as 13, nor as the same graph twice
+    with pytest.raises(AdmissibilityError, match="p has a space inside an entry"):
+        parse_grid("p in {1 3}, l in {5}, N in {1}")
+    with pytest.raises(AdmissibilityError, match="N repeats a value"):
+        parse_grid("p in {13}, l in {5}, N in {1,2,1}")
+
+
+@pytest.mark.parametrize("grid", ["p in {1 3}, l in {5}, N in {1}", "p in {13,13}, l in {5}, N in {1}"])
+def test_verify_grid_refuses_malformed_clause(tmp_path, capsys, grid):
+    code, _ = run(capsys, "verify", "--grid", grid, "--cache-dir", tmp_path)
+    assert code == EXIT_PARAMS
+    assert not any(tmp_path.iterdir())

@@ -1,4 +1,3 @@
-import copy
 import random
 
 import pytest
@@ -10,15 +9,14 @@ from isograph.curves import (
     EllipticCurve,
     ExcludedJInvariant,
     Point,
-    TorsionField,
     XMapPole,
     curve_from_j,
+    frobenius_orbits,
     isomorphism_scale,
     quadratic_twist,
     scalar_mul,
     torsion_basis,
     torsion_field,
-    torsion_order_extension,
     twist_to_scalar_frobenius,
     velu_quotient,
     x_chain,
@@ -26,7 +24,14 @@ from isograph.curves import (
 )
 import isograph.curves as curves_mod
 from isograph.fields import Embedding, FieldElement, make_extension_field
-from oracles import on_curve_point, rhs, spread_t, sqrt, unspread_t
+from oracles import (
+    on_curve_point,
+    rhs,
+    spread_t,
+    sqrt,
+    torsion_order_extension,
+    unspread_t,
+)
 
 F13 = make_extension_field(13, 1)
 F169 = make_extension_field(13, 2)
@@ -210,12 +215,17 @@ def test_twist_choice_refuses_an_ordinary_curve_passing_p_plus_1():
 
 
 def test_torsion_order_extension():
-    # brute-check the minimality against the group order formula
+    # brute-check the oracle's minimality against the group order formula,
+    # and torsion_field, which reads k off the Frobenius orbits, against it:
+    # degree 2k untwisted, k on the twist
     for p, r in [(13, 2), (13, 3), (13, 5), (13, 7), (37, 61), (61, 37), (13, 37)]:
         k = torsion_order_extension(p, r)
         assert abs((-p) ** k - 1) % r == 0
         for kk in range(1, k):
             assert abs((-p) ** kk - 1) % r != 0
+        tf = torsion_field(p, r)
+        assert (tf.r, tf.reps, tf.orbit) == (r, *frobenius_orbits(p, r))
+        assert tf.field.deg == (2 * k if tf.delta is None else k)
     assert torsion_order_extension(13, 7) == 1
     assert torsion_order_extension(13, 5) == 4
     assert torsion_order_extension(37, 61) == 20
@@ -228,6 +238,8 @@ def test_torsion_order_extension_refuses_non_unit(r):
     # -p is not a unit mod r, so no power of it is 1: refused, not looped on
     with pytest.raises(CurveError, match="not a unit"):
         torsion_order_extension(13, r)
+    with pytest.raises(CurveError, match="not a unit"):
+        frobenius_orbits(13, r)
     with pytest.raises(CurveError, match="not a unit"):
         torsion_field(13, r)
 
@@ -282,11 +294,11 @@ def test_torsion_basis_on_twist_over_half_field():
     # points on the twist by the non-square y of that field
     tf = torsion_field(13, 5)
     assert tf.field.deg == 4 and tf.delta is not None
-    E = tf.model(curve_47(F169))
+    E = quadratic_twist(curve_47(F169).change_field(tf.emb), tf.delta)
     P, Q = torsion_basis(E, 5, random.Random(21), delta=tf.delta)
     assert span_size(P, Q, 5) == 25
     with pytest.raises(CurveError, match="not rational"):
-        torsion_basis(tf.model(curve_47(F169)), 5, random.Random(21))
+        torsion_basis(E, 5, random.Random(21))
     with pytest.raises(CurveError, match="not rational"):
         torsion_basis(curve_47(F169), 7, random.Random(21), delta=F169.gen)
 
@@ -305,15 +317,22 @@ def test_subfield_error_is_not_taken_for_an_odd_modulus(monkeypatch):
         torsion_field.__wrapped__(13, 5)
 
 
-def test_conjugate_torsion_embedding_is_refused():
-    tf = torsion_field(13, 37)
-    TorsionField(tf.field, tf.emb, tf.delta)
-    conj = copy.copy(tf.emb)
-    f = tf.field
-    conj.gen_image = f.sub_t(f.coerce_t(-F169.modulus[1]), tf.emb.gen_image)
-    assert conj(F169.gen) ** 2 + F169.modulus[1] * conj(F169.gen) + F169.modulus[0] == 0
-    with pytest.raises(CurveError, match="conjugate"):
-        TorsionField(tf.field, conj, tf.delta)
+@pytest.mark.parametrize("r", [5, 7])
+def test_lift_basis_untwists_onto_the_lifted_model(r):
+    # (13, 5): basis on the twist over F_{13^4}, x mapped back by 1/delta;
+    # (13, 7): no twist, the basis of the lifted model itself
+    tf = torsion_field(13, r)
+    assert (tf.delta is None) == (r == 7)
+    E = curve_47(F169)
+    M, xP, xQ, xQP = tf.lift_basis(E, random.Random(25))
+    assert M == E.change_field(tf.emb)
+    twist = M if tf.delta is None else quadratic_twist(M, tf.delta)
+    P, Q = torsion_basis(twist, r, random.Random(25), delta=tf.delta)
+    c = 1 if tf.delta is None else tf.delta
+    assert [x * c for x in (xP, xQ, xQP)] == [P.x, Q.x, (Q + P).x]
+    # untwisted, x(P) is an order-r x on M: x([h+1]P) = x([h]P), h = (r-1)/2
+    (Xh, Zh), (Xh1, Zh1) = x_chain(M, xP, (r + 1) // 2)[-2:]
+    assert Xh and M.field.mul_t(Xh, Zh1) == M.field.mul_t(Xh1, Zh)
 
 
 def test_frobenius_guard_fires_on_wrong_twist():
@@ -325,9 +344,8 @@ def test_frobenius_guard_fires_on_wrong_twist():
         torsion_basis(wrong.change_field(emb), 3, random.Random(22))
     # and on the twist by delta over the half field F_{13^4} of F_{13^8}:
     # E[5] is rational there as well, so only the twisted guard can see it
-    tf = torsion_field(13, 5)
     with pytest.raises(CurveError, match="Frobenius"):
-        torsion_basis(tf.model(wrong), 5, random.Random(23), delta=tf.delta)
+        torsion_field(13, 5).lift_basis(wrong, random.Random(23))
 
 
 def velu_xs(G, r):

@@ -16,10 +16,10 @@ from isograph.curves import (
     TorsionBasisError,
     TorsionField,
     XMap,
+    frobenius_orbits,
     isomorphism_scale,
     torsion_basis,
     torsion_field,
-    torsion_order_extension,
     velu_quotient,
     x_multiples,
 )
@@ -31,14 +31,14 @@ from isograph.enhanced import (
     GraphBuilder,
     check_admissible,
     diagonal_parity_violations,
-    frobenius_orbits,
     sigma1,
     validate_symmetry_and_row_sums,
     vertex_count,
 )
+import isograph.curves as curves_mod
 import isograph.enhanced as enhanced_mod
 from isograph.fields import Embedding, make_extension_field
-from oracles import rhs, spread_t
+from oracles import rhs, spread_t, torsion_order_extension
 from isograph.supersingular import build_class_table
 
 
@@ -382,17 +382,15 @@ def test_orbit_filled_slots_match_full_field_oracle(p, r):
     assert spread == full_field_slots(p, r, rng_seed=2718)
 
 
-def test_orbit_guard_fires_on_wrong_frobenius_constant(monkeypatch):
-    # mutation: F_1 = x^(p^2) plus x in the order-37 field of p = 13,
-    # seen by the slot fill only: torsion_basis, whose Frobenius check
-    # would refuse it first, keeps the honest constants.  (Plus 1 would
-    # pass the guard: over a whole orbit it adds the x coefficient of a
-    # trace to F_{p^2}, which is 0 in this field.)
+def _with_wrong_frobenius_constant(monkeypatch, addend):
+    """F_1 = x^(p^2) plus `addend` in the order-37 field of p = 13, seen by
+    the slot fill only: torsion_basis, whose Frobenius check would refuse
+    it first, keeps the honest constants."""
     f = torsion_field(13, 37).field
     honest = f._frob
-    bad = (honest[0], f.add_t(honest[1], f.gen.raw)) + honest[2:]
+    bad = (honest[0], f.add_t(honest[1], addend)) + honest[2:]
     monkeypatch.setattr(f, "_frob", bad)
-    basis = enhanced_mod.torsion_basis
+    basis = curves_mod.torsion_basis
 
     def honest_basis(*args, **kwargs):
         f._frob = honest
@@ -401,21 +399,35 @@ def test_orbit_guard_fires_on_wrong_frobenius_constant(monkeypatch):
         finally:
             f._frob = bad
 
-    monkeypatch.setattr(enhanced_mod, "torsion_basis", honest_basis)
+    monkeypatch.setattr(curves_mod, "torsion_basis", honest_basis)
+
+
+def test_orbit_guard_fires_on_wrong_frobenius_constant(monkeypatch):
+    # mutation: plus x on F_1 breaks every orbit of the slot fill
+    _with_wrong_frobenius_constant(monkeypatch, torsion_field(13, 37).field.gen.raw)
     with pytest.raises(GraphBuildError, match="does not close after 18 steps"):
         GraphBuilder(13, 5).level_subgroups(37)
+
+
+def test_push_guard_catches_what_the_orbit_guard_lets_through(monkeypatch):
+    # mutation: plus 1 on F_1 passes the orbit guard (over a whole orbit it
+    # adds the x coefficient of a trace to F_{p^2}, which is 0 in this
+    # field), so the slots hold wrong x; the pushes, which look the image
+    # of each slot's least x up in the target table, must refuse the graph
+    _with_wrong_frobenius_constant(monkeypatch, 1)
+    b = GraphBuilder(13, 5)
+    b.level_subgroups(37)
+    with pytest.raises(
+        GraphBuildError,
+        match=r"pushed subgroup of arrow \(0,0\) at r=37 missed the table",
+    ):
+        b.build(37)
 
 
 def test_slot_guard_fires_on_wrong_orbit_length(monkeypatch):
     # mutation: twice the orbit length still closes each orbit, but lists
     # every x twice
-    orbits = enhanced_mod.frobenius_orbits
-
-    def doubled(p, r):
-        reps, o = orbits(p, r)
-        return reps, 2 * o
-
-    monkeypatch.setattr(enhanced_mod, "frobenius_orbits", doubled)
+    _with_torsion_field(monkeypatch, 13, 37, orbit=2 * torsion_field(13, 37).orbit)
     with pytest.raises(GraphBuildError, match="18 distinct x of 36, not 18"):
         GraphBuilder(13, 5).level_subgroups(37)
 

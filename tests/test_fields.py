@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import isograph.fields as fields_mod
-from isograph.curves import EllipticCurve, torsion_field, torsion_order_extension
+from isograph.curves import EllipticCurve, torsion_field
 from isograph.fields import (
     Embedding,
     Field,
@@ -18,7 +18,7 @@ from isograph.fields import (
     is_prime,
     make_extension_field,
 )
-from oracles import on_curve_point, spread_t, unspread_t
+from oracles import on_curve_point, spread_t, torsion_order_extension, unspread_t
 
 
 def brute_force_irreducible(coeffs, p):

@@ -1,5 +1,6 @@
 """Smoke tests: each script under scripts/ runs as a program on a small
-input, exits 0 and prints its header."""
+input, exits 0 and prints its header, and refuses a bad argument with a
+usage error (exit 2) rather than a traceback."""
 
 import os
 import subprocess
@@ -37,3 +38,17 @@ def test_script_runs(name, args, header):
     proc = run_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(header), proc.stdout
+
+
+@pytest.mark.parametrize(
+    "chain,message",
+    [
+        ("1|x", "levels must be integers joined by |"),
+        ("0|2", "N = 0 must be a positive integer"),
+    ],
+)
+def test_gap_tower_refuses_bad_chain(chain, message):
+    proc = run_script("gap_tower.py", "13", "5", "--chain", chain)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr

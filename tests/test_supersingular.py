@@ -200,7 +200,7 @@ def test_supersingular_polynomial_frozen():
 
 
 @pytest.mark.parametrize("p", [13, 37, 61])
-def test_vectorized_scan_matches_scalar_horner(p):
+def test_class_table_js_match_hasse_root_scan(p):
     # the roots of ss_p against the j of the Hasse polynomial's roots
     assert [j.coeffs for j in build_class_table(p).js] == scalar_scan_js(p)
 

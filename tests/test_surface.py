@@ -7,7 +7,12 @@ counts as used when some Name, Attribute or import alias anywhere in the
 package carries its name.  A method counts only through an Attribute
 whose base is not an imported module: `math.sqrt` does not vouch for a
 method `sqrt`, nor a local variable `rhs` for a method `rhs`.  Dunder
-names are exempt (the interpreter calls them)."""
+names are exempt (the interpreter calls them).
+
+Likewise every name a module-level import binds in src/isograph is read
+by that module: a stale import keeps a dependency alive after its last
+use has gone.  The re-exports of __init__.py and `from __future__`
+imports are exempt."""
 
 import ast
 from pathlib import Path
@@ -75,3 +80,29 @@ def test_every_definition_is_used_in_src():
 
 def test_allowlist_is_current():
     assert ALLOWED <= set(_unused().values())
+
+
+def _unused_imports():
+    """Names bound by a module-level import of src/isograph/*.py that no
+    Name node of the same module reads."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{name} ({path.name}:{node.lineno})")
+    return unused
+
+
+def test_every_module_import_is_used():
+    unused = _unused_imports()
+    assert not unused, "imported in src/ but never used there: " + ", ".join(unused)
