@@ -302,19 +302,22 @@ def parse_grid(text: str) -> tuple[list[tuple[int, int, int]], list[tuple[int, i
     """Expand 'p in {13,37}, l in {3,5}, N in {1,2,3,6}' to the admissible
     (p, l, N) triples and the skipped inadmissible ones, each in grid
     order; inadmissible combinations are filtered, not errors.  A clause
-    that repeats a value, or an entry with a space inside ({1 3}), is
-    refused rather than read as the same graph twice or as 13."""
+    that repeats a value, an entry with a space inside ({1 3}) or an empty
+    entry ({13,,37}) is refused rather than read as the same graph twice,
+    as 13 or as a smaller grid."""
     found = dict.fromkeys("plN")
     for m in _GRID_CLAUSE.finditer(text):
         var, body = m.group(1), m.group(2)
         if found[var] is not None:
             raise AdmissibilityError(f"grid clause for {var} repeated")
+        if not body.strip():
+            raise AdmissibilityError(f"grid clause for {var} is empty")
         entries = [x.split() for x in body.split(",")]
         if any(len(e) > 1 for e in entries):
             raise AdmissibilityError(f"grid clause for {var} has a space inside an entry")
-        values = [int(e[0]) for e in entries if e]
-        if not values:
-            raise AdmissibilityError(f"grid clause for {var} is empty")
+        if not all(entries):
+            raise AdmissibilityError(f"grid clause for {var} has an empty entry")
+        values = [int(e[0]) for e in entries]
         if len(set(values)) != len(values):
             raise AdmissibilityError(f"grid clause for {var} repeats a value")
         found[var] = values

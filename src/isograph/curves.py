@@ -12,11 +12,12 @@ worked in (the half-degree F_p[y]/(g) of an even modulus g(x^2) when -1
 is a power of -p mod r) and the twist by y on which its points are
 sampled; lift_basis hands out a basis's x untwisted.
 
-Affine points carry FieldElements; the inner loops (scalar multiplication,
-multiple chains, x-map evaluation) run on the field's raw packed ints, in
-Jacobian coordinates for the scalar multiples that sample a torsion basis
-and on the x-line (x_chain's (X : Z) pairs) for every x-coordinate after
-it, and wrap the results at the edges.
+A point is its x-coordinate, a FieldElement: P and -P are one point of
+the x-line, and no y is ever computed.  The inner loops (x_ladder's
+scalar multiples, x_chain's multiple chains, x-map evaluation) run on the
+field's raw packed ints as (X : Z) pairs, with Z = 0 the identity, and
+wrap the results at the edges; x_add gives x(Q + P) from x(P) and x(Q)
+as a root of a quadratic.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .fields import (
     Embedding,
     Field,
     FieldElement,
-    NoSquareRoot,
     is_prime,
     make_extension_field,
 )
@@ -74,20 +74,14 @@ class EllipticCurve:
         a3 = 4 * self.a * self.a * self.a
         return 1728 * a3 / (a3 + 27 * self.b * self.b)
 
-    def identity(self) -> "Point":
-        return Point(self, None, None)
-
-    def random_point(self, rng: random.Random) -> "Point":
+    def random_point(self, rng: random.Random) -> FieldElement:
+        """x of a random point: the first x drawn from rng with
+        x^3 + a x + b a square, zero included (a point of order 2)."""
         f = self.field
         while True:
             xt = f.random_t(rng)
-            rt = f.mul_t(f.add_t(f.mul_t(xt, xt), self.a.raw), xt)
-            rt = f.add_t(rt, self.b.raw)
-            try:
-                yt = f.sqrt_t(rt)
-            except NoSquareRoot:
-                continue
-            return Point(self, FieldElement(f, xt), FieldElement(f, yt))
+            if f.is_square_t(_cubic_t(self, xt)):
+                return FieldElement(f, xt)
 
     def change_field(self, emb: Embedding) -> "EllipticCurve":
         return EllipticCurve(emb(self.a), emb(self.b))
@@ -104,124 +98,79 @@ class EllipticCurve:
         return f"EllipticCurve(a={self.a.coeffs}, b={self.b.coeffs}, F_{self.field.p}^{self.field.deg})"
 
 
-class Point:
-    """Affine point or the identity (x is None)."""
-
-    __slots__ = ("curve", "x", "y")
-
-    def __init__(self, curve: EllipticCurve, x: FieldElement | None, y: FieldElement | None):
-        self.curve = curve
-        self.x = x
-        self.y = y
-
-    def is_identity(self) -> bool:
-        return self.x is None
-
-    def __neg__(self) -> "Point":
-        if self.x is None:
-            return self
-        return Point(self.curve, self.x, -self.y)
-
-    def __add__(self, other: "Point") -> "Point":
-        if self.curve is not other.curve and self.curve != other.curve:
-            raise CurveError("points on different curves")
-        if self.x is None:
-            return other
-        if other.x is None:
-            return self
-        f = self.curve.field
-        P = (self.x.raw, self.y.raw, 1)
-        S = _jac_add_mixed(f, self.curve.a.raw, P, other.x.raw, other.y.raw)
-        return _jac_point(self.curve, S)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return self + (-other)
-
-    def __rmul__(self, n: int) -> "Point":
-        return scalar_mul(n, self)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Point):
-            return self.curve == other.curve and self.x == other.x and self.y == other.y
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        if self.x is None:
-            return "Point(O)"
-        return f"Point({self.x.coeffs}, {self.y.coeffs})"
-
-
-# -- raw Jacobian arithmetic: (X, Y, Z) with x = X/Z^2, y = Y/Z^3; Z = 0 is O
-
-
-def _jac_dbl(f: Field, at, P):
-    X, Y, Z = P
-    if not Z or not Y:
-        return (1, 1, 0)
-    XX = f.sq_t(X)
-    YY = f.sq_t(Y)
-    YYYY = f.sq_t(YY)
-    S = f.smul_t(4, f.mul_t(X, YY))
-    ZZ = f.sq_t(Z)
-    M = f.add_t(f.smul_t(3, XX), f.mul_t(at, f.sq_t(ZZ)))
-    X3 = f.sub_t(f.sq_t(M), f.smul_t(2, S))
-    Y3 = f.sub_t(f.mul_t(M, f.sub_t(S, X3)), f.smul_t(8, YYYY))
-    Z3 = f.smul_t(2, f.mul_t(Y, Z))
-    return (X3, Y3, Z3)
-
-
-def _jac_add_mixed(f: Field, at, P, xt, yt):
-    """P + (xt, yt) with the second point affine."""
-    X1, Y1, Z1 = P
-    if not Z1:
-        return (xt, yt, 1)
-    ZZ = f.sq_t(Z1)
-    U2 = f.mul_t(xt, ZZ)
-    S2 = f.mul_t(yt, f.mul_t(Z1, ZZ))
-    H = f.sub_t(U2, X1)
-    R = f.sub_t(S2, Y1)
-    if not H:
-        if not R:
-            return _jac_dbl(f, at, P)
-        return (1, 1, 0)
-    HH = f.sq_t(H)
-    HHH = f.mul_t(H, HH)
-    V = f.mul_t(X1, HH)
-    X3 = f.sub_t(f.sub_t(f.sq_t(R), HHH), f.smul_t(2, V))
-    Y3 = f.sub_t(f.mul_t(R, f.sub_t(V, X3)), f.mul_t(Y1, HHH))
-    Z3 = f.mul_t(Z1, H)
-    return (X3, Y3, Z3)
-
-
-def _jac_point(curve: EllipticCurve, P) -> Point:
-    """The affine Point of Jacobian P."""
+def _cubic_t(curve: EllipticCurve, xt):
+    """x^3 + a x + b on a raw x: y^2 at the points with this x."""
     f = curve.field
-    X, Y, Z = P
-    if not Z:
-        return curve.identity()
-    iz = f.inv_t(Z)
-    iz2 = f.sq_t(iz)
-    x = f.mul_t(X, iz2)
-    y = f.mul_t(Y, f.mul_t(iz, iz2))
-    return Point(curve, FieldElement(f, x), FieldElement(f, y))
+    return f.add_t(f.mul_t(f.add_t(f.sq_t(xt), curve.a.raw), xt), curve.b.raw)
 
 
-def scalar_mul(n: int, P: Point) -> Point:
-    """n*P by Jacobian double-and-add with a single final inversion."""
-    curve = P.curve
-    if P.x is None or n == 0:
-        return curve.identity()
-    if n < 0:
-        return scalar_mul(-n, -P)
+def x_ladder(curve: EllipticCurve, x: FieldElement, n: int) -> tuple[int, int]:
+    """x([n]P) for n >= 0 as a raw projective pair (X, Z), x = X/Z, from
+    x = x(P) alone; Z = 0 is the identity.  The Montgomery ladder keeps
+    ([k]P, [k+1]P), whose difference is P, and per bit of n doubles one
+    and adds the two, with the short-Weierstrass x-only formulas (Brier
+    and Joye, PKC 2002)
+      x(2A) = ((x_A^2 - a)^2 - 8b x_A) / 4(x_A^3 + a x_A + b),
+      x(A + B) + x(A - B) = 2((x_A + x_B)(x_A x_B + a) + 2b) / (x_A - x_B)^2,
+    which on a nonsingular curve have no exceptional case: a doubling
+    costs 3 squarings and 6 products, an addition 10 of either.  The first
+    doubling is affine, and the last step computes only [n]P."""
+    if n < 2:
+        return (x.raw, 1) if n else (1, 0)
     f = curve.field
-    at = curve.a.raw
-    xt, yt = P.x.raw, P.y.raw
-    acc = (1, 1, 0)
-    for bit in bin(n)[2:]:
-        acc = _jac_dbl(f, at, acc)
+    at, bt, xt = curve.a.raw, curve.b.raw, x.raw
+    two_b = f.smul_t(2, bt)
+
+    def dbl(X, Z):
+        XX, ZZ, XZ = f.sq_t(X), f.sq_t(Z), f.mul_t(X, Z)
+        aZZ, bZZ = f.mul_t(at, ZZ), f.mul_t(bt, ZZ)
+        X2 = f.sub_t(f.sq_t(f.sub_t(XX, aZZ)), f.smul_t(8, f.mul_t(XZ, bZZ)))
+        Z2 = f.smul_t(4, f.add_t(f.mul_t(XZ, f.add_t(XX, aZZ)), f.mul_t(bZZ, ZZ)))
+        return X2, Z2
+
+    def add(X1, Z1, X2, Z2):  # difference x(P) = xt
+        XZ, ZX, ZZ = f.mul_t(X1, Z2), f.mul_t(Z1, X2), f.mul_t(Z1, Z2)
+        T = f.add_t(f.mul_t(X1, X2), f.mul_t(at, ZZ))
+        U = f.smul_t(2, f.add_t(f.mul_t(f.add_t(XZ, ZX), T), f.mul_t(two_b, f.sq_t(ZZ))))
+        D2 = f.sq_t(f.sub_t(XZ, ZX))
+        return f.sub_t(U, f.mul_t(xt, D2)), D2
+
+    bits = bin(n)[3:]
+    R0, R1 = (xt, 1), _x_double_t(curve, xt)
+    for bit in bits[:-1]:
         if bit == "1":
-            acc = _jac_add_mixed(f, at, acc, xt, yt)
-    return _jac_point(curve, acc)
+            R0, R1 = add(*R0, *R1), dbl(*R1)
+        else:
+            R0, R1 = dbl(*R0), add(*R0, *R1)
+    return add(*R0, *R1) if bits[-1] == "1" else dbl(*R0)
+
+
+def _x_double_t(curve: EllipticCurve, xt) -> tuple[int, int]:
+    """x(2P) as (X, Z) from a raw x = x(P): ((x^2 - a)^2 - 8bx : 4(x^3 + ax + b))."""
+    f = curve.field
+    at, bt = curve.a.raw, curve.b.raw
+    x2 = f.sq_t(xt)
+    X2 = f.sub_t(f.sq_t(f.sub_t(x2, at)), f.smul_t(8, f.mul_t(bt, xt)))
+    return X2, f.smul_t(4, f.add_t(f.mul_t(f.add_t(x2, at), xt), bt))
+
+
+def x_add(curve: EllipticCurve, xp: FieldElement, xq: FieldElement) -> FieldElement:
+    """x(Q + P) from xp = x(P) != xq = x(Q), for one of the two points +-P
+    with this x, the same one for the same inputs: x(Q + P) and x(Q - P)
+    are the roots of
+      (xp - xq)^2 X^2 - 2((xp + xq)(xp xq + a) + 2b) X
+        + (xp xq - a)^2 - 4b(xp + xq),
+    and this is the root taken with the canonical square root of the
+    discriminant.  On the x-line P and -P are one point, so for every use
+    of x(Q + kP), k < r, either root gives the same set."""
+    f = curve.field
+    at, bt, s1, s2 = curve.a.raw, curve.b.raw, xp.raw, xq.raw
+    s, m = f.add_t(s1, s2), f.mul_t(s1, s2)
+    D = f.sq_t(f.sub_t(s1, s2))
+    S = f.add_t(f.mul_t(s, f.add_t(m, at)), f.smul_t(2, bt))
+    C = f.sub_t(f.sq_t(f.sub_t(m, at)), f.smul_t(4, f.mul_t(bt, s)))
+    root = f.sqrt_t(f.sub_t(f.sq_t(S), f.mul_t(D, C)))
+    return FieldElement(f, f.mul_t(f.add_t(S, root), f.inv_t(D)))
 
 
 def x_multiples(
@@ -258,12 +207,9 @@ def x_chain(
     if start is not None:
         chain = [(start[0].raw, 1), (start[1].raw, 1)]
     else:
-        x2 = f.sq_t(xt)
         chain = [(xt, 1)]
         if count >= 2:
-            X2 = f.sub_t(f.sq_t(f.sub_t(x2, at)), f.smul_t(8, f.mul_t(bt, xt)))
-            Z2 = f.smul_t(4, f.add_t(f.mul_t(f.add_t(x2, at), xt), bt))
-            chain.append((X2, Z2))
+            chain.append(_x_double_t(curve, xt))
     two_b = f.smul_t(2, bt)
     while len(chain) < count:
         (XD, ZD), (X1, Z1) = chain[-2], chain[-1]
@@ -304,17 +250,28 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _kills_seeded_point(curve: EllipticCurve, n: int, seed: int) -> bool:
+    """Whether [n] kills the first point off the 2-torsion, an x with
+    x^3 + ax + b != 0, that random_point draws from random.Random(seed)."""
+    rng = random.Random(seed)
+    x = curve.random_point(rng)
+    while not _cubic_t(curve, x.raw):
+        x = curve.random_point(rng)
+    return not x_ladder(curve, x, n)[1]
+
+
 def twist_to_scalar_frobenius(curve: EllipticCurve) -> EllipticCurve:
     """Return the quadratic twist (possibly the input) whose F_{p^2}-point
     count is (p+1)^2, i.e. the model with Frobenius = -p.
 
-    Decided by one point per twist, the first with y != 0 from one
-    deterministically seeded rng.  For p = 1 mod 12 a supersingular curve
-    off j in {0, 1728} has trace +-2p over F_{p^2}, so one twist has group
-    (Z/(p+1))^2 and the other (Z/(p-1))^2: p + 1 kills the first point,
-    and on the second [p+1]P = [2]P is not O while p - 1 kills it.  So
-    exactly one point must be killed by p + 1 and the other by p - 1;
-    otherwise the curve is not supersingular and is refused.
+    Decided by one point per twist, the first off the 2-torsion from one
+    deterministically seeded rng (_kills_seeded_point).  For p = 1 mod 12
+    a supersingular curve off j in {0, 1728} has trace +-2p over F_{p^2},
+    so one twist has group (Z/(p+1))^2 and the other (Z/(p-1))^2: p + 1
+    kills the first point, and on the second [p+1]P = [2]P is not O while
+    p - 1 kills it.  So exactly one point must be killed by p + 1 and the
+    other by p - 1; otherwise the curve is not supersingular and is
+    refused.
     """
     f = curve.field
     p = f.p
@@ -322,17 +279,10 @@ def twist_to_scalar_frobenius(curve: EllipticCurve) -> EllipticCurve:
         raise CurveError("normalization works over F_{p^2}")
     seed = _derive_seed(p, curve.a.coeffs, curve.b.coeffs)
     twists = (curve, quadratic_twist(curve))
-    points = []
-    for cand in twists:
-        rng = random.Random(seed)
-        P = cand.random_point(rng)
-        while not P.y:
-            P = cand.random_point(rng)
-        points.append(P)
-    plus = [scalar_mul(p + 1, P).is_identity() for P in points]
+    plus = [_kills_seeded_point(cand, p + 1, seed) for cand in twists]
     if plus.count(True) == 1:
         i = plus.index(True)
-        if scalar_mul(p - 1, points[1 - i]).is_identity():
+        if _kills_seeded_point(twists[1 - i], p - 1, seed):
             return twists[i]
     raise CurveError(
         f"p + 1 kills the drawn point on {plus.count(True)} of 2 twists, not"
@@ -396,15 +346,34 @@ class TorsionField:
         self, curve: EllipticCurve, rng: random.Random
     ) -> tuple[EllipticCurve, FieldElement, FieldElement, FieldElement]:
         """(M, x(P), x(Q), x(Q + P)): the F_{p^2} model `curve` lifted to
-        `field`, and a torsion_basis P, Q drawn from rng on the twist by
-        delta, its x mapped back to M by x -> x / delta."""
+        `field`, a torsion_basis P, Q drawn from rng on the twist by delta,
+        its x mapped back to M by x -> x / delta, and x_add's x(Q + P).
+
+        The F_{p^2} model is checked first (_check_frobenius_sign)."""
+        _check_frobenius_sign(curve)
         M = curve.change_field(self.emb)
         d = self.delta
-        P, Q = torsion_basis(M if d is None else quadratic_twist(M, d), self.r, rng, delta=d)
-        if d is None:
-            return M, P.x, Q.x, (Q + P).x
-        inv = 1 / d
-        return M, P.x * inv, Q.x * inv, (Q + P).x * inv
+        xP, xQ = torsion_basis(M if d is None else quadratic_twist(M, d), self.r, rng, delta=d)
+        if d is not None:
+            inv = 1 / d
+            xP, xQ = xP * inv, xQ * inv
+        return M, xP, xQ, x_add(M, xP, xQ)
+
+
+@functools.lru_cache(maxsize=None)
+def _check_frobenius_sign(curve: EllipticCurve) -> None:
+    """CurveError unless [p + 1] kills one seeded point off the 2-torsion
+    of the F_{p^2} model `curve`; once per model per process.  On the
+    twist with Frobenius +p, whose group is (Z/(p-1))^2, [p + 1]P = [2]P
+    is not O.  After it only x are seen, on which [p] and [-p] agree, so
+    nothing else tells the two twists apart: at (13, 5, 1) a wrong twist
+    gives the right Brandt matrix and other edges."""
+    p = curve.field.p
+    if not _kills_seeded_point(curve, p + 1, _derive_seed(p, curve.a.coeffs, curve.b.coeffs)):
+        raise CurveError(
+            "[p + 1] does not kill a point of the F_{p^2} model;"
+            " Frobenius does not act as -p on it"
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -429,21 +398,26 @@ def torsion_basis(
     r: int,
     rng: random.Random,
     delta: FieldElement | None = None,
-) -> tuple[Point, Point]:
-    """Independent points of exact prime order r over the curve's field.
+) -> tuple[FieldElement, FieldElement]:
+    """x(P), x(Q) of independent points of exact prime order r over the
+    curve's field.
 
     The field has degree 2k' and the curve is a scalar-Frobenius model
     base-changed to it, twisted by the non-square `delta` of the field
     when (-p)^k' = -1 mod r (see TorsionField) and untwisted when
     (-p)^k' = 1 mod r.  The rational group is then (Z/m)^2 with
     m = |(-p)^k' + 1| on the twist and |(-p)^k' - 1| without it, and
-    cofactor multiplication lands in E[r]; a multiple that is not r-power
-    torsion means the model is not what it claims and is refused.
+    cofactor multiplication (x_ladder) lands in E[r]; a multiple that is
+    not r-power torsion means the model is not what it claims and is
+    refused.
 
-    Each basis point P' = (x', y') is checked against the p^2-power
-    Frobenius (Field.frob_t), which acts as -p on the untwisted model: with
-    c = delta^((p^2 - 1)/2) (c = 1 untwisted), x'^(p^2) = c^2 x'([-p]P')
-    and y'^(p^2) = c^3 y'([-p]P').
+    Each basis x is checked against the p^2-power Frobenius (Field.frob_t),
+    which acts as -p on the untwisted model: with c = delta^((p^2 - 1)/2)
+    (c = 1 untwisted), x^(p^2) / c^2 = x([-p]P).  That map walks P's
+    Frobenius orbits to the x of <P> (_subgroup_xs), and Q is independent
+    of P when its x is not among them.  On the x-line [p] and [-p] agree,
+    so the check does not see a model with Frobenius +p; lift_basis checks
+    the F_{p^2} model for that.
     """
     f = curve.field
     p = f.p
@@ -464,32 +438,32 @@ def torsion_basis(
     cofactor = m // r**e
     budget = 200  # random points tried per basis point
 
-    def sample() -> Point:
+    def times(x: FieldElement, n: int) -> FieldElement | None:
+        X, Z = x_ladder(curve, x, n)
+        return FieldElement(f, f.mul_t(X, f.inv_t(Z))) if Z else None
+
+    def sample() -> FieldElement:
         for _ in range(budget):
-            P = scalar_mul(cofactor, curve.random_point(rng))
-            if P.is_identity():
+            x = times(curve.random_point(rng), cofactor)
+            if x is None:
                 continue
             # reduce from order r^j (j <= e) to exact order r
             for _ in range(e):
-                Q = scalar_mul(r, P)
-                if Q.is_identity():
-                    return P
-                P = Q
+                xr = times(x, r)
+                if xr is None:
+                    return x
+                x = xr
             raise TorsionBasisError(
                 f"cofactor multiple is not {r}-power torsion; "
                 f"the group is not (Z/{m})^2"
             )
         raise TorsionBasisError(f"no order-{r} point in {budget} samples")
 
-    c = 1 if delta is None else f.pow_t(delta.raw, (p * p - 1) // 2)
-    c2 = f.sq_t(c)
-    c3 = f.mul_t(c2, c)
+    c2inv = 1 if delta is None else f.inv_t(f.pow_t(delta.raw, p * p - 1))
 
-    def check_frobenius(P: Point) -> None:
-        img = scalar_mul((-p) % r, P)
-        if f.frob_t(P.x.raw) != f.mul_t(c2, img.x.raw) or f.frob_t(
-            P.y.raw
-        ) != f.mul_t(c3, img.y.raw):
+    def check_frobenius(x: FieldElement) -> None:
+        X, Z = x_ladder(curve, x, min(p % r, -p % r))  # x([-p]P) = x([p]P)
+        if f.mul_t(f.mul_t(f.frob_t(x.raw), c2inv), Z) != X:
             raise CurveError(
                 "Frobenius does not act as -p on sampled torsion; "
                 "the model is not scalar-Frobenius normalized"
@@ -497,14 +471,30 @@ def torsion_basis(
 
     P = sample()
     check_frobenius(P)
-    half = (r - 1) // 2 if r > 2 else 1
-    p_xs = {x.raw for x in x_multiples(curve, P.x, half)}
+    p_xs = _subgroup_xs(curve, P, r, c2inv)
     for _ in range(budget):
         Q = sample()
-        if Q.x.raw not in p_xs:
+        if Q.raw not in p_xs:
             check_frobenius(Q)
             return P, Q
     raise TorsionBasisError(f"no independent order-{r} point in {budget} samples")
+
+
+def _subgroup_xs(curve: EllipticCurve, x: FieldElement, r: int, c2inv) -> set[int]:
+    """The raw x of the nonzero points of <P>, one per +-pair, from
+    x = x(P) of order r on a model where x -> x^(p^2) * c2inv is
+    x -> x([-p]P): the Frobenius orbits of x([m]P) over the
+    frobenius_orbits representatives m."""
+    f = curve.field
+    reps, o = frobenius_orbits(f.p, r)
+    multiples = x_multiples(curve, x, reps[-1]) if reps[-1] > 1 else [x]
+    out = set()
+    for m in reps:
+        t = multiples[m - 1].raw
+        for _ in range(o):
+            out.add(t)
+            t = f.mul_t(f.frob_t(t), c2inv)
+    return out
 
 
 # -- isogenies

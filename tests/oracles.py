@@ -10,11 +10,15 @@ census oracles count closed reduced paths on the edges directly and
 compare the counts with exact power series of Z, so a census never
 shares code with either route.
 
+Point is the affine group law, the chord and tangent in (x, y) with its
+own double-and-add n*P: the package works on the x-line only (x_ladder,
+x_chain, x_add), and the tests check those against this oracle.
 on_curve_point builds a point from its coordinates and checks the curve
-equation (rhs, the cubic's value), which the package never needs: its
-points come from sampling, group operations and isogenies.  sqrt is
-Field.sqrt_t on an element, which the package calls only on raw ints
-while sampling points.  spread_t and unspread_t carry F_p[y]/(g)
+equation (rhs, the cubic's value); lift_x takes the point with a given x
+and the canonical square root (sqrt) of the cubic as its y.  sqrt is
+Field.sqrt_t on an element; the package takes square roots only of raw
+ints, for x_add's discriminant and an embedding's root, and never of a
+point's cubic.  spread_t and unspread_t carry F_p[y]/(g)
 into F_p[x]/(g(x^2)) by y -> x^2 and back, the map under which the
 half-degree torsion tables (curves.torsion_field) sort as the full
 field's would.  torsion_order_extension finds the degree of that full
@@ -28,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from isograph.curves import CurveError, EllipticCurve, Point
+from isograph.curves import CurveError, EllipticCurve
 from isograph.enhanced import EnhancedGraph
 from isograph.fields import Field, FieldElement, NotInSubfield
 from isograph.polys import Polynomial
@@ -165,6 +169,65 @@ def sqrt(x: FieldElement) -> FieldElement:
     return FieldElement(x.field, x.field.sqrt_t(x.raw))
 
 
+class Point:
+    """Affine point of `curve`, or the identity (x is None)."""
+
+    __slots__ = ("curve", "x", "y")
+
+    def __init__(self, curve: EllipticCurve, x: FieldElement | None, y: FieldElement | None):
+        self.curve = curve
+        self.x = x
+        self.y = y
+
+    def is_identity(self) -> bool:
+        return self.x is None
+
+    def __neg__(self) -> "Point":
+        return self if self.x is None else Point(self.curve, self.x, -self.y)
+
+    def __add__(self, other: "Point") -> "Point":
+        """The chord-and-tangent law."""
+        if self.x is None:
+            return other
+        if other.x is None:
+            return self
+        if self.x == other.x:
+            if self.y != other.y or not self.y:
+                return identity(self.curve)
+            lam = (3 * self.x * self.x + self.curve.a) / (2 * self.y)
+        else:
+            lam = (other.y - self.y) / (other.x - self.x)
+        x3 = lam * lam - self.x - other.x
+        return Point(self.curve, x3, lam * (self.x - x3) - self.y)
+
+    def __sub__(self, other: "Point") -> "Point":
+        return self + (-other)
+
+    def __rmul__(self, n: int) -> "Point":
+        """n*P by double-and-add on the affine law."""
+        if n < 0:
+            return (-n) * (-self)
+        acc, base = identity(self.curve), self
+        while n:
+            if n & 1:
+                acc = acc + base
+            base = base + base
+            n >>= 1
+        return acc
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Point):
+            return self.curve == other.curve and self.x == other.x and self.y == other.y
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return "Point(O)" if self.x is None else f"Point({self.x.coeffs}, {self.y.coeffs})"
+
+
+def identity(curve: EllipticCurve) -> Point:
+    return Point(curve, None, None)
+
+
 def on_curve_point(curve: EllipticCurve, x, y) -> Point:
     """The affine point (x, y), each an element, a coefficient vector or a
     constant in [0, p); CurveError if it is off the curve."""
@@ -172,6 +235,20 @@ def on_curve_point(curve: EllipticCurve, x, y) -> Point:
     if y * y != rhs(curve, x):
         raise CurveError("point is not on the curve")
     return Point(curve, x, y)
+
+
+def lift_x(curve: EllipticCurve, x: FieldElement) -> Point:
+    """The point with this x and the canonical square root of x^3 + ax + b
+    as y; NoSquareRoot if there is none."""
+    return Point(curve, x, sqrt(rhs(curve, x)))
+
+
+def x_matches(curve: EllipticCurve, pair: tuple[int, int], P: Point) -> bool:
+    """Whether the raw projective (X : Z) is x(P), Z = 0 the identity."""
+    X, Z = pair
+    if P.is_identity():
+        return not Z and bool(X)
+    return bool(Z) and curve.field.mul_t(P.x.raw, Z) == X
 
 
 def spread_t(sub: Field, full: Field, t: int) -> int:

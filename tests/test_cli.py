@@ -642,9 +642,21 @@ def test_parse_grid_rejects_garbage():
         parse_grid("p in {1 3}, l in {5}, N in {1}")
     with pytest.raises(AdmissibilityError, match="N repeats a value"):
         parse_grid("p in {13}, l in {5}, N in {1,2,1}")
+    # nor as the smaller grid {13, 37} x {5} x {1}
+    with pytest.raises(AdmissibilityError, match="p has an empty entry"):
+        parse_grid("p in {13,,37}, l in {5,}, N in {1}")
+    with pytest.raises(AdmissibilityError, match="l has an empty entry"):
+        parse_grid("p in {13,37}, l in {5,}, N in {1}")
 
 
-@pytest.mark.parametrize("grid", ["p in {1 3}, l in {5}, N in {1}", "p in {13,13}, l in {5}, N in {1}"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "p in {1 3}, l in {5}, N in {1}",
+        "p in {13,13}, l in {5}, N in {1}",
+        "p in {13,,37}, l in {5,}, N in {1}",
+    ],
+)
 def test_verify_grid_refuses_malformed_clause(tmp_path, capsys, grid):
     code, _ = run(capsys, "verify", "--grid", grid, "--cache-dir", tmp_path)
     assert code == EXIT_PARAMS

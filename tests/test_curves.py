@@ -8,29 +8,34 @@ from isograph.curves import (
     CurveError,
     EllipticCurve,
     ExcludedJInvariant,
-    Point,
+    TorsionField,
     XMapPole,
     curve_from_j,
     frobenius_orbits,
     isomorphism_scale,
     quadratic_twist,
-    scalar_mul,
     torsion_basis,
     torsion_field,
     twist_to_scalar_frobenius,
     velu_quotient,
+    x_add,
     x_chain,
+    x_ladder,
     x_multiples,
 )
 import isograph.curves as curves_mod
 from isograph.fields import Embedding, FieldElement, make_extension_field
 from oracles import (
+    Point,
+    identity,
+    lift_x,
     on_curve_point,
     rhs,
     spread_t,
     sqrt,
     torsion_order_extension,
     unspread_t,
+    x_matches,
 )
 
 F13 = make_extension_field(13, 1)
@@ -85,50 +90,49 @@ def test_point_validation():
     assert not P.is_identity()
 
 
+def random_points(E, rng, n):
+    """n points from random_point's x, each lifted with the oracle."""
+    return [lift_x(E, E.random_point(rng)) for _ in range(n)]
+
+
+def basis_points(E, r, seed, delta=None):
+    """torsion_basis's x(P), x(Q), lifted to oracle points."""
+    return [lift_x(E, x) for x in torsion_basis(E, r, random.Random(seed), delta=delta)]
+
+
 def test_group_law_axioms():
+    # the oracle's law, and x_ladder's doubling against it
     E = curve_47(F169)
     rng = random.Random(7)
-    O = E.identity()
+    O = identity(E)
     for _ in range(25):
-        P = E.random_point(rng)
-        Q = E.random_point(rng)
-        R = E.random_point(rng)
+        P, Q, R = random_points(E, rng, 3)
         assert P + Q == Q + P
         assert (P + Q) + R == P + (Q + R)
         assert P + O == P
         assert P + (-P) == O
-        assert P + P == scalar_mul(2, P)
-
-
-def affine_add(P, Q):
-    """Oracle: the chord-and-tangent law in affine coordinates."""
-    E = P.curve
-    if P.is_identity():
-        return Q
-    if Q.is_identity():
-        return P
-    if P.x == Q.x:
-        if P.y != Q.y or not P.y:
-            return E.identity()
-        lam = (3 * P.x * P.x + E.a) / (2 * P.y)
-    else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    x3 = lam * lam - P.x - Q.x
-    return Point(E, x3, lam * (P.x - x3) - P.y)
+        assert x_matches(E, x_ladder(E, P.x, 2), P + P)
 
 
 def test_addition_matches_affine_oracle():
+    # x_add is x(Q + P) or x(Q - P), and x_ladder's doubling and
+    # differential addition agree with the affine law, 2-torsion included
     E = curve_47(F169)
     rng = random.Random(13)
     xs = [F169.element(t) for t in F169.iter_tuples()]
     two_torsion = [Point(E, x, F169.element(0)) for x in xs if not rhs(E, x)]
     assert len(two_torsion) == 3  # E(F_169) = (Z/14)^2
     for _ in range(25):
-        P, Q = E.random_point(rng), E.random_point(rng)
-        for A, B in ((P, Q), (P, P), (P, -P), (P, E.identity())):
-            assert A + B == affine_add(A, B)
+        P, Q = random_points(E, rng, 2)
+        if P.x != Q.x:
+            assert x_add(E, P.x, Q.x) in ((Q + P).x, (Q - P).x)
+        assert x_matches(E, x_ladder(E, P.x, 3), P + P + P)
     for T in two_torsion:
         assert (T + T).is_identity()
+        assert not x_ladder(E, T.x, 2)[1]
+    # the third point of order 2, a double root
+    T, U, V = two_torsion
+    assert x_add(E, T.x, U.x) == V.x
 
 
 def test_x_chain_start_pair_matches_affine_translates():
@@ -136,36 +140,41 @@ def test_x_chain_start_pair_matches_affine_translates():
     # generator of an order-r subgroup other than <P>
     for field, r in ((F169, 2), (F13_4, 3), (F169, 7)):
         E = curve_47(field)
-        P, Q = torsion_basis(E, r, random.Random(4))
-        xs = x_multiples(E, P.x, r, start=(Q.x, affine_add(Q, P).x))
+        P, Q = basis_points(E, r, 4)
+        xs = x_multiples(E, P.x, r, start=(Q.x, (Q + P).x))
         R = Q
         for x in xs:
             assert x == R.x
-            R = affine_add(R, P)
+            R = R + P
         assert len({x.raw for x in xs} | {P.x.raw}) == r + 1
     E = curve_47(F169)
-    P, _ = torsion_basis(E, 7, random.Random(4))
+    P, _ = basis_points(E, 7, 4)
     with pytest.raises(CurveError, match="identity"):
         x_multiples(E, P.x, 7, start=(P.x, (P + P).x))  # P + 6P = 7P = O
 
 
 def test_scalar_mul_matches_repeated_addition():
+    # x_ladder against n-fold addition, past the point's order, where Z = 0
     E = curve_47(F169)
-    rng = random.Random(11)
-    P = E.random_point(rng)
-    acc = E.identity()
-    for n in range(20):
-        assert scalar_mul(n, P) == acc
-        assert scalar_mul(-n, P) == -acc
+    (P,) = random_points(E, random.Random(11), 1)
+    acc = identity(E)
+    orders = []
+    for n in range(30):
+        assert x_matches(E, x_ladder(E, P.x, n), acc)
+        assert n * P == acc and -n * P == -acc
+        if n and acc.is_identity():
+            orders.append(n)
         acc = acc + P
+    assert orders and not x_ladder(E, P.x, orders[0])[1]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-60, 60), st.integers(-60, 60))
 def test_scalar_mul_distributive(m, n):
+    # x([m + n]P) = x([m]P + [n]P), the ladder against the oracle's n*P
     E = curve_47(F169)
-    P = E.random_point(random.Random(3))
-    assert scalar_mul(m + n, P) == scalar_mul(m, P) + scalar_mul(n, P)
+    (P,) = random_points(E, random.Random(3), 1)
+    assert x_matches(E, x_ladder(E, P.x, abs(m + n)), m * P + n * P)
 
 
 def test_brute_force_orders():
@@ -176,7 +185,7 @@ def test_brute_force_orders():
     assert brute_order(quadratic_twist(E)) == 144  # (p-1)^2
     rng = random.Random(5)
     for _ in range(5):
-        assert scalar_mul(196, E.random_point(rng)).is_identity()
+        assert not x_ladder(E, E.random_point(rng), 196)[1]
 
 
 def test_twist_to_scalar_frobenius():
@@ -191,7 +200,7 @@ def test_twist_to_scalar_frobenius():
 def test_twist_choice_refuses_two_passing_candidates(monkeypatch):
     # mutation: p + 1 kills the drawn point on both twists, which no
     # supersingular pair allows; the choice must not fall to the first
-    monkeypatch.setattr(curves_mod, "scalar_mul", lambda n, P: P.curve.identity())
+    monkeypatch.setattr(curves_mod, "x_ladder", lambda curve, x, n: (1, 0))
     with pytest.raises(CurveError, match="on 2 of 2 twists.*not supersingular"):
         twist_to_scalar_frobenius(curve_47(F169))
 
@@ -205,11 +214,11 @@ def test_twist_choice_refuses_an_ordinary_curve_passing_p_plus_1():
     points = []
     for cand in (E, quadratic_twist(E)):
         rng = random.Random(seed)
-        P = cand.random_point(rng)
-        while not P.y:
-            P = cand.random_point(rng)
-        points.append(P)
-    assert [scalar_mul(14, P).is_identity() for P in points].count(True) == 1
+        x = cand.random_point(rng)
+        while not rhs(cand, x):
+            x = cand.random_point(rng)
+        points.append(lift_x(cand, x))
+    assert [(14 * P).is_identity() for P in points].count(True) == 1
     with pytest.raises(CurveError, match="on 1 of 2 twists.*not supersingular"):
         twist_to_scalar_frobenius(E)
 
@@ -249,7 +258,7 @@ def span_size(P, Q, r):
     seen = set()
     for i in range(r):
         for j in range(r):
-            T = scalar_mul(i, P) + scalar_mul(j, Q)
+            T = i * P + j * Q
             seen.add(None if T.is_identity() else (T.x.coeffs, T.y.coeffs))
     return len(seen)
 
@@ -257,14 +266,14 @@ def span_size(P, Q, r):
 def test_torsion_basis_r7_spans_full_group():
     # E[7] is rational over F_13^2 already: 7 | 13 + 1
     E = curve_47(F169)
-    P, Q = torsion_basis(E, 7, random.Random(1))
-    assert scalar_mul(7, P).is_identity() and not P.is_identity()
+    P, Q = basis_points(E, 7, 1)
+    assert (7 * P).is_identity() and not P.is_identity()
     assert span_size(P, Q, 7) == 49
 
 
 def test_torsion_basis_r3_frobenius_action():
     E = curve_47(F13_4)
-    P, Q = torsion_basis(E, 3, random.Random(2))
+    P, Q = basis_points(E, 3, 2)
     assert span_size(P, Q, 3) == 9
     # Frobenius x -> x^(13^2) must act as the scalar -13 = 2 mod 3
     f = F13_4
@@ -274,12 +283,12 @@ def test_torsion_basis_r3_frobenius_action():
         FieldElement(f, f.pow_t(P.x.raw, e2)),
         FieldElement(f, f.pow_t(P.y.raw, e2)),
     )
-    assert img == scalar_mul(2, P)
+    assert img == 2 * P
 
 
 def test_torsion_basis_r2():
     E = curve_47(F169)
-    P, Q = torsion_basis(E, 2, random.Random(3))
+    P, Q = basis_points(E, 2, 3)
     assert P.y == 0 and Q.y == 0 and P.x != Q.x
     assert span_size(P, Q, 2) == 4
 
@@ -295,7 +304,7 @@ def test_torsion_basis_on_twist_over_half_field():
     tf = torsion_field(13, 5)
     assert tf.field.deg == 4 and tf.delta is not None
     E = quadratic_twist(curve_47(F169).change_field(tf.emb), tf.delta)
-    P, Q = torsion_basis(E, 5, random.Random(21), delta=tf.delta)
+    P, Q = basis_points(E, 5, 21, delta=tf.delta)
     assert span_size(P, Q, 5) == 25
     with pytest.raises(CurveError, match="not rational"):
         torsion_basis(E, 5, random.Random(21))
@@ -327,9 +336,11 @@ def test_lift_basis_untwists_onto_the_lifted_model(r):
     M, xP, xQ, xQP = tf.lift_basis(E, random.Random(25))
     assert M == E.change_field(tf.emb)
     twist = M if tf.delta is None else quadratic_twist(M, tf.delta)
-    P, Q = torsion_basis(twist, r, random.Random(25), delta=tf.delta)
+    P, Q = basis_points(twist, r, 25, delta=tf.delta)
     c = 1 if tf.delta is None else tf.delta
-    assert [x * c for x in (xP, xQ, xQP)] == [P.x, Q.x, (Q + P).x]
+    assert [xP * c, xQ * c] == [P.x, Q.x]
+    # x(Q + P) for one of +-P; on M itself the points need not be rational
+    assert xQP * c in ((Q + P).x, (Q - P).x)
     # untwisted, x(P) is an order-r x on M: x([h+1]P) = x([h]P), h = (r-1)/2
     (Xh, Zh), (Xh1, Zh1) = x_chain(M, xP, (r + 1) // 2)[-2:]
     assert Xh and M.field.mul_t(Xh, Zh1) == M.field.mul_t(Xh1, Zh)
@@ -337,20 +348,39 @@ def test_lift_basis_untwists_onto_the_lifted_model(r):
 
 def test_frobenius_guard_fires_on_wrong_twist():
     # the other F_{p^2}-twist has Frobenius +p: over F_{13^4} its 3-torsion
-    # is rational too, but pi(P) = [p]P = -[-p]P
+    # is rational too, and on the x-line pi(P) = [p]P = -[-p]P looks right,
+    # so torsion_basis accepts it; lift_basis's F_{p^2} guard must not
     wrong = quadratic_twist(curve_47(F169))
     emb = Embedding(F169, F13_4)
-    with pytest.raises(CurveError, match="Frobenius"):
-        torsion_basis(wrong.change_field(emb), 3, random.Random(22))
+    torsion_basis(wrong.change_field(emb), 3, random.Random(22))
+    full = TorsionField(3, F13_4, emb, None, *frobenius_orbits(13, 3))
+    with pytest.raises(CurveError, match="does not kill.*Frobenius"):
+        full.lift_basis(wrong, random.Random(22))
     # and on the twist by delta over the half field F_{13^4} of F_{13^8}:
-    # E[5] is rational there as well, so only the twisted guard can see it
-    with pytest.raises(CurveError, match="Frobenius"):
-        torsion_field(13, 5).lift_basis(wrong, random.Random(23))
+    # E[5] is rational there as well
+    tf = torsion_field(13, 5)
+    torsion_basis(quadratic_twist(wrong.change_field(tf.emb), tf.delta), 5,
+                  random.Random(23), delta=tf.delta)
+    with pytest.raises(CurveError, match="does not kill.*Frobenius"):
+        tf.lift_basis(wrong, random.Random(23))
 
 
-def velu_xs(G, r):
-    """The x-list velu_quotient takes for the kernel <G>."""
-    return x_multiples(G.curve, G.x, (r - 1) // 2)
+def test_frobenius_check_fires_on_wrong_frobenius_map(monkeypatch):
+    # mutation: x^(p^2) read with 1 added to F_1 = x^(p^2), so a sampled x
+    # no longer satisfies x^(p^2) / c^2 = x([-p]P) = x([2]P) on E[5] over
+    # F_{13^4}, twisted by delta; the x-only check must refuse it
+    tf = torsion_field(13, 5)
+    F = tf.field
+    honest = F._frob
+    monkeypatch.setattr(F, "_frob", (honest[0], F.add_t(honest[1], 1)) + honest[2:])
+    E = quadratic_twist(curve_47(F169).change_field(tf.emb), tf.delta)
+    with pytest.raises(CurveError, match="Frobenius does not act as -p"):
+        torsion_basis(E, 5, random.Random(21), delta=tf.delta)
+
+
+def velu_xs(E, x, r):
+    """The x-list velu_quotient takes for the kernel <G>, x = x(G)."""
+    return x_multiples(E, x, (r - 1) // 2)
 
 
 def test_half_field_velu_matches_full_field_velu():
@@ -361,8 +391,8 @@ def test_half_field_velu_matches_full_field_velu():
     full = make_extension_field(13, 8)
     assert tf.field.modulus == full.modulus[0::2]
     E_full = curve_47(F169).change_field(Embedding(F169, full))
-    P, _ = torsion_basis(E_full, 5, random.Random(24))
-    xs_full = x_multiples(E_full, P.x, 2)
+    xP, _ = torsion_basis(E_full, 5, random.Random(24))
+    xs_full = x_multiples(E_full, xP, 2)
     image, xmap = velu_quotient(E_full, xs_full, 5)
 
     E = curve_47(F169).change_field(tf.emb)
@@ -381,11 +411,11 @@ def test_half_field_velu_matches_full_field_velu():
 def test_x_multiples_vs_scalar_mul():
     E = curve_47(F169)
     rng = random.Random(9)
-    for _ in range(5):
-        P = E.random_point(rng)
+    for P in random_points(E, rng, 5):
         xs = x_multiples(E, P.x, 10)
         for i, x in enumerate(xs, start=1):
-            assert x == scalar_mul(i, P).x
+            assert x == (i * P).x
+            assert x_matches(E, x_ladder(E, P.x, i), i * P)
     # x([2]T) for a 2-torsion x is the identity
     T = next(x for x in map(F169.element, F169.iter_tuples()) if not rhs(E, x))
     with pytest.raises(CurveError, match="identity"):
@@ -394,23 +424,22 @@ def test_x_multiples_vs_scalar_mul():
 
 def test_x_multiples_rejects_count_at_order():
     E = curve_47(F169)
-    P, _ = torsion_basis(E, 7, random.Random(4))
-    assert len(x_multiples(E, P.x, 6)) == 6
+    xP, _ = torsion_basis(E, 7, random.Random(4))
+    assert len(x_multiples(E, xP, 6)) == 6
     with pytest.raises(CurveError, match="order"):
-        x_multiples(E, P.x, 7)
+        x_multiples(E, xP, 7)
 
 
 def test_x_chain_vs_scalar_mul():
     E = curve_47(F169)
     rng = random.Random(17)
-    for _ in range(5):
-        P = E.random_point(rng)
+    for P in random_points(E, rng, 5):
         chain = x_chain(E, P.x, 10)
-        for k, (X, Z) in enumerate(chain, start=1):
-            assert F169.mul_t(scalar_mul(k, P).x.raw, Z) == X
+        for k, XZ in enumerate(chain, start=1):
+            assert x_matches(E, XZ, k * P)
     # the first Z = 0 is the first multiple that is the identity
-    P, _ = torsion_basis(E, 7, random.Random(4))
-    zs = [Z for _, Z in x_chain(E, P.x, 7)]
+    xP, _ = torsion_basis(E, 7, random.Random(4))
+    zs = [Z for _, Z in x_chain(E, xP, 7)]
     assert all(zs[:6]) and not zs[6]
 
 
@@ -434,7 +463,7 @@ def phi3(x, y):
 def test_velu_satisfies_modular_polynomial():
     E = curve_47(F13_4)
     j = E.j_invariant()
-    P, Q = torsion_basis(E, 3, random.Random(6))
+    P, Q = basis_points(E, 3, 6)
     images = set()
     for G in (P, Q, Q + P, Q + P + P):
         image, _ = velu_quotient(E, [G.x], 3)
@@ -464,26 +493,26 @@ def test_velu_modular_polynomial_ordinary_curve():
 )
 def test_velu_dual_composition_recovers_j(field, r):
     E = curve_47(field)
-    P, Q = torsion_basis(E, r, random.Random(8))
-    image, xmap = velu_quotient(E, velu_xs(P, r), r)
+    xP, xQ = torsion_basis(E, r, random.Random(8))
+    image, xmap = velu_quotient(E, velu_xs(E, xP, r), r)
     assert len(xmap.num) == r + 1 and len(xmap.den) == r
     assert xmap.den[-1] == 1  # monic denominator
     # push the complementary generator through; it generates the kernel of
     # the dual, so the second quotient returns to the start
-    (x2,) = xmap.eval_many([Q.x])
+    (x2,) = xmap.eval_many([xQ])
     y2 = sqrt(rhs(image, x2))
     G2 = on_curve_point(image, x2, y2)
-    assert scalar_mul(r, G2).is_identity() and not G2.is_identity()
-    image2, _ = velu_quotient(image, velu_xs(G2, r), r)
+    assert (r * G2).is_identity() and not G2.is_identity()
+    image2, _ = velu_quotient(image, velu_xs(image, x2, r), r)
     assert image2.j_invariant() == E.j_invariant()
 
 
 def test_velu_image_points_land_on_image():
     E = curve_47(F169)
-    P, _ = torsion_basis(E, 7, random.Random(10))
-    image, xmap = velu_quotient(E, x_multiples(E, P.x, 3), 7)
+    xP, _ = torsion_basis(E, 7, random.Random(10))
+    image, xmap = velu_quotient(E, x_multiples(E, xP, 3), 7)
     f = F169
-    kernel_xs = {x.coeffs for x in x_multiples(E, P.x, 3)}
+    kernel_xs = {x.coeffs for x in x_multiples(E, xP, 3)}
     # the xs of rational points
     xs = [x for x in map(f.element, f.iter_tuples()) if f.is_square_t(rhs(E, x).raw)]
     poles = [x for x in xs if x.coeffs in kernel_xs]
@@ -497,9 +526,9 @@ def test_velu_image_points_land_on_image():
 
 def test_velu_eval_many_matches_single():
     E = curve_47(F169)
-    P, Q = torsion_basis(E, 7, random.Random(12))
-    _, xmap = velu_quotient(E, x_multiples(E, P.x, 3), 7)
-    xs = x_multiples(E, Q.x, 5)
+    xP, xQ = torsion_basis(E, 7, random.Random(12))
+    _, xmap = velu_quotient(E, x_multiples(E, xP, 3), 7)
+    xs = x_multiples(E, xQ, 5)
 
     def single(x):  # num(x) / den(x) by field-element arithmetic
         num = sum(c * x**i for i, c in enumerate(xmap.num))
@@ -507,26 +536,26 @@ def test_velu_eval_many_matches_single():
 
     assert xmap.eval_many(xs) == [single(x) for x in xs]
     with pytest.raises(XMapPole):
-        xmap.eval_many([Q.x, P.x])
+        xmap.eval_many([xQ, xP])
 
 
 def test_velu_rejects_bad_kernels():
     E = curve_47(F169)
-    P, _ = torsion_basis(E, 7, random.Random(13))
+    xP, _ = torsion_basis(E, 7, random.Random(13))
     with pytest.raises(CurveError, match="prime"):
-        velu_quotient(E, x_multiples(E, P.x, 3), 4)
+        velu_quotient(E, x_multiples(E, xP, 3), 4)
     with pytest.raises(CurveError, match="odd prime"):
-        velu_quotient(E, x_multiples(E, P.x, 1), 2)
+        velu_quotient(E, x_multiples(E, xP, 1), 2)
     with pytest.raises(CurveError, match="order-3 kernel"):
-        velu_quotient(E, x_multiples(E, P.x, 3), 3)
+        velu_quotient(E, x_multiples(E, xP, 3), 3)
 
 
 def test_velu_kernel_guard():
     # every corruption of a kernel's x-list is refused; the valid lists,
     # in either order, are not
     E = curve_47(F169)
-    P, Q = torsion_basis(E, 7, random.Random(14))
-    xs, other = x_multiples(E, P.x, 3), x_multiples(E, Q.x, 3)
+    xP, xQ = torsion_basis(E, 7, random.Random(14))
+    xs, other = x_multiples(E, xP, 3), x_multiples(E, xQ, 3)
     velu_quotient(E, xs, 7)
     velu_quotient(E, xs[::-1], 7)
     bad = {
@@ -540,10 +569,10 @@ def test_velu_kernel_guard():
             velu_quotient(E, ys, 7)
     # r = 3: the one x must be fixed by doubling
     E4 = curve_47(F13_4)
-    P3, _ = torsion_basis(E4, 3, random.Random(15))
-    velu_quotient(E4, [P3.x], 3)
+    x3, _ = torsion_basis(E4, 3, random.Random(15))
+    velu_quotient(E4, [x3], 3)
     with pytest.raises(CurveError, match="order-3 kernel"):
-        velu_quotient(E4, [P3.x + 1], 3)
+        velu_quotient(E4, [x3 + 1], 3)
 
 
 def doubling_closed(curve, xs):
@@ -556,8 +585,7 @@ def test_velu_kernel_guard_refuses_doubling_closed_impostors():
     # that are not x(<P> - O) for an order-r point P
     # two order-3 x values from different subgroups, as an "order-5 kernel"
     E4 = curve_47(F13_4)
-    P3, Q3 = torsion_basis(E4, 3, random.Random(15))
-    xs = [P3.x, Q3.x]
+    xs = list(torsion_basis(E4, 3, random.Random(15)))
     assert doubling_closed(E4, xs)
     with pytest.raises(CurveError, match="order-5 kernel"):
         velu_quotient(E4, xs, 5)
@@ -565,7 +593,7 @@ def test_velu_kernel_guard_refuses_doubling_closed_impostors():
     # closed since 8P = -P
     E = EllipticCurve(F13.element(1), F13.element(5))
     P9 = on_curve_point(E, 3, 3)
-    assert scalar_mul(9, P9).is_identity() and not scalar_mul(3, P9).is_identity()
+    assert (9 * P9).is_identity() and not (3 * P9).is_identity()
     xs9 = x_multiples(E, P9.x, 4)
     xs = [xs9[0], xs9[1], xs9[3]]
     assert doubling_closed(E, xs)
@@ -578,11 +606,11 @@ def test_velu_kernel_guard_refuses_doubling_closed_impostors():
     # orbits {x([2^i]P)} of two different order-17 subgroups make a
     # closed set of 8 = (17 - 1)/2, and xs[0] has order 17
     E8 = curve_47(make_extension_field(13, 8))
-    P, Q = torsion_basis(E8, 17, random.Random(18))
-    orbit = [x_multiples(E8, P.x, 8)[k - 1] for k in (1, 2, 4, 8)]
-    orbit += [x_multiples(E8, Q.x, 8)[k - 1] for k in (1, 2, 4, 8)]
+    xP, xQ = torsion_basis(E8, 17, random.Random(18))
+    orbit = [x_multiples(E8, xP, 8)[k - 1] for k in (1, 2, 4, 8)]
+    orbit += [x_multiples(E8, xQ, 8)[k - 1] for k in (1, 2, 4, 8)]
     assert len({x.raw for x in orbit}) == 8 and doubling_closed(E8, orbit)
-    velu_quotient(E8, x_multiples(E8, P.x, 8), 17)
+    velu_quotient(E8, x_multiples(E8, xP, 8), 17)
     with pytest.raises(CurveError, match="order-17 kernel"):
         velu_quotient(E8, orbit, 17)
 
@@ -622,6 +650,5 @@ def test_isomorphism_scale_maps_points():
     u2 = isomorphism_scale(E1, E2)
     u = sqrt(u2)
     rng = random.Random(14)
-    for _ in range(8):
-        P = E1.random_point(rng)
+    for P in random_points(E1, rng, 8):
         on_curve_point(E2, u2 * P.x, u * u2 * P.y)  # raises if off the curve

@@ -18,6 +18,7 @@ from isograph.curves import (
     XMap,
     frobenius_orbits,
     isomorphism_scale,
+    quadratic_twist,
     torsion_basis,
     torsion_field,
     velu_quotient,
@@ -38,11 +39,22 @@ from isograph.enhanced import (
 import isograph.curves as curves_mod
 import isograph.enhanced as enhanced_mod
 from isograph.fields import Embedding, make_extension_field
-from oracles import rhs, spread_t, torsion_order_extension
+from oracles import identity, lift_x, rhs, spread_t, torsion_order_extension
 from isograph.supersingular import build_class_table
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def basis_generators(E, r, rng):
+    """P and Q + kP, k < r, by the affine law from torsion_basis's x lifted
+    to points: one generator of each order-r subgroup."""
+    P, Q = (lift_x(E, x) for x in torsion_basis(E, r, rng))
+    gens, R = [P], identity(E)
+    for _ in range(r):
+        gens.append(Q + R)
+        R = R + P
+    return gens
 
 
 def level1_matrix_by_j(p, l, rng_seed):
@@ -57,13 +69,7 @@ def level1_matrix_by_j(p, l, rng_seed):
     M = [[0] * h for _ in range(h)]
     for ci, model in enumerate(table.models):
         E = model.change_field(emb)
-        P, Q = torsion_basis(E, l, rng)
-        gens = [P]
-        R = E.identity()
-        for _ in range(l):
-            gens.append(Q + R)
-            R = R + P
-        for G in gens:
+        for G in basis_generators(E, l, rng):
             image, _ = velu_quotient(E, x_multiples(E, G.x, (l - 1) // 2), l)
             j = emb.descend(image.j_invariant())
             M[ci][table.class_of_j(j)] += 1
@@ -92,16 +98,8 @@ def level2_matrix_13_5(rng_seed):
     assert len(two_xs) == 3
     index = {x.coeffs: i for i, x in enumerate(two_xs)}
 
-    rng = random.Random(rng_seed)
-    P, Q = torsion_basis(Ebig, l, rng)
-    gens = [P]
-    R = Ebig.identity()
-    for _ in range(l):
-        gens.append(Q + R)
-        R = R + P
-
     M = [[0] * 3 for _ in range(3)]
-    for G in gens:
+    for G in basis_generators(Ebig, l, random.Random(rng_seed)):
         image, xmap = velu_quotient(Ebig, x_multiples(Ebig, G.x, (l - 1) // 2), l)
         from isograph.curves import EllipticCurve
 
@@ -128,12 +126,7 @@ def full_field_slots(p, r, rng_seed):
     out = []
     for model in table.models:
         E = model.change_field(emb)
-        P, Q = torsion_basis(E, r, rng)
-        gens = [P]
-        R = E.identity()
-        for _ in range(r):
-            gens.append(Q + R)
-            R = R + P
+        gens = basis_generators(E, r, rng)
         out.append(sorted(sorted(x.coeffs for x in x_multiples(E, G.x, half)) for G in gens))
     return out
 
@@ -315,6 +308,20 @@ def _with_torsion_field(monkeypatch, p, r, **changes):
     monkeypatch.setattr(enhanced_mod, "torsion_field", patched)
 
 
+@pytest.mark.parametrize("p", [13, 37])
+def test_wrong_twist_of_every_class_fails_loudly(p):
+    # mutation: every class model replaced by its quadratic twist, on which
+    # Frobenius acts as +p.  Only x are seen after the basis, and [p] and
+    # [-p] agree on them: at (13, 5, 1) and (37, 5, 1) the graph would
+    # build, with the right Brandt matrix and other edges, unless
+    # lift_basis's F_{p^2} guard refuses the models
+    b = GraphBuilder(p, 5)
+    twisted = tuple(quadratic_twist(m) for m in b.table.models)
+    b.table = dataclasses.replace(b.table, models=twisted)
+    with pytest.raises(CurveError, match="does not kill"):
+        b.build(1)
+
+
 def test_dropped_twist_fails_loudly(monkeypatch):
     _with_torsion_field(monkeypatch, 13, 5, delta=None)
     with pytest.raises(CurveError, match="not rational"):
@@ -359,6 +366,22 @@ def test_frobenius_orbits_match_the_workload_table(p, r):
     assert (len(reps), o) == ORBIT_TABLE[p, r]
     assert (reps, o) == _orbit_reps_oracle(p, r)
     assert reps[0] == 1 and len(reps) * o == (r - 1) // 2
+
+
+@pytest.mark.parametrize("p,r", sorted(ORBIT_TABLE))
+def test_basis_independence_set_is_the_subgroup(p, r):
+    # torsion_basis tests Q against the x of <P> walked from P's Frobenius
+    # orbits, by x -> x^(p^2) / c^2 with c = delta^((p^2 - 1)/2) on the
+    # twist: the same set as x_multiples' (r - 1)/2 multiples
+    tf = torsion_field(p, r)
+    M = build_class_table(p).models[0].change_field(tf.emb)
+    d = tf.delta
+    E = M if d is None else quadratic_twist(M, d)
+    xP, _ = torsion_basis(E, r, random.Random(r), delta=d)
+    F = tf.field
+    c2inv = 1 if d is None else F.inv_t(F.pow_t(d.raw, p * p - 1))
+    orbits = curves_mod._subgroup_xs(E, xP, r, c2inv)
+    assert orbits == {x.raw for x in x_multiples(E, xP, (r - 1) // 2)}
 
 
 def test_frobenius_orbits_of_two_and_three():
@@ -553,7 +576,7 @@ def test_x_only_doubling_matches_point_addition(seed, deg):
     table = build_class_table(13)
     emb = Embedding(table.field, make_extension_field(13, deg))
     E = table.models[0].change_field(emb)
-    P = E.random_point(random.Random(seed))
+    P = lift_x(E, E.random_point(random.Random(seed)))
     if not P.y:
         return  # 2-torsion: x(2P) is the point at infinity
     assert x_multiples(E, P.x, 2)[1] == (P + P).x
