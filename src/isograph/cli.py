@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass, fields, replace
 
 from . import __version__
@@ -129,7 +128,9 @@ def write_graph_file(path: str, eg: EnhancedGraph) -> None:
     directory = os.path.dirname(path) or "."
     with _output(path):
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        # mode 0o666 less the umask, as for the --dot and --csv files
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(payload)

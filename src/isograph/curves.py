@@ -10,7 +10,9 @@ Order-r torsion has one record, the TorsionField that torsion_field
 builds once per (p, r): the Frobenius orbits on it, the field it is
 worked in (the half-degree F_p[y]/(g) of an even modulus g(x^2) when -1
 is a power of -p mod r) and the twist by y on which its points are
-sampled; lift_basis hands out a basis's x untwisted.
+sampled.  Every torsion x is kept on the class model lifted to that
+field, where a point of the twist is x / y: torsion_basis moves each
+draw there, and subgroup_xs is the one walk of Frobenius orbits.
 
 A point is its x-coordinate, a FieldElement: P and -P are one point of
 the x-line, and no y is ever computed.  The inner loops (x_ladder's
@@ -90,9 +92,6 @@ class EllipticCurve:
         if isinstance(other, EllipticCurve):
             return self.field is other.field and self.a == other.a and self.b == other.b
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.a.raw, self.b.raw))
 
     def __repr__(self) -> str:
         return f"EllipticCurve(a={self.a.coeffs}, b={self.b.coeffs}, F_{self.field.p}^{self.field.deg})"
@@ -332,7 +331,9 @@ class TorsionField:
     r = 2, or an odd modulus such as F_{37^40}'s) `field` is F and `delta`
     None.  y -> x^2 moves coefficient i to position 2i and so keeps the
     order of encodings: `emb` picks the smaller root, as the canonical
-    F_{p^2} -> F does, and tables sorted in `field` sort as in F.
+    F_{p^2} -> F does, and tables sorted in `field` sort as in F.  Points
+    are drawn on the twist by `delta`, their x kept on the models lifted
+    by `emb` (torsion_basis).
     """
 
     r: int
@@ -342,32 +343,14 @@ class TorsionField:
     reps: tuple[int, ...]
     orbit: int
 
-    def lift_basis(
-        self, curve: EllipticCurve, rng: random.Random
-    ) -> tuple[EllipticCurve, FieldElement, FieldElement, FieldElement]:
-        """(M, x(P), x(Q), x(Q + P)): the F_{p^2} model `curve` lifted to
-        `field`, a torsion_basis P, Q drawn from rng on the twist by delta,
-        its x mapped back to M by x -> x / delta, and x_add's x(Q + P).
 
-        The F_{p^2} model is checked first (_check_frobenius_sign)."""
-        _check_frobenius_sign(curve)
-        M = curve.change_field(self.emb)
-        d = self.delta
-        xP, xQ = torsion_basis(M if d is None else quadratic_twist(M, d), self.r, rng, delta=d)
-        if d is not None:
-            inv = 1 / d
-            xP, xQ = xP * inv, xQ * inv
-        return M, xP, xQ, x_add(M, xP, xQ)
-
-
-@functools.lru_cache(maxsize=None)
 def _check_frobenius_sign(curve: EllipticCurve) -> None:
     """CurveError unless [p + 1] kills one seeded point off the 2-torsion
-    of the F_{p^2} model `curve`; once per model per process.  On the
-    twist with Frobenius +p, whose group is (Z/(p-1))^2, [p + 1]P = [2]P
-    is not O.  After it only x are seen, on which [p] and [-p] agree, so
-    nothing else tells the two twists apart: at (13, 5, 1) a wrong twist
-    gives the right Brandt matrix and other edges."""
+    of the F_{p^2} model `curve`.  On the twist with Frobenius +p, whose
+    group is (Z/(p-1))^2, [p + 1]P = [2]P is not O.  After it only x are
+    seen, on which [p] and [-p] agree, so nothing else tells the two
+    twists apart: at (13, 5, 1) a wrong twist gives the right Brandt
+    matrix and other edges.  The class table runs it on every model."""
     p = curve.field.p
     if not _kills_seeded_point(curve, p + 1, _derive_seed(p, curve.a.coeffs, curve.b.coeffs)):
         raise CurveError(
@@ -399,25 +382,25 @@ def torsion_basis(
     rng: random.Random,
     delta: FieldElement | None = None,
 ) -> tuple[FieldElement, FieldElement]:
-    """x(P), x(Q) of independent points of exact prime order r over the
-    curve's field.
+    """x(P), x(Q) on `curve` of independent points of exact prime order r.
 
-    The field has degree 2k' and the curve is a scalar-Frobenius model
-    base-changed to it, twisted by the non-square `delta` of the field
-    when (-p)^k' = -1 mod r (see TorsionField) and untwisted when
-    (-p)^k' = 1 mod r.  The rational group is then (Z/m)^2 with
-    m = |(-p)^k' + 1| on the twist and |(-p)^k' - 1| without it, and
-    cofactor multiplication (x_ladder) lands in E[r]; a multiple that is
-    not r-power torsion means the model is not what it claims and is
-    refused.
+    The field has degree 2k' and the curve is a scalar-Frobenius model M
+    base-changed to it.  E[r] is rational on M when (-p)^k' = 1 mod r, and
+    on the twist by the non-square `delta` of the field when
+    (-p)^k' = -1 mod r (see TorsionField); a point (x, y) of that twist is
+    (x / delta, y / delta^(3/2)) on M over the quadratic extension.  Each
+    draw is moved to M's x-line at once, and the rest runs on M.  The group
+    drawn from is (Z/m)^2 with m = |(-p)^k' + 1| on the twist and
+    |(-p)^k' - 1| without it, and cofactor multiplication (x_ladder) lands
+    in E[r]; a multiple that is not r-power torsion means the model is not
+    what it claims and is refused.
 
     Each basis x is checked against the p^2-power Frobenius (Field.frob_t),
-    which acts as -p on the untwisted model: with c = delta^((p^2 - 1)/2)
-    (c = 1 untwisted), x^(p^2) / c^2 = x([-p]P).  That map walks P's
-    Frobenius orbits to the x of <P> (_subgroup_xs), and Q is independent
-    of P when its x is not among them.  On the x-line [p] and [-p] agree,
-    so the check does not see a model with Frobenius +p; lift_basis checks
-    the F_{p^2} model for that.
+    which acts as -p on M: x^(p^2) = x([-p]P).  subgroup_xs walks P's
+    Frobenius orbits to the x of <P>, and Q is independent of P when its
+    x is not among them.  On the x-line [p] and [-p] agree, so the check
+    does not see a model with Frobenius +p; the class table checks each
+    F_{p^2} model for that (_check_frobenius_sign).
     """
     f = curve.field
     p = f.p
@@ -437,6 +420,8 @@ def torsion_basis(
         e += 1
     cofactor = m // r**e
     budget = 200  # random points tried per basis point
+    twist = curve if delta is None else quadratic_twist(curve, delta)
+    inv = None if delta is None else 1 / delta
 
     def times(x: FieldElement, n: int) -> FieldElement | None:
         X, Z = x_ladder(curve, x, n)
@@ -444,7 +429,8 @@ def torsion_basis(
 
     def sample() -> FieldElement:
         for _ in range(budget):
-            x = times(curve.random_point(rng), cofactor)
+            x = twist.random_point(rng)
+            x = times(x if inv is None else x * inv, cofactor)
             if x is None:
                 continue
             # reduce from order r^j (j <= e) to exact order r
@@ -459,11 +445,9 @@ def torsion_basis(
             )
         raise TorsionBasisError(f"no order-{r} point in {budget} samples")
 
-    c2inv = 1 if delta is None else f.inv_t(f.pow_t(delta.raw, p * p - 1))
-
     def check_frobenius(x: FieldElement) -> None:
         X, Z = x_ladder(curve, x, min(p % r, -p % r))  # x([-p]P) = x([p]P)
-        if f.mul_t(f.mul_t(f.frob_t(x.raw), c2inv), Z) != X:
+        if f.mul_t(f.frob_t(x.raw), Z) != X:
             raise CurveError(
                 "Frobenius does not act as -p on sampled torsion; "
                 "the model is not scalar-Frobenius normalized"
@@ -471,7 +455,7 @@ def torsion_basis(
 
     P = sample()
     check_frobenius(P)
-    p_xs = _subgroup_xs(curve, P, r, c2inv)
+    p_xs = set(subgroup_xs(curve, P, *frobenius_orbits(p, r)))
     for _ in range(budget):
         Q = sample()
         if Q.raw not in p_xs:
@@ -480,20 +464,25 @@ def torsion_basis(
     raise TorsionBasisError(f"no independent order-{r} point in {budget} samples")
 
 
-def _subgroup_xs(curve: EllipticCurve, x: FieldElement, r: int, c2inv) -> set[int]:
+def subgroup_xs(
+    curve: EllipticCurve, x: FieldElement, reps: Sequence[int], o: int
+) -> list[int]:
     """The raw x of the nonzero points of <P>, one per +-pair, from
-    x = x(P) of order r on a model where x -> x^(p^2) * c2inv is
-    x -> x([-p]P): the Frobenius orbits of x([m]P) over the
-    frobenius_orbits representatives m."""
+    x = x(P) of order r on a model where x -> x^(p^2) is x -> x([-p]P):
+    the Frobenius orbits of x([m]P), (reps, o) = frobenius_orbits(p, r),
+    orbit by orbit.  CurveError unless each closes after exactly o steps."""
     f = curve.field
-    reps, o = frobenius_orbits(f.p, r)
     multiples = x_multiples(curve, x, reps[-1]) if reps[-1] > 1 else [x]
-    out = set()
+    out = []
     for m in reps:
-        t = multiples[m - 1].raw
+        t = start = multiples[m - 1].raw
         for _ in range(o):
-            out.add(t)
-            t = f.mul_t(f.frob_t(t), c2inv)
+            out.append(t)
+            t = f.frob_t(t)
+        if t != start:
+            raise CurveError(
+                f"Frobenius orbit of x([{m}]P) does not close after {o} steps"
+            )
     return out
 
 

@@ -11,14 +11,14 @@ There are (p - 1) sigma1(N) / 12 vertices, sigma1 read off the
 factorization of N.
 
 All order-r torsion work happens on the class models lifted to the
-field of curves.TorsionField, which owns the twist, the Frobenius orbits
-and the basis (lift_basis).  There one x-only chain gives the generators
-and each slot is a few Frobenius orbits (GraphBuilder.level_subgroups).
-Slots hold untwisted x sorted by encoding, in the order the full field
-F_{p^{2k}} gives them, so every table equals the full-field one; the
-lifted models, the slots and their index are kept per r (_TorsionTables).
-Velu reads the slots' x on the lifted models; kernels are Galois-stable,
-so quotient curves and x-maps descend to F_{p^2}, exactly and checked.
+field of curves.TorsionField, which owns the twist and the Frobenius
+orbits.  From the basis there, one x-only chain gives the generators and
+each slot is a generator's Frobenius orbits (GraphBuilder.level_subgroups).
+Slots hold x sorted by encoding, in the order the full field F_{p^{2k}}
+gives them, so every table equals the full-field one; the lifted models,
+the slots and their index are kept per r (_TorsionTables).  Velu reads
+the slots' x on the lifted models; kernels are Galois-stable, so quotient
+curves and x-maps descend to F_{p^2}, exactly and checked.
 
 Level structure moves along an arrow one point per subgroup: the arrow's
 degree l is prime to r, so the image of one generator fixes the image
@@ -42,8 +42,11 @@ from .curves import (
     XMap,
     _derive_seed,
     isomorphism_scale,
+    subgroup_xs,
+    torsion_basis,
     torsion_field,
     velu_quotient,
+    x_add,
     x_chain,
     x_multiples,
 )
@@ -291,44 +294,30 @@ class GraphBuilder:
 
     def level_subgroups(self, r: int) -> list[list[tuple[FieldElement, ...]]]:
         """For each class, the r + 1 cyclic order-r subgroups in canonical
-        order, each as the sorted untwisted x-coordinates of its nonzero
-        points (one per +-pair) in the order-r torsion field; the slots
-        are sorted by x-coordinate signature.
+        order, each as the sorted x-coordinates of its nonzero points (one
+        per +-pair) on the class model lifted to the order-r torsion field;
+        the slots are sorted by x-coordinate signature.
 
-        From the basis's x(P), x(Q) and x(Q + P) on the lifted model
-        (TorsionField.lift_basis), one x-only chain gives the other
-        generators x(Q + kP), k < r.  The p^2-power Frobenius acts as -p
-        there, so x([m p]G) = x([m]G)^(p^2), and a generator G's slot is
-        the Frobenius orbits of x([m]G) over the torsion field's reps m: a
-        chain runs to the largest m only when it is past 1.  Guard: every
-        orbit closes after exactly o steps and the slot holds (r - 1)/2
-        distinct x."""
+        From torsion_basis's x(P), x(Q) on the lifted model and x_add's
+        x(Q + P), one x-only chain gives the other generators x(Q + kP),
+        k < r, and each generator's slot is its Frobenius orbits
+        (subgroup_xs).  Guards: every orbit closes after exactly o steps,
+        each slot holds (r - 1)/2 distinct x, and no subgroup repeats."""
         if r in self._tables:
             return self._tables[r].slots
         tf = torsion_field(self.p, r)
         F = tf.field
         half = max(1, (r - 1) // 2)
-        reps, o = tf.reps, tf.orbit
         models = []
         per_class = []
         index = []
         for ci, model in enumerate(self.table.models):
             rng = random.Random(_derive_seed("subgroups", self.p, r, ci, self.seed))
-            M, xP, xQ, xQP = tf.lift_basis(model, rng)
+            M = model.change_field(tf.emb)
+            xP, xQ = torsion_basis(M, r, rng, tf.delta)
             slots = []
-            for g in [xP] + x_multiples(M, xP, r, start=(xQ, xQP)):
-                multiples = x_multiples(M, g, reps[-1]) if reps[-1] > 1 else [g]
-                xs = []
-                for m in reps:
-                    x = start = multiples[m - 1].raw
-                    for _ in range(o):
-                        xs.append(x)
-                        x = F.frob_t(x)
-                    if x != start:
-                        raise GraphBuildError(
-                            f"Frobenius orbit of an order-{r} x at class {ci}"
-                            f" does not close after {o} steps"
-                        )
+            for g in [xP] + x_multiples(M, xP, r, start=(xQ, x_add(M, xP, xQ))):
+                xs = subgroup_xs(M, g, tf.reps, tf.orbit)
                 if len(xs) != half or len(set(xs)) != half:
                     raise GraphBuildError(
                         f"order-{r} slot at class {ci} has {len(set(xs))}"
@@ -352,7 +341,7 @@ class GraphBuilder:
         return self._build_arrows()
 
     def _build_arrows(self) -> list[list[QuotientArrow]]:
-        """Velu from each order-l slot's x on the untwisted class model,
+        """Velu from each order-l slot's x on the lifted class model,
         descended to F_{p^2} and scaled onto its target class's model; the
         dual kernels, found through the x-maps, must pair up."""
         l = self.l

@@ -10,6 +10,9 @@ ss_p, whose roots are the supersingular j-invariants themselves: one
 plain-int Horner scan of the p^2 points of F_{p^2}.  ss_p has degree
 (p-1)/12 and splits there without repeated roots, so any other root count
 is an error.
+
+Each class model is the twist on which the p^2-power Frobenius acts as
+-p, and a table checks that sign on every model when it is constructed.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import functools
 from dataclasses import dataclass, field as dc_field
 
 from .curves import EllipticCurve, curve_from_j, twist_to_scalar_frobenius
+from .curves import _check_frobenius_sign
 from .fields import Field, FieldElement, is_prime, make_extension_field
 
 
@@ -64,7 +68,8 @@ def _roots_in_fp2(f: Field, coeffs: tuple[int, ...]) -> list[int]:
 @dataclass(frozen=True)
 class SupersingularClassTable:
     """Supersingular classes for one prime, indexed 0..h-1 in the sorted
-    j order, each with a fixed model on which Frobenius acts as -p."""
+    j order, each with a fixed model on which Frobenius acts as -p; the
+    constructor checks every model (_check_frobenius_sign)."""
 
     p: int
     field: Field
@@ -73,6 +78,8 @@ class SupersingularClassTable:
     _index: dict = dc_field(repr=False, hash=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
+        for model in self.models:
+            _check_frobenius_sign(model)
         self._index.update({j.raw: i for i, j in enumerate(self.js)})
 
     @property

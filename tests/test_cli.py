@@ -25,6 +25,7 @@ from isograph.cli import (
     write_graph_file,
 )
 import isograph.curves as curves_mod
+import isograph.enhanced as enhanced_mod
 from isograph.curves import TorsionBasisError
 from isograph.enhanced import AdmissibilityError, GraphBuilder
 from isograph.zeta import edge_matrix_zeta
@@ -198,7 +199,7 @@ def _x_chain_wrong_past_2p(curve, x, count, start=None):
 # checked for admissibility before any construction starts; the message
 # names the check that fired
 CONSTRUCTION_FAULTS = {
-    "torsion_basis": (curves_mod, "torsion_basis", _refuse_torsion_basis, "patched"),
+    "torsion_basis": (enhanced_mod, "torsion_basis", _refuse_torsion_basis, "patched"),
     "kernel_guard": (
         curves_mod,
         "x_chain",
@@ -440,6 +441,21 @@ def test_dot_and_csv_files(tmp_path, capsys):
     assert code == EXIT_OK
     assert dot.read_text().startswith("graph isograph {")
     assert csv.read_text().splitlines() == ["6"]
+
+
+def test_cache_file_mode_follows_the_umask(tmp_path, capsys):
+    # the cache file is written through a temporary file and renamed; its
+    # mode must come from the umask, as the --dot file's does
+    dot = tmp_path / "g.dot"
+    old = os.umask(0o022)
+    try:
+        code, _ = run(capsys, "build", 13, 5, 1, "--cache-dir", tmp_path, "--dot", dot)
+    finally:
+        os.umask(old)
+    assert code == EXIT_OK
+    cached = graph_file_path(JobConfig(13, 5, 1, cache_dir=str(tmp_path)))
+    assert os.stat(cached).st_mode & 0o777 == dot.stat().st_mode & 0o777 == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.dot", os.path.basename(cached)]
 
 
 def test_golden_export_digest(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from isograph.curves import (
     CurveError,
     EllipticCurve,
     ExcludedJInvariant,
-    TorsionField,
     XMapPole,
     curve_from_j,
     frobenius_orbits,
@@ -25,6 +25,7 @@ from isograph.curves import (
 )
 import isograph.curves as curves_mod
 from isograph.fields import Embedding, FieldElement, make_extension_field
+from isograph.supersingular import build_class_table
 from oracles import (
     Point,
     identity,
@@ -95,9 +96,9 @@ def random_points(E, rng, n):
     return [lift_x(E, E.random_point(rng)) for _ in range(n)]
 
 
-def basis_points(E, r, seed, delta=None):
+def basis_points(E, r, seed):
     """torsion_basis's x(P), x(Q), lifted to oracle points."""
-    return [lift_x(E, x) for x in torsion_basis(E, r, random.Random(seed), delta=delta)]
+    return [lift_x(E, x) for x in torsion_basis(E, r, random.Random(seed))]
 
 
 def test_group_law_axioms():
@@ -300,14 +301,17 @@ def test_torsion_basis_missing_torsion():
 
 def test_torsion_basis_on_twist_over_half_field():
     # (-13)^2 = -1 mod 5: E[5] has its x-coordinates in F_{13^4}, and its
-    # points on the twist by the non-square y of that field
+    # points on the twist by the non-square y of that field; torsion_basis
+    # returns them on the lifted model M, where x(P) is y times smaller
     tf = torsion_field(13, 5)
     assert tf.field.deg == 4 and tf.delta is not None
-    E = quadratic_twist(curve_47(F169).change_field(tf.emb), tf.delta)
-    P, Q = basis_points(E, 5, 21, delta=tf.delta)
+    M = curve_47(F169).change_field(tf.emb)
+    twist = quadratic_twist(M, tf.delta)
+    xs = torsion_basis(M, 5, random.Random(21), tf.delta)
+    P, Q = (lift_x(twist, x * tf.delta) for x in xs)
     assert span_size(P, Q, 5) == 25
     with pytest.raises(CurveError, match="not rational"):
-        torsion_basis(E, 5, random.Random(21))
+        torsion_basis(M, 5, random.Random(21))
     with pytest.raises(CurveError, match="not rational"):
         torsion_basis(curve_47(F169), 7, random.Random(21), delta=F169.gen)
 
@@ -326,56 +330,32 @@ def test_subfield_error_is_not_taken_for_an_odd_modulus(monkeypatch):
         torsion_field.__wrapped__(13, 5)
 
 
-@pytest.mark.parametrize("r", [5, 7])
-def test_lift_basis_untwists_onto_the_lifted_model(r):
-    # (13, 5): basis on the twist over F_{13^4}, x mapped back by 1/delta;
-    # (13, 7): no twist, the basis of the lifted model itself
-    tf = torsion_field(13, r)
-    assert (tf.delta is None) == (r == 7)
-    E = curve_47(F169)
-    M, xP, xQ, xQP = tf.lift_basis(E, random.Random(25))
-    assert M == E.change_field(tf.emb)
-    twist = M if tf.delta is None else quadratic_twist(M, tf.delta)
-    P, Q = basis_points(twist, r, 25, delta=tf.delta)
-    c = 1 if tf.delta is None else tf.delta
-    assert [xP * c, xQ * c] == [P.x, Q.x]
-    # x(Q + P) for one of +-P; on M itself the points need not be rational
-    assert xQP * c in ((Q + P).x, (Q - P).x)
-    # untwisted, x(P) is an order-r x on M: x([h+1]P) = x([h]P), h = (r-1)/2
-    (Xh, Zh), (Xh1, Zh1) = x_chain(M, xP, (r + 1) // 2)[-2:]
-    assert Xh and M.field.mul_t(Xh, Zh1) == M.field.mul_t(Xh1, Zh)
-
-
 def test_frobenius_guard_fires_on_wrong_twist():
     # the other F_{p^2}-twist has Frobenius +p: over F_{13^4} its 3-torsion
     # is rational too, and on the x-line pi(P) = [p]P = -[-p]P looks right,
-    # so torsion_basis accepts it; lift_basis's F_{p^2} guard must not
+    # so torsion_basis accepts it; the class table's F_{p^2} guard must not
     wrong = quadratic_twist(curve_47(F169))
-    emb = Embedding(F169, F13_4)
-    torsion_basis(wrong.change_field(emb), 3, random.Random(22))
-    full = TorsionField(3, F13_4, emb, None, *frobenius_orbits(13, 3))
-    with pytest.raises(CurveError, match="does not kill.*Frobenius"):
-        full.lift_basis(wrong, random.Random(22))
-    # and on the twist by delta over the half field F_{13^4} of F_{13^8}:
-    # E[5] is rational there as well
+    torsion_basis(wrong.change_field(Embedding(F169, F13_4)), 3, random.Random(22))
+    # and on the lifted model M over the half field F_{13^4} of F_{13^8},
+    # drawn on the twist by delta: E[5] is rational there as well
     tf = torsion_field(13, 5)
-    torsion_basis(quadratic_twist(wrong.change_field(tf.emb), tf.delta), 5,
-                  random.Random(23), delta=tf.delta)
+    torsion_basis(wrong.change_field(tf.emb), 5, random.Random(23), tf.delta)
+    table = build_class_table(13)
     with pytest.raises(CurveError, match="does not kill.*Frobenius"):
-        tf.lift_basis(wrong, random.Random(23))
+        dataclasses.replace(table, models=(wrong,))
 
 
 def test_frobenius_check_fires_on_wrong_frobenius_map(monkeypatch):
     # mutation: x^(p^2) read with 1 added to F_1 = x^(p^2), so a sampled x
-    # no longer satisfies x^(p^2) / c^2 = x([-p]P) = x([2]P) on E[5] over
-    # F_{13^4}, twisted by delta; the x-only check must refuse it
+    # no longer satisfies x^(p^2) = x([-p]P) = x([2]P) on E[5] over
+    # F_{13^4}, on the lifted model; the x-only check must refuse it
     tf = torsion_field(13, 5)
     F = tf.field
     honest = F._frob
     monkeypatch.setattr(F, "_frob", (honest[0], F.add_t(honest[1], 1)) + honest[2:])
-    E = quadratic_twist(curve_47(F169).change_field(tf.emb), tf.delta)
+    M = curve_47(F169).change_field(tf.emb)
     with pytest.raises(CurveError, match="Frobenius does not act as -p"):
-        torsion_basis(E, 5, random.Random(21), delta=tf.delta)
+        torsion_basis(M, 5, random.Random(21), tf.delta)
 
 
 def velu_xs(E, x, r):

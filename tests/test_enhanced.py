@@ -19,9 +19,12 @@ from isograph.curves import (
     frobenius_orbits,
     isomorphism_scale,
     quadratic_twist,
+    subgroup_xs,
     torsion_basis,
     torsion_field,
     velu_quotient,
+    x_chain,
+    x_ladder,
     x_multiples,
 )
 from isograph.enhanced import (
@@ -36,7 +39,6 @@ from isograph.enhanced import (
     validate_symmetry_and_row_sums,
     vertex_count,
 )
-import isograph.curves as curves_mod
 import isograph.enhanced as enhanced_mod
 from isograph.fields import Embedding, make_extension_field
 from oracles import identity, lift_x, rhs, spread_t, torsion_order_extension
@@ -313,13 +315,12 @@ def test_wrong_twist_of_every_class_fails_loudly(p):
     # mutation: every class model replaced by its quadratic twist, on which
     # Frobenius acts as +p.  Only x are seen after the basis, and [p] and
     # [-p] agree on them: at (13, 5, 1) and (37, 5, 1) the graph would
-    # build, with the right Brandt matrix and other edges, unless
-    # lift_basis's F_{p^2} guard refuses the models
-    b = GraphBuilder(p, 5)
-    twisted = tuple(quadratic_twist(m) for m in b.table.models)
-    b.table = dataclasses.replace(b.table, models=twisted)
+    # build, with the right Brandt matrix and other edges, unless the
+    # class table's F_{p^2} guard refuses the models when it is made
+    table = build_class_table(p)
+    twisted = tuple(quadratic_twist(m) for m in table.models)
     with pytest.raises(CurveError, match="does not kill"):
-        b.build(1)
+        dataclasses.replace(table, models=twisted)
 
 
 def test_dropped_twist_fails_loudly(monkeypatch):
@@ -368,20 +369,40 @@ def test_frobenius_orbits_match_the_workload_table(p, r):
     assert reps[0] == 1 and len(reps) * o == (r - 1) // 2
 
 
-@pytest.mark.parametrize("p,r", sorted(ORBIT_TABLE))
-def test_basis_independence_set_is_the_subgroup(p, r):
-    # torsion_basis tests Q against the x of <P> walked from P's Frobenius
-    # orbits, by x -> x^(p^2) / c^2 with c = delta^((p^2 - 1)/2) on the
-    # twist: the same set as x_multiples' (r - 1)/2 multiples
+def _lifted_basis(p, r):
+    """Class 0's model lifted to the order-r torsion field, with the x of
+    a torsion_basis on it."""
     tf = torsion_field(p, r)
     M = build_class_table(p).models[0].change_field(tf.emb)
-    d = tf.delta
-    E = M if d is None else quadratic_twist(M, d)
-    xP, _ = torsion_basis(E, r, random.Random(r), delta=d)
-    F = tf.field
-    c2inv = 1 if d is None else F.inv_t(F.pow_t(d.raw, p * p - 1))
-    orbits = curves_mod._subgroup_xs(E, xP, r, c2inv)
-    assert orbits == {x.raw for x in x_multiples(E, xP, (r - 1) // 2)}
+    return tf, M, torsion_basis(M, r, random.Random(r), tf.delta)
+
+
+@pytest.mark.parametrize("p,r", sorted(ORBIT_TABLE))
+def test_torsion_x_live_on_the_lifted_model(p, r):
+    # the basis is drawn on the twist by delta but returned on M: each x has
+    # order r under M's x-only law, the p^2-power Frobenius is [-p] on it
+    # with no correction, and with delta set its cubic on M is a non-zero
+    # non-square (the point lies on M over the quadratic extension only)
+    tf, M, xs = _lifted_basis(p, r)
+    F, h = tf.field, (r - 1) // 2
+    for x in xs:
+        chain = x_chain(M, x, h + 1)
+        (Xh, Zh), (Xh1, Zh1) = chain[-2:]
+        assert all(Z for _, Z in chain) and F.mul_t(Xh, Zh1) == F.mul_t(Xh1, Zh)
+        X, Z = x_ladder(M, x, -p % r)
+        assert F.mul_t(F.pow_t(x.raw, p * p), Z) == X
+        cubic = rhs(M, x).raw
+        assert cubic and F.is_square_t(cubic) == (tf.delta is None)
+
+
+@pytest.mark.parametrize("p,r", sorted(ORBIT_TABLE))
+def test_basis_independence_set_is_the_subgroup(p, r):
+    # torsion_basis tests Q against the x of <P> that subgroup_xs walks from
+    # P's Frobenius orbits on M: the same set as x_multiples' (r - 1)/2
+    # multiples, each x once
+    tf, M, (xP, _) = _lifted_basis(p, r)
+    orbits = subgroup_xs(M, xP, tf.reps, tf.orbit)
+    assert sorted(orbits) == sorted(x.raw for x in x_multiples(M, xP, (r - 1) // 2))
 
 
 def test_frobenius_orbits_of_two_and_three():
@@ -413,7 +434,7 @@ def _with_wrong_frobenius_constant(monkeypatch, addend):
     honest = f._frob
     bad = (honest[0], f.add_t(honest[1], addend)) + honest[2:]
     monkeypatch.setattr(f, "_frob", bad)
-    basis = curves_mod.torsion_basis
+    basis = enhanced_mod.torsion_basis
 
     def honest_basis(*args, **kwargs):
         f._frob = honest
@@ -422,13 +443,13 @@ def _with_wrong_frobenius_constant(monkeypatch, addend):
         finally:
             f._frob = bad
 
-    monkeypatch.setattr(curves_mod, "torsion_basis", honest_basis)
+    monkeypatch.setattr(enhanced_mod, "torsion_basis", honest_basis)
 
 
 def test_orbit_guard_fires_on_wrong_frobenius_constant(monkeypatch):
     # mutation: plus x on F_1 breaks every orbit of the slot fill
     _with_wrong_frobenius_constant(monkeypatch, torsion_field(13, 37).field.gen.raw)
-    with pytest.raises(GraphBuildError, match="does not close after 18 steps"):
+    with pytest.raises(CurveError, match="does not close after 18 steps"):
         GraphBuilder(13, 5).level_subgroups(37)
 
 
@@ -453,6 +474,20 @@ def test_slot_guard_fires_on_wrong_orbit_length(monkeypatch):
     _with_torsion_field(monkeypatch, 13, 37, orbit=2 * torsion_field(13, 37).orbit)
     with pytest.raises(GraphBuildError, match="18 distinct x of 36, not 18"):
         GraphBuilder(13, 5).level_subgroups(37)
+
+
+def test_repeated_subgroup_guard_fires_on_one_slot_for_every_generator(monkeypatch):
+    # mutation: every generator of a class given the slot of its first, so
+    # each slot passes the orbit and count guards but the r + 1 repeat
+    honest = enhanced_mod.subgroup_xs
+    first = {}
+
+    def first_slot(curve, x, reps, o):
+        return honest(curve, first.setdefault(id(curve), x), reps, o)
+
+    monkeypatch.setattr(enhanced_mod, "subgroup_xs", first_slot)
+    with pytest.raises(GraphBuildError, match="repeated order-7 subgroup at class 0"):
+        GraphBuilder(13, 5).level_subgroups(7)
 
 
 # ------------------------------------------------------------------ arrows

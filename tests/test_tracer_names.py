@@ -4,6 +4,7 @@ src/; every name it looks up must still resolve the way it resolves them.
 The tracer module is only read here (its SPANS table); `install()` is never
 called, because it patches the isograph modules process-wide."""
 
+import ast
 import importlib.util
 import inspect
 import sys
@@ -13,7 +14,9 @@ import pytest
 
 import isograph.cli  # noqa: F401  (loads every submodule, as install() does)
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+SRC = ROOT / "src" / "isograph"
 
 # names install() patches directly, with the positional arguments its
 # wrapper forwards
@@ -57,3 +60,38 @@ def test_directly_patched_names_resolve(key):
     arity = DIRECT[key]
     if arity is not None:
         inspect.signature(fn).bind(*range(arity))
+
+
+def _call_sites(name):
+    """(file, line, call) for every call in src/ of `name` as a bare name
+    or as an attribute (a method, or a function read off its module)."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                called = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if called == name:
+                    sites.append((path.name, node.lineno, node))
+    return sites
+
+
+@pytest.mark.parametrize(
+    "key", sorted(k for k, arity in DIRECT.items() if arity is not None), ids=".".join
+)
+def test_call_sites_match_the_wrapper_arity(key):
+    # the fixed-arity wrappers take exactly their positional arguments, so
+    # a call with another count, a keyword or an unpacking would fail only
+    # in a traced run; for a method the arity counts self
+    _, qualname = key
+    name = qualname.split(".")[-1]
+    positional = DIRECT[key] - ("." in qualname)
+    sites = _call_sites(name)
+    assert sites, f"no call of {name} in src/"
+    for file, line, call in sites:
+        shape = (
+            len(call.args),
+            any(isinstance(a, ast.Starred) for a in call.args),
+            len(call.keywords),
+        )
+        assert shape == (positional, False, 0), f"{file}:{line} calls {name}"
