@@ -298,10 +298,11 @@ class Field:
     def gen(self) -> "FieldElement":
         return FieldElement(self, 1 if self.deg == 1 else 1 << self.fold_plan[0])
 
-    def iter_tuples(self) -> Iterator[tuple[int, ...]]:
-        """All q encodings in counting order (constant coefficient fastest)."""
+    def iter_tuples(self, start: int = 0) -> Iterator[tuple[int, ...]]:
+        """The q encodings in counting order (constant coefficient fastest),
+        from index `start` on."""
         p, d = self.p, self.deg
-        for n in range(self.q):
+        for n in range(start, self.q):
             yield tuple((n // p**i) % p for i in range(d))
 
     def random_t(self, rng: random.Random) -> int:
@@ -407,10 +408,11 @@ class Field:
 
     def nonresidue_t(self) -> int:
         """First non-square in counting order; fixed search order keeps sqrt
-        deterministic."""
+        deterministic.  In even degree every element of F_p is a square (it
+        lies in F_{p^2}), so the search starts at x, index p."""
         if self._nonresidue_t is None:
             e = (self.q - 1) // 2
-            for t in self.iter_tuples():
+            for t in self.iter_tuples(self.p if self.deg % 2 == 0 else 0):
                 a = self.pack(t)
                 if a and self.pow_t(a, e) != 1:
                     self._nonresidue_t = a

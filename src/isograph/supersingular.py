@@ -75,12 +75,12 @@ class SupersingularClassTable:
     field: Field
     js: tuple[FieldElement, ...]
     models: tuple[EllipticCurve, ...]
-    _index: dict = dc_field(repr=False, hash=False, compare=False, default_factory=dict)
+    _index: dict = dc_field(init=False, repr=False, hash=False, compare=False)
 
     def __post_init__(self):
         for model in self.models:
             _check_frobenius_sign(model)
-        self._index.update({j.raw: i for i, j in enumerate(self.js)})
+        object.__setattr__(self, "_index", {j.raw: i for i, j in enumerate(self.js)})
 
     @property
     def class_count(self) -> int:

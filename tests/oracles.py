@@ -3,7 +3,10 @@
 The package decides connectivity and bipartiteness from the
 characteristic polynomial (spectral.is_connected, spectral.is_bipartite);
 adjacency_connected and is_bipartite here decide them by search on the
-matrix entries instead.  The zeta pipeline itself computes 1/Z from the
+matrix entries instead.  mitm_cheeger scores every subset in numpy int64
+blocks, a meet in the middle of the two vertex halves by matrix
+products, against the package's packed-lane search
+(spectral._exact_cheeger).  The zeta pipeline itself computes 1/Z from the
 characteristic polynomial of the adjacency matrix (zeta.ihara_zeta) and
 checks it against the edge determinant (zeta.edge_matrix_zeta).  The
 census oracles count closed reduced paths on the edges directly and
@@ -79,6 +82,48 @@ def is_bipartite(matrix) -> bool:
                 elif color[w] == color[v]:
                     return False
     return True
+
+
+def mitm_cheeger(matrix) -> tuple[Fraction, tuple[int, ...]]:
+    """min boundary(S)/|S| over nonempty S with |S| <= n/2, n >= 2, and the
+    lowest minimizing bitmask (vertex v is bit v) as a vertex tuple.
+
+    With L the low half of the vertices and H the high half,
+    boundary(S_H + S_L) = boundary(S_H) + boundary(S_L) - 2 A(S_H, S_L),
+    and the cross terms of a block of subsets of H against every subset of
+    L are one integer product.  A ratio over s vertices is scored as
+    boundary * lcm(1..n/2) / s; a block's flat index order is mask order,
+    so its first minimum is its lowest mask."""
+    import numpy as np
+
+    def subset_bits(count):  # row m holds the bits of m
+        return (np.arange(1 << count, dtype=np.int64)[:, None] >> np.arange(count)) & 1
+
+    A = np.asarray(matrix, dtype=np.int64)
+    n = A.shape[0]
+    half = n // 2
+    lo, hi = slice(0, half), slice(half, n)
+    bits_lo, bits_hi = subset_bits(half), subset_bits(n - half)
+    degree = A.sum(axis=1)
+    # boundary of a subset of one half alone: its volume minus its inner weight
+    edge_lo = bits_lo @ degree[lo] - np.einsum("ij,ij->i", bits_lo @ A[lo, lo], bits_lo)
+    edge_hi = bits_hi @ degree[hi] - np.einsum("ij,ij->i", bits_hi @ A[hi, hi], bits_hi)
+    cross = bits_hi @ A[hi, lo]
+    size_lo, size_hi = bits_lo.sum(axis=1), bits_hi.sum(axis=1)
+    scale = math.lcm(*range(1, half + 1))
+    weight = np.zeros(n + 1, dtype=np.int64)  # 0 for sizes out of range
+    weight[1 : half + 1] = scale // np.arange(1, half + 1)
+    best, best_mask = np.iinfo(np.int64).max, 0
+    rows = max(1, (1 << 16) >> half)  # keeps the temporaries to a few MB
+    for start in range(0, len(bits_hi), rows):
+        block = slice(start, start + rows)
+        w = weight[size_hi[block, None] + size_lo]
+        boundary = edge_hi[block, None] + edge_lo - 2 * (cross[block] @ bits_lo.T)
+        keys = np.where(w > 0, boundary * w, best)
+        i = int(np.argmin(keys))
+        if keys.flat[i] < best:
+            best, best_mask = int(keys.flat[i]), (start << half) + i
+    return Fraction(best, scale), tuple(v for v in range(n) if best_mask >> v & 1)
 
 
 def ratfun_series(

@@ -385,6 +385,19 @@ def test_torsion_embeddings_spread_to_canonical():
             assert spread_t(tf.field, full, tf.emb.gen_image) == canonical.gen_image
 
 
+def test_nonresidue_skips_only_squares():
+    # in even degree the search starts at x, past F_p, whose elements are
+    # all squares (they lie in F_{p^2}); on every workload field it finds
+    # the first non-square of the full search from 0
+    workload = [make_extension_field(p, 2) for p in (13, 37, 61)]
+    workload += [torsion_field(p, r).field for p, r in sorted(WORKLOAD_TORSION_DEGREES)]
+    for f in workload + [make_extension_field(13, 3), make_extension_field(61, 1)]:
+        e = (f.q - 1) // 2
+        first = next(a for a in map(f.pack, f.iter_tuples()) if a and f.pow_t(a, e) != 1)
+        assert f.nonresidue_t() == first, f
+        assert f.deg % 2 or first >= f.gen.raw
+
+
 def test_frob_t_is_the_p_squared_power():
     # every workload torsion field (the half fields and the trinomial
     # F_{37^40} included) and the class-table fields F_{p^2}

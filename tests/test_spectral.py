@@ -1,24 +1,29 @@
-"""Spectra against exact trace identities, exact root counts and the
-Ramanujan verdicts built on them, connectivity and bipartiteness from the
-characteristic polynomial against the search oracles, Cheeger enumeration
-against a float reference."""
+"""Spectra against exact trace identities and LAPACK, exact root counts
+and the Ramanujan verdicts built on them, connectivity and bipartiteness
+from the characteristic polynomial against the search oracles, the packed
+Cheeger search against a float reference and the numpy meet-in-the-middle
+oracle."""
 
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from isograph import spectral
 from isograph.cli import parse_grid
-from isograph.enhanced import GraphBuilder, vertex_count
+from isograph.enhanced import GraphBuilder
 from isograph.polys import Polynomial, charpoly_int
 from isograph.spectral import (
+    EXACT_CHEEGER_LIMIT,
     SpectralError,
     Spectrum,
+    _exact_cheeger,
     cheeger_constant,
     cheeger_sandwich,
     count_roots,
@@ -26,7 +31,17 @@ from isograph.spectral import (
     is_connected,
     ramanujan_report,
     spectrum,
+    symmetric_eigenvalues,
 )
+
+GRID = "p in {13,37,61}, l in {3,5}, N in {1,2,3,6}"
+
+
+@functools.cache
+def grid_graphs():
+    triples, _ = parse_grid(GRID)
+    builders = {}
+    return [builders.setdefault((p, l), GraphBuilder(p, l)).build(N) for p, l, N in triples]
 
 
 def assert_trace_identities(M, s):
@@ -124,6 +139,113 @@ def test_nonregular_rejected():
         spectrum([[0, 1], [1, 2]])
     with pytest.raises(SpectralError, match="integer"):
         spectrum([[0.5, 1.5], [1.5, 0.5]])
+
+
+def test_input_checks():
+    for bad in ([], [1, 2], [[1, 2]], [[0, 1], [1]]):
+        with pytest.raises(SpectralError, match="square"):
+            spectrum(bad)
+    with pytest.raises(SpectralError, match="integer"):
+        spectrum([[2.0, 0], [0, 2]])
+    # numpy integer entries are integers
+    M = circulant(9, 1, 3)
+    assert spectrum(np.array(M)) == spectrum(M)
+
+
+# ------------------------------------------------------------ eigenvalues
+
+
+def assert_matches_eigvalsh(M):
+    got = symmetric_eigenvalues(M)
+    want = np.linalg.eigvalsh(np.array(M, dtype=float))[::-1]
+    scale = max(1.0, float(np.abs(want).max()))
+    assert len(got) == len(want) and got == sorted(got, reverse=True)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale * len(M)
+
+
+def test_eigenvalues_match_lapack_on_grid():
+    graphs = grid_graphs()
+    assert len(graphs) == 18 and max(g.n for g in graphs) == 60
+    for g in graphs:
+        assert_matches_eigvalsh(g.brandt)
+
+
+@st.composite
+def repeated_eigenvalue_matrices(draw):
+    """I_r (x) B + J_r (x) C for symmetric integer blocks B and C, under a
+    random permutation: every eigenvalue of B recurs r - 1 times (on the
+    vectors that J kills), and those of B + r C once each."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    r = draw(st.integers(min_value=2, max_value=4))
+
+    def block():
+        entries = st.integers(min_value=-4, max_value=4)
+        U = [[draw(entries) for _ in range(k)] for _ in range(k)]
+        return [[U[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+
+    B = block()
+    C = block() if draw(st.booleans()) else None
+    n = r * k
+    M = [[B[i % k][j % k] * (i // k == j // k) + (C[i % k][j % k] if C else 0)
+          for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    return [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(repeated_eigenvalue_matrices())
+def test_eigenvalues_match_lapack_with_repeated_eigenvalues(M):
+    assert_matches_eigvalsh(M)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_eigenvalues_match_lapack_on_random_symmetric(U):
+    n = len(U)
+    assert_matches_eigvalsh([[U[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+
+
+def test_perturbed_solver_trips_the_top_eigenvalue_guard(monkeypatch):
+    M = GraphBuilder(13, 5).build(6).brandt
+    solve = spectral.symmetric_eigenvalues
+
+    def shifted(delta):
+        return lambda A: [solve(A)[0] + delta] + solve(A)[1:]
+
+    monkeypatch.setattr(spectral, "symmetric_eigenvalues", shifted(5e-10))
+    spectrum(M)  # within EIGVALSH_TOL
+    for delta in (2e-9, -2e-9):
+        monkeypatch.setattr(spectral, "symmetric_eigenvalues", shifted(delta))
+        with pytest.raises(SpectralError, match="top eigenvalue"):
+            spectrum(M)
+    # a wrong reduction moves the top eigenvalue off the degree
+    monkeypatch.setattr(spectral, "symmetric_eigenvalues", solve)
+    tridiagonalize = spectral._tridiagonalize
+
+    def scaled(A):
+        d, e = tridiagonalize(A)
+        return d, [1.001 * x for x in e]
+
+    monkeypatch.setattr(spectral, "_tridiagonalize", scaled)
+    with pytest.raises(SpectralError, match="top eigenvalue"):
+        spectrum(M)
+
+
+def test_non_convergence_raises(monkeypatch):
+    with pytest.raises(SpectralError, match="did not converge"):
+        symmetric_eigenvalues([[math.nan, 1.0], [1.0, 0.0]])
+    monkeypatch.setattr(spectral, "QL_MAX_ITERATIONS", 0)
+    assert spectrum([[6]]).eigenvalues == (6.0,)  # nothing to iterate
+    with pytest.raises(SpectralError, match="did not converge"):
+        spectrum(circulant(20, 1, 2))
 
 
 # ------------------------------------------------------------ root counts
@@ -359,14 +481,62 @@ def assert_matches_float_reference(M):
     assert r.witness == witness
 
 
+def small_grid_graphs():
+    small = [g for g in grid_graphs() if 2 <= g.n <= EXACT_CHEEGER_LIMIT]
+    assert len(small) == 14 and max(g.n for g in small) == 20
+    return small
+
+
 def test_integer_cheeger_matches_float_reference_on_grid():
-    triples, _ = parse_grid("p in {13,37,61}, l in {3,5}, N in {1,2,3,6}")
-    small = [(p, l, N) for p, l, N in triples if 2 <= vertex_count(p, N) <= 20]
-    assert len(small) == 14
-    builders = {}
-    for p, l, N in small:
-        g = builders.setdefault((p, l), GraphBuilder(p, l)).build(N)
+    for g in small_grid_graphs():
         assert_matches_float_reference(g.brandt)
+
+
+def assert_matches_mitm_oracle(M):
+    r = cheeger_constant(M)
+    assert r.method == "exact"
+    assert (r.value, r.witness) == oracles.mitm_cheeger(M)
+
+
+def test_packed_cheeger_matches_mitm_oracle_on_grid():
+    for g in small_grid_graphs():
+        assert_matches_mitm_oracle(g.brandt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perm_multigraphs())
+def test_packed_cheeger_matches_mitm_oracle_on_multigraphs(M):
+    # loops, disconnected unions and bipartite covers, up to 20 vertices
+    assume(len(M) >= 2)
+    assert_matches_mitm_oracle(M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices())
+def test_packed_search_matches_mitm_oracle_on_irregular_matrices(M):
+    assume(len(M) >= 2)
+    assert _exact_cheeger(M) == oracles.mitm_cheeger(M)
+
+
+def test_packed_cheeger_on_two_vertices():
+    for M in ([[0, 2], [2, 0]], [[1, 1], [1, 1]], [[2, 0], [0, 2]], [[0, 0], [0, 0]]):
+        assert _exact_cheeger(M) == oracles.mitm_cheeger(M)
+
+
+@pytest.mark.parametrize("factor", [1, 10**2, 10**6, 10**15])
+def test_packed_cheeger_with_wide_lanes(factor):
+    # entries scaled up move the lanes to 16, 32 and 64 bits; the ratio
+    # scales with them and the witness stays
+    M = [[factor * x for x in row] for row in circulant(11, 1, 4)]
+    value, witness = _exact_cheeger(circulant(11, 1, 4))
+    assert _exact_cheeger(M) == (factor * value, witness) == oracles.mitm_cheeger(M)
+
+
+def test_packed_cheeger_refuses_what_lanes_cannot_hold():
+    with pytest.raises(SpectralError, match="too large"):
+        _exact_cheeger([[0, 2**62], [2**62, 0]])
+    with pytest.raises(SpectralError, match="non-negative"):
+        _exact_cheeger([[2, -1], [-1, 2]])
 
 
 @settings(max_examples=60, deadline=None)

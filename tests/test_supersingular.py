@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -241,3 +242,16 @@ def test_scan_guards_fire_on_perturbed_hasse_coefficient(fresh_tables, monkeypat
             build_class_table.cache_clear()
             with pytest.raises((ClassTableError, CurveError)):
                 build_class_table(37)
+
+
+def test_replace_builds_its_own_class_index():
+    # the index is per instance: a copy with fewer classes neither shares
+    # nor writes into the original's
+    t = build_class_table(37)
+    one = replace(t, js=t.js[:1], models=t.models[:1])
+    assert one._index is not t._index
+    assert one.class_of_j(t.js[0]) == 0
+    with pytest.raises(ClassTableError):
+        one.class_of_j(t.js[2])
+    assert [t.class_of_j(j) for j in t.js] == [0, 1, 2]
+    assert len(t._index) == 3
