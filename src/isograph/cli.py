@@ -18,7 +18,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from . import __version__
 from .curves import CurveError, TorsionBasisError
@@ -61,8 +61,7 @@ class OutputPathError(ValueError):
     """An output path (a cache directory, --dot or --csv) cannot be written."""
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(NamedTuple):
     p: int
     l: int
     N: int
@@ -274,7 +273,7 @@ def verify_graph(eg: EnhancedGraph, cfg: JobConfig, graphs: dict | None = None) 
     for M in range(1, N):
         if N % M != 0:
             continue
-        coarse = _graph(replace(cfg, N=M), graphs)
+        coarse = _graph(cfg._replace(N=M), graphs)
         try:
             verify_covering(eg, coarse, covering_map(eg, coarse))
         except CoveringError as e:
@@ -425,7 +424,7 @@ def cmd_covering(args) -> int:
     if args.N % args.M != 0:
         raise AdmissibilityError(f"{args.M} does not divide {args.N}")
     fine = build_or_load(cfg)
-    coarse = build_or_load(replace(cfg, N=args.M))
+    coarse = build_or_load(cfg._replace(N=args.M))
     cov = covering_map(fine, coarse)
     verify_covering(fine, coarse, cov)
     _emit(
@@ -467,7 +466,7 @@ def cmd_verify(args) -> int:
         check_admissible(args.p, args.l, args.N)
         triples = [(args.p, args.l, args.N)]
         skips = []
-    jobs = [replace(_config(args), p=p, l=l, N=N) for p, l, N in triples]
+    jobs = [_config(args)._replace(p=p, l=l, N=N) for p, l, N in triples]
     # coarse levels share (p, l) with the jobs that cover them, and grid
     # order keeps each (p, l) contiguous: one task per (p, l) group
     groups = [list(g) for _, g in itertools.groupby(jobs, lambda c: (c.p, c.l))]
@@ -505,9 +504,7 @@ def _config(args) -> JobConfig:
     """JobConfig from the parsed arguments; fields whose flag the
     subcommand does not take keep their defaults."""
     given = vars(args)
-    return JobConfig(
-        **{f.name: given[f.name] for f in fields(JobConfig) if f.name in given}
-    )
+    return JobConfig(**{f: given[f] for f in JobConfig._fields if f in given})
 
 
 _FLAGS = {

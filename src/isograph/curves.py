@@ -25,11 +25,9 @@ as a root of a quadratic.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .fields import (
     Embedding,
@@ -244,7 +242,11 @@ def quadratic_twist(curve: EllipticCurve, c: FieldElement | None = None) -> Elli
 
 
 def _derive_seed(*parts) -> int:
-    """A 64-bit seed from the repr of `parts`, stable across processes."""
+    """A 64-bit seed from the repr of `parts`, stable across processes.
+    hashlib, and with it OpenSSL, loads on the first call: commands that
+    only read cached graphs never derive a seed."""
+    import hashlib
+
     digest = hashlib.sha256(repr(parts).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -314,8 +316,7 @@ def frobenius_orbits(p: int, r: int) -> tuple[tuple[int, ...], int]:
     return tuple(reps), len(seen) // len(reps)
 
 
-@dataclass(frozen=True)
-class TorsionField:
+class TorsionField(NamedTuple):
     """The order-r torsion of the scalar-Frobenius models of one prime p.
 
     (reps, orbit) = frobenius_orbits(p, r): the p^2-power Frobenius acts

@@ -34,7 +34,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .curves import (
     EllipticCurve,
@@ -117,8 +117,7 @@ def vertex_table(class_count: int, primes) -> list[tuple[int, tuple[int, ...]]]:
     return [(c, S) for c in range(class_count) for S in combos]
 
 
-@dataclass(frozen=True)
-class QuotientArrow:
+class QuotientArrow(NamedTuple):
     """One outgoing l-isogeny at class level, arrows[ci][t]: the quotient
     of class ci by its kernel slot t.  `xmap`, over F_{p^2}, maps x on
     class ci's model to x on class `target`'s model: Velu's map followed
@@ -162,7 +161,6 @@ def diagonal_parity_violations(matrix) -> tuple[int, ...]:
     return tuple(i for i, row in enumerate(matrix) if row[i] % 2 != 0)
 
 
-@dataclass(frozen=True)
 class EnhancedGraph:
     """A finished level-N graph, fixed by its oriented edges eid =
     vertex * (l+1) + kernel slot: edge_target[eid] is the head of edge eid
@@ -182,22 +180,44 @@ class EnhancedGraph:
     re-paired two by two in eid order, which removes every fixed edge
     the matrix allows.  parity_violations lists vertices with an odd
     diagonal entry: empty in the common case, non-empty exactly when one
-    loop there is forced to stay self-paired in edge_reverse."""
+    loop there is forced to stay self-paired in edge_reverse.
 
-    p: int
-    l: int
-    level: int
-    seed: int
-    class_labels: tuple[str, ...]
-    edge_target: tuple[int, ...]
-    edge_dual: tuple[int, ...]
-    primes: tuple[int, ...] = field(init=False)
-    vertices: tuple[tuple[int, tuple[int, ...]], ...] = field(init=False)
-    brandt: tuple[tuple[int, ...], ...] = field(init=False)
-    edge_reverse: tuple[int, ...] = field(init=False)
-    parity_violations: tuple[int, ...] = field(init=False)
+    Instances are read-only: each attribute is set once, by the
+    constructor.  Equality and hashing use the seven defining fields, and
+    copies and pickles are rebuilt through the constructor."""
 
-    def __post_init__(self) -> None:
+    __slots__ = (
+        "p",
+        "l",
+        "level",
+        "seed",
+        "class_labels",
+        "edge_target",
+        "edge_dual",
+        "primes",
+        "vertices",
+        "brandt",
+        "edge_reverse",
+        "parity_violations",
+    )
+
+    def __init__(
+        self,
+        p: int,
+        l: int,
+        level: int,
+        seed: int,
+        class_labels: tuple[str, ...],
+        edge_target: tuple[int, ...],
+        edge_dual: tuple[int, ...],
+    ) -> None:
+        self.p = p
+        self.l = l
+        self.level = level
+        self.seed = seed
+        self.class_labels = class_labels
+        self.edge_target = edge_target
+        self.edge_dual = edge_dual
         primes = tuple(check_admissible(self.p, self.l, self.level))
         vertices = vertex_table(len(self.class_labels), primes)
         if len(vertices) != vertex_count(self.p, self.level):
@@ -226,11 +246,41 @@ class EnhancedGraph:
                 reverse[a], reverse[b] = b, a
             if len(loops) % 2:
                 reverse[loops[-1]] = loops[-1]
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "brandt", tuple(tuple(row) for row in brandt))
-        object.__setattr__(self, "edge_reverse", tuple(reverse))
-        object.__setattr__(self, "parity_violations", diagonal_parity_violations(brandt))
+        self.primes = primes
+        self.vertices = tuple(vertices)
+        self.brandt = tuple(tuple(row) for row in brandt)
+        self.edge_reverse = tuple(reverse)
+        self.parity_violations = diagonal_parity_violations(brandt)
+
+    def __setattr__(self, name, value) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"EnhancedGraph.{name} is read-only")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"EnhancedGraph.{name} is read-only")
+
+    def _defining(self) -> tuple:
+        return (
+            self.p,
+            self.l,
+            self.level,
+            self.seed,
+            self.class_labels,
+            self.edge_target,
+            self.edge_dual,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._defining() == other._defining()
+
+    def __hash__(self) -> int:
+        return hash(self._defining())
+
+    def __reduce__(self):
+        return self.__class__, self._defining()
 
     @property
     def n(self) -> int:
@@ -264,8 +314,7 @@ def _fmt_class(j: FieldElement) -> str:
     return f"{c[0]}+{c[1]}g"
 
 
-@dataclass(frozen=True)
-class _TorsionTables:
+class _TorsionTables(NamedTuple):
     """A GraphBuilder's order-r tables: the torsion field, each class model
     lifted to it, each class's r + 1 slots, and per class the slot number
     of every slot x, keyed by its encoding."""

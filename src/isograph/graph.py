@@ -14,7 +14,7 @@ fibers of sigma1(N/M) elements and heads that commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .enhanced import EnhancedGraph, sigma1
 
@@ -31,8 +31,7 @@ def euler_characteristic(eg: EnhancedGraph) -> int:
 # ------------------------------------------------------------- coverings
 
 
-@dataclass(frozen=True)
-class CoveringMap:
+class CoveringMap(NamedTuple):
     """Projection from a finer level to a coarser one, given on vertex ids.
     An edge keeps its kernel slot, so oriented edge e maps to
     vertex_map[e // k] * k + e % k (k = l + 1)."""

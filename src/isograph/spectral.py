@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polys import Polynomial, charpoly_int
 
@@ -106,8 +106,7 @@ def is_bipartite(charpoly: Polynomial) -> bool:
     return not any(c for j, c in enumerate(charpoly.coeffs) if (n - j) % 2)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Spectrum of a k-regular graph: the exact characteristic polynomial,
     which decides every check, and the float eigenvalues, descending."""
 
@@ -225,8 +224,7 @@ def spectrum(graph_or_matrix) -> Spectrum:
     return Spectrum(tuple(eigs), degree, charpoly_int(A))
 
 
-@dataclass(frozen=True)
-class RamanujanReport:
+class RamanujanReport(NamedTuple):
     """Exact verdicts, with 2 sqrt(l) and lambda* as floats for display."""
 
     bound: float
@@ -262,8 +260,7 @@ EXACT_CHEEGER_LIMIT = 24
 LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-@dataclass(frozen=True)
-class CheegerResult:
+class CheegerResult(NamedTuple):
     value: Fraction | None
     witness: tuple[int, ...] | None
     lower_bound: float

@@ -18,7 +18,6 @@ Each class model is the twist on which the p^2-power Frobenius acts as
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
 
 from .curves import EllipticCurve, curve_from_j, twist_to_scalar_frobenius
 from .curves import _check_frobenius_sign
@@ -65,22 +64,39 @@ def _roots_in_fp2(f: Field, coeffs: tuple[int, ...]) -> list[int]:
     return roots
 
 
-@dataclass(frozen=True)
 class SupersingularClassTable:
     """Supersingular classes for one prime, indexed 0..h-1 in the sorted
     j order, each with a fixed model on which Frobenius acts as -p; the
-    constructor checks every model (_check_frobenius_sign)."""
+    constructor checks every model (_check_frobenius_sign).  Instances are
+    read-only, and copies and pickles are rebuilt through the constructor."""
 
-    p: int
-    field: Field
-    js: tuple[FieldElement, ...]
-    models: tuple[EllipticCurve, ...]
-    _index: dict = dc_field(init=False, repr=False, hash=False, compare=False)
+    __slots__ = ("p", "field", "js", "models", "_index")
 
-    def __post_init__(self):
-        for model in self.models:
+    def __init__(
+        self,
+        p: int,
+        field: Field,
+        js: tuple[FieldElement, ...],
+        models: tuple[EllipticCurve, ...],
+    ) -> None:
+        for model in models:
             _check_frobenius_sign(model)
-        object.__setattr__(self, "_index", {j.raw: i for i, j in enumerate(self.js)})
+        self.p = p
+        self.field = field
+        self.js = js
+        self.models = models
+        self._index = {j.raw: i for i, j in enumerate(js)}
+
+    def __setattr__(self, name, value) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"SupersingularClassTable.{name} is read-only")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"SupersingularClassTable.{name} is read-only")
+
+    def __reduce__(self):
+        return self.__class__, (self.p, self.field, self.js, self.models)
 
     @property
     def class_count(self) -> int:

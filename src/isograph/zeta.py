@@ -13,7 +13,7 @@ compares against.  Nothing here loads numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .enhanced import AdmissibilityError, EnhancedGraph, GraphBuilder
 from .graph import euler_characteristic
@@ -30,8 +30,7 @@ class ZetaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ZetaFunction:
+class ZetaFunction(NamedTuple):
     """Z = (1 - t^2)^chi / det_part, held as exactly those two values; the
     reduced numerator and denominator follow from them in closed form."""
 

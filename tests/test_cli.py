@@ -5,7 +5,6 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import replace
 
 import pytest
 
@@ -27,7 +26,7 @@ from isograph.cli import (
 import isograph.curves as curves_mod
 import isograph.enhanced as enhanced_mod
 from isograph.curves import TorsionBasisError
-from isograph.enhanced import AdmissibilityError, GraphBuilder
+from isograph.enhanced import AdmissibilityError, EnhancedGraph, GraphBuilder
 from isograph.zeta import edge_matrix_zeta
 
 
@@ -64,7 +63,7 @@ def test_builder_memo_matches_fresh_builders(tmp_path):
     _builder.cache_clear()
     for N in (6, 1, 2, 3):
         shared = JobConfig(13, 5, N, cache_dir=str(tmp_path / "shared"))
-        fresh = replace(shared, cache_dir=str(tmp_path / "fresh"))
+        fresh = shared._replace(cache_dir=str(tmp_path / "fresh"))
         build_or_load(shared, force=True)
         b = GraphBuilder(13, 5, seed=0)
         write_graph_file(graph_file_path(fresh), b.build(N))
@@ -84,7 +83,7 @@ def test_cached_file_of_another_seed_is_refused(tmp_path):
     # the file at seed 1's path holds the seed-0 graph: refused, naming
     # the path, and left as it is
     c0 = JobConfig(13, 5, 2, seed=0, cache_dir=str(tmp_path))
-    c1 = replace(c0, seed=1)
+    c1 = c0._replace(seed=1)
     build_or_load(c0, force=True)
     path = graph_file_path(c1)
     shutil.copy(graph_file_path(c0), path)
@@ -256,7 +255,9 @@ def _swap_vertices(eg, a, b):
         moved = perm[e // k] * k + e % k
         target[moved] = perm[w]
         dual[moved] = perm[d // k] * k + d % k
-    return replace(eg, edge_target=tuple(target), edge_dual=tuple(dual))
+    return EnhancedGraph(
+        eg.p, eg.l, eg.level, eg.seed, eg.class_labels, tuple(target), tuple(dual)
+    )
 
 
 def test_verify_covering_catches_permuted_coarse_level(tmp_path, capsys):
@@ -285,8 +286,12 @@ def test_disconnected_graph_fails_checks(tmp_path, capsys):
     cfg = JobConfig(13, 5, 2, cache_dir=str(tmp_path))
     eg = build_or_load(cfg, force=True)
     m = eg.oriented_edge_count
-    loops = replace(
-        eg,
+    loops = EnhancedGraph(
+        eg.p,
+        eg.l,
+        eg.level,
+        eg.seed,
+        eg.class_labels,
         edge_target=tuple(e // 6 for e in range(m)),
         edge_dual=tuple(e ^ 1 for e in range(m)),
     )

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -25,7 +24,7 @@ from isograph.curves import (
 )
 import isograph.curves as curves_mod
 from isograph.fields import Embedding, FieldElement, make_extension_field
-from isograph.supersingular import build_class_table
+from isograph.supersingular import SupersingularClassTable, build_class_table
 from oracles import (
     Point,
     identity,
@@ -342,7 +341,7 @@ def test_frobenius_guard_fires_on_wrong_twist():
     torsion_basis(wrong.change_field(tf.emb), 5, random.Random(23), tf.delta)
     table = build_class_table(13)
     with pytest.raises(CurveError, match="does not kill.*Frobenius"):
-        dataclasses.replace(table, models=(wrong,))
+        SupersingularClassTable(13, table.field, table.js, (wrong,))
 
 
 def test_frobenius_check_fires_on_wrong_frobenius_map(monkeypatch):

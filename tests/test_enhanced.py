@@ -2,8 +2,9 @@
 and the multiplicity matrices, checked against independently re-derived
 values wherever a matrix is frozen."""
 
-import dataclasses
+import copy
 import hashlib
+import pickle
 import random
 import time
 import types
@@ -14,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from isograph.curves import (
     CurveError,
     TorsionBasisError,
-    TorsionField,
     XMap,
     frobenius_orbits,
     isomorphism_scale,
@@ -42,7 +42,7 @@ from isograph.enhanced import (
 import isograph.enhanced as enhanced_mod
 from isograph.fields import Embedding, make_extension_field
 from oracles import identity, lift_x, rhs, spread_t, torsion_order_extension
-from isograph.supersingular import build_class_table
+from isograph.supersingular import SupersingularClassTable, build_class_table
 
 
 # ---------------------------------------------------------------- oracles
@@ -302,7 +302,7 @@ def test_half_degree_slots_match_full_field_oracle(p, r):
 
 def _with_torsion_field(monkeypatch, p, r, **changes):
     """Make the builder see the order-r torsion field of p with `changes`."""
-    bad = TorsionField(**{**vars(torsion_field(p, r)), **changes})
+    bad = torsion_field(p, r)._replace(**changes)
 
     def patched(pp, rr):
         return bad if (pp, rr) == (p, r) else torsion_field(pp, rr)
@@ -320,7 +320,7 @@ def test_wrong_twist_of_every_class_fails_loudly(p):
     table = build_class_table(p)
     twisted = tuple(quadratic_twist(m) for m in table.models)
     with pytest.raises(CurveError, match="does not kill"):
-        dataclasses.replace(table, models=twisted)
+        SupersingularClassTable(p, table.field, table.js, twisted)
 
 
 def test_dropped_twist_fails_loudly(monkeypatch):
@@ -556,7 +556,7 @@ def _patch_arrow(b, wrap):
     wrap(lifted x-map)."""
     ar = b.arrows[0][0]
     fake = types.SimpleNamespace(lift=lambda emb: wrap(ar.xmap.lift(emb)))
-    b.arrows[0][0] = dataclasses.replace(ar, xmap=fake)
+    b.arrows[0][0] = ar._replace(xmap=fake)
 
 
 def test_push_guard_image_outside_table():
@@ -708,7 +708,7 @@ def test_edge_involution_guard():
     # mutation: arrow (0, 0) names the wrong kernel of its dual isogeny
     b = GraphBuilder(13, 5)
     ar = b.arrows[0][0]
-    b.arrows[0][0] = dataclasses.replace(ar, dual_index=(ar.dual_index + 1) % 6)
+    b.arrows[0][0] = ar._replace(dual_index=(ar.dual_index + 1) % 6)
     with pytest.raises(GraphBuildError, match="edge involution broken"):
         b.build(1)
 
@@ -718,6 +718,53 @@ def test_edge_targets_out_of_range_are_refused():
     target = (g.n,) + g.edge_target[1:]
     with pytest.raises(GraphBuildError, match="targets below 3"):
         EnhancedGraph(13, 5, 2, 0, g.class_labels, target, g.edge_dual)
+
+
+def test_enhanced_graph_is_read_only():
+    g = GraphBuilder(13, 5).build(2)
+    for name in ("p", "seed", "edge_target", "brandt", "parity_violations", "n"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(g, name, getattr(g, name))
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(g, name)
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    # running the constructor again on a graph would overwrite it
+    with pytest.raises(AttributeError, match="read-only"):
+        g.__init__(13, 5, 2, 1, g.class_labels, g.edge_target, g.edge_dual)
+    assert g.seed == 0
+
+
+def test_enhanced_graph_equality_and_hash_follow_defining_fields():
+    g = GraphBuilder(13, 5).build(2)
+    twin = EnhancedGraph(13, 5, 2, 0, g.class_labels, g.edge_target, g.edge_dual)
+    assert twin is not g and twin.brandt is not g.brandt
+    assert twin == g and hash(twin) == hash(g) and {g: 1}[twin] == 1
+    m = g.oriented_edge_count
+    loops = (tuple(e // 6 for e in range(m)), tuple(e ^ 1 for e in range(m)))
+    others = [
+        EnhancedGraph(13, 5, 2, 1, g.class_labels, g.edge_target, g.edge_dual),
+        EnhancedGraph(13, 5, 2, 0, ("1",), g.edge_target, g.edge_dual),
+        EnhancedGraph(13, 5, 2, 0, g.class_labels, *loops),
+    ]
+    for other in others:
+        assert other != g
+    assert g != (13, 5, 2, 0, g.class_labels, g.edge_target, g.edge_dual)
+
+
+def test_enhanced_graph_copies_run_the_check(monkeypatch):
+    g = GraphBuilder(13, 5).build(2)
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert copy.deepcopy(g) == g
+
+    # mutation: a check that refuses every graph
+    def refuse(p, l, N):
+        raise AdmissibilityError("refused")
+
+    monkeypatch.setattr(enhanced_mod, "check_admissible", refuse)
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        with pytest.raises(AdmissibilityError, match="refused"):
+            clone(g)
 
 
 def test_vertex_labels():

@@ -1,5 +1,5 @@
+import copy
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -8,6 +8,7 @@ from isograph.fields import FieldElement, make_extension_field
 import isograph.supersingular as ss
 from isograph.supersingular import (
     ClassTableError,
+    SupersingularClassTable,
     build_class_table,
     supersingular_polynomial,
 )
@@ -244,14 +245,43 @@ def test_scan_guards_fire_on_perturbed_hasse_coefficient(fresh_tables, monkeypat
                 build_class_table(37)
 
 
-def test_replace_builds_its_own_class_index():
-    # the index is per instance: a copy with fewer classes neither shares
-    # nor writes into the original's
+def test_subset_table_builds_its_own_class_index():
+    # the index is per instance: a table the constructor makes from some of
+    # the cached table's classes neither shares nor writes into its index
     t = build_class_table(37)
-    one = replace(t, js=t.js[:1], models=t.models[:1])
+    before = dict(t._index)
+    one = SupersingularClassTable(37, t.field, t.js[:1], t.models[:1])
     assert one._index is not t._index
     assert one.class_of_j(t.js[0]) == 0
     with pytest.raises(ClassTableError):
         one.class_of_j(t.js[2])
+    assert t._index == before
     assert [t.class_of_j(j) for j in t.js] == [0, 1, 2]
-    assert len(t._index) == 3
+
+
+def test_class_table_is_read_only():
+    t = build_class_table(13)
+    for name in ("p", "field", "js", "models", "_index", "class_count"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(t, name, getattr(t, name))
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(t, name)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    # running the constructor again on a table would overwrite it
+    with pytest.raises(AttributeError, match="read-only"):
+        t.__init__(13, t.field, t.js, t.models)
+
+
+def test_class_table_copies_run_the_twist_check(monkeypatch):
+    t = build_class_table(13)
+    c = copy.copy(t)
+    assert c is not t and c.js == t.js and c.class_of_j(t.js[0]) == 0
+
+    # mutation: a sign check that refuses every model
+    def refuse(model):
+        raise CurveError("refused")
+
+    monkeypatch.setattr(ss, "_check_frobenius_sign", refuse)
+    with pytest.raises(CurveError, match="refused"):
+        copy.copy(t)
