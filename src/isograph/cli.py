@@ -24,12 +24,10 @@ from . import __version__
 from .curves import CurveError, TorsionBasisError
 from .enhanced import (
     AdmissibilityError,
-    BrandtValidationError,
     EnhancedGraph,
     GraphBuildError,
     GraphBuilder,
     check_admissible,
-    validate_symmetry_and_row_sums,
     vertex_count,
 )
 from .fields import NotInSubfield, make_extension_field
@@ -219,25 +217,24 @@ def _graph(cfg: JobConfig, graphs: dict) -> EnhancedGraph:
 def verify_graph(eg: EnhancedGraph, cfg: JobConfig, graphs: dict | None = None) -> dict:
     """Property suite for one graph; returns {check: bool} plus details.
     Coarser levels for the covering check come from `graphs` (by JobConfig)
-    or else from `cfg`'s cache."""
+    or else from `cfg`'s cache.  The checks read facts computed once: the
+    parity record from the EnhancedGraph constructor, and symmetry and row
+    sums from spectrum and ramanujan_report, which raise SpectralError
+    (exit 4) on a matrix without them, so no manifest records it."""
     graphs = {} if graphs is None else graphs
     p, l, N = eg.p, eg.l, eg.level
     checks: dict[str, bool] = {}
     detail: dict[str, object] = {}
+    spec = spectrum(eg)
+    rep = ramanujan_report(spec, l)
 
     checks["vertex_count"] = eg.n == vertex_count(p, N)
-    try:
-        validate_symmetry_and_row_sums(eg.brandt, l)
-        checks["symmetry_row_sums"] = True
-    except BrandtValidationError as e:
-        checks["symmetry_row_sums"] = False
-        detail["symmetry_row_sums"] = str(e)
+    # spectrum() refused asymmetry and irregularity, ramanujan_report() degree != l + 1
+    checks["symmetry_row_sums"] = spec.degree == l + 1
     checks["even_diagonal"] = eg.parity_violations == ()
     if eg.parity_violations:
         detail["even_diagonal"] = list(eg.parity_violations)
 
-    spec = spectrum(eg)
-    rep = ramanujan_report(spec, l)
     checks["connected"] = rep.connected
     checks["non_bipartite"] = not is_bipartite(spec.charpoly)
     checks["ramanujan_window"] = rep.ok
@@ -507,18 +504,6 @@ def _config(args) -> JobConfig:
     return JobConfig(**{f: given[f] for f in JobConfig._fields if f in given})
 
 
-_FLAGS = {
-    "--cache-dir": dict(default="isograph-cache"),
-    "--seed": dict(type=int, default=0),
-    "--workers": dict(type=int, default=1),
-}
-
-
-def _add_flags(sub, *names: str) -> None:
-    for name in names:
-        sub.add_argument(name, **_FLAGS[name])
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isograph",
@@ -527,52 +512,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def plN(sub):
-        sub.add_argument("p", type=int)
-        sub.add_argument("l", type=int)
-        sub.add_argument("N", type=int)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    cached = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    cached.add_argument("--cache-dir", default="isograph-cache")
+    graph = argparse.ArgumentParser(add_help=False, parents=[cached])
+    for name in ("p", "l", "N"):
+        graph.add_argument(name, type=int)
 
-    sp = subs.add_parser("build", help="construct a graph and cache it")
-    plN(sp)
+    sp = subs.add_parser("build", parents=[graph], help="construct a graph and cache it")
     sp.add_argument("--dot", help="write a DOT rendering here")
     sp.add_argument("--csv", help="write the adjacency matrix as CSV here")
-    _add_flags(sp, "--cache-dir", "--seed")
     sp.set_defaults(func=cmd_build)
 
-    sp = subs.add_parser("spectrum", help="adjacency spectrum and Ramanujan check")
-    plN(sp)
-    _add_flags(sp, "--cache-dir", "--seed")
-    sp.set_defaults(func=cmd_spectrum)
+    for name, func, text in (
+        ("spectrum", cmd_spectrum, "adjacency spectrum and Ramanujan check"),
+        ("zeta", cmd_zeta, "exact Ihara zeta function"),
+        ("cheeger", cmd_cheeger, "isoperimetric constant and bounds"),
+    ):
+        subs.add_parser(name, parents=[graph], help=text).set_defaults(func=func)
 
-    sp = subs.add_parser("zeta", help="exact Ihara zeta function")
-    plN(sp)
-    _add_flags(sp, "--cache-dir", "--seed")
-    sp.set_defaults(func=cmd_zeta)
-
-    sp = subs.add_parser("cheeger", help="isoperimetric constant and bounds")
-    plN(sp)
-    _add_flags(sp, "--cache-dir", "--seed")
-    sp.set_defaults(func=cmd_cheeger)
-
-    sp = subs.add_parser("covering", help="verify the projection to a coarser level")
-    plN(sp)
+    sp = subs.add_parser(
+        "covering", parents=[graph], help="verify the projection to a coarser level"
+    )
     sp.add_argument("M", type=int)
-    _add_flags(sp, "--cache-dir", "--seed")
     sp.set_defaults(func=cmd_covering)
 
-    sp = subs.add_parser("reciprocity", help="zeta reciprocity for (p, q, l)")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("l", type=int)
-    _add_flags(sp, "--seed")
+    sp = subs.add_parser(
+        "reciprocity", parents=[seeded], help="zeta reciprocity for (p, q, l)"
+    )
+    for name in ("p", "q", "l"):
+        sp.add_argument(name, type=int)
     sp.set_defaults(func=cmd_reciprocity)
 
-    sp = subs.add_parser("verify", help="run the property suite on a graph or grid")
-    sp.add_argument("p", type=int, nargs="?")
-    sp.add_argument("l", type=int, nargs="?")
-    sp.add_argument("N", type=int, nargs="?")
+    sp = subs.add_parser(
+        "verify", parents=[cached], help="run the property suite on a graph or grid"
+    )
+    for name in ("p", "l", "N"):
+        sp.add_argument(name, type=int, nargs="?")
     sp.add_argument("--grid", help='e.g. "p in {13,37}, l in {3,5}, N in {1,2,6}"')
-    _add_flags(sp, "--cache-dir", "--seed", "--workers")
+    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_verify)
 
     return parser

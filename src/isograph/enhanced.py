@@ -63,10 +63,6 @@ class AdmissibilityError(ValueError):
     pass
 
 
-class BrandtValidationError(ValueError):
-    pass
-
-
 class GraphBuildError(RuntimeError):
     """Internal consistency failure while assembling a graph."""
 
@@ -129,38 +125,6 @@ class QuotientArrow(NamedTuple):
     dual_index: int
 
 
-def validate_symmetry_and_row_sums(matrix, l: int) -> None:
-    """Square, non-negative integer entries, symmetric, every row summing
-    to l + 1.  EnhancedGraph's involution check already implies all of
-    this, so the one production caller is verify's symmetry_row_sums
-    check, which records a failure as a verdict instead of raising."""
-    n = len(matrix)
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise BrandtValidationError("matrix is not square")
-        if any(not isinstance(x, int) or x < 0 for x in row):
-            raise BrandtValidationError("entries must be non-negative integers")
-        if sum(row) != l + 1:
-            raise BrandtValidationError(
-                f"row {i} sums to {sum(row)}, expected {l + 1}"
-            )
-        for j in range(n):
-            if row[j] != matrix[j][i]:
-                raise BrandtValidationError(f"entry ({i},{j}) breaks symmetry")
-
-
-def diagonal_parity_violations(matrix) -> tuple[int, ...]:
-    """Vertices whose diagonal entry is odd.
-
-    An odd diagonal entry records a self-dual degree-l endomorphism (trace
-    zero, so the dual is the negative and has the same kernel); the loop
-    edges at such a vertex cannot all be paired two-and-two.  This really
-    occurs, e.g. at (p, l) = (37, 5) and (61, 7), so it is returned as data
-    instead of being raised: downstream spectral and zeta computations stay
-    valid, only EnhancedGraph.edge_reverse keeps one loop self-paired."""
-    return tuple(i for i, row in enumerate(matrix) if row[i] % 2 != 0)
-
-
 class EnhancedGraph:
     """A finished level-N graph, fixed by its oriented edges eid =
     vertex * (l+1) + kernel slot: edge_target[eid] is the head of edge eid
@@ -174,13 +138,16 @@ class EnhancedGraph:
     edges out of every vertex, that makes the matrix symmetric with rows
     summing to l+1.
 
-    The involution can fix a loop (kernel of a trace-zero endomorphism),
-    so it is not yet the loop pairing the abstract graph formalism wants.
+    The involution can fix a loop: the kernel of a trace-zero degree-l
+    endomorphism, whose dual is its negative and so has the same kernel.
+    So it is not yet the loop pairing the abstract graph formalism wants.
     edge_reverse is that pairing: edge_dual with each vertex's loops
     re-paired two by two in eid order, which removes every fixed edge
-    the matrix allows.  parity_violations lists vertices with an odd
-    diagonal entry: empty in the common case, non-empty exactly when one
-    loop there is forced to stay self-paired in edge_reverse.
+    the matrix allows.  brandt[v][v] counts the loops at v, and
+    parity_violations lists the vertices where that count is odd, found
+    in the same pass: there one loop stays self-paired in edge_reverse.
+    This really occurs, e.g. at (p, l) = (37, 5) and (61, 7), so it is
+    recorded as data, not raised; spectra and zeta functions stay valid.
 
     Instances are read-only: each attribute is set once, by the
     constructor.  Equality and hashing use the seven defining fields, and
@@ -240,17 +207,19 @@ class EnhancedGraph:
         for eid, w in enumerate(target):
             brandt[eid // k][w] += 1
         reverse = list(dual)
+        odd = []
         for v in range(n):
             loops = [e for e in range(v * k, (v + 1) * k) if target[e] == v]
             for a, b in zip(loops[0::2], loops[1::2]):
                 reverse[a], reverse[b] = b, a
             if len(loops) % 2:
                 reverse[loops[-1]] = loops[-1]
+                odd.append(v)
         self.primes = primes
         self.vertices = tuple(vertices)
         self.brandt = tuple(tuple(row) for row in brandt)
         self.edge_reverse = tuple(reverse)
-        self.parity_violations = diagonal_parity_violations(brandt)
+        self.parity_violations = tuple(odd)
 
     def __setattr__(self, name, value) -> None:
         if hasattr(self, name):

@@ -4,6 +4,7 @@ format: determinism, self-validation, exit codes, and the grid parser."""
 import hashlib
 import json
 import os
+import shlex
 import shutil
 
 import pytest
@@ -17,6 +18,14 @@ from isograph.cli import (
     JobConfig,
     _builder,
     build_or_load,
+    build_parser,
+    cmd_build,
+    cmd_cheeger,
+    cmd_covering,
+    cmd_reciprocity,
+    cmd_spectrum,
+    cmd_verify,
+    cmd_zeta,
     graph_file_path,
     load_graph_file,
     main,
@@ -631,6 +640,51 @@ def test_verify_pool_has_at_most_one_worker_per_task(tmp_path, capsys, monkeypat
     for workers in (0, -3):
         assert run(capsys, *argv, "--workers", workers) == (EXIT_PARAMS, None)
     assert sizes == [2]
+
+
+# --------------------------------------------------------------- arguments
+
+_CACHE = {"cache_dir": "isograph-cache"}
+_GRID = "p in {13}, l in {5}, N in {1}"
+
+# every subcommand's parsed namespace: names, values and types, func included
+PARSED = [
+    (
+        "build 13 5 6",
+        dict(func=cmd_build, p=13, l=5, N=6, dot=None, csv=None, seed=0, **_CACHE),
+    ),
+    (
+        "build 13 5 6 --dot g.dot --csv g.csv --seed 7 --cache-dir c",
+        dict(func=cmd_build, p=13, l=5, N=6, dot="g.dot", csv="g.csv", seed=7,
+             cache_dir="c"),
+    ),
+    ("spectrum 37 5 1", dict(func=cmd_spectrum, p=37, l=5, N=1, seed=0, **_CACHE)),
+    ("zeta --seed 3 13 5 1", dict(func=cmd_zeta, p=13, l=5, N=1, seed=3, **_CACHE)),
+    (
+        "cheeger 13 5 2 --cache-dir c",
+        dict(func=cmd_cheeger, p=13, l=5, N=2, seed=0, cache_dir="c"),
+    ),
+    ("covering 13 5 6 2", dict(func=cmd_covering, p=13, l=5, N=6, M=2, seed=0, **_CACHE)),
+    ("reciprocity 13 37 5", dict(func=cmd_reciprocity, p=13, q=37, l=5, seed=0)),
+    ("reciprocity 13 61 5 --seed 2", dict(func=cmd_reciprocity, p=13, q=61, l=5, seed=2)),
+    (
+        "verify 13 5 6",
+        dict(func=cmd_verify, p=13, l=5, N=6, grid=None, workers=1, seed=0, **_CACHE),
+    ),
+    (
+        f"verify --grid '{_GRID}' --workers 2 --seed 1",
+        dict(func=cmd_verify, p=None, l=None, N=None, grid=_GRID, workers=2, seed=1,
+             **_CACHE),
+    ),
+]
+
+
+@pytest.mark.parametrize("line, expected", PARSED, ids=[line for line, _ in PARSED])
+def test_parsed_arguments(line, expected):
+    argv = shlex.split(line)
+    typed = lambda d: {k: (v, type(v)) for k, v in d.items()}
+    got = vars(build_parser().parse_args(argv))
+    assert typed(got) == typed({"command": argv[0], **expected})
 
 
 # ------------------------------------------------------------- grid parser

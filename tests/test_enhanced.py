@@ -4,6 +4,7 @@ values wherever a matrix is frozen."""
 
 import copy
 import hashlib
+import itertools
 import pickle
 import random
 import time
@@ -12,6 +13,7 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isograph.cli import load_graph_file, write_graph_file
 from isograph.curves import (
     CurveError,
     TorsionBasisError,
@@ -29,14 +31,11 @@ from isograph.curves import (
 )
 from isograph.enhanced import (
     AdmissibilityError,
-    BrandtValidationError,
     EnhancedGraph,
     GraphBuildError,
     GraphBuilder,
     check_admissible,
-    diagonal_parity_violations,
     sigma1,
-    validate_symmetry_and_row_sums,
     vertex_count,
 )
 import isograph.enhanced as enhanced_mod
@@ -198,23 +197,23 @@ def test_sigma1_matches_brute_divisor_sum():
 # ---------------------------------------------------------------- validation
 
 
-def test_validation_split():
-    good = [[0, 4], [4, 0]]
-    validate_symmetry_and_row_sums(good, 3)
-    assert diagonal_parity_violations(good) == ()
-
-    odd_diag = [[1, 3, 2], [3, 1, 2], [2, 2, 2]]
-    validate_symmetry_and_row_sums(odd_diag, 5)
-    assert diagonal_parity_violations(odd_diag) == (0, 1)
-
-    with pytest.raises(BrandtValidationError):
-        validate_symmetry_and_row_sums([[0, 4], [3, 2]], 3)  # asymmetric... and bad sum
-    with pytest.raises(BrandtValidationError):
-        validate_symmetry_and_row_sums([[2, 3], [3, 2]], 3)  # row sum 5 != 4
-    with pytest.raises(BrandtValidationError):
-        validate_symmetry_and_row_sums([[2, 2], [2, 2], [2, 2]], 3)
-    with pytest.raises(BrandtValidationError):
-        validate_symmetry_and_row_sums([[2, -1, 3], [-1, 4, 1], [3, 1, 0]], 3)
+def test_parity_record_is_the_odd_diagonal(tmp_path):
+    # the acceptance grid, built and after a round trip through a cache file
+    has_odd = []
+    for p, l in itertools.product((13, 37, 61), (3, 5, 7)):
+        b = GraphBuilder(p, l)
+        for N in (1, 2, 3, 5, 6):
+            try:
+                built = b.build(N)
+            except AdmissibilityError:
+                continue
+            path = str(tmp_path / f"{p}_{l}_{N}.json")
+            write_graph_file(path, built)
+            for g in (built, load_graph_file(path)):
+                A = g.brandt
+                assert g.parity_violations == tuple(i for i in range(g.n) if A[i][i] % 2)
+            has_odd.append(bool(built.parity_violations))
+    assert len(has_odd) == 36 and any(has_odd) and not all(has_odd)
 
 
 # --------------------------------------------------------- subgroup tables

@@ -487,11 +487,6 @@ def small_grid_graphs():
     return small
 
 
-def test_integer_cheeger_matches_float_reference_on_grid():
-    for g in small_grid_graphs():
-        assert_matches_float_reference(g.brandt)
-
-
 def assert_matches_mitm_oracle(M):
     r = cheeger_constant(M)
     assert r.method == "exact"
