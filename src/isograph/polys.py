@@ -2,9 +2,9 @@
 
 Polynomial holds Python ints (characteristic and zeta polynomials) or
 the FieldElements of one field (Velu x-maps); everything here is exact.
-Characteristic polynomials of self-adjoint integer matrices come from
+Characteristic polynomials of symmetric integer matrices come from
 Lanczos over one proven prime above their coefficient bound, in plain
-ints; this is the one determinant the zeta pipeline calls.  Fraction-free
+ints; the spectrum and the Bass route of the zeta call it.  Fraction-free
 Bareiss elimination at integer sample points followed by Lagrange
 interpolation (poly_matrix_det) is the independent reference that tests
 compare it against.
@@ -235,59 +235,52 @@ def _draw(rng: random.Random, n: int, prime: int) -> list[int]:
     return [rng.getrandbits(bits) for _ in range(n)]
 
 
-def charpoly_int(
-    matrix: Sequence[Sequence[int]], involution: Sequence[int] | None = None
-) -> Polynomial:
-    """det(xI - A) exactly, for an integer A self-adjoint under the form
-    <u, v> = sum_i u_i v_J(i), J = `involution` (the identity when None, so
-    A symmetric): A = J A^T J.  Lanczos over one prime P above twice
-    _coefficient_bound, lifted to the symmetric range.
+def charpoly_int(matrix: Sequence[Sequence[int]]) -> Polynomial:
+    """det(xI - A) exactly, for a symmetric integer A.  Lanczos over one
+    prime P above twice _coefficient_bound, lifted to the symmetric range.
 
     A block runs w' = A w - alpha w - beta w_prev, with alpha = <Aw, w>/<w, w>
     and beta = <w, w>/<w_prev, w_prev>, until w' = 0: its vectors span an
     invariant subspace, on which det(xI - A) is the tridiagonal recurrence
     p_k = (x - alpha_k) p_(k-1) - beta_k p_(k-2).  The next block starts
     from a seeded random vector with every earlier vector projected out in
-    one pass (they are orthogonal); self-adjointness keeps its Krylov space
+    one pass (they are orthogonal); symmetry keeps its Krylov space
     orthogonal to theirs, so det(xI - A) mod P is the product of the block
     polynomials.  A nonzero w with <w, w> = 0 mod P stops the recurrence and
     raises ArithmeticError."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    J = range(n) if involution is None else involution
-    if sorted(J) != list(range(n)) or any(J[j] != i for i, j in enumerate(J)):
-        raise ValueError("involution is not an involutive permutation")
     rows = [[(j, int(x)) for j, x in enumerate(row) if x] for row in matrix]
-    # checking the nonzero entries suffices: J A^T J maps (i, j) to (J j, J i)
-    if any(matrix[J[j]][J[i]] != x for i, row in enumerate(rows) for j, x in row):
-        raise ValueError("matrix is not self-adjoint: A != J A^T J")
+    # checking the nonzero entries suffices: a zero facing a nonzero is seen
+    # from the nonzero side
+    if any(matrix[j][i] != x for i, row in enumerate(rows) for j, x in row):
+        raise ValueError("matrix is not symmetric")
     frob2 = sum(x * x for row in rows for _, x in row)
     prime = _lanczos_prime(2 * _coefficient_bound(n, frob2))
     rng = random.Random(0)
-    basis: list[tuple[list[int], list[int], int]] = []  # w, partner, 1/<w, w>
+    basis: list[tuple[list[int], int]] = []  # w, 1/<w, w>
     product = Polynomial([1])
     while len(basis) < n:
         w = _draw(rng, n, prime)
         if basis:
-            vs, jvs, invs = zip(*basis)
-            cs = [sum(map(mul, w, jv)) * inv % prime for jv, inv in zip(jvs, invs)]
+            vs, invs = zip(*basis)
+            cs = [sum(map(mul, w, v)) * inv % prime for v, inv in zip(vs, invs)]
             w = [(x - sum(map(mul, cs, col))) % prime for x, col in zip(w, zip(*vs))]
         if not any(w):
             continue
         w_prev, inv_prev = [0] * n, 0
         poly_prev, poly = [], [1]  # p_(k-2), p_(k-1)
         while w is not None:
-            jw = w if involution is None else [w[j] for j in J]  # <u, w> = u . jw
-            d = sum(map(mul, w, jw)) % prime
+            d = sum(map(mul, w, w)) % prime
             if not d:
                 raise ArithmeticError("Lanczos reached a nonzero isotropic vector")
-            if len(basis) == n:  # unreachable for a self-adjoint A
+            if len(basis) == n:  # unreachable for a symmetric A
                 raise ArithmeticError("more Lanczos vectors than the dimension")
             inv = pow(d, -1, prime)
-            basis.append((w, jw, inv))
+            basis.append((w, inv))
             aw = [sum([x * w[j] for j, x in row]) for row in rows]
-            alpha = sum(map(mul, aw, jw)) * inv % prime
+            alpha = sum(map(mul, aw, w)) * inv % prime
             beta = d * inv_prev % prime
             poly_prev, poly = poly, [
                 (s - alpha * c - beta * b) % prime

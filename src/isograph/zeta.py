@@ -2,13 +2,13 @@
 
 G_p^(l)(N) is (l+1)-regular, so by Ihara-Bass 1/Z is (1 - t^2)^(-chi)
 times det(I - A t + l t^2 I), with chi = graph.euler_characteristic
-(vertices minus geometric edges).  Everything is integer arithmetic, and
-every determinant is one integer characteristic polynomial
-(polys.charpoly_int): det(I - tM) is the characteristic polynomial of M
-with its coefficients reversed.  The polynomial of A also decides that
-the graph is connected (spectral.is_connected).  The edge-matrix
-determinant over edge_reverse is the independent oracle that verify
-compares against.  Nothing here loads numpy.
+(vertices minus geometric edges).  Everything is integer arithmetic.
+The Bass route expands the characteristic polynomial of A
+(polys.charpoly_int), which also decides that the graph is connected
+(spectral.is_connected).  The independent oracle that verify compares
+against is det(I - tT) over edge_reverse, from exact counts of closed
+non-backtracking walks and Newton's identities; it shares no code with
+the Bass route.  Nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -89,21 +89,27 @@ def ihara_zeta(eg: EnhancedGraph, charpoly: Polynomial | None = None) -> ZetaFun
 def edge_matrix_zeta(eg: EnhancedGraph) -> Polynomial:
     """det(I - tT) for the edge-transition matrix T[e][f] = 1 iff e feeds
     into f and f is not the reversal edge_reverse[e].  Independent of the
-    Bass route: one characteristic polynomial of the n(l+1)-square 0/1
-    matrix T rather than of anything built from the adjacency matrix;
-    det(I - tT) is that polynomial with its coefficients reversed.  T is
-    not symmetric, but T = R T^T R for the reversal R, so Lanczos runs in
-    the form <u, v> = sum u_e v_R(e)."""
+    Bass route: log det(I - tT)^(-1) = sum_j p_j t^j / j with p_j = tr(T^j)
+    the number of closed non-backtracking walks of length j (Hashimoto
+    1989), so c_0 = 1 and j c_j = -sum_(i<=j) p_i c_(j-i) (Newton).  Row e
+    of T^j is one packed int, lane f holding T^j[e][f] <= s^j for s the
+    largest successor count; a lane of bit_length(m s^m) never carries."""
     k = eg.degree
     m = eg.oriented_edge_count
-    T = [
-        [
-            1 if eg.edge_target[e] == f // k and f != eg.edge_reverse[e] else 0
-            for f in range(m)
-        ]
-        for e in range(m)
+    succ = [
+        [f for f in range(t * k, t * k + k) if f != r]
+        for t, r in zip(eg.edge_target, eg.edge_reverse)
     ]
-    return Polynomial(reversed(charpoly_int(T, eg.edge_reverse).coeffs))
+    width = (m * max(map(len, succ), default=0) ** m).bit_length()
+    mask = (1 << width) - 1
+    rows = [sum(1 << (f * width) for f in fs) for fs in succ]  # T
+    p, c = [0], [1]
+    for j in range(1, m + 1):
+        if j > 1:  # row e of T^j is the sum of T^(j-1)'s rows over e's successors
+            rows = [sum(map(rows.__getitem__, fs)) for fs in succ]
+        p.append(sum(row >> (e * width) & mask for e, row in enumerate(rows)))
+        c.append(-sum(p[i] * c[j - i] for i in range(1, j + 1)) // j)  # exact
+    return Polynomial(c)
 
 
 # ------------------------------------------------------------- reciprocity

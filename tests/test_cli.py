@@ -139,10 +139,14 @@ def test_every_command_rejects_l_2(tmp_path, capsys):
 
 
 def test_covering_rejects_non_divisor(tmp_path, capsys):
-    # M = 0 is refused as a parameter before N % M is taken
-    for M in (4, 0):
-        code, _ = run(capsys, "covering", 13, 5, 6, M, "--cache-dir", tmp_path)
-        assert code == EXIT_PARAMS
+    # M = 4 is not squarefree and M = 7 an admissible level that does not
+    # divide 6; M = 0 is refused as a parameter before N % M is taken
+    for M in (4, 7, 0):
+        code = main([str(a) for a in ("covering", 13, 5, 6, M, "--cache-dir", tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARAMS and captured.out == "", M
+        if M == 7:
+            assert "7 does not divide 6" in captured.err
 
 
 def _refused_output(capsys, argv):
@@ -401,6 +405,19 @@ def test_malformed_cache_file_exits_internal(tmp_path, capsys, corruption):
         assert path in captured.err, cmd
 
 
+def test_unknown_format_marker_is_refused(tmp_path, capsys):
+    # the rebuild comparison would refuse the file too; the marker check
+    # comes first and names the cause
+    cfg = JobConfig(13, 5, 2, cache_dir=str(tmp_path))
+    build_or_load(cfg, force=True)
+    path = graph_file_path(cfg)
+    _rewrite(lambda d: d.__setitem__("format", "isograph.graph.v2"))(path, json.load(open(path)))
+    code = main(["zeta", "13", "5", "2", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL and captured.out == ""
+    assert f"{path}: unknown format marker" in captured.err
+
+
 def test_stale_parity_record_is_refused(tmp_path):
     cfg = JobConfig(13, 5, 2, cache_dir=str(tmp_path))
     build_or_load(cfg, force=True)
@@ -522,8 +539,8 @@ def test_verify_solves_each_spectrum_once(tmp_path, monkeypatch):
 
 
 def test_verify_computes_each_charpoly_once(tmp_path, monkeypatch):
-    # a graph with at most 30 oriented edges gets the edge oracle: one
-    # charpoly for the spectrum (reused by the zeta) and one for the oracle
+    # a graph with at most 30 oriented edges gets the edge oracle, which
+    # counts walks: the one charpoly is the spectrum's, reused by the zeta
     import isograph.cli as cli_mod
     import isograph.polys as polys_mod
     import isograph.spectral as spectral_mod
@@ -543,7 +560,7 @@ def test_verify_computes_each_charpoly_once(tmp_path, monkeypatch):
     assert eg.oriented_edge_count <= 30
     result = cli_mod.verify_graph(eg, cfg)
     assert "bass_edge_oracle" in result["checks"]
-    assert calls == [eg.n, eg.oriented_edge_count]
+    assert calls == [eg.n]
 
 
 def test_verify_loads_each_cache_file_once(tmp_path, capsys, monkeypatch):
@@ -591,6 +608,14 @@ def test_verify_refuses_triple_with_grid(tmp_path, capsys):
         "--cache-dir", tmp_path,
     )
     assert code == EXIT_PARAMS and out is None
+
+
+@pytest.mark.parametrize("triple", [(), (13, 5)], ids=["none", "partial"])
+def test_verify_refuses_neither_triple_nor_grid(tmp_path, capsys, triple):
+    code = main([str(a) for a in ("verify", *triple, "--cache-dir", tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARAMS and captured.out == ""
+    assert "verify needs either p l N or --grid" in captured.err
 
 
 def test_verify_workers_match_serial(tmp_path, capsys):

@@ -165,6 +165,8 @@ def test_admissibility_rejections():
         check_admissible(13, 5, 12)  # not squarefree
     with pytest.raises(AdmissibilityError):
         check_admissible(13, 5, 65)  # shares factors with both l and p
+    with pytest.raises(AdmissibilityError, match="shares the factor 13 with p"):
+        check_admissible(13, 5, 13)
     with pytest.raises(AdmissibilityError):
         check_admissible(13, 5, 0)
     assert check_admissible(13, 5, 6) == [2, 3]

@@ -147,11 +147,43 @@ def test_charpoly_and_polydet_paths_agree():
 
 
 def test_edge_matrix_zeta_matches_polydet_reference():
-    # (13,5,3) has forced fixed loops (m = 24); (61,5,1) is the m = 30 case
-    for p, l, N, m in ((13, 5, 3, 24), (61, 5, 1, 30)):
+    # every criterion-8 offender (forced fixed loops), (61,5,1), the largest
+    # graph verify's oracle takes (m = 30), and (61,5,2), three times past it
+    cases = (
+        (13, 5, 2, 18), (13, 5, 3, 24), (13, 7, 2, 24), (37, 5, 1, 18),
+        (61, 5, 1, 30), (61, 5, 2, 90),
+    )
+    for p, l, N, m in cases:
         eg = builder(p, l).build(N)
         assert eg.oriented_edge_count == m
         assert edge_matrix_zeta(eg) == edge_reference(eg), (p, l, N)
+
+
+def test_edge_matrix_zeta_follows_a_re_paired_graph():
+    # (37,5,1) has one self-dual loop at vertex 0 and one at vertex 1, the
+    # only fixed edges of edge_reverse.  Paired with each other they become
+    # an edge between the two vertices, the constructor accepts that, and
+    # with no fixed edge left the Bass identity holds exactly
+    eg = builder(37, 5).build(1)
+    k = eg.degree
+    a, b = fixed_edges(eg)
+    assert fixed_edges(eg) == [e for e, d in enumerate(eg.edge_dual) if d == e]
+    target, dual = list(eg.edge_target), list(eg.edge_dual)
+    target[a], target[b] = b // k, a // k
+    dual[a], dual[b] = b, a
+    paired = EnhancedGraph(37, 5, 1, 0, eg.class_labels, tuple(target), tuple(dual))
+    assert fixed_edges(paired) == []
+    edge = edge_matrix_zeta(paired)
+    assert edge != edge_matrix_zeta(eg)
+    assert edge == edge_reference(paired) == ihara_zeta(paired).inverse_polynomial()
+    # splitting vertex 2's dual pair of loops into two self-dual loops
+    # changes edge_dual only: edge_reverse re-pairs each vertex's loops, so
+    # the oracle, like A, does not see it
+    c, d = (e for e in range(2 * k, 3 * k) if eg.edge_target[e] == 2)
+    dual = list(eg.edge_dual)
+    dual[c], dual[d] = c, d
+    split = EnhancedGraph(37, 5, 1, 0, eg.class_labels, eg.edge_target, tuple(dual))
+    assert split.edge_reverse == eg.edge_reverse
 
 
 # ------------------------------------------------------------------- census
