@@ -12,7 +12,8 @@ worked in (the half-degree F_p[y]/(g) of an even modulus g(x^2) when -1
 is a power of -p mod r) and the twist by y on which its points are
 sampled.  Every torsion x is kept on the class model lifted to that
 field, where a point of the twist is x / y: torsion_basis moves each
-draw there, and subgroup_xs is the one walk of Frobenius orbits.
+draw there.  walk_orbits is the one walk of Frobenius orbits, behind
+subgroup_xs's single generator and the builder's column tables.
 
 A point is its x-coordinate, a FieldElement: P and -P are one point of
 the x-line, and no y is ever computed.  The inner loops (x_ladder's
@@ -181,11 +182,15 @@ def x_multiples(
     if count < 1:
         return []
     f = curve.field
-    chain = x_chain(curve, x, count, start)
+    return [FieldElement(f, t) for t in x_affine(f, x_chain(curve, x, count, start))]
+
+
+def x_affine(f: Field, chain: Sequence[tuple[int, int]]) -> list[int]:
+    """Raw x = X/Z of (X : Z) pairs, one batched inversion; CurveError at Z = 0."""
     if not all(Z for _, Z in chain):
         raise CurveError("hit the identity: count >= point order")
     invs = f.batch_inv_t([Z for _, Z in chain])
-    return [FieldElement(f, f.mul_t(X, iz)) for (X, _), iz in zip(chain, invs)]
+    return [f.mul_t(X, iz) for (X, _), iz in zip(chain, invs)]
 
 
 def x_chain(
@@ -468,22 +473,24 @@ def torsion_basis(
 def subgroup_xs(
     curve: EllipticCurve, x: FieldElement, reps: Sequence[int], o: int
 ) -> list[int]:
-    """The raw x of the nonzero points of <P>, one per +-pair, from
-    x = x(P) of order r on a model where x -> x^(p^2) is x -> x([-p]P):
-    the Frobenius orbits of x([m]P), (reps, o) = frobenius_orbits(p, r),
-    orbit by orbit.  CurveError unless each closes after exactly o steps."""
-    f = curve.field
+    """The raw x of <P>, one per +-pair, from x = x(P) of order r: walk_orbits
+    of x([m]P), m in reps, from one chain when the largest m is past 1."""
     multiples = x_multiples(curve, x, reps[-1]) if reps[-1] > 1 else [x]
+    return walk_orbits(curve.field, [multiples[m - 1].raw for m in reps], reps, o)
+
+
+def walk_orbits(f: Field, starts: Sequence[int], reps: Sequence[int], o: int) -> list[int]:
+    """The Frobenius orbits of the raw starts x([m]P), m in reps, orbit by
+    orbit, with (reps, o) = frobenius_orbits(p, r) on a model where
+    x^(p^2) = x([-p]P): the x of <P>, one per +-pair.  CurveError unless
+    each closes after exactly o steps."""
     out = []
-    for m in reps:
-        t = start = multiples[m - 1].raw
+    for m, t in zip(reps, starts):
         for _ in range(o):
             out.append(t)
             t = f.frob_t(t)
-        if t != start:
-            raise CurveError(
-                f"Frobenius orbit of x([{m}]P) does not close after {o} steps"
-            )
+        if t != out[-o]:
+            raise CurveError(f"Frobenius orbit of x([{m}]P) does not close after {o} steps")
     return out
 
 

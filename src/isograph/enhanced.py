@@ -12,20 +12,20 @@ factorization of N.
 
 All order-r torsion work happens on the class models lifted to the
 field of curves.TorsionField, which owns the twist and the Frobenius
-orbits.  From the basis there, one x-only chain gives the generators and
-each slot is a generator's Frobenius orbits (GraphBuilder.level_subgroups).
-Slots hold x sorted by encoding, in the order the full field F_{p^{2k}}
-gives them, so every table equals the full-field one; the lifted models,
-the slots and their index are kept per r (_TorsionTables).  Velu reads
-the slots' x on the lifted models; kernels are Galois-stable, so quotient
+orbits.  A basis (P, Q) there labels the r + 1 subgroups by P^1(F_r):
+<P> is oo and <Q + kP> is k.  One x-only column chain per Frobenius
+orbit representative m gives x([m](Q + kP)) for all k, and each slot is
+its generator's orbits (GraphBuilder.level_subgroups).  Slots hold x
+sorted by encoding, in the order the full field F_{p^{2k}} gives them,
+so every table equals the full-field one; the lifted models, the slots,
+their index and labels are kept per r (_TorsionTables).  Velu reads the
+slots' x on the lifted models; kernels are Galois-stable, so quotient
 curves and x-maps descend to F_{p^2}, exactly and checked.
 
-Level structure moves along an arrow one point per subgroup: the arrow's
-degree l is prime to r, so the image of one generator fixes the image
-subgroup.  Each (arrow, r) row of pushes is validated once, as a whole:
-every image must hit the target table, the row must be a bijection on
-the r + 1 subgroups, and for r >= 5 the lifted x-map must commute with
-x-only doubling at one point.
+Level structure moves along an arrow by a Moebius map: the degree l is
+prime to r, so the arrow maps E[r] onto E[r] by a 2 x 2 matrix mod r,
+which acts on the labels.  Each (arrow, r) row is pushed once, from the
+images of the subgroups oo, 0, 1 and 2 (see GraphBuilder._push_row).
 """
 
 from __future__ import annotations
@@ -42,13 +42,13 @@ from .curves import (
     XMap,
     _derive_seed,
     isomorphism_scale,
-    subgroup_xs,
     torsion_basis,
     torsion_field,
     velu_quotient,
+    walk_orbits,
     x_add,
+    x_affine,
     x_chain,
-    x_multiples,
 )
 from .fields import FieldElement, factorize, is_prime
 from .supersingular import (
@@ -285,13 +285,17 @@ def _fmt_class(j: FieldElement) -> str:
 
 class _TorsionTables(NamedTuple):
     """A GraphBuilder's order-r tables: the torsion field, each class model
-    lifted to it, each class's r + 1 slots, and per class the slot number
-    of every slot x, keyed by its encoding."""
+    lifted to it, and per class its r + 1 slots, each slot x's slot number
+    keyed by its encoding, each slot's label, each label's slot, and the x
+    _push_row evaluates: P, Q, Q + P, Q + 2P up to r + 1, then x(2P) if r >= 5."""
 
     tf: TorsionField
     models: tuple[EllipticCurve, ...]
     slots: list[list[tuple[FieldElement, ...]]]
     index: list[dict[int, int]]
+    labels: list[tuple[int, ...]]
+    slot_at: list[tuple[int, ...]]
+    probes: list[list[FieldElement]]
 
 
 class GraphBuilder:
@@ -316,26 +320,37 @@ class GraphBuilder:
         per +-pair) on the class model lifted to the order-r torsion field;
         the slots are sorted by x-coordinate signature.
 
-        From torsion_basis's x(P), x(Q) on the lifted model and x_add's
-        x(Q + P), one x-only chain gives the other generators x(Q + kP),
-        k < r, and each generator's slot is its Frobenius orbits
-        (subgroup_xs).  Guards: every orbit closes after exactly o steps,
-        each slot holds (r - 1)/2 distinct x, and no subgroup repeats."""
+        torsion_basis gives x(P), x(Q) and x_add x(Q + P); <Q + kP> is
+        labelled k and <P> r (for oo).  Per orbit representative m, a column
+        chain from x([m]Q), x([m](Q + P)) with difference x([m]P) gives
+        x([m](Q + kP)) for all k < r; a slot is walk_orbits of its
+        generator's multiples.  Per class, one batched inversion for these
+        heads when some m > 1 and one for the columns.  Guards: no chain hits
+        the identity, each orbit closes after o steps, each slot holds
+        (r - 1)/2 distinct x, and no subgroup repeats."""
         if r in self._tables:
             return self._tables[r].slots
         tf = torsion_field(self.p, r)
-        F = tf.field
+        F, reps, c = tf.field, tf.reps, tf.reps[-1]
         half = max(1, (r - 1) // 2)
-        models = []
-        per_class = []
-        index = []
+        cP = max(c, 2) if r >= 5 else c  # x(2P) is the doubling probe
+        models, per_class, index, labels, slot_at, probes = ([] for _ in range(6))
         for ci, model in enumerate(self.table.models):
             rng = random.Random(_derive_seed("subgroups", self.p, r, ci, self.seed))
             M = model.change_field(tf.emb)
             xP, xQ = torsion_basis(M, r, rng, tf.delta)
+            heads = [xP, xQ, x_add(M, xP, xQ)]  # as laid out below when cP = 1
+            if cP > 1:
+                chain = x_chain(M, xP, cP) + x_chain(M, xQ, c) + x_chain(M, heads[2], c)
+                heads = [FieldElement(F, x) for x in x_affine(F, chain)]
+            columns = []  # x([m](Q + kP)) at i r + k for m = reps[i]
+            for m in reps:
+                start = (heads[cP + m - 1], heads[cP + c + m - 1])
+                columns += x_chain(M, heads[m - 1], r, start)
+            cols = x_affine(F, columns)
             slots = []
-            for g in [xP] + x_multiples(M, xP, r, start=(xQ, x_add(M, xP, xQ))):
-                xs = subgroup_xs(M, g, tf.reps, tf.orbit)
+            for starts in [cols[k::r] for k in range(r)] + [[heads[m - 1].raw for m in reps]]:
+                xs = walk_orbits(F, starts, reps, tf.orbit)
                 if len(xs) != half or len(set(xs)) != half:
                     raise GraphBuildError(
                         f"order-{r} slot at class {ci} has {len(set(xs))}"
@@ -343,13 +358,19 @@ class GraphBuilder:
                     )
                 xs.sort(key=F.unpack)
                 slots.append(tuple(FieldElement(F, x) for x in xs))
-            slots.sort(key=lambda s: tuple(x.coeffs for x in s))
             if len(set(slots)) != r + 1:
                 raise GraphBuildError(f"repeated order-{r} subgroup at class {ci}")
+            order = sorted(range(r + 1), key=lambda k: [x.coeffs for x in slots[k]])
             models.append(M)
-            per_class.append(slots)
-            index.append({x.raw: si for si, s in enumerate(slots) for x in s})
-        self._tables[r] = _TorsionTables(tf, tuple(models), per_class, index)
+            per_class.append([slots[k] for k in order])
+            index.append({x.raw: si for si, k in enumerate(order) for x in slots[k]})
+            labels.append(tuple(order))
+            slot_at.append(tuple(sorted(range(r + 1), key=order.__getitem__)))
+            doubling = [heads[1]] if r >= 5 else []
+            probes.append([xP] + [FieldElement(F, x) for x in cols[: min(r, 3)]] + doubling)
+        self._tables[r] = _TorsionTables(
+            tf, tuple(models), per_class, index, labels, slot_at, probes
+        )
         return per_class
 
     # -- class-level isogeny arrows
@@ -408,50 +429,63 @@ class GraphBuilder:
         """Target-table indices of all r + 1 order-r subgroups of class ci
         pushed through arrow t, memoised per (ci, t, r).
 
-        The arrow has degree l prime to r, so the image of one generator
-        fixes the image subgroup.  The arrow's x-map, lifted to the order-r
-        torsion field, is evaluated once per subgroup, at slot[0], with a
-        single batched inversion, and lands on the target class's model, so
-        its values are looked up in the target table as they are.  Three
-        guards run once per row instead of once per subgroup:
-        (a) every image lies in the target table; (b) the r + 1 indices
-        are distinct, since an isogeny of degree prime to r is a bijection
-        on order-r subgroups; (c) for r >= 5, the map commutes with x-only
-        doubling at one pushed point: x(2P) on the source side is the second
-        entry of x_multiples, and it is pushed in the same batch; the target
-        side compares x_chain's (X : Z) without an inversion.  For r = 2
-        doubling is a pole and for r = 3 it fixes x, so those rows rest on
-        (a) and (b)."""
+        The arrow's x-map, lifted to the order-r torsion field, lands on
+        the target class's model; it is evaluated at the table's probes
+        with one batched inversion: a point of each subgroup labelled
+        oo, 0, 1 and 2, then x(2P) for r >= 5.  Guards: (a) each probed
+        image lies in the target table; (b) the images are distinct, as
+        an isogeny of degree prime to r is a bijection on order-r
+        subgroups.  For r <= 3 the probes are the row, and every bijection
+        of P^1(F_2) or P^1(F_3) is a Moebius map.  For r >= 5, (c) the
+        image of 2 must agree with the Moebius map fixed by the first
+        three, which gives every other entry, and (d) the map must commute
+        with x-only doubling at P, the target side comparing x_chain's
+        (X : Z) without an inversion.  The EnhancedGraph constructor
+        checks each entry again: the dual arrow must push it back."""
         key = (ci, t, r)
         row = self._push_rows.get(key)
         if row is not None:
             return row
         ar = self.arrows[ci][t]
-        src_slots = self.level_subgroups(r)[ci]
+        self.level_subgroups(r)
         tables = self._tables[r]
+        pushed = ar.xmap.lift(tables.tf.emb).eval_many(tables.probes[ci])
         index = tables.index[ar.target]
-        xs = [slot[0] for slot in src_slots]
-        check_doubling = r >= 5
-        if check_doubling:
-            xs.append(x_multiples(tables.models[ci], xs[0], 2)[1])
-        pushed = ar.xmap.lift(tables.tf.emb).eval_many(xs)
         try:
-            row = tuple(index[x.raw] for x in pushed[: r + 1])
+            hits = [index[x.raw] for x in pushed[: min(r + 1, 4)]]
         except KeyError:
             raise GraphBuildError(
                 f"pushed subgroup of arrow ({ci},{t}) at r={r} missed the table"
             ) from None
-        if len(set(row)) != r + 1:
+        if len(set(hits)) != len(hits):
             raise GraphBuildError(
                 f"arrow ({ci},{t}) at r={r} is not a bijection on subgroups"
             )
-        if check_doubling:
+        if r <= 3:  # the probes are the row, in label order oo, 0, 1, 2
+            row = tuple(hits[(k + 1) % (r + 1)] for k in tables.labels[ci])
+        else:
+            to_label = tables.labels[ar.target]
+            # oo = [1 : 0] and k = [k : 1]; the matrix (u a | v b) takes 1 to a multiple of c
+            vec = [(1, 0) if k == r else (k, 1) for k in map(to_label.__getitem__, hits)]
+            (a0, a1), (b0, b1), (c0, c1) = vec[:3]
+            u, v = c0 * b1 - c1 * b0, a0 * c1 - a1 * c0
+
+            def image(k: int) -> int:
+                x, y = (a0, a1) if k == r else (k * u * a0 + v * b0, (k * u * a1 + v * b1) % r)
+                return x * pow(y, -1, r) % r if y else r
+
+            if image(2) != to_label[hits[3]]:
+                raise GraphBuildError(
+                    f"arrow ({ci},{t}) at r={r} is not a Moebius map on subgroups"
+                )
             model = tables.models[ar.target]
             X, Z = x_chain(model, pushed[0], 2)[1]
             if X != model.field.mul_t(pushed[-1].raw, Z):
                 raise GraphBuildError(
                     f"arrow ({ci},{t}) at r={r} does not commute with doubling"
                 )
+            at = tables.slot_at[ar.target]
+            row = tuple(at[image(k)] for k in tables.labels[ci])
         self._push_rows[key] = row
         return row
 

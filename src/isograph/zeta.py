@@ -61,17 +61,15 @@ class ZetaFunction(NamedTuple):
 
 def _det_part_charpoly(c: Polynomial, l: int) -> Polynomial:
     """det(I - At + l t^2 I) = sum_j c_j t^(n-j) (1 + l t^2)^j where
-    c = det(xI - A) = sum_j c_j x^j."""
+    c = det(xI - A) = sum_j c_j x^j, expanded term by term: c_j C(j, i) l^i
+    at t^(n-j+2i), each term the last times (j - i) l / (i + 1), exactly."""
     n = c.degree
-    base = Polynomial([1, 0, l])
-    total = Polynomial()
-    power = Polynomial([1])
-    for j in range(n + 1):
-        cj = c[j]
-        if cj:
-            total = total + (cj * power).shift(n - j)
-        power = power * base
-    return total
+    out = [0] * (2 * n + 1)
+    for j, term in enumerate(c.coeffs):
+        for i in range(j + 1):
+            out[n - j + 2 * i] += term
+            term = term * (j - i) * l // (i + 1)
+    return Polynomial(out)
 
 
 def ihara_zeta(eg: EnhancedGraph, charpoly: Polynomial | None = None) -> ZetaFunction:

@@ -21,10 +21,12 @@ from isograph.curves import (
     frobenius_orbits,
     isomorphism_scale,
     quadratic_twist,
+    _derive_seed,
     subgroup_xs,
     torsion_basis,
     torsion_field,
     velu_quotient,
+    x_add,
     x_chain,
     x_ladder,
     x_multiples,
@@ -480,15 +482,38 @@ def test_slot_guard_fires_on_wrong_orbit_length(monkeypatch):
 def test_repeated_subgroup_guard_fires_on_one_slot_for_every_generator(monkeypatch):
     # mutation: every generator of a class given the slot of its first, so
     # each slot passes the orbit and count guards but the r + 1 repeat
-    honest = enhanced_mod.subgroup_xs
-    first = {}
+    honest = enhanced_mod.walk_orbits
+    first = []
 
-    def first_slot(curve, x, reps, o):
-        return honest(curve, first.setdefault(id(curve), x), reps, o)
+    def first_slot(f, starts, reps, o):
+        first.append(starts)
+        return honest(f, first[0], reps, o)
 
-    monkeypatch.setattr(enhanced_mod, "subgroup_xs", first_slot)
+    monkeypatch.setattr(enhanced_mod, "walk_orbits", first_slot)
     with pytest.raises(GraphBuildError, match="repeated order-7 subgroup at class 0"):
         GraphBuilder(13, 5).level_subgroups(7)
+
+
+@pytest.mark.parametrize("p,r", [(13, 61), (61, 13), (13, 37), (61, 5)])
+def test_column_table_matches_per_generator_walk(p, r):
+    # ten, two, one and two orbit representatives: the builder's column
+    # chains against the per-generator walk, the generators Q + kP from one
+    # x_multiples chain and each slot subgroup_xs of its own generator, on
+    # the same basis; every slot carries the label of the generator it holds
+    b = GraphBuilder(p, 7 if r == 5 else 5)
+    slots = b.level_subgroups(r)
+    tables = b._tables[r]
+    tf = tables.tf
+    for ci, M in enumerate(tables.models):
+        rng = random.Random(_derive_seed("subgroups", p, r, ci, b.seed))
+        xP, xQ = torsion_basis(M, r, rng, tf.delta)
+        gens = x_multiples(M, xP, r, start=(xQ, x_add(M, xP, xQ))) + [xP]
+        assert sorted(tables.labels[ci]) == list(range(r + 1))
+        for k, g in enumerate(gens):
+            si = tables.slot_at[ci][k]
+            assert tables.labels[ci][si] == k
+            walked = sorted(subgroup_xs(M, g, tf.reps, tf.orbit), key=tf.field.unpack)
+            assert [x.raw for x in slots[ci][si]] == walked
 
 
 # ------------------------------------------------------------------ arrows
@@ -528,6 +553,34 @@ def test_golden_arrow_digest():
     )
 
 
+def test_arrow_guard_quotient_off_its_class_model(monkeypatch):
+    # mutation: each quotient's j looked up one class too far, so Velu's
+    # codomain is compared with a model of another j-invariant
+    honest = SupersingularClassTable.class_of_j
+
+    def next_class(self, j):
+        return (honest(self, j) + 1) % self.class_count
+
+    monkeypatch.setattr(SupersingularClassTable, "class_of_j", next_class)
+    with pytest.raises(
+        GraphBuildError, match="quotient of class 0 not isomorphic to its class model"
+    ):
+        GraphBuilder(37, 5).arrows
+
+
+def test_arrow_guard_dual_of_dual():
+    # mutation: class 1's order-l slot numbers shifted by one in the index
+    # the dual kernels are looked up in, so every arrow into class 1 names
+    # the wrong dual
+    b = GraphBuilder(37, 5)
+    b.level_subgroups(5)
+    index = b._tables[5].index[1]
+    for x, si in index.items():
+        index[x] = (si + 1) % 6
+    with pytest.raises(GraphBuildError, match="dual of dual broken"):
+        b.arrows
+
+
 def test_arrow_dual_of_dual_across_classes():
     b = GraphBuilder(37, 7)
     for ci, row in enumerate(b.arrows):
@@ -540,12 +593,21 @@ def test_arrow_dual_of_dual_across_classes():
 
 
 @pytest.mark.parametrize(
-    "p,l,r", [(13, 5, 2), (13, 5, 3), (13, 5, 7), (37, 5, 2), (37, 5, 3)]
+    "p,l,r",
+    [
+        (13, 5, 2),
+        (13, 5, 3),
+        (13, 5, 7),
+        (37, 5, 2),
+        (37, 5, 3),
+        (37, 5, 13),  # 10 of each row's 14 entries read off the Moebius map
+        (13, 5, 37),  # 34 of 38, on one arrow
+    ],
 )
 def test_push_matches_all_points_oracle(p, l, r):
     b = GraphBuilder(p, l)
     for ci, row in enumerate(b.arrows):
-        for t in range(len(row)):
+        for t in range(1 if r == 37 else len(row)):
             for s in range(r + 1):
                 assert b.push_subgroup(ci, t, r, s) == push_by_all_points(
                     b, ci, t, r, s
@@ -583,26 +645,56 @@ def test_push_guard_not_a_bijection():
 
 
 def test_push_guard_doubling():
-    # swap y0 = x(phi(P)) with x(2 phi(P)) on the target: each subgroup
-    # still lands on its own slot, so only the doubling guard can see it
+    # swap y0 = x(phi(P)), the image of the oo probe, with x(2 phi(P)) on
+    # the target: the probe still lands on its own slot, so only the
+    # doubling guard can see it
     b = GraphBuilder(13, 5)
     r = 7
-    emb = torsion_field(b.p, r).emb
-    tgt = b.table.models[b.arrows[0][0].target]
-    x0 = b.level_subgroups(r)[0][0][0]
+    b.level_subgroups(r)
+    tables = b._tables[r]
+    tgt = tables.models[b.arrows[0][0].target]
+    x0 = tables.probes[0][0]
 
     class Swapped:
         def __init__(self, xmap):
             self.xmap = xmap
             (y0,) = xmap.eval_many([x0])
-            y1 = x_multiples(tgt.change_field(emb), y0, 2)[1]
-            self.swap = {y0.coeffs: y1, y1.coeffs: y0}
+            y1 = x_multiples(tgt, y0, 2)[1]
+            self.swap = {y0.raw: y1, y1.raw: y0}
 
         def eval_many(self, xs):
-            return [self.swap.get(v.coeffs, v) for v in self.xmap.eval_many(xs)]
+            return [self.swap.get(v.raw, v) for v in self.xmap.eval_many(xs)]
 
     _patch_arrow(b, Swapped)
     with pytest.raises(GraphBuildError, match="doubling"):
+        b.push_subgroup(0, 0, r, 0)
+
+
+@pytest.mark.parametrize("p,l,r", [(13, 5, 7), (37, 5, 13)])
+def test_push_guard_moebius(p, l, r):
+    # the image of the probe labelled 2 moved onto a subgroup of the target
+    # that no probe hits: the row stays a bijection on the probes and the
+    # first three images, which fix the Moebius map, stay honest.  (For
+    # r <= 3 every bijection of P^1(F_r) is a Moebius map, so the bijection
+    # guard is this guard there.)
+    b = GraphBuilder(p, l)
+    b.level_subgroups(r)
+    tables = b._tables[r]
+    target = b.arrows[0][0].target
+    images = b.arrows[0][0].xmap.lift(tables.tf.emb).eval_many(tables.probes[0])
+    hits = [tables.index[target][y.raw] for y in images[:4]]
+    free = min(set(range(r + 1)) - set(hits))
+    moved = {images[3].raw: b.level_subgroups(r)[target][free][0]}
+
+    class Moved:
+        def __init__(self, xmap):
+            self.xmap = xmap
+
+        def eval_many(self, xs):
+            return [moved.get(v.raw, v) for v in self.xmap.eval_many(xs)]
+
+    _patch_arrow(b, Moved)
+    with pytest.raises(GraphBuildError, match="not a Moebius map"):
         b.push_subgroup(0, 0, r, 0)
 
 
