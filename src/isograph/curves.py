@@ -387,8 +387,10 @@ def torsion_basis(
     r: int,
     rng: random.Random,
     delta: FieldElement | None = None,
-) -> tuple[FieldElement, FieldElement]:
-    """x(P), x(Q) on `curve` of independent points of exact prime order r.
+) -> tuple[FieldElement, FieldElement, list[int]]:
+    """x(P), x(Q) on `curve` of independent points of exact prime order r,
+    and the raw x of <P> as subgroup_xs walks them: x([m]P) for m = reps[i]
+    of frobenius_orbits(p, r) sits at index i o.
 
     The field has degree 2k' and the curve is a scalar-Frobenius model M
     base-changed to it.  E[r] is rational on M when (-p)^k' = 1 mod r, and
@@ -461,12 +463,12 @@ def torsion_basis(
 
     P = sample()
     check_frobenius(P)
-    p_xs = set(subgroup_xs(curve, P, *frobenius_orbits(p, r)))
+    p_xs = subgroup_xs(curve, P, *frobenius_orbits(p, r))
     for _ in range(budget):
         Q = sample()
         if Q.raw not in p_xs:
             check_frobenius(Q)
-            return P, Q
+            return P, Q, p_xs
     raise TorsionBasisError(f"no independent order-{r} point in {budget} samples")
 
 

@@ -13,19 +13,20 @@ factorization of N.
 All order-r torsion work happens on the class models lifted to the
 field of curves.TorsionField, which owns the twist and the Frobenius
 orbits.  A basis (P, Q) there labels the r + 1 subgroups by P^1(F_r):
-<P> is oo and <Q + kP> is k.  One x-only column chain per Frobenius
-orbit representative m gives x([m](Q + kP)) for all k, and each slot is
-its generator's orbits (GraphBuilder.level_subgroups).  Slots hold x
-sorted by encoding, in the order the full field F_{p^{2k}} gives them,
-so every table equals the full-field one; the lifted models, the slots,
-their index and labels are kept per r (_TorsionTables).  Velu reads the
-slots' x on the lifted models; kernels are Galois-stable, so quotient
-curves and x-maps descend to F_{p^2}, exactly and checked.
+<P> is oo, as torsion_basis walked it, and <Q + kP> is k.  One x-only
+column chain per Frobenius orbit representative m gives x([m](Q + kP))
+for all k < r, and each slot is its generator's orbits
+(GraphBuilder.level_subgroups).  Slots hold x sorted by encoding, in the
+order the full field F_{p^{2k}} gives them, so every table equals the
+full-field one; the lifted models, the slots, their index and labels are
+kept per r (_TorsionTables).  Velu reads the slots' x on the lifted
+models; kernels are Galois-stable, so quotient curves and x-maps descend
+to F_{p^2}, exactly and checked.
 
 Level structure moves along an arrow by a Moebius map: the degree l is
 prime to r, so the arrow maps E[r] onto E[r] by a 2 x 2 matrix mod r,
-which acts on the labels.  Each (arrow, r) row is pushed once, from the
-images of the subgroups oo, 0, 1 and 2 (see GraphBuilder._push_row).
+which acts on the labels.  Each (arrow, r) row is pushed once, read off
+the map fixed by the images of oo, 0 and 1 (GraphBuilder._push_row).
 """
 
 from __future__ import annotations
@@ -320,44 +321,45 @@ class GraphBuilder:
         per +-pair) on the class model lifted to the order-r torsion field;
         the slots are sorted by x-coordinate signature.
 
-        torsion_basis gives x(P), x(Q) and x_add x(Q + P); <Q + kP> is
-        labelled k and <P> r (for oo).  Per orbit representative m, a column
-        chain from x([m]Q), x([m](Q + P)) with difference x([m]P) gives
-        x([m](Q + kP)) for all k < r; a slot is walk_orbits of its
-        generator's multiples.  Per class, one batched inversion for these
-        heads when some m > 1 and one for the columns.  Guards: no chain hits
-        the identity, each orbit closes after o steps, each slot holds
+        torsion_basis gives x(P), x(Q) and the x of <P>, labelled r (for
+        oo); <Q + kP> is labelled k.  Per orbit representative m, a column
+        chain from x([m]Q), x([m](Q + P)) with difference x([m]P), read off
+        <P>'s walk, gives x([m](Q + kP)) for all k < r; such a slot is
+        walk_orbits of its generator's multiples.  Per class, one batched
+        inversion for the columns and the doubling probe x(2P), and one for
+        the heads x([m]Q), x([m](Q + P)) when some m > 1.  Guards: no chain
+        hits the identity, each orbit closes after o steps, each slot holds
         (r - 1)/2 distinct x, and no subgroup repeats."""
         if r in self._tables:
             return self._tables[r].slots
         tf = torsion_field(self.p, r)
-        F, reps, c = tf.field, tf.reps, tf.reps[-1]
-        half = max(1, (r - 1) // 2)
-        cP = max(c, 2) if r >= 5 else c  # x(2P) is the doubling probe
+        F, reps, o, c = tf.field, tf.reps, tf.orbit, tf.reps[-1]
+        half, n = max(1, (r - 1) // 2), r * len(reps)
         models, per_class, index, labels, slot_at, probes = ([] for _ in range(6))
         for ci, model in enumerate(self.table.models):
             rng = random.Random(_derive_seed("subgroups", self.p, r, ci, self.seed))
             M = model.change_field(tf.emb)
-            xP, xQ = torsion_basis(M, r, rng, tf.delta)
-            heads = [xP, xQ, x_add(M, xP, xQ)]  # as laid out below when cP = 1
-            if cP > 1:
-                chain = x_chain(M, xP, cP) + x_chain(M, xQ, c) + x_chain(M, heads[2], c)
+            xP, xQ, p_xs = torsion_basis(M, r, rng, tf.delta)
+            heads = [xQ, x_add(M, xP, xQ)]  # x([m]Q) at m - 1, x([m](Q + P)) at c + m - 1
+            if c > 1:
+                chain = x_chain(M, xQ, c) + x_chain(M, heads[1], c)
                 heads = [FieldElement(F, x) for x in x_affine(F, chain)]
-            columns = []  # x([m](Q + kP)) at i r + k for m = reps[i]
-            for m in reps:
-                start = (heads[cP + m - 1], heads[cP + c + m - 1])
-                columns += x_chain(M, heads[m - 1], r, start)
+            columns = []  # x([m](Q + kP)) at i r + k for m = reps[i], then x(2P) if r >= 5
+            for i, m in enumerate(reps):
+                start = (heads[m - 1], heads[c + m - 1])
+                columns += x_chain(M, FieldElement(F, p_xs[i * o]), r, start)
+            if r >= 5:
+                columns.append(x_chain(M, xP, 2)[1])
             cols = x_affine(F, columns)
             slots = []
-            for starts in [cols[k::r] for k in range(r)] + [[heads[m - 1].raw for m in reps]]:
-                xs = walk_orbits(F, starts, reps, tf.orbit)
+            for k in range(r + 1):
+                xs = walk_orbits(F, cols[k:n:r], reps, o) if k < r else p_xs
                 if len(xs) != half or len(set(xs)) != half:
                     raise GraphBuildError(
                         f"order-{r} slot at class {ci} has {len(set(xs))}"
                         f" distinct x of {len(xs)}, not {half}"
                     )
-                xs.sort(key=F.unpack)
-                slots.append(tuple(FieldElement(F, x) for x in xs))
+                slots.append(tuple(FieldElement(F, x) for x in sorted(xs, key=F.unpack)))
             if len(set(slots)) != r + 1:
                 raise GraphBuildError(f"repeated order-{r} subgroup at class {ci}")
             order = sorted(range(r + 1), key=lambda k: [x.coeffs for x in slots[k]])
@@ -366,8 +368,7 @@ class GraphBuilder:
             index.append({x.raw: si for si, k in enumerate(order) for x in slots[k]})
             labels.append(tuple(order))
             slot_at.append(tuple(sorted(range(r + 1), key=order.__getitem__)))
-            doubling = [heads[1]] if r >= 5 else []
-            probes.append([xP] + [FieldElement(F, x) for x in cols[: min(r, 3)]] + doubling)
+            probes.append([xP] + [FieldElement(F, x) for x in cols[: min(r, 3)] + cols[n:]])
         self._tables[r] = _TorsionTables(
             tf, tuple(models), per_class, index, labels, slot_at, probes
         )
@@ -432,16 +433,16 @@ class GraphBuilder:
         The arrow's x-map, lifted to the order-r torsion field, lands on
         the target class's model; it is evaluated at the table's probes
         with one batched inversion: a point of each subgroup labelled
-        oo, 0, 1 and 2, then x(2P) for r >= 5.  Guards: (a) each probed
-        image lies in the target table; (b) the images are distinct, as
-        an isogeny of degree prime to r is a bijection on order-r
-        subgroups.  For r <= 3 the probes are the row, and every bijection
-        of P^1(F_2) or P^1(F_3) is a Moebius map.  For r >= 5, (c) the
-        image of 2 must agree with the Moebius map fixed by the first
-        three, which gives every other entry, and (d) the map must commute
-        with x-only doubling at P, the target side comparing x_chain's
-        (X : Z) without an inversion.  The EnhancedGraph constructor
-        checks each entry again: the dual arrow must push it back."""
+        oo, 0, 1 and 2 (those there are), then x(2P) for r >= 5.  Guards:
+        (a) each probed image lies in the target table; (b) the images are
+        distinct, as an isogeny of degree prime to r is a bijection on
+        order-r subgroups.  The row is read off the Moebius map fixed by
+        the images of oo, 0 and 1; at r <= 3 every bijection of P^1(F_r)
+        is one.  For r >= 5, (c) the image of 2 must agree with the map,
+        and (d) the map must commute with x-only doubling at P, the target
+        side comparing x_chain's (X : Z) without an inversion.  The
+        EnhancedGraph constructor checks each entry again: the dual arrow
+        must push it back."""
         key = (ci, t, r)
         row = self._push_rows.get(key)
         if row is not None:
@@ -452,7 +453,7 @@ class GraphBuilder:
         pushed = ar.xmap.lift(tables.tf.emb).eval_many(tables.probes[ci])
         index = tables.index[ar.target]
         try:
-            hits = [index[x.raw] for x in pushed[: min(r + 1, 4)]]
+            hits = [index[x.raw] for x in pushed[:4]]
         except KeyError:
             raise GraphBuildError(
                 f"pushed subgroup of arrow ({ci},{t}) at r={r} missed the table"
@@ -461,19 +462,17 @@ class GraphBuilder:
             raise GraphBuildError(
                 f"arrow ({ci},{t}) at r={r} is not a bijection on subgroups"
             )
-        if r <= 3:  # the probes are the row, in label order oo, 0, 1, 2
-            row = tuple(hits[(k + 1) % (r + 1)] for k in tables.labels[ci])
-        else:
-            to_label = tables.labels[ar.target]
-            # oo = [1 : 0] and k = [k : 1]; the matrix (u a | v b) takes 1 to a multiple of c
-            vec = [(1, 0) if k == r else (k, 1) for k in map(to_label.__getitem__, hits)]
-            (a0, a1), (b0, b1), (c0, c1) = vec[:3]
-            u, v = c0 * b1 - c1 * b0, a0 * c1 - a1 * c0
+        to_label = tables.labels[ar.target]
+        # oo = [1 : 0] and k = [k : 1]; the matrix (u a | v b) takes 1 to a multiple of c
+        vec = [(1, 0) if k == r else (k, 1) for k in map(to_label.__getitem__, hits)]
+        (a0, a1), (b0, b1), (c0, c1) = vec[:3]
+        u, v = c0 * b1 - c1 * b0, a0 * c1 - a1 * c0
 
-            def image(k: int) -> int:
-                x, y = (a0, a1) if k == r else (k * u * a0 + v * b0, (k * u * a1 + v * b1) % r)
-                return x * pow(y, -1, r) % r if y else r
+        def image(k: int) -> int:
+            x, y = (a0, a1) if k == r else (k * u * a0 + v * b0, (k * u * a1 + v * b1) % r)
+            return x * pow(y, -1, r) % r if y else r
 
+        if r >= 5:
             if image(2) != to_label[hits[3]]:
                 raise GraphBuildError(
                     f"arrow ({ci},{t}) at r={r} is not a Moebius map on subgroups"
@@ -484,8 +483,8 @@ class GraphBuilder:
                 raise GraphBuildError(
                     f"arrow ({ci},{t}) at r={r} does not commute with doubling"
                 )
-            at = tables.slot_at[ar.target]
-            row = tuple(at[image(k)] for k in tables.labels[ci])
+        at = tables.slot_at[ar.target]
+        row = tuple(at[image(k)] for k in tables.labels[ci])
         self._push_rows[key] = row
         return row
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -256,7 +257,7 @@ def ramanujan_report(spec: Spectrum, l: int) -> RamanujanReport:
 
 
 EXACT_CHEEGER_LIMIT = 24
-# lane widths that int.to_bytes and memoryview.cast unpack, with their formats
+# lane widths that struct unpacks, with their formats (read little-endian)
 LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
@@ -292,13 +293,10 @@ def _packed_boundaries(A, vertices, B: list[int], degree: list[int]) -> int:
     return out
 
 
-def _unpack(x: int, count: int, width: int) -> list[int]:
+def _unpack(x: int, count: int, width: int) -> tuple[int, ...]:
     """The `count` lanes of x, lowest first."""
-    raw = x.to_bytes(count * width // 8, sys.byteorder)
-    lanes = memoryview(raw).cast(LANE_FORMATS[width]).tolist()
-    if sys.byteorder == "big":
-        lanes.reverse()
-    return lanes
+    fmt = f"<{count}{LANE_FORMATS[width]}"
+    return struct.unpack(fmt, x.to_bytes(count * width // 8, "little"))
 
 
 def _exact_cheeger(A: list[list[int]]) -> tuple[Fraction, tuple[int, ...]]:

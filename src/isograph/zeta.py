@@ -135,20 +135,10 @@ def reciprocity_check(p: int, q: int, l: int, seed: int = 0) -> dict:
     chi_right = zetas[(q, p)].chi - 2 * zetas[(q, 1)].chi
     chi_expected = (p - 1) * (q - 1) * (1 - l) // 24
     chi_ok = chi_left == chi_right == chi_expected
-    # Z(G_a(b))/Z(G_a(1))^2 = (1-t^2)^chi_side * D_{a,1}^2 / D_{a,b}
-    shift = min(chi_left, chi_right)
-    e_left = chi_left - shift
-    e_right = chi_right - shift
-    lhs = (
-        zetas[(p, 1)].det_part ** 2
-        * zetas[(q, p)].det_part
-        * ONE_MINUS_T2**e_left
-    )
-    rhs = (
-        zetas[(q, 1)].det_part ** 2
-        * zetas[(p, q)].det_part
-        * ONE_MINUS_T2**e_right
-    )
+    # Z(G_a(b))/Z(G_a(1))^2 = (1-t^2)^chi_side * D_{a,1}^2 / D_{a,b}; with
+    # chi_ok both sides share the power of 1 - t^2, so cross-multiply the D
+    lhs = zetas[(p, 1)].det_part ** 2 * zetas[(q, p)].det_part
+    rhs = zetas[(q, 1)].det_part ** 2 * zetas[(p, q)].det_part
     equal = chi_ok and lhs == rhs
     return {
         "p": p,

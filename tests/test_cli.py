@@ -34,6 +34,7 @@ from isograph.cli import (
 )
 import isograph.curves as curves_mod
 import isograph.enhanced as enhanced_mod
+import isograph.zeta as zeta_mod
 from isograph.curves import TorsionBasisError
 from isograph.enhanced import AdmissibilityError, EnhancedGraph, GraphBuilder
 from isograph.zeta import edge_matrix_zeta
@@ -325,6 +326,21 @@ def test_disconnected_graph_fails_checks(tmp_path, capsys):
 def test_reciprocity_command_rejects_equal_primes(capsys):
     code, out = run(capsys, "reciprocity", 13, 13, 5)
     assert code == EXIT_PARAMS and out is None
+
+
+def test_reciprocity_refuses_a_perturbed_euler_characteristic(capsys, monkeypatch):
+    # mutation: the level-37 graph over 13 reports chi + 1, so chi_left
+    # leaves the expected value; the D comparison alone would still agree
+    honest = zeta_mod.euler_characteristic
+
+    def shifted(eg):
+        return honest(eg) + (eg.p == 13 and eg.level == 37)
+
+    monkeypatch.setattr(zeta_mod, "euler_characteristic", shifted)
+    code, cert = run(capsys, "reciprocity", 13, 37, 5)
+    assert code == EXIT_VERIFY
+    assert cert["chi"] == {"left": -71, "right": -72, "expected": -72}
+    assert not cert["chi_ok"] and not cert["equal"]
 
 
 def _truncate(path, data):
@@ -731,8 +747,10 @@ def test_parse_grid_filters_inadmissible():
 def test_parse_grid_rejects_garbage():
     with pytest.raises(AdmissibilityError):
         parse_grid("p in {13}, l in {5}")
-    with pytest.raises(AdmissibilityError):
-        parse_grid("p in {13}, l in {5}, N in {}")
+    # an empty clause is not read as an empty entry
+    for empty in ("{}", "{ }"):
+        with pytest.raises(AdmissibilityError, match="grid clause for N is empty"):
+            parse_grid(f"p in {{13}}, l in {{5}}, N in {empty}")
     with pytest.raises(AdmissibilityError):
         parse_grid("p in {13} nonsense, l in {5}, N in {1}")
     with pytest.raises(AdmissibilityError):

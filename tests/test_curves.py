@@ -97,7 +97,7 @@ def random_points(E, rng, n):
 
 def basis_points(E, r, seed):
     """torsion_basis's x(P), x(Q), lifted to oracle points."""
-    return [lift_x(E, x) for x in torsion_basis(E, r, random.Random(seed))]
+    return [lift_x(E, x) for x in torsion_basis(E, r, random.Random(seed))[:2]]
 
 
 def test_group_law_axioms():
@@ -298,6 +298,14 @@ def test_torsion_basis_missing_torsion():
         torsion_basis(curve_47(F13_4), 11, random.Random(0))
 
 
+def test_torsion_basis_refuses_an_odd_degree_field():
+    # the cofactor is read off (-p)^k with k half the degree; over F_13 or
+    # F_{13^3} there is no such k
+    for field in (F13, make_extension_field(13, 3)):
+        with pytest.raises(CurveError, match="even-degree extension"):
+            torsion_basis(curve_47(field), 7, random.Random(0))
+
+
 def test_torsion_basis_on_twist_over_half_field():
     # (-13)^2 = -1 mod 5: E[5] has its x-coordinates in F_{13^4}, and its
     # points on the twist by the non-square y of that field; torsion_basis
@@ -306,7 +314,7 @@ def test_torsion_basis_on_twist_over_half_field():
     assert tf.field.deg == 4 and tf.delta is not None
     M = curve_47(F169).change_field(tf.emb)
     twist = quadratic_twist(M, tf.delta)
-    xs = torsion_basis(M, 5, random.Random(21), tf.delta)
+    xs = torsion_basis(M, 5, random.Random(21), tf.delta)[:2]
     P, Q = (lift_x(twist, x * tf.delta) for x in xs)
     assert span_size(P, Q, 5) == 25
     with pytest.raises(CurveError, match="not rational"):
@@ -370,7 +378,7 @@ def test_half_field_velu_matches_full_field_velu():
     full = make_extension_field(13, 8)
     assert tf.field.modulus == full.modulus[0::2]
     E_full = curve_47(F169).change_field(Embedding(F169, full))
-    xP, _ = torsion_basis(E_full, 5, random.Random(24))
+    xP, _, _ = torsion_basis(E_full, 5, random.Random(24))
     xs_full = x_multiples(E_full, xP, 2)
     image, xmap = velu_quotient(E_full, xs_full, 5)
 
@@ -403,7 +411,7 @@ def test_x_multiples_vs_scalar_mul():
 
 def test_x_multiples_rejects_count_at_order():
     E = curve_47(F169)
-    xP, _ = torsion_basis(E, 7, random.Random(4))
+    xP, _, _ = torsion_basis(E, 7, random.Random(4))
     assert len(x_multiples(E, xP, 6)) == 6
     with pytest.raises(CurveError, match="order"):
         x_multiples(E, xP, 7)
@@ -417,7 +425,7 @@ def test_x_chain_vs_scalar_mul():
         for k, XZ in enumerate(chain, start=1):
             assert x_matches(E, XZ, k * P)
     # the first Z = 0 is the first multiple that is the identity
-    xP, _ = torsion_basis(E, 7, random.Random(4))
+    xP, _, _ = torsion_basis(E, 7, random.Random(4))
     zs = [Z for _, Z in x_chain(E, xP, 7)]
     assert all(zs[:6]) and not zs[6]
 
@@ -472,7 +480,7 @@ def test_velu_modular_polynomial_ordinary_curve():
 )
 def test_velu_dual_composition_recovers_j(field, r):
     E = curve_47(field)
-    xP, xQ = torsion_basis(E, r, random.Random(8))
+    xP, xQ, _ = torsion_basis(E, r, random.Random(8))
     image, xmap = velu_quotient(E, velu_xs(E, xP, r), r)
     assert len(xmap.num) == r + 1 and len(xmap.den) == r
     assert xmap.den[-1] == 1  # monic denominator
@@ -488,7 +496,7 @@ def test_velu_dual_composition_recovers_j(field, r):
 
 def test_velu_image_points_land_on_image():
     E = curve_47(F169)
-    xP, _ = torsion_basis(E, 7, random.Random(10))
+    xP, _, _ = torsion_basis(E, 7, random.Random(10))
     image, xmap = velu_quotient(E, x_multiples(E, xP, 3), 7)
     f = F169
     kernel_xs = {x.coeffs for x in x_multiples(E, xP, 3)}
@@ -505,7 +513,7 @@ def test_velu_image_points_land_on_image():
 
 def test_velu_eval_many_matches_single():
     E = curve_47(F169)
-    xP, xQ = torsion_basis(E, 7, random.Random(12))
+    xP, xQ, _ = torsion_basis(E, 7, random.Random(12))
     _, xmap = velu_quotient(E, x_multiples(E, xP, 3), 7)
     xs = x_multiples(E, xQ, 5)
 
@@ -520,7 +528,7 @@ def test_velu_eval_many_matches_single():
 
 def test_velu_rejects_bad_kernels():
     E = curve_47(F169)
-    xP, _ = torsion_basis(E, 7, random.Random(13))
+    xP, _, _ = torsion_basis(E, 7, random.Random(13))
     with pytest.raises(CurveError, match="prime"):
         velu_quotient(E, x_multiples(E, xP, 3), 4)
     with pytest.raises(CurveError, match="odd prime"):
@@ -533,7 +541,7 @@ def test_velu_kernel_guard():
     # every corruption of a kernel's x-list is refused; the valid lists,
     # in either order, are not
     E = curve_47(F169)
-    xP, xQ = torsion_basis(E, 7, random.Random(14))
+    xP, xQ, _ = torsion_basis(E, 7, random.Random(14))
     xs, other = x_multiples(E, xP, 3), x_multiples(E, xQ, 3)
     velu_quotient(E, xs, 7)
     velu_quotient(E, xs[::-1], 7)
@@ -548,7 +556,7 @@ def test_velu_kernel_guard():
             velu_quotient(E, ys, 7)
     # r = 3: the one x must be fixed by doubling
     E4 = curve_47(F13_4)
-    x3, _ = torsion_basis(E4, 3, random.Random(15))
+    x3, _, _ = torsion_basis(E4, 3, random.Random(15))
     velu_quotient(E4, [x3], 3)
     with pytest.raises(CurveError, match="order-3 kernel"):
         velu_quotient(E4, [x3 + 1], 3)
@@ -564,7 +572,7 @@ def test_velu_kernel_guard_refuses_doubling_closed_impostors():
     # that are not x(<P> - O) for an order-r point P
     # two order-3 x values from different subgroups, as an "order-5 kernel"
     E4 = curve_47(F13_4)
-    xs = list(torsion_basis(E4, 3, random.Random(15)))
+    xs = list(torsion_basis(E4, 3, random.Random(15))[:2])
     assert doubling_closed(E4, xs)
     with pytest.raises(CurveError, match="order-5 kernel"):
         velu_quotient(E4, xs, 5)
@@ -585,7 +593,7 @@ def test_velu_kernel_guard_refuses_doubling_closed_impostors():
     # orbits {x([2^i]P)} of two different order-17 subgroups make a
     # closed set of 8 = (17 - 1)/2, and xs[0] has order 17
     E8 = curve_47(make_extension_field(13, 8))
-    xP, xQ = torsion_basis(E8, 17, random.Random(18))
+    xP, xQ, _ = torsion_basis(E8, 17, random.Random(18))
     orbit = [x_multiples(E8, xP, 8)[k - 1] for k in (1, 2, 4, 8)]
     orbit += [x_multiples(E8, xQ, 8)[k - 1] for k in (1, 2, 4, 8)]
     assert len({x.raw for x in orbit}) == 8 and doubling_closed(E8, orbit)

@@ -52,7 +52,7 @@ from isograph.supersingular import SupersingularClassTable, build_class_table
 def basis_generators(E, r, rng):
     """P and Q + kP, k < r, by the affine law from torsion_basis's x lifted
     to points: one generator of each order-r subgroup."""
-    P, Q = (lift_x(E, x) for x in torsion_basis(E, r, rng))
+    P, Q = (lift_x(E, x) for x in torsion_basis(E, r, rng)[:2])
     gens, R = [P], identity(E)
     for _ in range(r):
         gens.append(Q + R)
@@ -386,9 +386,9 @@ def test_torsion_x_live_on_the_lifted_model(p, r):
     # order r under M's x-only law, the p^2-power Frobenius is [-p] on it
     # with no correction, and with delta set its cubic on M is a non-zero
     # non-square (the point lies on M over the quadratic extension only)
-    tf, M, xs = _lifted_basis(p, r)
+    tf, M, (xP, xQ, _) = _lifted_basis(p, r)
     F, h = tf.field, (r - 1) // 2
-    for x in xs:
+    for x in (xP, xQ):
         chain = x_chain(M, x, h + 1)
         (Xh, Zh), (Xh1, Zh1) = chain[-2:]
         assert all(Z for _, Z in chain) and F.mul_t(Xh, Zh1) == F.mul_t(Xh1, Zh)
@@ -401,11 +401,17 @@ def test_torsion_x_live_on_the_lifted_model(p, r):
 @pytest.mark.parametrize("p,r", sorted(ORBIT_TABLE))
 def test_basis_independence_set_is_the_subgroup(p, r):
     # torsion_basis tests Q against the x of <P> that subgroup_xs walks from
-    # P's Frobenius orbits on M: the same set as x_multiples' (r - 1)/2
-    # multiples, each x once
-    tf, M, (xP, _) = _lifted_basis(p, r)
-    orbits = subgroup_xs(M, xP, tf.reps, tf.orbit)
-    assert sorted(orbits) == sorted(x.raw for x in x_multiples(M, xP, (r - 1) // 2))
+    # P's Frobenius orbits on M, and returns that walk: the same set as
+    # x_multiples' (r - 1)/2 multiples, each x once, with x([m]P) for
+    # m = reps[i] at index i o, and Q's x not among them
+    tf, M, (xP, xQ, p_xs) = _lifted_basis(p, r)
+    assert p_xs == subgroup_xs(M, xP, tf.reps, tf.orbit)
+    multiples = x_multiples(M, xP, (r - 1) // 2)
+    assert sorted(p_xs) == sorted(x.raw for x in multiples)
+    assert [p_xs[i * tf.orbit] for i in range(len(tf.reps))] == [
+        multiples[m - 1].raw for m in tf.reps
+    ]
+    assert xQ.raw not in p_xs
 
 
 def test_frobenius_orbits_of_two_and_three():
@@ -494,6 +500,38 @@ def test_repeated_subgroup_guard_fires_on_one_slot_for_every_generator(monkeypat
         GraphBuilder(13, 5).level_subgroups(7)
 
 
+def test_slot_guard_reads_the_basis_walk_of_p(monkeypatch):
+    # mutation: torsion_basis's walk of <P> lists x(P) twice and drops
+    # x(2P); the columns only read x(P) from it, so the oo slot is the
+    # one that must refuse it
+    honest = enhanced_mod.torsion_basis
+
+    def repeated(*args, **kwargs):
+        xP, xQ, p_xs = honest(*args, **kwargs)
+        return xP, xQ, [p_xs[0]] * len(p_xs)
+
+    monkeypatch.setattr(enhanced_mod, "torsion_basis", repeated)
+    with pytest.raises(GraphBuildError, match="order-5 slot at class 0 has 1 distinct x of 2"):
+        GraphBuilder(13, 7).level_subgroups(5)
+
+
+@pytest.mark.parametrize("p,r", [(13, 2), (13, 3), (13, 37), (13, 61), (61, 13)])
+def test_level_tables_walk_r_slots_per_class(monkeypatch, p, r):
+    # the oo slot is torsion_basis's walk of <P>, so the builder walks the
+    # orbits of the r other slots only
+    calls = []
+    honest = enhanced_mod.walk_orbits
+
+    def counting(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(enhanced_mod, "walk_orbits", counting)
+    b = GraphBuilder(p, 5)
+    b.level_subgroups(r)
+    assert len(calls) == r * b.table.class_count
+
+
 @pytest.mark.parametrize("p,r", [(13, 61), (61, 13), (13, 37), (61, 5)])
 def test_column_table_matches_per_generator_walk(p, r):
     # ten, two, one and two orbit representatives: the builder's column
@@ -506,7 +544,7 @@ def test_column_table_matches_per_generator_walk(p, r):
     tf = tables.tf
     for ci, M in enumerate(tables.models):
         rng = random.Random(_derive_seed("subgroups", p, r, ci, b.seed))
-        xP, xQ = torsion_basis(M, r, rng, tf.delta)
+        xP, xQ, _ = torsion_basis(M, r, rng, tf.delta)
         gens = x_multiples(M, xP, r, start=(xQ, x_add(M, xP, xQ))) + [xP]
         assert sorted(tables.labels[ci]) == list(range(r + 1))
         for k, g in enumerate(gens):
