@@ -19,8 +19,12 @@ A point is its x-coordinate, a FieldElement: P and -P are one point of
 the x-line, and no y is ever computed.  The inner loops (x_ladder's
 scalar multiples, x_chain's multiple chains, x-map evaluation) run on the
 field's raw packed ints as (X : Z) pairs, with Z = 0 the identity, and
-wrap the results at the edges; x_add gives x(Q + P) from x(P) and x(Q)
-as a root of a quadratic.
+wrap the results at the edges.  Each x-only formula is written once:
+_x_dbl_t, Brier and Joye's doubling, and _x_dadd_t, their differential
+addition, both on (X : Z) and skipping the products by an affine Z; the
+ladder and the chains are built from those two, and x_affine is the one
+normaliser, any number of pairs for one batched inversion.  x_add gives
+x(Q + P) from x(P) and x(Q) as a root of a quadratic.
 """
 
 from __future__ import annotations
@@ -106,50 +110,61 @@ def x_ladder(curve: EllipticCurve, x: FieldElement, n: int) -> tuple[int, int]:
     """x([n]P) for n >= 0 as a raw projective pair (X, Z), x = X/Z, from
     x = x(P) alone; Z = 0 is the identity.  The Montgomery ladder keeps
     ([k]P, [k+1]P), whose difference is P, and per bit of n doubles one
-    and adds the two, with the short-Weierstrass x-only formulas (Brier
-    and Joye, PKC 2002)
-      x(2A) = ((x_A^2 - a)^2 - 8b x_A) / 4(x_A^3 + a x_A + b),
-      x(A + B) + x(A - B) = 2((x_A + x_B)(x_A x_B + a) + 2b) / (x_A - x_B)^2,
-    which on a nonsingular curve have no exceptional case: a doubling
-    costs 3 squarings and 6 products, an addition 10 of either.  The first
-    doubling is affine, and the last step computes only [n]P."""
+    (_x_dbl_t) and adds the two (_x_dadd_t, with P affine); the last step
+    computes only [n]P."""
+    P = (x.raw, 1)
     if n < 2:
-        return (x.raw, 1) if n else (1, 0)
-    f = curve.field
-    at, bt, xt = curve.a.raw, curve.b.raw, x.raw
-    two_b = f.smul_t(2, bt)
-
-    def dbl(X, Z):
-        XX, ZZ, XZ = f.sq_t(X), f.sq_t(Z), f.mul_t(X, Z)
-        aZZ, bZZ = f.mul_t(at, ZZ), f.mul_t(bt, ZZ)
-        X2 = f.sub_t(f.sq_t(f.sub_t(XX, aZZ)), f.smul_t(8, f.mul_t(XZ, bZZ)))
-        Z2 = f.smul_t(4, f.add_t(f.mul_t(XZ, f.add_t(XX, aZZ)), f.mul_t(bZZ, ZZ)))
-        return X2, Z2
-
-    def add(X1, Z1, X2, Z2):  # difference x(P) = xt
-        XZ, ZX, ZZ = f.mul_t(X1, Z2), f.mul_t(Z1, X2), f.mul_t(Z1, Z2)
-        T = f.add_t(f.mul_t(X1, X2), f.mul_t(at, ZZ))
-        U = f.smul_t(2, f.add_t(f.mul_t(f.add_t(XZ, ZX), T), f.mul_t(two_b, f.sq_t(ZZ))))
-        D2 = f.sq_t(f.sub_t(XZ, ZX))
-        return f.sub_t(U, f.mul_t(xt, D2)), D2
-
+        return P if n else (1, 0)
     bits = bin(n)[3:]
-    R0, R1 = (xt, 1), _x_double_t(curve, xt)
+    R0, R1 = P, _x_dbl_t(curve, P)
     for bit in bits[:-1]:
         if bit == "1":
-            R0, R1 = add(*R0, *R1), dbl(*R1)
+            R0, R1 = _x_dadd_t(curve, R0, R1, P), _x_dbl_t(curve, R1)
         else:
-            R0, R1 = dbl(*R0), add(*R0, *R1)
-    return add(*R0, *R1) if bits[-1] == "1" else dbl(*R0)
+            R0, R1 = _x_dbl_t(curve, R0), _x_dadd_t(curve, R0, R1, P)
+    return _x_dadd_t(curve, R0, R1, P) if bits[-1] == "1" else _x_dbl_t(curve, R0)
 
 
-def _x_double_t(curve: EllipticCurve, xt) -> tuple[int, int]:
-    """x(2P) as (X, Z) from a raw x = x(P): ((x^2 - a)^2 - 8bx : 4(x^3 + ax + b))."""
+def _x_dbl_t(curve: EllipticCurve, A: tuple[int, int]) -> tuple[int, int]:
+    """x(2A) as a raw (X : Z) from A = (X : Z), by Brier and Joye's x-only
+    doubling (PKC 2002), which on a nonsingular curve has no exceptional
+    case (2A = O gives Z = 0):
+      x(2A) = ((x^2 - a)^2 - 8b x) / 4(x^3 + a x + b),  x = x_A.
+    3 squarings and 6 products; 2 and 2 when A is affine (Z a raw 1)."""
     f = curve.field
-    at, bt = curve.a.raw, curve.b.raw
-    x2 = f.sq_t(xt)
-    X2 = f.sub_t(f.sq_t(f.sub_t(x2, at)), f.smul_t(8, f.mul_t(bt, xt)))
-    return X2, f.smul_t(4, f.add_t(f.mul_t(f.add_t(x2, at), xt), bt))
+    X, Z = A
+    XX, XZ, aZZ, bZZ, bZ4 = f.sq_t(X), X, curve.a.raw, curve.b.raw, curve.b.raw
+    if Z != 1:
+        ZZ, XZ = f.sq_t(Z), f.mul_t(X, Z)
+        aZZ, bZZ = f.mul_t(aZZ, ZZ), f.mul_t(bZZ, ZZ)
+        bZ4 = f.mul_t(bZZ, ZZ)
+    X2 = f.sub_t(f.sq_t(f.sub_t(XX, aZZ)), f.smul_t(8, f.mul_t(XZ, bZZ)))
+    return X2, f.smul_t(4, f.add_t(f.mul_t(XZ, f.add_t(XX, aZZ)), bZ4))
+
+
+def _x_dadd_t(
+    curve: EllipticCurve, A: tuple[int, int], B: tuple[int, int], D: tuple[int, int]
+) -> tuple[int, int]:
+    """x(A + B) as a raw (X : Z) from A, B and their difference D = A - B,
+    each a raw (X : Z), by Brier and Joye's differential addition
+      x(A + B) + x(A - B) = 2((x_A + x_B)(x_A x_B + a) + 2b) / (x_A - x_B)^2,
+    exceptional only at A = B, where D is the identity.  12 products and
+    squarings; the products by a raw 1 are skipped, 2 when B is affine and
+    2 when D is."""
+    f = curve.field
+    (X1, Z1), (X2, Z2), (XD, ZD) = A, B, D
+    if Z2 == 1:
+        XZ, ZZ = X1, Z1
+    else:
+        XZ, ZZ = f.mul_t(X1, Z2), f.mul_t(Z1, Z2)
+    ZX = f.mul_t(Z1, X2)
+    T = f.add_t(f.mul_t(X1, X2), f.mul_t(curve.a.raw, ZZ))
+    bZ4 = f.mul_t(curve.b.raw, f.sq_t(ZZ))
+    U = f.smul_t(2, f.add_t(f.mul_t(f.add_t(XZ, ZX), T), f.smul_t(2, bZ4)))
+    DD = f.sq_t(f.sub_t(XZ, ZX))
+    if ZD == 1:
+        return f.sub_t(U, f.mul_t(XD, DD)), DD
+    return f.sub_t(f.mul_t(ZD, U), f.mul_t(XD, DD)), f.mul_t(ZD, DD)
 
 
 def x_add(curve: EllipticCurve, xp: FieldElement, xq: FieldElement) -> FieldElement:
@@ -171,18 +186,11 @@ def x_add(curve: EllipticCurve, xp: FieldElement, xq: FieldElement) -> FieldElem
     return FieldElement(f, f.mul_t(f.add_t(S, root), f.inv_t(D)))
 
 
-def x_multiples(
-    curve: EllipticCurve, x: FieldElement, count: int, start=None
-) -> list[FieldElement]:
+def x_multiples(curve: EllipticCurve, x: FieldElement, count: int) -> list[FieldElement]:
     """[x(P), x(2P), ..., x(count*P)] from x = x(P); requires count < ord(P).
-    With start = (x(Q), x(Q + P)), [x(Q), x(Q + P), ..., x(Q + (count-1)P)]
-    instead; none of them may be the identity.
-
     One x_chain, normalized with one batched inversion."""
-    if count < 1:
-        return []
     f = curve.field
-    return [FieldElement(f, t) for t in x_affine(f, x_chain(curve, x, count, start))]
+    return [FieldElement(f, t) for t in x_affine(f, x_chain(curve, x, count))]
 
 
 def x_affine(f: Field, chain: Sequence[tuple[int, int]]) -> list[int]:
@@ -197,30 +205,21 @@ def x_chain(
     curve: EllipticCurve, x: FieldElement, count: int, start=None
 ) -> list[tuple[int, int]]:
     """x([k]P) for k = 1..count as raw projective pairs (X, Z), x = X/Z,
-    from x = x(P) alone and without an inversion: one doubling, then
-    differential additions [k+1]P = [k]P + P with difference [k-1]P,
-    x(A + P) + x(A - P) = 2((x_A + x)(x_A x + a) + 2b) / (x_A - x)^2.
-    The first Z = 0 is the first multiple that is the identity; the pairs
-    after it need not be meaningful.  With start = (x(Q), x(Q + P)) in
-    place of the doubling, the same additions give x(Q + kP) for
-    k = 0..count-1."""
-    f = curve.field
-    at, bt, xt = curve.a.raw, curve.b.raw, x.raw
+    from x = x(P) alone and without an inversion: one doubling (_x_dbl_t),
+    then differential additions [k+1]P = [k]P + P with difference [k-1]P
+    (_x_dadd_t, with P affine).  The first Z = 0 is the first multiple that
+    is the identity; the pairs after it need not be meaningful.  With
+    start = (x(Q), x(Q + P)) in place of the doubling, the same additions
+    give x(Q + kP) for k = 0..count-1."""
+    P = (x.raw, 1)
     if start is not None:
         chain = [(start[0].raw, 1), (start[1].raw, 1)]
     else:
-        chain = [(xt, 1)]
+        chain = [P]
         if count >= 2:
-            chain.append(_x_double_t(curve, xt))
-    two_b = f.smul_t(2, bt)
+            chain.append(_x_dbl_t(curve, P))
     while len(chain) < count:
-        (XD, ZD), (X1, Z1) = chain[-2], chain[-1]
-        xZ1 = f.mul_t(xt, Z1)
-        S = f.add_t(X1, xZ1)
-        T = f.add_t(f.mul_t(xt, X1), f.mul_t(at, Z1))
-        U = f.smul_t(2, f.add_t(f.mul_t(S, T), f.mul_t(two_b, f.sq_t(Z1))))
-        D2 = f.sq_t(f.sub_t(X1, xZ1))
-        chain.append((f.sub_t(f.mul_t(ZD, U), f.mul_t(XD, D2)), f.mul_t(ZD, D2)))
+        chain.append(_x_dadd_t(curve, chain[-1], P, chain[-2]))
     return chain[:count]
 
 
@@ -476,8 +475,8 @@ def subgroup_xs(
     curve: EllipticCurve, x: FieldElement, reps: Sequence[int], o: int
 ) -> list[int]:
     """The raw x of <P>, one per +-pair, from x = x(P) of order r: walk_orbits
-    of x([m]P), m in reps, from one chain when the largest m is past 1."""
-    multiples = x_multiples(curve, x, reps[-1]) if reps[-1] > 1 else [x]
+    of x([m]P), m in reps, from one chain up to the largest m."""
+    multiples = x_multiples(curve, x, reps[-1])
     return walk_orbits(curve.field, [multiples[m - 1].raw for m in reps], reps, o)
 
 
@@ -555,9 +554,7 @@ def velu_quotient(
         (Xh, Zh), (Xh1, Zh1) = chain[-2], chain[-1]
         ok = all(Z for _, Z in chain) and f.mul_t(Xh, Zh1) == f.mul_t(Xh1, Zh)
     if ok:
-        invs = f.batch_inv_t([Z for _, Z in chain[:h]])
-        multiples = {f.mul_t(X, iz) for (X, _), iz in zip(chain, invs)}
-        ok = multiples == {x.raw for x in xs}
+        ok = set(x_affine(f, chain[:h])) == {x.raw for x in xs}
     if not ok:
         raise CurveError(f"x-coordinates do not form an order-{r} kernel")
     # k = prod (x - x_i), g = 4(x^3 + a x + b), s_j = sum x_i^j read from

@@ -326,8 +326,8 @@ class GraphBuilder:
         chain from x([m]Q), x([m](Q + P)) with difference x([m]P), read off
         <P>'s walk, gives x([m](Q + kP)) for all k < r; such a slot is
         walk_orbits of its generator's multiples.  Per class, one batched
-        inversion for the columns and the doubling probe x(2P), and one for
-        the heads x([m]Q), x([m](Q + P)) when some m > 1.  Guards: no chain
+        inversion for the heads x([m]Q), x([m](Q + P)), and one for the
+        columns and the doubling probe x(2P).  Guards: no chain
         hits the identity, each orbit closes after o steps, each slot holds
         (r - 1)/2 distinct x, and no subgroup repeats."""
         if r in self._tables:
@@ -340,10 +340,9 @@ class GraphBuilder:
             rng = random.Random(_derive_seed("subgroups", self.p, r, ci, self.seed))
             M = model.change_field(tf.emb)
             xP, xQ, p_xs = torsion_basis(M, r, rng, tf.delta)
-            heads = [xQ, x_add(M, xP, xQ)]  # x([m]Q) at m - 1, x([m](Q + P)) at c + m - 1
-            if c > 1:
-                chain = x_chain(M, xQ, c) + x_chain(M, heads[1], c)
-                heads = [FieldElement(F, x) for x in x_affine(F, chain)]
+            # x([m]Q) at m - 1, x([m](Q + P)) at c + m - 1
+            chain = x_chain(M, xQ, c) + x_chain(M, x_add(M, xP, xQ), c)
+            heads = [FieldElement(F, x) for x in x_affine(F, chain)]
             columns = []  # x([m](Q + kP)) at i r + k for m = reps[i], then x(2P) if r >= 5
             for i, m in enumerate(reps):
                 start = (heads[m - 1], heads[c + m - 1])

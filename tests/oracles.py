@@ -14,8 +14,9 @@ compare the counts with exact power series of Z, so a census never
 shares code with either route.
 
 Point is the affine group law, the chord and tangent in (x, y) with its
-own double-and-add n*P: the package works on the x-line only (x_ladder,
-x_chain, x_add), and the tests check those against this oracle.
+own double-and-add n*P: the package works on the x-line only (x_ladder
+and x_chain, both built on _x_dbl_t and _x_dadd_t, and x_add), and the
+tests check those against this oracle.
 on_curve_point builds a point from its coordinates and checks the curve
 equation (rhs, the cubic's value); lift_x takes the point with a given x
 and the canonical square root (sqrt) of the cubic as its y.  sqrt is

@@ -434,6 +434,26 @@ def test_unknown_format_marker_is_refused(tmp_path, capsys):
     assert f"{path}: unknown format marker" in captured.err
 
 
+def test_cache_file_with_an_extra_class_is_refused(tmp_path, capsys, monkeypatch):
+    # a (13, 5, 1) file for two classes where p = 13 has one: each vertex's
+    # six loops paired two by two, and every derived entry as graph_to_dict
+    # writes it for two vertices, so only the vertex census tells it apart
+    cfg = JobConfig(13, 5, 1, cache_dir=str(tmp_path))
+    real = build_or_load(cfg, force=True)
+    k = real.degree
+    target, dual = (0,) * k + (1,) * k, tuple(e ^ 1 for e in range(2 * k))
+    with monkeypatch.context() as m:
+        m.setattr(enhanced_mod, "vertex_count", lambda p, N: 2)
+        crafted = EnhancedGraph(13, 5, 1, 0, real.class_labels + ("0",), target, dual)
+    path = graph_file_path(cfg)
+    write_graph_file(path, crafted)
+    assert json.load(open(path))["vertices"] == [[0, []], [1, []]]
+    code = main(["verify", "13", "5", "1", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL and captured.out == ""
+    assert f"{path}: vertex census does not match the mass count" in captured.err
+
+
 def test_stale_parity_record_is_refused(tmp_path):
     cfg = JobConfig(13, 5, 2, cache_dir=str(tmp_path))
     build_or_load(cfg, force=True)

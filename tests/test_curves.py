@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from isograph.curves import (
     EllipticCurve,
     ExcludedJInvariant,
     XMapPole,
+    _x_dadd_t,
+    _x_dbl_t,
     curve_from_j,
     frobenius_orbits,
     isomorphism_scale,
@@ -18,6 +21,7 @@ from isograph.curves import (
     twist_to_scalar_frobenius,
     velu_quotient,
     x_add,
+    x_affine,
     x_chain,
     x_ladder,
     x_multiples,
@@ -82,6 +86,20 @@ def test_curve_from_j_excluded():
         curve_from_j(F13.element(1728 % 13))
 
 
+def test_curve_refuses_mixed_fields():
+    # without the guard the discriminant's sum raises FieldMismatch instead
+    for a, b in ((F13.element(4), F169.element(7)), (F169.element(4), F13_4.element(7))):
+        with pytest.raises(CurveError, match="coefficients from different fields"):
+            EllipticCurve(a, b)
+
+
+def test_curve_refuses_a_singular_cubic():
+    # x^3 - 3x + 2 = (x - 1)^2 (x + 2): 4(-3)^3 + 27 * 2^2 = 0
+    for f in (F13, F169):
+        with pytest.raises(CurveError, match="singular curve"):
+            EllipticCurve(f.element(-3 % 13), f.element(2))
+
+
 def test_point_validation():
     E = curve_47(F13)
     with pytest.raises(CurveError):
@@ -135,22 +153,57 @@ def test_addition_matches_affine_oracle():
     assert x_add(E, T.x, U.x) == V.x
 
 
+def test_x_formulas_match_affine_oracle_on_rescaled_pairs():
+    # _x_dbl_t(A) and _x_dadd_t(A, B, D = A - B) against the affine law,
+    # each input (X : Z) = (lambda x : lambda) for a random lambda != 0, 1,
+    # or affine; every pattern of affine and projective A, B and D, the
+    # all-projective B and D that neither the ladder nor the chain passes
+    # included, and A = -B, whose sum is the identity
+    rng = random.Random(29)
+    for field in (F169, F13_4):
+        E = curve_47(field)
+
+        def pair(P, scaled):
+            if not scaled:
+                return (P.x.raw, 1)
+            lam = 0
+            while lam in (0, 1):
+                lam = field.random_t(rng)
+            return (field.mul_t(P.x.raw, lam), lam)
+
+        for _ in range(8):
+            A, B = random_points(E, rng, 2)
+            if A.x == B.x:
+                continue
+            for sa, sb, sd in itertools.product((False, True), repeat=3):
+                assert x_matches(E, _x_dbl_t(E, pair(A, sa)), A + A)
+                out = _x_dadd_t(E, pair(A, sa), pair(B, sb), pair(A - B, sd))
+                assert x_matches(E, out, A + B), (sa, sb, sd)
+                out = _x_dadd_t(E, pair(-B, sa), pair(B, sb), pair(-B - B, sd))
+                assert x_matches(E, out, identity(E)), (sa, sb, sd)
+    # 2A = O at a point of order 2, from either representation
+    E = curve_47(F169)
+    T = next(x for x in map(F169.element, F169.iter_tuples()) if not rhs(E, x))
+    assert not _x_dbl_t(E, (T.raw, 1))[1]
+    assert not _x_dbl_t(E, (F169.mul_t(T.raw, 5), 5))[1]
+
+
 def test_x_chain_start_pair_matches_affine_translates():
     # from (x(Q), x(Q + P)) the chain gives x(Q + kP), k < r: every
     # generator of an order-r subgroup other than <P>
     for field, r in ((F169, 2), (F13_4, 3), (F169, 7)):
         E = curve_47(field)
         P, Q = basis_points(E, r, 4)
-        xs = x_multiples(E, P.x, r, start=(Q.x, (Q + P).x))
+        xs = x_affine(field, x_chain(E, P.x, r, (Q.x, (Q + P).x)))
         R = Q
         for x in xs:
-            assert x == R.x
+            assert x == R.x.raw
             R = R + P
-        assert len({x.raw for x in xs} | {P.x.raw}) == r + 1
+        assert len(set(xs) | {P.x.raw}) == r + 1
     E = curve_47(F169)
     P, _ = basis_points(E, 7, 4)
     with pytest.raises(CurveError, match="identity"):
-        x_multiples(E, P.x, 7, start=(P.x, (P + P).x))  # P + 6P = 7P = O
+        x_affine(F169, x_chain(E, P.x, 7, (P.x, (P + P).x)))  # P + 6P = 7P = O
 
 
 def test_scalar_mul_matches_repeated_addition():
@@ -195,6 +248,15 @@ def test_twist_to_scalar_frobenius():
     assert brute_order(fixed) == 196
     with pytest.raises(CurveError, match="not supersingular"):
         twist_to_scalar_frobenius(curve_from_j(F169.element(3)))  # ordinary j
+
+
+def test_twist_choice_refuses_a_curve_off_f_p2():
+    # over F_13 p + 1 kills the drawn point on both twists, and over
+    # F_{13^4} neither twist has group (Z/(p+1))^2: each would be refused
+    # as not supersingular, under another name, without the guard
+    for f in (F13, F13_4):
+        with pytest.raises(CurveError, match=r"normalization works over F_\{p\^2\}"):
+            twist_to_scalar_frobenius(curve_47(f))
 
 
 def test_twist_choice_refuses_two_passing_candidates(monkeypatch):
@@ -623,6 +685,14 @@ def test_isomorphism_scale_twist_is_not_isomorphic():
     E1x = curve_47(F169)
     T1x = EllipticCurve(F169.element(3), F169.element(4))
     assert isomorphism_scale(E1x, T1x) == 2
+
+
+def test_isomorphism_scale_refuses_two_fields():
+    # without the guard the first product across the fields raises FieldMismatch
+    with pytest.raises(CurveError, match="requires one ground field"):
+        isomorphism_scale(curve_47(F169), curve_47(F13_4))
+    with pytest.raises(CurveError, match="requires one ground field"):
+        isomorphism_scale(curve_47(F13), curve_47(F169))
 
 
 def test_isomorphism_scale_mismatched_j():

@@ -27,6 +27,7 @@ from isograph.curves import (
     torsion_field,
     velu_quotient,
     x_add,
+    x_affine,
     x_chain,
     x_ladder,
     x_multiples,
@@ -41,7 +42,7 @@ from isograph.enhanced import (
     vertex_count,
 )
 import isograph.enhanced as enhanced_mod
-from isograph.fields import Embedding, make_extension_field
+from isograph.fields import Embedding, FieldElement, make_extension_field
 from oracles import identity, lift_x, rhs, spread_t, torsion_order_extension
 from isograph.supersingular import SupersingularClassTable, build_class_table
 
@@ -536,8 +537,9 @@ def test_level_tables_walk_r_slots_per_class(monkeypatch, p, r):
 def test_column_table_matches_per_generator_walk(p, r):
     # ten, two, one and two orbit representatives: the builder's column
     # chains against the per-generator walk, the generators Q + kP from one
-    # x_multiples chain and each slot subgroup_xs of its own generator, on
-    # the same basis; every slot carries the label of the generator it holds
+    # x_chain started at (x(Q), x(Q + P)) and each slot subgroup_xs of its
+    # own generator, on the same basis; every slot carries the label of the
+    # generator it holds
     b = GraphBuilder(p, 7 if r == 5 else 5)
     slots = b.level_subgroups(r)
     tables = b._tables[r]
@@ -545,7 +547,8 @@ def test_column_table_matches_per_generator_walk(p, r):
     for ci, M in enumerate(tables.models):
         rng = random.Random(_derive_seed("subgroups", p, r, ci, b.seed))
         xP, xQ, _ = torsion_basis(M, r, rng, tf.delta)
-        gens = x_multiples(M, xP, r, start=(xQ, x_add(M, xP, xQ))) + [xP]
+        chain = x_chain(M, xP, r, (xQ, x_add(M, xP, xQ)))
+        gens = [FieldElement(tf.field, x) for x in x_affine(tf.field, chain)] + [xP]
         assert sorted(tables.labels[ci]) == list(range(r + 1))
         for k, g in enumerate(gens):
             si = tables.slot_at[ci][k]

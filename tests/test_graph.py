@@ -1,6 +1,7 @@
 """Edge reversal, Euler characteristic, connectivity, coverings, exports."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -84,6 +85,10 @@ def test_edge_reverse_over_acceptance_grid():
             assert rev[r] == e and target[r] == e // k, (p, l, N, e)
         loops_fixed = fixed(rev)
         assert [e // k for e in loops_fixed] == list(eg.parity_violations)
+        # the odd diagonal entries are the vertices with an odd number of
+        # self-dual loops, the fixed points of edge_dual
+        dual_fixed = Counter(e // k for e in fixed(eg.edge_dual))
+        assert set(eg.parity_violations) == {v for v, c in dual_fixed.items() if c % 2}
         assert all(target[e] == e // k for e in loops_fixed)
         # non-loop edges keep the dual-isogeny pairing
         assert all(

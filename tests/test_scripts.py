@@ -27,11 +27,6 @@ def run_script(name, *args):
     "name,args,header",
     [
         ("gap_tower.py", ["13", "5", "--chain", "1|2|6"], "p = 13, l = 5, bound 2 sqrt(l) = "),
-        (
-            "parity_survey.py",
-            ["--grid", "p in {13}, l in {5}, N in {1,2}"],
-            "surveyed 2 graphs; 1 with odd diagonal entries",
-        ),
     ],
 )
 def test_script_runs(name, args, header):

@@ -134,6 +134,15 @@ def test_spectrum_of_single_class_graph():
     assert rep.ok and rep.connected and rep.gap_floor
 
 
+def test_ramanujan_report_refuses_a_degree_other_than_l_plus_1():
+    # K5 is 4-regular: a report for l = 3 stands, one for l = 5 is refused
+    K5 = [[int(i != j) for j in range(5)] for i in range(5)]
+    s = spectrum(K5)
+    assert ramanujan_report(s, 3).ok
+    with pytest.raises(SpectralError, match="degree 4 does not match l \\+ 1 = 6"):
+        ramanujan_report(s, 5)
+
+
 def test_nonregular_rejected():
     with pytest.raises(SpectralError, match="not regular"):
         spectrum([[0, 1], [1, 2]])
