@@ -21,9 +21,9 @@ scalar multiples, x_chain's multiple chains, x-map evaluation) run on the
 field's raw packed ints as (X : Z) pairs, with Z = 0 the identity, and
 wrap the results at the edges.  Each x-only formula is written once:
 _x_dbl_t, Brier and Joye's doubling, and _x_dadd_t, their differential
-addition, both on (X : Z) and skipping the products by an affine Z; the
-ladder and the chains are built from those two, and x_affine is the one
-normaliser, any number of pairs for one batched inversion.  x_add gives
+addition, both on (X : Z) and skipping the products by a Z that is a raw
+1; the ladder and the chains are built from those two, and x_affine is
+the one normaliser, any number of pairs for one batched inversion.  x_add gives
 x(Q + P) from x(P) and x(Q) as a root of a quadratic.
 """
 
