@@ -1,7 +1,7 @@
 """Short Weierstrass curves over the field tower, with the machinery the
 graph builder needs: torsion bases, x-coordinate multiple lists, Velu
 quotients from a kernel's x-coordinates (Kohel's form over the kernel
-polynomial, a polys.Polynomial of FieldElements), and quadratic-twist
+polynomial, on raw coefficient lists), and quadratic-twist
 normalization so the p^2-power Frobenius acts as the scalar -p on every
 working model, decided from one point per twist.  Torsion bases check
 that action with Field.frob_t, the one p^2-power map.
@@ -15,21 +15,24 @@ field, where a point of the twist is x / y: torsion_basis moves each
 draw there.  walk_orbits is the one walk of Frobenius orbits, behind
 subgroup_xs's single generator and the builder's column tables.
 
-A point is its x-coordinate, a FieldElement: P and -P are one point of
-the x-line, and no y is ever computed.  The inner loops (x_ladder's
-scalar multiples, x_chain's multiple chains, x-map evaluation) run on the
-field's raw packed ints as (X : Z) pairs, with Z = 0 the identity, and
-wrap the results at the edges.  Each x-only formula is written once:
-_x_dbl_t, Brier and Joye's doubling, and _x_dadd_t, their differential
-addition, both on (X : Z) and skipping the products by a Z that is a raw
-1; the ladder and the chains are built from those two, and x_affine is
-the one normaliser, any number of pairs for one batched inversion.  x_add gives
-x(Q + P) from x(P) and x(Q) as a root of a quadratic.
+A point is its x-coordinate, a raw packed int of the curve's field: P
+and -P are one point of the x-line, and no y is ever computed.  Curve
+coefficients are FieldElements, and so is random_point's draw; every
+torsion x, from torsion_basis through velu_quotient to XMap.eval_many,
+is raw.  x_ladder's scalar multiples and x_chain's multiple chains run
+on (X : Z) pairs, with Z = 0 the identity.  Each x-only formula is
+written once: _x_dbl_t, Brier and Joye's doubling, and _x_dadd_t, their
+differential addition, both on (X : Z) and skipping the products by a Z
+that is a raw 1; the ladder and the chains are built from those two, and
+x_affine is the one normaliser, any number of pairs for one batched
+inversion.  x_add gives x(Q + P) from x(P) and x(Q) as a root of a
+quadratic.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from typing import NamedTuple, Sequence
@@ -41,7 +44,6 @@ from .fields import (
     is_prime,
     make_extension_field,
 )
-from .polys import Polynomial
 
 
 class CurveError(ValueError):
@@ -106,23 +108,24 @@ def _cubic_t(curve: EllipticCurve, xt):
     return f.add_t(f.mul_t(f.add_t(f.sq_t(xt), curve.a.raw), xt), curve.b.raw)
 
 
-def x_ladder(curve: EllipticCurve, x: FieldElement, n: int) -> tuple[int, int]:
+def x_ladder(curve: EllipticCurve, x: int, n: int) -> tuple[int, int]:
     """x([n]P) for n >= 0 as a raw projective pair (X, Z), x = X/Z, from
-    x = x(P) alone; Z = 0 is the identity.  The Montgomery ladder keeps
-    ([k]P, [k+1]P), whose difference is P, and per bit of n doubles one
-    (_x_dbl_t) and adds the two (_x_dadd_t, with P affine); the last step
+    the raw x = x(P) alone; Z = 0 is the identity.  The Montgomery ladder
+    keeps ([k]P, [k+1]P), whose difference is P, and per bit of n doubles
+    one (_x_dbl_t) and adds the two (_x_dadd_t, as [k+1]P + [k]P with P
+    affine, so that the first sum's [1]P is the affine B); the last step
     computes only [n]P."""
-    P = (x.raw, 1)
+    P = (x, 1)
     if n < 2:
         return P if n else (1, 0)
     bits = bin(n)[3:]
     R0, R1 = P, _x_dbl_t(curve, P)
     for bit in bits[:-1]:
         if bit == "1":
-            R0, R1 = _x_dadd_t(curve, R0, R1, P), _x_dbl_t(curve, R1)
+            R0, R1 = _x_dadd_t(curve, R1, R0, P), _x_dbl_t(curve, R1)
         else:
-            R0, R1 = _x_dbl_t(curve, R0), _x_dadd_t(curve, R0, R1, P)
-    return _x_dadd_t(curve, R0, R1, P) if bits[-1] == "1" else _x_dbl_t(curve, R0)
+            R0, R1 = _x_dbl_t(curve, R0), _x_dadd_t(curve, R1, R0, P)
+    return _x_dadd_t(curve, R1, R0, P) if bits[-1] == "1" else _x_dbl_t(curve, R0)
 
 
 def _x_dbl_t(curve: EllipticCurve, A: tuple[int, int]) -> tuple[int, int]:
@@ -167,30 +170,29 @@ def _x_dadd_t(
     return f.sub_t(f.mul_t(ZD, U), f.mul_t(XD, DD)), f.mul_t(ZD, DD)
 
 
-def x_add(curve: EllipticCurve, xp: FieldElement, xq: FieldElement) -> FieldElement:
-    """x(Q + P) from xp = x(P) != xq = x(Q), for one of the two points +-P
-    with this x, the same one for the same inputs: x(Q + P) and x(Q - P)
-    are the roots of
+def x_add(curve: EllipticCurve, xp: int, xq: int) -> int:
+    """x(Q + P) from the raw xp = x(P) != xq = x(Q), for one of the two
+    points +-P with this x, the same one for the same inputs: x(Q + P) and
+    x(Q - P) are the roots of
       (xp - xq)^2 X^2 - 2((xp + xq)(xp xq + a) + 2b) X
         + (xp xq - a)^2 - 4b(xp + xq),
     and this is the root taken with the canonical square root of the
     discriminant.  On the x-line P and -P are one point, so for every use
     of x(Q + kP), k < r, either root gives the same set."""
     f = curve.field
-    at, bt, s1, s2 = curve.a.raw, curve.b.raw, xp.raw, xq.raw
+    at, bt, s1, s2 = curve.a.raw, curve.b.raw, xp, xq
     s, m = f.add_t(s1, s2), f.mul_t(s1, s2)
     D = f.sq_t(f.sub_t(s1, s2))
     S = f.add_t(f.mul_t(s, f.add_t(m, at)), f.smul_t(2, bt))
     C = f.sub_t(f.sq_t(f.sub_t(m, at)), f.smul_t(4, f.mul_t(bt, s)))
     root = f.sqrt_t(f.sub_t(f.sq_t(S), f.mul_t(D, C)))
-    return FieldElement(f, f.mul_t(f.add_t(S, root), f.inv_t(D)))
+    return f.mul_t(f.add_t(S, root), f.inv_t(D))
 
 
-def x_multiples(curve: EllipticCurve, x: FieldElement, count: int) -> list[FieldElement]:
-    """[x(P), x(2P), ..., x(count*P)] from x = x(P); requires count < ord(P).
-    One x_chain, normalized with one batched inversion."""
-    f = curve.field
-    return [FieldElement(f, t) for t in x_affine(f, x_chain(curve, x, count))]
+def x_multiples(curve: EllipticCurve, x: int, count: int) -> list[int]:
+    """Raw [x(P), x(2P), ..., x(count*P)] from the raw x = x(P); requires
+    count < ord(P).  One x_chain, normalized with one batched inversion."""
+    return x_affine(curve.field, x_chain(curve, x, count))
 
 
 def x_affine(f: Field, chain: Sequence[tuple[int, int]]) -> list[int]:
@@ -202,18 +204,18 @@ def x_affine(f: Field, chain: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def x_chain(
-    curve: EllipticCurve, x: FieldElement, count: int, start=None
+    curve: EllipticCurve, x: int, count: int, start: tuple[int, int] | None = None
 ) -> list[tuple[int, int]]:
     """x([k]P) for k = 1..count as raw projective pairs (X, Z), x = X/Z,
-    from x = x(P) alone and without an inversion: one doubling (_x_dbl_t),
-    then differential additions [k+1]P = [k]P + P with difference [k-1]P
-    (_x_dadd_t, with P affine).  The first Z = 0 is the first multiple that
+    from the raw x = x(P) alone and without an inversion: one doubling
+    (_x_dbl_t), then differential additions [k+1]P = [k]P + P with
+    difference [k-1]P (_x_dadd_t, with P affine).  The first Z = 0 is the first multiple that
     is the identity; the pairs after it need not be meaningful.  With
-    start = (x(Q), x(Q + P)) in place of the doubling, the same additions
-    give x(Q + kP) for k = 0..count-1."""
-    P = (x.raw, 1)
+    the raw start = (x(Q), x(Q + P)) in place of the doubling, the same
+    additions give x(Q + kP) for k = 0..count-1."""
+    P = (x, 1)
     if start is not None:
-        chain = [(start[0].raw, 1), (start[1].raw, 1)]
+        chain = [(start[0], 1), (start[1], 1)]
     else:
         chain = [P]
         if count >= 2:
@@ -259,9 +261,9 @@ def _kills_seeded_point(curve: EllipticCurve, n: int, seed: int) -> bool:
     """Whether [n] kills the first point off the 2-torsion, an x with
     x^3 + ax + b != 0, that random_point draws from random.Random(seed)."""
     rng = random.Random(seed)
-    x = curve.random_point(rng)
-    while not _cubic_t(curve, x.raw):
-        x = curve.random_point(rng)
+    x = curve.random_point(rng).raw
+    while not _cubic_t(curve, x):
+        x = curve.random_point(rng).raw
     return not x_ladder(curve, x, n)[1]
 
 
@@ -386,10 +388,10 @@ def torsion_basis(
     r: int,
     rng: random.Random,
     delta: FieldElement | None = None,
-) -> tuple[FieldElement, FieldElement, list[int]]:
-    """x(P), x(Q) on `curve` of independent points of exact prime order r,
-    and the raw x of <P> as subgroup_xs walks them: x([m]P) for m = reps[i]
-    of frobenius_orbits(p, r) sits at index i o.
+) -> tuple[int, int, list[int]]:
+    """The raw x(P), x(Q) on `curve` of independent points of exact prime
+    order r, and the raw x of <P> as subgroup_xs walks them: x([m]P) for
+    m = reps[i] of frobenius_orbits(p, r) sits at index i o.
 
     The field has degree 2k' and the curve is a scalar-Frobenius model M
     base-changed to it.  E[r] is rational on M when (-p)^k' = 1 mod r, and
@@ -428,16 +430,16 @@ def torsion_basis(
     cofactor = m // r**e
     budget = 200  # random points tried per basis point
     twist = curve if delta is None else quadratic_twist(curve, delta)
-    inv = None if delta is None else 1 / delta
+    inv = None if delta is None else f.inv_t(delta.raw)
 
-    def times(x: FieldElement, n: int) -> FieldElement | None:
+    def times(x: int, n: int) -> int | None:
         X, Z = x_ladder(curve, x, n)
-        return FieldElement(f, f.mul_t(X, f.inv_t(Z))) if Z else None
+        return f.mul_t(X, f.inv_t(Z)) if Z else None
 
-    def sample() -> FieldElement:
+    def sample() -> int:
         for _ in range(budget):
-            x = twist.random_point(rng)
-            x = times(x if inv is None else x * inv, cofactor)
+            x = twist.random_point(rng).raw
+            x = times(x if inv is None else f.mul_t(x, inv), cofactor)
             if x is None:
                 continue
             # reduce from order r^j (j <= e) to exact order r
@@ -452,9 +454,9 @@ def torsion_basis(
             )
         raise TorsionBasisError(f"no order-{r} point in {budget} samples")
 
-    def check_frobenius(x: FieldElement) -> None:
+    def check_frobenius(x: int) -> None:
         X, Z = x_ladder(curve, x, min(p % r, -p % r))  # x([-p]P) = x([p]P)
-        if f.mul_t(f.frob_t(x.raw), Z) != X:
+        if f.mul_t(f.frob_t(x), Z) != X:
             raise CurveError(
                 "Frobenius does not act as -p on sampled torsion; "
                 "the model is not scalar-Frobenius normalized"
@@ -465,19 +467,17 @@ def torsion_basis(
     p_xs = subgroup_xs(curve, P, *frobenius_orbits(p, r))
     for _ in range(budget):
         Q = sample()
-        if Q.raw not in p_xs:
+        if Q not in p_xs:
             check_frobenius(Q)
             return P, Q, p_xs
     raise TorsionBasisError(f"no independent order-{r} point in {budget} samples")
 
 
-def subgroup_xs(
-    curve: EllipticCurve, x: FieldElement, reps: Sequence[int], o: int
-) -> list[int]:
-    """The raw x of <P>, one per +-pair, from x = x(P) of order r: walk_orbits
-    of x([m]P), m in reps, from one chain up to the largest m."""
+def subgroup_xs(curve: EllipticCurve, x: int, reps: Sequence[int], o: int) -> list[int]:
+    """The raw x of <P>, one per +-pair, from the raw x = x(P) of order r:
+    walk_orbits of x([m]P), m in reps, from one chain up to the largest m."""
     multiples = x_multiples(curve, x, reps[-1])
-    return walk_orbits(curve.field, [multiples[m - 1].raw for m in reps], reps, o)
+    return walk_orbits(curve.field, [multiples[m - 1] for m in reps], reps, o)
 
 
 def walk_orbits(f: Field, starts: Sequence[int], reps: Sequence[int], o: int) -> list[int]:
@@ -499,51 +499,65 @@ def walk_orbits(f: Field, starts: Sequence[int], reps: Sequence[int], o: int) ->
 
 
 class XMap:
-    """x-coordinate map of a separable isogeny: x -> num(x)/den(x)."""
+    """x-coordinate map of a separable isogeny, x -> num(x)/den(x), with
+    raw coefficient tuples over `field`, lowest degree first."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, num: Sequence[FieldElement], den: Sequence[FieldElement]):
+    def __init__(self, field: Field, num: Sequence[int], den: Sequence[int]):
+        self.field = field
         self.num = tuple(num)
         self.den = tuple(den)
 
-    def eval_many(self, xs: Sequence[FieldElement]) -> list[FieldElement]:
-        """Batch evaluation with a single inversion."""
-        if not xs:
-            return []
-        f = xs[0].field
-        nc = [c.raw for c in self.num]
-        dc = [c.raw for c in self.den]
-        nums = [_horner_t(f, nc, x.raw) for x in xs]
-        dens = [_horner_t(f, dc, x.raw) for x in xs]
+    def eval_many(self, xs: Sequence[int]) -> list[int]:
+        """The raw images of the raw xs, with a single batched inversion."""
+        f = self.field
+        nums = [_horner_t(f, self.num, x) for x in xs]
+        dens = [_horner_t(f, self.den, x) for x in xs]
         if not all(dens):
             raise XMapPole("x lies in the kernel")
-        invs = f.batch_inv_t(dens)
-        return [FieldElement(f, f.mul_t(n, i)) for n, i in zip(nums, invs)]
+        return [f.mul_t(n, i) for n, i in zip(nums, f.batch_inv_t(dens))]
 
     def lift(self, emb: Embedding) -> "XMap":
-        return XMap([emb(c) for c in self.num], [emb(c) for c in self.den])
+        return XMap(emb.dst, map(emb.map_t, self.num), map(emb.map_t, self.den))
 
 
-def _horner_t(f: Field, coeffs: list, xt):
+def _horner_t(f: Field, coeffs: Sequence[int], xt: int) -> int:
     acc = 0
     for c in reversed(coeffs):
         acc = f.add_t(f.mul_t(acc, xt), c)
     return acc
 
 
+def _poly_mul_t(f: Field, u: Sequence[int], v: Sequence[int]) -> list[int]:
+    """The product of two raw coefficient lists, lowest degree first.  A
+    coefficient below p is an F_p constant, its raw int the constant
+    itself, so it scales by smul_t; zero coefficients are skipped."""
+    out = [0] * max(0, len(u) + len(v) - 1)
+    p = f.p
+    for i, s in enumerate(u):
+        if not s:
+            continue
+        for j, t in enumerate(v):
+            if t:
+                st = f.smul_t(s, t) if s < p else f.smul_t(t, s) if t < p else f.mul_t(s, t)
+                out[i + j] = f.add_t(out[i + j], st)
+    return out
+
+
 def velu_quotient(
-    curve: EllipticCurve, xs: Sequence[FieldElement], r: int
+    curve: EllipticCurve, xs: Sequence[int], r: int
 ) -> tuple[EllipticCurve, XMap]:
     """Codomain and degree-r x-map of the quotient by a cyclic kernel of
-    odd prime order r from the kernel's x-coordinates, one per +-pair of
-    nonzero points: Velu's x + sum [g'(x_i)/2 / (x - x_i) + g(x_i) / (x - x_i)^2]
+    odd prime order r from the kernel's raw x-coordinates, one per +-pair
+    of nonzero points: Velu's x + sum [g'(x_i)/2 / (x - x_i) + g(x_i) / (x - x_i)^2]
     in Kohel's closed form over the kernel polynomial k, that is
-    [(r x - 2 s_1) k^2 + g (k'^2 - k k'') - (g'/2) k k'] / k^2.  Only the xs
-    need lie in the curve's field.  They are checked once, x-only, by one
-    x_chain from xs[0] = x(P) with a single batched inversion:
-    x([h+1]P) = x([h]P) with h = (r - 1)/2 and no identity before it, so
-    P has order r, and the xs are exactly x([j]P) for 1 <= j <= h."""
+    [(r x - 2 s_1) k^2 + g (k'^2 - k k'') - (g'/2) k k'] / k^2, on raw
+    coefficient lists (_poly_mul_t).  Only the xs need lie in the curve's
+    field.  They are checked once, x-only, by one x_chain from
+    xs[0] = x(P) with a single batched inversion: x([h+1]P) = x([h]P) with
+    h = (r - 1)/2 and no identity before it, so P has order r, and the xs
+    are exactly x([j]P) for 1 <= j <= h."""
     if r == 2 or not is_prime(r):
         raise CurveError(f"kernel order {r} is not an odd prime")
     f = curve.field
@@ -554,32 +568,41 @@ def velu_quotient(
         (Xh, Zh), (Xh1, Zh1) = chain[-2], chain[-1]
         ok = all(Z for _, Z in chain) and f.mul_t(Xh, Zh1) == f.mul_t(Xh1, Zh)
     if ok:
-        ok = set(x_affine(f, chain[:h])) == {x.raw for x in xs}
+        ok = set(x_affine(f, chain[:h])) == set(xs)
     if not ok:
         raise CurveError(f"x-coordinates do not form an order-{r} kernel")
     # k = prod (x - x_i), g = 4(x^3 + a x + b), s_j = sum x_i^j read from
-    # k's top coefficients; the numerator is monic (r - 2h = 1) of degree r
-    a, b = curve.a, curve.b
-    k = Polynomial([f.one])
+    # k's top coefficients k_{h-j}, (-1)^j times the elementary symmetric
+    # e_j; the numerator is monic (r - 2h = 1) of degree r
+    k = [1]
     for xi in xs:
-        k = k.shift(1) - k * xi
-    s1, e2, e3 = -k[h - 1], k[h - 2], -k[h - 3]
-    s2 = s1 * s1 - 2 * e2
-    s3 = s1 * (s2 - e2) + 3 * e3
+        k = _poly_mul_t(f, k, [f.neg_t(xi), 1])
+    k3, k2, k1 = (FieldElement(f, c) for c in ([0, 0] + k)[h - 1 : h + 2])
+    s1 = -k1
+    s2 = s1 * s1 - 2 * k2
+    s3 = s1 * (s2 - k2) - 3 * k3
+    a, b = curve.a, curve.b
     a2 = a - 5 * (6 * s2 + 2 * h * a)
     b2 = b - 7 * (10 * s3 + 6 * a * s1 + 4 * h * b)
-    g = Polynomial([4 * b, 4 * a, 0, 4])
-    half_dg = Polynomial([2 * a, 0, 6])
-    dk = k.derivative()
-    den = k * k
-    num = (
-        Polynomial([-2 * s1, r]) * den
-        + g * (dk * dk - k * dk.derivative())
-        - half_dg * (k * dk)
+
+    def diff(u: Sequence[int], n: int = 1) -> list[int]:  # n u'
+        return [f.smul_t(n * i, c) for i, c in enumerate(u) if i]
+
+    def plus(*terms: Sequence[int]) -> list[int]:
+        columns = itertools.zip_longest(*terms, fillvalue=0)
+        return [functools.reduce(f.add_t, cs) for cs in columns]
+
+    c = f.coerce_t
+    g = [(4 * b).raw, (4 * a).raw, 0, c(4)]
+    minus_half_dg = [(-2 * a).raw, 0, c(-6)]
+    dk = diff(k)
+    den = _poly_mul_t(f, k, k)
+    num = plus(
+        _poly_mul_t(f, [(-2 * s1).raw, c(r)], den),
+        _poly_mul_t(f, g, plus(_poly_mul_t(f, dk, dk), _poly_mul_t(f, k, diff(dk, -1)))),
+        _poly_mul_t(f, minus_half_dg, _poly_mul_t(f, k, dk)),
     )
-    # a product leaves an int 0 where every term was zero
-    xmap = XMap([f.element(c) for c in num.coeffs], [f.element(c) for c in den.coeffs])
-    return EllipticCurve(a2, b2), xmap
+    return EllipticCurve(a2, b2), XMap(f, num, den)
 
 
 def isomorphism_scale(src: EllipticCurve, dst: EllipticCurve) -> FieldElement | None:

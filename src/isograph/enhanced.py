@@ -287,16 +287,17 @@ def _fmt_class(j: FieldElement) -> str:
 class _TorsionTables(NamedTuple):
     """A GraphBuilder's order-r tables: the torsion field, each class model
     lifted to it, and per class its r + 1 slots, each slot x's slot number
-    keyed by its encoding, each slot's label, each label's slot, and the x
-    _push_row evaluates: P, Q, Q + P, Q + 2P up to r + 1, then x(2P) if r >= 5."""
+    keyed by its raw int, each slot's label, each label's slot, and the x
+    _push_row evaluates: P, Q, Q + P, Q + 2P up to r + 1, then x(2P) if
+    r >= 5.  Every x is a raw int of the torsion field."""
 
     tf: TorsionField
     models: tuple[EllipticCurve, ...]
-    slots: list[list[tuple[FieldElement, ...]]]
+    slots: list[list[tuple[int, ...]]]
     index: list[dict[int, int]]
     labels: list[tuple[int, ...]]
     slot_at: list[tuple[int, ...]]
-    probes: list[list[FieldElement]]
+    probes: list[list[int]]
 
 
 class GraphBuilder:
@@ -315,11 +316,11 @@ class GraphBuilder:
 
     # -- per-prime subgroup tables
 
-    def level_subgroups(self, r: int) -> list[list[tuple[FieldElement, ...]]]:
+    def level_subgroups(self, r: int) -> list[list[tuple[int, ...]]]:
         """For each class, the r + 1 cyclic order-r subgroups in canonical
-        order, each as the sorted x-coordinates of its nonzero points (one
-        per +-pair) on the class model lifted to the order-r torsion field;
-        the slots are sorted by x-coordinate signature.
+        order, each as the raw x-coordinates of its nonzero points (one per
+        +-pair) on the class model lifted to the order-r torsion field,
+        sorted by encoding; the slots are sorted by their encodings.
 
         torsion_basis gives x(P), x(Q) and the x of <P>, labelled r (for
         oo); <Q + kP> is labelled k.  Per orbit representative m, a column
@@ -342,11 +343,11 @@ class GraphBuilder:
             xP, xQ, p_xs = torsion_basis(M, r, rng, tf.delta)
             # x([m]Q) at m - 1, x([m](Q + P)) at c + m - 1
             chain = x_chain(M, xQ, c) + x_chain(M, x_add(M, xP, xQ), c)
-            heads = [FieldElement(F, x) for x in x_affine(F, chain)]
+            heads = x_affine(F, chain)
             columns = []  # x([m](Q + kP)) at i r + k for m = reps[i], then x(2P) if r >= 5
             for i, m in enumerate(reps):
                 start = (heads[m - 1], heads[c + m - 1])
-                columns += x_chain(M, FieldElement(F, p_xs[i * o]), r, start)
+                columns += x_chain(M, p_xs[i * o], r, start)
             if r >= 5:
                 columns.append(x_chain(M, xP, 2)[1])
             cols = x_affine(F, columns)
@@ -358,16 +359,16 @@ class GraphBuilder:
                         f"order-{r} slot at class {ci} has {len(set(xs))}"
                         f" distinct x of {len(xs)}, not {half}"
                     )
-                slots.append(tuple(FieldElement(F, x) for x in sorted(xs, key=F.unpack)))
+                slots.append(tuple(sorted(xs, key=F.unpack)))
             if len(set(slots)) != r + 1:
                 raise GraphBuildError(f"repeated order-{r} subgroup at class {ci}")
-            order = sorted(range(r + 1), key=lambda k: [x.coeffs for x in slots[k]])
+            order = sorted(range(r + 1), key=lambda k: [F.unpack(x) for x in slots[k]])
             models.append(M)
             per_class.append([slots[k] for k in order])
-            index.append({x.raw: si for si, k in enumerate(order) for x in slots[k]})
+            index.append({x: si for si, k in enumerate(order) for x in slots[k]})
             labels.append(tuple(order))
             slot_at.append(tuple(sorted(range(r + 1), key=order.__getitem__)))
-            probes.append([xP] + [FieldElement(F, x) for x in cols[: min(r, 3)] + cols[n:]])
+            probes.append([xP] + cols[: min(r, 3)] + cols[n:])
         self._tables[r] = _TorsionTables(
             tf, tuple(models), per_class, index, labels, slot_at, probes
         )
@@ -388,6 +389,7 @@ class GraphBuilder:
         subs = self.level_subgroups(l)
         tables = self._tables[l]
         emb = tables.tf.emb
+        F, F2 = emb.dst, emb.src
         arrows: list[list[QuotientArrow]] = []
         for ci, E in enumerate(tables.models):
             row = []
@@ -401,13 +403,14 @@ class GraphBuilder:
                         f"quotient of class {ci} not isomorphic to its class model"
                     )
                 xmap_small = XMap(
-                    [u2 * emb.descend(c) for c in xmap.num],
-                    [emb.descend(c) for c in xmap.den],
+                    F2,
+                    [F2.mul_t(u2.raw, emb.unmap_t(c)) for c in xmap.num],
+                    map(emb.unmap_t, xmap.den),
                 )
                 other = subs[ci][1 if t == 0 else 0]
-                x_dual = emb(u2) * xmap.eval_many([other[0]])[0]
+                x_dual = F.mul_t(emb.map_t(u2.raw), xmap.eval_many([other[0]])[0])
                 try:
-                    dual_index = tables.index[target][x_dual.raw]
+                    dual_index = tables.index[target][x_dual]
                 except KeyError:
                     raise GraphBuildError(
                         f"dual kernel of ({ci},{t}) missed the subgroup table"
@@ -452,7 +455,7 @@ class GraphBuilder:
         pushed = ar.xmap.lift(tables.tf.emb).eval_many(tables.probes[ci])
         index = tables.index[ar.target]
         try:
-            hits = [index[x.raw] for x in pushed[:4]]
+            hits = [index[x] for x in pushed[:4]]
         except KeyError:
             raise GraphBuildError(
                 f"pushed subgroup of arrow ({ci},{t}) at r={r} missed the table"
@@ -478,7 +481,7 @@ class GraphBuilder:
                 )
             model = tables.models[ar.target]
             X, Z = x_chain(model, pushed[0], 2)[1]
-            if X != model.field.mul_t(pushed[-1].raw, Z):
+            if X != model.field.mul_t(pushed[-1], Z):
                 raise GraphBuildError(
                     f"arrow ({ci},{t}) at r={r} does not commute with doubling"
                 )

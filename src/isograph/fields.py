@@ -10,7 +10,9 @@ word i (32 or 64 bits), every word in [0, p).  Field.pack and
 Field.unpack convert between raw ints and encodings, and the tuples appear
 only there.  Two raw ints are equal exactly when their encodings are, so
 raw ints serve as dict keys, but their order is not the encodings' order.
-FieldElement is a thin operator wrapper holding the raw int.
+An integer constant's raw int is the constant mod p (Field.coerce_t).
+FieldElement is a thin operator wrapper holding the raw int, for curve
+coefficients and j-invariants; torsion x-coordinates and x-maps stay raw.
 
 F_p[x] has one multiply and one Euclid.  Every product modulo m is
 Field.mul_t; _xgcd, an extended Euclid on coefficient lists, gives both
@@ -272,27 +274,9 @@ class Field:
         """The encoding of a raw int, lowest degree first."""
         return self._unpack(a.to_bytes(self._bytes, "little"))
 
-    def element(self, value) -> "FieldElement":
-        """From an element, a coefficient vector or a constant in [0, p)."""
-        if isinstance(value, int) and not 0 <= value < self.p:
-            raise ValueError(f"{value} not in [0, p): wrap a raw int as FieldElement(field, raw)")
-        return FieldElement(self, self.coerce_t(value))
-
-    def coerce_t(self, value) -> int:
-        if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise FieldMismatch("element belongs to a different field")
-            return value.raw
-        if isinstance(value, int):
-            return value % self.p  # a constant's raw int is the constant
-        coeffs = [int(c) % self.p for c in value]
-        if len(coeffs) > self.deg:
-            raise ValueError("coefficient vector longer than field degree")
-        return self.pack(coeffs + [0] * (self.deg - len(coeffs)))
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
+    def coerce_t(self, value: int) -> int:
+        """The raw int of the integer constant `value`: the constant mod p."""
+        return value % self.p
 
     @property
     def gen(self) -> "FieldElement":
@@ -462,8 +446,8 @@ class Field:
 
 class FieldElement:
     """Operator wrapper over Field's raw arithmetic: `raw` is the packed
-    int, `coeffs` the coefficient tuple, lowest degree first, which orders
-    elements."""
+    int, `coeffs` the coefficient tuple, lowest degree first, the key that
+    sorts elements."""
 
     __slots__ = ("field", "raw")
 
@@ -539,11 +523,6 @@ class FieldElement:
         if isinstance(other, int):
             return self.raw == self.field.coerce_t(other)
         return NotImplemented
-
-    def __lt__(self, other: "FieldElement") -> bool:
-        if not isinstance(other, FieldElement) or other.field is not self.field:
-            raise FieldMismatch("comparison requires elements of one field")
-        return self.coeffs < other.coeffs
 
     def __hash__(self) -> int:
         return hash((id(self.field), self.raw))

@@ -1,13 +1,12 @@
 """The one dense polynomial type, and exact integer linear algebra.
 
-Polynomial holds Python ints (characteristic and zeta polynomials) or
-the FieldElements of one field (Velu x-maps); everything here is exact.
-Characteristic polynomials of symmetric integer matrices come from
-Lanczos over one proven prime above their coefficient bound, in plain
-ints; the spectrum and the Bass route of the zeta call it.  Fraction-free
-Bareiss elimination at integer sample points followed by Lagrange
-interpolation (poly_matrix_det) is the independent reference that tests
-compare it against.
+Polynomial holds Python ints only (characteristic and zeta
+polynomials); everything here is exact.  Characteristic polynomials of
+symmetric integer matrices come from Lanczos over one proven prime above
+their coefficient bound, in plain ints; the spectrum and the Bass route
+of the zeta call it.  Fraction-free Bareiss elimination at integer
+sample points followed by Lagrange interpolation (poly_matrix_det) is the
+independent reference that tests compare it against.
 """
 
 from __future__ import annotations
@@ -20,13 +19,12 @@ from typing import Iterable, Sequence
 
 
 class Polynomial:
-    """Dense polynomial over the ints or one field's FieldElements,
-    coefficients ascending, trailing zeros stripped (the zero polynomial
-    has an empty coefficient tuple)."""
+    """Dense polynomial over the ints, coefficients ascending, trailing
+    zeros stripped (the zero polynomial has an empty coefficient tuple)."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable = ()):
+    def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
@@ -35,9 +33,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # zero polynomial: -1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
@@ -95,12 +90,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         return Polynomial(i * c for i, c in enumerate(self.coeffs) if i)
-
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return Polynomial((0,) * k + self.coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):

@@ -14,9 +14,14 @@ compare the counts with exact power series of Z, so a census never
 shares code with either route.
 
 Point is the affine group law, the chord and tangent in (x, y) with its
-own double-and-add n*P: the package works on the x-line only (x_ladder
-and x_chain, both built on _x_dbl_t and _x_dadd_t, and x_add), and the
-tests check those against this oracle.
+own double-and-add n*P, on FieldElements: the package works on the
+x-line only, on raw packed ints (x_ladder and x_chain, both built on
+_x_dbl_t and _x_dadd_t, and x_add), and the tests check those against
+this oracle, reading a point's raw x as P.x.raw.  element builds a test
+FieldElement from a constant or a coefficient vector; the package never
+does.  velu_sum is Velu's x-map as his sum over the kernel's x, term by
+term on FieldElements, against the package's Kohel form on raw
+coefficient lists (curves.velu_quotient).
 on_curve_point builds a point from its coordinates and checks the curve
 equation (rhs, the cubic's value); lift_x takes the point with a given x
 and the canonical square root (sqrt) of the cubic as its y.  sqrt is
@@ -38,7 +43,7 @@ from typing import Sequence
 
 from isograph.curves import CurveError, EllipticCurve
 from isograph.enhanced import EnhancedGraph
-from isograph.fields import Field, FieldElement, NotInSubfield
+from isograph.fields import Field, FieldElement, FieldMismatch, NotInSubfield
 from isograph.polys import Polynomial
 from isograph.zeta import ORACLE_EDGE_LIMIT, ZetaError, ZetaFunction
 
@@ -205,9 +210,42 @@ def census_matches_log_series(zeta: ZetaFunction, census: dict[int, int]) -> boo
     return all(series[m] == Fraction(census[m], m) for m in range(1, order + 1))
 
 
+def element(field: Field, value) -> FieldElement:
+    """The element of `field` given as an element of it, a coefficient
+    vector (lowest degree first, at most the degree long) or a constant in
+    [0, p).  Any other int is refused: a *_t result is a raw packed int,
+    which FieldElement(field, raw) wraps."""
+    if isinstance(value, FieldElement):
+        if value.field is not field:
+            raise FieldMismatch("element belongs to a different field")
+        return value
+    if isinstance(value, int):
+        if not 0 <= value < field.p:
+            raise ValueError(f"{value} not in [0, p): wrap a raw int as FieldElement(field, raw)")
+        return FieldElement(field, value)
+    coeffs = [int(c) % field.p for c in value]
+    if len(coeffs) > field.deg:
+        raise ValueError("coefficient vector longer than field degree")
+    return FieldElement(field, field.pack(coeffs + [0] * (field.deg - len(coeffs))))
+
+
 def rhs(curve: EllipticCurve, x: FieldElement) -> FieldElement:
     """x^3 + a x + b, the square of y at a point of `curve` with this x."""
     return (x * x + curve.a) * x + curve.b
+
+
+def velu_sum(
+    curve: EllipticCurve, kernel_xs: Sequence[FieldElement], x: FieldElement
+) -> FieldElement:
+    """Velu's x-map at x, term by term over the kernel's x-coordinates x_i,
+    one per +-pair of nonzero points:
+      x + sum [(6 x_i^2 + 2a) / (x - x_i) + 4(x_i^3 + a x_i + b) / (x - x_i)^2];
+    ZeroDivisionError at a kernel x."""
+    out = x
+    for xi in kernel_xs:
+        t = x - xi
+        out = out + (6 * xi * xi + 2 * curve.a) / t + 4 * rhs(curve, xi) / (t * t)
+    return out
 
 
 def sqrt(x: FieldElement) -> FieldElement:
@@ -277,7 +315,7 @@ def identity(curve: EllipticCurve) -> Point:
 def on_curve_point(curve: EllipticCurve, x, y) -> Point:
     """The affine point (x, y), each an element, a coefficient vector or a
     constant in [0, p); CurveError if it is off the curve."""
-    x, y = curve.field.element(x), curve.field.element(y)
+    x, y = element(curve.field, x), element(curve.field, y)
     if y * y != rhs(curve, x):
         raise CurveError("point is not on the curve")
     return Point(curve, x, y)

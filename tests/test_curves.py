@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from isograph.fields import Embedding, FieldElement, make_extension_field
 from isograph.supersingular import SupersingularClassTable, build_class_table
 from oracles import (
     Point,
+    element,
     identity,
     lift_x,
     on_curve_point,
@@ -39,6 +41,7 @@ from oracles import (
     sqrt,
     torsion_order_extension,
     unspread_t,
+    velu_sum,
     x_matches,
 )
 
@@ -48,7 +51,7 @@ F13_4 = make_extension_field(13, 4)
 
 
 def curve_47(field):
-    return EllipticCurve(field.element(4), field.element(7))
+    return EllipticCurve(element(field, 4), element(field, 7))
 
 
 def brute_order(curve):
@@ -68,27 +71,27 @@ def brute_order(curve):
 
 def test_curve_from_j_frozen_model():
     # k = 5/(1728-5) = 5/7 = 10 in F_13, so (a, b) = (3k, 2k) = (4, 7)
-    E = curve_from_j(F13.element(5))
+    E = curve_from_j(element(F13, 5))
     assert E.a == 4 and E.b == 7
     assert E.j_invariant() == 5
 
 
 def test_curve_from_j_round_trips():
     for j in (2, 3, 5, 9, 11):
-        E = curve_from_j(F169.element(j))
+        E = curve_from_j(element(F169, j))
         assert E.j_invariant() == j
 
 
 def test_curve_from_j_excluded():
     with pytest.raises(ExcludedJInvariant):
-        curve_from_j(F13.element(0))
+        curve_from_j(element(F13, 0))
     with pytest.raises(ExcludedJInvariant):
-        curve_from_j(F13.element(1728 % 13))
+        curve_from_j(element(F13, 1728 % 13))
 
 
 def test_curve_refuses_mixed_fields():
     # without the guard the discriminant's sum raises FieldMismatch instead
-    for a, b in ((F13.element(4), F169.element(7)), (F169.element(4), F13_4.element(7))):
+    for a, b in ((element(F13, 4), element(F169, 7)), (element(F169, 4), element(F13_4, 7))):
         with pytest.raises(CurveError, match="coefficients from different fields"):
             EllipticCurve(a, b)
 
@@ -97,7 +100,7 @@ def test_curve_refuses_a_singular_cubic():
     # x^3 - 3x + 2 = (x - 1)^2 (x + 2): 4(-3)^3 + 27 * 2^2 = 0
     for f in (F13, F169):
         with pytest.raises(CurveError, match="singular curve"):
-            EllipticCurve(f.element(-3 % 13), f.element(2))
+            EllipticCurve(element(f, -3 % 13), element(f, 2))
 
 
 def test_point_validation():
@@ -115,7 +118,8 @@ def random_points(E, rng, n):
 
 def basis_points(E, r, seed):
     """torsion_basis's x(P), x(Q), lifted to oracle points."""
-    return [lift_x(E, x) for x in torsion_basis(E, r, random.Random(seed))[:2]]
+    xs = torsion_basis(E, r, random.Random(seed))[:2]
+    return [lift_x(E, FieldElement(E.field, x)) for x in xs]
 
 
 def test_group_law_axioms():
@@ -129,7 +133,7 @@ def test_group_law_axioms():
         assert (P + Q) + R == P + (Q + R)
         assert P + O == P
         assert P + (-P) == O
-        assert x_matches(E, x_ladder(E, P.x, 2), P + P)
+        assert x_matches(E, x_ladder(E, P.x.raw, 2), P + P)
 
 
 def test_addition_matches_affine_oracle():
@@ -137,20 +141,20 @@ def test_addition_matches_affine_oracle():
     # differential addition agree with the affine law, 2-torsion included
     E = curve_47(F169)
     rng = random.Random(13)
-    xs = [F169.element(t) for t in F169.iter_tuples()]
-    two_torsion = [Point(E, x, F169.element(0)) for x in xs if not rhs(E, x)]
+    xs = [element(F169, t) for t in F169.iter_tuples()]
+    two_torsion = [Point(E, x, element(F169, 0)) for x in xs if not rhs(E, x)]
     assert len(two_torsion) == 3  # E(F_169) = (Z/14)^2
     for _ in range(25):
         P, Q = random_points(E, rng, 2)
         if P.x != Q.x:
-            assert x_add(E, P.x, Q.x) in ((Q + P).x, (Q - P).x)
-        assert x_matches(E, x_ladder(E, P.x, 3), P + P + P)
+            assert x_add(E, P.x.raw, Q.x.raw) in ((Q + P).x.raw, (Q - P).x.raw)
+        assert x_matches(E, x_ladder(E, P.x.raw, 3), P + P + P)
     for T in two_torsion:
         assert (T + T).is_identity()
-        assert not x_ladder(E, T.x, 2)[1]
+        assert not x_ladder(E, T.x.raw, 2)[1]
     # the third point of order 2, a double root
     T, U, V = two_torsion
-    assert x_add(E, T.x, U.x) == V.x
+    assert x_add(E, T.x.raw, U.x.raw) == V.x.raw
 
 
 def test_x_formulas_match_affine_oracle_on_rescaled_pairs():
@@ -184,7 +188,7 @@ def test_x_formulas_match_affine_oracle_on_rescaled_pairs():
                 assert x_matches(E, out, identity(E)), (sa, sb, sd)
     # 2A = O at a point of order 2, from either representation
     E = curve_47(F169)
-    T = next(x for x in map(F169.element, F169.iter_tuples()) if not rhs(E, x))
+    T = next(x for x in map(partial(element, F169), F169.iter_tuples()) if not rhs(E, x))
     assert not _x_dbl_t(E, (T.raw, 1))[1]
     assert not _x_dbl_t(E, (F169.mul_t(T.raw, 5), 5))[1]
 
@@ -195,7 +199,7 @@ def test_x_chain_start_pair_matches_affine_translates():
     for field, r in ((F169, 2), (F13_4, 3), (F169, 7)):
         E = curve_47(field)
         P, Q = basis_points(E, r, 4)
-        xs = x_affine(field, x_chain(E, P.x, r, (Q.x, (Q + P).x)))
+        xs = x_affine(field, x_chain(E, P.x.raw, r, (Q.x.raw, (Q + P).x.raw)))
         R = Q
         for x in xs:
             assert x == R.x.raw
@@ -204,7 +208,7 @@ def test_x_chain_start_pair_matches_affine_translates():
     E = curve_47(F169)
     P, _ = basis_points(E, 7, 4)
     with pytest.raises(CurveError, match="identity"):
-        x_affine(F169, x_chain(E, P.x, 7, (P.x, (P + P).x)))  # P + 6P = 7P = O
+        x_affine(F169, x_chain(E, P.x.raw, 7, (P.x.raw, (P + P).x.raw)))  # P + 6P = 7P = O
 
 
 def test_scalar_mul_matches_repeated_addition():
@@ -214,12 +218,12 @@ def test_scalar_mul_matches_repeated_addition():
     acc = identity(E)
     orders = []
     for n in range(30):
-        assert x_matches(E, x_ladder(E, P.x, n), acc)
+        assert x_matches(E, x_ladder(E, P.x.raw, n), acc)
         assert n * P == acc and -n * P == -acc
         if n and acc.is_identity():
             orders.append(n)
         acc = acc + P
-    assert orders and not x_ladder(E, P.x, orders[0])[1]
+    assert orders and not x_ladder(E, P.x.raw, orders[0])[1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,7 +232,7 @@ def test_scalar_mul_distributive(m, n):
     # x([m + n]P) = x([m]P + [n]P), the ladder against the oracle's n*P
     E = curve_47(F169)
     (P,) = random_points(E, random.Random(3), 1)
-    assert x_matches(E, x_ladder(E, P.x, abs(m + n)), m * P + n * P)
+    assert x_matches(E, x_ladder(E, P.x.raw, abs(m + n)), m * P + n * P)
 
 
 def test_brute_force_orders():
@@ -239,7 +243,7 @@ def test_brute_force_orders():
     assert brute_order(quadratic_twist(E)) == 144  # (p-1)^2
     rng = random.Random(5)
     for _ in range(5):
-        assert not x_ladder(E, E.random_point(rng), 196)[1]
+        assert not x_ladder(E, E.random_point(rng).raw, 196)[1]
 
 
 def test_twist_to_scalar_frobenius():
@@ -248,7 +252,7 @@ def test_twist_to_scalar_frobenius():
     fixed = twist_to_scalar_frobenius(quadratic_twist(E))
     assert brute_order(fixed) == 196
     with pytest.raises(CurveError, match="not supersingular"):
-        twist_to_scalar_frobenius(curve_from_j(F169.element(3)))  # ordinary j
+        twist_to_scalar_frobenius(curve_from_j(element(F169, 3)))  # ordinary j
 
 
 def test_twist_choice_refuses_a_curve_off_f_p2():
@@ -377,7 +381,7 @@ def test_torsion_basis_on_twist_over_half_field():
     M = curve_47(F169).change_field(tf.emb)
     twist = quadratic_twist(M, tf.delta)
     xs = torsion_basis(M, 5, random.Random(21), tf.delta)[:2]
-    P, Q = (lift_x(twist, x * tf.delta) for x in xs)
+    P, Q = (lift_x(twist, FieldElement(tf.field, x) * tf.delta) for x in xs)
     assert span_size(P, Q, 5) == 25
     with pytest.raises(CurveError, match="not rational"):
         torsion_basis(M, 5, random.Random(21))
@@ -445,30 +449,30 @@ def test_half_field_velu_matches_full_field_velu():
     image, xmap = velu_quotient(E_full, xs_full, 5)
 
     E = curve_47(F169).change_field(tf.emb)
-    xs = [FieldElement(tf.field, unspread_t(tf.field, full, x.raw)) for x in xs_full]
-    assert not any(tf.field.is_square_t(rhs(E, x).raw) for x in xs)
+    xs = [unspread_t(tf.field, full, x) for x in xs_full]
+    assert not any(tf.field.is_square_t(rhs(E, FieldElement(tf.field, x)).raw) for x in xs)
     image_h, xmap_h = velu_quotient(E, xs, 5)
 
     def spread(cs):
-        return [spread_t(tf.field, full, c.raw) for c in cs]
+        return [spread_t(tf.field, full, c) for c in cs]
 
-    assert spread([image_h.a, image_h.b]) == [image.a.raw, image.b.raw]
-    assert spread(xmap_h.num) == [c.raw for c in xmap.num]
-    assert spread(xmap_h.den) == [c.raw for c in xmap.den]
+    assert spread([image_h.a.raw, image_h.b.raw]) == [image.a.raw, image.b.raw]
+    assert spread(xmap_h.num) == list(xmap.num)
+    assert spread(xmap_h.den) == list(xmap.den)
 
 
 def test_x_multiples_vs_scalar_mul():
     E = curve_47(F169)
     rng = random.Random(9)
     for P in random_points(E, rng, 5):
-        xs = x_multiples(E, P.x, 10)
+        xs = x_multiples(E, P.x.raw, 10)
         for i, x in enumerate(xs, start=1):
-            assert x == (i * P).x
-            assert x_matches(E, x_ladder(E, P.x, i), i * P)
+            assert x == (i * P).x.raw
+            assert x_matches(E, x_ladder(E, P.x.raw, i), i * P)
     # x([2]T) for a 2-torsion x is the identity
-    T = next(x for x in map(F169.element, F169.iter_tuples()) if not rhs(E, x))
+    T = next(x for x in map(partial(element, F169), F169.iter_tuples()) if not rhs(E, x))
     with pytest.raises(CurveError, match="identity"):
-        x_multiples(E, T, 2)
+        x_multiples(E, T.raw, 2)
 
 
 def test_x_multiples_rejects_count_at_order():
@@ -483,7 +487,7 @@ def test_x_chain_vs_scalar_mul():
     E = curve_47(F169)
     rng = random.Random(17)
     for P in random_points(E, rng, 5):
-        chain = x_chain(E, P.x, 10)
+        chain = x_chain(E, P.x.raw, 10)
         for k, XZ in enumerate(chain, start=1):
             assert x_matches(E, XZ, k * P)
     # the first Z = 0 is the first multiple that is the identity
@@ -515,25 +519,25 @@ def test_velu_satisfies_modular_polynomial():
     P, Q = basis_points(E, 3, 6)
     images = set()
     for G in (P, Q, Q + P, Q + P + P):
-        image, _ = velu_quotient(E, [G.x], 3)
+        image, _ = velu_quotient(E, [G.x.raw], 3)
         j2 = image.j_invariant()
         assert not phi3(j, j2)
         images.add(j2.coeffs)
     # p = 13 has a single supersingular class, so every neighbor is j = 5
-    assert images == {F13_4.element(5).coeffs}
+    assert images == {element(F13_4, 5).coeffs}
 
 
 def test_velu_modular_polynomial_ordinary_curve():
     # y^2 = x^3 + 6x + 6 over F_13, ordinary with j = 11; the kernel x is a
     # root of the 3-division polynomial 3x^4 + 6ax^2 + 12bx - a^2, found
     # by scanning F_13 rather than by sampling points
-    E = EllipticCurve(F13.element(6), F13.element(6))
+    E = EllipticCurve(element(F13, 6), element(F13, 6))
     j = E.j_invariant()
     assert j == 11
-    roots = [x for x in map(F13.element, range(13))
+    roots = [x for x in map(partial(element, F13), range(13))
              if not 3 * x**4 + 6 * E.a * x**2 + 12 * E.b * x - E.a**2]
-    assert roots == [F13.element(8)]
-    image, _ = velu_quotient(E, roots, 3)
+    assert roots == [element(F13, 8)]
+    image, _ = velu_quotient(E, [x.raw for x in roots], 3)
     assert not phi3(j, image.j_invariant())
 
 
@@ -549,8 +553,8 @@ def test_velu_dual_composition_recovers_j(field, r):
     # push the complementary generator through; it generates the kernel of
     # the dual, so the second quotient returns to the start
     (x2,) = xmap.eval_many([xQ])
-    y2 = sqrt(rhs(image, x2))
-    G2 = on_curve_point(image, x2, y2)
+    y2 = sqrt(rhs(image, FieldElement(field, x2)))
+    G2 = on_curve_point(image, FieldElement(field, x2), y2)
     assert (r * G2).is_identity() and not G2.is_identity()
     image2, _ = velu_quotient(image, velu_xs(image, x2, r), r)
     assert image2.j_invariant() == E.j_invariant()
@@ -561,31 +565,43 @@ def test_velu_image_points_land_on_image():
     xP, _, _ = torsion_basis(E, 7, random.Random(10))
     image, xmap = velu_quotient(E, x_multiples(E, xP, 3), 7)
     f = F169
-    kernel_xs = {x.coeffs for x in x_multiples(E, xP, 3)}
+    kernel_xs = set(x_multiples(E, xP, 3))
     # the xs of rational points
-    xs = [x for x in map(f.element, f.iter_tuples()) if f.is_square_t(rhs(E, x).raw)]
-    poles = [x for x in xs if x.coeffs in kernel_xs]
-    assert {x.coeffs for x in poles} == kernel_xs
+    xs = [x for x in map(partial(element, f), f.iter_tuples()) if f.is_square_t(rhs(E, x).raw)]
+    poles = [x for x in xs if x.raw in kernel_xs]
+    assert {x.raw for x in poles} == kernel_xs
     for x in poles:
         with pytest.raises(XMapPole):
-            xmap.eval_many([x])
-    images = xmap.eval_many([x for x in xs if x.coeffs not in kernel_xs])
-    assert all(f.is_square_t(rhs(image, y).raw) for y in images)
+            xmap.eval_many([x.raw])
+    images = xmap.eval_many([x.raw for x in xs if x.raw not in kernel_xs])
+    assert all(f.is_square_t(rhs(image, FieldElement(f, y)).raw) for y in images)
 
 
 def test_velu_eval_many_matches_single():
-    E = curve_47(F169)
-    xP, xQ, _ = torsion_basis(E, 7, random.Random(12))
-    _, xmap = velu_quotient(E, x_multiples(E, xP, 3), 7)
-    xs = x_multiples(E, xQ, 5)
+    # eval_many against num(x) / den(x) one x at a time, and against
+    # velu_sum, Velu's sum over the kernel, which shares no code with the
+    # Kohel form; on the class model lifted to the order-r torsion field,
+    # for r = 3 and 5 the half-degree field of the twist by delta
+    for r in (3, 5, 7):
+        tf = torsion_field(13, r)
+        F = tf.field
+        E = curve_47(F169).change_field(tf.emb)
+        xP, xQ, _ = torsion_basis(E, r, random.Random(12), tf.delta)
+        kernel = x_multiples(E, xP, (r - 1) // 2)
+        _, xmap = velu_quotient(E, kernel, r)
+        xs = x_multiples(E, xQ, r - 1)
 
-    def single(x):  # num(x) / den(x) by field-element arithmetic
-        num = sum(c * x**i for i, c in enumerate(xmap.num))
-        return num / sum(c * x**i for i, c in enumerate(xmap.den))
+        def single(x):  # num(x) / den(x) by field-element arithmetic
+            x = FieldElement(F, x)
+            num = sum(FieldElement(F, c) * x**i for i, c in enumerate(xmap.num))
+            return (num / sum(FieldElement(F, c) * x**i for i, c in enumerate(xmap.den))).raw
 
-    assert xmap.eval_many(xs) == [single(x) for x in xs]
-    with pytest.raises(XMapPole):
-        xmap.eval_many([xQ, xP])
+        def by_sum(x):
+            return velu_sum(E, [FieldElement(F, t) for t in kernel], FieldElement(F, x)).raw
+
+        assert xmap.eval_many(xs) == [single(x) for x in xs] == [by_sum(x) for x in xs], r
+        with pytest.raises(XMapPole):
+            xmap.eval_many([xQ, xP])
 
 
 def test_velu_rejects_bad_kernels():
@@ -608,7 +624,7 @@ def test_velu_kernel_guard():
     velu_quotient(E, xs, 7)
     velu_quotient(E, xs[::-1], 7)
     bad = {
-        "perturbed": [xs[0] + 1, xs[1], xs[2]],
+        "perturbed": [F169.add_t(xs[0], 1), xs[1], xs[2]],
         "dropped": xs[:2],
         "duplicated": [xs[0], xs[1], xs[1]],
         "other slot": [xs[0], xs[1], other[2]],
@@ -621,12 +637,11 @@ def test_velu_kernel_guard():
     x3, _, _ = torsion_basis(E4, 3, random.Random(15))
     velu_quotient(E4, [x3], 3)
     with pytest.raises(CurveError, match="order-3 kernel"):
-        velu_quotient(E4, [x3 + 1], 3)
+        velu_quotient(E4, [F13_4.add_t(x3, 1)], 3)
 
 
 def doubling_closed(curve, xs):
-    raws = {x.raw for x in xs}
-    return all(x_multiples(curve, x, 2)[1].raw in raws for x in xs)
+    return all(x_multiples(curve, x, 2)[1] in set(xs) for x in xs)
 
 
 def test_velu_kernel_guard_refuses_doubling_closed_impostors():
@@ -640,10 +655,10 @@ def test_velu_kernel_guard_refuses_doubling_closed_impostors():
         velu_quotient(E4, xs, 5)
     # the doubling orbit x(P), x(2P), x(4P) of an order-9 point at r = 7,
     # closed since 8P = -P
-    E = EllipticCurve(F13.element(1), F13.element(5))
+    E = EllipticCurve(element(F13, 1), element(F13, 5))
     P9 = on_curve_point(E, 3, 3)
     assert (9 * P9).is_identity() and not (3 * P9).is_identity()
-    xs9 = x_multiples(E, P9.x, 4)
+    xs9 = x_multiples(E, P9.x.raw, 4)
     xs = [xs9[0], xs9[1], xs9[3]]
     assert doubling_closed(E, xs)
     with pytest.raises(CurveError, match="order-7 kernel"):
@@ -658,7 +673,7 @@ def test_velu_kernel_guard_refuses_doubling_closed_impostors():
     xP, xQ, _ = torsion_basis(E8, 17, random.Random(18))
     orbit = [x_multiples(E8, xP, 8)[k - 1] for k in (1, 2, 4, 8)]
     orbit += [x_multiples(E8, xQ, 8)[k - 1] for k in (1, 2, 4, 8)]
-    assert len({x.raw for x in orbit}) == 8 and doubling_closed(E8, orbit)
+    assert len(set(orbit)) == 8 and doubling_closed(E8, orbit)
     velu_quotient(E8, x_multiples(E8, xP, 8), 17)
     with pytest.raises(CurveError, match="order-17 kernel"):
         velu_quotient(E8, orbit, 17)
@@ -667,7 +682,7 @@ def test_velu_kernel_guard_refuses_doubling_closed_impostors():
 def test_isomorphism_scale_frozen():
     # scaling (4, 7) by u = 4: u^2 = 3, a' = 9*4 = 10, b' = 27*7 = 7 mod 13
     E1 = curve_47(F13)
-    E2 = EllipticCurve(F13.element(10), F13.element(7))
+    E2 = EllipticCurve(element(F13, 10), element(F13, 7))
     u2 = isomorphism_scale(E1, E2)
     assert u2 == 3
     assert isomorphism_scale(E1, E1) == 1
@@ -683,7 +698,7 @@ def test_isomorphism_scale_twist_is_not_isomorphic():
     assert isomorphism_scale(E1, T1) is None
     assert isomorphism_scale(curve_47(F169), quadratic_twist(curve_47(F169))) is None
     E1x = curve_47(F169)
-    T1x = EllipticCurve(F169.element(3), F169.element(4))
+    T1x = EllipticCurve(element(F169, 3), element(F169, 4))
     assert isomorphism_scale(E1x, T1x) == 2
 
 
@@ -696,14 +711,14 @@ def test_isomorphism_scale_refuses_two_fields():
 
 
 def test_isomorphism_scale_mismatched_j():
-    assert isomorphism_scale(curve_47(F13), curve_from_j(F13.element(3))) is None
+    assert isomorphism_scale(curve_47(F13), curve_from_j(element(F13, 3))) is None
     with pytest.raises(ExcludedJInvariant):
-        isomorphism_scale(curve_47(F13), EllipticCurve(F13.element(1), F13.element(0)))
+        isomorphism_scale(curve_47(F13), EllipticCurve(element(F13, 1), element(F13, 0)))
 
 
 def test_isomorphism_scale_maps_points():
     E1 = curve_47(F13)
-    E2 = EllipticCurve(F13.element(10), F13.element(7))
+    E2 = EllipticCurve(element(F13, 10), element(F13, 7))
     u2 = isomorphism_scale(E1, E2)
     u = sqrt(u2)
     rng = random.Random(14)

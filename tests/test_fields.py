@@ -18,7 +18,7 @@ from isograph.fields import (
     is_prime,
     make_extension_field,
 )
-from oracles import on_curve_point, spread_t, torsion_order_extension, unspread_t
+from oracles import element, on_curve_point, spread_t, torsion_order_extension, unspread_t
 
 
 def brute_force_irreducible(coeffs, p):
@@ -163,8 +163,8 @@ def test_field_axioms_random(p, d):
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
         assert a + b == b + a
-        if a != f.element(0):
-            assert a * (1 / a) == f.one
+        if a != element(f, 0):
+            assert a * (1 / a) == element(f, 1)
         # Frobenius is additive in characteristic p
         assert (a + b) ** p == a**p + b**p
 
@@ -603,7 +603,7 @@ def test_field_mismatch_raises():
     f1 = make_extension_field(13, 1)
     f2 = make_extension_field(13, 2)
     with pytest.raises(FieldMismatch):
-        f1.one + f2.one
+        element(f1, 1) + element(f2, 1)
 
 
 def test_embedding_quadratic_into_tower():
@@ -622,7 +622,7 @@ def test_embedding_quadratic_into_tower():
         # generator image is a root of the source modulus
         z = emb(small.gen)
         m = small.modulus
-        assert z * z + m[1] * z + m[0] == big.element(0)
+        assert z * z + m[1] * z + m[0] == element(big, 0)
         with pytest.raises(NotInSubfield):
             emb.descend(big.gen)  # big generator spans outside the quadratic
 
@@ -634,25 +634,62 @@ def test_embedding_refuses_other_sources():
             Embedding(make_extension_field(13, a), make_extension_field(13, b))
 
 
+def test_field_refuses_a_composite_characteristic_or_a_non_monic_modulus():
+    # unguarded, F_15[x]/(x + 1) and F_13[x]/(2x + 1) are built with
+    # arithmetic that is not a field's: the fold plan reads the tail of the
+    # modulus as if p were prime and the leading coefficient 1
+    with pytest.raises(ValueError, match="characteristic 15 is not prime"):
+        Field(15, (1, 1))
+    for modulus in ((1, 2), (3, 1, 2), (5,)):
+        with pytest.raises(ValueError, match="monic of degree >= 1"):
+            Field(13, modulus)
+
+
+def test_extension_field_refuses_a_non_prime_or_a_degree_below_one():
+    # at p = 0 and 1 no candidate modulus reaches Field's own check (the
+    # search range is empty, or its one candidate is divisible by x), so
+    # unguarded the search ends in its cap error; d = 0 reaches only
+    # Field's monic check and d < 0 a range over a float
+    for p in (0, 1, 15):
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            make_extension_field(p, 2)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            make_extension_field(13, d)
+
+
+def test_embedding_refuses_another_characteristic_and_foreign_elements():
+    # unguarded, F_{13^2} embeds into F_{37^4}, where every F_37 constant
+    # is a square, so a root is found and the map is junk; and a constant
+    # of the source or of F_13 descends as if it were in the target
+    with pytest.raises(FieldMismatch, match="equal characteristic"):
+        Embedding(make_extension_field(13, 2), make_extension_field(37, 4))
+    small = make_extension_field(13, 2)
+    emb = Embedding(small, make_extension_field(13, 4))
+    for foreign in (element(small, 5), element(make_extension_field(13, 1), 5)):
+        with pytest.raises(FieldMismatch, match="not in embedding target field"):
+            emb.descend(foreign)
+
+
 def test_element_refuses_raw_ints():
     # a *_t result is a raw packed int; element() reads ints as constants,
     # so it refuses any int that is not one
     f = make_extension_field(13, 2)
     with pytest.raises(ValueError, match=r"FieldElement\(field, raw\)"):
-        f.element(f.gen.raw)
+        element(f, f.gen.raw)
     with pytest.raises(ValueError, match=r"not in \[0, p\)"):
-        f.element(-1)
-    assert f.element(12).coeffs == (12, 0)
-    assert f.element((0, 1)) == f.gen
+        element(f, -1)
+    assert element(f, 12).coeffs == (12, 0)
+    assert element(f, (0, 1)) == f.gen
     assert FieldElement(f, f.gen.raw) == f.gen
-    E = EllipticCurve(f.element(4), f.element(7))
+    E = EllipticCurve(element(f, 4), element(f, 7))
     with pytest.raises(ValueError, match="FieldElement"):
         on_curve_point(E, f.gen.raw, 0)
     # operators still coerce any int constant
     x = f.gen
     assert (4 * x).coeffs == (0, 4)
     assert (1728 - x).coeffs == (1728 % 13, 12)
-    assert f.coerce_t(-1) == f.element(12).raw
+    assert f.coerce_t(-1) == element(f, 12).raw
 
 
 # a prime field, a binomial modulus and the trinomial one of F_{37^40}
@@ -664,14 +701,14 @@ def test_int_operand_product_matches_element_product(p, d):
     for _ in range(6):
         x = FieldElement(f, f.random_t(rng))
         for c in (0, 1, -1, p - 1, p, p + 3, -5 * p - 2, 3 * p * p + 7):
-            const = f.element(c % p)
+            const = element(f, c % p)
             assert (x * c).raw == (x * const).raw == f.mul_t(x.raw, const.raw)
             assert (c * x).raw == (x * const).raw
 
 
 def test_element_order_and_encoding():
     f = make_extension_field(13, 2)
-    xs = [f.element((a, b)) for a in range(3) for b in range(3)]
+    xs = [element(f, (a, b)) for a in range(3) for b in range(3)]
     encs = sorted(x.coeffs for x in xs)
     assert encs[0] == (0, 0) and encs == sorted(set(encs))
-    assert f.element((2, 1)) < f.element((2, 2))
+    assert element(f, (2, 1)).coeffs < element(f, (2, 2)).coeffs

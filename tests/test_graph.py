@@ -1,5 +1,7 @@
-"""Edge reversal, Euler characteristic, connectivity, coverings, exports."""
+"""Edge reversal, Hecke commutation, Euler characteristic, connectivity,
+coverings, exports."""
 
+import functools
 import itertools
 from collections import Counter
 
@@ -31,6 +33,40 @@ def builder(p, l):
 
 def fixed(pairing):
     return [e for e, r in enumerate(pairing) if r == e]
+
+
+@functools.cache
+def acceptance_graphs():
+    """Every admissible graph of the acceptance grid, p in {13, 37, 61},
+    l in {3, 5, 7} and N in {1, 2, 3, 5, 6}, keyed by (p, l, N); built
+    once, one builder per (p, l)."""
+    out = {}
+    for p, l in itertools.product((13, 37, 61), (3, 5, 7)):
+        b = builder(p, l)
+        for N in (1, 2, 3, 5, 6):
+            try:
+                check_admissible(p, l, N)
+            except AdmissibilityError:
+                continue
+            out[p, l, N] = b.build(N)
+    return out
+
+
+def commute(A, B):
+    """Whether the square integer matrices A and B commute."""
+
+    def times(X, Y):
+        cols = list(zip(*Y))
+        return [[sum(map(int.__mul__, row, col)) for col in cols] for row in X]
+
+    return times(A, B) == times(B, A)
+
+
+def rebuilt(g, edge_target, edge_dual):
+    """g with other edge arrays, through the EnhancedGraph constructor."""
+    return EnhancedGraph(
+        g.p, g.l, g.level, g.seed, g.class_labels, tuple(edge_target), tuple(edge_dual)
+    )
 
 
 # ------------------------------------------------------------ matrix checks
@@ -74,12 +110,7 @@ def test_edge_reverse_over_acceptance_grid():
     # an endpoint-reversing involution whose fixed edges are exactly one
     # loop at each odd-diagonal vertex
     graphs = 0
-    for p, l, N in itertools.product((13, 37, 61), (3, 5, 7), (1, 2, 3, 5, 6)):
-        try:
-            check_admissible(p, l, N)
-        except AdmissibilityError:
-            continue
-        eg = builder(p, l).build(N)
+    for (p, l, N), eg in acceptance_graphs().items():
         k, target, rev = eg.degree, eg.edge_target, eg.edge_reverse
         for e, r in enumerate(rev):
             assert rev[r] == e and target[r] == e // k, (p, l, N, e)
@@ -96,6 +127,82 @@ def test_edge_reverse_over_acceptance_grid():
         )
         graphs += 1
     assert graphs == 36
+
+
+# --------------------------------------------------------- Hecke commutation
+
+
+def test_hecke_operators_commute_over_acceptance_grid():
+    # the Brandt matrices of one Eichler order are its Hecke operators, so
+    # they commute, and the vertex table (classes x level slots sorted by
+    # x) does not depend on l: A_l A_l' = A_l' A_l at every (p, N) with two
+    # admissible l.  Unlike a spectral identity, this sees the slot labels
+    graphs = acceptance_graphs()
+    pairs = 0
+    for (p, l, N), g in graphs.items():
+        for m in (3, 5, 7):
+            h = graphs.get((p, m, N))
+            if m > l and h is not None:
+                assert g.vertices == h.vertices
+                assert commute(g.brandt, h.brandt), (p, N, l, m)
+                pairs += 1
+    assert pairs == 27
+
+
+def test_hecke_commutation_refuses_a_double_edge_swap():
+    # mutation: edges u - v and x - y of A_5 at (37, 2) become u - y and
+    # x - v, with the duals re-paired; the constructor accepts the graph,
+    # which keeps symmetry and row sums, and only commutation refuses it
+    g, h = acceptance_graphs()[37, 5, 2], acceptance_graphs()[37, 3, 2]
+    k, target, dual = g.degree, list(g.edge_target), list(g.edge_dual)
+    e1, e2 = next(
+        (e1, e2)
+        for e1, e2 in itertools.combinations(range(len(target)), 2)
+        if len({e1 // k, target[e1], e2 // k, target[e2]}) == 4
+    )
+    u, v, x, y = e1 // k, target[e1], e2 // k, target[e2]
+    d1, d2 = dual[e1], dual[e2]
+    target[e1], target[d2], target[e2], target[d1] = y, u, v, x
+    dual[e1], dual[d2], dual[e2], dual[d1] = d2, e1, d1, e2
+    swapped = rebuilt(g, target, dual)
+    assert [sum(row) for row in swapped.brandt] == [k] * g.n
+    assert swapped.brandt != g.brandt and commute(g.brandt, h.brandt)
+    assert not commute(swapped.brandt, h.brandt)
+
+
+def slots_swapped(g, i, j):
+    """g with vertices i and j exchanged, edges and all, through the
+    constructor."""
+    k = g.degree
+    sigma = list(range(g.n))
+    sigma[i], sigma[j] = j, i
+
+    def move(e):
+        return sigma[e // k] * k + e % k
+
+    target, dual = [0] * len(g.edge_target), [0] * len(g.edge_dual)
+    for e, (w, d) in enumerate(zip(g.edge_target, g.edge_dual)):
+        target[move(e)], dual[move(e)] = sigma[w], move(d)
+    return rebuilt(g, target, dual)
+
+
+def test_hecke_commutation_refuses_two_level_slots_swapped():
+    # mutation: two level slots of one class exchanged in A_5 at (37, 2)
+    # alone, each of the nine such pairs in turn; the constructor accepts
+    # every relabelled graph, but A_3 still labels the slots the old way,
+    # so the two no longer commute
+    g, h = acceptance_graphs()[37, 5, 2], acceptance_graphs()[37, 3, 2]
+    assert commute(g.brandt, h.brandt)
+    pairs = [
+        (i, j)
+        for i, j in itertools.combinations(range(g.n), 2)
+        if g.vertices[i][0] == g.vertices[j][0]
+    ]
+    assert len(pairs) == 9
+    for i, j in pairs:
+        relabelled = slots_swapped(g, i, j)
+        assert relabelled.brandt != g.brandt
+        assert not commute(relabelled.brandt, h.brandt), (i, j)
 
 
 def test_realized_13_5_level1():

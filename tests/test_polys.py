@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import isograph.polys as polys
-from isograph.fields import make_extension_field
 from isograph.polys import (
     MERSENNE_EXPONENTS,
     Polynomial,
@@ -45,7 +44,7 @@ def random_poly(rng, max_deg=2):
 def test_intpolynomial_basics():
     a = P(1, -6, 5)
     assert a.degree == 2 and a[1] == -6 and a[5] == 0
-    assert P(0, 0).is_zero() and P().degree == -1
+    assert P(0, 0) == P() and P().degree == -1
     assert (P(1, 1) * P(1, -1)).coeffs == (1, 0, -1)
     assert (P(1, 2) ** 3).coeffs == (1, 6, 12, 8)
     assert P(1, -6, 5)(1) == 0 and P(1, -6, 5)(2) == 9
@@ -53,36 +52,11 @@ def test_intpolynomial_basics():
 
 def test_derivative():
     assert P(5, 3, -2, 4).derivative() == P(3, -4, 12)
-    assert P(7).derivative().is_zero() and P().derivative().is_zero()
+    assert P(7).derivative() == P() and P().derivative() == P()
     rng = random.Random(3)
     for _ in range(20):
         a, b = random_poly(rng, 4), random_poly(rng, 4)
         assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
-
-
-def test_field_coefficients_over_f13_2():
-    f = make_extension_field(13, 2)
-    rng = random.Random(7)
-
-    def rand_poly(deg):
-        return Polynomial(f.element(rng.sample(range(13), 2)) for _ in range(deg + 1))
-
-    x = Polynomial([f.element(0), f.one])
-    # a product leaves an int 0 where every term was zero
-    assert (x * x).coeffs[:2] == (0, 0)
-    assert [f.element(c) for c in (x * x).coeffs] == [f.element(0), f.element(0), f.one]
-    # in characteristic 13, (x^13)' = 13 x^12 vanishes and is stripped
-    assert (x**13 + x).derivative().coeffs == (f.one,)
-    for _ in range(10):
-        a, b = rand_poly(rng.randint(0, 4)), rand_poly(rng.randint(0, 4))
-        c = f.element(rng.sample(range(13), 2))
-        t = f.element(rng.sample(range(13), 2))
-        assert (a * b)(t) == a(t) * b(t)
-        assert (a + b)(t) == a(t) + b(t) and (a - b)(t) == a(t) - b(t)
-        assert (a * c)(t) == a(t) * c and (3 * a)(t) == 3 * a(t)
-        assert a.shift(2)(t) == a(t) * t * t
-        assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
-        assert (a - a).is_zero()
 
 
 def test_poly_matrix_det_trivial_cases():
@@ -116,7 +90,7 @@ def test_bareiss_vs_cofactor_ints():
         expect = cofactor_det(as_polys) if n <= 4 else None
         got = bareiss_det(m)
         if expect is not None:
-            assert got == (expect[0] if not expect.is_zero() else 0)
+            assert got == (expect[0] if expect.coeffs else 0)
         # scaling a row scales the determinant
         m2 = [row[:] for row in m]
         m2[0] = [3 * e for e in m2[0]]
@@ -223,7 +197,7 @@ def test_charpoly_scaled_identity_attains_the_bound(n, c):
 def test_charpoly_all_ones():
     for n in (1, 7, 30):
         ones = [[1] * n for _ in range(n)]
-        assert charpoly_int(ones) == charpoly_by_poly_det(ones) == P(-n, 1).shift(n - 1)
+        assert charpoly_int(ones) == charpoly_by_poly_det(ones) == P(*[0] * (n - 1), -n, 1)
 
 
 def test_charpoly_large_vs_float_eigenvalues():
