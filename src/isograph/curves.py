@@ -25,8 +25,8 @@ written once: _x_dbl_t, Brier and Joye's doubling, and _x_dadd_t, their
 differential addition, both on (X : Z) and skipping the products by a Z
 that is a raw 1; the ladder and the chains are built from those two, and
 x_affine is the one normaliser, any number of pairs for one batched
-inversion.  x_add gives x(Q + P) from x(P) and x(Q) as a root of a
-quadratic.
+inversion of the Z that are not a raw 1.  x_add gives x(Q + P) from x(P)
+and x(Q) as a root of a quadratic.
 """
 
 from __future__ import annotations
@@ -196,11 +196,13 @@ def x_multiples(curve: EllipticCurve, x: int, count: int) -> list[int]:
 
 
 def x_affine(f: Field, chain: Sequence[tuple[int, int]]) -> list[int]:
-    """Raw x = X/Z of (X : Z) pairs, one batched inversion; CurveError at Z = 0."""
+    """Raw x = X/Z of (X : Z) pairs, one batched inversion of the Z that are
+    not a raw 1 (an affine pair is its own X, and an all-affine chain
+    inverts nothing); CurveError at Z = 0."""
     if not all(Z for _, Z in chain):
         raise CurveError("hit the identity: count >= point order")
-    invs = f.batch_inv_t([Z for _, Z in chain])
-    return [f.mul_t(X, iz) for (X, _), iz in zip(chain, invs)]
+    invs = iter(f.batch_inv_t([Z for _, Z in chain if Z != 1]))
+    return [X if Z == 1 else f.mul_t(X, next(invs)) for X, Z in chain]
 
 
 def x_chain(

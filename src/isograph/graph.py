@@ -1,4 +1,5 @@
-"""The Euler characteristic, covering maps and exports of an EnhancedGraph.
+"""The Euler characteristic, covering maps, the characteristic polynomial
+along the level tower and exports of an EnhancedGraph.
 
 All of them read the EnhancedGraph itself: oriented edge e runs from
 e // (l+1) to edge_target[e], and edge_reverse pairs it with its
@@ -10,13 +11,23 @@ A covering G(N) -> G(M) is its vertex projection: an edge keeps its
 kernel slot, so edge e maps to vertex_map[e // k] * k + e % k with
 k = l + 1.  verify_covering checks what that rule leaves open, vertex
 fibers of sigma1(N/M) elements and heads that commute.
+
+The coverings split the characteristic polynomial (Atkin-Lehner 1970,
+Pizer 1980): det(xI - A_N) = prod over M | N of Q_M, where Q_M is A_M on
+the vectors that sum to zero over every fiber of each projection that
+forgets one prime of M, of degree (p - 1) M / 12 (tower_charpoly).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import functools
+import itertools
+import math
+import operator
+from typing import NamedTuple, Sequence
 
-from .enhanced import EnhancedGraph, sigma1
+from .enhanced import EnhancedGraph, sigma1, vertex_table
+from .polys import Polynomial, charpoly_int
 
 
 class CoveringError(ValueError):
@@ -51,11 +62,15 @@ def covering_map(fine: EnhancedGraph, coarse: EnhancedGraph) -> CoveringMap:
         )
     # M | N, so every prime of M is a prime of N
     positions = [fine.primes.index(r) for r in coarse.primes]
-    cindex = {v: i for i, v in enumerate(coarse.vertices)}
-    vmap = tuple(
-        cindex[(c, tuple(S[pos] for pos in positions))] for c, S in fine.vertices
-    )
+    vmap = _project_vertices(fine.vertices, positions, coarse.vertices)
     return CoveringMap(vmap, sigma1(fine.level // coarse.level))
+
+
+def _project_vertices(vertices, positions, coarse_vertices) -> tuple[int, ...]:
+    """The index in coarse_vertices of each vertex (class, slots) with only
+    its slots at `positions` kept."""
+    cindex = {v: i for i, v in enumerate(coarse_vertices)}
+    return tuple(cindex[c, tuple(S[pos] for pos in positions)] for c, S in vertices)
 
 
 def verify_covering(
@@ -78,6 +93,85 @@ def verify_covering(
     for e, w in enumerate(fine.edge_target):
         if coarse.edge_target[vmap[e // k] * k + e % k] != vmap[w]:
             raise CoveringError(f"target map breaks at edge {e}")
+
+
+# ------------------------------------------- the characteristic polynomial
+
+
+def equitable_quotient(
+    rows: Sequence[Sequence[tuple[int, int]]], cell: Sequence[int], count: int
+) -> tuple[tuple[int, ...], ...] | None:
+    """The quotient of the matrix with sparse rows rows[v], its (column,
+    entry) pairs, over the partition of its indices into `count` cells,
+    cell[v] the cell of v: B[C][D] is the weight from any index of C into
+    D.  None when two indices of one cell disagree, that is when the
+    partition is not equitable."""
+    quotient: list = [None] * count
+    for v, row in enumerate(rows):
+        weights = [0] * count
+        for w, x in row:
+            weights[cell[w]] += x
+        c = cell[v]
+        if quotient[c] is None:
+            quotient[c] = weights
+        elif quotient[c] != weights:
+            return None
+    return tuple(map(tuple, quotient))
+
+
+@functools.lru_cache(maxsize=None)
+def new_part(quotient: tuple[tuple[int, ...], ...], labels: tuple) -> Polynomial:
+    """Q_M: the level-M quotient B, with vertex labels (class, slots at M's
+    primes) in vertex_table order, on the vectors that sum to zero over
+    each fiber of forgetting one prime, of dimension classes * prod r.
+    Computed once per process for each (B, labels), as
+    curves.torsion_field is, so a grid computes each new part once."""
+    partitions = []
+    for i in range(len(labels[0][1])):
+        fibers: dict = {}
+        for v, (c, S) in enumerate(labels):
+            fibers.setdefault((c, S[:i] + S[i + 1 :]), []).append(v)
+        partitions.append(list(fibers.values()))
+    dim = len(labels)
+    for cells in partitions:
+        dim = dim * (len(cells[0]) - 1) // len(cells[0])
+    return charpoly_int(quotient, (partitions, dim))
+
+
+def level_factors(eg: EnhancedGraph) -> dict[int, Polynomial] | None:
+    """Q_M for each M | N, or None when a partition is not equitable.
+
+    For each M the vertices are cut into the fibers of the projection to
+    level M, cells (class, slots at M's primes), and the quotient of A over
+    them is read off edge_target in O(n (l+1)).  When every partition is
+    equitable, its cell-constant vectors are A-invariant, the quotient is
+    the symmetric A_M, and functions on the vertices split into the
+    pullbacks of each level's new vectors, so det(xI - A) is the product
+    of the Q_M."""
+    k = eg.degree
+    rows = [[(w, 1) for w in eg.edge_target[v * k : (v + 1) * k]] for v in range(eg.n)]
+    classes = len(eg.class_labels)
+    quotients = {}
+    for size in range(len(eg.primes) + 1):
+        for kept in itertools.combinations(range(len(eg.primes)), size):
+            primes = [eg.primes[i] for i in kept]
+            labels = tuple(vertex_table(classes, primes))
+            cell = _project_vertices(eg.vertices, kept, labels)
+            quotient = equitable_quotient(rows, cell, len(labels))
+            if quotient is None:
+                return None
+            quotients[math.prod(primes)] = quotient, labels
+    return {M: new_part(*q) for M, q in quotients.items()}
+
+
+def tower_charpoly(eg: EnhancedGraph) -> Polynomial:
+    """det(xI - A), the product of level_factors; a partition that is not
+    equitable (only a hand-edited graph has one) sends the whole matrix to
+    charpoly_int instead."""
+    factors = level_factors(eg)
+    if factors is None:
+        return charpoly_int(eg.brandt)
+    return functools.reduce(operator.mul, factors.values(), Polynomial([1]))
 
 
 # --------------------------------------------------------------- exports

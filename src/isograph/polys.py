@@ -224,7 +224,23 @@ def _draw(rng: random.Random, n: int, prime: int) -> list[int]:
     return [rng.getrandbits(bits) for _ in range(n)]
 
 
-def charpoly_int(matrix: Sequence[Sequence[int]]) -> Polynomial:
+def _project(w: list[int], partitions, prime: int) -> list[int]:
+    """w minus its mean over each cell of each partition, mod prime: the
+    vectors that sum to zero over every cell, when the partitions' cell
+    averages commute (the coordinates of a product set)."""
+    for cells in partitions:
+        inv = pow(len(cells[0]), -1, prime)
+        for cell in cells:
+            mean = sum(w[i] for i in cell) * inv % prime
+            for i in cell:
+                w[i] = (w[i] - mean) % prime
+    return w
+
+
+def charpoly_int(
+    matrix: Sequence[Sequence[int]],
+    restriction: tuple[Sequence[Sequence[Sequence[int]]], int] | None = None,
+) -> Polynomial:
     """det(xI - A) exactly, for a symmetric integer A.  Lanczos over one
     prime P above twice _coefficient_bound, lifted to the symmetric range.
 
@@ -236,7 +252,17 @@ def charpoly_int(matrix: Sequence[Sequence[int]]) -> Polynomial:
     one pass (they are orthogonal); symmetry keeps its Krylov space
     orthogonal to theirs, so det(xI - A) mod P is the product of the block
     polynomials.  A nonzero w with <w, w> = 0 mod P stops the recurrence and
-    raises ArithmeticError."""
+    raises ArithmeticError.
+
+    restriction = (partitions, dim) gives A on the subspace U of the
+    vectors that sum to zero over every cell of each partition (a list of
+    cells of equal size, the coordinates of a product set), of dimension
+    dim: each start vector is projected onto U and the blocks stop at dim
+    vectors.  The caller proves U invariant under A (an equitable
+    partition, graph.tower_charpoly).  The result, a factor of det(xI - A),
+    is lifted with A's own bound, which covers it: its roots are dim of
+    A's eigenvalues, and the bound C(n, k) (T/n)^(k/2) over that many
+    roots grows with n, as C(n, k) n^(-k/2) does."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -245,13 +271,14 @@ def charpoly_int(matrix: Sequence[Sequence[int]]) -> Polynomial:
     # from the nonzero side
     if any(matrix[j][i] != x for i, row in enumerate(rows) for j, x in row):
         raise ValueError("matrix is not symmetric")
+    partitions, dim = ((), n) if restriction is None else restriction
     frob2 = sum(x * x for row in rows for _, x in row)
     prime = _lanczos_prime(2 * _coefficient_bound(n, frob2))
     rng = random.Random(0)
     basis: list[tuple[list[int], int]] = []  # w, 1/<w, w>
     product = Polynomial([1])
-    while len(basis) < n:
-        w = _draw(rng, n, prime)
+    while len(basis) < dim:
+        w = _project(_draw(rng, n, prime), partitions, prime)
         if basis:
             vs, invs = zip(*basis)
             cs = [sum(map(mul, w, v)) * inv % prime for v, inv in zip(vs, invs)]
@@ -264,7 +291,7 @@ def charpoly_int(matrix: Sequence[Sequence[int]]) -> Polynomial:
             d = sum(map(mul, w, w)) % prime
             if not d:
                 raise ArithmeticError("Lanczos reached a nonzero isotropic vector")
-            if len(basis) == n:  # unreachable for a symmetric A
+            if len(basis) == dim:  # unreachable for a symmetric A and invariant U
                 raise ArithmeticError("more Lanczos vectors than the dimension")
             inv = pow(d, -1, prime)
             basis.append((w, inv))

@@ -1,10 +1,11 @@
 """Spectra of adjacency matrices and expansion measures.
 
 Every verdict is exact and reads the integer characteristic polynomial
-P = det(xI - A) (polys.charpoly_int).  This module holds the one
-definition of connectivity (is_connected: P'(k) != 0 for A k-regular)
-and of bipartiteness (is_bipartite: P(-x) = +-P(x)), each one pass over
-P's coefficients.  The other verdicts count the roots of P above and on
+P = det(xI - A): for an EnhancedGraph the product of its level tower's
+new parts (graph.tower_charpoly), for a bare matrix polys.charpoly_int.
+This module holds the one definition of connectivity (is_connected:
+P'(k) != 0 for A k-regular) and of bipartiteness (is_bipartite:
+P(-x) = +-P(x)), each one pass over P's coefficients.  The other verdicts count the roots of P above and on
 a threshold in Q(sqrt l) (count_roots).  Float eigenvalues from one
 pure-Python symmetric solver (symmetric_eigenvalues: Householder
 tridiagonalization, then implicit-shift QL) are for display only:
@@ -30,6 +31,8 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
+from .enhanced import EnhancedGraph
+from .graph import tower_charpoly
 from .polys import Polynomial, charpoly_int
 
 # the solver's top eigenvalue may miss the exact degree by rounding, no more
@@ -222,6 +225,8 @@ def spectrum(graph_or_matrix) -> Spectrum:
     eigs = symmetric_eigenvalues(A)
     if abs(eigs[0] - degree) > EIGVALSH_TOL:
         raise SpectralError(f"top eigenvalue {eigs[0]} differs from degree {degree}")
+    if isinstance(graph_or_matrix, EnhancedGraph):
+        return Spectrum(tuple(eigs), degree, tower_charpoly(graph_or_matrix))
     return Spectrum(tuple(eigs), degree, charpoly_int(A))
 
 

@@ -3,9 +3,9 @@
 G_p^(l)(N) is (l+1)-regular, so by Ihara-Bass 1/Z is (1 - t^2)^(-chi)
 times det(I - A t + l t^2 I), with chi = graph.euler_characteristic
 (vertices minus geometric edges).  Everything is integer arithmetic.
-The Bass route expands the characteristic polynomial of A
-(polys.charpoly_int), which also decides that the graph is connected
-(spectral.is_connected).  The independent oracle that verify compares
+The Bass route expands the characteristic polynomial of A, the product
+of its level tower's new parts (graph.tower_charpoly), which also
+decides that the graph is connected (spectral.is_connected).  The independent oracle that verify compares
 against is det(I - tT) over edge_reverse, from exact counts of closed
 non-backtracking walks and Newton's identities; it shares no code with
 the Bass route.  Nothing here loads numpy.
@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .enhanced import AdmissibilityError, EnhancedGraph, GraphBuilder
-from .graph import euler_characteristic
-from .polys import Polynomial, charpoly_int
+from .graph import euler_characteristic, tower_charpoly
+from .polys import Polynomial
 from .spectral import is_connected
 
 ONE_MINUS_T2 = Polynomial([1, 0, -1])
@@ -75,9 +75,9 @@ def _det_part_charpoly(c: Polynomial, l: int) -> Polynomial:
 def ihara_zeta(eg: EnhancedGraph, charpoly: Polynomial | None = None) -> ZetaFunction:
     """Exact zeta of a connected graph: det(I - At + l t^2 I) expanded
     from the characteristic polynomial of A (`charpoly` when the caller
-    already holds it, as Spectrum.charpoly, else charpoly_int(A)), which
-    also decides connectivity (spectral.is_connected)."""
-    c = charpoly_int(eg.brandt) if charpoly is None else charpoly
+    already holds it, as Spectrum.charpoly, else graph.tower_charpoly),
+    which also decides connectivity (spectral.is_connected)."""
+    c = tower_charpoly(eg) if charpoly is None else charpoly
     if not is_connected(c, eg.degree):
         raise ZetaError("zeta function needs a connected graph")
     chi = euler_characteristic(eg)

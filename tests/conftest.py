@@ -1,4 +1,5 @@
-"""A wall-clock limit on every test call.
+"""A wall-clock limit on every test call, and an empty new-part cache for
+the tests that count characteristic polynomials.
 
 A loop whose exit guard is broken (a QL sweep without its iteration cap,
 Tonelli-Shanks on a non-square) must fail its test, not hang the run.
@@ -9,6 +10,8 @@ children do not inherit the timer."""
 import signal
 
 import pytest
+
+from isograph.graph import new_part
 
 TEST_SECONDS = 120
 
@@ -29,3 +32,13 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def fresh_new_parts():
+    """graph.new_part's per-process cache emptied before and after the
+    test, so every new part the test asks for is computed inside it and an
+    earlier test's entries cannot hide a call that it counts."""
+    new_part.cache_clear()
+    yield
+    new_part.cache_clear()

@@ -8,7 +8,10 @@ blocks, a meet in the middle of the two vertex halves by matrix
 products, against the package's packed-lane search
 (spectral._exact_cheeger).  The zeta pipeline itself computes 1/Z from the
 characteristic polynomial of the adjacency matrix (zeta.ihara_zeta) and
-checks it against the edge determinant (zeta.edge_matrix_zeta).  The
+checks it against the edge determinant (zeta.edge_matrix_zeta).
+hessenberg_charpoly is a characteristic polynomial by Hessenberg
+reduction mod a Mersenne prime, apart from the package's Lanczos
+(polys.charpoly_int) and the walk counts of the edge determinant.  The
 census oracles count closed reduced paths on the edges directly and
 compare the counts with exact power series of Z, so a census never
 shares code with either route.
@@ -130,6 +133,54 @@ def mitm_cheeger(matrix) -> tuple[Fraction, tuple[int, ...]]:
         if keys.flat[i] < best:
             best, best_mask = int(keys.flat[i]), (start << half) + i
     return Fraction(best, scale), tuple(v for v in range(n) if best_mask >> v & 1)
+
+
+# exponents e of the Mersenne primes 2^e - 1 from 2^61 - 1 on (Lucas-Lehmer)
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281)
+
+
+def hessenberg_charpoly(matrix) -> Polynomial:
+    """det(xI - A) for a square integer A, by reduction to upper Hessenberg
+    form by similarity and the Hessenberg recurrence (Cohen, GTM 138,
+    Alg. 2.2.9), modulo the smallest tabulated Mersenne prime P above
+    twice a coefficient bound, lifted to the symmetric range.  Every
+    eigenvalue has |lambda| <= R, the largest absolute row sum, so
+    |c_k| <= C(n, k) R^k <= (R + 1)^n."""
+    n = len(matrix)
+    R = max((sum(map(abs, row)) for row in matrix), default=0)
+    P = next(
+        (1 << e) - 1 for e in MERSENNE_EXPONENTS if (1 << e) - 1 > 2 * (R + 1) ** n
+    )
+    H = [[x % P for x in row] for row in matrix]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:  # swap rows and columns i and m
+            H[i], H[m] = H[m], H[i]
+            for row in H:
+                row[i], row[m] = row[m], row[i]
+        inv = pow(H[m][m - 1], -1, P)
+        for i in range(m + 1, n):
+            u = H[i][m - 1] * inv % P
+            if u:  # row i -= u row m, then column m += u column i
+                H[i] = [(a - u * b) % P for a, b in zip(H[i], H[m])]
+                for row in H:
+                    row[m] = (row[m] + u * row[i]) % P
+    # p_(m+1) = (x - h_mm) p_m - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_i
+    chars = [[1]]
+    for m in range(n):
+        nxt = [0] + chars[m]
+        for k, c in enumerate(chars[m]):
+            nxt[k] -= H[m][m] * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i] % P
+            coef = H[i][m] * t % P
+            for k, c in enumerate(chars[i]):
+                nxt[k] -= coef * c
+        chars.append([c % P for c in nxt])
+    return Polynomial(c - P if 2 * c > P else c for c in chars[n])
 
 
 def ratfun_series(

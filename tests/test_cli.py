@@ -574,29 +574,41 @@ def test_verify_solves_each_spectrum_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_verify_computes_each_charpoly_once(tmp_path, monkeypatch):
+def test_verify_computes_each_charpoly_once(tmp_path, monkeypatch, fresh_new_parts):
     # a graph with at most 30 oriented edges gets the edge oracle, which
-    # counts walks: the one charpoly is the spectrum's, reused by the zeta
+    # counts walks: the one characteristic polynomial is the spectrum's,
+    # reused by the zeta, and it computes each new part of the level tower
+    # once, Q_1 on the 1-vertex level-1 quotient and Q_3 on the whole graph
     import isograph.cli as cli_mod
+    import isograph.graph as graph_mod
     import isograph.polys as polys_mod
     import isograph.spectral as spectral_mod
-    import isograph.zeta as zeta_mod
 
-    calls = []
-    original = polys_mod.charpoly_int
+    calls, towers = [], []
+    original, tower = polys_mod.charpoly_int, graph_mod.tower_charpoly
 
     def counted(*args):
         calls.append(len(args[0]))
         return original(*args)
 
-    for mod in (polys_mod, spectral_mod, zeta_mod):
+    def counted_tower(eg):
+        towers.append(eg.n)
+        return tower(eg)
+
+    for mod in (polys_mod, spectral_mod, graph_mod):
         monkeypatch.setattr(mod, "charpoly_int", counted)
+    for mod in (graph_mod, spectral_mod, zeta_mod):
+        monkeypatch.setattr(mod, "tower_charpoly", counted_tower)
     cfg = JobConfig(13, 5, 3, cache_dir=str(tmp_path))
     eg = build_or_load(cfg)
     assert eg.oriented_edge_count <= 30
     result = cli_mod.verify_graph(eg, cfg)
     assert "bass_edge_oracle" in result["checks"]
-    assert calls == [eg.n]
+    assert towers == [eg.n] == [4]
+    assert calls == [1, eg.n]
+    # the same graph again: both new parts come from the cache
+    cli_mod.verify_graph(eg, cfg)
+    assert calls == [1, eg.n]
 
 
 def test_verify_loads_each_cache_file_once(tmp_path, capsys, monkeypatch):

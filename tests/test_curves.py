@@ -211,6 +211,28 @@ def test_x_chain_start_pair_matches_affine_translates():
         x_affine(F169, x_chain(E, P.x.raw, 7, (P.x.raw, (P + P).x.raw)))  # P + 6P = 7P = O
 
 
+def test_x_affine_inverts_only_the_z_that_are_not_one(monkeypatch):
+    # an all-affine chain makes no inversion, a mixed chain inverts only its
+    # Z != 1, in one batch, and every x is X/Z; Z = 0 still raises
+    rng = random.Random(31)
+    field = F13_4
+    xs = [field.random_t(rng) for _ in range(6)]
+    zs = [field.random_t(rng) or 2 for _ in range(3)]
+    mixed = [(xs[0], 1), (xs[1], zs[0]), (xs[2], 1), (xs[3], zs[1]), (xs[4], zs[2])]
+    expected = [field.mul_t(X, field.inv_t(Z)) for X, Z in mixed]
+    batches, inversions = [], []
+    batch_inv_t, inv_t = field.batch_inv_t, field.inv_t
+    monkeypatch.setattr(field, "batch_inv_t", lambda items: batches.append(items) or batch_inv_t(items))
+    monkeypatch.setattr(field, "inv_t", lambda a: inversions.append(a) or inv_t(a))
+    assert x_affine(field, [(x, 1) for x in xs]) == xs
+    assert inversions == [] and batches in ([], [[]])
+    batches.clear()
+    assert x_affine(field, mixed) == expected
+    assert batches == [zs] and len(inversions) == 1
+    with pytest.raises(CurveError, match="identity"):
+        x_affine(field, [(xs[0], 1), (xs[1], 0)])
+
+
 def test_scalar_mul_matches_repeated_addition():
     # x_ladder against n-fold addition, past the point's order, where Z = 0
     E = curve_47(F169)

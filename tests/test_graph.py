@@ -1,5 +1,5 @@
 """Edge reversal, Hecke commutation, Euler characteristic, connectivity,
-coverings, exports."""
+coverings, the characteristic polynomial along the level tower, exports."""
 
 import functools
 import itertools
@@ -21,10 +21,13 @@ from isograph.graph import (
     adjacency_csv,
     covering_map,
     euler_characteristic,
+    level_factors,
     to_dot,
+    tower_charpoly,
     verify_covering,
 )
-from oracles import adjacency_connected, is_bipartite
+from isograph.polys import charpoly_int
+from oracles import adjacency_connected, hessenberg_charpoly, is_bipartite
 
 
 def builder(p, l):
@@ -129,6 +132,50 @@ def test_edge_reverse_over_acceptance_grid():
     assert graphs == 36
 
 
+# ------------------------------------------ characteristic polynomial tower
+
+
+def test_tower_charpoly_is_the_product_of_the_level_new_parts(fresh_new_parts):
+    # det(xI - A_N) = prod over M | N of Q_M with deg Q_M = (p - 1) M / 12,
+    # over the acceptance grid and two three-prime levels; at (61, 5, 6) and
+    # (13, 5, 42) the Hessenberg reference checks the product independently
+    graphs = dict(acceptance_graphs())
+    graphs[13, 7, 30] = builder(13, 7).build(30)
+    graphs[13, 5, 42] = builder(13, 5).build(42)
+    for (p, l, N), eg in graphs.items():
+        factors = level_factors(eg)
+        assert sorted(factors) == [M for M in range(1, N + 1) if N % M == 0]
+        for M, q in factors.items():
+            assert q.degree == (p - 1) * M // 12 and q.coeffs[-1] == 1, (p, l, N, M)
+        full = charpoly_int(eg.brandt)
+        assert tower_charpoly(eg) == full, (p, l, N)
+        if (p, l, N) in ((61, 5, 6), (13, 5, 42)):
+            assert full == hessenberg_charpoly(eg.brandt)
+    assert len(graphs) == 38
+
+
+def test_tower_charpoly_is_exact_on_a_graph_that_is_not_equitable(fresh_new_parts):
+    # mutation: a double-edge swap at (37, 5, 2) between two vertices of one
+    # class whose edges go to two other classes; the constructor accepts it,
+    # but the class partition is no longer equitable, so the graph gets the
+    # whole matrix's charpoly_int
+    g = acceptance_graphs()[37, 5, 2]
+    k, target = g.degree, g.edge_target
+    cls = [c for c, _ in g.vertices]
+    e1, e2 = next(
+        (e1, e2)
+        for e1, e2 in itertools.combinations(range(len(target)), 2)
+        if cls[e1 // k] == cls[e2 // k] != cls[target[e1]] != cls[target[e2]] != cls[e1 // k]
+        and len({e1 // k, target[e1], e2 // k, target[e2]}) == 4
+    )
+    swapped = double_edge_swap(g, e1, e2)
+    assert [sum(row) for row in swapped.brandt] == [k] * g.n
+    assert level_factors(g) is not None and level_factors(swapped) is None
+    full = charpoly_int(swapped.brandt)
+    assert full != charpoly_int(g.brandt)
+    assert tower_charpoly(swapped) == full == hessenberg_charpoly(swapped.brandt)
+
+
 # --------------------------------------------------------- Hecke commutation
 
 
@@ -154,20 +201,28 @@ def test_hecke_commutation_refuses_a_double_edge_swap():
     # x - v, with the duals re-paired; the constructor accepts the graph,
     # which keeps symmetry and row sums, and only commutation refuses it
     g, h = acceptance_graphs()[37, 5, 2], acceptance_graphs()[37, 3, 2]
-    k, target, dual = g.degree, list(g.edge_target), list(g.edge_dual)
+    k, target = g.degree, g.edge_target
     e1, e2 = next(
         (e1, e2)
         for e1, e2 in itertools.combinations(range(len(target)), 2)
         if len({e1 // k, target[e1], e2 // k, target[e2]}) == 4
     )
+    swapped = double_edge_swap(g, e1, e2)
+    assert [sum(row) for row in swapped.brandt] == [k] * g.n
+    assert swapped.brandt != g.brandt and commute(g.brandt, h.brandt)
+    assert not commute(swapped.brandt, h.brandt)
+
+
+def double_edge_swap(g, e1, e2):
+    """Edges u - v (e1) and x - y (e2) of g become u - y and x - v, with
+    the duals re-paired, through the constructor: symmetry and row sums
+    stay."""
+    k, target, dual = g.degree, list(g.edge_target), list(g.edge_dual)
     u, v, x, y = e1 // k, target[e1], e2 // k, target[e2]
     d1, d2 = dual[e1], dual[e2]
     target[e1], target[d2], target[e2], target[d1] = y, u, v, x
     dual[e1], dual[d2], dual[e2], dual[d1] = d2, e1, d1, e2
-    swapped = rebuilt(g, target, dual)
-    assert [sum(row) for row in swapped.brandt] == [k] * g.n
-    assert swapped.brandt != g.brandt and commute(g.brandt, h.brandt)
-    assert not commute(swapped.brandt, h.brandt)
+    return rebuilt(g, target, dual)
 
 
 def slots_swapped(g, i, j):

@@ -1,11 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
 
 import isograph.polys as polys
+from isograph.graph import equitable_quotient
 from isograph.polys import (
     MERSENNE_EXPONENTS,
     Polynomial,
@@ -215,6 +217,106 @@ def test_charpoly_large_vs_float_eigenvalues():
     # det(A) = (-1)^n * constant term
     det_float = float(np.prod(eigs))
     assert abs(cp[0] - (-1) ** n * det_float) <= max(1.0, abs(det_float)) * 1e-8
+
+
+def random_symmetric(rng, m):
+    s = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            s[i][j] = s[j][i] = rng.randint(-4, 4)
+    return s
+
+
+def lifted(B, sizes, rng):
+    """A symmetric lift of the symmetric B along a product of coverings
+    with fibers of the given sizes, and its labels (i, a): a runs over the
+    product of range(s) and the index is the label's place in product
+    order.  A[(i, a)][(j, pi_ij(a))] = B[i][j] for a random permutation
+    pi_ij of each coordinate, an involution when i = j, so forgetting any
+    set of coordinates is an equitable partition."""
+    m = len(B)
+    fibers = list(itertools.product(*map(range, sizes)))
+    labels = [(i, a) for i in range(m) for a in fibers]
+    index = {v: k for k, v in enumerate(labels)}
+    A = [[0] * len(labels) for _ in labels]
+    for i in range(m):
+        for j in range(i, m):
+            maps = []
+            for s in sizes:
+                perm = list(range(s))
+                rng.shuffle(perm)
+                if i == j:  # pair the shuffled points two by two
+                    pairs = list(range(s))
+                    for x, y in zip(perm[0::2], perm[1::2]):
+                        pairs[x], pairs[y] = y, x
+                    perm = pairs
+                maps.append(perm)
+            for a in fibers:
+                u = index[i, a]
+                v = index[j, tuple(perm[x] for perm, x in zip(maps, a))]
+                A[u][v] = A[v][u] = B[i][j]
+    return A, labels
+
+
+def sparse(A):
+    return [[(j, x) for j, x in enumerate(row) if x] for row in A]
+
+
+def test_restricted_charpoly_splits_a_random_lift():
+    # det(xI - A) is the product over every set K of kept coordinates of the
+    # quotient over forgetting the others, restricted to the vectors that
+    # sum to zero over each fiber of forgetting one more coordinate of K;
+    # with one coordinate that is the restricted part times det(xI - B)
+    rng = random.Random(41)
+    for sizes in ((2,), (3,), (4,), (2, 3), (3, 2), (2, 2)):
+        for _ in range(4):
+            m = rng.randint(1, 4)
+            B = random_symmetric(rng, m)
+            A, labels = lifted(B, sizes, rng)
+            product = P(1)
+            for size in range(len(sizes) + 1):
+                for kept in itertools.combinations(range(len(sizes)), size):
+                    coarse = sorted({(i, tuple(a[c] for c in kept)) for i, a in labels})
+                    cindex = {v: k for k, v in enumerate(coarse)}
+                    cell = [cindex[i, tuple(a[c] for c in kept)] for i, a in labels]
+                    quotient = equitable_quotient(sparse(A), cell, len(coarse))
+                    assert quotient is not None
+                    if not kept:
+                        assert quotient == tuple(map(tuple, B))
+                    partitions = []
+                    for c in range(len(kept)):
+                        fibers = {}
+                        for k, (i, a) in enumerate(coarse):
+                            fibers.setdefault((i, a[:c] + a[c + 1 :]), []).append(k)
+                        partitions.append(list(fibers.values()))
+                    dim = m * prod(sizes[c] - 1 for c in kept)
+                    part = charpoly_int(quotient, (partitions, dim))
+                    assert part.degree == dim
+                    product = product * part
+            assert product == charpoly_int(A), (sizes, B)
+
+
+def test_a_partition_that_is_not_equitable_is_refused():
+    # one more unit between two vertices of different cells, both ways:
+    # the first vertex's weight into the other's cell no longer matches its
+    # cell mates', so the quotient is refused.  Restricted Lanczos on such a
+    # partition has no invariant subspace to stay in: here each Krylov
+    # block leaves it and runs into the dimension guard
+    rng = random.Random(43)
+    for _ in range(20):
+        m, s = rng.randint(2, 4), rng.randint(2, 4)
+        B = random_symmetric(rng, m)
+        A, labels = lifted(B, (s,), rng)
+        cell = [i for i, _ in labels]
+        assert equitable_quotient(sparse(A), cell, m) == tuple(map(tuple, B))
+        u = rng.randrange(len(A))
+        v = rng.choice([k for k in range(len(A)) if cell[k] != cell[u]])
+        A[u][v] += 1
+        A[v][u] += 1
+        assert equitable_quotient(sparse(A), cell, m) is None
+        cells = [[k for k, c in enumerate(cell) if c == i] for i in range(m)]
+        with pytest.raises(ArithmeticError, match="more Lanczos vectors"):
+            charpoly_int(A, ([cells], m * (s - 1)))
 
 
 def test_series_examples():
