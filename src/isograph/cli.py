@@ -260,7 +260,7 @@ def verify_graph(eg: EnhancedGraph, cfg: JobConfig, graphs: dict | None = None) 
     if not rep.connected:  # the zeta function needs a connected graph
         detail["bass_edge_oracle"] = "skipped: graph disconnected"
     elif eg.oriented_edge_count <= ORACLE_EDGE_LIMIT:
-        z = ihara_zeta(eg, charpoly=spec.charpoly)
+        z = ihara_zeta(eg)
         checks["bass_edge_oracle"] = edge_matrix_zeta(eg) == z.inverse_polynomial()
     else:
         detail["bass_edge_oracle"] = "skipped: graph too large"

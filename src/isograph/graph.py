@@ -120,47 +120,46 @@ def equitable_quotient(
 
 
 @functools.lru_cache(maxsize=None)
-def new_part(quotient: tuple[tuple[int, ...], ...], labels: tuple) -> Polynomial:
-    """Q_M: the level-M quotient B, with vertex labels (class, slots at M's
+def new_part(quotient: tuple[tuple[int, ...], ...], primes: tuple[int, ...]) -> Polynomial:
+    """Q_M: the level-M quotient B, its vertices (class, slots at M's
     primes) in vertex_table order, on the vectors that sum to zero over
-    each fiber of forgetting one prime, of dimension classes * prod r.
-    Computed once per process for each (B, labels), as
-    curves.torsion_field is, so a grid computes each new part once."""
+    each fiber of forgetting one prime.  Computed once per process for each
+    (B, primes), as curves.torsion_field is, so a grid computes each new
+    part once."""
+    labels = vertex_table(len(quotient) // math.prod(r + 1 for r in primes), primes)
     partitions = []
-    for i in range(len(labels[0][1])):
+    for i in range(len(primes)):
         fibers: dict = {}
         for v, (c, S) in enumerate(labels):
             fibers.setdefault((c, S[:i] + S[i + 1 :]), []).append(v)
         partitions.append(list(fibers.values()))
-    dim = len(labels)
-    for cells in partitions:
-        dim = dim * (len(cells[0]) - 1) // len(cells[0])
-    return charpoly_int(quotient, (partitions, dim))
+    return charpoly_int(quotient, partitions)
 
 
 def level_factors(eg: EnhancedGraph) -> dict[int, Polynomial] | None:
     """Q_M for each M | N, or None when a partition is not equitable.
 
-    For each M the vertices are cut into the fibers of the projection to
-    level M, cells (class, slots at M's primes), and the quotient of A over
-    them is read off edge_target in O(n (l+1)).  When every partition is
-    equitable, its cell-constant vectors are A-invariant, the quotient is
-    the symmetric A_M, and functions on the vertices split into the
-    pullbacks of each level's new vectors, so det(xI - A) is the product
-    of the Q_M."""
+    For each M | N the vertices are cut into the fibers of the projection
+    to level M, cells (class, slots at M's primes); the quotient of A over
+    them is read off edge_target in O(n (l+1)), or is eg.brandt at M = N,
+    where each cell is one vertex.  When every partition is equitable, its
+    cell-constant vectors are A-invariant, the quotient is the symmetric
+    A_M, and functions on the vertices split into the pullbacks of each
+    level's new vectors, so det(xI - A) is the product of the Q_M."""
     k = eg.degree
     rows = [[(w, 1) for w in eg.edge_target[v * k : (v + 1) * k]] for v in range(eg.n)]
     classes = len(eg.class_labels)
     quotients = {}
-    for size in range(len(eg.primes) + 1):
+    for size in range(len(eg.primes)):
         for kept in itertools.combinations(range(len(eg.primes)), size):
-            primes = [eg.primes[i] for i in kept]
-            labels = tuple(vertex_table(classes, primes))
+            primes = tuple(eg.primes[i] for i in kept)
+            labels = vertex_table(classes, primes)
             cell = _project_vertices(eg.vertices, kept, labels)
             quotient = equitable_quotient(rows, cell, len(labels))
             if quotient is None:
                 return None
-            quotients[math.prod(primes)] = quotient, labels
+            quotients[math.prod(primes)] = quotient, primes
+    quotients[eg.level] = eg.brandt, eg.primes
     return {M: new_part(*q) for M, q in quotients.items()}
 
 

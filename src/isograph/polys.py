@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -237,10 +237,7 @@ def _project(w: list[int], partitions, prime: int) -> list[int]:
     return w
 
 
-def charpoly_int(
-    matrix: Sequence[Sequence[int]],
-    restriction: tuple[Sequence[Sequence[Sequence[int]]], int] | None = None,
-) -> Polynomial:
+def charpoly_int(matrix: Sequence[Sequence[int]], partitions=()) -> Polynomial:
     """det(xI - A) exactly, for a symmetric integer A.  Lanczos over one
     prime P above twice _coefficient_bound, lifted to the symmetric range.
 
@@ -254,15 +251,15 @@ def charpoly_int(
     polynomials.  A nonzero w with <w, w> = 0 mod P stops the recurrence and
     raises ArithmeticError.
 
-    restriction = (partitions, dim) gives A on the subspace U of the
-    vectors that sum to zero over every cell of each partition (a list of
-    cells of equal size, the coordinates of a product set), of dimension
-    dim: each start vector is projected onto U and the blocks stop at dim
-    vectors.  The caller proves U invariant under A (an equitable
-    partition, graph.tower_charpoly).  The result, a factor of det(xI - A),
-    is lifted with A's own bound, which covers it: its roots are dim of
-    A's eigenvalues, and the bound C(n, k) (T/n)^(k/2) over that many
-    roots grows with n, as C(n, k) n^(-k/2) does."""
+    `partitions`, each a list of cells of one size s (the coordinates of a
+    product set), give A on the subspace U of the vectors that sum to zero
+    over every cell of each, of dimension n prod (s - 1)/s: each start
+    vector is projected onto U and the blocks stop at that many vectors.
+    The caller proves U invariant under A (an equitable partition,
+    graph.tower_charpoly).  The result, a factor of det(xI - A), is lifted
+    with A's own bound, which covers it: its roots are dim U of A's
+    eigenvalues, and the bound C(n, k) (T/n)^(k/2) over that many roots
+    grows with n, as C(n, k) n^(-k/2) does."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -271,7 +268,8 @@ def charpoly_int(
     # from the nonzero side
     if any(matrix[j][i] != x for i, row in enumerate(rows) for j, x in row):
         raise ValueError("matrix is not symmetric")
-    partitions, dim = ((), n) if restriction is None else restriction
+    sizes = [len(cells[0]) for cells in partitions]
+    dim = n * prod(s - 1 for s in sizes) // prod(sizes)
     frob2 = sum(x * x for row in rows for _, x in row)
     prime = _lanczos_prime(2 * _coefficient_bound(n, frob2))
     rng = random.Random(0)

@@ -5,13 +5,13 @@ P = det(xI - A): for an EnhancedGraph the product of its level tower's
 new parts (graph.tower_charpoly), for a bare matrix polys.charpoly_int.
 This module holds the one definition of connectivity (is_connected:
 P'(k) != 0 for A k-regular) and of bipartiteness (is_bipartite:
-P(-x) = +-P(x)), each one pass over P's coefficients.  The other verdicts count the roots of P above and on
-a threshold in Q(sqrt l) (count_roots).  Float eigenvalues from one
-pure-Python symmetric solver (symmetric_eigenvalues: Householder
-tridiagonalization, then implicit-shift QL) are for display only:
-lambda*, the Ramanujan bound, the Laplacian gap and the float Cheeger
-bounds.  The Cheeger constant h is enumerated in integers, packed into
-the lanes of Python ints.  Nothing here imports numpy.
+P(-x) = +-P(x)), each one pass over P's coefficients.  The other
+verdicts count the roots of P above and on a threshold in Q(sqrt l)
+(count_roots).  Float eigenvalues from one pure-Python solver
+(symmetric_eigenvalues: Householder, then implicit-shift QL) are for
+display only: lambda*, the Ramanujan bound, the Laplacian gap and the
+Cheeger bounds.  The Cheeger constant h is enumerated in integers,
+packed into the lanes of Python ints.  Nothing here imports numpy.
 
 For a k-regular graph, k = l + 1 and gap = k - lambda_1, Dodziuk (1984)
 and Alon-Milman (1985) give gap/2 <= h <= sqrt(2k gap), and
@@ -29,7 +29,7 @@ import operator
 import struct
 import sys
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .enhanced import EnhancedGraph
 from .graph import tower_charpoly
@@ -45,10 +45,15 @@ class SpectralError(ValueError):
     pass
 
 
-def _as_matrix(obj) -> list[list[int]]:
-    rows = obj.brandt if hasattr(obj, "brandt") else obj
+def _as_matrix(obj) -> tuple[Sequence[Sequence[int]], Callable[[], Polynomial]]:
+    """The one place a graph is told from a bare matrix.  A graph's brandt,
+    as its constructor proved it (square, integer, symmetric), with
+    graph.tower_charpoly; a bare matrix, checked for all three, with
+    polys.charpoly_int."""
+    if isinstance(obj, EnhancedGraph):
+        return obj.brandt, lambda: tower_charpoly(obj)
     try:
-        A = [list(row) for row in rows]
+        A = [list(row) for row in obj]
     except TypeError:
         raise SpectralError("need a square matrix") from None
     n = len(A)
@@ -60,7 +65,7 @@ def _as_matrix(obj) -> list[list[int]]:
         raise SpectralError("need an integer matrix") from None
     if any(A[i][j] != A[j][i] for i in range(n) for j in range(i)):
         raise SpectralError("matrix must be symmetric")
-    return A
+    return A, lambda: charpoly_int(A)
 
 
 def _sign(a: int, b: int, d: int) -> int:
@@ -218,16 +223,14 @@ def symmetric_eigenvalues(A) -> list[float]:
 
 
 def spectrum(graph_or_matrix) -> Spectrum:
-    A = _as_matrix(graph_or_matrix)
+    A, charpoly = _as_matrix(graph_or_matrix)
     degree = sum(A[0])
     if any(sum(row) != degree for row in A):
         raise SpectralError("graph is not regular")
     eigs = symmetric_eigenvalues(A)
     if abs(eigs[0] - degree) > EIGVALSH_TOL:
         raise SpectralError(f"top eigenvalue {eigs[0]} differs from degree {degree}")
-    if isinstance(graph_or_matrix, EnhancedGraph):
-        return Spectrum(tuple(eigs), degree, tower_charpoly(graph_or_matrix))
-    return Spectrum(tuple(eigs), degree, charpoly_int(A))
+    return Spectrum(tuple(eigs), degree, charpoly())
 
 
 class RamanujanReport(NamedTuple):
@@ -389,11 +392,11 @@ def _exact_cheeger(A: list[list[int]]) -> tuple[Fraction, tuple[int, ...]]:
 def cheeger_constant(graph_or_matrix, spec: Spectrum | None = None) -> CheegerResult:
     """Isoperimetric constant h, exact (a Fraction, with a witness subset)
     for 2 <= n <= 24, and gap/2 <= h <= sqrt(2 k gap) as floats for display.
-    A caller holding the matrix's spectrum passes it as `spec`."""
-    A = _as_matrix(graph_or_matrix)
+    `spec` defaults to spectrum(graph_or_matrix), a graph's by its tower."""
+    A, _ = _as_matrix(graph_or_matrix)
     n = len(A)
     if spec is None:
-        spec = spectrum(A)
+        spec = spectrum(graph_or_matrix)
     elif spec.n != n:
         raise SpectralError(f"spectrum of size {spec.n} does not fit a {n}-vertex graph")
     gap = spec.laplacian_gap

@@ -3,9 +3,9 @@
 G_p^(l)(N) is (l+1)-regular, so by Ihara-Bass 1/Z is (1 - t^2)^(-chi)
 times det(I - A t + l t^2 I), with chi = graph.euler_characteristic
 (vertices minus geometric edges).  Everything is integer arithmetic.
-The Bass route expands the characteristic polynomial of A, the product
-of its level tower's new parts (graph.tower_charpoly), which also
-decides that the graph is connected (spectral.is_connected).  The independent oracle that verify compares
+The Bass route expands det(xI - A), the product of the level tower's
+new parts (graph.tower_charpoly), which also decides connectivity
+(spectral.is_connected).  The independent oracle that verify compares
 against is det(I - tT) over edge_reverse, from exact counts of closed
 non-backtracking walks and Newton's identities; it shares no code with
 the Bass route.  Nothing here loads numpy.
@@ -72,12 +72,12 @@ def _det_part_charpoly(c: Polynomial, l: int) -> Polynomial:
     return Polynomial(out)
 
 
-def ihara_zeta(eg: EnhancedGraph, charpoly: Polynomial | None = None) -> ZetaFunction:
+def ihara_zeta(eg: EnhancedGraph) -> ZetaFunction:
     """Exact zeta of a connected graph: det(I - At + l t^2 I) expanded
-    from the characteristic polynomial of A (`charpoly` when the caller
-    already holds it, as Spectrum.charpoly, else graph.tower_charpoly),
-    which also decides connectivity (spectral.is_connected)."""
-    c = tower_charpoly(eg) if charpoly is None else charpoly
+    from graph.tower_charpoly, which also decides connectivity
+    (spectral.is_connected); the tower's new parts are cached, so after
+    the spectrum this runs no second Lanczos."""
+    c = tower_charpoly(eg)
     if not is_connected(c, eg.degree):
         raise ZetaError("zeta function needs a connected graph")
     chi = euler_characteristic(eg)

@@ -574,29 +574,40 @@ def test_verify_solves_each_spectrum_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_verify_computes_each_charpoly_once(tmp_path, monkeypatch, fresh_new_parts):
-    # a graph with at most 30 oriented edges gets the edge oracle, which
-    # counts walks: the one characteristic polynomial is the spectrum's,
-    # reused by the zeta, and it computes each new part of the level tower
-    # once, Q_1 on the 1-vertex level-1 quotient and Q_3 on the whole graph
-    import isograph.cli as cli_mod
+def _count_charpolys(monkeypatch, calls):
+    """Record (rows, number of partitions) of every charpoly_int call,
+    under each name the package reaches it by."""
     import isograph.graph as graph_mod
     import isograph.polys as polys_mod
     import isograph.spectral as spectral_mod
 
-    calls, towers = [], []
-    original, tower = polys_mod.charpoly_int, graph_mod.tower_charpoly
+    original = polys_mod.charpoly_int
 
-    def counted(*args):
-        calls.append(len(args[0]))
-        return original(*args)
+    def counted(matrix, *restriction):
+        calls.append((len(matrix), len(restriction[0]) if restriction else 0))
+        return original(matrix, *restriction)
+
+    for mod in (polys_mod, spectral_mod, graph_mod):
+        monkeypatch.setattr(mod, "charpoly_int", counted)
+
+
+def test_verify_computes_each_charpoly_once(tmp_path, monkeypatch, fresh_new_parts):
+    # a graph with at most 30 oriented edges gets the edge oracle, which
+    # counts walks.  The spectrum and the zeta each ask the level tower for
+    # the characteristic polynomial, and the tower computes each new part
+    # once: Q_1 on the 1-vertex level-1 quotient and Q_3 on the whole graph
+    import isograph.cli as cli_mod
+    import isograph.graph as graph_mod
+    import isograph.spectral as spectral_mod
+
+    calls, towers = [], []
+    tower = graph_mod.tower_charpoly
 
     def counted_tower(eg):
         towers.append(eg.n)
         return tower(eg)
 
-    for mod in (polys_mod, spectral_mod, graph_mod):
-        monkeypatch.setattr(mod, "charpoly_int", counted)
+    _count_charpolys(monkeypatch, calls)
     for mod in (graph_mod, spectral_mod, zeta_mod):
         monkeypatch.setattr(mod, "tower_charpoly", counted_tower)
     cfg = JobConfig(13, 5, 3, cache_dir=str(tmp_path))
@@ -604,11 +615,23 @@ def test_verify_computes_each_charpoly_once(tmp_path, monkeypatch, fresh_new_par
     assert eg.oriented_edge_count <= 30
     result = cli_mod.verify_graph(eg, cfg)
     assert "bass_edge_oracle" in result["checks"]
-    assert towers == [eg.n] == [4]
-    assert calls == [1, eg.n]
+    assert towers == [eg.n, eg.n] == [4, 4]
+    assert [rows for rows, _ in calls] == [1, eg.n]
     # the same graph again: both new parts come from the cache
     cli_mod.verify_graph(eg, cfg)
-    assert calls == [1, eg.n]
+    assert len(towers) == 4 and len(calls) == 2
+
+
+def test_cheeger_command_takes_the_level_tower(tmp_path, capsys, monkeypatch, fresh_new_parts):
+    # without a spectrum in hand, cheeger_constant asks for the graph's own:
+    # the new parts Q_1, Q_2, Q_3 and Q_6 of G(6), never a Lanczos over the
+    # whole 12-row matrix without a partition
+    calls = []
+    _count_charpolys(monkeypatch, calls)
+    code, out = run(capsys, "cheeger", 13, 5, 6, "--cache-dir", tmp_path)
+    assert code == 0 and out["method"] == "exact"
+    assert (12, 0) not in calls
+    assert calls == [(1, 0), (3, 1), (4, 1), (12, 2)]
 
 
 def test_verify_loads_each_cache_file_once(tmp_path, capsys, monkeypatch):

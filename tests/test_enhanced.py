@@ -42,6 +42,7 @@ from isograph.enhanced import (
     sigma1,
     vertex_count,
 )
+import isograph
 import isograph.enhanced as enhanced_mod
 from isograph.fields import Embedding, FieldElement, make_extension_field
 from oracles import element, identity, lift_x, rhs, spread_t, torsion_order_extension
@@ -185,6 +186,15 @@ def test_sigma1_and_vertex_count():
     assert vertex_count(13, 6) == 12
     assert vertex_count(37, 2) == 9
     assert vertex_count(61, 6) == 60
+
+
+def test_exported_vertex_count_refuses_an_inadmissible_prime():
+    # (p - 1) sigma1(N) is a multiple of 12 for every admissible p, so only
+    # a direct call of the exported mass count, with no check_admissible in
+    # front, reaches its guard: (7 - 1) and (11 - 1) at N = 1 are not
+    for p in (7, 11):
+        with pytest.raises(AdmissibilityError, match="not divisible by 12"):
+            isograph.vertex_count(p, 1)
 
 
 def test_sigma1_matches_brute_divisor_sum():

@@ -12,7 +12,14 @@ names are exempt (the interpreter calls them).
 Likewise every name a module-level import binds in src/isograph is read
 by that module: a stale import keeps a dependency alive after its last
 use has gone.  The re-exports of __init__.py and `from __future__`
-imports are exempt."""
+imports are exempt.
+
+And every parameter with a default is passed by some call in src/isograph
+(the knob census): a default that no caller overrides is a setting
+nobody uses, a second route the code keeps alive for no one.  A call
+passes a parameter by keyword, by position (past `self` for a method;
+a class's call is its `__init__`'s) or through `*`/`**` forwarding.
+Calls are matched to definitions by name."""
 
 import ast
 from pathlib import Path
@@ -106,3 +113,67 @@ def _unused_imports():
 def test_every_module_import_is_used():
     unused = _unused_imports()
     assert not unused, "imported in src/ but never used there: " + ", ".join(unused)
+
+
+KNOBS_ALLOWED = {
+    # the entry point: the console script calls it bare, the tests pass argv
+    ("main", "argv"),
+}
+
+
+def _knobs():
+    """(where, callee, parameter, position after self or None) for every
+    defaulted parameter, and (callee name, Call) for every call."""
+    knobs, calls = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {
+            id(item): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                cls = owner.get(id(node))
+                callee = cls if node.name == "__init__" else node.name
+                skip = 1 if cls else 0
+                a = node.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    knobs.append((f"{path.name}:{node.lineno}", callee, arg.arg, i - skip))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        knobs.append((f"{path.name}:{node.lineno}", callee, arg.arg, None))
+            elif isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, (ast.Name, ast.Attribute)):
+                    calls.append((f.id if isinstance(f, ast.Name) else f.attr, node))
+    return knobs, calls
+
+
+def _passes(call, param, index):
+    if any(k.arg in (param, None) for k in call.keywords):  # None: **kwargs
+        return True
+    if index is None:  # keyword-only
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def _unpassed_knobs():
+    knobs, calls = _knobs()
+    return {
+        (callee, param): f"{callee}({param}) at {where}"
+        for where, callee, param, index in knobs
+        if not any(name == callee and _passes(c, param, index) for name, c in calls)
+    }
+
+
+def test_every_default_is_passed_in_src():
+    unpassed = sorted(w for key, w in _unpassed_knobs().items() if key not in KNOBS_ALLOWED)
+    assert not unpassed, "defaulted parameters no call in src/ passes: " + ", ".join(unpassed)
+
+
+def test_knob_allowlist_is_current():
+    assert KNOBS_ALLOWED <= set(_unpassed_knobs())
