@@ -1,5 +1,6 @@
-"""The Euler characteristic, covering maps, the characteristic polynomial
-along the level tower and exports of an EnhancedGraph.
+"""The Euler characteristic, covering maps, the level tower (its
+quotients and the characteristic polynomial's new parts) and exports of
+an EnhancedGraph.
 
 All of them read the EnhancedGraph itself: oriented edge e runs from
 e // (l+1) to edge_target[e], and edge_reverse pairs it with its
@@ -12,10 +13,14 @@ kernel slot, so edge e maps to vertex_map[e // k] * k + e % k with
 k = l + 1.  verify_covering checks what that rule leaves open, vertex
 fibers of sigma1(N/M) elements and heads that commute.
 
-The coverings split the characteristic polynomial (Atkin-Lehner 1970,
-Pizer 1980): det(xI - A_N) = prod over M | N of Q_M, where Q_M is A_M on
-the vectors that sum to zero over every fiber of each projection that
-forgets one prime of M, of degree (p - 1) M / 12 (tower_charpoly).
+The coverings split the spectrum (Atkin-Lehner 1970, Pizer 1980): in a
+basis adapted to the tower, A_N is block-diagonal over M | N, each block
+the level-M quotient A_M (level_quotients) on the vectors that sum to
+zero over every fiber of each projection that forgets one prime of M,
+of dimension (p - 1) M / 12.  So det(xI - A_N) is the product over
+M | N of the blocks' characteristic polynomials Q_M (new_part,
+tower_charpoly), and the float eigenvalues are the union of the blocks'
+(spectral.new_block_eigenvalues).
 """
 
 from __future__ import annotations
@@ -136,8 +141,11 @@ def new_part(quotient: tuple[tuple[int, ...], ...], primes: tuple[int, ...]) -> 
     return charpoly_int(quotient, partitions)
 
 
-def level_factors(eg: EnhancedGraph) -> dict[int, Polynomial] | None:
-    """Q_M for each M | N, or None when a partition is not equitable.
+def level_quotients(
+    eg: EnhancedGraph,
+) -> dict[int, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] | None:
+    """The level-M quotient B_M of A and M's primes for each M | N, or None
+    when a partition is not equitable.
 
     For each M | N the vertices are cut into the fibers of the projection
     to level M, cells (class, slots at M's primes); the quotient of A over
@@ -145,7 +153,8 @@ def level_factors(eg: EnhancedGraph) -> dict[int, Polynomial] | None:
     where each cell is one vertex.  When every partition is equitable, its
     cell-constant vectors are A-invariant, the quotient is the symmetric
     A_M, and functions on the vertices split into the pullbacks of each
-    level's new vectors, so det(xI - A) is the product of the Q_M."""
+    level's new vectors, so A's spectrum is the union of the B_M's on
+    their new vectors (new_part, spectral's float blocks)."""
     k = eg.degree
     rows = [[(w, 1) for w in eg.edge_target[v * k : (v + 1) * k]] for v in range(eg.n)]
     classes = len(eg.class_labels)
@@ -160,6 +169,15 @@ def level_factors(eg: EnhancedGraph) -> dict[int, Polynomial] | None:
                 return None
             quotients[math.prod(primes)] = quotient, primes
     quotients[eg.level] = eg.brandt, eg.primes
+    return quotients
+
+
+def level_factors(eg: EnhancedGraph) -> dict[int, Polynomial] | None:
+    """Q_M for each M | N, the new part of each level quotient, or None
+    when a partition is not equitable; det(xI - A) is their product."""
+    quotients = level_quotients(eg)
+    if quotients is None:
+        return None
     return {M: new_part(*q) for M, q in quotients.items()}
 
 

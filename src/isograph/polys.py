@@ -12,7 +12,6 @@ independent reference that tests compare it against.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import comb, isqrt, prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -165,6 +164,8 @@ def poly_matrix_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
 
 
 def _lagrange_int(xs: Sequence[int], ys: Sequence[int]) -> Polynomial:
+    from fractions import Fraction  # off the import path of every command
+
     n = len(xs)
     coeffs = [Fraction(0)] * n
     for i in range(n):

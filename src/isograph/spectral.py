@@ -2,16 +2,23 @@
 
 Every verdict is exact and reads the integer characteristic polynomial
 P = det(xI - A): for an EnhancedGraph the product of its level tower's
-new parts (graph.tower_charpoly), for a bare matrix polys.charpoly_int.
+new parts Q_M (graph.new_part), for a bare matrix polys.charpoly_int.
 This module holds the one definition of connectivity (is_connected:
 P'(k) != 0 for A k-regular) and of bipartiteness (is_bipartite:
 P(-x) = +-P(x)), each one pass over P's coefficients.  The other
 verdicts count the roots of P above and on a threshold in Q(sqrt l)
 (count_roots).  Float eigenvalues from one pure-Python solver
-(symmetric_eigenvalues: Householder, then implicit-shift QL) are for
-display only: lambda*, the Ramanujan bound, the Laplacian gap and the
-Cheeger bounds.  The Cheeger constant h is enumerated in integers,
-packed into the lanes of Python ints.  Nothing here imports numpy.
+(Householder, then implicit-shift QL) are for display only: lambda*, the
+Ramanujan bound, the Laplacian gap and the Cheeger bounds.  A graph's
+eigenvalues come block by block along the same tower as P: one level
+quotient B_M per M | N, built once per spectrum call
+(graph.level_quotients), gives both Q_M and the float block V^T B_M V
+on its new vectors (new_block_eigenvalues, cached per process), and
+each block's eigenvalues are checked against Q_M's first two power
+sums.  A bare matrix, or a graph whose partition is not equitable, is
+one block, the whole matrix (symmetric_eigenvalues).  The Cheeger
+constant h is enumerated in integers, packed into the lanes of Python
+ints.  Nothing here imports numpy.
 
 For a k-regular graph, k = l + 1 and gap = k - lambda_1, Dodziuk (1984)
 and Alon-Milman (1985) give gap/2 <= h <= sqrt(2k gap), and
@@ -24,18 +31,23 @@ gap <= 2k and h <= k < sqrt(2k) (sqrt l + 1).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
 import sys
-from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .enhanced import EnhancedGraph
-from .graph import tower_charpoly
+from .graph import level_quotients, new_part
 from .polys import Polynomial, charpoly_int
 
-# the solver's top eigenvalue may miss the exact degree by rounding, no more
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# the solver's top eigenvalue may miss the exact degree by rounding, no
+# more; a block's power sums may miss their exact values by this much
+# relative to the sum of |lambda|^j
 EIGVALSH_TOL = 1e-9
 # QL steps allowed per eigenvalue; two or three are typical
 QL_MAX_ITERATIONS = 30
@@ -45,13 +57,16 @@ class SpectralError(ValueError):
     pass
 
 
-def _as_matrix(obj) -> tuple[Sequence[Sequence[int]], Callable[[], Polynomial]]:
+Block = tuple[Sequence[float], Polynomial]  # eigenvalues and their exact polynomial
+
+
+def _as_matrix(obj) -> tuple[Sequence[Sequence[int]], Callable[[], list[Block]]]:
     """The one place a graph is told from a bare matrix.  A graph's brandt,
-    as its constructor proved it (square, integer, symmetric), with
-    graph.tower_charpoly; a bare matrix, checked for all three, with
-    polys.charpoly_int."""
+    as its constructor proved it (square, integer, symmetric), with its
+    level tower's blocks (_tower_blocks); a bare matrix, checked for all
+    three, with one block, the whole matrix (_whole_block)."""
     if isinstance(obj, EnhancedGraph):
-        return obj.brandt, lambda: tower_charpoly(obj)
+        return obj.brandt, lambda: _tower_blocks(obj)
     try:
         A = [list(row) for row in obj]
     except TypeError:
@@ -65,7 +80,7 @@ def _as_matrix(obj) -> tuple[Sequence[Sequence[int]], Callable[[], Polynomial]]:
         raise SpectralError("need an integer matrix") from None
     if any(A[i][j] != A[j][i] for i in range(n) for j in range(i)):
         raise SpectralError("matrix must be symmetric")
-    return A, lambda: charpoly_int(A)
+    return A, lambda: [_whole_block(A)]
 
 
 def _sign(a: int, b: int, d: int) -> int:
@@ -222,15 +237,119 @@ def symmetric_eigenvalues(A) -> list[float]:
     return sorted(_ql_eigenvalues(*_tridiagonalize(A)), reverse=True)
 
 
+def _whole_block(A) -> Block:
+    """The whole matrix as one block: its eigenvalues and charpoly_int."""
+    return symmetric_eigenvalues(A), charpoly_int(A)
+
+
+def _helmert(m: int) -> list[list[float]]:
+    """The m - 1 non-constant columns of the m x m Helmert matrix, as m
+    rows: column j (1 <= j < m) is (1, ..., 1, -j, 0, ..., 0) / sqrt(j (j+1))
+    with j ones, so the columns are orthonormal and each sums to zero."""
+    return [
+        [(1.0 if i < j else -float(j) if i == j else 0.0) / math.sqrt(j * (j + 1))
+         for j in range(1, m)]
+        for i in range(m)
+    ]
+
+
+def _slot_basis(primes: tuple[int, ...]) -> list[list[float]]:
+    """H, prod (r+1) rows by prod r columns: the Kronecker product over the
+    primes of _helmert(r + 1), rows in the product order of the slot tuples
+    (enhanced.vertex_table).  Its columns are an orthonormal basis of the
+    vectors on one class's slots that sum to zero over each fiber of
+    forgetting one prime."""
+    H = [[1.0]]
+    for r in primes:
+        h = _helmert(r + 1)
+        H = [[x * y for x in row for y in hrow] for row in H for hrow in h]
+    return H
+
+
+@functools.lru_cache(maxsize=None)
+def new_block_eigenvalues(
+    quotient: tuple[tuple[int, ...], ...], primes: tuple[int, ...]
+) -> tuple[float, ...]:
+    """The eigenvalues of the level quotient B on its new vectors, the roots
+    of graph.new_part(B, primes): Householder + QL on V^T B V, where V is H
+    (_slot_basis) on each class, its rows class-major like the vertex table.
+    V^T B V, classes * prod r square, is H^T (B V) class by class, B V
+    summed from B's nonzero entries and H's rows; only its upper triangle
+    is summed, and the lower one mirrors it, so it is exactly symmetric.
+    Computed once per process for each (B, primes), new_part's key, so a
+    grid solves each new block once and G(M)'s eigenvalues recur bit for
+    bit in G(N)'s."""
+    H = _slot_basis(primes)
+    slots, cols = len(H), len(H[0])
+    dim = len(quotient) // slots * cols
+    S = []
+    for c in range(0, len(quotient), slots):
+        start = c // slots * cols  # the class's first row of S, and its diagonal
+        BV = []  # the class's rows of B V from column `start` on
+        for row in quotient[c : c + slots]:
+            out = [0.0] * dim
+            for v in range(c, len(row)):
+                w = row[v]
+                if w:
+                    d, t = divmod(v, slots)
+                    i = d * cols
+                    out[i : i + cols] = [x + w * h for x, h in zip(out[i : i + cols], H[t])]
+            BV.append(out)
+        columns = list(zip(*BV))[start:]
+        pad = [0.0] * start
+        S.extend(pad + [sum(map(operator.mul, h, col)) for col in columns] for h in zip(*H))
+    for i in range(dim):
+        for j in range(i):
+            S[i][j] = S[j][i]
+    return tuple(_ql_eigenvalues(*_tridiagonalize(S)))
+
+
+def _tower_blocks(eg: EnhancedGraph) -> list[Block]:
+    """(new_block_eigenvalues, new_part) for each M | N, both from one
+    build of the level quotients (graph.level_quotients); the whole matrix
+    as one block when a partition is not equitable, which only a
+    hand-edited graph has."""
+    quotients = level_quotients(eg)
+    if quotients is None:
+        return [_whole_block(eg.brandt)]
+    return [(new_block_eigenvalues(*q), new_part(*q)) for q in quotients.values()]
+
+
+def _check_block(values: Sequence[float], poly: Polynomial) -> None:
+    """Newton's first two identities against the exact polynomial
+    x^d + c_{d-1} x^{d-1} + c_{d-2} x^{d-2} + ...: the eigenvalues sum to
+    -c_{d-1} and their squares to c_{d-1}^2 - 2 c_{d-2}, each within
+    EIGVALSH_TOL of the sum of |lambda|^j."""
+    d = poly.degree
+    c1, c2 = poly[d - 1], poly[d - 2]  # poly[-1] is 0
+    for j, exact in ((1, -c1), (2, c1 * c1 - 2 * c2)):
+        power_sum = math.fsum(x**j for x in values)
+        scale = max(1.0, math.fsum(abs(x) ** j for x in values))
+        if abs(power_sum - exact) > EIGVALSH_TOL * scale:
+            raise SpectralError(
+                f"power sum {j} of a degree-{d} block is {power_sum}, not {exact}"
+            )
+
+
 def spectrum(graph_or_matrix) -> Spectrum:
-    A, charpoly = _as_matrix(graph_or_matrix)
+    """The exact characteristic polynomial and the float eigenvalues,
+    block by block: for an EnhancedGraph one block per M | N, the level-M
+    quotient on its new vectors, each solved and factored once per
+    process; for a bare matrix one block, the whole matrix.  Each block's
+    eigenvalues must match its polynomial's first two power sums, and the
+    top eigenvalue the degree, else SpectralError."""
+    A, blocks = _as_matrix(graph_or_matrix)
     degree = sum(A[0])
     if any(sum(row) != degree for row in A):
         raise SpectralError("graph is not regular")
-    eigs = symmetric_eigenvalues(A)
+    solved = blocks()
+    eigs = sorted((x for values, _ in solved for x in values), reverse=True)
     if abs(eigs[0] - degree) > EIGVALSH_TOL:
         raise SpectralError(f"top eigenvalue {eigs[0]} differs from degree {degree}")
-    return Spectrum(tuple(eigs), degree, charpoly())
+    for values, poly in solved:
+        _check_block(values, poly)
+    charpoly = functools.reduce(operator.mul, (poly for _, poly in solved))
+    return Spectrum(tuple(eigs), degree, charpoly)
 
 
 class RamanujanReport(NamedTuple):
@@ -322,6 +441,8 @@ def _exact_cheeger(A: list[list[int]]) -> tuple[Fraction, tuple[int, ...]]:
     not beat the best ratio at the lane's size; only a row with such a
     lane is unpacked and scanned in full.  Rows improve strictly in mask
     order, so the witness is the lowest minimizing mask."""
+    from fractions import Fraction  # off the import path of every command
+
     n = len(A)
     if any(x < 0 for row in A for x in row):
         raise SpectralError("need a non-negative matrix")
@@ -411,6 +532,8 @@ def cheeger_constant(graph_or_matrix, spec: Spectrum | None = None) -> CheegerRe
 def cheeger_sandwich(spec: Spectrum, h: Fraction) -> bool:
     """Exact h against the paper's floor (sqrt l - 1)^2 / 2 and the bounds
     gap/2 <= h <= sqrt(2 k gap), for the spectrum's degree k = l + 1."""
+    from fractions import Fraction  # off the import path of every command
+
     k = spec.degree
     t = k - 2 * Fraction(h)  # h >= gap/2 exactly when lambda_1 >= k - 2h
     s = k - Fraction(h) ** 2 / (2 * k)  # h <= sqrt(2k gap): lambda_1 <= s

@@ -1,5 +1,6 @@
-"""A wall-clock limit on every test call, and an empty new-part cache for
-the tests that count characteristic polynomials.
+"""A wall-clock limit on every test call, and empty new-part and
+new-block caches for the tests that count characteristic polynomials and
+block solves.
 
 A loop whose exit guard is broken (a QL sweep without its iteration cap,
 Tonelli-Shanks on a non-square) must fail its test, not hang the run.
@@ -12,6 +13,7 @@ import signal
 import pytest
 
 from isograph.graph import new_part
+from isograph.spectral import new_block_eigenvalues
 
 TEST_SECONDS = 120
 
@@ -36,9 +38,12 @@ def pytest_runtest_call(item):
 
 @pytest.fixture
 def fresh_new_parts():
-    """graph.new_part's per-process cache emptied before and after the
-    test, so every new part the test asks for is computed inside it and an
-    earlier test's entries cannot hide a call that it counts."""
+    """graph.new_part's and spectral.new_block_eigenvalues' per-process
+    caches emptied before and after the test, so every new part and block
+    the test asks for is computed inside it and an earlier test's entries
+    cannot hide a call that it counts or a mutation that it plants."""
     new_part.cache_clear()
+    new_block_eigenvalues.cache_clear()
     yield
     new_part.cache_clear()
+    new_block_eigenvalues.cache_clear()

@@ -11,7 +11,9 @@ characteristic polynomial of the adjacency matrix (zeta.ihara_zeta) and
 checks it against the edge determinant (zeta.edge_matrix_zeta).
 hessenberg_charpoly is a characteristic polynomial by Hessenberg
 reduction mod a Mersenne prime, apart from the package's Lanczos
-(polys.charpoly_int) and the walk counts of the edge determinant.  The
+(polys.charpoly_int) and the walk counts of the edge determinant.
+assert_matches_eigvalsh holds float eigenvalues, the package's whole-matrix
+solver or its level-tower blocks (spectral.spectrum), to numpy's LAPACK.  The
 census oracles count closed reduced paths on the edges directly and
 compare the counts with exact power series of Z, so a census never
 shares code with either route.
@@ -48,7 +50,21 @@ from isograph.curves import CurveError, EllipticCurve
 from isograph.enhanced import EnhancedGraph
 from isograph.fields import Field, FieldElement, FieldMismatch, NotInSubfield
 from isograph.polys import Polynomial
+from isograph.spectral import symmetric_eigenvalues
 from isograph.zeta import ORACLE_EDGE_LIMIT, ZetaError, ZetaFunction
+
+
+def assert_matches_eigvalsh(matrix, eigenvalues=None) -> None:
+    """`eigenvalues` (by default spectral.symmetric_eigenvalues of the
+    matrix) are descending and within 1e-12 * max |lambda| * n of numpy's
+    LAPACK eigvalsh."""
+    import numpy as np
+
+    got = list(symmetric_eigenvalues(matrix) if eigenvalues is None else eigenvalues)
+    want = np.linalg.eigvalsh(np.array(matrix, dtype=float))[::-1]
+    scale = max(1.0, float(np.abs(want).max()))
+    assert len(got) == len(want) and got == sorted(got, reverse=True)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale * len(matrix)
 
 
 def adjacency_connected(matrix) -> bool:

@@ -593,33 +593,50 @@ def _count_charpolys(monkeypatch, calls):
 
 def test_verify_computes_each_charpoly_once(tmp_path, monkeypatch, fresh_new_parts):
     # a graph with at most 30 oriented edges gets the edge oracle, which
-    # counts walks.  The spectrum and the zeta each ask the level tower for
-    # the characteristic polynomial, and the tower computes each new part
-    # once: Q_1 on the 1-vertex level-1 quotient and Q_3 on the whole graph
+    # counts walks.  The spectrum builds the level quotients once and takes
+    # each level's new part and float block from them; the zeta asks the
+    # level tower for the characteristic polynomial.  Each new part is
+    # computed once, Q_1 on the 1-vertex level-1 quotient and Q_3 on the
+    # whole graph, and each new block is solved once (1 and 3 rows); the
+    # whole-matrix solver never runs
     import isograph.cli as cli_mod
     import isograph.graph as graph_mod
     import isograph.spectral as spectral_mod
 
-    calls, towers = [], []
-    tower = graph_mod.tower_charpoly
+    calls, towers, builds, solved, whole = [], [], [], [], []
+    tower, quotients = graph_mod.tower_charpoly, graph_mod.level_quotients
+    tridiagonalize = spectral_mod._tridiagonalize
 
     def counted_tower(eg):
         towers.append(eg.n)
         return tower(eg)
 
+    def counted_quotients(eg):
+        builds.append(eg.n)
+        return quotients(eg)
+
+    def counted_tridiagonalize(A):
+        solved.append(len(A))
+        return tridiagonalize(A)
+
     _count_charpolys(monkeypatch, calls)
-    for mod in (graph_mod, spectral_mod, zeta_mod):
+    for mod in (graph_mod, zeta_mod):
         monkeypatch.setattr(mod, "tower_charpoly", counted_tower)
+    monkeypatch.setattr(spectral_mod, "level_quotients", counted_quotients)
+    monkeypatch.setattr(spectral_mod, "_tridiagonalize", counted_tridiagonalize)
+    monkeypatch.setattr(spectral_mod, "symmetric_eigenvalues", whole.append)
     cfg = JobConfig(13, 5, 3, cache_dir=str(tmp_path))
     eg = build_or_load(cfg)
     assert eg.oriented_edge_count <= 30
     result = cli_mod.verify_graph(eg, cfg)
     assert "bass_edge_oracle" in result["checks"]
-    assert towers == [eg.n, eg.n] == [4, 4]
+    assert builds == towers == [eg.n] == [4]
     assert [rows for rows, _ in calls] == [1, eg.n]
-    # the same graph again: both new parts come from the cache
+    assert solved == [1, 3] and whole == []
+    # the same graph again: every new part and block comes from the cache
     cli_mod.verify_graph(eg, cfg)
-    assert len(towers) == 4 and len(calls) == 2
+    assert len(builds) == len(towers) == 2
+    assert len(calls) == 2 and len(solved) == 2 and whole == []
 
 
 def test_cheeger_command_takes_the_level_tower(tmp_path, capsys, monkeypatch, fresh_new_parts):

@@ -26,8 +26,10 @@ from isograph.graph import (
     tower_charpoly,
     verify_covering,
 )
+from isograph import spectral
 from isograph.polys import charpoly_int
-from oracles import adjacency_connected, hessenberg_charpoly, is_bipartite
+from isograph.spectral import spectrum
+from oracles import adjacency_connected, assert_matches_eigvalsh, hessenberg_charpoly, is_bipartite
 
 
 def builder(p, l):
@@ -154,11 +156,11 @@ def test_tower_charpoly_is_the_product_of_the_level_new_parts(fresh_new_parts):
     assert len(graphs) == 38
 
 
-def test_tower_charpoly_is_exact_on_a_graph_that_is_not_equitable(fresh_new_parts):
-    # mutation: a double-edge swap at (37, 5, 2) between two vertices of one
-    # class whose edges go to two other classes; the constructor accepts it,
-    # but the class partition is no longer equitable, so the graph gets the
-    # whole matrix's charpoly_int
+@functools.cache
+def not_equitable_graph():
+    """A double-edge swap at (37, 5, 2) between two vertices of one class
+    whose edges go to two other classes; the constructor accepts it, but
+    the class partition is no longer equitable."""
     g = acceptance_graphs()[37, 5, 2]
     k, target = g.degree, g.edge_target
     cls = [c for c, _ in g.vertices]
@@ -168,12 +170,36 @@ def test_tower_charpoly_is_exact_on_a_graph_that_is_not_equitable(fresh_new_part
         if cls[e1 // k] == cls[e2 // k] != cls[target[e1]] != cls[target[e2]] != cls[e1 // k]
         and len({e1 // k, target[e1], e2 // k, target[e2]}) == 4
     )
-    swapped = double_edge_swap(g, e1, e2)
-    assert [sum(row) for row in swapped.brandt] == [k] * g.n
+    return double_edge_swap(g, e1, e2)
+
+
+def test_tower_charpoly_is_exact_on_a_graph_that_is_not_equitable(fresh_new_parts):
+    # mutation: the swapped graph gets the whole matrix's charpoly_int
+    g, swapped = acceptance_graphs()[37, 5, 2], not_equitable_graph()
+    assert [sum(row) for row in swapped.brandt] == [g.degree] * g.n
     assert level_factors(g) is not None and level_factors(swapped) is None
     full = charpoly_int(swapped.brandt)
     assert full != charpoly_int(g.brandt)
     assert tower_charpoly(swapped) == full == hessenberg_charpoly(swapped.brandt)
+
+
+def test_spectrum_of_a_graph_that_is_not_equitable_takes_the_whole_matrix(
+    monkeypatch, fresh_new_parts
+):
+    # the swapped graph has no level blocks: its float eigenvalues come from
+    # one whole-matrix solve and still match LAPACK, its polynomial is exact
+    swapped, whole = not_equitable_graph(), []
+    solve = spectral.symmetric_eigenvalues
+
+    def counted(A):
+        whole.append(len(A))
+        return solve(A)
+
+    monkeypatch.setattr(spectral, "symmetric_eigenvalues", counted)
+    s = spectrum(swapped)
+    assert whole == [swapped.n]
+    assert s.charpoly == tower_charpoly(swapped)
+    assert_matches_eigvalsh(swapped.brandt, s.eigenvalues)
 
 
 # --------------------------------------------------------- Hecke commutation

@@ -7,6 +7,7 @@ oracle."""
 import functools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import assert_matches_eigvalsh
 from isograph import spectral
 from isograph.cli import parse_grid
 from isograph.enhanced import GraphBuilder
@@ -164,19 +166,66 @@ def test_input_checks():
 # ------------------------------------------------------------ eigenvalues
 
 
-def assert_matches_eigvalsh(M):
-    got = symmetric_eigenvalues(M)
-    want = np.linalg.eigvalsh(np.array(M, dtype=float))[::-1]
-    scale = max(1.0, float(np.abs(want).max()))
-    assert len(got) == len(want) and got == sorted(got, reverse=True)
-    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale * len(M)
-
-
 def test_eigenvalues_match_lapack_on_grid():
     graphs = grid_graphs()
     assert len(graphs) == 18 and max(g.n for g in graphs) == 60
     for g in graphs:
         assert_matches_eigvalsh(g.brandt)
+
+
+def test_spectrum_takes_the_level_blocks_and_matches_lapack_on_grid(monkeypatch, fresh_new_parts):
+    # each grid graph's eigenvalues are the union of its level blocks, and
+    # none of the 18 reaches the whole-matrix solver
+    whole = []
+    monkeypatch.setattr(spectral, "symmetric_eigenvalues", whole.append)
+    for g in grid_graphs():
+        s = spectrum(g)
+        assert_matches_eigvalsh(g.brandt, s.eigenvalues)
+    assert whole == []
+
+
+def test_level_spectrum_recurs_bitwise_up_the_tower(fresh_new_parts):
+    # G(M)'s float spectrum is a sub-multiset of G(N)'s for M | N, bit for
+    # bit: both take G(M)'s levels from the same quotients and blocks
+    graphs = {(g.p, g.l, g.level): g for g in grid_graphs()}
+    pairs = 0
+    for (p, l, N), g in graphs.items():
+        fine = Counter(spectrum(g).eigenvalues)
+        for M in range(1, N):
+            if N % M == 0:
+                coarse = Counter(spectrum(graphs[p, l, M]).eigenvalues)
+                assert not coarse - fine, (p, l, M, N)
+                pairs += 1
+    assert pairs == 18
+
+
+def test_block_guard_trips_on_a_scaled_reduction(monkeypatch, fresh_new_parts):
+    # mutation: every off-diagonal of the tridiagonal form scaled by 1.001.
+    # The level-1 block of (13, 5, 6) is the 1 x 1 [6], so the top
+    # eigenvalue stays exact; the squares of the other blocks do not
+    tridiagonalize = spectral._tridiagonalize
+
+    def scaled(A):
+        d, e = tridiagonalize(A)
+        return d, [1.001 * x for x in e]
+
+    monkeypatch.setattr(spectral, "_tridiagonalize", scaled)
+    with pytest.raises(SpectralError, match="power sum 2 of a degree-"):
+        spectrum(GraphBuilder(13, 5).build(6))
+
+
+def test_block_guard_trips_on_a_scaled_helmert_column(monkeypatch, fresh_new_parts):
+    # mutation: the last non-constant Helmert column of R^(r+1) scaled by
+    # 1.001, so V is no longer orthonormal and V^T B V no longer has the
+    # new part's roots
+    helmert = spectral._helmert
+
+    def scaled(m):
+        return [row[:-1] + [1.001 * row[-1]] for row in helmert(m)]
+
+    monkeypatch.setattr(spectral, "_helmert", scaled)
+    with pytest.raises(SpectralError, match="power sum"):
+        spectrum(GraphBuilder(13, 5).build(6))
 
 
 @st.composite

@@ -2,7 +2,9 @@
 `import isograph.cli` loads is paid on each call.  dataclasses (which
 brings inspect, ast, dis and tokenize) and hashlib (which loads OpenSSL)
 stay off that path: the records are NamedTuples and plain slotted
-classes, and hashlib loads when a seed is first derived."""
+classes, and hashlib loads when a seed is first derived.  fractions (which
+brings decimal and numbers) loads where an exact Cheeger constant or the
+Lagrange reference first needs a Fraction."""
 
 import os
 import subprocess
@@ -10,7 +12,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-HEAVY = ("dataclasses", "inspect", "hashlib")
+HEAVY = ("dataclasses", "inspect", "hashlib", "fractions", "decimal", "numbers")
 PROBE = (
     "import sys; before = set(sys.modules); import isograph.cli; "
     f"print(' '.join(m for m in {HEAVY!r} if m in set(sys.modules) - before))"
